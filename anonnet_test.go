@@ -110,28 +110,6 @@ func TestComputeVectorizedKernel(t *testing.T) {
 	}
 }
 
-// TestWithShardsDeprecatedAlias keeps the deprecated option compiling and
-// behaving as WithParallelism.
-func TestWithShardsDeprecatedAlias(t *testing.T) {
-	setting := anonnet.Setting{Kind: anonnet.OutdegreeAware, Static: true, Row: anonnet.RowNoHelp}
-	factory, err := anonnet.NewFactory(anonnet.Average(), setting)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := anonnet.Compute(context.Background(), anonnet.Spec{
-		Factory:  factory,
-		Schedule: anonnet.NewStatic(anonnet.BidirectionalRing(6)),
-		Inputs:   anonnet.Inputs(1, 2, 3, 4, 5, 6),
-		Kind:     setting.Kind,
-	}, anonnet.WithEngine(anonnet.Sharded), anonnet.WithShards(3), anonnet.WithSeed(42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Stable {
-		t.Fatal("sharded run with deprecated WithShards did not stabilize")
-	}
-}
-
 // TestParseEngineKind pins the shared-name-table round trip on the facade.
 func TestParseEngineKind(t *testing.T) {
 	for _, k := range []anonnet.EngineKind{anonnet.Sequential, anonnet.Concurrent, anonnet.Sharded, anonnet.Vectorized} {
@@ -148,23 +126,6 @@ func TestParseEngineKind(t *testing.T) {
 	}
 	if _, err := anonnet.ParseEngineKind("turbo"); err == nil {
 		t.Fatal("want error for unknown engine name")
-	}
-}
-
-func TestComputeCtxDeprecatedWrapper(t *testing.T) {
-	setting := anonnet.Setting{Kind: anonnet.OutdegreeAware, Static: true, Row: anonnet.RowNoHelp}
-	factory, err := anonnet.NewFactory(anonnet.Average(), setting)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := anonnet.ComputeCtx(context.Background(), factory,
-		anonnet.NewStatic(anonnet.Ring(5)), anonnet.Inputs(1, 2, 3, 4, 5),
-		anonnet.ComputeOptions{Kind: setting.Kind, Concurrent: true, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Stable || res.Outputs[0].(float64) != 3 {
-		t.Fatalf("wrapper result %+v, want stable average 3", res)
 	}
 }
 

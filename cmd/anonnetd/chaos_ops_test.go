@@ -17,8 +17,6 @@ import (
 	"testing"
 	"time"
 
-	"anonnet/internal/engine"
-	"anonnet/internal/job"
 	"anonnet/internal/service"
 	"anonnet/internal/store"
 )
@@ -50,15 +48,15 @@ func TestRetryAfterJitterDeterministicRange(t *testing.T) {
 
 func TestShedRetryAfterGoesThroughJitter(t *testing.T) {
 	release := make(chan struct{})
-	runner := func(ctx context.Context, c *job.Compiled, obs engine.Observer) (*job.Result, error) {
+	intercept := func(ctx context.Context, jobID string, attempt int) error {
 		select {
 		case <-release:
 		case <-ctx.Done():
 		}
-		return job.Run(ctx, c, obs)
+		return nil
 	}
 	defer close(release)
-	svc := service.New(service.Config{Workers: 1, QueueDepth: 1, CacheSize: -1, Runner: runner})
+	svc := service.New(service.Config{Workers: 1, QueueDepth: 1, CacheSize: -1, Intercept: intercept})
 	// A marker jitter proves the header goes through the hook: base + 41.
 	ts := httptest.NewServer(newMux(svc, muxOptions{jitter: func(secs int) int { return secs + 41 }}))
 	t.Cleanup(func() {

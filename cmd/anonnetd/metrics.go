@@ -8,10 +8,10 @@ import (
 )
 
 // newMetricsRegistry wires the /metrics endpoint: the service counters
-// (the same values the expvar "anonnetd" map mirrors, so the two
-// endpoints can never disagree), the durable-store gauges, the quota
-// tenant gauge, and the job-latency histogram. st, lim, and hist may be
-// nil — their series are simply absent.
+// (read from service.Stats, which also renders the expvar "anonnetd"
+// map, so the two endpoints can never disagree), the durable-store
+// gauges, the quota tenant gauge, and the job-latency histogram. st,
+// lim, and hist may be nil — their series are simply absent.
 func newMetricsRegistry(svc *service.Service, st *store.Store, lim *quota.Limiter, hist *metrics.Histogram) *metrics.Registry {
 	reg := metrics.NewRegistry()
 	counter := func(name, help string, read func(service.Stats) int64) {

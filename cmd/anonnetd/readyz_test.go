@@ -12,8 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"anonnet/internal/engine"
-	"anonnet/internal/job"
 	"anonnet/internal/service"
 )
 
@@ -41,15 +39,15 @@ func TestReadyzReady(t *testing.T) {
 
 func TestReadyzShedsWhenSaturated(t *testing.T) {
 	release := make(chan struct{})
-	runner := func(ctx context.Context, c *job.Compiled, obs engine.Observer) (*job.Result, error) {
+	intercept := func(ctx context.Context, jobID string, attempt int) error {
 		select {
 		case <-release:
 		case <-ctx.Done():
 		}
-		return job.Run(ctx, c, obs)
+		return nil
 	}
 	defer close(release)
-	ts, svc := newTestServer(t, service.Config{Workers: 1, QueueDepth: 1, CacheSize: -1, Runner: runner})
+	ts, svc := newTestServer(t, service.Config{Workers: 1, QueueDepth: 1, CacheSize: -1, Intercept: intercept})
 
 	// Fill the pool and the queue.
 	if _, code := postJob(t, ts, `{"graph":{"builder":"ring","n":4},"kind":"od","function":"average","seed":1}`); code != http.StatusAccepted {
@@ -86,18 +84,18 @@ func TestReadyzShedsWhenSaturated(t *testing.T) {
 	}
 }
 
-// TestPanickingJobLeavesDaemonServing is the PR's acceptance criterion:
-// submitting a job whose runner panics (the test hook standing in for a
+// TestPanickingJobLeavesDaemonServing is the acceptance criterion:
+// submitting a job whose attempt panics (the test hook standing in for a
 // panicking agent factory) yields a failed job carrying the panic
 // message, while the daemon stays ready and completes later submissions.
 func TestPanickingJobLeavesDaemonServing(t *testing.T) {
-	runner := func(ctx context.Context, c *job.Compiled, obs engine.Observer) (*job.Result, error) {
-		if c.Spec.Seed == 42 {
+	intercept := func(ctx context.Context, jobID string, attempt int) error {
+		if jobID == "j000001" {
 			panic("agent factory exploded")
 		}
-		return job.Run(ctx, c, obs)
+		return nil
 	}
-	ts, svc := newTestServer(t, service.Config{Workers: 1, Runner: runner})
+	ts, svc := newTestServer(t, service.Config{Workers: 1, Intercept: intercept})
 
 	j, code := postJob(t, ts, `{"graph":{"builder":"ring","n":4},"kind":"od","function":"average","seed":42}`)
 	if code != http.StatusAccepted {

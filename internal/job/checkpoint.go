@@ -41,9 +41,9 @@ func RunCheckpointed(ctx context.Context, c *Compiled, obs engine.Observer, ck C
 	}
 	defer r.Close()
 
-	var res *engine.StableResult
+	var pol engine.CheckpointPolicy
 	if engine.CanCheckpoint(r) {
-		pol := engine.CheckpointPolicy{Every: ck.Every, Flush: ck.Flush}
+		pol = engine.CheckpointPolicy{Every: ck.Every, Flush: ck.Flush}
 		if ck.Save != nil {
 			pol.Save = func(cp *engine.Checkpoint) error {
 				blob, err := cp.Encode()
@@ -60,14 +60,11 @@ func RunCheckpointed(ctx context.Context, c *Compiled, obs engine.Observer, ck C
 			}
 			pol.Resume = cp
 		}
-		res, err = engine.RunUntilStableCheckpointedCtx(ctx, r, model.Discrete, c.Spec.Patience, c.Spec.MaxRounds, obs, pol)
-	} else {
-		if ck.Resume != nil {
-			return nil, fmt.Errorf("job: %w: spec %s has a resume checkpoint but its algorithm cannot restore one",
-				engine.ErrNotCheckpointable, c.Hash)
-		}
-		res, err = engine.RunUntilStableCtx(ctx, r, model.Discrete, c.Spec.Patience, c.Spec.MaxRounds, obs)
+	} else if ck.Resume != nil {
+		return nil, fmt.Errorf("job: %w: spec %s has a resume checkpoint but its algorithm cannot restore one",
+			engine.ErrNotCheckpointable, c.Hash)
 	}
+	res, err := engine.RunUntilStableCheckpointedCtx(ctx, r, model.Discrete, c.Spec.Patience, c.Spec.MaxRounds, obs, pol)
 	if err != nil {
 		return nil, err
 	}

@@ -270,9 +270,7 @@ type FaultCounts struct {
 }
 
 // engineConfig assembles the engine.Config and runner name for a compiled
-// job — the one Config-construction point shared by Run and
-// RunCheckpointed, so the sweep fast path's shared snapshot is wired (or
-// not) identically on both execution paths.
+// job.
 func (c *Compiled) engineConfig() (engine.Config, string) {
 	cfg := engine.Config{
 		Schedule: c.Schedule,
@@ -312,31 +310,7 @@ func (c *Compiled) engineConfig() (engine.Config, string) {
 // the context's error. Equal compiled jobs produce equal results: all
 // four engines are deterministic in the spec's seed.
 func Run(ctx context.Context, c *Compiled, obs engine.Observer) (*Result, error) {
-	cfg, name := c.engineConfig()
-	r, err := engine.NewRunner(cfg, name, c.Spec.Shards)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	res, err := engine.RunUntilStableCtx(ctx, r, model.Discrete, c.Spec.Patience, c.Spec.MaxRounds, obs)
-	if err != nil {
-		return nil, err
-	}
-	outputs, maxErr := Numeric(res.Outputs, c.Expected)
-	out := &Result{
-		Outputs:      outputs,
-		Stable:       res.Stable,
-		StabilizedAt: res.StabilizedAt,
-		Rounds:       res.Rounds,
-		Expected:     F64(c.Expected),
-		MaxErr:       F64(maxErr),
-		Messages:     r.Stats().MessagesDelivered,
-	}
-	if c.Injector != nil {
-		fs := r.Stats().Faults
-		out.Faults = &FaultCounts{Dropped: fs.Dropped, Duplicated: fs.Duplicated, Delayed: fs.Delayed}
-	}
-	return out, nil
+	return RunCheckpointed(ctx, c, obs, CheckpointConfig{})
 }
 
 // Numeric converts an engine output vector to serializable floats and

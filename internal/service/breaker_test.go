@@ -159,11 +159,11 @@ func TestBreakerTripsDegradedModeAndBackfills(t *testing.T) {
 	}
 
 	// The log now holds the truth: a fresh store replays every job —
-	// including the ones finished while the disk was dark — as done, with
-	// the results the degraded service computed.
+	// including the ones finished or served from cache while the disk was
+	// dark — as done, with the results the degraded service computed.
 	st2 := openStore(t, dir)
 	defer st2.Close()
-	all := append(append([]*Job{warm}, dark...), probe)
+	all := append(append([]*Job{warm}, dark...), hit, probe)
 	for _, j := range all {
 		v, ok := st2.Job(j.ID)
 		if !ok || v.State != store.StateDone {

@@ -14,58 +14,53 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"anonnet/internal/engine"
-	"anonnet/internal/job"
 )
 
-// gateRunner blocks each run until released (or its context dies), so
-// tests can hold a leader mid-flight while followers attach and detach.
-type gateRunner struct {
+// gate is an Intercept hook that blocks each attempt until released (or
+// its context dies), so tests can hold an execution mid-flight while
+// duplicates join and leave it.
+type gate struct {
 	mu    sync.Mutex
 	calls int
-	gate  chan struct{}
-	// fail, when set, is returned instead of running the job.
+	ch    chan struct{}
+	// fail, when set, fails the attempt instead of running the job.
 	fail error
 	// boom, when set, panics instead of running the job.
 	boom string
 }
 
-func newGateRunner() *gateRunner { return &gateRunner{gate: make(chan struct{}, 64)} }
+func newGate() *gate { return &gate{ch: make(chan struct{}, 64)} }
 
-func (g *gateRunner) release(n int) {
+func (g *gate) release(n int) {
 	for i := 0; i < n; i++ {
-		g.gate <- struct{}{}
+		g.ch <- struct{}{}
 	}
 }
 
-func (g *gateRunner) count() int {
+func (g *gate) count() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.calls
 }
 
-func (g *gateRunner) run(ctx context.Context, c *job.Compiled, obs engine.Observer) (*job.Result, error) {
+func (g *gate) intercept(ctx context.Context, jobID string, attempt int) error {
 	g.mu.Lock()
 	g.calls++
 	g.mu.Unlock()
 	select {
-	case <-g.gate:
+	case <-g.ch:
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
 	if g.boom != "" {
 		panic(g.boom)
 	}
-	if g.fail != nil {
-		return nil, g.fail
-	}
-	return job.Run(ctx, c, obs)
+	return g.fail
 }
 
 func TestDedupFollowerSharesRunningLeader(t *testing.T) {
-	g := newGateRunner()
-	s := New(Config{Workers: 1, Runner: g.run})
+	g := newGate()
+	s := New(Config{Workers: 1, Intercept: g.intercept})
 	defer s.Close()
 
 	lead, err := s.Submit(ringSpec(5))
@@ -107,7 +102,7 @@ func TestDedupFollowerSharesRunningLeader(t *testing.T) {
 		t.Fatalf("results diverge:\n%+v\n%+v", a.Result, b.Result)
 	}
 	if got := g.count(); got != 1 {
-		t.Fatalf("runner ran %d times for 2 submissions, want 1", got)
+		t.Fatalf("execution ran %d times for 2 submissions, want 1", got)
 	}
 	if st := s.Stats(); st.Completed != 2 {
 		t.Fatalf("Completed = %d, want 2 (one per client job)", st.Completed)
@@ -128,8 +123,8 @@ func TestDedupFollowerSharesRunningLeader(t *testing.T) {
 }
 
 func TestDedupFollowerOfQueuedLeader(t *testing.T) {
-	g := newGateRunner()
-	s := New(Config{Workers: 1, Runner: g.run})
+	g := newGate()
+	s := New(Config{Workers: 1, Intercept: g.intercept})
 	defer s.Close()
 
 	// Occupy the only worker so the leader stays queued.
@@ -160,14 +155,14 @@ func TestDedupFollowerOfQueuedLeader(t *testing.T) {
 		t.Fatalf("follower ended %q with result %v", j.State, j.Result)
 	}
 	if got := g.count(); got != 2 {
-		t.Fatalf("runner ran %d times, want 2 (blocker + deduped pair)", got)
+		t.Fatalf("execution ran %d times, want 2 (blocker + deduped pair)", got)
 	}
 }
 
 func TestDedupLeaderFailurePropagates(t *testing.T) {
-	g := newGateRunner()
+	g := newGate()
 	g.fail = errors.New("disk caught fire")
-	s := New(Config{Workers: 1, Runner: g.run})
+	s := New(Config{Workers: 1, Intercept: g.intercept})
 	defer s.Close()
 
 	lead, _ := s.Submit(ringSpec(5))
@@ -190,9 +185,9 @@ func TestDedupLeaderFailurePropagates(t *testing.T) {
 }
 
 func TestDedupLeaderPanicPropagates(t *testing.T) {
-	g := newGateRunner()
+	g := newGate()
 	g.boom = "agent factory exploded"
-	s := New(Config{Workers: 1, Runner: g.run})
+	s := New(Config{Workers: 1, Intercept: g.intercept})
 	defer s.Close()
 
 	lead, _ := s.Submit(ringSpec(5))
@@ -211,8 +206,8 @@ func TestDedupLeaderPanicPropagates(t *testing.T) {
 }
 
 func TestDedupCancelFollowerLeavesLeaderRunning(t *testing.T) {
-	g := newGateRunner()
-	s := New(Config{Workers: 1, Runner: g.run})
+	g := newGate()
+	s := New(Config{Workers: 1, Intercept: g.intercept})
 	defer s.Close()
 
 	lead, _ := s.Submit(ringSpec(5))
@@ -234,16 +229,16 @@ func TestDedupCancelFollowerLeavesLeaderRunning(t *testing.T) {
 	if j := waitTerminal(t, s, lead.ID); j.State != StateDone {
 		t.Fatalf("leader ended %q, want done", j.State)
 	}
-	// The canceled follower stays canceled: settle skips early-terminal
-	// members.
+	// The canceled follower stays canceled: it left the execution before
+	// it settled.
 	if j, _ := s.Get(fol.ID); j.State != StateCanceled || j.Result != nil {
 		t.Fatalf("follower after leader's completion: %+v", j)
 	}
 }
 
 func TestDedupCancelLeaderDetachesButRunsOn(t *testing.T) {
-	g := newGateRunner()
-	s := New(Config{Workers: 1, Runner: g.run})
+	g := newGate()
+	s := New(Config{Workers: 1, Intercept: g.intercept})
 	defer s.Close()
 
 	lead, _ := s.Submit(ringSpec(5))
@@ -257,7 +252,7 @@ func TestDedupCancelLeaderDetachesButRunsOn(t *testing.T) {
 	if c.State != StateCanceled {
 		t.Fatalf("canceled leader reports %q to its client", c.State)
 	}
-	// The execution must keep going for the follower: the runner has not
+	// The execution must keep going for the follower: the gate has not
 	// been released yet, so a stopped execution would end it canceled.
 	g.release(1)
 	if j := waitTerminal(t, s, fol.ID); j.State != StateDone || j.Result == nil {
@@ -280,8 +275,8 @@ func TestDedupCancelLeaderDetachesButRunsOn(t *testing.T) {
 }
 
 func TestDedupLastFollowerDetachStopsExecution(t *testing.T) {
-	g := newGateRunner()
-	s := New(Config{Workers: 1, Runner: g.run})
+	g := newGate()
+	s := New(Config{Workers: 1, Intercept: g.intercept})
 	defer s.Close()
 
 	lead, _ := s.Submit(ringSpec(5))
@@ -291,7 +286,7 @@ func TestDedupLastFollowerDetachStopsExecution(t *testing.T) {
 	s.Cancel(lead.ID) // detach: follower keeps it alive
 	s.Cancel(fol.ID)  // last member gone: the execution is orphaned
 
-	// The runner was never released; only a context cancel can end it.
+	// The gate was never released; only a context cancel can end it.
 	deadline := time.Now().Add(15 * time.Second)
 	for g.count() == 0 || s.Stats().Running > 0 {
 		if time.Now().After(deadline) {
@@ -308,8 +303,8 @@ func TestDedupLastFollowerDetachStopsExecution(t *testing.T) {
 }
 
 func TestDedupCancelQueuedLeaderWithFollower(t *testing.T) {
-	g := newGateRunner()
-	s := New(Config{Workers: 1, Runner: g.run})
+	g := newGate()
+	s := New(Config{Workers: 1, Intercept: g.intercept})
 	defer s.Close()
 
 	blocker, _ := s.Submit(ringSpec(99))
@@ -332,13 +327,13 @@ func TestDedupCancelQueuedLeaderWithFollower(t *testing.T) {
 	waitTerminal(t, s, lead.ID)
 	waitTerminal(t, s, fol.ID)
 	if got := g.count(); got != 1 {
-		t.Fatalf("runner ran %d times, want 1 (the blocker only)", got)
+		t.Fatalf("execution ran %d times, want 1 (the blocker only)", got)
 	}
 }
 
 func TestDedupDisabled(t *testing.T) {
-	g := newGateRunner()
-	s := New(Config{Workers: 2, Runner: g.run, NoDedup: true})
+	g := newGate()
+	s := New(Config{Workers: 2, Intercept: g.intercept, NoDedup: true})
 	defer s.Close()
 
 	a, _ := s.Submit(ringSpec(5))
@@ -350,7 +345,7 @@ func TestDedupDisabled(t *testing.T) {
 	waitTerminal(t, s, a.ID)
 	waitTerminal(t, s, b.ID)
 	if got := g.count(); got != 2 {
-		t.Fatalf("runner ran %d times with dedup off, want 2", got)
+		t.Fatalf("execution ran %d times with dedup off, want 2", got)
 	}
 	if st := s.Stats(); st.DedupCoalesced != 0 {
 		t.Fatalf("DedupCoalesced = %d with dedup off", st.DedupCoalesced)

@@ -9,23 +9,20 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"anonnet/internal/engine"
-	"anonnet/internal/job"
 )
 
 // TestPanicRecoveredKeepsServing is the acceptance criterion: a job whose
-// runner panics (standing in for a panicking agent factory) ends failed
+// attempt panics (standing in for a panicking agent factory) ends failed
 // with the panic message, the worker pool survives, readiness stays
 // ready, and a subsequent submission completes normally.
 func TestPanicRecoveredKeepsServing(t *testing.T) {
-	runner := func(ctx context.Context, c *job.Compiled, obs engine.Observer) (*job.Result, error) {
-		if c.Spec.Seed == 42 {
+	intercept := func(ctx context.Context, jobID string, attempt int) error {
+		if jobID == "j000001" {
 			panic("agent factory exploded")
 		}
-		return job.Run(ctx, c, obs)
+		return nil
 	}
-	s := New(Config{Workers: 1, Runner: runner})
+	s := New(Config{Workers: 1, Intercept: intercept})
 	defer s.Close()
 
 	j, err := s.Submit(ringSpec(42))
@@ -59,14 +56,14 @@ func TestPanicRecoveredKeepsServing(t *testing.T) {
 
 func TestTransientRetrySucceeds(t *testing.T) {
 	calls := 0
-	runner := func(ctx context.Context, c *job.Compiled, obs engine.Observer) (*job.Result, error) {
+	intercept := func(ctx context.Context, jobID string, attempt int) error {
 		calls++
 		if calls <= 2 {
-			return nil, fmt.Errorf("%w: backend hiccup %d", ErrTransient, calls)
+			return fmt.Errorf("%w: backend hiccup %d", ErrTransient, calls)
 		}
-		return job.Run(ctx, c, obs)
+		return nil
 	}
-	s := New(Config{Workers: 1, Runner: runner, MaxRetries: 3, RetryBase: time.Millisecond})
+	s := New(Config{Workers: 1, Intercept: intercept, MaxRetries: 3, RetryBase: time.Millisecond})
 	defer s.Close()
 
 	j, err := s.Submit(ringSpec(1))
@@ -78,7 +75,7 @@ func TestTransientRetrySucceeds(t *testing.T) {
 		t.Fatalf("job ended %q (err %q), want done after retries", j.State, j.Error)
 	}
 	if calls != 3 {
-		t.Fatalf("runner called %d times, want 3", calls)
+		t.Fatalf("intercept called %d times, want 3", calls)
 	}
 	if got := s.Stats().Retries; got != 2 {
 		t.Fatalf("Retries = %d, want 2", got)
@@ -86,10 +83,10 @@ func TestTransientRetrySucceeds(t *testing.T) {
 }
 
 func TestTransientRetryExhausted(t *testing.T) {
-	runner := func(context.Context, *job.Compiled, engine.Observer) (*job.Result, error) {
-		return nil, fmt.Errorf("%w: always down", ErrTransient)
+	intercept := func(context.Context, string, int) error {
+		return fmt.Errorf("%w: always down", ErrTransient)
 	}
-	s := New(Config{Workers: 1, Runner: runner, MaxRetries: 2, RetryBase: time.Millisecond})
+	s := New(Config{Workers: 1, Intercept: intercept, MaxRetries: 2, RetryBase: time.Millisecond})
 	defer s.Close()
 
 	j, err := s.Submit(ringSpec(1))
@@ -107,11 +104,11 @@ func TestTransientRetryExhausted(t *testing.T) {
 
 func TestRetriesDisabled(t *testing.T) {
 	calls := 0
-	runner := func(context.Context, *job.Compiled, engine.Observer) (*job.Result, error) {
+	intercept := func(context.Context, string, int) error {
 		calls++
-		return nil, fmt.Errorf("%w: nope", ErrTransient)
+		return fmt.Errorf("%w: nope", ErrTransient)
 	}
-	s := New(Config{Workers: 1, Runner: runner, MaxRetries: -1})
+	s := New(Config{Workers: 1, Intercept: intercept, MaxRetries: -1})
 	defer s.Close()
 
 	j, err := s.Submit(ringSpec(1))
@@ -126,15 +123,15 @@ func TestRetriesDisabled(t *testing.T) {
 
 func TestReadinessSaturationAndClose(t *testing.T) {
 	release := make(chan struct{})
-	runner := func(ctx context.Context, c *job.Compiled, obs engine.Observer) (*job.Result, error) {
+	intercept := func(ctx context.Context, jobID string, attempt int) error {
 		select {
 		case <-release:
+			return nil
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
-		return job.Run(ctx, c, obs)
 	}
-	s := New(Config{Workers: 1, QueueDepth: 1, CacheSize: -1, Runner: runner})
+	s := New(Config{Workers: 1, QueueDepth: 1, CacheSize: -1, Intercept: intercept})
 
 	if r := s.Readiness(); !r.Ready {
 		t.Fatalf("fresh service not ready: %+v", r)

@@ -2,8 +2,8 @@
 // worker pool that executes validated job.Specs through the round engines,
 // with per-job deadlines and cancellation, an LRU result cache keyed by
 // the canonical spec hash, round-by-round progress subscriptions, and
-// expvar-mirrored counters. The service is embeddable: cmd/anonnetd wraps
-// it in an HTTP API, tests drive it directly.
+// counters published to expvar. The service is embeddable: cmd/anonnetd
+// wraps it in an HTTP API, tests drive it directly.
 package service
 
 import (
@@ -42,11 +42,11 @@ var (
 	// ErrBatchTooLarge is returned by SubmitBatch for a batch over
 	// MaxBatchSize specs.
 	ErrBatchTooLarge = errors.New("service: batch too large")
-	// ErrTransient marks a runner failure as retryable: a runner error
-	// wrapping ErrTransient is re-executed up to MaxRetries times with
-	// exponential backoff before the job is declared failed. The built-in
-	// job.Run never returns it; injected runners (remote backends, tests)
-	// use it to signal "try again".
+	// ErrTransient marks an attempt failure as retryable: an attempt
+	// error wrapping ErrTransient is re-executed up to MaxRetries times
+	// with exponential backoff before the job is declared failed. The
+	// engines never return it; Config.Intercept hooks use it to signal
+	// "try again".
 	ErrTransient = errors.New("service: transient error")
 )
 
@@ -69,12 +69,8 @@ type Config struct {
 	// ProgressEvery publishes a progress event every k rounds (default 1:
 	// every round).
 	ProgressEvery int
-	// Runner executes one compiled job (default job.Run). Injection point
-	// for tests and alternative backends; a Runner that panics is recovered
-	// into a failed job, never a dead worker.
-	Runner func(ctx context.Context, c *job.Compiled, obs engine.Observer) (*job.Result, error)
-	// MaxRetries bounds re-executions of a job whose runner failed with an
-	// error wrapping ErrTransient (default 2; negative disables retries).
+	// MaxRetries bounds re-executions of a job whose attempt failed with
+	// an error wrapping ErrTransient (default 2; negative disables retries).
 	MaxRetries int
 	// RetryBase is the backoff before the first retry, doubling on each
 	// subsequent one (default 50ms).
@@ -104,8 +100,8 @@ type Config struct {
 	// Intercept, when non-nil, runs before every job attempt (including
 	// retries) with the job ID and zero-based attempt number. A returned
 	// error fails the attempt — wrapping ErrTransient makes it retryable —
-	// and a panic is recovered like a runner panic. Injection point for
-	// the chaos layer's worker failpoints.
+	// and a panic is recovered into a failed job, never a dead worker.
+	// Injection point for the chaos layer's worker failpoints and tests.
 	Intercept func(ctx context.Context, jobID string, attempt int) error
 	// TopoCacheBytes bounds the shared topology-snapshot cache in bytes
 	// (0 selects topology.DefaultCacheBytes; negative disables cross-job
@@ -116,14 +112,9 @@ type Config struct {
 	TopoCacheBytes int64
 	// NoDedup disables single-flight spec deduplication. By default a
 	// spec submitted while an identical one (same canonical hash) is
-	// queued or running attaches to it as a follower: one execution,
-	// shared result/stream/terminal state, no duplicate queue slot.
+	// queued or running joins its execution: one engine run, shared
+	// result and terminal state, no duplicate queue slot.
 	NoDedup bool
-
-	// runnerInjected records whether Runner came from the caller: the
-	// checkpointed execution path only replaces the built-in job.Run,
-	// never an injected runner.
-	runnerInjected bool
 }
 
 func (c Config) withDefaults() Config {
@@ -141,10 +132,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ProgressEvery <= 0 {
 		c.ProgressEvery = 1
-	}
-	c.runnerInjected = c.Runner != nil
-	if c.Runner == nil {
-		c.Runner = job.Run
 	}
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 50
@@ -170,28 +157,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// State is a job's lifecycle state.
-type State string
-
-// The job lifecycle: queued → running → done | failed | canceled, with
-// queued → canceled possible before a worker picks the job up, and
-// cache-served jobs born done. A durable service adds running →
-// interrupted at graceful shutdown: the engine state is flushed to a
-// checkpoint and the job resumes (as queued) on the next boot.
-const (
-	StateQueued      State = "queued"
-	StateRunning     State = "running"
-	StateInterrupted State = "interrupted"
-	StateDone        State = "done"
-	StateFailed      State = "failed"
-	StateCanceled    State = "canceled"
-)
-
-// Terminal reports whether a job in this state will never change again.
-func (s State) Terminal() bool {
-	return s == StateDone || s == StateFailed || s == StateCanceled
-}
-
 // Job is a client-facing snapshot of one job.
 type Job struct {
 	ID       string   `json:"id"`
@@ -200,8 +165,8 @@ type Job struct {
 	State    State    `json:"state"`
 	Error    string   `json:"error,omitempty"`
 	CacheHit bool     `json:"cache_hit,omitempty"`
-	// DedupOf names the leader job whose execution this job rides as a
-	// single-flight follower.
+	// DedupOf names the job whose execution this job joined because it
+	// was submitted while an identical job was in flight.
 	DedupOf string `json:"dedup_of,omitempty"`
 	// Result is set when State is done.
 	Result    *job.Result `json:"result,omitempty"`
@@ -222,39 +187,8 @@ type Progress struct {
 	Error   string    `json:"error,omitempty"`
 }
 
-// entry is the service-internal job record. All fields after the
-// immutable header are guarded by Service.mu.
-type entry struct {
-	id       string
-	hash     string
-	compiled *job.Compiled
-
-	state     State
-	err       string
-	cacheHit  bool
-	result    *job.Result
-	submitted time.Time
-	started   time.Time
-	finished  time.Time
-	cancel    context.CancelFunc // non-nil exactly while running
-	canceled  bool               // cancellation requested while queued
-	flush     chan struct{}      // non-nil while running durably: shutdown's flush request
-	ckptRound int                // last checkpointed round (durable path)
-	recovered bool               // re-enqueued from the store at boot
-	subs      map[chan Progress]struct{}
-
-	// Single-flight dedup links. A follower (leader != nil) shares its
-	// leader's execution: no queue slot, mirrored state, shared result.
-	// A detached leader (detached set) was canceled by its own client
-	// while followers remained attached — the execution keeps running on
-	// their behalf and the result settles on them alone.
-	leader    *entry
-	followers []*entry
-	detached  bool
-}
-
-// Stats is a snapshot of the service counters (mirrored to expvar under
-// the "anonnetd" map for /debug/vars).
+// Stats is a snapshot of the service counters (rendered as the expvar
+// "anonnetd" map for /debug/vars).
 type Stats struct {
 	Submitted       int64 `json:"submitted"`
 	Completed       int64 `json:"completed"`
@@ -293,9 +227,9 @@ type Stats struct {
 	AffinityHits       int64 `json:"affinity_hits"`
 	AffinityMisses     int64 `json:"affinity_misses"`
 	Queued             int   `json:"queued"`
-	Running         int   `json:"running"`
-	CacheEntries    int   `json:"cache_entries"`
-	Workers         int   `json:"workers"`
+	Running            int   `json:"running"`
+	CacheEntries       int   `json:"cache_entries"`
+	Workers            int   `json:"workers"`
 }
 
 // Service is the concurrent simulation service.
@@ -311,11 +245,16 @@ type Service struct {
 	order     []string
 	batches   map[string][]string
 	cache     *lru
-	inflight  map[string]*entry // canonical hash → dedup leader (queued or running)
+	inflight  map[string]*execution // canonical hash → the identical execution in flight
 	closed    bool
 	shutdown  bool // graceful shutdown: queued jobs stay queued for the next boot
 	nextID    int64
 	nextBatch int64
+
+	// Lifecycle counters, bumped only by transition: new entries by
+	// cause, later transitions by target state.
+	created map[cause]int64
+	reached map[State]int64
 
 	// Store circuit breaker (mu-guarded: persist always runs under mu).
 	// After BreakerThreshold consecutive failed persists the breaker opens
@@ -327,20 +266,13 @@ type Service struct {
 	breakerOpenedAt time.Time
 	dirty           map[string]bool // job IDs with un-persisted transitions
 
-	queue chan *entry
+	queue chan *execution
 	wg    sync.WaitGroup
 
-	submitted    atomic.Int64
-	completed    atomic.Int64
-	failed       atomic.Int64
-	canceled     atomic.Int64
-	cacheHits    atomic.Int64
 	rounds       atomic.Int64
 	running      atomic.Int64
 	panics       atomic.Int64
 	retries      atomic.Int64
-	recovered    atomic.Int64
-	interrupted  atomic.Int64
 	storeErrs    atomic.Int64
 	syncFails    atomic.Int64
 	breakerTrips atomic.Int64
@@ -348,52 +280,52 @@ type Service struct {
 	backfilled   atomic.Int64
 	workersAlive atomic.Int64
 
-	dedupCoalesced atomic.Int64
 	affinityHits   atomic.Int64
 	affinityMisses atomic.Int64
 }
 
-// Global expvar mirror: one "anonnetd" map shared by every Service in the
-// process (expvar registration is global and must happen once).
+// The process-wide expvar "anonnetd" map renders the Stats of the most
+// recently started Service (anonnetd runs one). expvar registration is
+// global and must happen once.
 var (
-	expOnce                                                                            sync.Once
-	expSubmitted, expCompleted, expFailed, expCanceled, expHits, expRounds, expRunning *expvar.Int
-	expPanics, expRetries, expRecovered, expInterrupted                                *expvar.Int
+	expOnce    sync.Once
+	expService atomic.Pointer[Service]
 )
 
-func publishExpvars() {
+func publishExpvars(s *Service) {
+	expService.Store(s)
 	expOnce.Do(func() {
-		m := expvar.NewMap("anonnetd")
-		reg := func(name string) *expvar.Int {
-			v := new(expvar.Int)
-			m.Set(name, v)
-			return v
-		}
-		expSubmitted = reg("jobs_submitted")
-		expCompleted = reg("jobs_completed")
-		expFailed = reg("jobs_failed")
-		expCanceled = reg("jobs_canceled")
-		expHits = reg("cache_hits")
-		expRounds = reg("rounds_simulated")
-		expRunning = reg("jobs_running")
-		expPanics = reg("panics_recovered")
-		expRetries = reg("retries")
-		expRecovered = reg("jobs_recovered")
-		expInterrupted = reg("jobs_interrupted")
+		expvar.Publish("anonnetd", expvar.Func(func() any {
+			st := expService.Load().Stats()
+			return map[string]int64{
+				"jobs_submitted":   st.Submitted,
+				"jobs_completed":   st.Completed,
+				"jobs_failed":      st.Failed,
+				"jobs_canceled":    st.Canceled,
+				"cache_hits":       st.CacheHits,
+				"rounds_simulated": st.RoundsSimulated,
+				"jobs_running":     int64(st.Running),
+				"panics_recovered": st.PanicsRecovered,
+				"retries":          st.Retries,
+				"jobs_recovered":   st.Recovered,
+				"jobs_interrupted": st.Interrupted,
+			}
+		}))
 	})
 }
 
 // New starts a Service with cfg's worker pool. Callers must Close it.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
-	publishExpvars()
 	s := &Service{
 		cfg:      cfg,
 		jobs:     make(map[string]*entry),
 		batches:  make(map[string][]string),
 		cache:    newLRU(cfg.CacheSize),
-		inflight: make(map[string]*entry),
-		queue:    make(chan *entry, cfg.QueueDepth),
+		inflight: make(map[string]*execution),
+		created:  make(map[cause]int64),
+		reached:  make(map[State]int64),
+		queue:    make(chan *execution, cfg.QueueDepth),
 		dirty:    make(map[string]bool),
 	}
 	if cfg.TopoCacheBytes >= 0 {
@@ -409,6 +341,7 @@ func New(cfg Config) *Service {
 		s.workersAlive.Add(1)
 		go s.worker()
 	}
+	publishExpvars(s)
 	return s
 }
 
@@ -434,96 +367,72 @@ func (s *Service) Submit(spec job.Spec) (*Job, error) {
 }
 
 // submitLocked registers one compiled job: cache-served jobs are born
-// done, a job identical to one already queued or running attaches to it
-// as a dedup follower, and everything else is pushed onto the bounded
+// done, a job identical to one already queued or running joins its
+// execution, and everything else gets its own execution on the bounded
 // queue (ErrQueueFull when at capacity). Callers hold s.mu.
 func (s *Service) submitLocked(compiled *job.Compiled) (*entry, error) {
-	s.nextID++
-	e := &entry{
-		id:        fmt.Sprintf("j%06d", s.nextID),
-		hash:      compiled.Hash,
-		compiled:  compiled,
-		state:     StateQueued,
-		submitted: time.Now(),
-		subs:      make(map[chan Progress]struct{}),
-	}
+	e := &entry{hash: compiled.Hash, spec: compiled.Spec}
 	if res, ok := s.resultForHash(e.hash); ok {
 		compiled.ReleaseTopo()
-		e.state = StateDone
 		e.result = res
 		e.cacheHit = true
-		e.finished = time.Now()
-		s.jobs[e.id] = e
-		s.order = append(s.order, e.id)
-		s.submitted.Add(1)
-		expSubmitted.Add(1)
-		s.cacheHits.Add(1)
-		expHits.Add(1)
+		s.addLocked(e, nil, causeCache)
 		return e, nil
 	}
-	if !s.cfg.NoDedup {
-		if lead, ok := s.inflight[e.hash]; ok {
-			// Single-flight: an identical computation is already in
-			// flight — ride it instead of enqueueing a duplicate. The
-			// follower keeps its own job ID, watch stream, and cancel
-			// button; the result and terminal state arrive from the
-			// leader's one execution.
-			compiled.ReleaseTopo()
-			e.leader = lead
-			e.state = lead.state
-			e.started = lead.started
-			lead.followers = append(lead.followers, e)
-			s.jobs[e.id] = e
-			s.order = append(s.order, e.id)
-			s.submitted.Add(1)
-			expSubmitted.Add(1)
-			s.dedupCoalesced.Add(1)
-			if s.cfg.Store != nil {
-				spec, err := json.Marshal(compiled.Spec)
-				if err != nil {
-					spec = nil
-				}
-				// The follower's own log trail: queued (with its spec, so
-				// a crash recovers it as an independent job), then its
-				// mirrored states. Its terminal record never carries the
-				// result payload — that is persisted once, by the leader.
-				s.persist(store.Record{JobID: e.id, Hash: e.hash, State: store.StateQueued, Spec: spec})
-				if e.state == StateRunning {
-					s.persist(store.Record{JobID: e.id, Hash: e.hash, State: store.StateRunning})
-				}
-			}
-			return e, nil
-		}
+	if x, ok := s.inflight[e.hash]; ok {
+		// Single-flight: an identical computation is already in flight —
+		// join it instead of enqueueing a duplicate. The new job keeps its
+		// own ID, watch stream, and cancel button; the result and terminal
+		// state arrive from the one execution.
+		compiled.ReleaseTopo()
+		e.dedupOf = x.id
+		s.addLocked(e, x, causeDedup)
+		return e, nil
 	}
+	x := &execution{compiled: compiled}
 	select {
-	case s.queue <- e:
+	case s.queue <- x:
 	default:
-		s.nextID--
 		compiled.ReleaseTopo()
 		return nil, ErrQueueFull
 	}
-	s.jobs[e.id] = e
-	s.order = append(s.order, e.id)
-	s.submitted.Add(1)
-	expSubmitted.Add(1)
+	s.addLocked(e, x, causeSubmit)
+	x.id = e.id
 	if !s.cfg.NoDedup {
-		s.inflight[e.hash] = e
-	}
-	if s.cfg.Store != nil {
-		spec, err := json.Marshal(compiled.Spec)
-		if err != nil {
-			spec = nil // canonical specs always marshal; belt and braces
-		}
-		s.persist(store.Record{JobID: e.id, Hash: e.hash, State: store.StateQueued, Spec: spec})
+		s.inflight[e.hash] = x
 	}
 	return e, nil
 }
 
-// dropInflightLocked removes e from the dedup index if it is still the
-// registered leader for its hash. Callers hold s.mu.
-func (s *Service) dropInflightLocked(e *entry) {
-	if s.inflight[e.hash] == e {
-		delete(s.inflight, e.hash)
+// addLocked registers a new entry — under the next job ID unless it
+// already has one — as a member of x, or born done when x is nil, and
+// catches it up with x's state. Callers hold s.mu.
+func (s *Service) addLocked(e *entry, x *execution, c cause) {
+	if e.id == "" {
+		s.nextID++
+		e.id = fmt.Sprintf("j%06d", s.nextID)
+	}
+	e.submitted = time.Now()
+	e.subs = make(map[chan Progress]struct{})
+	s.jobs[e.id] = e
+	s.order = append(s.order, e.id)
+	if x == nil {
+		s.transition(e, StateDone, c)
+		return
+	}
+	e.exec = x
+	x.members = append(x.members, e)
+	s.transition(e, StateQueued, c)
+	if !x.started.IsZero() {
+		s.transition(e, StateRunning, c)
+	}
+}
+
+// dropInflightLocked removes x from the dedup index if it is still the
+// registered execution for its hash. Callers hold s.mu.
+func (s *Service) dropInflightLocked(x *execution) {
+	if s.inflight[x.compiled.Hash] == x {
+		delete(s.inflight, x.compiled.Hash)
 	}
 }
 
@@ -635,7 +544,7 @@ func (s *Service) backfillLocked() {
 		}
 		rec := store.Record{JobID: e.id, Hash: e.hash, State: string(e.state),
 			Error: e.err, Unix: time.Now().UnixNano()}
-		if spec, err := json.Marshal(e.compiled.Spec); err == nil {
+		if spec, err := json.Marshal(e.spec); err == nil {
 			rec.Spec = spec
 		}
 		if e.state == StateDone && e.result != nil {
@@ -660,13 +569,6 @@ func (s *Service) backfillLocked() {
 		delete(s.dirty, id)
 		s.backfilled.Add(1)
 	}
-}
-
-// durable reports whether jobs run through the checkpointed executor:
-// a store is configured and the runner is the built-in job.Run (an
-// injected runner owns its own execution and cannot checkpoint).
-func (s *Service) durable() bool {
-	return s.cfg.Store != nil && !s.cfg.runnerInjected
 }
 
 // Recover re-enqueues every non-terminal job found in the durable store —
@@ -700,31 +602,17 @@ func (s *Service) Recover() (int, error) {
 				Error: fmt.Sprintf("recovery: %v", err)})
 			continue
 		}
-		e := &entry{
-			id:        v.ID,
-			hash:      compiled.Hash,
-			compiled:  compiled,
-			state:     StateQueued,
-			submitted: time.Now(),
-			recovered: true,
-			subs:      make(map[chan Progress]struct{}),
-		}
-		// Recovery never registers dedup leaders and never attaches
-		// followers: each persisted job resumes as an independent
-		// execution (identical ones converge through the result cache).
+		// Recovery never registers executions in the dedup index: each
+		// persisted job resumes as an independent execution (identical
+		// ones converge through the result cache).
+		x := &execution{id: v.ID, compiled: compiled}
 		select {
-		case s.queue <- e:
+		case s.queue <- x:
 		default:
 			compiled.ReleaseTopo()
 			return n, fmt.Errorf("%w: %d jobs recovered, %s and later still pending", ErrQueueFull, n, v.ID)
 		}
-		s.jobs[e.id] = e
-		s.order = append(s.order, e.id)
-		s.submitted.Add(1)
-		expSubmitted.Add(1)
-		s.recovered.Add(1)
-		expRecovered.Add(1)
-		s.persist(store.Record{JobID: e.id, Hash: e.hash, State: store.StateQueued})
+		s.addLocked(&entry{id: v.ID, hash: compiled.Hash, spec: compiled.Spec}, x, causeRecover)
 		n++
 	}
 	return n, nil
@@ -742,18 +630,17 @@ type Batch struct {
 	Failed int `json:"failed"`
 	// CacheHits counts member jobs served from the result cache.
 	CacheHits int `json:"cache_hits"`
-	// Deduped counts member jobs riding another job's execution as
-	// single-flight followers.
+	// Deduped counts member jobs that joined another job's execution.
 	Deduped int `json:"deduped,omitempty"`
 }
 
 // SubmitBatch validates and enqueues a parameter sweep as one batch,
 // all-or-nothing: if any spec fails validation, or the queue lacks room
-// for every job that is not a cache hit or a dedup follower, nothing is
-// enqueued. Jobs sharing a graph fingerprint are enqueued contiguously so
-// workers run them back to back against a warm topology snapshot; the
-// client-visible member order (Batch.Jobs, GetBatch) stays the submission
-// order. The member jobs are ordinary jobs (Get/Cancel/Watch work on them
+// for every job that is not a cache hit or a duplicate of an in-flight
+// job, nothing is enqueued. Jobs sharing a graph fingerprint are enqueued
+// contiguously so workers run them back to back against a warm topology
+// snapshot; the client-visible member order (Batch.Jobs, GetBatch) stays
+// the submission order. The member jobs are ordinary jobs (Get/Cancel/Watch work on them
 // individually); GetBatch aggregates them.
 func (s *Service) SubmitBatch(specs []job.Spec) (*Batch, error) {
 	if len(specs) == 0 {
@@ -795,8 +682,8 @@ func (s *Service) SubmitBatch(specs []job.Spec) (*Batch, error) {
 	}
 	// Capacity pre-check makes the enqueue loop infallible: count the jobs
 	// that will actually need a queue slot. Cache hits are born done, and
-	// dedup followers — of an in-flight leader or of an earlier member of
-	// this very batch — attach without a slot.
+	// duplicates — of an in-flight job or of an earlier member of this
+	// very batch — join its execution without a slot.
 	need := 0
 	seen := make(map[string]bool)
 	for _, c := range compiled {
@@ -860,7 +747,7 @@ func (s *Service) batchLocked(id string, ids []string) *Batch {
 		if e.cacheHit {
 			b.CacheHits++
 		}
-		if e.leader != nil {
+		if e.dedupOf != "" {
 			b.Deduped++
 		}
 	}
@@ -889,10 +776,10 @@ func (s *Service) List() []*Job {
 	return out
 }
 
-// Cancel requests cancellation of job id: a queued job is marked canceled
-// and will be skipped by the pool; a running job has its context
-// canceled, aborting at the next round boundary. Canceling a terminal job
-// is a no-op.
+// Cancel requests cancellation of job id: a queued or running job turns
+// canceled at once and leaves its execution, which stops at the next
+// round boundary once no job waits on it. Canceling a terminal job is a
+// no-op.
 func (s *Service) Cancel(id string) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -904,80 +791,29 @@ func (s *Service) Cancel(id string) (*Job, error) {
 	return snapshot(e), nil
 }
 
-// cancelLocked cancels one job: a queued job turns terminal immediately
-// (the pool will skip it), a running job gets its context canceled. Dedup
-// changes who the cancel reaches: canceling a follower detaches only that
-// follower, and canceling a leader with followers attached cancels only
-// the leader's own view — the shared execution is stopped when its last
-// interested member detaches. Callers hold s.mu.
+// cancelLocked cancels one queued or running job: it turns canceled and
+// leaves its execution. A canceled creator also takes the execution out
+// of the dedup index, so later identical submissions start afresh. The
+// execution stops once its last member has left: a queued one is skipped
+// by the pool, a running one has its context canceled. Callers hold s.mu.
 func (s *Service) cancelLocked(e *entry) {
-	if e.leader != nil {
-		s.cancelFollowerLocked(e)
+	x := e.exec
+	if x == nil {
 		return
 	}
-	if e.detached {
-		return // this client's view already ended canceled
+	if e.dedupOf == "" {
+		s.dropInflightLocked(x)
 	}
-	if len(e.followers) > 0 && (e.state == StateQueued || e.state == StateRunning) {
-		// Detach the leader: its client sees a canceled job, but the
-		// followers still want the result, so the execution keeps going
-		// and settles on them alone. New identical submissions no longer
-		// attach here.
-		e.detached = true
-		s.dropInflightLocked(e)
-		e.state = StateCanceled
-		e.finished = time.Now()
-		s.canceled.Add(1)
-		expCanceled.Add(1)
-		s.persist(store.Record{JobID: e.id, Hash: e.hash, State: store.StateCanceled})
-		s.finishLocked(e)
-		return
-	}
-	switch e.state {
-	case StateQueued:
-		e.canceled = true
-		e.state = StateCanceled
-		e.finished = time.Now()
-		s.canceled.Add(1)
-		expCanceled.Add(1)
-		s.dropInflightLocked(e)
-		s.persist(store.Record{JobID: e.id, Hash: e.hash, State: store.StateCanceled})
-		s.finishLocked(e)
-	case StateRunning:
-		s.dropInflightLocked(e)
-		if e.cancel != nil {
-			e.cancel()
-		}
-	}
-}
-
-// cancelFollowerLocked detaches one follower from its leader's execution:
-// the follower turns terminal-canceled on the spot, and if it was the
-// last member still interested — the leader itself having detached
-// earlier — the now-orphaned execution is stopped too. Callers hold s.mu.
-func (s *Service) cancelFollowerLocked(f *entry) {
-	if f.state.Terminal() {
-		return
-	}
-	lead := f.leader
-	f.state = StateCanceled
-	f.finished = time.Now()
-	s.canceled.Add(1)
-	expCanceled.Add(1)
-	s.persist(store.Record{JobID: f.id, Hash: f.hash, State: store.StateCanceled})
-	s.finishLocked(f)
-	for i, g := range lead.followers {
-		if g == f {
-			lead.followers = append(lead.followers[:i], lead.followers[i+1:]...)
+	s.transition(e, StateCanceled, causeCancel)
+	e.exec = nil
+	for i, m := range x.members {
+		if m == e {
+			x.members = append(x.members[:i], x.members[i+1:]...)
 			break
 		}
 	}
-	if lead.detached && len(lead.followers) == 0 {
-		if lead.cancel != nil {
-			lead.cancel()
-		} else {
-			lead.canceled = true // still queued; the pool will skip it
-		}
+	if len(x.members) == 0 && x.cancel != nil {
+		x.cancel()
 	}
 }
 
@@ -1029,35 +865,32 @@ func (s *Service) Watch(id string) (<-chan Progress, func(), error) {
 // Stats returns a snapshot of the service counters.
 func (s *Service) Stats() Stats {
 	s.mu.Lock()
-	cacheLen := s.cache.len()
-	queued := len(s.queue)
-	degraded := s.breakerOpen
-	s.mu.Unlock()
 	st := Stats{
-		SyncFailures:    s.syncFails.Load(),
-		BreakerTrips:    s.breakerTrips.Load(),
-		DegradedDropped: s.degradedDrop.Load(),
-		Backfilled:      s.backfilled.Load(),
-		Degraded:        degraded,
-		Submitted:       s.submitted.Load(),
-		Completed:       s.completed.Load(),
-		Failed:          s.failed.Load(),
-		Canceled:        s.canceled.Load(),
-		CacheHits:       s.cacheHits.Load(),
-		RoundsSimulated: s.rounds.Load(),
-		PanicsRecovered: s.panics.Load(),
-		Retries:         s.retries.Load(),
-		Recovered:       s.recovered.Load(),
-		Interrupted:     s.interrupted.Load(),
-		StoreErrors:     s.storeErrs.Load(),
-		Queued:          queued,
-		Running:         int(s.running.Load()),
-		CacheEntries:    cacheLen,
-		Workers:         s.cfg.Workers,
-		DedupCoalesced:  s.dedupCoalesced.Load(),
-		AffinityHits:    s.affinityHits.Load(),
-		AffinityMisses:  s.affinityMisses.Load(),
+		Submitted:      int64(len(s.jobs)),
+		Completed:      s.reached[StateDone],
+		Failed:         s.reached[StateFailed],
+		Canceled:       s.reached[StateCanceled],
+		Interrupted:    s.reached[StateInterrupted],
+		CacheHits:      s.created[causeCache],
+		Recovered:      s.created[causeRecover],
+		DedupCoalesced: s.created[causeDedup],
+		Degraded:       s.breakerOpen,
+		Queued:         len(s.queue),
+		CacheEntries:   s.cache.len(),
 	}
+	s.mu.Unlock()
+	st.SyncFailures = s.syncFails.Load()
+	st.BreakerTrips = s.breakerTrips.Load()
+	st.DegradedDropped = s.degradedDrop.Load()
+	st.Backfilled = s.backfilled.Load()
+	st.RoundsSimulated = s.rounds.Load()
+	st.PanicsRecovered = s.panics.Load()
+	st.Retries = s.retries.Load()
+	st.StoreErrors = s.storeErrs.Load()
+	st.Running = int(s.running.Load())
+	st.Workers = s.cfg.Workers
+	st.AffinityHits = s.affinityHits.Load()
+	st.AffinityMisses = s.affinityMisses.Load()
 	if s.topo != nil {
 		ts := s.topo.Stats()
 		st.TopoCacheHits = ts.Hits
@@ -1155,9 +988,9 @@ func (s *Service) Shutdown(ctx context.Context) error {
 		close(s.queue)
 	}
 	for _, e := range s.jobs {
-		if e.state == StateRunning && e.flush != nil {
+		if x := e.exec; x != nil && x.flush != nil {
 			select {
-			case e.flush <- struct{}{}:
+			case x.flush <- struct{}{}:
 			default:
 			}
 		}
@@ -1178,17 +1011,17 @@ func (s *Service) Shutdown(ctx context.Context) error {
 	}
 }
 
-// worker is one pool goroutine: it pops jobs until the queue closes.
-// It keeps the graph fingerprint of the job it last ran: a match means
-// the next job compiles and runs against an already-resident snapshot
-// (SubmitBatch's fingerprint grouping exists to make that common), and
-// the hit/miss counters prove the grouping works.
+// worker is one pool goroutine: it pops executions until the queue
+// closes. It keeps the graph fingerprint of the execution it last ran: a
+// match means the next one compiles and runs against an already-resident
+// snapshot (SubmitBatch's fingerprint grouping exists to make that
+// common), and the hit/miss counters prove the grouping works.
 func (s *Service) worker() {
 	defer s.wg.Done()
 	defer s.workersAlive.Add(-1)
 	last := ""
-	for e := range s.queue {
-		if key := e.compiled.Fingerprint; key != "" {
+	for x := range s.queue {
+		if key := x.compiled.Fingerprint; key != "" {
 			if key == last {
 				s.affinityHits.Add(1)
 			} else {
@@ -1198,30 +1031,23 @@ func (s *Service) worker() {
 		} else {
 			last = ""
 		}
-		s.runOne(e)
+		s.runOne(x)
 	}
 }
 
-// runOne executes a single job under its deadline, publishing progress
-// and finishing with exactly one terminal event per attached member.
-func (s *Service) runOne(e *entry) {
+// runOne executes one execution under its deadline, publishing progress
+// to its members and settling each of them exactly once.
+func (s *Service) runOne(x *execution) {
 	s.mu.Lock()
-	if e.canceled {
-		// Canceled while queued: Cancel already made it terminal (and
-		// detached any followers before setting the flag).
+	if len(x.members) == 0 || s.shutdown {
+		// Every member left while queued, or graceful shutdown is draining
+		// the channel, not the work: the members stay queued — in memory
+		// and in the log — for the next boot's Recover. Either way this
+		// process's snapshot pin is moot.
 		s.mu.Unlock()
-		e.compiled.ReleaseTopo()
+		x.compiled.ReleaseTopo()
 		return
 	}
-	if s.shutdown {
-		// Graceful shutdown is draining the channel, not the work: the
-		// job stays queued — in memory and in the log — for the next
-		// boot's Recover. This process's snapshot pin is moot.
-		s.mu.Unlock()
-		e.compiled.ReleaseTopo()
-		return
-	}
-	now := time.Now()
 	ctx := context.Background()
 	var cancel context.CancelFunc
 	if s.cfg.JobTimeout > 0 {
@@ -1229,43 +1055,30 @@ func (s *Service) runOne(e *entry) {
 	} else {
 		ctx, cancel = context.WithCancel(ctx)
 	}
-	e.cancel = cancel
-	if !e.detached {
-		// A detached leader's client already saw it end canceled; only
-		// the execution survives, so its visible state stays put.
-		e.state = StateRunning
-		e.started = now
-		s.persist(store.Record{JobID: e.id, Hash: e.hash, State: store.StateRunning})
+	x.cancel = cancel
+	x.started = time.Now()
+	for _, m := range x.members {
+		s.transition(m, StateRunning, causeRun)
 	}
-	for _, f := range e.followers {
-		f.state = StateRunning
-		f.started = now
-		s.persist(store.Record{JobID: f.id, Hash: f.hash, State: store.StateRunning})
-	}
-	if s.durable() {
-		e.flush = make(chan struct{}, 1)
+	if s.cfg.Store != nil {
+		x.flush = make(chan struct{}, 1)
 	}
 	s.mu.Unlock()
 	defer cancel()
 
 	s.running.Add(1)
-	expRunning.Add(1)
-	defer func() {
-		s.running.Add(-1)
-		expRunning.Add(-1)
-	}()
+	defer s.running.Add(-1)
 
 	every := s.cfg.ProgressEvery
 	obs := func(round int, outs []model.Value) {
 		s.rounds.Add(1)
-		expRounds.Add(1)
 		if round%every != 0 {
 			return
 		}
 		s.mu.Lock()
-		watched := len(e.subs) > 0
-		for _, f := range e.followers {
-			if len(f.subs) > 0 {
+		watched := false
+		for _, m := range x.members {
+			if len(m.subs) > 0 {
 				watched = true
 				break
 			}
@@ -1277,101 +1090,68 @@ func (s *Service) runOne(e *entry) {
 			// outright.
 			return
 		}
-		outputs, maxErr := job.Numeric(outs, e.compiled.Expected)
-		s.publish(e, Progress{
-			JobID:   e.id,
+		outputs, maxErr := job.Numeric(outs, x.compiled.Expected)
+		s.publish(x, Progress{
 			State:   StateRunning,
 			Round:   round,
 			Outputs: outputs,
 			MaxErr:  job.F64(maxErr),
 		})
 	}
-	res, err := s.execute(ctx, e, obs)
+	res, err := s.execute(ctx, x, obs)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e.cancel = nil
-	s.settleLocked(e, res, err)
-	e.compiled.ReleaseTopo()
+	x.cancel = nil
+	s.settleLocked(x, res, err)
+	x.compiled.ReleaseTopo()
 }
 
-// settleLocked applies one finished execution to its leader and every
-// attached follower: one state transition per member, one result-cache
-// insert, one result payload in the log (the other members' done records
-// resolve through the shared hash). Members that went terminal early — a
-// canceled follower, a detached leader — are left untouched. Callers
-// hold s.mu.
-func (s *Service) settleLocked(e *entry, res *job.Result, err error) {
-	s.dropInflightLocked(e)
-	now := time.Now()
-	members := make([]*entry, 0, 1+len(e.followers))
-	members = append(members, e)
-	members = append(members, e.followers...)
-	resultPersisted := false
-	for _, m := range members {
-		if m.state.Terminal() {
-			continue
-		}
-		m.finished = now
+// settleLocked applies one finished execution to every member still
+// waiting on it: one transition each, one result-cache insert, one
+// result payload in the log (the other members' done records resolve
+// through the shared hash). A run stopped because every member left has
+// nobody to settle. Callers hold s.mu.
+func (s *Service) settleLocked(x *execution, res *job.Result, err error) {
+	s.dropInflightLocked(x)
+	for _, m := range x.members {
 		switch {
 		case err == nil:
-			m.state = StateDone
 			m.result = res
-			s.completed.Add(1)
-			expCompleted.Add(1)
-			rec := store.Record{JobID: m.id, Hash: m.hash, State: store.StateDone}
-			if s.cfg.Store != nil && !resultPersisted {
-				if raw, merr := json.Marshal(res); merr == nil {
-					rec.Result = raw
-				}
-				resultPersisted = true
-			}
-			s.persist(rec)
+			s.transition(m, StateDone, causeRun)
 		case errors.Is(err, engine.ErrInterrupted):
 			// Graceful shutdown flushed the engine to a checkpoint: the
-			// job is not terminal — it resumes (via Recover) on the next
-			// boot, and each interrupted follower resumes there as an
-			// independent job.
-			m.state = StateInterrupted
-			s.interrupted.Add(1)
-			expInterrupted.Add(1)
-			s.persist(store.Record{JobID: m.id, Hash: m.hash, State: store.StateInterrupted, Round: e.ckptRound})
-		case errors.Is(err, context.Canceled):
-			m.state = StateCanceled
-			s.canceled.Add(1)
-			expCanceled.Add(1)
-			s.persist(store.Record{JobID: m.id, Hash: m.hash, State: store.StateCanceled})
+			// job is not terminal — each member resumes (via Recover) on
+			// the next boot as an independent job.
+			s.transition(m, StateInterrupted, causeRun)
 		default:
-			m.state = StateFailed
 			m.err = err.Error()
-			s.failed.Add(1)
-			expFailed.Add(1)
-			s.persist(store.Record{JobID: m.id, Hash: m.hash, State: store.StateFailed, Error: m.err})
+			s.transition(m, StateFailed, causeRun)
 		}
-		s.finishLocked(m)
+		m.exec = nil
 	}
+	x.members = nil
 	if err == nil {
-		s.cache.add(e.hash, res)
+		s.cache.add(x.compiled.Hash, res)
 	}
 	if s.cfg.Store != nil && !errors.Is(err, engine.ErrInterrupted) {
-		s.cfg.Store.DropCheckpoints(e.hash)
+		s.cfg.Store.DropCheckpoints(x.compiled.Hash)
 	}
-	if s.cfg.JobLatency != nil && !e.started.IsZero() {
-		s.cfg.JobLatency.Observe(now.Sub(e.started).Seconds())
+	if s.cfg.JobLatency != nil {
+		s.cfg.JobLatency.Observe(time.Since(x.started).Seconds())
 	}
 }
 
-// execute runs one job through the configured runner with panic recovery
-// and bounded exponential-backoff retries for errors wrapping
-// ErrTransient. A retried job replays its progress stream from round 1.
-func (s *Service) execute(ctx context.Context, e *entry, obs engine.Observer) (*job.Result, error) {
+// execute runs one execution with panic recovery and bounded
+// exponential-backoff retries for errors wrapping ErrTransient. A retried
+// execution replays its progress stream from round 1.
+func (s *Service) execute(ctx context.Context, x *execution, obs engine.Observer) (*job.Result, error) {
 	for attempt := 0; ; attempt++ {
-		res, err := s.safeRun(ctx, e, attempt, obs)
+		res, err := s.safeRun(ctx, x, attempt, obs)
 		if err == nil || !errors.Is(err, ErrTransient) || attempt >= s.cfg.MaxRetries {
 			return res, err
 		}
 		s.retries.Add(1)
-		expRetries.Add(1)
 		backoff := s.cfg.RetryBase << uint(attempt)
 		timer := time.NewTimer(backoff)
 		select {
@@ -1383,40 +1163,41 @@ func (s *Service) execute(ctx context.Context, e *entry, obs engine.Observer) (*
 	}
 }
 
-// safeRun invokes the runner, converting a panic — a buggy agent, a buggy
-// injected runner — into an ordinary failed-job error carrying the panic
-// value and stack. The worker goroutine survives; the service keeps
-// serving. (The sequential engine deliberately propagates agent panics;
-// this is where they stop.)
-func (s *Service) safeRun(ctx context.Context, e *entry, attempt int, obs engine.Observer) (res *job.Result, err error) {
+// safeRun makes one attempt — the Intercept hook, then the checkpointed
+// engine run — converting a panic into an ordinary failed-job error
+// carrying the panic value and stack. The worker goroutine survives; the
+// service keeps serving. (The sequential engine deliberately propagates
+// agent panics; this is where they stop.)
+func (s *Service) safeRun(ctx context.Context, x *execution, attempt int, obs engine.Observer) (res *job.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.panics.Add(1)
-			expPanics.Add(1)
 			res = nil
-			err = fmt.Errorf("service: job %s panicked: %v\n%s", e.id, r, debug.Stack())
+			err = fmt.Errorf("service: job %s panicked: %v\n%s", x.id, r, debug.Stack())
 		}
 	}()
 	if s.cfg.Intercept != nil {
-		if err := s.cfg.Intercept(ctx, e.id, attempt); err != nil {
+		if err := s.cfg.Intercept(ctx, x.id, attempt); err != nil {
 			return nil, err
 		}
 	}
-	if s.durable() {
-		return job.RunCheckpointed(ctx, e.compiled, obs, s.checkpointConfig(e))
+	var ck job.CheckpointConfig
+	if s.cfg.Store != nil {
+		ck = s.checkpointConfig(x)
 	}
-	return s.cfg.Runner(ctx, e.compiled, obs)
+	return job.RunCheckpointed(ctx, x.compiled, obs, ck)
 }
 
-// checkpointConfig wires one running job to the durable store: periodic
-// snapshots land as checkpoint blobs keyed by the job's spec hash, the
-// entry's flush channel carries shutdown's flush request, and any
+// checkpointConfig wires one execution to the durable store: periodic
+// snapshots land as checkpoint blobs keyed by the spec hash, the
+// execution's flush channel carries shutdown's flush request, and any
 // on-disk checkpoint of the same hash — a previous run of this exact
 // computation — seeds the resume.
-func (s *Service) checkpointConfig(e *entry) job.CheckpointConfig {
+func (s *Service) checkpointConfig(x *execution) job.CheckpointConfig {
+	hash := x.compiled.Hash
 	ck := job.CheckpointConfig{
 		Every: s.cfg.CheckpointEvery,
-		Flush: e.flush,
+		Flush: x.flush,
 		Save: func(round int, blob []byte) error {
 			// A checkpoint is an optimization, not a correctness need: a
 			// failed or skipped save must never fail the job (the run just
@@ -1430,7 +1211,7 @@ func (s *Service) checkpointConfig(e *entry) job.CheckpointConfig {
 				s.degradedDrop.Add(1)
 				return nil
 			}
-			if err := s.cfg.Store.SaveCheckpoint(e.hash, round, blob); err != nil {
+			if err := s.cfg.Store.SaveCheckpoint(hash, round, blob); err != nil {
 				s.mu.Lock()
 				s.noteStoreFailureLocked(err)
 				s.mu.Unlock()
@@ -1438,40 +1219,31 @@ func (s *Service) checkpointConfig(e *entry) job.CheckpointConfig {
 			}
 			s.mu.Lock()
 			s.noteStoreSuccessLocked()
-			e.ckptRound = round
+			x.ckptRound = round
 			s.mu.Unlock()
 			return nil
 		},
 	}
-	if blob, _, err := s.cfg.Store.LatestCheckpoint(e.hash); err == nil {
+	if blob, _, err := s.cfg.Store.LatestCheckpoint(hash); err == nil {
 		ck.Resume = blob
 	}
 	return ck
 }
 
-// publish fans an event out to e's subscribers — and, under its own job
-// ID, to every attached follower's — dropping events a slow subscriber
-// has no buffer for (the terminal event is handled by finishLocked and
-// never dropped silently: the channel close itself is the durable
-// signal).
-func (s *Service) publish(e *entry, ev Progress) {
+// publish fans an event out to every member of x under its own job ID,
+// dropping events a slow subscriber has no buffer for (the terminal
+// event is handled by finishLocked and never dropped silently: the
+// channel close itself is the durable signal).
+func (s *Service) publish(x *execution, ev Progress) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.publishLocked(e, ev)
-	for _, f := range e.followers {
-		fev := ev
-		fev.JobID = f.id
-		s.publishLocked(f, fev)
-	}
-}
-
-// publishLocked delivers one event to one entry's subscribers. Callers
-// hold s.mu.
-func (s *Service) publishLocked(e *entry, ev Progress) {
-	for ch := range e.subs {
-		select {
-		case ch <- ev:
-		default:
+	for _, m := range x.members {
+		ev.JobID = m.id
+		for ch := range m.subs {
+			select {
+			case ch <- ev:
+			default:
+			}
 		}
 	}
 }
@@ -1520,15 +1292,13 @@ func snapshot(e *entry) *Job {
 	j := &Job{
 		ID:        e.id,
 		Hash:      e.hash,
-		Spec:      e.compiled.Spec,
+		Spec:      e.spec,
 		State:     e.state,
 		Error:     e.err,
 		CacheHit:  e.cacheHit,
+		DedupOf:   e.dedupOf,
 		Result:    e.result,
 		Submitted: e.submitted,
-	}
-	if e.leader != nil {
-		j.DedupOf = e.leader.id
 	}
 	if !e.started.IsZero() {
 		t := e.started

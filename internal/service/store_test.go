@@ -199,3 +199,43 @@ func TestRecoverRejectsUncompilableSpec(t *testing.T) {
 		t.Fatalf("poison job view = %+v (ok=%v), want failed with error", v, ok)
 	}
 }
+
+// TestCacheHitIDNotReissuedAfterRestart: a job served from the result
+// cache is logged like any other, so a restarted daemon continues the ID
+// sequence past it instead of handing its ID out again.
+func TestCacheHitIDNotReissuedAfterRestart(t *testing.T) {
+	dir := t.TempDir()
+	st1 := openStore(t, dir)
+	s1 := New(Config{Workers: 1, Store: st1})
+	a, err := s1.Submit(durableSpec(11, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s1, a.ID, StateDone)
+	hit, err := s1.Submit(durableSpec(11, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit.CacheHit {
+		t.Fatalf("resubmission %+v is not a cache hit", hit)
+	}
+	s1.Close()
+	if err := st1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2 := openStore(t, dir)
+	defer st2.Close()
+	s2 := New(Config{Workers: 1, Store: st2})
+	defer s2.Close()
+	b, err := s2.Submit(durableSpec(12, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.ID == a.ID || b.ID == hit.ID {
+		t.Fatalf("post-restart job got ID %s, already issued to %s or %s", b.ID, a.ID, hit.ID)
+	}
+	if v, ok := st2.Job(hit.ID); !ok || v.State != store.StateDone || len(v.Spec) == 0 || len(v.Result) != 0 {
+		t.Fatalf("cache-hit log view %+v (ok=%v), want done with its spec and no result payload", v, ok)
+	}
+}

@@ -133,8 +133,8 @@ func TestSweepResultsIdenticalFastPathOnOff(t *testing.T) {
 // entries pinned by in-flight jobs survive (over budget) and are swept
 // once their jobs finish.
 func TestSweepEvictionSparesRunningJobs(t *testing.T) {
-	g := newGateRunner()
-	s := New(Config{Workers: 2, Runner: g.run, TopoCacheBytes: 1, CacheSize: -1})
+	g := newGate()
+	s := New(Config{Workers: 2, Intercept: g.intercept, TopoCacheBytes: 1, CacheSize: -1})
 	defer s.Close()
 
 	a, err := s.Submit(sweepSpec(64, 1))
