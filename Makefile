@@ -30,8 +30,8 @@ conformance:
 test: build
 	$(GO) test ./...
 
-# The concurrent engine, the anonnetd worker pool, and the job codec are
-# permanently race-checked: this is the CI gate.
+# The sharded and parallel vectorized engines, the anonnetd worker pool,
+# and the job codec are permanently race-checked: this is the CI gate.
 race:
 	$(GO) test -race ./...
 
@@ -40,8 +40,9 @@ fuzz:
 	$(GO) test -fuzz=FuzzStoreRecord -fuzztime=30s ./internal/store
 	$(GO) test -fuzz=FuzzNonFinalSegmentDamage -fuzztime=30s ./internal/store
 
-# The durability gate: checkpoint/resume trace equality on all four
-# engines (± faults) plus the kill/restart service recovery drill.
+# The durability gate: checkpoint/resume trace equality on every engine
+# and across each checkpoint family (± faults) plus the kill/restart
+# service recovery drill.
 crash-recovery:
 	$(GO) test -race -count=1 -run 'Checkpoint' ./internal/engine ./internal/job
 	$(GO) test -race -count=1 ./internal/store ./internal/service
@@ -57,10 +58,12 @@ chaos:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
 
-# Regenerates the committed three-engine benchmark record from the same
-# workload as the BenchmarkEngineSharded family.
+# Regenerates the committed benchmark record with all three sections the
+# README quotes: the core ring sweep (seq, shard, vec, parvec on the
+# BenchmarkEngineSharded workload), the -scale large-n sweep, and the
+# -sweep service batches.
 benchreport:
-	$(GO) run ./cmd/benchreport -o BENCH_engine.json
+	$(GO) run ./cmd/benchreport -scale -sweep -o BENCH_engine.json
 
 run-daemon: build
 	$(GO) run ./cmd/anonnetd -addr :8080

@@ -33,8 +33,8 @@
 //	})
 //	fmt.Println(res.Outputs[0]) // 3.875, at every agent
 //
-// Compute takes functional options: WithEngine(Sequential|Concurrent|
-// Sharded|Vectorized) selects the runner (the sharded engine scales to
+// Compute takes functional options: WithEngine(Sequential|Sharded|
+// Vectorized) selects the runner (the sharded engine scales to
 // thousands of agents; the vectorized kernel runs linear mass-passing
 // algorithms over flat float64 buffers with zero steady-state allocations,
 // falling back to the sequential engine — identical traces — for
@@ -98,7 +98,7 @@ type (
 	Row = core.Row
 	// Cell is a table entry: the exact class of computable functions.
 	Cell = core.Cell
-	// Runner executes rounds (sequential or concurrent engine).
+	// Runner executes rounds (any of the round engines).
 	Runner = engine.Runner
 	// Config configures an execution.
 	Config = engine.Config
@@ -258,8 +258,6 @@ var (
 var (
 	// NewEngine returns the deterministic sequential round engine.
 	NewEngine = engine.New
-	// NewConcurrentEngine returns the goroutine-per-agent engine.
-	NewConcurrentEngine = engine.NewConcurrent
 	// NewShardedEngine returns the sharded batch engine (shards ≤ 0 means
 	// one per core).
 	NewShardedEngine = engine.NewSharded
@@ -326,17 +324,15 @@ func MarkLeaders(in []Input, leaders ...int) []Input {
 	return out
 }
 
-// EngineKind selects one of the four round engines behind Compute.
+// EngineKind selects one of the round engines behind Compute.
 type EngineKind int
 
-// The four engines. All produce identical traces for equal inputs (the
-// A2 property tests assert it); they differ only in how the rounds are
+// The engines. All produce identical traces for equal inputs (the A2
+// property tests assert it); they differ only in how the rounds are
 // scheduled onto the hardware.
 const (
 	// Sequential is the deterministic single-threaded engine (default).
 	Sequential EngineKind = iota
-	// Concurrent runs one goroutine per agent with a channel barrier.
-	Concurrent
 	// Sharded partitions agents across cores and delivers messages
 	// through preallocated shard-to-shard buffers; the fastest engine for
 	// large n.
@@ -358,10 +354,11 @@ func (e EngineKind) String() string {
 	return fmt.Sprintf("EngineKind(%d)", int(e))
 }
 
-// ParseEngineKind resolves an engine name — canonical ("seq", "conc",
-// "shard", "vec") or long alias ("sequential", "concurrent", "sharded",
-// "vectorized"), case-insensitively — to its EngineKind. The empty string
-// is Sequential.
+// ParseEngineKind resolves an engine name — canonical ("seq", "shard",
+// "vec") or alias ("sequential", "sharded", "vectorized", and "conc" or
+// "concurrent", which name the retired goroutine-per-agent engine and
+// select Sharded), case-insensitively — to its EngineKind. The empty
+// string is Sequential.
 func ParseEngineKind(name string) (EngineKind, error) {
 	canon, ok := engine.CanonicalName(name)
 	if !ok {
@@ -439,8 +436,9 @@ func WithModel(k Kind) Option {
 // worker per core for the sharded engine, single-threaded for the
 // vectorized one). With WithEngine(Sharded) it is the shard count; with
 // WithEngine(Vectorized) and k ≥ 1 it selects the parallel vectorized
-// kernel with k workers. The trace is independent of k on every engine.
-// It has no effect on the Sequential and Concurrent engines.
+// kernel with k workers. Either count is capped at the number of agents.
+// The trace is independent of k on every engine. It has no effect on the
+// Sequential engine.
 func WithParallelism(k int) Option {
 	return func(c *computeConfig) { c.parallelism = k }
 }

@@ -52,14 +52,13 @@ func TestComputeEngineOption(t *testing.T) {
 		return res
 	}
 	seq := run(anonnet.WithEngine(anonnet.Sequential))
-	con := run(anonnet.WithEngine(anonnet.Concurrent))
 	shd := run(anonnet.WithEngine(anonnet.Sharded), anonnet.WithParallelism(3))
 	// The static minbase pipeline is not vectorizable, so Vectorized
 	// exercises the silent fallback — still byte-identical to seq —
 	// with and without parallelism.
 	vec := run(anonnet.WithEngine(anonnet.Vectorized))
 	pvc := run(anonnet.WithEngine(anonnet.Vectorized), anonnet.WithParallelism(2))
-	for _, other := range []*anonnet.ComputeResult{con, shd, vec, pvc} {
+	for _, other := range []*anonnet.ComputeResult{shd, vec, pvc} {
 		if seq.Rounds != other.Rounds || seq.StabilizedAt != other.StabilizedAt {
 			t.Fatalf("engines disagree: seq %+v vs %+v", seq, other)
 		}
@@ -112,7 +111,7 @@ func TestComputeVectorizedKernel(t *testing.T) {
 
 // TestParseEngineKind pins the shared-name-table round trip on the facade.
 func TestParseEngineKind(t *testing.T) {
-	for _, k := range []anonnet.EngineKind{anonnet.Sequential, anonnet.Concurrent, anonnet.Sharded, anonnet.Vectorized} {
+	for _, k := range []anonnet.EngineKind{anonnet.Sequential, anonnet.Sharded, anonnet.Vectorized} {
 		got, err := anonnet.ParseEngineKind(k.String())
 		if err != nil || got != k {
 			t.Fatalf("ParseEngineKind(%q) = %v, %v; want %v", k.String(), got, err, k)
@@ -120,6 +119,12 @@ func TestParseEngineKind(t *testing.T) {
 	}
 	if k, err := anonnet.ParseEngineKind("Vectorized"); err != nil || k != anonnet.Vectorized {
 		t.Fatalf("long alias: %v, %v", k, err)
+	}
+	// The retired concurrent engine's names select the sharded one.
+	for _, name := range []string{"conc", "concurrent"} {
+		if k, err := anonnet.ParseEngineKind(name); err != nil || k != anonnet.Sharded {
+			t.Fatalf("ParseEngineKind(%q) = %v, %v; want Sharded", name, k, err)
+		}
 	}
 	if k, err := anonnet.ParseEngineKind(""); err != nil || k != anonnet.Sequential {
 		t.Fatalf("empty name: %v, %v", k, err)

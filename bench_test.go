@@ -370,8 +370,8 @@ func BenchmarkKernelVariants(b *testing.B) {
 	})
 }
 
-// BenchmarkEngines is the A2 ablation: the four round engines on the same
-// small workload through the public options API.
+// BenchmarkEngines is the A2 ablation: the facade's round engines on the
+// same small workload through the public options API.
 func BenchmarkEngines(b *testing.B) {
 	mk := func(eng anonnet.EngineKind) func(*testing.B) {
 		return func(b *testing.B) {
@@ -395,7 +395,6 @@ func BenchmarkEngines(b *testing.B) {
 		}
 	}
 	b.Run("sequential", mk(anonnet.Sequential))
-	b.Run("concurrent", mk(anonnet.Concurrent))
 	b.Run("sharded", mk(anonnet.Sharded))
 	b.Run("vectorized", mk(anonnet.Vectorized))
 }
@@ -406,14 +405,14 @@ func BenchmarkEngines(b *testing.B) {
 const shardedBenchRounds = 50
 
 // BenchmarkEngineSharded compares the sharded and vectorized engines
-// against the sequential and concurrent ones on Push-Sum over rings of
-// growing size. Push-Sum keeps every agent busy every round, and each
-// engine is constructed and warmed up outside the timer, so an op is
-// exactly shardedBenchRounds steady-state rounds: the family isolates the
-// per-round engine overhead — goroutine-per-agent channel hops
-// (concurrent) vs CSR shard delivery (sharded) vs the flat-buffer
-// scatter-add of the vectorized kernel — and the allocs/op column records
-// what the round loop allocates (zero, for vec). The committed
+// against the sequential one on Push-Sum over rings of growing size.
+// Push-Sum keeps every agent busy every round, and each engine is
+// constructed and warmed up outside the timer, so an op is exactly
+// shardedBenchRounds steady-state rounds: the family isolates the
+// per-round engine overhead — the plain agent loop (sequential) vs CSR
+// shard delivery (sharded) vs the flat-buffer scatter-add of the
+// vectorized kernels — and the allocs/op column records what the round
+// loop allocates (zero, for vec and parvec). The committed
 // BENCH_engine.json is generated from this workload by cmd/benchreport.
 func BenchmarkEngineSharded(b *testing.B) {
 	engines := []struct {
@@ -421,7 +420,6 @@ func BenchmarkEngineSharded(b *testing.B) {
 		mk   func(cfg engine.Config) (engine.Runner, error)
 	}{
 		{"seq", func(cfg engine.Config) (engine.Runner, error) { return engine.New(cfg) }},
-		{"conc", func(cfg engine.Config) (engine.Runner, error) { return engine.NewConcurrent(cfg) }},
 		{"shard", func(cfg engine.Config) (engine.Runner, error) { return engine.NewSharded(cfg, 0) }},
 		{"vec", func(cfg engine.Config) (engine.Runner, error) { return engine.NewVectorized(cfg) }},
 		{"parvec", func(cfg engine.Config) (engine.Runner, error) { return engine.NewParallelVec(cfg, 0) }},

@@ -47,7 +47,6 @@ func run() error {
 		rounds     = flag.Int("rounds", 2000, "round budget")
 		every      = flag.Int("every", 0, "print outputs every k rounds (0: only the final)")
 		seed       = flag.Int64("seed", 1, "RNG seed")
-		concurrent = flag.Bool("concurrent", false, "use the goroutine-per-agent engine")
 		engineFlag = flag.String("engine", "", "round engine: "+engine.NamesList()+" (vec falls back to seq when the algorithm is not vectorizable)")
 		parallel   = flag.Int("parallel", 0, "degree of parallelism: shard count for -engine shard (0: one per core), worker count for -engine vec (0: single-threaded kernel)")
 		dot        = flag.Bool("dot", false, "print the round-1 network in Graphviz dot format and exit")
@@ -145,7 +144,7 @@ func run() error {
 	if injector != nil {
 		cfg.Faults = injector
 	}
-	r, err := newRunner(cfg, *engineFlag, *concurrent, *parallel)
+	r, err := newRunner(cfg, *engineFlag, *parallel)
 	if err != nil {
 		return err
 	}
@@ -181,14 +180,10 @@ func run() error {
 }
 
 // newRunner selects the round engine through the shared engine-name table
-// and selection point. The -engine flag wins; the legacy -concurrent flag
-// keeps working when -engine is unset. engine=vec falls back to the
-// sequential engine — byte-identical traces — when the algorithm does not
-// implement the vector contract.
-func newRunner(cfg engine.Config, name string, concurrent bool, parallel int) (engine.Runner, error) {
-	if name == "" && concurrent {
-		name = "conc"
-	}
+// and selection point. engine=vec falls back to the sequential engine —
+// byte-identical traces — when the algorithm does not implement the
+// vector contract.
+func newRunner(cfg engine.Config, name string, parallel int) (engine.Runner, error) {
 	if canon, ok := engine.CanonicalName(name); ok && canon == "vec" && !engine.CanVectorize(cfg) {
 		fmt.Println("engine:  vec requested but the algorithm is not vectorizable; using seq (identical traces)")
 	}

@@ -2,7 +2,7 @@
 // of the engine Push-Sum benchmark (the same workload as the
 // BenchmarkEngineSharded family in bench_test.go): 50 steady-state rounds
 // of Push-Sum average on a bidirectional ring, for each engine (sequential,
-// concurrent, sharded, vectorized, parallel-vectorized) at each size
+// sharded, vectorized, parallel-vectorized) at each size
 // n ∈ {16, 64, 256, 1024}. Each engine is constructed and warmed up
 // outside the timed region, so an op is exactly 50 rounds of the warm
 // round loop — the per-round engine overhead the family exists to isolate
@@ -29,8 +29,8 @@
 // warm and dedup rows refuse to report more than one topology build —
 // the generator exits nonzero if the counter disagrees.
 //
-// The report also derives shard-vs-sequential, shard-vs-concurrent,
-// vec-vs-sequential, and parvec-vs-vec speedups per (topology, size); the
+// The report also derives shard-vs-sequential, vec-vs-sequential,
+// parvec-vs-sequential, and parvec-vs-vec speedups per (topology, size); the
 // headline numbers are the n=1024 vec/seq ratio and — with -scale on a
 // multicore machine — the n=10⁵ parvec/vec ratio.
 package main
@@ -98,7 +98,6 @@ type speedup struct {
 	Topology    string  `json:"topology"`
 	N           int     `json:"n"`
 	ShardVsSeq  float64 `json:"shard_vs_seq,omitempty"`
-	ShardVsCon  float64 `json:"shard_vs_conc,omitempty"`
 	VecVsSeq    float64 `json:"vec_vs_seq,omitempty"`
 	ParVecVsSeq float64 `json:"parvec_vs_seq,omitempty"`
 	ParVecVsVec float64 `json:"parvec_vs_vec,omitempty"`
@@ -309,7 +308,6 @@ func main() {
 	parvecWorkers := runtime.GOMAXPROCS(0)
 	engines := []engineCase{
 		{"seq", func(cfg engine.Config) (engine.Runner, error) { return engine.New(cfg) }},
-		{"conc", func(cfg engine.Config) (engine.Runner, error) { return engine.NewConcurrent(cfg) }},
 		{"shard", func(cfg engine.Config) (engine.Runner, error) { return engine.NewSharded(cfg, 0) }},
 		{"vec", func(cfg engine.Config) (engine.Runner, error) { return engine.NewVectorized(cfg) }},
 		{"parvec", func(cfg engine.Config) (engine.Runner, error) { return engine.NewParallelVec(cfg, 0) }},
@@ -386,7 +384,6 @@ func main() {
 			Topology:    topoName,
 			N:           n,
 			ShardVsSeq:  ratio(ops["seq"][n], ops["shard"][n]),
-			ShardVsCon:  ratio(ops["conc"][n], ops["shard"][n]),
 			VecVsSeq:    ratio(ops["seq"][n], ops["vec"][n]),
 			ParVecVsSeq: ratio(ops["seq"][n], ops["parvec"][n]),
 			ParVecVsVec: ratio(ops["vec"][n], ops["parvec"][n]),

@@ -15,7 +15,7 @@
 //
 // Every fault decision is a pure hash of (seed, round, participants):
 // re-running this program reproduces the same faults, byte for byte, on
-// any of the three engines.
+// any of the engines.
 package main
 
 import (

@@ -14,8 +14,8 @@ import (
 // Schedule is a dynamic graph: At(t) is the communication graph of round t
 // (t ≥ 1). Implementations must return graphs on exactly N() vertices, with
 // a self-loop at every vertex (§2.1). Schedules must be deterministic: At
-// must return equal graphs when called twice with the same t, so that the
-// sequential and concurrent engines observe the same network.
+// must return equal graphs when called twice with the same t, so that every
+// engine observes the same network.
 type Schedule interface {
 	N() int
 	At(t int) *graph.Graph

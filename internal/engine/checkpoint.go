@@ -30,7 +30,7 @@ var ErrInterrupted = errors.New("engine: run interrupted after checkpoint flush"
 var ErrNotCheckpointable = errors.New("engine: execution is not checkpointable")
 
 // Checkpointer is the optional runner capability behind checkpoint/resume.
-// All four engines implement it; Snapshot fails with ErrNotCheckpointable
+// All four runners implement it; Snapshot fails with ErrNotCheckpointable
 // when the agents do not cooperate. Both methods must only be called
 // between rounds (the engines are quiescent there — no worker goroutine
 // touches agent state outside Step).
@@ -48,8 +48,10 @@ type Checkpointer interface {
 // to be gob.Registered (the checkpointable algorithm packages do this in
 // their init functions).
 type Checkpoint struct {
-	// Engine is the runner name the snapshot was taken on; Restore refuses
-	// a different runner, because pending-state layout is engine-specific.
+	// Engine is the runner name the snapshot was taken on. Restore refuses
+	// a runner of the other family, because the pending-state layout is
+	// family-specific: the core-layout runners (sequential, sharded) share
+	// one, the vector runners another.
 	Engine string
 	// Round is the number of completed rounds at the snapshot.
 	Round int
@@ -147,8 +149,8 @@ func (s *countingSource) fastForward(seed int64, n int64) {
 }
 
 // Snapshot captures the core's execution state; the generic runners
-// (sequential, concurrent, sharded) promote it unchanged, the vectorized
-// runner wraps it to add its pending rows. Callers must be between rounds.
+// (sequential, sharded) promote it unchanged, the vector runners wrap it
+// to add their pending rows. Callers must be between rounds.
 func (c *core) Snapshot() (*Checkpoint, error) {
 	cp := &Checkpoint{
 		Engine:   c.name,
@@ -179,12 +181,22 @@ func (c *core) Snapshot() (*Checkpoint, error) {
 	return cp, nil
 }
 
-// Restore rewinds a freshly constructed runner to cp's round boundary:
-// counters, fault totals, the fast-forwarded RNG, agent states, and the
-// pending delayed messages. Promoted by the generic runners; the
-// vectorized runner wraps it to restore its pending rows.
+// coreCheckpointEngines are the Engine tags of the core-layout runners.
+// They share the generic Delayed layout and the RNG draw sequence, so a
+// snapshot taken on any of them resumes on either generic runner —
+// "concurrent" included, the tag of the retired goroutine-per-agent
+// runner, whose checkpoints a durable store may still hold. The vector
+// runners' "vectorized" snapshots stay refused.
+var coreCheckpointEngines = map[string]bool{"sequential": true, "concurrent": true, "sharded": true}
+
+// Restore rewinds a freshly constructed generic runner to the round
+// boundary of a core-layout checkpoint: counters, fault totals, the
+// fast-forwarded RNG, agent states, and the pending delayed messages.
 func (c *core) Restore(cp *Checkpoint) error {
-	if err := c.restoreCore(cp); err != nil {
+	if !coreCheckpointEngines[cp.Engine] {
+		return fmt.Errorf("engine: checkpoint taken on %q engine, restoring on %q", cp.Engine, c.name)
+	}
+	if err := c.restoreState(cp); err != nil {
 		return err
 	}
 	if len(cp.Delayed) > 0 {
@@ -199,16 +211,6 @@ func (c *core) Restore(cp *Checkpoint) error {
 		}
 	}
 	return nil
-}
-
-// restoreCore applies the engine-independent half of a checkpoint after
-// checking the snapshot was taken on a runner with the same pending-state
-// layout (the Engine tag).
-func (c *core) restoreCore(cp *Checkpoint) error {
-	if cp.Engine != c.name {
-		return fmt.Errorf("engine: checkpoint taken on %q engine, restoring on %q", cp.Engine, c.name)
-	}
-	return c.restoreState(cp)
 }
 
 // restoreState applies the engine-independent half of a checkpoint.
@@ -238,7 +240,7 @@ func (c *core) restoreState(cp *Checkpoint) error {
 // vecCheckpointEngine is the Engine tag both vector runners stamp on
 // their checkpoints: they share the VecDelayed pending layout (and the
 // RNG draw sequence), so a snapshot taken on one resumes on the other —
-// vec ↔ parallel vec — while the generic engines still refuse it.
+// vec ↔ parallel vec — while the generic runners still refuse it.
 const vecCheckpointEngine = "vectorized"
 
 // Snapshot captures a vectorized engine's state: the core snapshot plus

@@ -76,20 +76,29 @@ func ckptConfig(t *testing.T, cc ckptCase) engine.Config {
 	return cfg
 }
 
-// ckptRunners enumerates the four engines for a config builder.
-func ckptRunners() []struct {
-	name string
-	mk   func(cfg engine.Config) (engine.Runner, error)
-} {
-	return []struct {
-		name string
-		mk   func(cfg engine.Config) (engine.Runner, error)
-	}{
-		{"seq", func(cfg engine.Config) (engine.Runner, error) { return engine.New(cfg) }},
-		{"conc", func(cfg engine.Config) (engine.Runner, error) { return engine.NewConcurrent(cfg) }},
-		{"shard3", func(cfg engine.Config) (engine.Runner, error) { return engine.NewSharded(cfg, 3) }},
-		{"vec", func(cfg engine.Config) (engine.Runner, error) { return engine.NewVectorized(cfg) }},
-		{"parvec3", func(cfg engine.Config) (engine.Runner, error) { return engine.NewParallelVec(cfg, 3) }},
+// ckptRunner is one row of the checkpoint matrix: mk builds the run that
+// is snapshotted, resume (nil: mk) the fresh runner restored from the
+// snapshot, and tag, when set, re-stamps the snapshot's Engine tag first.
+type ckptRunner struct {
+	name   string
+	mk     func(cfg engine.Config) (engine.Runner, error)
+	resume func(cfg engine.Config) (engine.Runner, error)
+	tag    string
+}
+
+// ckptRunners enumerates the four engines, plus "conc": the retired
+// concurrent runner's checkpoints — sequential snapshots stamped
+// "concurrent", which is exactly what it wrote — resumed on the sharded
+// runner.
+func ckptRunners() []ckptRunner {
+	seq := func(cfg engine.Config) (engine.Runner, error) { return engine.New(cfg) }
+	shard3 := func(cfg engine.Config) (engine.Runner, error) { return engine.NewSharded(cfg, 3) }
+	return []ckptRunner{
+		{name: "seq", mk: seq},
+		{name: "conc", mk: seq, resume: shard3, tag: "concurrent"},
+		{name: "shard3", mk: shard3},
+		{name: "vec", mk: func(cfg engine.Config) (engine.Runner, error) { return engine.NewVectorized(cfg) }},
+		{name: "parvec3", mk: func(cfg engine.Config) (engine.Runner, error) { return engine.NewParallelVec(cfg, 3) }},
 	}
 }
 
@@ -105,6 +114,88 @@ func hashLines(lines []string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// checkpointSplice runs cc on rn.mk for 12 rounds, snapshotting at round
+// 5 through Encode/Decode, restores the snapshot on a fresh rn.resume
+// runner, and asserts that splicing the first run's pre-checkpoint trace
+// with the resumed run's trace reproduces the uninterrupted trace hash,
+// outputs, and stats byte for byte. It returns Restore's error without
+// failing, so refusal cases can assert on it.
+func checkpointSplice(t *testing.T, cc ckptCase, rn ckptRunner) error {
+	t.Helper()
+	const rounds, k = 12, 5
+	// Uninterrupted run, snapshotting at round k.
+	a, err := rn.mk(ckptConfig(t, cc))
+	if errors.Is(err, engine.ErrNotVectorizable) {
+		t.Skip("not vectorizable")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	if !engine.CanCheckpoint(a) {
+		t.Fatalf("%s run of %s reports not checkpointable", rn.name, cc.algo)
+	}
+	var lines []string
+	var blob []byte
+	for round := 1; round <= rounds; round++ {
+		if err := a.Step(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		lines = append(lines, traceLine(a))
+		if round == k {
+			cp, err := a.(engine.Checkpointer).Snapshot()
+			if err != nil {
+				t.Fatalf("snapshot at round %d: %v", round, err)
+			}
+			if rn.tag != "" {
+				cp.Engine = rn.tag
+			}
+			if blob, err = cp.Encode(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	full := hashLines(lines)
+
+	// Fresh runner, restored from the encoded checkpoint.
+	cp, err := engine.DecodeCheckpoint(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resume := rn.resume
+	if resume == nil {
+		resume = rn.mk
+	}
+	b, err := resume(ckptConfig(t, cc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if err := b.(engine.Checkpointer).Restore(cp); err != nil {
+		return err
+	}
+	if b.Round() != k {
+		t.Fatalf("restored runner at round %d, want %d", b.Round(), k)
+	}
+	spliced := append([]string(nil), lines[:k]...)
+	for round := k + 1; round <= rounds; round++ {
+		if err := b.Step(); err != nil {
+			t.Fatalf("resumed round %d: %v", round, err)
+		}
+		spliced = append(spliced, traceLine(b))
+	}
+	if got := hashLines(spliced); got != full {
+		t.Errorf("spliced trace hash %s, want uninterrupted %s", got, full)
+	}
+	if !reflect.DeepEqual(a.Outputs(), b.Outputs()) {
+		t.Errorf("final outputs diverge:\n a: %v\n b: %v", a.Outputs(), b.Outputs())
+	}
+	if as, bs := a.Stats(), b.Stats(); as != bs {
+		t.Errorf("final stats diverge: a %+v, b %+v", as, bs)
+	}
+	return nil
+}
+
 // TestCheckpointResumeTraceEquality is the subsystem's golden property:
 // for every engine × workload × fault plan, splicing the pre-checkpoint
 // trace of run A with the post-resume trace of run B reproduces run A's
@@ -112,76 +203,58 @@ func hashLines(lines []string) string {
 // Encode/Decode, exercising the gob codec in-flight delayed messages and
 // all.
 func TestCheckpointResumeTraceEquality(t *testing.T) {
-	const rounds, k = 12, 5
 	for _, cc := range ckptCases() {
 		for _, rn := range ckptRunners() {
 			t.Run(cc.name+"/"+rn.name, func(t *testing.T) {
-				// Uninterrupted run, snapshotting at round k.
-				a, err := rn.mk(ckptConfig(t, cc))
-				if errors.Is(err, engine.ErrNotVectorizable) {
-					t.Skip("not vectorizable")
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer a.Close()
-				if !engine.CanCheckpoint(a) {
-					t.Fatalf("%s run of %s reports not checkpointable", rn.name, cc.algo)
-				}
-				var lines []string
-				var blob []byte
-				for round := 1; round <= rounds; round++ {
-					if err := a.Step(); err != nil {
-						t.Fatalf("round %d: %v", round, err)
-					}
-					lines = append(lines, traceLine(a))
-					if round == k {
-						cp, err := a.(engine.Checkpointer).Snapshot()
-						if err != nil {
-							t.Fatalf("snapshot at round %d: %v", round, err)
-						}
-						if blob, err = cp.Encode(); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-				full := hashLines(lines)
-
-				// Fresh runner, restored from the encoded checkpoint.
-				cp, err := engine.DecodeCheckpoint(blob)
-				if err != nil {
-					t.Fatal(err)
-				}
-				b, err := rn.mk(ckptConfig(t, cc))
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer b.Close()
-				if err := b.(engine.Checkpointer).Restore(cp); err != nil {
+				if err := checkpointSplice(t, cc, rn); err != nil {
 					t.Fatalf("restore: %v", err)
-				}
-				if b.Round() != k {
-					t.Fatalf("restored runner at round %d, want %d", b.Round(), k)
-				}
-				spliced := append([]string(nil), lines[:k]...)
-				for round := k + 1; round <= rounds; round++ {
-					if err := b.Step(); err != nil {
-						t.Fatalf("resumed round %d: %v", round, err)
-					}
-					spliced = append(spliced, traceLine(b))
-				}
-				if got := hashLines(spliced); got != full {
-					t.Errorf("spliced trace hash %s, want uninterrupted %s", got, full)
-				}
-				if !reflect.DeepEqual(a.Outputs(), b.Outputs()) {
-					t.Errorf("final outputs diverge:\n a: %v\n b: %v", a.Outputs(), b.Outputs())
-				}
-				as, bs := a.Stats(), b.Stats()
-				if as != bs {
-					t.Errorf("final stats diverge: a %+v, b %+v", as, bs)
 				}
 			})
 		}
+	}
+}
+
+// TestCoreCheckpointCrossResume pins the checkpoint families: a snapshot
+// taken on the sequential or sharded runner — or written by the retired
+// concurrent runner, a sequential snapshot stamped "concurrent" — resumes
+// on either generic runner and splices to the uninterrupted trace hash,
+// delayed in-flight messages included, while the vector runners refuse
+// it, and the generic runners refuse theirs.
+func TestCoreCheckpointCrossResume(t *testing.T) {
+	mk := map[string]func(cfg engine.Config) (engine.Runner, error){}
+	for _, rn := range ckptRunners() {
+		if rn.tag == "" {
+			mk[rn.name] = rn.mk
+		}
+	}
+	for _, c := range []struct {
+		from, tag, to string
+		ok            bool
+	}{
+		{"seq", "", "shard3", true},
+		{"shard3", "", "seq", true},
+		{"seq", "concurrent", "seq", true},
+		{"seq", "concurrent", "shard3", true},
+		{"seq", "", "vec", false},
+		{"shard3", "", "parvec3", false},
+		{"seq", "concurrent", "vec", false},
+		{"vec", "", "seq", false},
+		{"parvec3", "", "shard3", false},
+	} {
+		name := c.from + "-to-" + c.to
+		if c.tag != "" {
+			name = c.tag + "-to-" + c.to
+		}
+		t.Run(name, func(t *testing.T) {
+			rn := ckptRunner{name: name, mk: mk[c.from], resume: mk[c.to], tag: c.tag}
+			err := checkpointSplice(t, ckptCases()[1], rn) // pushsum with faults
+			if c.ok && err != nil {
+				t.Fatalf("restore: %v", err)
+			}
+			if !c.ok && err == nil {
+				t.Fatal("restore accepted a checkpoint of the other family")
+			}
+		})
 	}
 }
 

@@ -149,7 +149,7 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 // TestConformanceTraceEquality runs every registered model's reference
-// workload under the sequential, concurrent, and sharded engines (plus the
+// workload under the sequential and sharded engines (plus the
 // vectorized kernels when the model is vectorizable and the agents expose
 // vector rows) and asserts the traces are byte-identical.
 func TestConformanceTraceEquality(t *testing.T) {
@@ -177,7 +177,6 @@ func TestConformanceTraceEquality(t *testing.T) {
 				mk   func() (engine.Runner, error)
 			}{
 				{"seq", func() (engine.Runner, error) { return engine.New(cfg()) }},
-				{"conc", func() (engine.Runner, error) { return engine.NewConcurrent(cfg()) }},
 				{"shard3", func() (engine.Runner, error) { return engine.NewSharded(cfg(), 3) }},
 				{"vec", func() (engine.Runner, error) { return engine.NewVectorized(cfg()) }},
 				{"parvec3", func() (engine.Runner, error) { return engine.NewParallelVec(cfg(), 3) }},

@@ -16,10 +16,11 @@ import (
 // machinery, and the reused message buffers, and drives every round
 // through the same stage sequence — restart, snapshot, send, exchange
 // (deliver + fates + pending + shuffle), receive. The runners differ only
-// in how they execute the stages (loop over agents, worker pool, shard
-// barrier, SoA kernel), which they express by implementing the executor
-// interface; the core is the only engine file that touches graph,
-// dynamic, or faults machinery, so cross-cutting features are wired once.
+// in how they execute the stages (loop over agents, shard barrier, SoA
+// kernel, SoA worker pool), which they express by implementing the
+// executor interface; the core is the only engine file that touches
+// graph, dynamic, or faults machinery, so cross-cutting features are
+// wired once.
 
 // Config describes one execution: the network, the communication model, the
 // inputs, and the algorithm (as an agent factory).
@@ -253,7 +254,8 @@ func (c *core) restartAll(t int) error {
 // sendRange drives the sending functions of agents [lo, hi) into the
 // reused per-agent sent buffers. The call through c.desc.Plan is the
 // engines' ONE model-dispatch site: every registered model's σ enters the
-// round pipeline here, and nowhere else.
+// generic round pipeline here, and nowhere else (the vectorized kernels
+// write their flat rows through c.desc.VecSend instead).
 func (c *core) sendRange(snap *topology.Snapshot, lo, hi int) error {
 	for i := lo; i < hi; i++ {
 		if !c.active[i] {
@@ -367,8 +369,8 @@ func (c *core) TopologyStats() topology.BuildStats {
 
 // Corrupt scrambles every Corruptible agent's state, for
 // self-stabilization experiments; it reports how many agents were
-// corrupted. The concurrent runner overrides this to respect worker
-// ownership.
+// corrupted (none after Close). Every runner shares it: between rounds
+// the calling goroutine owns all agents.
 func (c *core) Corrupt(junk int64) int {
 	if c.closed {
 		return 0
@@ -383,8 +385,9 @@ func (c *core) Corrupt(junk int64) int {
 	return count
 }
 
-// Close marks the runner closed; Step after Close fails. Runners with
-// resources to release (worker goroutines) override it.
+// Close marks the runner closed; Step after Close fails. The parallel
+// vectorized kernel, the one runner with resources to release (its worker
+// goroutines), overrides it.
 func (c *core) Close() {
 	c.closed = true
 }
@@ -396,14 +399,14 @@ func shuffleMessages(msgs []model.Message, rng *rand.Rand) {
 }
 
 // NewRunner constructs the named runner over cfg: "seq" (or "") for the
-// sequential engine, "conc" for the concurrent one, "shard" for the
-// sharded one with the given shard count, and "vec" for the vectorized
-// kernel — single-threaded when shards ≤ 0, the parallel kernel with
-// shards workers otherwise — with silent fallback to the sequential
-// engine when the workload is not vectorizable (the traces are identical
-// either way). Names resolve through the engine-name table, so the long
-// aliases ("sequential", "vectorized", …) work too. This is the one
-// engine-selection point shared by the facade and the job runner.
+// sequential engine, "shard" for the sharded one with the given shard
+// count, and "vec" for the vectorized kernel — single-threaded when
+// shards ≤ 0, the parallel kernel with shards workers otherwise — with
+// silent fallback to the sequential engine when the workload is not
+// vectorizable (the traces are identical either way). Names resolve
+// through the engine-name table, so the aliases ("sequential", "conc",
+// "vectorized", …) work too. This is the one engine-selection point
+// shared by the facade and the job runner.
 func NewRunner(cfg Config, name string, shards int) (Runner, error) {
 	canon, ok := CanonicalName(name)
 	if !ok {
@@ -412,8 +415,6 @@ func NewRunner(cfg Config, name string, shards int) (Runner, error) {
 	switch canon {
 	case "seq":
 		return New(cfg)
-	case "conc":
-		return NewConcurrent(cfg)
 	case "shard":
 		return NewSharded(cfg, shards)
 	default: // "vec"

@@ -4,11 +4,11 @@
 // every agent applies its transition function to the received multiset.
 //
 // Four interchangeable runners implement the semantics: a deterministic
-// sequential engine, a concurrent engine with one goroutine per agent, a
-// sharded batch engine that partitions the agents across cores, and a
-// vectorized kernel that executes linear mass-passing algorithms
-// (model.VectorAgent) over flat float64 buffers with zero steady-state
-// allocations. All four are thin executors over one shared round core
+// sequential engine, a sharded batch engine that partitions the agents
+// across cores, and a vectorized kernel that executes linear mass-passing
+// algorithms (model.VectorAgent) over flat float64 buffers with zero
+// steady-state allocations, single-threaded or on a pool of parallel
+// workers. All four are thin executors over one shared round core
 // (core.go) and one topology substrate (internal/topology); property tests
 // assert they produce identical traces for deterministic agents.
 package engine
@@ -18,7 +18,7 @@ import (
 	"anonnet/internal/topology"
 )
 
-// Runner is the common interface of the four engines.
+// Runner is the common interface of the four runners.
 type Runner interface {
 	// Step executes one round.
 	Step() error
@@ -34,7 +34,8 @@ type Runner interface {
 	Corrupt(junk int64) int
 	// Stats returns cumulative execution statistics.
 	Stats() Stats
-	// Close releases resources (goroutines, for the concurrent engine).
+	// Close releases resources (the parallel vectorized kernel's worker
+	// goroutines); it is idempotent, and Step after Close fails.
 	Close()
 }
 
@@ -73,9 +74,6 @@ func New(cfg Config) (*Engine, error) {
 // Step executes one round: restart, send, route (with fault fates),
 // shuffle, receive.
 func (e *Engine) Step() error { return e.step(e) }
-
-// Close is a no-op for the sequential engine.
-func (e *Engine) Close() {}
 
 func (e *Engine) restart(t int) error { return e.restartAll(t) }
 

@@ -259,7 +259,9 @@ func (a *recorderAgent) Receive(msgs []model.Message) {
 }
 func (a *recorderAgent) Output() model.Value { return fmt.Sprint(a.log) }
 
-func TestSequentialConcurrentTraceEquality(t *testing.T) {
+// TestSequentialShardedTraceEquality: the sharded engine shuffles every
+// inbox exactly as the sequential one does, at every shard count.
+func TestSequentialShardedTraceEquality(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 10; trial++ {
 		n := 3 + rng.Intn(5)
@@ -278,10 +280,6 @@ func TestSequentialConcurrentTraceEquality(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		con, err := NewConcurrent(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
 		shd, err := NewSharded(cfg, 1+trial%4) // vary the shard count per trial
 		if err != nil {
 			t.Fatal(err)
@@ -290,41 +288,17 @@ func TestSequentialConcurrentTraceEquality(t *testing.T) {
 			if err := seq.Step(); err != nil {
 				t.Fatal(err)
 			}
-			if err := con.Step(); err != nil {
-				t.Fatal(err)
-			}
 			if err := shd.Step(); err != nil {
 				t.Fatal(err)
 			}
 		}
-		so, co, ho := seq.Outputs(), con.Outputs(), shd.Outputs()
+		so, ho := seq.Outputs(), shd.Outputs()
 		for i := range so {
-			if so[i] != co[i] {
-				t.Fatalf("trial %d: traces diverge at agent %d:\nseq: %v\ncon: %v", trial, i, so[i], co[i])
-			}
 			if so[i] != ho[i] {
 				t.Fatalf("trial %d: traces diverge at agent %d:\nseq: %v\nshd: %v", trial, i, so[i], ho[i])
 			}
 		}
-		con.Close()
 		shd.Close()
-	}
-}
-
-func TestConcurrentCloseIdempotent(t *testing.T) {
-	c, err := NewConcurrent(Config{
-		Schedule: dynamic.NewStatic(graph.Ring(3)),
-		Kind:     model.SimpleBroadcast,
-		Inputs:   inputs(1, 2, 3),
-		Factory:  countFactory,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Close()
-	c.Close()
-	if err := c.Step(); err == nil {
-		t.Fatal("Step after Close should fail")
 	}
 }
 
@@ -473,22 +447,95 @@ func TestStepRejectsShapeShiftingSchedule(t *testing.T) {
 	}
 }
 
-func TestConcurrentCorrupt(t *testing.T) {
-	c, err := NewConcurrent(Config{
+// TestRunnerLifecycle pins the lifecycle every runner NewRunner builds
+// shares through the core: Corrupt reaches every Corruptible agent, Close
+// is idempotent, Step after Close fails, and Corrupt after Close is a
+// no-op that reports 0.
+func TestRunnerLifecycle(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		shards int
+		typ    string
+	}{
+		{"seq", 0, "*engine.Engine"},
+		{"shard", 2, "*engine.Sharded"},
+		{"conc", 0, "*engine.Sharded"},
+		{"vec", 0, "*engine.Vectorized"},
+		{"vec", 2, "*engine.ParallelVec"},
+	} {
+		t.Run(fmt.Sprintf("%s/%d", tc.name, tc.shards), func(t *testing.T) {
+			r, err := NewRunner(Config{
+				Schedule: dynamic.NewStatic(graph.Ring(3)),
+				Kind:     model.SimpleBroadcast,
+				Inputs:   inputs(1, 2, 3),
+				Factory:  func(in model.Input) model.Agent { return &corruptible{} },
+			}, tc.name, tc.shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%T", r); got != tc.typ {
+				t.Fatalf("NewRunner(%q, %d) built %s, want %s", tc.name, tc.shards, got, tc.typ)
+			}
+			if err := r.Step(); err != nil {
+				t.Fatal(err)
+			}
+			if got := r.Corrupt(5); got != 3 {
+				t.Fatalf("Corrupt reported %d agents, want 3", got)
+			}
+			for i := 0; i < 3; i++ {
+				if !r.(interface{ Agent(int) model.Agent }).Agent(i).(*corruptible).hit {
+					t.Fatalf("agent %d not corrupted", i)
+				}
+			}
+			r.Close()
+			r.Close() // idempotent
+			if err := r.Step(); err == nil {
+				t.Fatal("Step after Close should fail")
+			}
+			if got := r.Corrupt(5); got != 0 {
+				t.Fatalf("Corrupt after Close reported %d", got)
+			}
+		})
+	}
+}
+
+// concurrentRunner builds a runner under the retired "concurrent" engine
+// name, which still resolves (to the sharded engine), over the given agents.
+func concurrentRunner(t *testing.T, f model.Factory) Runner {
+	t.Helper()
+	r, err := NewRunner(Config{
 		Schedule: dynamic.NewStatic(graph.Ring(3)),
 		Kind:     model.SimpleBroadcast,
 		Inputs:   inputs(1, 2, 3),
-		Factory:  func(in model.Input) model.Agent { return &corruptible{} },
-	})
+		Factory:  f,
+	}, "concurrent", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return r
+}
+
+// TestConcurrentCloseIdempotent: a runner built under the "concurrent"
+// name keeps the old runner's Close contract.
+func TestConcurrentCloseIdempotent(t *testing.T) {
+	c := concurrentRunner(t, countFactory)
+	c.Close()
+	c.Close()
+	if err := c.Step(); err == nil {
+		t.Fatal("Step after Close should fail")
+	}
+}
+
+// TestConcurrentCorrupt: a runner built under the "concurrent" name keeps
+// the old runner's Corrupt contract.
+func TestConcurrentCorrupt(t *testing.T) {
+	c := concurrentRunner(t, func(in model.Input) model.Agent { return &corruptible{} })
 	defer c.Close()
 	if got := c.Corrupt(5); got != 3 {
 		t.Fatalf("Corrupt reported %d agents, want 3", got)
 	}
 	for i := 0; i < 3; i++ {
-		if !c.agents[i].(*corruptible).hit {
+		if !c.(interface{ Agent(int) model.Agent }).Agent(i).(*corruptible).hit {
 			t.Fatalf("agent %d not corrupted", i)
 		}
 	}
@@ -498,12 +545,18 @@ func TestConcurrentCorrupt(t *testing.T) {
 	}
 }
 
+// corruptible is a frozen agent that records corruption. It also
+// implements the vector contract (width 1), so NewRunner's "vec" builds
+// the vectorized kernels over it instead of falling back to seq.
 type corruptible struct {
 	frozenAgent
 	hit bool
 }
 
-func (c *corruptible) Corrupt(int64) { c.hit = true }
+func (c *corruptible) Corrupt(int64)                { c.hit = true }
+func (c *corruptible) InitVector([]float64) int     { return 1 }
+func (c *corruptible) SendVector(int, []float64)    {}
+func (c *corruptible) ReceiveVector([]float64, int) {}
 
 func TestRunUntilStableValidation(t *testing.T) {
 	e, err := New(Config{
@@ -555,13 +608,13 @@ func TestStatsCountMessages(t *testing.T) {
 	if st.Rounds != 4 || st.MessagesDelivered != 24 {
 		t.Fatalf("stats = %+v, want 4 rounds and 24 messages", st)
 	}
-	// Concurrent engine agrees.
-	c, err := NewConcurrent(Config{
+	// The sharded engine agrees.
+	c, err := NewSharded(Config{
 		Schedule: dynamic.NewStatic(graph.Ring(3)),
 		Kind:     model.SimpleBroadcast,
 		Inputs:   inputs(1, 2, 3),
 		Factory:  countFactory,
-	})
+	}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,6 +625,6 @@ func TestStatsCountMessages(t *testing.T) {
 		}
 	}
 	if got := c.Stats(); got != (Stats{Rounds: 4, MessagesDelivered: 24}) {
-		t.Fatalf("concurrent stats = %+v", got)
+		t.Fatalf("sharded stats = %+v", got)
 	}
 }

@@ -1,6 +1,6 @@
 package engine_test
 
-// Fault-injection property tests: the three engines must stay
+// Fault-injection property tests: the generic engines must stay
 // trace-identical under any deterministic injector, scripted fault channels
 // must have exactly the §2.2-relative semantics documented in
 // internal/faults, and a zero plan must be indistinguishable from no plan.
@@ -53,25 +53,20 @@ func (a *addAgent) Output() model.Value { return a.value }
 
 func addFactory(in model.Input) model.Agent { return &addAgent{value: in.Value} }
 
-// pair returns the three engines on the same config (fresh factories are
-// unnecessary: addFactory is stateless).
-func threeEngines(t *testing.T, cfg engine.Config) []engine.Runner {
+// bothEngines returns the sequential and sharded engines on the same
+// config (fresh factories are unnecessary: addFactory is stateless).
+func bothEngines(t *testing.T, cfg engine.Config) []engine.Runner {
 	t.Helper()
 	seq, err := engine.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	con, err := engine.NewConcurrent(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(con.Close)
 	shd, err := engine.NewSharded(cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(shd.Close)
-	return []engine.Runner{seq, con, shd}
+	return []engine.Runner{seq, shd}
 }
 
 func complete2() dynamic.Schedule {
@@ -96,7 +91,7 @@ func stepAll(t *testing.T, engines []engine.Runner, rounds int) {
 
 func wantOutputs(t *testing.T, engines []engine.Runner, want []model.Value) {
 	t.Helper()
-	names := []string{"sequential", "concurrent", "sharded"}
+	names := []string{"sequential", "sharded"}
 	for k, e := range engines {
 		if got := e.Outputs(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s outputs %v, want %v", names[k], got, want)
@@ -108,7 +103,7 @@ func wantOutputs(t *testing.T, engines []engine.Runner, want []model.Value) {
 // the round, messages addressed to it are lost, and its state survives.
 func TestFaultStallSkipsRound(t *testing.T) {
 	inj := scriptInjector{stall: func(tt, agent int) bool { return tt == 1 && agent == 1 }}
-	engines := threeEngines(t, engine.Config{
+	engines := bothEngines(t, engine.Config{
 		Schedule: complete2(),
 		Kind:     model.SimpleBroadcast,
 		Inputs:   []model.Input{{Value: 1}, {Value: 10}},
@@ -129,7 +124,7 @@ func TestFaultStallSkipsRound(t *testing.T) {
 // its original input at the start of the round, before sends.
 func TestFaultCrashRestartResetsState(t *testing.T) {
 	inj := scriptInjector{restart: func(tt, agent int) bool { return tt == 2 && agent == 0 }}
-	engines := threeEngines(t, engine.Config{
+	engines := bothEngines(t, engine.Config{
 		Schedule: complete2(),
 		Kind:     model.SimpleBroadcast,
 		Inputs:   []model.Input{{Value: 1}, {Value: 10}},
@@ -152,7 +147,7 @@ func TestFaultDelayRedelivered(t *testing.T) {
 		}
 		return engine.Fate{}
 	}}
-	engines := threeEngines(t, engine.Config{
+	engines := bothEngines(t, engine.Config{
 		Schedule: complete2(),
 		Kind:     model.SimpleBroadcast,
 		Inputs:   []model.Input{{Value: 1}, {Value: 10}},
@@ -173,7 +168,7 @@ func TestFaultDelayRedelivered(t *testing.T) {
 }
 
 // TestFaultDropDupStats: drops discard, dups double, and both are counted
-// identically by the three engines.
+// identically by the sequential and sharded engines.
 func TestFaultDropDupStats(t *testing.T) {
 	inj := scriptInjector{fate: func(tt, src, dst int) engine.Fate {
 		if tt != 1 {
@@ -187,7 +182,7 @@ func TestFaultDropDupStats(t *testing.T) {
 		}
 		return engine.Fate{}
 	}}
-	engines := threeEngines(t, engine.Config{
+	engines := bothEngines(t, engine.Config{
 		Schedule: complete2(),
 		Kind:     model.SimpleBroadcast,
 		Inputs:   []model.Input{{Value: 1}, {Value: 10}},
@@ -220,8 +215,8 @@ func faultPlanInjector(t *testing.T) *faults.Injector {
 }
 
 // TestFaultTraceEqualityAcrossEngines is the tentpole property: for a
-// non-zero (Seed, Plan), the sequential, concurrent, and sharded engines
-// remain trace-identical on every algorithm family.
+// non-zero (Seed, Plan), the sequential and sharded engines remain
+// trace-identical on every algorithm family.
 func TestFaultTraceEqualityAcrossEngines(t *testing.T) {
 	const n = 7
 	inj := faultPlanInjector(t)
@@ -241,37 +236,26 @@ func TestFaultTraceEqualityAcrossEngines(t *testing.T) {
 			}
 			cfg2 := cfg
 			cfg2.Factory = tc.factory(t)
-			con, err := engine.NewConcurrent(cfg2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer con.Close()
-			cfg3 := cfg
-			cfg3.Factory = tc.factory(t)
-			shd, err := engine.NewSharded(cfg3, 3)
+			shd, err := engine.NewSharded(cfg2, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer shd.Close()
 			for r := 1; r <= tc.rounds; r++ {
-				for _, e := range []engine.Runner{seq, con, shd} {
+				for _, e := range []engine.Runner{seq, shd} {
 					if err := e.Step(); err != nil {
 						t.Fatalf("round %d: %v", r, err)
 					}
 				}
-				so, co, ho := seq.Outputs(), con.Outputs(), shd.Outputs()
+				so, ho := seq.Outputs(), shd.Outputs()
 				for i := range so {
-					if !reflect.DeepEqual(so[i], co[i]) {
-						t.Fatalf("round %d agent %d: sequential %v ≠ concurrent %v", r, i, so[i], co[i])
-					}
 					if !reflect.DeepEqual(so[i], ho[i]) {
 						t.Fatalf("round %d agent %d: sequential %v ≠ sharded %v", r, i, so[i], ho[i])
 					}
 				}
 			}
-			if seq.Stats() != con.Stats() || seq.Stats() != shd.Stats() {
-				t.Fatalf("stats diverge: sequential %+v, concurrent %+v, sharded %+v",
-					seq.Stats(), con.Stats(), shd.Stats())
+			if seq.Stats() != shd.Stats() {
+				t.Fatalf("stats diverge: sequential %+v, sharded %+v", seq.Stats(), shd.Stats())
 			}
 			fs := seq.Stats().Faults
 			if fs.Dropped == 0 && fs.Duplicated == 0 && fs.Delayed == 0 {
@@ -307,10 +291,8 @@ func TestFaultZeroPlanIdentity(t *testing.T) {
 				)
 				if shards > 0 {
 					r, err = engine.NewSharded(cfg, shards)
-				} else if shards == 0 {
-					r, err = engine.New(cfg)
 				} else {
-					r, err = engine.NewConcurrent(cfg)
+					r, err = engine.New(cfg)
 				}
 				if err != nil {
 					t.Fatal(err)
@@ -318,7 +300,7 @@ func TestFaultZeroPlanIdentity(t *testing.T) {
 				t.Cleanup(r.Close)
 				return r
 			}
-			for _, shards := range []int{0, -1, 3} {
+			for _, shards := range []int{0, 3} {
 				plain := mk(nil, shards)
 				faulted := mk(zero, shards)
 				for r := 1; r <= tc.rounds; r++ {
@@ -344,8 +326,8 @@ func TestFaultZeroPlanIdentity(t *testing.T) {
 }
 
 // TestFaultChurnTraceEqualityAcrossEngines: a churned schedule (repair
-// guard) drives the three engines identically, including the sharded
-// engine's per-round CSR rebuilds.
+// guard) drives the sequential and sharded engines identically, including
+// the sharded engine's per-round CSR rebuilds.
 func TestFaultChurnTraceEqualityAcrossEngines(t *testing.T) {
 	const n = 7
 	for _, tc := range algoCases() {
@@ -428,24 +410,8 @@ func panicConfig() engine.Config {
 	}
 }
 
-// TestFaultPanicRecoveredConcurrent: an agent panic inside a worker
-// goroutine surfaces as a Step error instead of killing the process.
-func TestFaultPanicRecoveredConcurrent(t *testing.T) {
-	con, err := engine.NewConcurrent(panicConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer con.Close()
-	if err := con.Step(); err != nil {
-		t.Fatalf("round 1: %v", err)
-	}
-	err = con.Step()
-	if err == nil || !strings.Contains(err.Error(), "panicked") {
-		t.Fatalf("round 2 error %v, want a recovered panic", err)
-	}
-}
-
-// TestFaultPanicRecoveredSharded: same property for the shard goroutines.
+// TestFaultPanicRecoveredSharded: an agent panic inside a shard goroutine
+// surfaces as a Step error instead of killing the process.
 func TestFaultPanicRecoveredSharded(t *testing.T) {
 	shd, err := engine.NewSharded(panicConfig(), 2)
 	if err != nil {

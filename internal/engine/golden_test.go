@@ -2,14 +2,14 @@ package engine_test
 
 // Golden-trace regression tests: the committed hashes below were recorded
 // from the engines as of PR 4, before the topology/core refactor, and pin
-// the repo's signature property — all four engines produce byte-identical
+// the repo's signature property — all engines produce byte-identical
 // round-by-round traces, and refactors must reproduce them bit for bit.
 // Every case hashes the full history of output vectors (one line per
 // round, rendered with %v so float formatting is part of the contract)
 // across the five algorithm families, async starts, and nonzero fault
-// plans, and asserts that the sequential, concurrent, sharded, and (where
-// the workload is vectorizable) vectorized engines all match the recorded
-// constant. A failure here means observable behaviour changed relative to
+// plans, and asserts that the sequential, sharded, and (where the
+// workload is vectorizable) both vectorized engines all match the
+// recorded constant. A failure here means observable behaviour changed relative to
 // the pre-refactor engines — never "update the constant" without
 // understanding why.
 
@@ -171,7 +171,6 @@ func TestGoldenTraces(t *testing.T) {
 				mk   func() (engine.Runner, error)
 			}{
 				{"seq", func() (engine.Runner, error) { return engine.New(goldenConfig(t, gc)) }},
-				{"conc", func() (engine.Runner, error) { return engine.NewConcurrent(goldenConfig(t, gc)) }},
 				{"shard3", func() (engine.Runner, error) { return engine.NewSharded(goldenConfig(t, gc), 3) }},
 				{"vec", func() (engine.Runner, error) {
 					r, err := engine.NewVectorized(goldenConfig(t, gc))

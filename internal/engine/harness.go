@@ -45,8 +45,8 @@ func RunUntilStable(r Runner, met model.Metric, patience, maxRounds int) (*Stabl
 // optional per-round observer. The context is checked between rounds, so a
 // cancellation or deadline aborts the execution at the next round boundary
 // with the context's error; obs (when non-nil) is invoked after every
-// round. Both engines are driven through this loop, so the context bounds
-// sequential and concurrent executions alike.
+// round. Every runner is driven through this loop, so the context bounds
+// all of them alike.
 func RunUntilStableCtx(ctx context.Context, r Runner, met model.Metric, patience, maxRounds int, obs Observer) (*StableResult, error) {
 	return RunUntilStableCheckpointedCtx(ctx, r, met, patience, maxRounds, obs, CheckpointPolicy{})
 }

@@ -11,14 +11,15 @@ import "strings"
 
 // engineNames lists the runners in EngineKind order (the facade's iota
 // order): canonical name first, aliases after. The empty alias on "seq"
-// makes the unset name mean the sequential engine everywhere.
+// makes the unset name mean the sequential engine everywhere. "conc" and
+// "concurrent" name the retired goroutine-per-agent runner; they stay
+// accepted and run on the sharded engine, whose traces are identical.
 var engineNames = []struct {
 	canon   string
 	aliases []string
 }{
 	{"seq", []string{"", "sequential"}},
-	{"conc", []string{"concurrent"}},
-	{"shard", []string{"sharded"}},
+	{"shard", []string{"sharded", "conc", "concurrent"}},
 	{"vec", []string{"vectorized"}},
 }
 
@@ -32,7 +33,7 @@ func Names() []string {
 }
 
 // NamesList renders the canonical names for error messages:
-// "seq, conc, shard, or vec".
+// "seq, shard, or vec".
 func NamesList() string {
 	names := Names()
 	return strings.Join(names[:len(names)-1], ", ") + ", or " + names[len(names)-1]

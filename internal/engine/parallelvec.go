@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"anonnet/internal/model"
@@ -98,17 +97,15 @@ type pvReq struct {
 // NewParallelVec validates cfg like NewVectorized and returns a parallel
 // vectorized engine with the given worker count (≤ 0 selects
 // runtime.GOMAXPROCS(0)). Worker counts need not divide the agent count;
-// counts above it leave some workers idle. Callers must Close the engine
-// to stop the workers.
+// counts above it are capped at it, because the extra workers could only
+// ever be idle. Callers must Close the engine to stop the workers.
 func NewParallelVec(cfg Config, workers int) (*ParallelVec, error) {
 	core, vecs, width, universe, err := newVecCore(cfg, "parallelvec")
 	if err != nil {
 		return nil, err
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	n := core.N()
+	workers = parallelism(workers, n)
 	p := &ParallelVec{
 		core:     core,
 		vecs:     vecs,
@@ -293,13 +290,6 @@ func applySwaps(refs, swaps []int32) {
 		s++
 		refs[i], refs[j] = refs[j], refs[i]
 	}
-}
-
-// Corrupt scrambles every Corruptible agent's state on the engine
-// goroutine; the workers only run inside Step, so between rounds the
-// engine goroutine owns all agents.
-func (p *ParallelVec) Corrupt(junk int64) int {
-	return p.core.Corrupt(junk)
 }
 
 // Close stops the worker goroutines. It is idempotent.

@@ -3,7 +3,7 @@ package engine_test
 // Property tests for the parallel vectorized runner: across every
 // vectorizable workload, seed, fault plan, async-start vector, and worker
 // count — including counts that do not divide the agent count, counts
-// above it (1-agent and empty slabs), and 1 (degenerate serial) — the
+// above it (capped at one agent per slab), and 1 (degenerate serial) — the
 // traces must be byte-identical to the sequential engine, the steady-state
 // round loop must not allocate, and checkpoints must interchange with the
 // single-threaded vectorized runner in both directions.
@@ -21,7 +21,7 @@ import (
 )
 
 // pvWorkerCounts is the property grid: degenerate, non-dividing, machine
-// width, and workers > n (some slabs hold one agent, some none).
+// width, and workers > n (capped at n, so every slab holds one agent).
 func pvWorkerCounts(n int) []int {
 	return []int{1, 2, 3, runtime.GOMAXPROCS(0), n - 1, n + 1, 2 * n}
 }
@@ -244,25 +244,62 @@ func TestParallelVecCheckpointCrossResume(t *testing.T) {
 	}
 }
 
-// TestParallelVecLifecycle mirrors the other engines' lifecycle contract.
+// TestParallelVecLifecycle pins the parallel kernel's construction
+// defaults: 0 workers selects GOMAXPROCS, capped at n, and the message
+// width comes from the agents. The shared Close/Step/Corrupt lifecycle is
+// TestRunnerLifecycle's.
 func TestParallelVecLifecycle(t *testing.T) {
 	pv, err := engine.NewParallelVec(pushsumConfig(4, 1), 0) // 0 → GOMAXPROCS
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pv.Workers() < 1 {
-		t.Fatalf("Workers() = %d, want ≥ 1", pv.Workers())
+	defer pv.Close()
+	if want := min(runtime.GOMAXPROCS(0), 4); pv.Workers() != want {
+		t.Fatalf("Workers() = %d, want %d", pv.Workers(), want)
 	}
 	if pv.Width() != 2 {
 		t.Fatalf("Width() = %d, want 2", pv.Width())
 	}
-	pv.Close()
-	pv.Close() // idempotent
-	if err := pv.Step(); err == nil {
-		t.Fatal("Step after Close should fail")
+}
+
+// TestParallelismCappedAtN: shard and worker counts above n are capped at
+// n — the extra shards or workers could only ever be empty — so asking
+// for 2²⁰ workers on a 4-ring starts 4 worker goroutines, not 2²⁰, and
+// both runners still reproduce the sequential trace.
+func TestParallelismCappedAtN(t *testing.T) {
+	const n, rounds, huge = 4, 10, 1 << 20
+	seq, err := engine.New(pushsumConfig(n, 1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if pv.Corrupt(1) != 0 {
-		t.Fatal("Corrupt after Close should be a no-op")
+	want := traceHash(t, seq, rounds)
+
+	before := runtime.NumGoroutine()
+	pv, err := engine.NewParallelVec(pushsumConfig(n, 1), huge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pv.Close()
+	if started := runtime.NumGoroutine() - before; started > n {
+		t.Fatalf("NewParallelVec(%d workers) on %d agents started %d goroutines, want ≤ %d", huge, n, started, n)
+	}
+	if pv.Workers() != n {
+		t.Fatalf("Workers() = %d, want %d", pv.Workers(), n)
+	}
+	if got := traceHash(t, pv, rounds); got != want {
+		t.Errorf("parallel vectorized trace %s, want sequential %s", got, want)
+	}
+
+	shd, err := engine.NewSharded(pushsumConfig(n, 1), huge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shd.Close()
+	if shd.Shards() != n {
+		t.Fatalf("Shards() = %d, want %d", shd.Shards(), n)
+	}
+	if got := traceHash(t, shd, rounds); got != want {
+		t.Errorf("sharded trace %s, want sequential %s", got, want)
 	}
 }
 

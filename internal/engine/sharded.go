@@ -44,16 +44,14 @@ var _ Runner = (*Sharded)(nil)
 
 // NewSharded validates cfg, instantiates the agents, and returns a sharded
 // engine with the given shard count (≤ 0 selects runtime.GOMAXPROCS(0)).
-// Shard counts need not divide the agent count; counts above it leave some
-// shards empty.
+// Shard counts need not divide the agent count; counts above it are capped
+// at it, because the extra shards could only ever be empty.
 func NewSharded(cfg Config, shards int) (*Sharded, error) {
 	core, err := newCore(cfg, "sharded")
 	if err != nil {
 		return nil, err
 	}
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
+	shards = parallelism(shards, core.N())
 	return &Sharded{
 		core:        core,
 		shards:      shards,
@@ -66,8 +64,19 @@ func NewSharded(cfg Config, shards int) (*Sharded, error) {
 // Shards returns the shard count.
 func (s *Sharded) Shards() int { return s.shards }
 
+// parallelism resolves a requested shard or worker count over n agents:
+// ≤ 0 selects runtime.GOMAXPROCS(0), and the result is capped at n (but
+// stays ≥ 1), so no constructor allocates or spawns for a range that
+// could only be empty.
+func parallelism(k, n int) int {
+	if k <= 0 {
+		k = runtime.GOMAXPROCS(0)
+	}
+	return max(1, min(k, n))
+}
+
 // shardRange returns the half-open agent range of shard k: contiguous
-// blocks of ⌈n/shards⌉-or-⌊n/shards⌋ agents, empty when shards > n.
+// blocks of ⌈n/shards⌉-or-⌊n/shards⌋ agents.
 func shardRange(n, shards, k int) (lo, hi int) {
 	return k * n / shards, (k + 1) * n / shards
 }

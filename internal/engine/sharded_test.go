@@ -1,7 +1,7 @@
 package engine_test
 
-// Property tests for the A2 contract extended to the third runner:
-// sequential ≡ concurrent ≡ sharded, for every algorithm package and for
+// Property tests for the A2 contract: sequential ≡ sharded (≡ vectorized
+// where the algorithm vectorizes), for every algorithm package and for
 // shard counts that do and do not divide n. These live in an external test
 // package so they can drive the engines through the real algorithm
 // factories (core imports engine, so the internal test package cannot).
@@ -120,8 +120,11 @@ func caseInputs(n int) []model.Input {
 	return out
 }
 
-// TestThreeEngineTraceEquality steps the three engines in lockstep on every
-// algorithm and asserts the output vectors agree after every round.
+// TestThreeEngineTraceEquality steps three engines in lockstep on every
+// algorithm and asserts the output vectors agree after every round: the
+// sequential reference, the sharded engine, and whatever NewRunner builds
+// for "vec" with 3 workers — the parallel vectorized kernel for the
+// linear mass-passing algorithms, the sequential fallback for the rest.
 func TestThreeEngineTraceEquality(t *testing.T) {
 	const n = 7
 	for _, tc := range algoCases() {
@@ -139,31 +142,31 @@ func TestThreeEngineTraceEquality(t *testing.T) {
 			}
 			cfg2 := cfg
 			cfg2.Factory = tc.factory(t)
-			con, err := engine.NewConcurrent(cfg2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer con.Close()
-			cfg3 := cfg
-			cfg3.Factory = tc.factory(t)
-			shd, err := engine.NewSharded(cfg3, 3) // 3 does not divide 7
+			shd, err := engine.NewSharded(cfg2, 3) // 3 does not divide 7
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer shd.Close()
+			cfg3 := cfg
+			cfg3.Factory = tc.factory(t)
+			vec, err := engine.NewRunner(cfg3, "vec", 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer vec.Close()
 			for r := 1; r <= tc.rounds; r++ {
-				for _, e := range []engine.Runner{seq, con, shd} {
+				for _, e := range []engine.Runner{seq, shd, vec} {
 					if err := e.Step(); err != nil {
 						t.Fatalf("round %d: %v", r, err)
 					}
 				}
-				so, co, ho := seq.Outputs(), con.Outputs(), shd.Outputs()
+				so, ho, vo := seq.Outputs(), shd.Outputs(), vec.Outputs()
 				for i := range so {
-					if !reflect.DeepEqual(so[i], co[i]) {
-						t.Fatalf("round %d agent %d: sequential %v ≠ concurrent %v", r, i, so[i], co[i])
-					}
 					if !reflect.DeepEqual(so[i], ho[i]) {
 						t.Fatalf("round %d agent %d: sequential %v ≠ sharded %v", r, i, so[i], ho[i])
+					}
+					if !reflect.DeepEqual(so[i], vo[i]) {
+						t.Fatalf("round %d agent %d: sequential %v ≠ %T %v", r, i, so[i], vec, vo[i])
 					}
 				}
 			}
@@ -297,7 +300,9 @@ func TestShardedPortModel(t *testing.T) {
 	}
 }
 
-// TestShardedLifecycle mirrors the concurrent engine's lifecycle contract.
+// TestShardedLifecycle pins the sharded engine's shard-count defaults: 0
+// selects GOMAXPROCS, capped at n. The shared Close/Step/Corrupt
+// lifecycle is TestRunnerLifecycle's.
 func TestShardedLifecycle(t *testing.T) {
 	f, err := gossip.NewFactory(funcs.Max())
 	if err != nil {
@@ -312,16 +317,9 @@ func TestShardedLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if shd.Shards() < 1 {
-		t.Fatalf("Shards() = %d, want ≥ 1", shd.Shards())
-	}
-	shd.Close()
-	shd.Close() // idempotent
-	if err := shd.Step(); err == nil {
-		t.Fatal("Step after Close should fail")
-	}
-	if shd.Corrupt(1) != 0 {
-		t.Fatal("Corrupt after Close should be a no-op")
+	defer shd.Close()
+	if want := min(runtime.GOMAXPROCS(0), 3); shd.Shards() != want {
+		t.Fatalf("Shards() = %d, want %d", shd.Shards(), want)
 	}
 }
 

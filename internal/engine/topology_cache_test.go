@@ -42,10 +42,12 @@ func buildsAfter(t *testing.T, r engine.Runner, rounds int) int64 {
 	return ts.TopologyStats().Builds
 }
 
+// engineNames are the NewRunner names the caching tests sweep; "conc", the
+// retired concurrent runner's name, selects the sharded engine.
 var engineNames = []string{"seq", "conc", "shard", "vec"}
 
 // TestStaticSnapshotBuiltOnce: a 100-round run over a static graph builds
-// the CSR exactly once on all four engines — the pointer-identity cache in
+// the CSR exactly once on every engine — the pointer-identity cache in
 // topology.Provider must hit on every later round.
 func TestStaticSnapshotBuiltOnce(t *testing.T) {
 	const n, rounds = 8, 100

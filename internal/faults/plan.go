@@ -1,10 +1,10 @@
 // Package faults is the deterministic fault-injection subsystem: a seeded,
 // JSON-codable Plan of fault channels (message drop, duplication, delay,
 // agent stall, agent crash-restart, link churn) compiled into an Injector
-// that the three engines consult as a pure function. Determinism is the
-// design center: every fault decision is a splitmix64-style hash of
+// that the engines consult as a pure function. Determinism is the design
+// center: every fault decision is a splitmix64-style hash of
 // (seed, round, participants, channel salt), never a draw from a shared
-// RNG stream, so the sequential, concurrent, and sharded engines — which
+// RNG stream, so the sequential, sharded, and vectorized engines — which
 // evaluate the decisions from different goroutines in different orders —
 // reach identical verdicts, and a zero Plan perturbs nothing at all.
 package faults

@@ -55,8 +55,9 @@ func hashTrace(lines []string) string {
 // TestRunCheckpointedResumeMatchesUninterrupted is the PR's acceptance
 // criterion at the job level: a Push-Sum job checkpointed at round K,
 // killed (flush), and resumed produces the byte-identical trace hash and
-// the identical Result of the same spec run uninterrupted — on all four
-// engines, with and without a fault plan.
+// the identical Result of the same spec run uninterrupted — on every
+// engine name, with and without a fault plan ("conc" runs on the sharded
+// engine).
 func TestRunCheckpointedResumeMatchesUninterrupted(t *testing.T) {
 	for _, withFaults := range []bool{false, true} {
 		for _, eng := range []string{"seq", "conc", "shard", "vec"} {
@@ -123,6 +124,85 @@ func TestRunCheckpointedResumeMatchesUninterrupted(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// concurrentBlob returns the checkpoint the retired concurrent runner
+// wrote for spec at round k — the sequential engine's flush snapshot (the
+// two shared the core layout and the draw sequence) stamped "concurrent" —
+// and the trace lines of rounds 1..k.
+func concurrentBlob(t *testing.T, spec Spec, k int) ([]byte, []string) {
+	t.Helper()
+	spec.Concurrent, spec.Engine, spec.Shards = false, "", 0
+	c, err := Compile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flush := make(chan struct{}, 1)
+	var blob []byte
+	pre := &traceRecorder{}
+	_, err = RunCheckpointed(context.Background(), c, func(round int, outs []model.Value) {
+		pre.obs(round, outs)
+		if round == k {
+			flush <- struct{}{}
+		}
+	}, CheckpointConfig{Flush: flush, Save: func(_ int, b []byte) error { blob = b; return nil }})
+	if !errors.Is(err, engine.ErrInterrupted) {
+		t.Fatalf("sequential run error = %v, want ErrInterrupted", err)
+	}
+	cp, err := engine.DecodeCheckpoint(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp.Round != k || cp.Engine != "sequential" {
+		t.Fatalf("flush checkpoint %q at round %d, want sequential at round %d", cp.Engine, cp.Round, k)
+	}
+	cp.Engine = "concurrent"
+	if blob, err = cp.Encode(); err != nil {
+		t.Fatal(err)
+	}
+	return blob, pre.lines
+}
+
+// TestRunCheckpointedResumesConcurrentCheckpoint: a checkpoint stamped
+// "concurrent" by the retired goroutine-per-agent runner resumes the
+// concurrent:true job that wrote it — which now runs on the sharded
+// engine — and the spliced trace hash and Result equal the uninterrupted
+// run's, with and without a fault plan.
+func TestRunCheckpointedResumesConcurrentCheckpoint(t *testing.T) {
+	const k = 5
+	for _, withFaults := range []bool{false, true} {
+		t.Run(fmt.Sprintf("faults=%v", withFaults), func(t *testing.T) {
+			spec := ckptSpec("conc", withFaults)
+			compile := func() *Compiled {
+				c, err := Compile(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !c.Spec.Concurrent {
+					t.Fatal("engine=conc did not fold into the concurrent flag")
+				}
+				return c
+			}
+			ref := &traceRecorder{}
+			want, err := Run(context.Background(), compile(), ref.obs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob, pre := concurrentBlob(t, spec, k)
+			post := &traceRecorder{}
+			got, err := RunCheckpointed(context.Background(), compile(), post.obs, CheckpointConfig{Resume: blob})
+			if err != nil {
+				t.Fatalf("resume from a concurrent checkpoint: %v", err)
+			}
+			spliced := append(append([]string(nil), pre...), post.lines...)
+			if gotHash, wantHash := hashTrace(spliced), hashTrace(ref.lines); gotHash != wantHash {
+				t.Errorf("spliced trace hash %s, want uninterrupted %s", gotHash, wantHash)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("resumed result %+v diverges from uninterrupted %+v", got, want)
+			}
+		})
 	}
 }
 

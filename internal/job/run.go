@@ -296,10 +296,10 @@ func (c *Compiled) engineConfig() (engine.Config, string) {
 	// One engine-selection point for the whole repo: engine.NewRunner maps
 	// the spec's engine name to the runner and handles the deterministic
 	// vec→seq fallback (identical traces) itself. The legacy Concurrent
-	// flag folds into "conc".
+	// flag runs on the sharded engine, whose traces are identical.
 	name := c.Spec.Engine
 	if c.Spec.Concurrent {
-		name = "conc"
+		name = "shard"
 	}
 	return cfg, name
 }
@@ -307,8 +307,8 @@ func (c *Compiled) engineConfig() (engine.Config, string) {
 // Run executes the compiled job to stabilization (or budget exhaustion)
 // under ctx, reporting each round to obs when non-nil. A context
 // cancellation or deadline aborts at the next round boundary and surfaces
-// the context's error. Equal compiled jobs produce equal results: all
-// four engines are deterministic in the spec's seed.
+// the context's error. Equal compiled jobs produce equal results: every
+// engine is deterministic in the spec's seed.
 func Run(ctx context.Context, c *Compiled, obs engine.Observer) (*Result, error) {
 	return RunCheckpointed(ctx, c, obs, CheckpointConfig{})
 }

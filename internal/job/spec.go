@@ -133,17 +133,20 @@ type Spec struct {
 	Patience int `json:"patience,omitempty"`
 	// Dynamic forces Table 2 treatment even on a static builder.
 	Dynamic bool `json:"dynamic,omitempty"`
-	// Concurrent selects the goroutine-per-agent engine.
+	// Concurrent selected the retired goroutine-per-agent engine; such
+	// specs now run on the sharded engine, whose traces are identical.
 	//
 	// Deprecated: use Engine instead. Kept because it participates in the
 	// version-1 canonical hash.
 	Concurrent bool `json:"concurrent,omitempty"`
 	// Engine selects the round engine by name: "" or "seq" (sequential,
-	// the default), "conc" (goroutine per agent), "shard" (sharded batch
-	// engine), or "vec" (the vectorized kernel, schema_version ≥ 4; falls
-	// back to sequential — identical traces — when the algorithm is not
-	// vectorizable). "seq" is normalized to "" so version-1 specs hash
-	// identically. Mutually exclusive with Concurrent.
+	// the default), "shard" (sharded batch engine), or "vec" (the
+	// vectorized kernel, schema_version ≥ 4; falls back to sequential —
+	// identical traces — when the algorithm is not vectorizable). "seq" is
+	// normalized to "" so version-1 specs hash identically; "conc" (or
+	// "concurrent") folds into the Concurrent flag, so it keeps its
+	// version-1 hash and runs on the sharded engine. Mutually exclusive
+	// with Concurrent.
 	Engine string `json:"engine,omitempty"`
 	// Shards is the engine's degree of parallelism: the shard count with
 	// engine=shard (0 means one per core), and — schema_version ≥ 5 — the
@@ -361,7 +364,8 @@ func (s Spec) Canonical() (Spec, error) {
 	// Engine selection. "conc" folds into the version-1 Concurrent flag
 	// and "seq" into its absence, so a version-2 spec naming the engine
 	// hashes — and caches — identically to the version-1 spec meaning the
-	// same thing.
+	// same thing. The name table resolves "conc" to the sharded engine it
+	// now runs on, so the fold checks the spelling before resolving.
 	if s.Concurrent && strings.TrimSpace(s.Engine) != "" {
 		return Spec{}, errf("engine", "engine and concurrent are mutually exclusive; drop concurrent")
 	}
@@ -369,15 +373,15 @@ func (s Spec) Canonical() (Spec, error) {
 	if !known {
 		return Spec{}, errf("engine", "unknown engine %q (want %s)", s.Engine, engine.NamesList())
 	}
-	switch canon {
-	case "seq":
-		c.Engine = ""
-	case "conc":
+	switch name := strings.ToLower(strings.TrimSpace(s.Engine)); {
+	case name == "conc" || name == "concurrent":
 		c.Engine = ""
 		c.Concurrent = true
-	case "shard":
+	case canon == "seq":
+		c.Engine = ""
+	case canon == "shard":
 		c.Engine = "shard"
-	case "vec":
+	case canon == "vec":
 		if s.SchemaVersion >= 1 && s.SchemaVersion <= 3 {
 			return Spec{}, errf("engine", "engine=vec needs schema_version ≥ 4")
 		}

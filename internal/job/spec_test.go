@@ -2,10 +2,13 @@ package job
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
+	"anonnet/internal/faults"
 	"anonnet/internal/model"
 )
 
@@ -359,6 +362,8 @@ func TestValidationErrors(t *testing.T) {
 		{"v1 with engine", Spec{SchemaVersion: 1, Engine: "shard", Graph: GraphSpec{Builder: "ring", N: 4}, Kind: "od", Function: "average"}, "engine"},
 		{"unknown engine", Spec{Engine: "quantum", Graph: GraphSpec{Builder: "ring", N: 4}, Kind: "od", Function: "average"}, "engine"},
 		{"engine and concurrent", Spec{Engine: "shard", Concurrent: true, Graph: GraphSpec{Builder: "ring", N: 4}, Kind: "od", Function: "average"}, "engine"},
+		{"conc with shards", Spec{Engine: "conc", Shards: 2, Graph: GraphSpec{Builder: "ring", N: 4}, Kind: "od", Function: "average"}, "shards"},
+		{"concurrent with shards", Spec{Concurrent: true, Shards: 2, Graph: GraphSpec{Builder: "ring", N: 4}, Kind: "od", Function: "average"}, "shards"},
 		{"stray shards", Spec{Shards: 2, Graph: GraphSpec{Builder: "ring", N: 4}, Kind: "od", Function: "average"}, "shards"},
 		{"shards out of range", Spec{Engine: "shard", Shards: MaxAgents + 1, Graph: GraphSpec{Builder: "ring", N: 4}, Kind: "od", Function: "average"}, "shards"},
 		{"vec before v4", Spec{SchemaVersion: 3, Engine: "vec", Graph: GraphSpec{Builder: "ring", N: 4}, Kind: "od", Function: "average"}, "engine"},
@@ -539,6 +544,90 @@ func TestCompileRejectsForbiddenCell(t *testing.T) {
 	s.Function = "sum"
 	if _, err := Compile(s); err == nil {
 		t.Fatal("table-forbidden spec compiled")
+	}
+}
+
+// runJSON compiles and runs s, returning the Result's JSON encoding.
+func runJSON(t *testing.T, s Spec) string {
+	t.Helper()
+	c, err := Compile(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(context.Background(), c, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestConcurrentSpecRunsSharded: specs naming the retired concurrent
+// engine — concurrent:true, or engine "conc"/"concurrent", which fold into
+// it and keep its hash — run on the sharded engine, so job.Run returns a
+// Result byte-identical to the same spec with engine "shard", faults
+// included.
+func TestConcurrentSpecRunsSharded(t *testing.T) {
+	base := Spec{Graph: GraphSpec{Builder: "splitring", N: 8}, Kind: "od", Function: "average",
+		Values: []float64{3, 1, 4, 1, 5, 9, 2, 6}, Seed: 7, MaxRounds: 400,
+		Faults: &faults.Plan{Drop: 0.1, DelayP: 0.2, DelayMax: 3, Stall: 0.05}}
+	shard := base
+	shard.Engine = "shard"
+	want := runJSON(t, shard)
+	conc := base
+	conc.Concurrent = true
+	wantHash, err := conc.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"conc", "concurrent"} {
+		s := base
+		s.Engine = name
+		if h, err := s.Hash(); err != nil || h != wantHash {
+			t.Fatalf("engine=%s hashes %q, want the concurrent:true hash %q (%v)", name, h, wantHash, err)
+		}
+		if got := runJSON(t, s); got != want {
+			t.Errorf("engine=%s result %s, want the engine=shard result %s", name, got, want)
+		}
+	}
+	if got := runJSON(t, conc); got != want {
+		t.Errorf("concurrent:true result %s, want the engine=shard result %s", got, want)
+	}
+}
+
+// TestVecShardsCappedAtN: a valid spec may ask for up to MaxAgents
+// workers; on a 4-ring the parallel kernel caps them at 4, so the run
+// starts at most 4 worker goroutines and returns the sequential result.
+func TestVecShardsCappedAtN(t *testing.T) {
+	spec, err := Decode([]byte(`{"schema_version":5,"engine":"vec","shards":65536,"graph":{"builder":"ring","n":4},"kind":"od","function":"average","dynamic":true,"max_rounds":50}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Compile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, peak := runtime.NumGoroutine(), 0
+	res, err := Run(context.Background(), c, func(int, []model.Value) {
+		peak = max(peak, runtime.NumGoroutine()-before)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if peak > 4 {
+		t.Fatalf("a 4-agent run with 65536 requested workers had %d extra goroutines, want ≤ 4", peak)
+	}
+	got, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := spec
+	seq.Engine, seq.Shards = "", 0
+	if want := runJSON(t, seq); string(got) != want {
+		t.Errorf("capped parallel result %s, want the sequential result %s", got, want)
 	}
 }
 

@@ -2,11 +2,14 @@ package service
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 	"time"
 
+	"anonnet/internal/engine"
 	"anonnet/internal/job"
+	"anonnet/internal/model"
 	"anonnet/internal/store"
 )
 
@@ -131,6 +134,102 @@ func TestShutdownFlushInterruptsAndRecoverResumes(t *testing.T) {
 	}
 	if j.ID != "j000004" {
 		t.Errorf("post-recovery ID = %s, want j000004", j.ID)
+	}
+}
+
+// TestRecoverResumesConcurrentCheckpoint: a data dir written while the
+// retired goroutine-per-agent runner still existed holds checkpoints it
+// stamped "concurrent" under the spec's hash. A daemon recovering the
+// interrupted concurrent:true job finds that blob on disk, resumes it on
+// the sharded engine, and finishes with the uninterrupted Result.
+func TestRecoverResumesConcurrentCheckpoint(t *testing.T) {
+	const rounds = 8000
+	spec := durableSpec(105, rounds)
+	spec.Concurrent = true
+	c, err := job.Compile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := job.Run(context.Background(), c, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	st1 := openStore(t, dir)
+	s1 := New(Config{Workers: 1, CheckpointEvery: 250, Store: st1})
+	j, err := s1.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(15 * time.Second)
+	for s1.Stats().RoundsSimulated < 500 {
+		if time.Now().After(deadline) {
+			t.Fatal("job never got going")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	if err := s1.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	_, round, err := st1.LatestCheckpoint(j.Hash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Overwrite the flushed blob with what the concurrent runner wrote at
+	// that round: the sequential snapshot (same core layout, same draw
+	// sequence) stamped "concurrent".
+	seqSpec := spec
+	seqSpec.Concurrent = false
+	sc, err := job.Compile(seqSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flush := make(chan struct{}, 1)
+	var legacy []byte
+	_, err = job.RunCheckpointed(context.Background(), sc, func(r int, _ []model.Value) {
+		if r == round {
+			flush <- struct{}{}
+		}
+	}, job.CheckpointConfig{Flush: flush, Save: func(_ int, b []byte) error { legacy = b; return nil }})
+	if !errors.Is(err, engine.ErrInterrupted) {
+		t.Fatalf("sequential run error = %v, want ErrInterrupted", err)
+	}
+	cp, err := engine.DecodeCheckpoint(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp.Engine = "concurrent"
+	if legacy, err = cp.Encode(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st1.SaveCheckpoint(j.Hash, round, legacy); err != nil {
+		t.Fatal(err)
+	}
+	if err := st1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2 := openStore(t, dir)
+	defer st2.Close()
+	if blob, _, err := st2.LatestCheckpoint(j.Hash); err != nil {
+		t.Fatal(err)
+	} else if cp, err := engine.DecodeCheckpoint(blob); err != nil || cp.Engine != "concurrent" || cp.Round != round {
+		t.Fatalf("on-disk checkpoint %+v (%v), want the concurrent one at round %d", cp, err, round)
+	}
+	s2 := New(Config{Workers: 1, CheckpointEvery: 250, Store: st2})
+	defer s2.Close()
+	if n, err := s2.Recover(); err != nil || n != 1 {
+		t.Fatalf("recover: %d jobs, %v", n, err)
+	}
+	got := waitState(t, s2, j.ID, StateDone)
+	if !reflect.DeepEqual(got.Result, want) {
+		t.Errorf("resumed result %+v diverges from uninterrupted %+v", got.Result, want)
+	}
+	if sim := s2.Stats().RoundsSimulated; sim != int64(rounds-round) {
+		t.Errorf("recovery simulated %d rounds, want the %d after the checkpoint", sim, rounds-round)
 	}
 }
 
