@@ -140,12 +140,36 @@ func redirectV1(w http.ResponseWriter, r *http.Request) {
 	http.Redirect(w, r, target, http.StatusMovedPermanently)
 }
 
+// writeJSON writes v as compact JSON followed by a newline, the framing
+// every response body has.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// writeRendered writes a body a service renderer appended to a buffer: a
+// job, the job list or a batch. Those carry n-vectors the service encoded
+// once, so they are copied to the wire as they are — json.Encoder would
+// re-scan every byte of them.
+func writeRendered(w http.ResponseWriter, status int, body []byte, err error) {
+	if err != nil {
+		writeProblem(w, http.StatusInternalServerError, "internal", fmt.Sprintf("encoding response: %v", err), "")
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write(append(body, '\n'))
+}
+
+func writeJob(w http.ResponseWriter, status int, j *service.Job) {
+	body, err := j.AppendJSON(nil)
+	writeRendered(w, status, body, err)
+}
+
+func writeBatch(w http.ResponseWriter, status int, b *service.Batch) {
+	body, err := b.AppendJSON(nil)
+	writeRendered(w, status, body, err)
 }
 
 // problem is the API's single error shape: a stable machine-readable code,
@@ -272,7 +296,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if j.State == service.StateDone {
 		status = http.StatusOK
 	}
-	writeJSON(w, status, j)
+	writeJob(w, status, j)
 }
 
 // batchRequest is the POST /v1/batch body: either an explicit spec list or
@@ -383,7 +407,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if b.Done == len(b.Jobs) {
 		status = http.StatusOK
 	}
-	writeJSON(w, status, b)
+	writeBatch(w, status, b)
 }
 
 func (s *server) handleGetBatch(w http.ResponseWriter, r *http.Request) {
@@ -392,11 +416,13 @@ func (s *server) handleGetBatch(w http.ResponseWriter, r *http.Request) {
 		writeProblem(w, http.StatusNotFound, "not_found", err.Error(), "")
 		return
 	}
-	writeJSON(w, http.StatusOK, b)
+	writeBatch(w, http.StatusOK, b)
 }
 
+// handleList writes {"jobs":[...]}.
 func (s *server) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": s.svc.List()})
+	body, err := service.AppendJobsJSON([]byte(`{"jobs":`), s.svc.List())
+	writeRendered(w, http.StatusOK, append(body, '}'), err)
 }
 
 func (s *server) handleGet(w http.ResponseWriter, r *http.Request) {
@@ -405,7 +431,7 @@ func (s *server) handleGet(w http.ResponseWriter, r *http.Request) {
 		writeProblem(w, http.StatusNotFound, "not_found", err.Error(), "")
 		return
 	}
-	writeJSON(w, http.StatusOK, j)
+	writeJob(w, http.StatusOK, j)
 }
 
 func (s *server) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -414,7 +440,7 @@ func (s *server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeProblem(w, http.StatusNotFound, "not_found", err.Error(), "")
 		return
 	}
-	writeJSON(w, http.StatusOK, j)
+	writeJob(w, http.StatusOK, j)
 }
 
 // handleStream serves NDJSON: one service.Progress object per line,
@@ -435,9 +461,15 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
+	if flusher != nil {
+		// Send the headers now: the client learns the subscription is
+		// live before the first event, which may be many rounds away.
+		flusher.Flush()
+	}
+	var line []byte
 	emit := func(ev service.Progress) bool {
-		if err := enc.Encode(ev); err != nil {
+		line = append(ev.AppendJSON(line[:0]), '\n')
+		if _, err := w.Write(line); err != nil {
 			return false
 		}
 		if flusher != nil {

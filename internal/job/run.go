@@ -23,18 +23,7 @@ import (
 type F64 float64
 
 // MarshalJSON implements json.Marshaler.
-func (f F64) MarshalJSON() ([]byte, error) {
-	v := float64(f)
-	switch {
-	case math.IsNaN(v):
-		return []byte(`"NaN"`), nil
-	case math.IsInf(v, 1):
-		return []byte(`"+Inf"`), nil
-	case math.IsInf(v, -1):
-		return []byte(`"-Inf"`), nil
-	}
-	return json.Marshal(v)
-}
+func (f F64) MarshalJSON() ([]byte, error) { return AppendF64(nil, f), nil }
 
 // UnmarshalJSON implements json.Unmarshaler, accepting both the numeric
 // and the string forms.
@@ -68,6 +57,11 @@ type Compiled struct {
 	// Spec is the canonical form; Hash its content hash.
 	Spec Spec
 	Hash string
+	// SpecJSON is the canonical form's JSON encoding, the bytes Hash
+	// digests. It is json.Marshal(Spec), made once here: the service
+	// copies it into log records and responses instead of encoding the
+	// spec's n values again. Read-only.
+	SpecJSON []byte
 	// Fingerprint is the canonical graph fingerprint — the sub-hash of
 	// Hash covering only the fields that determine the round graph and
 	// its CSR (builder + dims + seed-when-seeded + kind). Empty for
@@ -131,7 +125,7 @@ func CompileWithCache(s Spec, cache *topology.Cache) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	hash, err := hashCanonical(c)
+	specJSON, hash, err := encodeCanonical(c)
 	if err != nil {
 		return nil, err
 	}
@@ -219,6 +213,7 @@ func CompileWithCache(s Spec, cache *topology.Cache) (*Compiled, error) {
 	return &Compiled{
 		Spec:        c,
 		Hash:        hash,
+		SpecJSON:    specJSON,
 		Fingerprint: fingerprint,
 		N:           n,
 		Setting:     setting,

@@ -628,19 +628,21 @@ func (s Spec) Hash() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return hashCanonical(c)
+	_, hash, err := encodeCanonical(c)
+	return hash, err
 }
 
-// hashCanonical hashes a spec that is already in canonical form. Compile
-// uses it directly so the canonicalization pass — which copies the
-// length-n Values vector — runs once per compile, not twice.
-func hashCanonical(c Spec) (string, error) {
-	b, err := json.Marshal(c)
+// encodeCanonical encodes a spec that is already in canonical form and
+// hashes the encoding. Compile uses it directly so the canonicalization
+// pass — which copies the length-n Values vector — runs once per compile,
+// not twice, and keeps the encoding.
+func encodeCanonical(c Spec) (b []byte, hash string, err error) {
+	b, err = json.Marshal(c)
 	if err != nil {
-		return "", errf("spec", "canonical encoding failed: %v", err)
+		return nil, "", errf("spec", "canonical encoding failed: %v", err)
 	}
 	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
+	return b, hex.EncodeToString(sum[:]), nil
 }
 
 // seededBuilders are the static builders whose graph depends on Spec.Seed.

@@ -1,10 +1,6 @@
 package service
 
-import (
-	"container/list"
-
-	"anonnet/internal/job"
-)
+import "container/list"
 
 // lru is a fixed-capacity least-recently-used result cache keyed by the
 // canonical spec hash. It is not self-locking: the Service serializes
@@ -17,7 +13,7 @@ type lru struct {
 
 type lruEntry struct {
 	key string
-	res *job.Result
+	res *encodedResult
 }
 
 func newLRU(capacity int) *lru {
@@ -25,7 +21,7 @@ func newLRU(capacity int) *lru {
 }
 
 // get returns the cached result for key and marks it most recently used.
-func (c *lru) get(key string) (*job.Result, bool) {
+func (c *lru) get(key string) (*encodedResult, bool) {
 	el, ok := c.items[key]
 	if !ok {
 		return nil, false
@@ -36,7 +32,7 @@ func (c *lru) get(key string) (*job.Result, bool) {
 
 // add inserts (or refreshes) key, evicting the least recently used entry
 // when over capacity. A zero or negative capacity disables caching.
-func (c *lru) add(key string, res *job.Result) {
+func (c *lru) add(key string, res *encodedResult) {
 	if c.capacity <= 0 {
 		return
 	}

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -61,15 +60,16 @@ const (
 // entry is one client's job. All fields after the immutable header are
 // guarded by Service.mu.
 type entry struct {
-	id      string
-	hash    string
-	spec    job.Spec
-	dedupOf string // creator of the execution this job joined as a duplicate
+	id       string
+	hash     string
+	spec     job.Spec
+	specJSON []byte // compile's encoding of spec, shared read-only
+	dedupOf  string // creator of the execution this job joined as a duplicate
 
 	state     State
 	err       string
 	cacheHit  bool
-	result    *job.Result
+	result    *encodedResult
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
@@ -127,17 +127,18 @@ func (s *Service) transition(e *entry, to State, c cause) {
 // record renders e's transition into its state as one log record: the
 // spec on the job's first record, the result payload on the first done
 // record of each execution, the checkpoint round on interrupted, the
-// error on failed. Callers hold Service.mu.
+// error on failed. Spec and result are the bytes compile and settle
+// encoded, not encoded again. Callers hold Service.mu.
 func record(e *entry, from State, c cause) store.Record {
 	rec := store.Record{JobID: e.id, Hash: e.hash, State: string(e.state)}
 	if from == stateNew && c != causeRecover {
-		rec.Spec, _ = json.Marshal(e.spec) // canonical specs always marshal
+		rec.Spec = e.specJSON
 	}
 	switch e.state {
 	case StateDone:
 		if x := e.exec; x != nil && !x.resultLogged {
 			x.resultLogged = true
-			rec.Result, _ = json.Marshal(e.result) // job.F64 keeps results marshalable
+			rec.Result = e.result.json
 		}
 	case StateInterrupted:
 		rec.Round = e.exec.ckptRound

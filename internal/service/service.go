@@ -173,6 +173,12 @@ type Job struct {
 	Submitted time.Time   `json:"submitted"`
 	Started   *time.Time  `json:"started,omitempty"`
 	Finished  *time.Time  `json:"finished,omitempty"`
+
+	// specJSON and encoded are the encodings compile made of Spec and
+	// settle made of Result, shared read-only with the service; AppendJSON
+	// copies them instead of encoding the n-vectors again.
+	specJSON []byte
+	encoded  *encodedResult
 }
 
 // Progress is one event on a job's watch stream: a round-by-round sample
@@ -185,6 +191,10 @@ type Progress struct {
 	MaxErr  job.F64   `json:"max_err"`
 	Done    bool      `json:"done,omitempty"`
 	Error   string    `json:"error,omitempty"`
+
+	// outputsJSON is Outputs already encoded — on a terminal event, a
+	// sub-slice of the result's encoding. Nil: AppendJSON encodes Outputs.
+	outputsJSON []byte
 }
 
 // Stats is a snapshot of the service counters (rendered as the expvar
@@ -371,7 +381,7 @@ func (s *Service) Submit(spec job.Spec) (*Job, error) {
 // execution, and everything else gets its own execution on the bounded
 // queue (ErrQueueFull when at capacity). Callers hold s.mu.
 func (s *Service) submitLocked(compiled *job.Compiled) (*entry, error) {
-	e := &entry{hash: compiled.Hash, spec: compiled.Spec}
+	e := &entry{hash: compiled.Hash, spec: compiled.Spec, specJSON: compiled.SpecJSON}
 	if res, ok := s.resultForHash(e.hash); ok {
 		compiled.ReleaseTopo()
 		e.result = res
@@ -437,11 +447,11 @@ func (s *Service) dropInflightLocked(x *execution) {
 }
 
 // resultForHash consults the two result tiers: the in-memory LRU, then
-// the durable store. A disk hit is promoted into the LRU. Callers hold
-// s.mu.
-func (s *Service) resultForHash(hash string) (*job.Result, bool) {
-	if res, ok := s.cache.get(hash); ok {
-		return res, true
+// the durable store. A disk hit keeps the log's bytes as its encoding and
+// is promoted into the LRU. Callers hold s.mu.
+func (s *Service) resultForHash(hash string) (*encodedResult, bool) {
+	if r, ok := s.cache.get(hash); ok {
+		return r, true
 	}
 	if s.cfg.Store == nil {
 		return nil, false
@@ -454,8 +464,9 @@ func (s *Service) resultForHash(hash string) (*job.Result, bool) {
 	if err := json.Unmarshal(raw, &res); err != nil {
 		return nil, false
 	}
-	s.cache.add(hash, &res)
-	return &res, true
+	r := &encodedResult{res: &res, json: raw, outputs: job.OutputsJSON(raw)}
+	s.cache.add(hash, r)
+	return r, true
 }
 
 // persist appends one record to the durable store. Append failures (disk
@@ -543,14 +554,9 @@ func (s *Service) backfillLocked() {
 			continue
 		}
 		rec := store.Record{JobID: e.id, Hash: e.hash, State: string(e.state),
-			Error: e.err, Unix: time.Now().UnixNano()}
-		if spec, err := json.Marshal(e.spec); err == nil {
-			rec.Spec = spec
-		}
+			Spec: e.specJSON, Error: e.err, Unix: time.Now().UnixNano()}
 		if e.state == StateDone && e.result != nil {
-			if raw, err := json.Marshal(e.result); err == nil {
-				rec.Result = raw
-			}
+			rec.Result = e.result.json
 		}
 		if err := s.cfg.Store.Append(rec); err != nil {
 			if lost := s.noteStoreFailureLocked(err); lost {
@@ -612,7 +618,7 @@ func (s *Service) Recover() (int, error) {
 			compiled.ReleaseTopo()
 			return n, fmt.Errorf("%w: %d jobs recovered, %s and later still pending", ErrQueueFull, n, v.ID)
 		}
-		s.addLocked(&entry{id: v.ID, hash: compiled.Hash, spec: compiled.Spec}, x, causeRecover)
+		s.addLocked(&entry{id: v.ID, hash: compiled.Hash, spec: compiled.Spec, specJSON: compiled.SpecJSON}, x, causeRecover)
 		n++
 	}
 	return n, nil
@@ -846,7 +852,7 @@ func (s *Service) Watch(id string) (<-chan Progress, func(), error) {
 	}
 	ch := make(chan Progress, 64)
 	if e.state.Terminal() {
-		ch <- terminalEvent(e)
+		ch <- TerminalProgress(snapshot(e))
 		close(ch)
 		return ch, func() {}, nil
 	}
@@ -1099,11 +1105,17 @@ func (s *Service) runOne(x *execution) {
 		})
 	}
 	res, err := s.execute(ctx, x, obs)
+	var r *encodedResult
+	if err == nil {
+		// Encode the result once, outside the lock: every member, the
+		// LRU, the done record and every response share these bytes.
+		r = encodeResult(res)
+	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	x.cancel = nil
-	s.settleLocked(x, res, err)
+	s.settleLocked(x, r, err)
 	x.compiled.ReleaseTopo()
 }
 
@@ -1112,12 +1124,12 @@ func (s *Service) runOne(x *execution) {
 // result payload in the log (the other members' done records resolve
 // through the shared hash). A run stopped because every member left has
 // nobody to settle. Callers hold s.mu.
-func (s *Service) settleLocked(x *execution, res *job.Result, err error) {
+func (s *Service) settleLocked(x *execution, r *encodedResult, err error) {
 	s.dropInflightLocked(x)
 	for _, m := range x.members {
 		switch {
 		case err == nil:
-			m.result = res
+			m.result = r
 			s.transition(m, StateDone, causeRun)
 		case errors.Is(err, engine.ErrInterrupted):
 			// Graceful shutdown flushed the engine to a checkpoint: the
@@ -1132,7 +1144,7 @@ func (s *Service) settleLocked(x *execution, res *job.Result, err error) {
 	}
 	x.members = nil
 	if err == nil {
-		s.cache.add(x.compiled.Hash, res)
+		s.cache.add(x.compiled.Hash, r)
 	}
 	if s.cfg.Store != nil && !errors.Is(err, engine.ErrInterrupted) {
 		s.cfg.Store.DropCheckpoints(x.compiled.Hash)
@@ -1251,7 +1263,10 @@ func (s *Service) publish(x *execution, ev Progress) {
 // finishLocked sends the terminal event and closes every subscription.
 // Callers hold s.mu.
 func (s *Service) finishLocked(e *entry) {
-	ev := terminalEvent(e)
+	if len(e.subs) == 0 {
+		return
+	}
+	ev := TerminalProgress(snapshot(e))
 	for ch := range e.subs {
 		select {
 		case ch <- ev:
@@ -1263,26 +1278,22 @@ func (s *Service) finishLocked(e *entry) {
 }
 
 // TerminalProgress renders a terminal job snapshot as the stream event
-// that ends its watch stream. Publish drops events a slow subscriber has
-// no buffer for — including, possibly, the terminal one — so stream
-// consumers that see the channel close without a Done event use this to
-// synthesize the final line.
+// that ends its watch stream — the one builder of that event, for Watch,
+// for the streams a job's terminal transition ends, and for stream
+// consumers that see the channel close without a Done event (publish
+// drops events a slow subscriber has no buffer for, the terminal one
+// included) and synthesize the final line. On a snapshot from the
+// service, the event's encoded outputs are a sub-slice of the result's
+// encoding.
 func TerminalProgress(j *Job) Progress {
 	ev := Progress{JobID: j.ID, State: j.State, Done: true, Error: j.Error}
-	if j.Result != nil {
-		ev.Round = j.Result.Rounds
-		ev.Outputs = j.Result.Outputs
-		ev.MaxErr = j.Result.MaxErr
-	}
-	return ev
-}
-
-func terminalEvent(e *entry) Progress {
-	ev := Progress{JobID: e.id, State: e.state, Done: true, Error: e.err}
-	if e.result != nil {
-		ev.Round = e.result.Rounds
-		ev.Outputs = e.result.Outputs
-		ev.MaxErr = e.result.MaxErr
+	if r := j.Result; r != nil {
+		ev.Round = r.Rounds
+		ev.Outputs = r.Outputs
+		ev.MaxErr = r.MaxErr
+		if j.encoded != nil && j.encoded.res == r {
+			ev.outputsJSON = j.encoded.outputs
+		}
 	}
 	return ev
 }
@@ -1297,8 +1308,12 @@ func snapshot(e *entry) *Job {
 		Error:     e.err,
 		CacheHit:  e.cacheHit,
 		DedupOf:   e.dedupOf,
-		Result:    e.result,
 		Submitted: e.submitted,
+		specJSON:  e.specJSON,
+		encoded:   e.result,
+	}
+	if e.result != nil {
+		j.Result = e.result.res
 	}
 	if !e.started.IsZero() {
 		t := e.started

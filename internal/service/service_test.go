@@ -35,7 +35,7 @@ func longSpec(seed int64) job.Spec {
 	}
 }
 
-func waitState(t *testing.T, s *Service, id string, want State) *Job {
+func waitState(t testing.TB, s *Service, id string, want State) *Job {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
 	for time.Now().Before(deadline) {

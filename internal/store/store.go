@@ -176,8 +176,11 @@ type Store struct {
 	closed  bool
 	damaged bool // active segment has an unrepaired partial frame: rotate before the next append
 
-	jobs  map[string]*JobView
-	order []string
+	jobs  map[string]*jobView
+	order []string // job IDs in first-seen log order
+	// served indexes ResultByHash: spec hash → the earliest job in log
+	// order that is done with a result payload under that hash.
+	served map[string]*jobView
 
 	records     int64
 	logBytes    int64
@@ -231,10 +234,11 @@ func Open(dir string, opt Options) (*Store, error) {
 		}
 	}
 	s := &Store{
-		dir:  dir,
-		opt:  opt,
-		fs:   fs,
-		jobs: make(map[string]*JobView),
+		dir:    dir,
+		opt:    opt,
+		fs:     fs,
+		jobs:   make(map[string]*jobView),
+		served: make(map[string]*jobView),
 	}
 	if err := s.replay(); err != nil {
 		return nil, err
@@ -423,17 +427,28 @@ func (s *Store) quarantineSegment(path string, good []byte) (int64, error) {
 	return int64(len(good)), nil
 }
 
-// apply merges one record into the replayed view.
+// jobView is a job's merged view with its position in s.order.
+type jobView struct {
+	JobView
+	pos int
+}
+
+// servable reports whether ResultByHash may serve v's result.
+func (v *jobView) servable() bool { return v.State == StateDone && len(v.Result) > 0 }
+
+// apply merges one record into the replayed view and keeps the
+// ResultByHash index current. Replay and Append both go through it.
 func (s *Store) apply(rec Record) {
 	if rec.JobID == "" {
 		return
 	}
 	v, ok := s.jobs[rec.JobID]
 	if !ok {
-		v = &JobView{ID: rec.JobID}
+		v = &jobView{JobView: JobView{ID: rec.JobID}, pos: len(s.order)}
 		s.jobs[rec.JobID] = v
 		s.order = append(s.order, rec.JobID)
 	}
+	wasServable, oldHash := v.servable(), v.Hash
 	if rec.Hash != "" {
 		v.Hash = rec.Hash
 	}
@@ -449,6 +464,28 @@ func (s *Store) apply(rec Record) {
 	v.Error = rec.Error
 	if rec.Round > 0 {
 		v.Round = rec.Round
+	}
+	if wasServable && s.served[oldHash] == v && (!v.servable() || v.Hash != oldHash) {
+		s.reindex(oldHash)
+	}
+	if v.servable() {
+		if cur, ok := s.served[v.Hash]; !ok || v.pos < cur.pos {
+			s.served[v.Hash] = v
+		}
+	}
+}
+
+// reindex points served[hash] at the earliest servable job under hash, or
+// drops the entry — the scan the index saves. It runs only when a record
+// takes the indexed job off done or onto another hash, which the service
+// never writes.
+func (s *Store) reindex(hash string) {
+	delete(s.served, hash)
+	for _, id := range s.order {
+		if v := s.jobs[id]; v.Hash == hash && v.servable() {
+			s.served[hash] = v
+			return
+		}
 	}
 }
 
@@ -570,7 +607,7 @@ func (s *Store) Job(id string) (JobView, bool) {
 	if !ok {
 		return JobView{}, false
 	}
-	return *v, true
+	return v.JobView, true
 }
 
 // Jobs returns merged views of every job in first-seen order.
@@ -579,7 +616,7 @@ func (s *Store) Jobs() []JobView {
 	defer s.mu.Unlock()
 	out := make([]JobView, 0, len(s.order))
 	for _, id := range s.order {
-		out = append(out, *s.jobs[id])
+		out = append(out, s.jobs[id].JobView)
 	}
 	return out
 }
@@ -592,22 +629,21 @@ func (s *Store) Pending() []JobView {
 	var out []JobView
 	for _, id := range s.order {
 		if v := s.jobs[id]; !Terminal(v.State) {
-			out = append(out, *v)
+			out = append(out, v.JobView)
 		}
 	}
 	return out
 }
 
-// ResultByHash returns the persisted result JSON of any done job with the
-// given spec hash — the disk tier behind the service's LRU.
+// ResultByHash returns the persisted result JSON of the earliest job in
+// log order that is done with a result under the given spec hash — the
+// disk tier behind the service's LRU. It is one index lookup, whatever
+// the size of the log.
 func (s *Store) ResultByHash(hash string) (json.RawMessage, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, id := range s.order {
-		v := s.jobs[id]
-		if v.Hash == hash && v.State == StateDone && len(v.Result) > 0 {
-			return v.Result, true
-		}
+	if v, ok := s.served[hash]; ok {
+		return v.Result, true
 	}
 	return nil, false
 }
