@@ -6,7 +6,6 @@ import (
 	"anonnet/internal/algorithms/minbase"
 	"anonnet/internal/funcs"
 	"anonnet/internal/model"
-	"anonnet/internal/multiset"
 )
 
 // Help encodes the centralized-help assumptions of Table 1's rows.
@@ -84,7 +83,7 @@ func NewFactory(kind model.Kind, f funcs.Func, help Help) (model.Factory, error)
 			kind: kind,
 			f:    f,
 			help: help,
-			out:  f.Eval(multiset.New(in.Value)),
+			out:  f.Eval(funcs.NewArgs(in.Value)),
 		}
 	}, nil
 }

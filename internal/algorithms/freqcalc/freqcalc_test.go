@@ -11,7 +11,6 @@ import (
 	"anonnet/internal/funcs"
 	"anonnet/internal/graph"
 	"anonnet/internal/model"
-	"anonnet/internal/multiset"
 	"anonnet/internal/testutil"
 )
 
@@ -189,11 +188,11 @@ func TestTheorem41FrequencyBasedCatalog(t *testing.T) {
 }
 
 func multisetOf(inputs []model.Input) *funcs.Args {
-	m := multiset.New[float64]()
-	for _, in := range inputs {
-		m.Add(in.Value)
+	vals := make([]float64, len(inputs))
+	for i, in := range inputs {
+		vals[i] = in.Value
 	}
-	return m
+	return funcs.NewArgs(vals...)
 }
 
 func TestRejectsMultisetBasedWithoutHelp(t *testing.T) {

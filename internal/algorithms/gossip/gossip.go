@@ -9,19 +9,22 @@ package gossip
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"anonnet/internal/funcs"
 	"anonnet/internal/model"
-	"anonnet/internal/multiset"
 )
 
 // Agent is one gossip automaton. It implements the senders of all four
 // communication models, since a broadcast algorithm runs unchanged in the
 // richer models (it simply ignores the extra information).
 type Agent struct {
-	f    funcs.Func
-	seen map[float64]bool
+	f funcs.Func
+	// seen is the set of values heard of, ascending and distinct. It is
+	// sent as is, and the engines hand one message to several receivers
+	// and hold delayed ones across rounds, so a slice once sent is never
+	// written again: a growing set is always a new slice.
+	seen []float64
 }
 
 var (
@@ -39,19 +42,12 @@ func NewFactory(f funcs.Func) (model.Factory, error) {
 		return nil, fmt.Errorf("gossip: function %q is %v, need set-based", f.Name, f.Class)
 	}
 	return func(in model.Input) model.Agent {
-		return &Agent{f: f, seen: map[float64]bool{in.Value: true}}
+		return &Agent{f: f, seen: []float64{in.Value}}
 	}, nil
 }
 
 // Send broadcasts the sorted set of values seen so far.
-func (a *Agent) Send() model.Message {
-	vals := make([]float64, 0, len(a.seen))
-	for v := range a.seen {
-		vals = append(vals, v)
-	}
-	sort.Float64s(vals)
-	return vals
-}
+func (a *Agent) Send() model.Message { return a.seen }
 
 // SendOutdegree ignores the outdegree: gossip is graph-invariant (§2.2).
 func (a *Agent) SendOutdegree(int) model.Message { return a.Send() }
@@ -68,30 +64,37 @@ func (a *Agent) SendPorts(outdeg int) []model.Message {
 
 // Receive unions the received sets into the local one.
 func (a *Agent) Receive(msgs []model.Message) {
+	var fresh []float64
 	for _, m := range msgs {
 		vals, ok := m.([]float64)
 		if !ok {
 			continue // foreign message; gossip is tolerant by nature
 		}
 		for _, v := range vals {
-			a.seen[v] = true
+			if _, known := slices.BinarySearch(a.seen, v); !known {
+				fresh = append(fresh, v)
+			}
 		}
 	}
+	a.add(fresh)
 }
 
 // Output evaluates f on the set of values seen (each with multiplicity 1 —
 // immaterial for a set-based f).
-func (a *Agent) Output() model.Value {
-	vals := make([]float64, 0, len(a.seen))
-	for v := range a.seen {
-		vals = append(vals, v)
-	}
-	return a.f.Eval(multiset.New(vals...))
-}
+func (a *Agent) Output() model.Value { return a.f.Eval(funcs.NewArgs(a.seen...)) }
 
 // Corrupt injects junk values into the seen-set. Gossip never forgets, so
 // it is *not* self-stabilizing — the self-stabilization tests demonstrate
 // exactly this failure, as the paper notes for flooding-style algorithms.
-func (a *Agent) Corrupt(junk int64) {
-	a.seen[float64(junk%1000)+0.5] = true
+func (a *Agent) Corrupt(junk int64) { a.add([]float64{float64(junk%1000) + 0.5}) }
+
+// add replaces the seen-set by a new slice holding its values and vals,
+// leaving the old one — which may have been sent — untouched.
+func (a *Agent) add(vals []float64) {
+	if len(vals) == 0 {
+		return
+	}
+	next := append(slices.Clip(a.seen), vals...)
+	slices.Sort(next)
+	a.seen = slices.Compact(next)
 }

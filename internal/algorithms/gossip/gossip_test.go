@@ -1,6 +1,7 @@
 package gossip
 
 import (
+	"slices"
 	"testing"
 
 	"anonnet/internal/dynamic"
@@ -133,5 +134,32 @@ func TestForeignMessagesIgnored(t *testing.T) {
 	a.Receive([]model.Message{"not a value slice", 42, []float64{7}})
 	if got := a.Output().(float64); got != 7 {
 		t.Fatalf("output %v, want 7", got)
+	}
+}
+
+// TestSentSetNeverWritten: the engines hand one message to several
+// receivers and hold delayed ones across rounds, so a set once sent must
+// keep its contents however the sender's own set grows afterwards.
+func TestSentSetNeverWritten(t *testing.T) {
+	factory, err := NewFactory(funcs.Max())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := factory(model.Input{Value: 5}).(*Agent)
+	// Two senders report 9: deduplicating leaves the set spare capacity,
+	// which an in-place append would then write into.
+	a.Receive([]model.Message{[]float64{1, 9}, []float64{9}})
+	sent := a.Send().([]float64)
+	want := slices.Clone(sent)
+	a.Receive([]model.Message{[]float64{2}, sent})
+	a.Corrupt(4)
+	if !slices.Equal(sent, want) {
+		t.Fatalf("sent set became %v after the sender grew, want %v", sent, want)
+	}
+	if got, want := a.Send().([]float64), []float64{1, 2, 4.5, 5, 9}; !slices.Equal(got, want) {
+		t.Fatalf("seen-set %v, want %v", got, want)
+	}
+	if got := a.Output(); got != 9.0 {
+		t.Fatalf("Output = %v, want 9", got)
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"anonnet/internal/funcs"
 	"anonnet/internal/model"
-	"anonnet/internal/multiset"
 	"anonnet/internal/reconstruct"
 )
 
@@ -114,7 +113,7 @@ func NewFreqFactory(cfg FreqConfig) (model.Factory, error) {
 			f:       cfg.F,
 			knownN:  cfg.KnownN,
 			x:       map[float64]float64{in.Value: 1},
-			out:     cfg.F.Eval(multiset.New(in.Value)),
+			out:     cfg.F.Eval(funcs.NewArgs(in.Value)),
 		}
 	}, nil
 }
@@ -240,7 +239,7 @@ func (a *FreqAgent) Estimates() map[float64]float64 {
 
 func (a *FreqAgent) refreshOutput() {
 	var (
-		ms *reconstruct.Args
+		ms *funcs.Args
 		ok bool
 	)
 	switch a.mode {

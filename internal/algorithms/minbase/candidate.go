@@ -5,8 +5,8 @@ import (
 	"sort"
 	"strings"
 
+	"anonnet/internal/funcs"
 	"anonnet/internal/graph"
-	"anonnet/internal/multiset"
 )
 
 // Base is a candidate minimum base B_{w,b} (§4.2): vertex i carries the
@@ -26,12 +26,12 @@ func (b *Base) N() int { return len(b.Values) }
 // Multiset returns the value multiset obtained by giving value w_i the
 // multiplicity z_i — the reconstructed input multiset of §4.2, up to the
 // common factor k of eq. (2).
-func (b *Base) Multiset(z []int) *multiset.Multiset[float64] {
-	m := multiset.New[float64]()
+func (b *Base) Multiset(z []int) *funcs.Args {
+	entries := make([]funcs.Entry, len(b.Values))
 	for i, v := range b.Values {
-		m.AddN(v, z[i])
+		entries[i] = funcs.Entry{Value: v, Count: z[i]}
 	}
-	return m
+	return funcs.CountArgs(entries)
 }
 
 // LeaderWeight returns Σ_{j ∈ L_B} z_j, the denominator of eq. (5).

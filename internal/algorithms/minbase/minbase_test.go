@@ -10,7 +10,6 @@ import (
 	"anonnet/internal/fibration"
 	"anonnet/internal/graph"
 	"anonnet/internal/model"
-	"anonnet/internal/multiset"
 	"anonnet/internal/testutil"
 )
 
@@ -57,15 +56,6 @@ func TestNewAgentRejectsBroadcast(t *testing.T) {
 	if _, err := NewFactory(model.SimpleBroadcast); err == nil {
 		t.Fatal("NewFactory should reject the simple-broadcast model")
 	}
-}
-
-// trueMultiset returns the input-value multiset of the network.
-func trueMultiset(inputs []model.Input) *multiset.Multiset[float64] {
-	m := multiset.New[float64]()
-	for _, in := range inputs {
-		m.Add(in.Value)
-	}
-	return m
 }
 
 // centralizedBaseSize computes the ground-truth minimum base size via the

@@ -6,7 +6,6 @@ import (
 
 	"anonnet/internal/funcs"
 	"anonnet/internal/model"
-	"anonnet/internal/multiset"
 	"anonnet/internal/reconstruct"
 )
 
@@ -128,7 +127,7 @@ func NewFrequencyFactory(cfg FrequencyConfig) (model.Factory, error) {
 			own:     in.Value,
 			y:       map[float64]float64{in.Value: 1},
 			z:       map[float64]float64{in.Value: initialMass(cfg.Mode, in.Leader)},
-			out:     cfg.F.Eval(multiset.New(in.Value)),
+			out:     cfg.F.Eval(funcs.NewArgs(in.Value)),
 		}
 		return a
 	}, nil

@@ -24,13 +24,16 @@ import (
 	"anonnet/internal/faults"
 )
 
-// goldenCase extends the shared algoCases with optional async starts and a
-// fault plan, pinning one recorded trace hash.
+// goldenCase extends the shared algoCases with optional async starts, a
+// fault plan, and its own input pattern and round budget, pinning one
+// recorded trace hash.
 type goldenCase struct {
 	name   string
 	algo   string // key into algoCases
 	starts []int
 	plan   *faults.Plan
+	values []float64 // input pattern, cycled; nil means caseInputs
+	rounds int       // round budget; 0 means the algo case's
 	hash   string
 }
 
@@ -56,6 +59,12 @@ func goldenCases() []goldenCase {
 		{name: "gossip/drop+stall", algo: "gossip",
 			plan: &faults.Plan{Drop: 0.25, Stall: 0.15},
 			hash: "e71ffdf0d69219cc609392b4029ab72ae7d024ccaaa0ac7931c4bcaecb7d1260"},
+		// Fractional inputs, whose float sums depend on the order their
+		// terms are added in: every agent outputs the average from round 7,
+		// and all of them must report the same bits every round.
+		{name: "freqcalc/fractional", algo: "freqcalc",
+			values: []float64{0.1, 0.7, 2.3, 1.9, 0.3, 3.7, 1.3}, rounds: 10,
+			hash: "4fd7fc05e25ad25987d232a56cd26fd5b2fe7523dd3bd7a6176d4f1a52fd2ae2"},
 	}
 }
 
@@ -84,6 +93,11 @@ func goldenConfig(t *testing.T, gc goldenCase) engine.Config {
 		Seed:     seed,
 		Starts:   gc.starts,
 	}
+	if gc.values != nil {
+		for i := range cfg.Inputs {
+			cfg.Inputs[i].Value = gc.values[i%len(gc.values)]
+		}
+	}
 	if gc.plan != nil {
 		inj, err := faults.NewInjector(seed, *gc.plan)
 		if err != nil {
@@ -99,15 +113,18 @@ func goldenConfig(t *testing.T, gc goldenCase) engine.Config {
 	return cfg
 }
 
-// goldenRounds returns the round budget of the underlying algo case.
-func goldenRounds(t *testing.T, algo string) int {
+// goldenRounds returns the round budget of a golden case.
+func goldenRounds(t *testing.T, gc goldenCase) int {
 	t.Helper()
+	if gc.rounds > 0 {
+		return gc.rounds
+	}
 	for _, c := range algoCases() {
-		if c.name == algo {
+		if c.name == gc.algo {
 			return c.rounds
 		}
 	}
-	t.Fatalf("unknown algo case %q", algo)
+	t.Fatalf("unknown algo case %q", gc.algo)
 	return 0
 }
 
@@ -165,7 +182,7 @@ func TestGoldenTraceLargeN(t *testing.T) {
 func TestGoldenTraces(t *testing.T) {
 	for _, gc := range goldenCases() {
 		t.Run(gc.name, func(t *testing.T) {
-			rounds := goldenRounds(t, gc.algo)
+			rounds := goldenRounds(t, gc)
 			runners := []struct {
 				name string
 				mk   func() (engine.Runner, error)

@@ -3,8 +3,6 @@ package funcs
 import (
 	"math"
 	"math/rand"
-
-	"anonnet/internal/multiset"
 )
 
 // Black-box classification: decide, from sampled evaluations, the smallest
@@ -58,21 +56,20 @@ func Classify(f Func, universe []float64, trials int, rng *rand.Rand) Class {
 }
 
 func randomMultiset(universe []float64, rng *rand.Rand) *Args {
-	m := multiset.New[float64]()
-	support := 1 + rng.Intn(len(universe))
+	entries := make([]Entry, 1+rng.Intn(len(universe)))
 	perm := rng.Perm(len(universe))
-	for i := 0; i < support; i++ {
-		m.AddN(universe[perm[i]], 1+rng.Intn(4))
+	for i := range entries {
+		entries[i] = Entry{Value: universe[perm[i]], Count: 1 + rng.Intn(4)}
 	}
-	return m
+	return CountArgs(entries)
 }
 
 func resampleMultiplicities(m *Args, rng *rand.Rand) *Args {
-	out := multiset.New[float64]()
-	for _, v := range m.Support() {
-		out.AddN(v, 1+rng.Intn(5))
+	entries := make([]Entry, m.Distinct())
+	for i, e := range m.entries {
+		entries[i] = Entry{Value: e.Value, Count: 1 + rng.Intn(5)}
 	}
-	return out
+	return CountArgs(entries)
 }
 
 func close2(a, b float64) bool {
@@ -98,25 +95,28 @@ func ContinuousInFrequency(f Func, m *Args, discrete bool) bool {
 		return true
 	}
 	want := f.Eval(m)
-	support := m.Support()
-	lo, hi := support[0], support[0]
-	for _, v := range support {
-		lo = math.Min(lo, v)
-		hi = math.Max(hi, v)
-	}
+	lo, hi := Min().Eval(m), Max().Eval(m)
 	tolerance := 1e-6
 	for _, den := range []int{64, 256, 1024, 4096} {
 		// Move one unit of mass between the extreme values, in both
 		// directions: the frequency function moves by 1/den in two
 		// coordinates either way.
 		for _, dir := range [][2]float64{{hi, lo}, {lo, hi}} {
-			perturbed := scaleToDenominator(m, den)
-			if perturbed.Count(dir[0]) < 2 {
+			scaled := scaleToDenominator(m, den)
+			if scaled.Count(dir[0]) < 2 {
 				continue
 			}
-			perturbed.Remove(dir[0])
-			perturbed.Add(dir[1])
-			got := f.Eval(perturbed)
+			perturbed := make([]Entry, scaled.Distinct())
+			for i, e := range scaled.entries {
+				switch e.Value {
+				case dir[0]:
+					e.Count--
+				case dir[1]:
+					e.Count++
+				}
+				perturbed[i] = e
+			}
+			got := f.Eval(CountArgs(perturbed))
 			err := math.Abs(got - want)
 			if discrete {
 				if err != 0 && den >= 1024 {

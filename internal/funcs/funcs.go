@@ -11,9 +11,6 @@ package funcs
 import (
 	"fmt"
 	"math"
-	"sort"
-
-	"anonnet/internal/multiset"
 )
 
 // Class orders the three function classes of §2.3 by inclusion.
@@ -50,9 +47,6 @@ func (c Class) String() string {
 // frequency-based, every frequency-based function is multiset-based.
 func (c Class) Contains(other Class) bool { return other <= c }
 
-// Args is a distributed input: the multiset [ω_1, …, ω_n].
-type Args = multiset.Multiset[float64]
-
 // Func is a function f : ⋃_n Ω^n → ℝ that is invariant under permutation
 // (multiset-based), annotated with the smallest class it belongs to.
 type Func struct {
@@ -66,28 +60,20 @@ type Func struct {
 
 // FromVector evaluates f on a plain input vector.
 func (f Func) FromVector(v []float64) float64 {
-	return f.Eval(multiset.New(v...))
+	return f.Eval(NewArgs(v...))
 }
 
 // Max returns the maximum function, the canonical set-based example.
 func Max() Func {
 	return Func{Name: "max", Class: SetBased, Eval: func(a *Args) float64 {
-		out := math.Inf(-1)
-		for _, x := range a.Support() {
-			out = math.Max(out, x)
-		}
-		return out
+		return a.entries[len(a.entries)-1].Value
 	}}
 }
 
 // Min returns the minimum function (set-based).
 func Min() Func {
 	return Func{Name: "min", Class: SetBased, Eval: func(a *Args) float64 {
-		out := math.Inf(1)
-		for _, x := range a.Support() {
-			out = math.Min(out, x)
-		}
-		return out
+		return a.entries[0].Value
 	}}
 }
 
@@ -109,11 +95,7 @@ func Range() Func {
 // frequency-based function.
 func Average() Func {
 	return Func{Name: "average", Class: FrequencyBased, Eval: func(a *Args) float64 {
-		s := 0.0
-		for v, c := range a.Counts() {
-			s += v * float64(c)
-		}
-		return s / float64(a.Len())
+		return Sum().Eval(a) / float64(a.n)
 	}}
 }
 
@@ -140,13 +122,13 @@ func ThresholdFreq(omega, r float64) Func {
 // frequency-based: it depends on relative frequencies only.
 func Mode() Func {
 	return Func{Name: "mode", Class: FrequencyBased, Eval: func(a *Args) float64 {
-		best, bestCount := math.Inf(1), -1
-		for v, c := range a.Counts() {
-			if c > bestCount || (c == bestCount && v < best) {
-				best, bestCount = v, c
+		best := a.entries[0]
+		for _, e := range a.entries {
+			if e.Count > best.Count { // ascending walk: a tie keeps the smaller
+				best = e
 			}
 		}
-		return best
+		return best.Value
 	}}
 }
 
@@ -154,9 +136,14 @@ func Mode() Func {
 // quantiles are determined by the frequency function).
 func Median() Func {
 	return Func{Name: "median", Class: FrequencyBased, Eval: func(a *Args) float64 {
-		elems := a.Elems()
-		sort.Float64s(elems)
-		return elems[(len(elems)-1)/2]
+		k := (a.n - 1) / 2
+		for _, e := range a.entries {
+			if k < e.Count {
+				return e.Value
+			}
+			k -= e.Count
+		}
+		panic("funcs: median of an empty multiset")
 	}}
 }
 
@@ -166,11 +153,11 @@ func Variance() Func {
 	return Func{Name: "variance", Class: FrequencyBased, Eval: func(a *Args) float64 {
 		mu := Average().Eval(a)
 		s := 0.0
-		for v, c := range a.Counts() {
-			d := v - mu
-			s += d * d * float64(c)
+		for _, e := range a.entries {
+			d := e.Value - mu
+			s += d * d * float64(e.Count)
 		}
-		return s / float64(a.Len())
+		return s / float64(a.n)
 	}}
 }
 
@@ -179,10 +166,10 @@ func Variance() Func {
 func GeometricMean() Func {
 	return Func{Name: "geomean", Class: FrequencyBased, Eval: func(a *Args) float64 {
 		s := 0.0
-		for v, c := range a.Counts() {
-			s += math.Log(v) * float64(c)
+		for _, e := range a.entries {
+			s += math.Log(e.Value) * float64(e.Count)
 		}
-		return math.Exp(s / float64(a.Len()))
+		return math.Exp(s / float64(a.n))
 	}}
 }
 
@@ -191,8 +178,8 @@ func GeometricMean() Func {
 func Sum() Func {
 	return Func{Name: "sum", Class: MultisetBased, Eval: func(a *Args) float64 {
 		s := 0.0
-		for v, c := range a.Counts() {
-			s += v * float64(c)
+		for _, e := range a.entries {
+			s += e.Value * float64(e.Count)
 		}
 		return s
 	}}

@@ -3,12 +3,11 @@ package funcs
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
-
-	"anonnet/internal/multiset"
 )
 
-func args(vals ...float64) *Args { return multiset.New(vals...) }
+func args(vals ...float64) *Args { return NewArgs(vals...) }
 
 func TestClassOrdering(t *testing.T) {
 	if !MultisetBased.Contains(SetBased) || !MultisetBased.Contains(FrequencyBased) {
@@ -141,6 +140,61 @@ func TestVarianceAndGeometricMean(t *testing.T) {
 	for _, f := range []Func{Variance(), GeometricMean()} {
 		if math.Abs(f.Eval(in)-f.Eval(in.Scale(3))) > 1e-12 {
 			t.Errorf("%s not scale-invariant", f.Name)
+		}
+	}
+}
+
+func TestArgsBasicOperations(t *testing.T) {
+	a := args(3, 1, 2, 3, 2, 3)
+	if a.Len() != 6 || a.Distinct() != 3 {
+		t.Fatalf("Len %d Distinct %d, want 6 and 3", a.Len(), a.Distinct())
+	}
+	if want := []Entry{{1, 1}, {2, 2}, {3, 3}}; !slices.Equal(a.Entries(), want) {
+		t.Fatalf("Entries = %v, want %v", a.Entries(), want)
+	}
+	if a.Count(3) != 3 || a.Count(4) != 0 {
+		t.Fatalf("Count(3) = %d, Count(4) = %d, want 3 and 0", a.Count(3), a.Count(4))
+	}
+}
+
+func TestCountArgsMergesAndDropsZero(t *testing.T) {
+	a := CountArgs([]Entry{{7, 2}, {1, 0}, {2, 1}, {7, 1}})
+	if want := []Entry{{2, 1}, {7, 3}}; !slices.Equal(a.Entries(), want) || a.Len() != 4 {
+		t.Fatalf("Entries = %v (Len %d), want %v (Len 4)", a.Entries(), a.Len(), want)
+	}
+}
+
+func TestCountArgsNegativePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a negative count did not panic")
+		}
+	}()
+	CountArgs([]Entry{{1, -1}})
+}
+
+func TestNewArgsLeavesInputUntouched(t *testing.T) {
+	in := []float64{3, 1, 2, 1}
+	args(in...)
+	if want := []float64{3, 1, 2, 1}; !slices.Equal(in, want) {
+		t.Fatalf("NewArgs wrote its input: %v, want %v", in, want)
+	}
+}
+
+// TestEvalIgnoresInputOrder: f sees the multiset alone, so every
+// permutation of fractional inputs — whose float sums depend on the order
+// the terms are added in — gives the same bits.
+func TestEvalIgnoresInputOrder(t *testing.T) {
+	in := []float64{0.1, 0.7, 2.3, 1.9, 0.3, 3.7, 0.7, 1e-9, 1e9}
+	rng := rand.New(rand.NewSource(3))
+	for _, f := range Catalog() {
+		want := math.Float64bits(f.FromVector(in))
+		for trial := 0; trial < 50; trial++ {
+			perm := slices.Clone(in)
+			rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+			if got := math.Float64bits(f.FromVector(perm)); got != want {
+				t.Fatalf("%s(%v) = %v, want %v as for %v", f.Name, perm, math.Float64frombits(got), math.Float64frombits(want), in)
+			}
 		}
 	}
 }

@@ -1,28 +1,29 @@
 // Package reconstruct turns converging per-value frequency estimates into
 // the value multisets that functions are evaluated on — the output side of
 // §5.4 and §5.5, shared by the Push-Sum and Metropolis frequency
-// algorithms.
+// algorithms. Each function walks the estimates in ascending value order,
+// so the multiset it builds depends on the estimates alone, never on map
+// iteration order.
 package reconstruct
 
 import (
 	"math"
-	"sort"
+	"slices"
 
-	"anonnet/internal/multiset"
+	"anonnet/internal/funcs"
 	"anonnet/internal/rational"
 )
-
-// Args is a value multiset.
-type Args = multiset.Multiset[float64]
 
 // Approximate builds an ⟨x̂⟩-frequenced multiset from raw quotients,
 // normalized and discretized with the fixed denominator q (§5.4's x̂
 // construction): each value gets ⌊x̂[ω]·q⌉ slots. For a function that is
 // δ-continuous in frequency, evaluating on this multiset converges to f(v)
 // as the quotients converge (Cor. 5.5).
-func Approximate(x map[float64]float64, q int) (*Args, bool) {
+func Approximate(x map[float64]float64, q int) (*funcs.Args, bool) {
+	keys := sortedKeys(x)
 	total := 0.0
-	for _, v := range x {
+	for _, w := range keys {
+		v := x[w]
 		if math.IsInf(v, 0) || math.IsNaN(v) || v < 0 {
 			return nil, false
 		}
@@ -31,25 +32,26 @@ func Approximate(x map[float64]float64, q int) (*Args, bool) {
 	if total <= 0 {
 		return nil, false
 	}
-	m := multiset.New[float64]()
-	for w, v := range x {
-		m.AddN(w, int(math.Round(v/total*float64(q))))
+	entries := make([]funcs.Entry, len(keys))
+	for i, w := range keys {
+		entries[i] = funcs.Entry{Value: w, Count: int(math.Round(x[w] / total * float64(q)))}
 	}
-	return m, m.Len() > 0
+	return nonEmpty(entries)
 }
 
 // Rounded rounds each quotient to the nearest element of ℚ_N (N a known
 // bound ≥ n) and assembles the exact ⟨ν⟩ vector (Cor. 5.3): once every
 // quotient is within 1/(2N²) of the true frequency the result is exactly ν
 // and never changes again.
-func Rounded(x map[float64]float64, n int) (*Args, bool) {
+func Rounded(x map[float64]float64, n int) (*funcs.Args, bool) {
 	type vf struct {
 		w    float64
 		p, q int64
 	}
 	vals := make([]vf, 0, len(x))
 	l := int64(1)
-	for w, v := range x {
+	for _, w := range sortedKeys(x) {
+		v := x[w]
 		if math.IsInf(v, 0) || math.IsNaN(v) {
 			return nil, false
 		}
@@ -66,31 +68,42 @@ func Rounded(x map[float64]float64, n int) (*Args, bool) {
 	if len(vals) == 0 {
 		return nil, false
 	}
-	m := multiset.New[float64]()
-	for _, v := range vals {
-		m.AddN(v.w, int(v.p*(l/v.q)))
+	entries := make([]funcs.Entry, len(vals))
+	for i, v := range vals {
+		entries[i] = funcs.Entry{Value: v.w, Count: int(v.p * (l / v.q))}
 	}
-	return m, m.Len() > 0
+	return nonEmpty(entries)
 }
 
 // Counts recovers integer multiplicities as ⌊scale·x[ω]⌉ — scale = n for
 // Cor. 5.4, scale = ℓ for the leader variant of §5.5.
-func Counts(x map[float64]float64, scale float64) (*Args, bool) {
-	m := multiset.New[float64]()
-	keys := make([]float64, 0, len(x))
-	for w := range x {
-		keys = append(keys, w)
-	}
-	sort.Float64s(keys)
+func Counts(x map[float64]float64, scale float64) (*funcs.Args, bool) {
+	keys := sortedKeys(x)
+	entries := make([]funcs.Entry, 0, len(keys))
 	for _, w := range keys {
 		v := x[w]
 		if math.IsInf(v, 0) || math.IsNaN(v) {
 			continue
 		}
 		if c := int(math.Round(scale * v)); c > 0 {
-			m.AddN(w, c)
+			entries = append(entries, funcs.Entry{Value: w, Count: c})
 		}
 	}
+	return nonEmpty(entries)
+}
+
+func sortedKeys(x map[float64]float64) []float64 {
+	keys := make([]float64, 0, len(x))
+	for w := range x {
+		keys = append(keys, w)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// nonEmpty builds the multiset and reports whether it has any element.
+func nonEmpty(entries []funcs.Entry) (*funcs.Args, bool) {
+	m := funcs.CountArgs(entries)
 	return m, m.Len() > 0
 }
 
