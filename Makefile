@@ -58,12 +58,12 @@ chaos:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
 
-# Regenerates the committed benchmark record with all three sections the
+# Regenerates the committed benchmark record with both sections the
 # README quotes: the core ring sweep (seq, shard, vec, parvec on the
-# BenchmarkEngineSharded workload), the -scale large-n sweep, and the
-# -sweep service batches.
+# BenchmarkEngineSharded workload) and the -scale large-n sweep. The
+# service is measured end to end by perfbench (BENCHMARK.json).
 benchreport:
-	$(GO) run ./cmd/benchreport -scale -sweep -o BENCH_engine.json
+	$(GO) run ./cmd/benchreport -scale -o BENCH_engine.json
 
 run-daemon: build
 	$(GO) run ./cmd/anonnetd -addr :8080

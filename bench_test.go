@@ -656,13 +656,14 @@ func sweepMember(n int, seed int64) job.Spec {
 	}
 }
 
-// BenchmarkServiceSweep measures the sweep fast path on 64-job
-// same-graph batches (DESIGN §5h): "cold" disables the topology cache and
-// dedup so every member pays its own graph+snapshot build; "warm" shares
-// one snapshot across a 64-seed sweep (counter-asserted: exactly one
-// build); "dedup" submits 64 identical specs that coalesce into a single
-// execution. Sub-benchmark sizes cover n=10⁴–10⁶; CI smoke runs n=10⁴,
-// BENCH_engine.json records the n=10⁶ acceptance row via cmd/benchreport.
+// BenchmarkServiceSweep measures the sweep fast path on 64-job batches
+// (DESIGN §5h), in the shapes of perfbench's workloads: "cold" gives every
+// member of every iteration a ring size of its own, so every member pays
+// its own graph+snapshot build (counter-asserted: 64 builds per
+// iteration); "warm" shares one snapshot across a 64-seed sweep
+// (counter-asserted: exactly one build); "dedup" submits 64 identical
+// specs that coalesce into a single execution. Sub-benchmark sizes cover
+// n=10⁴–10⁶; CI smoke runs n=10⁴.
 func BenchmarkServiceSweep(b *testing.B) {
 	const members = 64
 	await := func(b *testing.B, svc *service.Service, want int64) {
@@ -706,8 +707,9 @@ func BenchmarkServiceSweep(b *testing.B) {
 		// (no result-LRU carryover between b.N iterations).
 		seedSweep := func(i, j int) job.Spec { return sweepMember(n, int64(i*members+j)) }
 		identical := func(i, j int) job.Spec { return sweepMember(n, int64(i)) }
+		sizeSweep := func(i, j int) job.Spec { return sweepMember(n+i*members+j, 0) }
 		b.Run(fmt.Sprintf("cold/n=%d", n), func(b *testing.B) {
-			run(b, service.Config{TopoCacheBytes: -1, NoDedup: true}, seedSweep, 0)
+			run(b, service.Config{}, sizeSweep, members)
 		})
 		b.Run(fmt.Sprintf("warm/n=%d", n), func(b *testing.B) {
 			run(b, service.Config{}, seedSweep, 1)

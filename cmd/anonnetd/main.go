@@ -69,8 +69,7 @@ func run() error {
 		tenantRPS   = flag.Float64("tenant-rps", 0, "per-tenant submit rate limit in requests/second (0: disabled)")
 		tenantBurst = flag.Int("tenant-burst", 10, "per-tenant submit burst ceiling (with -tenant-rps)")
 
-		topoBytes = flag.Int64("topo-cache-bytes", 0, "shared topology-snapshot cache budget in bytes (0: default 256 MiB, <0: disabled)")
-		dedupe    = flag.Bool("dedupe", true, "coalesce identical in-flight submissions into one execution")
+		topoBytes = flag.Int64("topo-cache-bytes", 0, "shared topology-snapshot cache budget in bytes (0: default 256 MiB)")
 
 		breakerK    = flag.Int("breaker-threshold", 0, "consecutive persist failures before degraded mode (0: default 5, <0: disabled)")
 		breakerCool = flag.Duration("breaker-cooldown", 0, "degraded-mode dwell before a half-open store probe (0: default 3s)")
@@ -78,6 +77,9 @@ func run() error {
 		chaosSeed   = flag.Int64("chaos-seed", 1, "seed for the -chaos failpoint decisions")
 	)
 	flag.Parse()
+	if *topoBytes < 0 {
+		return fmt.Errorf("-topo-cache-bytes %d: want a budget ≥ 0 (0: default)", *topoBytes)
+	}
 
 	var plan chaos.Plan
 	if *chaosPlan != "" {
@@ -131,7 +133,6 @@ func run() error {
 		BreakerCooldown:  *breakerCool,
 		Intercept:        intercept,
 		TopoCacheBytes:   *topoBytes,
-		NoDedup:          !*dedupe,
 	})
 	if st != nil {
 		n, err := svc.Recover()

@@ -8,10 +8,10 @@ import (
 )
 
 // newMetricsRegistry wires the /metrics endpoint: the service counters
-// (read from service.Stats, which also renders the expvar "anonnetd"
-// map, so the two endpoints can never disagree), the durable-store
-// gauges, the quota tenant gauge, and the job-latency histogram. st,
-// lim, and hist may be nil — their series are simply absent.
+// (read from service.Stats, which /v1/stats also renders, so the two
+// endpoints can never disagree), the durable-store gauges, the quota
+// tenant gauge, and the job-latency histogram. st, lim, and hist may be
+// nil — their series are simply absent.
 func newMetricsRegistry(svc *service.Service, st *store.Store, lim *quota.Limiter, hist *metrics.Histogram) *metrics.Registry {
 	reg := metrics.NewRegistry()
 	counter := func(name, help string, read func(service.Stats) int64) {
@@ -60,10 +60,6 @@ func newMetricsRegistry(svc *service.Service, st *store.Store, lim *quota.Limite
 		func(s service.Stats) int64 { return s.TopoCacheEvictions })
 	counter("anonnetd_dedup_coalesced_total", "Submissions attached to an identical in-flight job instead of enqueueing.",
 		func(s service.Stats) int64 { return s.DedupCoalesced })
-	counter("anonnetd_affinity_hits_total", "Jobs dispatched to a worker whose previous job shared the graph fingerprint.",
-		func(s service.Stats) int64 { return s.AffinityHits })
-	counter("anonnetd_affinity_misses_total", "Jobs dispatched to a worker with a different (or no) previous fingerprint.",
-		func(s service.Stats) int64 { return s.AffinityMisses })
 	gauge("anonnetd_topo_cache_bytes", "Resident bytes in the shared topology-snapshot cache.",
 		func(s service.Stats) float64 { return float64(s.TopoCacheBytes) })
 	gauge("anonnetd_topo_cache_entries", "Snapshots resident in the shared topology cache.",

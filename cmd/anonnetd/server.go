@@ -82,7 +82,7 @@ type muxOptions struct {
 //	GET    /v1/readyz           readiness (503 + Retry-After when shedding)
 //	GET    /healthz             liveness
 //	GET    /metrics             Prometheus text format — only with opt.metrics
-//	GET    /debug/vars          expvar (includes the anonnetd map)
+//	GET    /debug/vars          expvar (the runtime's memstats and cmdline)
 //	GET    /debug/pprof/…       runtime profiles — only with opt.pprof
 //
 // The historical unversioned paths (/jobs…, /stats) answer 301 to their

@@ -259,8 +259,8 @@ func TestEndToEndErrors(t *testing.T) {
 		if err != nil || resp.StatusCode != http.StatusOK {
 			t.Fatalf("debug/vars → %d (%v)", resp.StatusCode, err)
 		}
-		if _, ok := vars["anonnetd"]; !ok {
-			t.Fatalf("expvar map missing anonnetd key: %v", fmt.Sprint(vars)[:min(200, len(fmt.Sprint(vars)))])
+		if _, ok := vars["memstats"]; !ok {
+			t.Fatalf("expvar map missing memstats key: %v", fmt.Sprint(vars)[:min(200, len(fmt.Sprint(vars)))])
 		}
 	}
 }

@@ -1,137 +1,113 @@
 package main
 
 import (
+	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 
-	"anonnet/internal/core"
+	"anonnet/internal/job"
 	"anonnet/internal/model"
 )
 
-func TestParseKind(t *testing.T) {
-	cases := map[string]model.Kind{
-		"bc": model.SimpleBroadcast, "broadcast": model.SimpleBroadcast,
-		"od": model.OutdegreeAware, "OP": model.OutputPortAware,
-		"sym": model.Symmetric, "Symmetric": model.Symmetric,
-	}
-	for in, want := range cases {
-		got, err := parseKind(in)
-		if err != nil || got != want {
-			t.Errorf("parseKind(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := parseKind("bogus"); err == nil {
-		t.Error("parseKind accepted bogus")
-	}
-}
-
-func TestParseRow(t *testing.T) {
-	cases := map[string]core.Row{
-		"nohelp": core.RowNoHelp, "none": core.RowNoHelp,
-		"bound": core.RowBound, "size": core.RowSize, "n": core.RowSize,
-		"leader": core.RowLeader, "LEADERS": core.RowLeader,
-	}
-	for in, want := range cases {
-		got, err := parseRow(in)
-		if err != nil || got != want {
-			t.Errorf("parseRow(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := parseRow("x"); err == nil {
-		t.Error("parseRow accepted x")
+// TestEveryModelRuns drives every registered communication model through
+// the command: each must compute max on a small bidirectional ring, which
+// every model can, and print the true value at every agent.
+func TestEveryModelRuns(t *testing.T) {
+	for _, name := range model.Names() {
+		t.Run(name, func(t *testing.T) {
+			var out bytes.Buffer
+			if err := run([]string{"-graph", "bidiring:6", "-kind", name, "-func", "max", "-rounds", "20"}, &out); err != nil {
+				t.Fatalf("%v\n%s", err, out.String())
+			}
+			var want string
+			for _, line := range strings.Split(out.String(), "\n") {
+				if v, ok := strings.CutPrefix(line, "true value: "); ok {
+					want = "final outputs after 20 rounds: [" + strings.TrimSpace(strings.Repeat(v+" ", 6)) + "]"
+				}
+			}
+			if want == "" || !strings.Contains(out.String(), want+"\n") {
+				t.Fatalf("want %q in:\n%s", want, out.String())
+			}
+		})
 	}
 }
 
-func TestLookupFunc(t *testing.T) {
-	f, err := lookupFunc("average")
-	if err != nil || f.Name != "average" {
-		t.Fatalf("lookupFunc(average) = %v, %v", f.Name, err)
-	}
-	if _, err := lookupFunc("nonesuch"); err == nil || !strings.Contains(err.Error(), "catalog") {
-		t.Fatalf("lookupFunc error should list the catalog: %v", err)
-	}
-}
-
-func TestParseInputs(t *testing.T) {
-	in, err := parseInputs("1, 2.5,3", 3, false)
-	if err != nil || len(in) != 3 || in[1].Value != 2.5 {
-		t.Fatalf("parseInputs = %v, %v", in, err)
-	}
-	def, err := parseInputs("", 4, false)
-	if err != nil || len(def) != 4 || def[3].Value != 4 {
-		t.Fatalf("default inputs = %v, %v", def, err)
-	}
-	if _, err := parseInputs("1,2", 3, false); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if _, err := parseInputs("1,x,3", 3, false); err == nil {
-		t.Error("non-numeric value accepted")
-	}
-	// Binary models default to the alternating 0/1 pattern and reject
-	// out-of-alphabet values.
-	bin, err := parseInputs("", 4, true)
-	if err != nil || len(bin) != 4 || bin[0].Value != 0 || bin[1].Value != 1 {
-		t.Fatalf("binary default inputs = %v, %v", bin, err)
-	}
-	if _, err := parseInputs("1,0,1", 3, true); err != nil {
-		t.Errorf("binary values rejected: %v", err)
-	}
-	if _, err := parseInputs("1,2,0", 3, true); err == nil {
-		t.Error("non-binary value accepted under a binary-input model")
-	}
-}
-
-func TestParseKindOneBit(t *testing.T) {
-	for _, name := range []string{"onebit", "ONEBIT", "one-bit broadcast"} {
-		got, err := parseKind(name)
-		if err != nil || got != model.OneBitBroadcast {
-			t.Errorf("parseKind(%q) = %v, %v; want OneBitBroadcast", name, got, err)
-		}
-	}
-}
-
+// TestParseGraphSpecs covers every builder's -graph spelling, and bad
+// values that must fail either here or at job.Compile.
 func TestParseGraphSpecs(t *testing.T) {
-	statics := []string{"ring:5", "bidiring:4", "star:6", "path:3", "complete:4",
-		"hypercube:3", "debruijn:2.3", "torus:2.3", "random:5", "randomsym:5", "geometric:6"}
-	for _, spec := range statics {
-		s, static, err := parseGraph(spec, 1)
-		if err != nil {
-			t.Errorf("parseGraph(%q): %v", spec, err)
+	cases := []struct {
+		in     string
+		want   job.GraphSpec
+		n      int
+		static bool
+	}{
+		{"ring:5", job.GraphSpec{Builder: "ring", N: 5}, 5, true},
+		{"bidiring:4", job.GraphSpec{Builder: "bidiring", N: 4}, 4, true},
+		{"star:6", job.GraphSpec{Builder: "star", N: 6}, 6, true},
+		{"path:3", job.GraphSpec{Builder: "path", N: 3}, 3, true},
+		{"complete:4", job.GraphSpec{Builder: "complete", N: 4}, 4, true},
+		{"hypercube:3", job.GraphSpec{Builder: "hypercube", D: 3}, 8, true},
+		{"debruijn:2.3", job.GraphSpec{Builder: "debruijn", K: 2, D: 3}, 8, true},
+		{"torus:2.3", job.GraphSpec{Builder: "torus", Rows: 2, Cols: 3}, 6, true},
+		{"random:5", job.GraphSpec{Builder: "random", N: 5}, 5, true},
+		{"randomsym:5", job.GraphSpec{Builder: "randomsym", N: 5}, 5, true},
+		{"geometric:6", job.GraphSpec{Builder: "geometric", N: 6}, 6, true},
+		{"splitring:6", job.GraphSpec{Builder: "splitring", N: 6}, 6, false},
+		{"randomdyn:5", job.GraphSpec{Builder: "randomdyn", N: 5}, 5, false},
+		{"pairwise:7", job.GraphSpec{Builder: "pairwise", N: 7}, 7, false},
+	}
+	for _, tc := range cases {
+		g, err := parseGraph(tc.in)
+		if err != nil || g != tc.want {
+			t.Errorf("parseGraph(%q) = %+v, %v; want %+v", tc.in, g, err, tc.want)
 			continue
 		}
-		if !static {
-			t.Errorf("parseGraph(%q): expected static", spec)
+		c, err := job.Compile(job.Spec{Graph: g, Kind: "od", Function: "max"})
+		if err != nil {
+			t.Errorf("%s: %v", tc.in, err)
+			continue
 		}
-		if s.N() < 1 || !s.At(1).HasSelfLoops() {
-			t.Errorf("parseGraph(%q): bad schedule", spec)
-		}
-	}
-	dynamics := []string{"splitring:6", "randomdyn:5", "pairwise:7"}
-	for _, spec := range dynamics {
-		_, static, err := parseGraph(spec, 1)
-		if err != nil || static {
-			t.Errorf("parseGraph(%q): err=%v static=%t", spec, err, static)
+		if c.N != tc.n || c.Setting.Static != tc.static {
+			t.Errorf("%s: n=%d static=%t, want n=%d static=%t", tc.in, c.N, c.Setting.Static, tc.n, tc.static)
 		}
 	}
 	for _, bad := range []string{"nope:3", "ring:x", "ring:0", "torus:5", "debruijn:2"} {
-		if _, _, err := parseGraph(bad, 1); err == nil {
-			t.Errorf("parseGraph(%q) accepted", bad)
+		g, err := parseGraph(bad)
+		if err == nil {
+			_, err = job.Compile(job.Spec{Graph: g, Kind: "od", Function: "max"})
+		}
+		if err == nil {
+			t.Errorf("-graph %s accepted", bad)
 		}
 	}
 }
 
-func TestParseIntsAndLinear(t *testing.T) {
-	v, err := parseInts("0, 2,4")
-	if err != nil || len(v) != 3 || v[2] != 4 {
-		t.Fatalf("parseInts = %v, %v", v, err)
+// TestParseInputs covers the comma-separated -values and -leaders lists.
+func TestParseInputs(t *testing.T) {
+	if v, err := parseList("0, 2,4", strconv.Atoi); err != nil || len(v) != 3 || v[2] != 4 {
+		t.Fatalf("parseList = %v, %v", v, err)
 	}
-	if _, err := parseInts("a"); err == nil {
-		t.Error("parseInts accepted a")
+	if v, err := parseList("", strconv.Atoi); err != nil || v != nil {
+		t.Fatalf("empty list = %v, %v", v, err)
 	}
-	if got := linear(3); got[0] != 1 || got[2] != 3 {
-		t.Fatalf("linear = %v", got)
+	var out bytes.Buffer
+	for _, args := range [][]string{
+		{"-values", "1,x,3"},
+		{"-graph", "ring:3", "-values", "1,2"},
+		{"-leaders", "0,a"},
+	} {
+		if err := run(args, &out); err == nil {
+			t.Errorf("%v accepted", args)
+		}
 	}
-	if v, err := parseInts(""); err != nil || v != nil {
-		t.Fatalf("parseInts empty = %v, %v", v, err)
+	if out.Len() != 0 {
+		t.Errorf("rejected specs printed output:\n%s", out.String())
+	}
+	if err := run([]string{"-graph", "ring:3", "-values", "1, 2.5,3", "-rounds", "10"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "true value: 2.1666666666666665\n") {
+		t.Errorf("values 1, 2.5, 3 not used:\n%s", out.String())
 	}
 }

@@ -12,7 +12,7 @@
 //
 // Usage:
 //
-//	go run ./cmd/benchreport [-o BENCH_engine.json] [-benchtime 1s] [-scale] [-sweep]
+//	go run ./cmd/benchreport [-o BENCH_engine.json] [-benchtime 1s] [-scale]
 //
 // -scale appends the large-n sweep: seq, vec, and parvec at
 // n ∈ {10⁴, 10⁵, 10⁶} on ring, torus, and random strongly-connected
@@ -21,13 +21,6 @@
 // parvec_vs_vec column is only meaningful when gomaxprocs in the report
 // header is ≥ 2 (on one core the parallel kernel pays its barrier overhead
 // without any parallelism to show for it).
-//
-// -sweep appends the service sweep section: 64-job same-graph batches
-// through the anonnetd service layer at n ∈ {10⁴, 10⁵, 10⁶}, timed cold
-// (topology cache and dedup off), warm (one snapshot shared across a
-// 64-seed sweep), and deduped (64 identical specs, one execution). The
-// warm and dedup rows refuse to report more than one topology build —
-// the generator exits nonzero if the counter disagrees.
 //
 // The report also derives shard-vs-sequential, vec-vs-sequential,
 // parvec-vs-sequential, and parvec-vs-vec speedups per (topology, size); the
@@ -50,9 +43,7 @@ import (
 	"anonnet/internal/dynamic"
 	"anonnet/internal/engine"
 	"anonnet/internal/graph"
-	"anonnet/internal/job"
 	"anonnet/internal/model"
-	"anonnet/internal/service"
 	"anonnet/internal/topology"
 )
 
@@ -103,29 +94,6 @@ type speedup struct {
 	ParVecVsVec float64 `json:"parvec_vs_vec,omitempty"`
 }
 
-// sweepRow is one mode of the -sweep service benchmark: a 64-job
-// same-graph batch through the anonnetd service layer (DESIGN §5h).
-// "cold" disables the topology cache and dedup, "warm" shares one
-// snapshot across a 64-seed sweep, "dedup" submits 64 identical specs
-// that coalesce into one execution. TopoBuilds is counter-asserted by
-// the generator: warm and dedup rows refuse to report more than one.
-type sweepRow struct {
-	Mode     string `json:"mode"`
-	Topology string `json:"topology"`
-	N        int    `json:"n"`
-	Jobs     int    `json:"jobs"`
-	// MsTotal is the wall-clock for the whole batch, submit through the
-	// last terminal state.
-	MsTotal        float64 `json:"ms_total"`
-	JobsPerSec     float64 `json:"jobs_per_sec"`
-	TopoBuilds     int64   `json:"topo_builds"`
-	DedupCoalesced int64   `json:"dedup_coalesced,omitempty"`
-	// AffinityHitRate is AffinityHits/(AffinityHits+AffinityMisses) over
-	// the batch — how often a worker's consecutive jobs shared a snapshot.
-	AffinityHitRate float64 `json:"affinity_hit_rate,omitempty"`
-	SpeedupVsCold   float64 `json:"speedup_vs_cold,omitempty"`
-}
-
 type report struct {
 	Workload     string        `json:"workload"`
 	GoVersion    string        `json:"go_version"`
@@ -134,7 +102,6 @@ type report struct {
 	Benchtime    string        `json:"benchtime"`
 	Measurements []measurement `json:"measurements"`
 	Speedups     []speedup     `json:"speedups"`
-	Sweep        []sweepRow    `json:"sweep,omitempty"`
 }
 
 // topoStatser is the promoted topology.BuildStats accessor every runner
@@ -212,92 +179,10 @@ type engineCase struct {
 	mk   func(engine.Config) (engine.Runner, error)
 }
 
-// sweepJobs is the -sweep batch width: the 64-job same-graph sweep of the
-// ISSUE-9 acceptance row.
-const sweepJobs = 64
-
-// sweepMember mirrors the BenchmarkServiceSweep workload in bench_test.go:
-// broadcast gossip on a static ring, whose fingerprint is seed-independent,
-// so the whole sweep shares one topology snapshot and the measurement is
-// dominated by the submit path (graph build + validate + CSR), not rounds.
-func sweepMember(n int, seed int64) job.Spec {
-	return job.Spec{
-		Graph:     job.GraphSpec{Builder: "ring", N: n},
-		Kind:      "bc",
-		Function:  "max",
-		Seed:      seed,
-		MaxRounds: 2,
-		Patience:  2,
-	}
-}
-
-// runSweepMode submits one 64-job batch and times it end to end (submit
-// through the last terminal state). Direct wall-clock timing, not
-// testing.Benchmark: the acceptance row is a single large batch, and the
-// topology-build counter assertion needs exactly one batch to reason about.
-func runSweepMode(mode string, n int) (sweepRow, error) {
-	cfg := service.Config{QueueDepth: sweepJobs, CacheSize: -1, ProgressEvery: 1 << 30}
-	if mode == "cold" {
-		cfg.TopoCacheBytes = -1
-		cfg.NoDedup = true
-	}
-	svc := service.New(cfg)
-	defer svc.Close()
-
-	specs := make([]job.Spec, sweepJobs)
-	for j := range specs {
-		seed := int64(j)
-		if mode == "dedup" {
-			seed = 0
-		}
-		specs[j] = sweepMember(n, seed)
-	}
-	start := time.Now()
-	if _, err := svc.SubmitBatch(specs); err != nil {
-		return sweepRow{}, fmt.Errorf("sweep %s n=%d: %w", mode, n, err)
-	}
-	for {
-		st := svc.Stats()
-		if st.Failed > 0 {
-			return sweepRow{}, fmt.Errorf("sweep %s n=%d: %d jobs failed", mode, n, st.Failed)
-		}
-		if st.Completed+st.Canceled+st.CacheHits >= sweepJobs {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	elapsed := time.Since(start)
-
-	st := svc.Stats()
-	if mode != "cold" && st.TopoCacheMisses != 1 {
-		return sweepRow{}, fmt.Errorf("sweep %s n=%d: %d topology builds, want exactly 1", mode, n, st.TopoCacheMisses)
-	}
-	builds := st.TopoCacheMisses
-	if mode == "cold" {
-		builds = sweepJobs // cache disabled: every compile builds its own snapshot
-	}
-	hitRate := 0.0
-	if t := st.AffinityHits + st.AffinityMisses; t > 0 {
-		hitRate = math.Round(float64(st.AffinityHits)/float64(t)*1000) / 1000
-	}
-	return sweepRow{
-		Mode:            mode,
-		Topology:        "ring",
-		N:               n,
-		Jobs:            sweepJobs,
-		MsTotal:         math.Round(float64(elapsed.Microseconds())/100) / 10,
-		JobsPerSec:      math.Round(sweepJobs/elapsed.Seconds()*10) / 10,
-		TopoBuilds:      builds,
-		DedupCoalesced:  st.DedupCoalesced,
-		AffinityHitRate: hitRate,
-	}, nil
-}
-
 func main() {
 	out := flag.String("o", "BENCH_engine.json", "output path for the JSON report")
 	benchtime := flag.String("benchtime", "1s", "per-case benchtime (testing -benchtime syntax)")
 	scale := flag.Bool("scale", false, "append the large-n sweep (seq/vec/parvec at n=10⁴..10⁶ on ring/torus/random)")
-	sweep := flag.Bool("sweep", false, "append the service sweep section (64-job same-graph batches, cold/warm/dedup, n=10⁴..10⁶)")
 	testing.Init()
 	flag.Parse()
 	if err := flag.Set("test.benchtime", *benchtime); err != nil {
@@ -399,27 +284,6 @@ func main() {
 			}
 		}
 	}
-	if *sweep {
-		for _, n := range scaleSizes {
-			var coldMs float64
-			for _, mode := range []string{"cold", "warm", "dedup"} {
-				row, err := runSweepMode(mode, n)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "benchreport:", err)
-					os.Exit(1)
-				}
-				if mode == "cold" {
-					coldMs = row.MsTotal
-				} else if row.MsTotal > 0 {
-					row.SpeedupVsCold = math.Round(coldMs/row.MsTotal*100) / 100
-				}
-				rep.Sweep = append(rep.Sweep, row)
-				fmt.Fprintf(os.Stderr, "sweep %-5s n=%-8d %10.1f ms %8.1f jobs/s %3d builds  %5.2fx vs cold\n",
-					row.Mode, row.N, row.MsTotal, row.JobsPerSec, row.TopoBuilds, row.SpeedupVsCold)
-			}
-		}
-	}
-
 	buf, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchreport:", err)

@@ -66,8 +66,7 @@ type Compiled struct {
 	// Hash covering only the fields that determine the round graph and
 	// its CSR (builder + dims + seed-when-seeded + kind). Empty for
 	// dynamic builders and Dynamic-forced specs, which have no single
-	// graph to share. The service keys its topology cache and batch
-	// affinity grouping by it.
+	// graph to share. The service keys its topology cache by it.
 	Fingerprint string
 	// N is the number of agents.
 	N int

@@ -74,6 +74,17 @@ func TestHashInsensitiveToSpelling(t *testing.T) {
 	if ha != hb {
 		t.Fatalf("equivalent specs hash differently:\n%s\n%s", ha, hb)
 	}
+	// Every help-row alias hashes as the row it names.
+	for alias, row := range map[string]string{"None": "nohelp", "n": "size", "LEADERS": "leader"} {
+		x := Spec{Graph: GraphSpec{Builder: "ring", N: 4}, Kind: "od", Row: alias, Leaders: []int{0}, Function: "max"}
+		y := x
+		y.Row = row
+		hx, errx := x.Hash()
+		hy, erry := y.Hash()
+		if errx != nil || erry != nil || hx != hy {
+			t.Errorf("row %q and %q hash %s, %s (%v, %v)", alias, row, hx, hy, errx, erry)
+		}
+	}
 	// A semantic difference must change the hash.
 	c := a
 	c.Seed = 7

@@ -2,9 +2,8 @@
 // exposition format (version 0.0.4) with no external dependencies: a
 // registry of callback-backed counters and gauges plus fixed-bucket
 // histograms with atomic hot paths. anonnetd mounts the registry at
-// /metrics; the callbacks read service.Stats, the snapshot the service
-// also renders as its expvar map, so the two endpoints can never
-// disagree.
+// /metrics; the callbacks read service.Stats, the snapshot /v1/stats
+// also renders, so the two endpoints can never disagree.
 package metrics
 
 import (

@@ -330,24 +330,3 @@ func TestDedupCancelQueuedLeaderWithFollower(t *testing.T) {
 		t.Fatalf("execution ran %d times, want 1 (the blocker only)", got)
 	}
 }
-
-func TestDedupDisabled(t *testing.T) {
-	g := newGate()
-	s := New(Config{Workers: 2, Intercept: g.intercept, NoDedup: true})
-	defer s.Close()
-
-	a, _ := s.Submit(ringSpec(5))
-	b, _ := s.Submit(ringSpec(5))
-	if b.DedupOf != "" {
-		t.Fatalf("NoDedup submission attached to %s", b.DedupOf)
-	}
-	g.release(2)
-	waitTerminal(t, s, a.ID)
-	waitTerminal(t, s, b.ID)
-	if got := g.count(); got != 2 {
-		t.Fatalf("execution ran %d times with dedup off, want 2", got)
-	}
-	if st := s.Stats(); st.DedupCoalesced != 0 {
-		t.Fatalf("DedupCoalesced = %d with dedup off", st.DedupCoalesced)
-	}
-}

@@ -424,7 +424,7 @@ func (m *lifecycleModel) check(t *testing.T, k uint64, s *Service, st *store.Sto
 	got := s.Stats()
 	want := m.stats
 	want.Queued, want.Running, want.CacheEntries, want.Workers = got.Queued, got.Running, got.CacheEntries, got.Workers
-	got.RoundsSimulated, got.AffinityHits, got.AffinityMisses = 0, 0, 0
+	got.RoundsSimulated = 0
 	got.TopoCacheHits, got.TopoCacheMisses, got.TopoCacheCoalesced = 0, 0, 0
 	got.TopoCacheEvictions, got.TopoCacheBytes, got.TopoCacheEntries = 0, 0, 0
 	if got != want {

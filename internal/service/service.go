@@ -1,8 +1,8 @@
 // Package service is the heart of anonnetd: a bounded job queue feeding a
 // worker pool that executes validated job.Specs through the round engines,
 // with per-job deadlines and cancellation, an LRU result cache keyed by
-// the canonical spec hash, round-by-round progress subscriptions, and
-// counters published to expvar. The service is embeddable: cmd/anonnetd
+// the canonical spec hash, round-by-round progress subscriptions, and a
+// Stats snapshot of its counters. The service is embeddable: cmd/anonnetd
 // wraps it in an HTTP API, tests drive it directly.
 package service
 
@@ -10,11 +10,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -104,17 +102,11 @@ type Config struct {
 	// Injection point for the chaos layer's worker failpoints and tests.
 	Intercept func(ctx context.Context, jobID string, attempt int) error
 	// TopoCacheBytes bounds the shared topology-snapshot cache in bytes
-	// (0 selects topology.DefaultCacheBytes; negative disables cross-job
-	// snapshot sharing). Jobs whose specs share a graph fingerprint —
-	// same builder, dimensions, model kind, and seed when the builder is
-	// seeded — compile against one refcounted immutable snapshot instead
-	// of each building their own.
+	// (≤ 0 selects topology.DefaultCacheBytes). Jobs whose specs share a
+	// graph fingerprint — same builder, dimensions, model kind, and seed
+	// when the builder is seeded — compile against one refcounted
+	// immutable snapshot instead of each building their own.
 	TopoCacheBytes int64
-	// NoDedup disables single-flight spec deduplication. By default a
-	// spec submitted while an identical one (same canonical hash) is
-	// queued or running joins its execution: one engine run, shared
-	// result and terminal state, no duplicate queue slot.
-	NoDedup bool
 }
 
 func (c Config) withDefaults() Config {
@@ -197,8 +189,8 @@ type Progress struct {
 	outputsJSON []byte
 }
 
-// Stats is a snapshot of the service counters (rendered as the expvar
-// "anonnetd" map for /debug/vars).
+// Stats is a snapshot of the service counters (rendered by anonnetd's
+// /v1/stats and /metrics).
 type Stats struct {
 	Submitted       int64 `json:"submitted"`
 	Completed       int64 `json:"completed"`
@@ -226,7 +218,7 @@ type Stats struct {
 	Backfilled      int64 `json:"backfilled"`
 	Degraded        bool  `json:"degraded"`
 	// Sweep fast path: the shared topology-snapshot cache and the
-	// single-flight dedup and affinity layers above it.
+	// single-flight dedup layer above it.
 	TopoCacheHits      int64 `json:"topo_cache_hits"`
 	TopoCacheMisses    int64 `json:"topo_cache_misses"`
 	TopoCacheCoalesced int64 `json:"topo_cache_coalesced"`
@@ -234,8 +226,6 @@ type Stats struct {
 	TopoCacheBytes     int64 `json:"topo_cache_bytes"`
 	TopoCacheEntries   int   `json:"topo_cache_entries"`
 	DedupCoalesced     int64 `json:"dedup_coalesced"`
-	AffinityHits       int64 `json:"affinity_hits"`
-	AffinityMisses     int64 `json:"affinity_misses"`
 	Queued             int   `json:"queued"`
 	Running            int   `json:"running"`
 	CacheEntries       int   `json:"cache_entries"`
@@ -247,7 +237,7 @@ type Service struct {
 	cfg Config
 
 	// topo is the process-wide shared topology-snapshot cache handed to
-	// every compile; nil when Config.TopoCacheBytes is negative.
+	// every compile.
 	topo *topology.Cache
 
 	mu        sync.Mutex
@@ -289,39 +279,6 @@ type Service struct {
 	degradedDrop atomic.Int64
 	backfilled   atomic.Int64
 	workersAlive atomic.Int64
-
-	affinityHits   atomic.Int64
-	affinityMisses atomic.Int64
-}
-
-// The process-wide expvar "anonnetd" map renders the Stats of the most
-// recently started Service (anonnetd runs one). expvar registration is
-// global and must happen once.
-var (
-	expOnce    sync.Once
-	expService atomic.Pointer[Service]
-)
-
-func publishExpvars(s *Service) {
-	expService.Store(s)
-	expOnce.Do(func() {
-		expvar.Publish("anonnetd", expvar.Func(func() any {
-			st := expService.Load().Stats()
-			return map[string]int64{
-				"jobs_submitted":   st.Submitted,
-				"jobs_completed":   st.Completed,
-				"jobs_failed":      st.Failed,
-				"jobs_canceled":    st.Canceled,
-				"cache_hits":       st.CacheHits,
-				"rounds_simulated": st.RoundsSimulated,
-				"jobs_running":     int64(st.Running),
-				"panics_recovered": st.PanicsRecovered,
-				"retries":          st.Retries,
-				"jobs_recovered":   st.Recovered,
-				"jobs_interrupted": st.Interrupted,
-			}
-		}))
-	})
 }
 
 // New starts a Service with cfg's worker pool. Callers must Close it.
@@ -329,6 +286,7 @@ func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{
 		cfg:      cfg,
+		topo:     topology.NewCache(cfg.TopoCacheBytes),
 		jobs:     make(map[string]*entry),
 		batches:  make(map[string][]string),
 		cache:    newLRU(cfg.CacheSize),
@@ -337,9 +295,6 @@ func New(cfg Config) *Service {
 		reached:  make(map[State]int64),
 		queue:    make(chan *execution, cfg.QueueDepth),
 		dirty:    make(map[string]bool),
-	}
-	if cfg.TopoCacheBytes >= 0 {
-		s.topo = topology.NewCache(cfg.TopoCacheBytes)
 	}
 	if cfg.Store != nil {
 		// Continue the persisted ID sequence so recovered and new jobs
@@ -351,7 +306,6 @@ func New(cfg Config) *Service {
 		s.workersAlive.Add(1)
 		go s.worker()
 	}
-	publishExpvars(s)
 	return s
 }
 
@@ -408,9 +362,7 @@ func (s *Service) submitLocked(compiled *job.Compiled) (*entry, error) {
 	}
 	s.addLocked(e, x, causeSubmit)
 	x.id = e.id
-	if !s.cfg.NoDedup {
-		s.inflight[e.hash] = x
-	}
+	s.inflight[e.hash] = x
 	return e, nil
 }
 
@@ -643,11 +595,9 @@ type Batch struct {
 // SubmitBatch validates and enqueues a parameter sweep as one batch,
 // all-or-nothing: if any spec fails validation, or the queue lacks room
 // for every job that is not a cache hit or a duplicate of an in-flight
-// job, nothing is enqueued. Jobs sharing a graph fingerprint are enqueued
-// contiguously so workers run them back to back against a warm topology
-// snapshot; the client-visible member order (Batch.Jobs, GetBatch) stays
-// the submission order. The member jobs are ordinary jobs (Get/Cancel/Watch work on them
-// individually); GetBatch aggregates them.
+// job, nothing is enqueued. Members are registered — and get their job
+// IDs — in submission order. The member jobs are ordinary jobs
+// (Get/Cancel/Watch work on them individually); GetBatch aggregates them.
 func (s *Service) SubmitBatch(specs []job.Spec) (*Batch, error) {
 	if len(specs) == 0 {
 		return nil, ErrEmptyBatch
@@ -671,15 +621,6 @@ func (s *Service) SubmitBatch(specs []job.Spec) (*Batch, error) {
 		}
 		compiled[i] = c
 	}
-	// Affinity grouping: enqueue in fingerprint order (stable, so
-	// same-graph jobs keep their relative submission order).
-	enq := make([]int, len(compiled))
-	for i := range enq {
-		enq[i] = i
-	}
-	sort.SliceStable(enq, func(a, b int) bool {
-		return compiled[enq[a]].Fingerprint < compiled[enq[b]].Fingerprint
-	})
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -696,12 +637,10 @@ func (s *Service) SubmitBatch(specs []job.Spec) (*Batch, error) {
 		if _, ok := s.resultForHash(c.Hash); ok {
 			continue
 		}
-		if !s.cfg.NoDedup {
-			if _, infl := s.inflight[c.Hash]; infl || seen[c.Hash] {
-				continue
-			}
-			seen[c.Hash] = true
+		if _, infl := s.inflight[c.Hash]; infl || seen[c.Hash] {
+			continue
 		}
+		seen[c.Hash] = true
 		need++
 	}
 	if need > cap(s.queue)-len(s.queue) {
@@ -711,14 +650,12 @@ func (s *Service) SubmitBatch(specs []job.Spec) (*Batch, error) {
 	s.nextBatch++
 	bid := fmt.Sprintf("b%04d", s.nextBatch)
 	ids := make([]string, len(compiled))
-	for k, i := range enq {
-		e, err := s.submitLocked(compiled[i])
+	for i, c := range compiled {
+		e, err := s.submitLocked(c)
 		if err != nil {
 			// Unreachable given the pre-check; surface it rather than
 			// leaving a half-registered batch silently.
-			for _, j := range enq[k:] {
-				compiled[j].ReleaseTopo()
-			}
+			release(i)
 			return nil, fmt.Errorf("batch %s: %w", bid, err)
 		}
 		ids[i] = e.id
@@ -895,23 +832,15 @@ func (s *Service) Stats() Stats {
 	st.StoreErrors = s.storeErrs.Load()
 	st.Running = int(s.running.Load())
 	st.Workers = s.cfg.Workers
-	st.AffinityHits = s.affinityHits.Load()
-	st.AffinityMisses = s.affinityMisses.Load()
-	if s.topo != nil {
-		ts := s.topo.Stats()
-		st.TopoCacheHits = ts.Hits
-		st.TopoCacheMisses = ts.Misses
-		st.TopoCacheCoalesced = ts.InflightCoalesced
-		st.TopoCacheEvictions = ts.Evictions
-		st.TopoCacheBytes = ts.ResidentBytes
-		st.TopoCacheEntries = ts.Entries
-	}
+	ts := s.topo.Stats()
+	st.TopoCacheHits = ts.Hits
+	st.TopoCacheMisses = ts.Misses
+	st.TopoCacheCoalesced = ts.InflightCoalesced
+	st.TopoCacheEvictions = ts.Evictions
+	st.TopoCacheBytes = ts.ResidentBytes
+	st.TopoCacheEntries = ts.Entries
 	return st
 }
-
-// TopologyCache exposes the shared snapshot cache (nil when disabled) —
-// the benchmark harness and tests assert build counts through it.
-func (s *Service) TopologyCache() *topology.Cache { return s.topo }
 
 // Readiness is a point-in-time health verdict for load balancers and
 // probes: Ready means a Submit issued now would be accepted and a worker
@@ -1018,25 +947,11 @@ func (s *Service) Shutdown(ctx context.Context) error {
 }
 
 // worker is one pool goroutine: it pops executions until the queue
-// closes. It keeps the graph fingerprint of the execution it last ran: a
-// match means the next one compiles and runs against an already-resident
-// snapshot (SubmitBatch's fingerprint grouping exists to make that
-// common), and the hit/miss counters prove the grouping works.
+// closes.
 func (s *Service) worker() {
 	defer s.wg.Done()
 	defer s.workersAlive.Add(-1)
-	last := ""
 	for x := range s.queue {
-		if key := x.compiled.Fingerprint; key != "" {
-			if key == last {
-				s.affinityHits.Add(1)
-			} else {
-				s.affinityMisses.Add(1)
-			}
-			last = key
-		} else {
-			last = ""
-		}
 		s.runOne(x)
 	}
 }

@@ -2,14 +2,16 @@ package service
 
 // Service-level proof of the sweep fast path. A same-graph seed sweep
 // must cost exactly one topology build (counter-asserted), identical
-// specs must coalesce into one execution, results must be bit-identical
-// with the fast path on or off, durable dedup must persist the result
-// payload exactly once and recover followers as independent jobs, and
-// snapshots pinned by running jobs must survive eviction pressure.
+// specs must coalesce into one execution, every result must be
+// byte-identical to the one job.Compile and job.Run give without the
+// service, batch members get their IDs in submission order, durable
+// dedup must persist the result payload exactly once and recover
+// followers as independent jobs, and snapshots pinned by running jobs
+// must survive eviction pressure.
 
 import (
+	"bytes"
 	"context"
-	"fmt"
 	"testing"
 	"time"
 
@@ -35,8 +37,7 @@ func sweepSpec(n int, seed int64) job.Spec {
 
 // TestSweepSingleTopologyBuild is the headline acceptance check at test
 // scale: a same-graph batch sweep performs exactly one snapshot build,
-// every other member hits or coalesces on the shared cache, and the
-// worker observes near-perfect fingerprint affinity.
+// and every other member hits or coalesces on the shared cache.
 func TestSweepSingleTopologyBuild(t *testing.T) {
 	const members = 48
 	s := New(Config{Workers: 1, CacheSize: -1})
@@ -66,65 +67,70 @@ func TestSweepSingleTopologyBuild(t *testing.T) {
 	if st.DedupCoalesced != 0 {
 		t.Fatalf("distinct seeds coalesced: DedupCoalesced = %d", st.DedupCoalesced)
 	}
-	// One worker, fingerprint-grouped queue: every job after the first is
-	// an affinity hit.
-	if st.AffinityHits != members-1 || st.AffinityMisses != 1 {
-		t.Fatalf("affinity hits/misses = %d/%d, want %d/1", st.AffinityHits, st.AffinityMisses, members-1)
-	}
 	if st.Completed != members {
 		t.Fatalf("Completed = %d, want %d", st.Completed, members)
 	}
 }
 
-// TestSweepResultsIdenticalFastPathOnOff is the golden gate: the shared
-// snapshot, dedup, and affinity layers are pure plumbing — every member
-// of a mixed sweep (seed axis plus duplicates) must produce bit-identical
-// outputs with the whole fast path on and off.
-func TestSweepResultsIdenticalFastPathOnOff(t *testing.T) {
+// TestSweepResultsMatchJobRun is the golden gate: the shared snapshot,
+// dedup, and the result cache are pure plumbing — every member of a mixed
+// sweep (seed axis, duplicates, two graphs) must carry a result whose
+// encoding is byte-identical to the one job.Compile and job.Run give for
+// its spec, with no cache, no dedup and no service.
+func TestSweepResultsMatchJobRun(t *testing.T) {
 	specs := make([]job.Spec, 0, 24)
 	for seed := int64(0); seed < 8; seed++ {
 		sp := sweepSpec(48, seed)
-		specs = append(specs, sp, sp) // duplicate: dedup fodder on the fast path
+		specs = append(specs, sp, sp) // duplicate: dedup fodder
 		sp.Graph.N = 32               // second fingerprint in the mix
 		specs = append(specs, sp)
 	}
 
-	run := func(cfg Config) map[string]*job.Result {
-		s := New(cfg)
-		defer s.Close()
-		b, err := s.SubmitBatch(specs)
+	s := New(Config{Workers: 2})
+	defer s.Close()
+	b, err := s.SubmitBatch(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, j := range b.Jobs {
+		got := waitTerminal(t, s, j.ID)
+		if got.State != StateDone {
+			t.Fatalf("specs[%d] ended %q (err %q)", i, got.State, got.Error)
+		}
+		c, err := job.Compile(specs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := make(map[string]*job.Result)
-		for i, j := range b.Jobs {
-			got := waitTerminal(t, s, j.ID)
-			if got.State != StateDone {
-				t.Fatalf("specs[%d] ended %q (err %q)", i, got.State, got.Error)
-			}
-			out[fmt.Sprintf("%d/%s", i, j.Hash)] = got.Result
+		ref, err := job.Run(context.Background(), c, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return out
+		if g, w := job.AppendResult(nil, got.Result), job.AppendResult(nil, ref); !bytes.Equal(g, w) {
+			t.Fatalf("specs[%d] (%s):\nservice %s\njob.Run %s", i, j.ID, g, w)
+		}
 	}
+}
 
-	fast := run(Config{Workers: 2})
-	slow := run(Config{Workers: 2, NoDedup: true, TopoCacheBytes: -1, CacheSize: -1})
-	if len(fast) != len(slow) {
-		t.Fatalf("job sets differ: %d vs %d", len(fast), len(slow))
+// TestBatchIDsFollowSubmissionOrder: a batch mixing graphs gets its job
+// IDs in the order it lists its members.
+func TestBatchIDsFollowSubmissionOrder(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	var specs []job.Spec
+	for seed := int64(0); seed < 4; seed++ {
+		specs = append(specs, sweepSpec(48, seed), sweepSpec(32, seed))
 	}
-	for k, fr := range fast {
-		sr, ok := slow[k]
-		if !ok {
-			t.Fatalf("job %s missing from slow-path run", k)
+	b, err := s.SubmitBatch(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(b.Jobs); i++ {
+		if prev, id := b.Jobs[i-1].ID, b.Jobs[i].ID; id <= prev {
+			t.Fatalf("member %d has ID %s after %s", i, id, prev)
 		}
-		if fr.Rounds != sr.Rounds || fr.MaxErr != sr.MaxErr || len(fr.Outputs) != len(sr.Outputs) {
-			t.Fatalf("job %s diverges: fast %+v slow %+v", k, fr, sr)
-		}
-		for i := range fr.Outputs {
-			if fr.Outputs[i] != sr.Outputs[i] {
-				t.Fatalf("job %s output %d: fast %v slow %v", k, i, fr.Outputs[i], sr.Outputs[i])
-			}
-		}
+	}
+	for _, j := range b.Jobs {
+		waitTerminal(t, s, j.ID)
 	}
 }
 
