@@ -660,10 +660,11 @@ func sweepMember(n int, seed int64) job.Spec {
 // (DESIGN §5h), in the shapes of perfbench's workloads: "cold" gives every
 // member of every iteration a ring size of its own, so every member pays
 // its own graph+snapshot build (counter-asserted: 64 builds per
-// iteration); "warm" shares one snapshot across a 64-seed sweep
-// (counter-asserted: exactly one build); "dedup" submits 64 identical
-// specs that coalesce into a single execution. Sub-benchmark sizes cover
-// n=10⁴–10⁶; CI smoke runs n=10⁴.
+// iteration); "warm" shares one snapshot across a 64-seed sweep and
+// "dedup" submits 64 identical specs that coalesce into a single
+// execution, both on one ring that every iteration reuses
+// (counter-asserted: exactly one build in total). Sub-benchmark sizes
+// cover n=10⁴–10⁶; CI smoke runs n=10⁴.
 func BenchmarkServiceSweep(b *testing.B) {
 	const members = 64
 	await := func(b *testing.B, svc *service.Service, want int64) {
@@ -678,7 +679,7 @@ func BenchmarkServiceSweep(b *testing.B) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	run := func(b *testing.B, cfg service.Config, specFor func(iter int, j int) job.Spec, wantBuilds int64) {
+	run := func(b *testing.B, cfg service.Config, specFor func(iter int, j int) job.Spec, wantBuilds func(iters int) int64) {
 		b.ReportAllocs()
 		cfg.QueueDepth = members * (b.N + 1)
 		cfg.CacheSize = -1
@@ -697,8 +698,8 @@ func BenchmarkServiceSweep(b *testing.B) {
 			await(b, svc, int64(members*(i+1)))
 		}
 		b.StopTimer()
-		if st := svc.Stats(); wantBuilds > 0 && st.TopoCacheMisses != wantBuilds*int64(b.N) {
-			b.Fatalf("sweep built %d snapshots over %d iterations, want %d per iteration", st.TopoCacheMisses, b.N, wantBuilds)
+		if st, want := svc.Stats(), wantBuilds(b.N); st.TopoCacheMisses != want {
+			b.Fatalf("sweep built %d snapshots over %d iterations, want %d", st.TopoCacheMisses, b.N, want)
 		}
 		b.ReportMetric(float64(members*b.N)/b.Elapsed().Seconds(), "jobs/s")
 	}
@@ -708,14 +709,16 @@ func BenchmarkServiceSweep(b *testing.B) {
 		seedSweep := func(i, j int) job.Spec { return sweepMember(n, int64(i*members+j)) }
 		identical := func(i, j int) job.Spec { return sweepMember(n, int64(i)) }
 		sizeSweep := func(i, j int) job.Spec { return sweepMember(n+i*members+j, 0) }
+		perMember := func(iters int) int64 { return int64(members * iters) }
+		once := func(int) int64 { return 1 }
 		b.Run(fmt.Sprintf("cold/n=%d", n), func(b *testing.B) {
-			run(b, service.Config{}, sizeSweep, members)
+			run(b, service.Config{}, sizeSweep, perMember)
 		})
 		b.Run(fmt.Sprintf("warm/n=%d", n), func(b *testing.B) {
-			run(b, service.Config{}, seedSweep, 1)
+			run(b, service.Config{}, seedSweep, once)
 		})
 		b.Run(fmt.Sprintf("dedup/n=%d", n), func(b *testing.B) {
-			run(b, service.Config{}, identical, 1)
+			run(b, service.Config{}, identical, once)
 		})
 	}
 }

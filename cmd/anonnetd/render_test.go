@@ -127,7 +127,11 @@ func TestResponsesMatchEncodingJSON(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			switch j.Spec.Seed {
+			spec, err := job.Decode(j.Spec)
+			if err != nil {
+				return err
+			}
+			switch spec.Seed {
 			case 2:
 				return errors.New(renderFailure)
 			case 6:

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"anonnet/internal/job"
 	"anonnet/internal/service"
 )
 
@@ -489,8 +490,8 @@ func TestEndToEndVecEngine(t *testing.T) {
 		t.Fatalf("seq job finished %q: %+v", seq.State, seq.Error)
 	}
 	// The canonical spec the service echoes back keeps the engine field.
-	if vec.Spec.Engine != "vec" {
-		t.Fatalf("canonical spec engine = %q, want \"vec\"", vec.Spec.Engine)
+	if spec, err := job.Decode(vec.Spec); err != nil || spec.Engine != "vec" {
+		t.Fatalf("canonical spec engine = %q (%v), want \"vec\"", spec.Engine, err)
 	}
 	if vec.Result.Rounds != seq.Result.Rounds {
 		t.Fatalf("rounds: vec %d, seq %d", vec.Result.Rounds, seq.Result.Rounds)

@@ -1,7 +1,8 @@
 // Command anonsim runs one algorithm on one anonymous network and prints
 // the output trace — the interactive front end to the library. Its flags
-// spell a job.Spec, which runs through job.Compile and job.Run exactly as
-// an anonnetd job does, so a spec traces the same here as in the service.
+// spell a job.Spec, which is compiled, built and run through package job
+// exactly as an anonnetd job is, so a spec traces the same here as in the
+// service.
 //
 // Usage examples:
 //
@@ -37,8 +38,8 @@ func main() {
 	}
 }
 
-// run parses args into a job spec, compiles and runs it, and writes the
-// header, the sampled rounds and the final summary to out.
+// run parses args into a job spec, compiles, builds and runs it, and
+// writes the header, the sampled rounds and the final summary to out.
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("anonsim", flag.ContinueOnError)
 	var (
@@ -110,8 +111,13 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	b, err := c.Build(nil)
+	if err != nil {
+		return err
+	}
+	defer b.Release()
 	if *dot {
-		fmt.Fprint(out, c.Schedule.At(1).DOT(*graphFlag, nil))
+		fmt.Fprint(out, b.Schedule.At(1).DOT(*graphFlag, nil))
 		return nil
 	}
 
@@ -125,12 +131,12 @@ func run(args []string, out io.Writer) error {
 		plan, _ := json.Marshal(c.Spec.Faults)
 		fmt.Fprintf(out, "faults:  %s\n", plan)
 	}
-	fmt.Fprintf(out, "true value: %v\n\n", c.Expected)
+	fmt.Fprintf(out, "true value: %v\n\n", b.Expected)
 
 	// The outputs before round 1 are the fresh agents' outputs; a round
 	// whose outputs print differently from the round before is a change.
 	initial := make([]model.Value, c.N)
-	for i, in := range c.Inputs {
+	for i, in := range b.Inputs {
 		initial[i] = c.Factory(in).Output()
 	}
 	prev, lastChange := fmt.Sprint(initial), 0
@@ -142,7 +148,7 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintf(out, "round %4d: %v\n", round, outs)
 		}
 	}
-	res, err := job.Run(context.Background(), c, obs)
+	res, err := job.RunCheckpointed(context.Background(), b, obs, job.CheckpointConfig{})
 	if err != nil {
 		return err
 	}

@@ -54,9 +54,10 @@ type Config struct {
 	// round graphs — churn rewrites, pre-start filtered graphs, dynamic
 	// schedules — build normally, so the pair is always safe to set. The
 	// snapshot must have been built from SharedGraph under Kind
-	// (topology.BuildSnapshot; job.CompileWithCache wires this), and the
-	// caller must keep it pinned for the runner's lifetime — the runner
-	// borrows it and never recycles or frees it.
+	// (topology.BuildSnapshot; a job built from a topology cache wires
+	// this, see job.Compiled.Build), and the caller must keep it pinned
+	// for the runner's lifetime — the runner borrows it and never recycles
+	// or frees it.
 	SharedSnapshot *topology.Snapshot
 	// SharedGraph identifies the graph SharedSnapshot flattens.
 	SharedGraph *graph.Graph

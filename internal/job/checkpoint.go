@@ -26,16 +26,16 @@ type CheckpointConfig struct {
 	Flush <-chan struct{}
 }
 
-// RunCheckpointed executes a compiled job like Run, checkpointing the
+// RunCheckpointed executes a built job like Run, checkpointing the
 // engine every cfg.Every rounds through cfg.Save and resuming from
 // cfg.Resume when set. Jobs whose algorithm does not implement
 // model.Checkpointable run exactly as under Run: no snapshots, and a
 // Flush signal is ignored (the job simply runs to completion during the
 // drain). An interrupted run surfaces an error wrapping
 // engine.ErrInterrupted after its final checkpoint reached cfg.Save.
-func RunCheckpointed(ctx context.Context, c *Compiled, obs engine.Observer, ck CheckpointConfig) (*Result, error) {
-	cfg, name := c.engineConfig()
-	r, err := engine.NewRunner(cfg, name, c.Spec.Shards)
+func RunCheckpointed(ctx context.Context, b *Built, obs engine.Observer, ck CheckpointConfig) (*Result, error) {
+	cfg, name := b.engineConfig()
+	r, err := engine.NewRunner(cfg, name, b.Spec.Shards)
 	if err != nil {
 		return nil, err
 	}
@@ -62,23 +62,23 @@ func RunCheckpointed(ctx context.Context, c *Compiled, obs engine.Observer, ck C
 		}
 	} else if ck.Resume != nil {
 		return nil, fmt.Errorf("job: %w: spec %s has a resume checkpoint but its algorithm cannot restore one",
-			engine.ErrNotCheckpointable, c.Hash)
+			engine.ErrNotCheckpointable, b.Hash)
 	}
-	res, err := engine.RunUntilStableCheckpointedCtx(ctx, r, model.Discrete, c.Spec.Patience, c.Spec.MaxRounds, obs, pol)
+	res, err := engine.RunUntilStableCheckpointedCtx(ctx, r, model.Discrete, b.Spec.Patience, b.Spec.MaxRounds, obs, pol)
 	if err != nil {
 		return nil, err
 	}
-	outputs, maxErr := Numeric(res.Outputs, c.Expected)
+	outputs, maxErr := Numeric(res.Outputs, b.Expected)
 	out := &Result{
 		Outputs:      outputs,
 		Stable:       res.Stable,
 		StabilizedAt: res.StabilizedAt,
 		Rounds:       res.Rounds,
-		Expected:     F64(c.Expected),
+		Expected:     F64(b.Expected),
 		MaxErr:       F64(maxErr),
 		Messages:     r.Stats().MessagesDelivered,
 	}
-	if c.Injector != nil {
+	if b.Injector != nil {
 		fs := r.Stats().Faults
 		out.Faults = &FaultCounts{Dropped: fs.Dropped, Duplicated: fs.Duplicated, Delayed: fs.Delayed}
 	}

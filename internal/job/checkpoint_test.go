@@ -36,6 +36,16 @@ func ckptSpec(eng string, withFaults bool) Spec {
 	return s
 }
 
+// build builds c without a cache, as Run does.
+func build(t testing.TB, c *Compiled) *Built {
+	t.Helper()
+	b, err := c.Build(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // traceRecorder accumulates the round-by-round trace lines an observer
 // sees, in the golden-test format.
 type traceRecorder struct{ lines []string }
@@ -90,7 +100,7 @@ func TestRunCheckpointedResumeMatchesUninterrupted(t *testing.T) {
 				var blob []byte
 				var blobRound int
 				pre := &traceRecorder{}
-				_, err = RunCheckpointed(context.Background(), compile(), func(round int, outs []model.Value) {
+				_, err = RunCheckpointed(context.Background(), build(t, compile()), func(round int, outs []model.Value) {
 					pre.obs(round, outs)
 					if round == k {
 						flush <- struct{}{}
@@ -111,7 +121,7 @@ func TestRunCheckpointedResumeMatchesUninterrupted(t *testing.T) {
 
 				// The resumed run completes the job from the blob.
 				post := &traceRecorder{}
-				got, err := RunCheckpointed(context.Background(), compile(), post.obs, CheckpointConfig{Resume: blob})
+				got, err := RunCheckpointed(context.Background(), build(t, compile()), post.obs, CheckpointConfig{Resume: blob})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -141,7 +151,7 @@ func concurrentBlob(t *testing.T, spec Spec, k int) ([]byte, []string) {
 	flush := make(chan struct{}, 1)
 	var blob []byte
 	pre := &traceRecorder{}
-	_, err = RunCheckpointed(context.Background(), c, func(round int, outs []model.Value) {
+	_, err = RunCheckpointed(context.Background(), build(t, c), func(round int, outs []model.Value) {
 		pre.obs(round, outs)
 		if round == k {
 			flush <- struct{}{}
@@ -191,7 +201,7 @@ func TestRunCheckpointedResumesConcurrentCheckpoint(t *testing.T) {
 			}
 			blob, pre := concurrentBlob(t, spec, k)
 			post := &traceRecorder{}
-			got, err := RunCheckpointed(context.Background(), compile(), post.obs, CheckpointConfig{Resume: blob})
+			got, err := RunCheckpointed(context.Background(), build(t, compile()), post.obs, CheckpointConfig{Resume: blob})
 			if err != nil {
 				t.Fatalf("resume from a concurrent checkpoint: %v", err)
 			}
@@ -233,7 +243,7 @@ func TestRunCheckpointedPlainWhenNotCheckpointable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunCheckpointed(context.Background(), c2, nil, CheckpointConfig{
+	got, err := RunCheckpointed(context.Background(), build(t, c2), nil, CheckpointConfig{
 		Every: 1,
 		Flush: flush,
 		Save:  func(int, []byte) error { saves++; return nil },
@@ -253,7 +263,7 @@ func TestRunCheckpointedPlainWhenNotCheckpointable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunCheckpointed(context.Background(), c3, nil, CheckpointConfig{Resume: []byte("blob")}); !errors.Is(err, engine.ErrNotCheckpointable) {
+	if _, err := RunCheckpointed(context.Background(), build(t, c3), nil, CheckpointConfig{Resume: []byte("blob")}); !errors.Is(err, engine.ErrNotCheckpointable) {
 		t.Errorf("resume of non-checkpointable job = %v, want ErrNotCheckpointable", err)
 	}
 }

@@ -135,8 +135,8 @@ func TestFaultRunDeterministicAcrossEngines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c.Injector == nil {
-			t.Fatal("compiled faulted job has no injector")
+		if build(t, c).Injector == nil {
+			t.Fatal("built faulted job has no injector")
 		}
 		res, err := Run(context.Background(), c, nil)
 		if err != nil {
@@ -156,19 +156,30 @@ func TestFaultRunDeterministicAcrossEngines(t *testing.T) {
 	}
 }
 
-// TestFaultRunChurnGuards: reject fails compilation eagerly when churn
-// disconnects the network; repair compiles and keeps running.
+// TestFaultRunChurnGuards: a churn plan whose first window disconnects
+// the network compiles, and reject fails its build — and so its run —
+// eagerly; repair compiles and keeps running.
 func TestFaultRunChurnGuards(t *testing.T) {
 	s := ringAverageSpec()
 	s.SchemaVersion = 3
 	s.MaxRounds = 40
 	s.Faults = &faults.Plan{Churn: &faults.ChurnPlan{Drop: 1, Guard: faults.GuardReject}}
-	_, err := Compile(s)
-	if err == nil {
-		t.Fatal("reject guard accepted a plan removing every link of a ring")
+	rejected, err := Compile(s)
+	if err != nil {
+		t.Fatalf("compile checked the graph: %v", err)
 	}
-	if verr, ok := err.(*Error); !ok || verr.Field != "faults.churn" || !strings.Contains(verr.Reason, "disconnects") {
-		t.Fatalf("unexpected error %v", err)
+	_, buildErr := rejected.Build(nil)
+	_, runErr := Run(context.Background(), rejected, nil)
+	for _, err := range []error{buildErr, runErr} {
+		if err == nil {
+			t.Fatal("reject guard accepted a plan removing every link of a ring")
+		}
+		if verr, ok := err.(*Error); !ok || verr.Field != "faults.churn" || !strings.Contains(verr.Reason, "disconnects") {
+			t.Fatalf("unexpected error %v", err)
+		}
+	}
+	if buildErr.Error() != runErr.Error() {
+		t.Fatalf("build error %q, run error %q", buildErr, runErr)
 	}
 
 	s.Faults.Churn.Guard = faults.GuardRepair
@@ -190,8 +201,8 @@ func TestFaultResultJSONOmitsAbsent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Injector != nil {
-		t.Fatal("fault-free job compiled an injector")
+	if build(t, c).Injector != nil {
+		t.Fatal("fault-free job built an injector")
 	}
 	res, err := Run(context.Background(), c, nil)
 	if err != nil {

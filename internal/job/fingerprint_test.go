@@ -1,11 +1,11 @@
 package job
 
-// Graph-fingerprint semantics and the cache-aware compile path: the
+// Graph-fingerprint semantics and the cache-aware build path: the
 // fingerprint must be exactly as coarse as snapshot sharing is safe —
 // seed-insensitive for deterministic builders, seed-sensitive for seeded
-// ones, kind-sensitive always, absent for dynamic schedules — and
-// CompileWithCache must build one snapshot per fingerprint whatever the
-// compile concurrency, with results identical to the uncached path.
+// ones, kind-sensitive always, absent for dynamic schedules — and Build
+// must build one snapshot per fingerprint whatever the build concurrency,
+// with results identical to the uncached path.
 
 import (
 	"context"
@@ -76,28 +76,29 @@ func TestGraphFingerprintSemantics(t *testing.T) {
 	}
 }
 
-// TestCompileWithCacheSingleBuild: K racing compiles of seed-distinct
-// specs over the same graph fingerprint acquire exactly one snapshot
-// build, and each compiled job runs to the same result as an uncached
-// compile (race-checked in CI).
-func TestCompileWithCacheSingleBuild(t *testing.T) {
+// TestBuildSingleBuild: K racing builds of seed-distinct specs over the
+// same graph fingerprint acquire exactly one snapshot build, and each
+// built job runs to the same result as an uncached one (race-checked in
+// CI).
+func TestBuildSingleBuild(t *testing.T) {
 	const k = 16
 	cache := topology.NewCache(0)
 	var wg sync.WaitGroup
 	var failures atomic.Int64
-	compiled := make([]*Compiled, k)
+	built := make([]*Built, k)
 	for i := 0; i < k; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			s := Spec{Graph: GraphSpec{Builder: "torus", Rows: 6, Cols: 8}, Kind: "od", Function: "average", Seed: int64(i), MaxRounds: 5}
-			c, err := CompileWithCache(s, cache)
+			c, err := Compile(s)
+			if err == nil {
+				built[i], err = c.Build(cache)
+			}
 			if err != nil {
 				t.Error(err)
 				failures.Add(1)
-				return
 			}
-			compiled[i] = c
 		}(i)
 	}
 	wg.Wait()
@@ -106,19 +107,19 @@ func TestCompileWithCacheSingleBuild(t *testing.T) {
 	}
 	st := cache.Stats()
 	if st.Misses != 1 {
-		t.Fatalf("%d concurrent compiles performed %d snapshot builds, want 1", k, st.Misses)
+		t.Fatalf("%d concurrent builds performed %d snapshot builds, want 1", k, st.Misses)
 	}
 	if st.Pinned != 1 {
 		t.Fatalf("pinned entries = %d, want 1 shared", st.Pinned)
 	}
 
-	// Cached and uncached compiles of the same spec agree bit-for-bit.
-	for i, c := range compiled {
-		plain, err := Compile(c.Spec)
+	// Cached and uncached builds of the same spec agree bit-for-bit.
+	for i, b := range built {
+		plain, err := Compile(b.Spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Run(context.Background(), c, nil)
+		got, err := RunCheckpointed(context.Background(), b, nil, CheckpointConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,29 +139,32 @@ func TestCompileWithCacheSingleBuild(t *testing.T) {
 			t.Fatalf("seed %d: cached run (rounds=%d err=%v) != plain (rounds=%d err=%v)",
 				i, got.Rounds, got.MaxErr, want.Rounds, want.MaxErr)
 		}
-		c.ReleaseTopo()
-		c.ReleaseTopo() // idempotent
+		b.Release()
 	}
 	if st := cache.Stats(); st.Pinned != 0 {
 		t.Fatalf("after releases, pinned = %d, want 0", st.Pinned)
 	}
 }
 
-// TestCompileWithCacheValidationFallback: a spec whose graph fails §2.1
-// validation at snapshot build time (directed ring under the symmetric
-// model) must still compile — and fail at run time — exactly as without a
-// cache. Compile's error surface is API.
-func TestCompileWithCacheValidationFallback(t *testing.T) {
+// TestBuildValidationFallback: a spec whose graph fails §2.1 validation at
+// snapshot build time (directed ring under the symmetric model) must
+// still build — and fail at run time — exactly as without a cache.
+func TestBuildValidationFallback(t *testing.T) {
 	cache := topology.NewCache(0)
 	s := Spec{Graph: GraphSpec{Builder: "ring", N: 8}, Kind: "sym", Function: "max", MaxRounds: 3}
-	c, err := CompileWithCache(s, cache)
+	c, err := Compile(s)
 	if err != nil {
-		t.Fatalf("cache-aware compile rejected what Compile accepts: %v", err)
+		t.Fatal(err)
 	}
-	if c.TopoEntry() != nil {
+	b, err := c.Build(cache)
+	if err != nil {
+		t.Fatalf("cache-aware build rejected what an uncached build accepts: %v", err)
+	}
+	defer b.Release()
+	if st := cache.Stats(); st.Entries != 0 {
 		t.Fatal("invalid-under-kind graph was cached")
 	}
-	if _, err := Run(context.Background(), c, nil); err == nil {
+	if _, err := RunCheckpointed(context.Background(), b, nil, CheckpointConfig{}); err == nil {
 		t.Fatal("directed ring under kind=sym ran; want the round-1 symmetry error")
 	}
 	if st := cache.Stats(); st.Entries != 0 {

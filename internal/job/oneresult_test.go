@@ -115,13 +115,13 @@ func runResult(t *testing.T, s Spec, stopAt int) (res *Result, resumed bool) {
 	}
 	flush := make(chan struct{}, 1)
 	var blob []byte
-	res, err := RunCheckpointed(ctx, compile(), func(round int, _ []model.Value) {
+	res, err := RunCheckpointed(ctx, build(t, compile()), func(round int, _ []model.Value) {
 		if round == stopAt {
 			flush <- struct{}{}
 		}
 	}, CheckpointConfig{Flush: flush, Save: func(_ int, b []byte) error { blob = b; return nil }})
 	if resumed = errors.Is(err, engine.ErrInterrupted); resumed {
-		res, err = RunCheckpointed(ctx, compile(), nil, CheckpointConfig{Resume: blob})
+		res, err = RunCheckpointed(ctx, build(t, compile()), nil, CheckpointConfig{Resume: blob})
 	}
 	if err != nil {
 		t.Fatal(err)

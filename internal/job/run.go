@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sync"
 
 	"anonnet/internal/core"
 	"anonnet/internal/dynamic"
@@ -50,9 +49,10 @@ func (f *F64) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// Compiled is a validated, executable job: the canonical spec plus every
-// artifact needed to run it — the schedule, the table setting, the
-// dispatched factory, and the marked inputs.
+// Compiled is an admitted job: the canonical spec, its hash and encoding,
+// the table setting, and the dispatched factory. Of size n it holds only
+// the spec and its encoding; Build makes the network and inputs a run
+// needs.
 type Compiled struct {
 	// Spec is the canonical form; Hash its content hash.
 	Spec Spec
@@ -76,50 +76,13 @@ type Compiled struct {
 	Func funcs.Func
 	// Factory is the algorithm realizing the cell, from core.NewFactory.
 	Factory model.Factory
-	// Schedule is the built network, churn-wrapped when the spec asks.
-	Schedule dynamic.Schedule
-	// Injector is the compiled fault injector; nil when the spec has no
-	// faults block (the engines then follow the fault-free paths exactly).
-	Injector *faults.Injector
-	// Inputs are the private inputs with leaders marked.
-	Inputs []model.Input
-	// Expected is f applied to the inputs — the ground truth the harness
-	// measures errors against.
-	Expected float64
-
-	// topo pins the shared topology-cache entry this job compiled
-	// against; nil for uncached compiles. Released exactly once through
-	// ReleaseTopo when the job reaches a terminal state.
-	topo     *topology.Entry
-	topoOnce sync.Once
 }
 
-// TopoEntry exposes the pinned topology-cache entry ({graph, snapshot}),
-// or nil for uncached compiles. Borrowers must not outlive ReleaseTopo.
-func (c *Compiled) TopoEntry() *topology.Entry { return c.topo }
-
-// ReleaseTopo unpins the job's shared topology-cache entry. Idempotent
-// and nil-safe; whoever owns the job's lifecycle (the service, a bench
-// harness) calls it when the job can no longer run.
-func (c *Compiled) ReleaseTopo() {
-	if c.topo != nil {
-		c.topoOnce.Do(c.topo.Release)
-	}
-}
-
-// Compile validates the spec, builds the network, dispatches the function
-// to the algorithm realizing the setting's cell, and returns the
-// executable job. Validation failures are *Error; a table-forbidden
+// Compile validates the spec, encodes and hashes its canonical form, and
+// dispatches the function to the algorithm realizing the setting's cell.
+// It builds nothing. Validation failures are *Error; a table-forbidden
 // (function, setting) pair surfaces core.NewFactory's explanatory error.
-func Compile(s Spec) (*Compiled, error) { return CompileWithCache(s, nil) }
-
-// CompileWithCache is Compile with a process-wide topology cache: when
-// the spec names a static graph, the built network and its validated CSR
-// snapshot are acquired from (or built once into) cache under the spec's
-// graph fingerprint instead of being rebuilt per job — the sweep fast
-// path. The returned job holds a pinned cache entry; callers must arrange
-// ReleaseTopo when it turns terminal. A nil cache compiles standalone.
-func CompileWithCache(s Spec, cache *topology.Cache) (*Compiled, error) {
+func Compile(s Spec) (*Compiled, error) {
 	c, err := s.Canonical()
 	if err != nil {
 		return nil, err
@@ -157,80 +120,101 @@ func CompileWithCache(s Spec, cache *topology.Cache) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	inputs := make([]model.Input, n)
-	for i, v := range c.Values {
-		inputs[i] = model.Input{Value: v}
+	return &Compiled{
+		Spec:        c,
+		Hash:        hash,
+		SpecJSON:    specJSON,
+		Fingerprint: graphFingerprint(c, info),
+		N:           n,
+		Setting:     setting,
+		Func:        f,
+		Factory:     factory,
+	}, nil
+}
+
+// Built is a compiled job with everything one run of it needs: the
+// network, the fault injector, and the marked inputs.
+type Built struct {
+	*Compiled
+	// Schedule is the built network, churn-wrapped when the spec asks.
+	Schedule dynamic.Schedule
+	// Injector is the compiled fault injector; nil when the spec has no
+	// faults block (the engines then follow the fault-free paths exactly).
+	Injector *faults.Injector
+	// Inputs are the private inputs with leaders marked.
+	Inputs []model.Input
+	// Expected is f applied to the inputs — the ground truth the harness
+	// measures errors against.
+	Expected float64
+
+	// topo is the topology-cache entry the network was taken from; nil
+	// when the build used no cache or built its network privately.
+	topo *topology.Entry
+}
+
+// Build makes the job's network, inputs, fault injector and Expected.
+// With a cache and a static graph, the network and its validated CSR
+// snapshot are taken from (or built once into) cache under the spec's
+// graph fingerprint, and the entry stays pinned until Release — the run
+// that built the job calls it once, when it returns. A nil cache builds
+// privately. A churn plan whose reject guard fires on the first window
+// fails here with a *Error on faults.churn.
+func (c *Compiled) Build(cache *topology.Cache) (*Built, error) {
+	s := c.Spec
+	info := builders[s.Graph.Builder]
+	b := &Built{Compiled: c, Inputs: make([]model.Input, c.N), Expected: c.Func.FromVector(s.Values)}
+	for i, v := range s.Values {
+		b.Inputs[i] = model.Input{Value: v}
 	}
-	for _, l := range c.Leaders {
-		inputs[l].Leader = true
+	for _, l := range s.Leaders {
+		b.Inputs[l].Leader = true
 	}
-	fingerprint := graphFingerprint(c, info)
-	var schedule dynamic.Schedule
-	var topoEntry *topology.Entry
-	if cache != nil && fingerprint != "" {
-		entry, aerr := cache.Acquire(fingerprint, func() (*graph.Graph, *topology.Snapshot, error) {
-			st, ok := info.build(c.Graph, n, c.Seed).(*dynamic.Static)
+	if cache != nil && c.Fingerprint != "" {
+		entry, err := cache.Acquire(c.Fingerprint, func() (*graph.Graph, *topology.Snapshot, error) {
+			st, ok := info.build(s.Graph, c.N, s.Seed).(*dynamic.Static)
 			if !ok {
-				return nil, nil, fmt.Errorf("job: static builder %q produced a %T schedule", c.Graph.Builder, st)
+				return nil, nil, fmt.Errorf("job: static builder %q produced a %T schedule", s.Graph.Builder, st)
 			}
 			g := st.Graph()
-			snap, err := topology.BuildSnapshot(g, kind)
+			snap, err := topology.BuildSnapshot(g, c.Setting.Kind)
 			if err != nil {
 				return nil, nil, err
 			}
 			return g, snap, nil
 		})
-		if aerr == nil {
-			topoEntry = entry
+		if err == nil {
+			b.topo = entry
 			// The cached graph already carries its self-loops, so NewStatic
 			// returns a schedule over the exact shared pointer — which is
 			// what lets the engine's provider serve the shared snapshot by
 			// pointer identity.
-			schedule = dynamic.NewStatic(entry.Graph)
+			b.Schedule = dynamic.NewStatic(entry.Graph)
 		}
-		// On Acquire error, fall through to the uncached path: a graph the
+		// On Acquire error, fall through to the private build: a graph the
 		// §2.1 validation rejects (say kind=sym on a directed builder) must
-		// keep compiling fine and failing at run time, exactly as it does
-		// without a cache — Compile's error surface is API.
+		// keep building fine and failing at run time, exactly as it does
+		// without a cache.
 	}
-	if schedule == nil {
-		schedule = info.build(c.Graph, n, c.Seed)
+	if b.Schedule == nil {
+		b.Schedule = info.build(s.Graph, c.N, s.Seed)
 	}
-	var injector *faults.Injector
-	if c.Faults != nil {
-		injector, err = faults.NewInjector(c.Seed, *c.Faults)
-		if err != nil {
-			topoRelease(topoEntry)
+	if s.Faults != nil {
+		var err error
+		if b.Injector, err = faults.NewInjector(s.Seed, *s.Faults); err != nil {
+			b.Release()
 			return nil, errf("faults", "%v", err)
 		}
-		schedule, err = faults.WrapSchedule(schedule, c.Seed, c.Faults.Churn)
-		if err != nil {
-			topoRelease(topoEntry)
+		if b.Schedule, err = faults.WrapSchedule(b.Schedule, s.Seed, s.Faults.Churn); err != nil {
+			b.Release()
 			return nil, errf("faults.churn", "%v", err)
 		}
 	}
-	return &Compiled{
-		Spec:        c,
-		Hash:        hash,
-		SpecJSON:    specJSON,
-		Fingerprint: fingerprint,
-		N:           n,
-		Setting:     setting,
-		Func:        f,
-		Factory:     factory,
-		Schedule:    schedule,
-		Injector:    injector,
-		Inputs:      inputs,
-		Expected:    f.FromVector(c.Values),
-		topo:        topoEntry,
-	}, nil
+	return b, nil
 }
 
-func topoRelease(e *topology.Entry) {
-	if e != nil {
-		e.Release()
-	}
-}
+// Release unpins the topology-cache entry the build holds, if any; the
+// network must not be used afterwards.
+func (b *Built) Release() { b.topo.Release() }
 
 // Result reports one finished run.
 type Result struct {
@@ -263,48 +247,53 @@ type FaultCounts struct {
 	Delayed    int64 `json:"delayed"`
 }
 
-// engineConfig assembles the engine.Config and runner name for a compiled
+// engineConfig assembles the engine.Config and runner name for a built
 // job.
-func (c *Compiled) engineConfig() (engine.Config, string) {
+func (b *Built) engineConfig() (engine.Config, string) {
 	cfg := engine.Config{
-		Schedule: c.Schedule,
-		Kind:     c.Setting.Kind,
-		Inputs:   c.Inputs,
-		Factory:  c.Factory,
-		Seed:     c.Spec.Seed,
-		Starts:   c.Spec.Starts,
+		Schedule: b.Schedule,
+		Kind:     b.Setting.Kind,
+		Inputs:   b.Inputs,
+		Factory:  b.Factory,
+		Seed:     b.Spec.Seed,
+		Starts:   b.Spec.Starts,
 	}
 	// Assign through an explicit nil check: a typed-nil *faults.Injector in
 	// the interface field would defeat the engines' inj == nil fast paths.
-	if c.Injector != nil {
-		cfg.Faults = c.Injector
+	if b.Injector != nil {
+		cfg.Faults = b.Injector
 	}
-	// A cache-compiled job borrows the shared snapshot: rounds whose graph
-	// is the pinned entry's graph skip validation and the CSR build. The
+	// A cached build borrows the shared snapshot: rounds whose graph is
+	// the pinned entry's graph skip validation and the CSR build. The
 	// engine matches by pointer identity, so churned or async-start rounds
 	// that rewrite the graph simply fall back to building their own.
-	if c.topo != nil {
-		cfg.SharedSnapshot = c.topo.Snap
-		cfg.SharedGraph = c.topo.Graph
+	if b.topo != nil {
+		cfg.SharedSnapshot = b.topo.Snap
+		cfg.SharedGraph = b.topo.Graph
 	}
 	// One engine-selection point for the whole repo: engine.NewRunner maps
 	// the spec's engine name to the runner and handles the deterministic
 	// vec→seq fallback (identical traces) itself. The legacy Concurrent
 	// flag runs on the sharded engine, whose traces are identical.
-	name := c.Spec.Engine
-	if c.Spec.Concurrent {
+	name := b.Spec.Engine
+	if b.Spec.Concurrent {
 		name = "shard"
 	}
 	return cfg, name
 }
 
-// Run executes the compiled job to stabilization (or budget exhaustion)
-// under ctx, reporting each round to obs when non-nil. A context
-// cancellation or deadline aborts at the next round boundary and surfaces
-// the context's error. Equal compiled jobs produce equal results: every
-// engine is deterministic in the spec's seed.
+// Run builds the compiled job without a cache and executes it to
+// stabilization (or budget exhaustion) under ctx, reporting each round to
+// obs when non-nil. A context cancellation or deadline aborts at the next
+// round boundary and surfaces the context's error. Equal compiled jobs
+// produce equal results: every engine is deterministic in the spec's seed.
 func Run(ctx context.Context, c *Compiled, obs engine.Observer) (*Result, error) {
-	return RunCheckpointed(ctx, c, obs, CheckpointConfig{})
+	b, err := c.Build(nil)
+	if err != nil {
+		return nil, err
+	}
+	defer b.Release()
+	return RunCheckpointed(ctx, b, obs, CheckpointConfig{})
 }
 
 // Numeric converts an engine output vector to serializable floats and

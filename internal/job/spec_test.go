@@ -511,8 +511,8 @@ func TestCompileRunAverageOnRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.N != 8 || c.Expected != 3.875 {
-		t.Fatalf("compile: n=%d expected=%v", c.N, c.Expected)
+	if b := build(t, c); c.N != 8 || b.Expected != 3.875 {
+		t.Fatalf("compile: n=%d expected=%v", c.N, b.Expected)
 	}
 	rounds := 0
 	res, err := Run(context.Background(), c, func(round int, outs []model.Value) { rounds++ })

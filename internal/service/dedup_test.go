@@ -10,10 +10,13 @@ package service
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"anonnet/internal/job"
 )
 
 // gate is an Intercept hook that blocks each attempt until released (or
@@ -41,6 +44,18 @@ func (g *gate) count() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.calls
+}
+
+// waitHeld waits until n attempts have entered the gate.
+func (g *gate) waitHeld(t *testing.T, n int) {
+	t.Helper()
+	deadline := time.Now().Add(15 * time.Second)
+	for g.count() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d attempts reached the gate", g.count(), n)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 }
 
 func (g *gate) intercept(ctx context.Context, jobID string, attempt int) error {
@@ -328,5 +343,49 @@ func TestDedupCancelQueuedLeaderWithFollower(t *testing.T) {
 	waitTerminal(t, s, fol.ID)
 	if got := g.count(); got != 1 {
 		t.Fatalf("execution ran %d times, want 1 (the blocker only)", got)
+	}
+}
+
+// TestDedupRetainsOneSpecPerExecution: a job keeps its spec only as the
+// canonical bytes, and a job that joined an execution shares that
+// execution's, so a durable service that finished four 64-member batches
+// of identical n=10⁴ specs retains a few KB per job rather than every
+// member's decoded and encoded spec. It measures the process heap, so it
+// must not run in parallel with other tests.
+func TestDedupRetainsOneSpecPerExecution(t *testing.T) {
+	const batches = 4
+	st := openStore(t, t.TempDir())
+	defer st.Close()
+	// A 1-byte topology budget evicts the ring as soon as each run
+	// releases it, so the heap keeps only what the jobs themselves hold.
+	s := New(Config{Workers: 1, Store: st, TopoCacheBytes: 1})
+	defer s.Close()
+
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	before := ms.HeapAlloc
+	for seed := int64(1); seed <= batches; seed++ {
+		specs := make([]job.Spec, MaxBatchSize)
+		for i := range specs {
+			specs[i] = job.Spec{Graph: job.GraphSpec{Builder: "ring", N: 10_000}, Kind: "bc",
+				Function: "max", Seed: seed, MaxRounds: 2, Patience: 2}
+		}
+		b, err := s.SubmitBatch(specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, j := range b.Jobs {
+			if got := waitTerminal(t, s, j.ID); got.State != StateDone {
+				t.Fatalf("job %s ended %q (err %q)", j.ID, got.State, got.Error)
+			}
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	perJob := (int64(ms.HeapAlloc) - int64(before)) / (batches * MaxBatchSize)
+	t.Logf("retained %d B per finished job", perJob)
+	if perJob > 8<<10 {
+		t.Fatalf("each finished job retains %d B after GC, want ≤ 8 KB", perJob)
 	}
 }

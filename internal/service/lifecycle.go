@@ -62,8 +62,7 @@ const (
 type entry struct {
 	id       string
 	hash     string
-	spec     job.Spec
-	specJSON []byte // compile's encoding of spec, shared read-only
+	specJSON []byte // the canonical spec's encoding, shared read-only
 	dedupOf  string // creator of the execution this job joined as a duplicate
 
 	state     State

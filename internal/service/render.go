@@ -35,16 +35,13 @@ func encodeResult(res *job.Result) *encodedResult {
 // TestResponsesMatchEncodingJSON hold them to encoding/json.
 
 // AppendJSON appends j's compact JSON encoding to dst, byte-identical to
-// json.Marshal(j). On a snapshot from the service it copies the spec and
-// result as compile and settle encoded them, so Spec must not be modified
-// on such a snapshot; a replaced Result is encoded afresh.
+// json.Marshal(j) when Spec holds compact JSON, as the service's snapshots
+// do. It copies the spec bytes and, on a snapshot from the service, the
+// result as settle encoded it; a replaced Result is encoded afresh.
 func (j *Job) AppendJSON(dst []byte) ([]byte, error) {
-	spec := j.specJSON
+	spec := []byte(j.Spec)
 	if spec == nil {
-		var err error
-		if spec, err = json.Marshal(j.Spec); err != nil {
-			return dst, err
-		}
+		spec = []byte("null")
 	}
 	var result []byte
 	if j.encoded != nil && j.encoded.res == j.Result {

@@ -44,8 +44,8 @@ func TestAppendJSONWithoutEncodedBytes(t *testing.T) {
 	started := time.Date(2024, 6, 17, 9, 30, 0, 123456789, time.UTC)
 	res := &job.Result{Outputs: []job.F64{1, job.F64(math.Inf(-1))}, Rounds: 3, Expected: 2}
 	jobs := []*Job{
-		{ID: "j1", Hash: "abc", Spec: ringSpec(1), State: StateQueued, Submitted: started},
-		{ID: "j2", Hash: "abc", Spec: ringSpec(2), State: StateDone, CacheHit: true, DedupOf: "j1", Result: res,
+		{ID: "j1", Hash: "abc", Spec: json.RawMessage(marshalString(t, ringSpec(1))), State: StateQueued, Submitted: started},
+		{ID: "j2", Hash: "abc", Spec: json.RawMessage(marshalString(t, ringSpec(2))), State: StateDone, CacheHit: true, DedupOf: "j1", Result: res,
 			Submitted: started, Started: &started, Finished: &started},
 		{ID: "j3", State: StateFailed, Error: "<&>", Submitted: started.In(time.FixedZone("x", 3600))},
 	}
@@ -95,7 +95,8 @@ func TestAppendJSONWithoutEncodedBytes(t *testing.T) {
 // TestEncodedOnceAndShared checks that a done job's spec and result bytes
 // are the ones compile and settle made, shared rather than copied: the
 // LRU, every member of the execution and the terminal event's outputs
-// point at the same encoding.
+// point at the same result encoding, and a member that joined the
+// execution at the creator's spec encoding.
 func TestEncodedOnceAndShared(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
@@ -125,8 +126,15 @@ func TestEncodedOnceAndShared(t *testing.T) {
 	if len(ev.outputsJSON) == 0 || &ev.outputsJSON[0] != &enc[len(`{"outputs":`)] {
 		t.Fatal("terminal event's outputs are not a sub-slice of the result's encoding")
 	}
-	if string(a.specJSON) != marshalString(t, a.Spec) {
-		t.Fatalf("spec bytes %s differ from the spec's encoding", a.specJSON)
+	if &d.Spec[0] != &a.Spec[0] {
+		t.Fatal("the joining member carries its own spec encoding")
+	}
+	c, err := job.Compile(ringSpec(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(a.Spec) != string(c.SpecJSON) {
+		t.Fatalf("spec bytes %s differ from the canonical encoding %s", a.Spec, c.SpecJSON)
 	}
 }
 

@@ -95,17 +95,19 @@ type Config struct {
 	// BreakerCooldown is how long a tripped breaker waits before letting
 	// one append through as a half-open probe (default 3s).
 	BreakerCooldown time.Duration
-	// Intercept, when non-nil, runs before every job attempt (including
-	// retries) with the job ID and zero-based attempt number. A returned
-	// error fails the attempt — wrapping ErrTransient makes it retryable —
-	// and a panic is recovered into a failed job, never a dead worker.
-	// Injection point for the chaos layer's worker failpoints and tests.
+	// Intercept, when non-nil, runs in every job attempt (including
+	// retries), after the attempt has built its network and before the
+	// engine starts, with the job ID and zero-based attempt number. A
+	// returned error fails the attempt — wrapping ErrTransient makes it
+	// retryable — and a panic is recovered into a failed job, never a dead
+	// worker. Injection point for the chaos layer's worker failpoints and
+	// tests.
 	Intercept func(ctx context.Context, jobID string, attempt int) error
 	// TopoCacheBytes bounds the shared topology-snapshot cache in bytes
 	// (≤ 0 selects topology.DefaultCacheBytes). Jobs whose specs share a
 	// graph fingerprint — same builder, dimensions, model kind, and seed
-	// when the builder is seeded — compile against one refcounted
-	// immutable snapshot instead of each building their own.
+	// when the builder is seeded — run on one refcounted immutable
+	// snapshot instead of each building their own.
 	TopoCacheBytes int64
 }
 
@@ -151,12 +153,15 @@ func (c Config) withDefaults() Config {
 
 // Job is a client-facing snapshot of one job.
 type Job struct {
-	ID       string   `json:"id"`
-	Hash     string   `json:"hash"`
-	Spec     job.Spec `json:"spec"`
-	State    State    `json:"state"`
-	Error    string   `json:"error,omitempty"`
-	CacheHit bool     `json:"cache_hit,omitempty"`
+	ID   string `json:"id"`
+	Hash string `json:"hash"`
+	// Spec is the canonical spec's JSON encoding, the bytes Hash digests;
+	// job.Decode reads it back. On a snapshot from the service it is
+	// shared with the service and must not be modified.
+	Spec     json.RawMessage `json:"spec"`
+	State    State           `json:"state"`
+	Error    string          `json:"error,omitempty"`
+	CacheHit bool            `json:"cache_hit,omitempty"`
 	// DedupOf names the job whose execution this job joined because it
 	// was submitted while an identical job was in flight.
 	DedupOf string `json:"dedup_of,omitempty"`
@@ -166,11 +171,10 @@ type Job struct {
 	Started   *time.Time  `json:"started,omitempty"`
 	Finished  *time.Time  `json:"finished,omitempty"`
 
-	// specJSON and encoded are the encodings compile made of Spec and
-	// settle made of Result, shared read-only with the service; AppendJSON
-	// copies them instead of encoding the n-vectors again.
-	specJSON []byte
-	encoded  *encodedResult
+	// encoded is the encoding settle made of Result, shared read-only
+	// with the service; AppendJSON copies it instead of encoding the
+	// outputs again.
+	encoded *encodedResult
 }
 
 // Progress is one event on a job's watch stream: a round-by-round sample
@@ -236,8 +240,8 @@ type Stats struct {
 type Service struct {
 	cfg Config
 
-	// topo is the process-wide shared topology-snapshot cache handed to
-	// every compile.
+	// topo is the process-wide shared topology-snapshot cache every
+	// attempt builds from.
 	topo *topology.Cache
 
 	mu        sync.Mutex
@@ -313,14 +317,13 @@ func New(cfg Config) *Service {
 // canonical hash) has a cached result, the job is born done with
 // CacheHit set and no work is queued. Returns the job snapshot.
 func (s *Service) Submit(spec job.Spec) (*Job, error) {
-	compiled, err := job.CompileWithCache(spec, s.topo)
+	compiled, err := job.Compile(spec)
 	if err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		compiled.ReleaseTopo()
 		return nil, ErrClosed
 	}
 	e, err := s.submitLocked(compiled)
@@ -335,9 +338,8 @@ func (s *Service) Submit(spec job.Spec) (*Job, error) {
 // execution, and everything else gets its own execution on the bounded
 // queue (ErrQueueFull when at capacity). Callers hold s.mu.
 func (s *Service) submitLocked(compiled *job.Compiled) (*entry, error) {
-	e := &entry{hash: compiled.Hash, spec: compiled.Spec, specJSON: compiled.SpecJSON}
+	e := &entry{hash: compiled.Hash, specJSON: compiled.SpecJSON}
 	if res, ok := s.resultForHash(e.hash); ok {
-		compiled.ReleaseTopo()
 		e.result = res
 		e.cacheHit = true
 		s.addLocked(e, nil, causeCache)
@@ -347,8 +349,9 @@ func (s *Service) submitLocked(compiled *job.Compiled) (*entry, error) {
 		// Single-flight: an identical computation is already in flight —
 		// join it instead of enqueueing a duplicate. The new job keeps its
 		// own ID, watch stream, and cancel button; the result and terminal
-		// state arrive from the one execution.
-		compiled.ReleaseTopo()
+		// state arrive from the one execution. Equal hashes are equal
+		// bytes, so the new job keeps the execution's spec encoding.
+		e.specJSON = x.compiled.SpecJSON
 		e.dedupOf = x.id
 		s.addLocked(e, x, causeDedup)
 		return e, nil
@@ -357,7 +360,6 @@ func (s *Service) submitLocked(compiled *job.Compiled) (*entry, error) {
 	select {
 	case s.queue <- x:
 	default:
-		compiled.ReleaseTopo()
 		return nil, ErrQueueFull
 	}
 	s.addLocked(e, x, causeSubmit)
@@ -553,7 +555,7 @@ func (s *Service) Recover() (int, error) {
 		err := json.Unmarshal(v.Spec, &spec)
 		var compiled *job.Compiled
 		if err == nil {
-			compiled, err = job.CompileWithCache(spec, s.topo)
+			compiled, err = job.Compile(spec)
 		}
 		if err != nil {
 			s.persist(store.Record{JobID: v.ID, Hash: v.Hash, State: store.StateFailed,
@@ -567,10 +569,9 @@ func (s *Service) Recover() (int, error) {
 		select {
 		case s.queue <- x:
 		default:
-			compiled.ReleaseTopo()
 			return n, fmt.Errorf("%w: %d jobs recovered, %s and later still pending", ErrQueueFull, n, v.ID)
 		}
-		s.addLocked(&entry{id: v.ID, hash: compiled.Hash, spec: compiled.Spec, specJSON: compiled.SpecJSON}, x, causeRecover)
+		s.addLocked(&entry{id: v.ID, hash: compiled.Hash, specJSON: compiled.SpecJSON}, x, causeRecover)
 		n++
 	}
 	return n, nil
@@ -606,17 +607,9 @@ func (s *Service) SubmitBatch(specs []job.Spec) (*Batch, error) {
 		return nil, fmt.Errorf("%w: %d specs, ceiling is %d", ErrBatchTooLarge, len(specs), MaxBatchSize)
 	}
 	compiled := make([]*job.Compiled, len(specs))
-	release := func(from int) {
-		for i := from; i < len(compiled); i++ {
-			if compiled[i] != nil {
-				compiled[i].ReleaseTopo()
-			}
-		}
-	}
 	for i, sp := range specs {
-		c, err := job.CompileWithCache(sp, s.topo)
+		c, err := job.Compile(sp)
 		if err != nil {
-			release(0)
 			return nil, fmt.Errorf("specs[%d]: %w", i, err)
 		}
 		compiled[i] = c
@@ -624,7 +617,6 @@ func (s *Service) SubmitBatch(specs []job.Spec) (*Batch, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		release(0)
 		return nil, ErrClosed
 	}
 	// Capacity pre-check makes the enqueue loop infallible: count the jobs
@@ -644,7 +636,6 @@ func (s *Service) SubmitBatch(specs []job.Spec) (*Batch, error) {
 		need++
 	}
 	if need > cap(s.queue)-len(s.queue) {
-		release(0)
 		return nil, ErrQueueFull
 	}
 	s.nextBatch++
@@ -655,7 +646,6 @@ func (s *Service) SubmitBatch(specs []job.Spec) (*Batch, error) {
 		if err != nil {
 			// Unreachable given the pre-check; surface it rather than
 			// leaving a half-registered batch silently.
-			release(i)
 			return nil, fmt.Errorf("batch %s: %w", bid, err)
 		}
 		ids[i] = e.id
@@ -963,10 +953,8 @@ func (s *Service) runOne(x *execution) {
 	if len(x.members) == 0 || s.shutdown {
 		// Every member left while queued, or graceful shutdown is draining
 		// the channel, not the work: the members stay queued — in memory
-		// and in the log — for the next boot's Recover. Either way this
-		// process's snapshot pin is moot.
+		// and in the log — for the next boot's Recover.
 		s.mu.Unlock()
-		x.compiled.ReleaseTopo()
 		return
 	}
 	ctx := context.Background()
@@ -991,35 +979,37 @@ func (s *Service) runOne(x *execution) {
 	defer s.running.Add(-1)
 
 	every := s.cfg.ProgressEvery
-	obs := func(round int, outs []model.Value) {
-		s.rounds.Add(1)
-		if round%every != 0 {
-			return
-		}
-		s.mu.Lock()
-		watched := false
-		for _, m := range x.members {
-			if len(m.subs) > 0 {
-				watched = true
-				break
+	observe := func(b *job.Built) engine.Observer {
+		return func(round int, outs []model.Value) {
+			s.rounds.Add(1)
+			if round%every != 0 {
+				return
 			}
+			s.mu.Lock()
+			watched := false
+			for _, m := range x.members {
+				if len(m.subs) > 0 {
+					watched = true
+					break
+				}
+			}
+			s.mu.Unlock()
+			if !watched {
+				// The warm path of a sweep has no stream subscribers: skip
+				// the per-round output conversion (and its allocations)
+				// outright.
+				return
+			}
+			outputs, maxErr := job.Numeric(outs, b.Expected)
+			s.publish(x, Progress{
+				State:   StateRunning,
+				Round:   round,
+				Outputs: outputs,
+				MaxErr:  job.F64(maxErr),
+			})
 		}
-		s.mu.Unlock()
-		if !watched {
-			// The warm path of a sweep has no stream subscribers: skip
-			// the per-round output conversion (and its allocations)
-			// outright.
-			return
-		}
-		outputs, maxErr := job.Numeric(outs, x.compiled.Expected)
-		s.publish(x, Progress{
-			State:   StateRunning,
-			Round:   round,
-			Outputs: outputs,
-			MaxErr:  job.F64(maxErr),
-		})
 	}
-	res, err := s.execute(ctx, x, obs)
+	res, err := s.execute(ctx, x, observe)
 	var r *encodedResult
 	if err == nil {
 		// Encode the result once, outside the lock: every member, the
@@ -1031,7 +1021,6 @@ func (s *Service) runOne(x *execution) {
 	defer s.mu.Unlock()
 	x.cancel = nil
 	s.settleLocked(x, r, err)
-	x.compiled.ReleaseTopo()
 }
 
 // settleLocked applies one finished execution to every member still
@@ -1071,10 +1060,11 @@ func (s *Service) settleLocked(x *execution, r *encodedResult, err error) {
 
 // execute runs one execution with panic recovery and bounded
 // exponential-backoff retries for errors wrapping ErrTransient. A retried
-// execution replays its progress stream from round 1.
-func (s *Service) execute(ctx context.Context, x *execution, obs engine.Observer) (*job.Result, error) {
+// execution replays its progress stream from round 1. observe makes each
+// attempt's round observer from that attempt's build.
+func (s *Service) execute(ctx context.Context, x *execution, observe func(*job.Built) engine.Observer) (*job.Result, error) {
 	for attempt := 0; ; attempt++ {
-		res, err := s.safeRun(ctx, x, attempt, obs)
+		res, err := s.safeRun(ctx, x, attempt, observe)
 		if err == nil || !errors.Is(err, ErrTransient) || attempt >= s.cfg.MaxRetries {
 			return res, err
 		}
@@ -1090,12 +1080,13 @@ func (s *Service) execute(ctx context.Context, x *execution, obs engine.Observer
 	}
 }
 
-// safeRun makes one attempt — the Intercept hook, then the checkpointed
-// engine run — converting a panic into an ordinary failed-job error
-// carrying the panic value and stack. The worker goroutine survives; the
-// service keeps serving. (The sequential engine deliberately propagates
-// agent panics; this is where they stop.)
-func (s *Service) safeRun(ctx context.Context, x *execution, attempt int, obs engine.Observer) (res *job.Result, err error) {
+// safeRun makes one attempt — the build, the Intercept hook, then the
+// checkpointed engine run — converting a panic into an ordinary
+// failed-job error carrying the panic value and stack. The worker
+// goroutine survives; the service keeps serving. (The sequential engine
+// deliberately propagates agent panics; this is where they stop.) The
+// attempt pins its topology-cache entry from the build until it returns.
+func (s *Service) safeRun(ctx context.Context, x *execution, attempt int, observe func(*job.Built) engine.Observer) (res *job.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.panics.Add(1)
@@ -1103,6 +1094,11 @@ func (s *Service) safeRun(ctx context.Context, x *execution, attempt int, obs en
 			err = fmt.Errorf("service: job %s panicked: %v\n%s", x.id, r, debug.Stack())
 		}
 	}()
+	b, err := x.compiled.Build(s.topo)
+	if err != nil {
+		return nil, err
+	}
+	defer b.Release()
 	if s.cfg.Intercept != nil {
 		if err := s.cfg.Intercept(ctx, x.id, attempt); err != nil {
 			return nil, err
@@ -1112,7 +1108,7 @@ func (s *Service) safeRun(ctx context.Context, x *execution, attempt int, obs en
 	if s.cfg.Store != nil {
 		ck = s.checkpointConfig(x)
 	}
-	return job.RunCheckpointed(ctx, x.compiled, obs, ck)
+	return job.RunCheckpointed(ctx, b, observe(b), ck)
 }
 
 // checkpointConfig wires one execution to the durable store: periodic
@@ -1218,13 +1214,12 @@ func snapshot(e *entry) *Job {
 	j := &Job{
 		ID:        e.id,
 		Hash:      e.hash,
-		Spec:      e.spec,
+		Spec:      e.specJSON,
 		State:     e.state,
 		Error:     e.err,
 		CacheHit:  e.cacheHit,
 		DedupOf:   e.dedupOf,
 		Submitted: e.submitted,
-		specJSON:  e.specJSON,
 		encoded:   e.result,
 	}
 	if e.result != nil {

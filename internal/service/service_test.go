@@ -4,9 +4,11 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"anonnet/internal/faults"
 	"anonnet/internal/job"
 )
 
@@ -338,6 +340,32 @@ func TestSubmitValidatesSpec(t *testing.T) {
 	_, err := s.Submit(job.Spec{Graph: job.GraphSpec{Builder: "ring", N: 4}, Kind: "nope", Function: "average"})
 	if !errors.As(err, &verr) {
 		t.Fatalf("want typed validation error, got %v", err)
+	}
+}
+
+// TestChurnRejectFailsTheRun: admission does not build the network, so a
+// reject-guard churn plan whose first window disconnects it is accepted,
+// and the job fails with the error the build returns.
+func TestChurnRejectFailsTheRun(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	spec := ringSpec(1)
+	spec.SchemaVersion = 3
+	spec.Faults = &faults.Plan{Churn: &faults.ChurnPlan{Drop: 1, Guard: faults.GuardReject}}
+	sub, err := s.Submit(spec)
+	if err != nil {
+		t.Fatalf("submit rejected a spec that only its run can check: %v", err)
+	}
+	c, err := job.Compile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want := c.Build(nil)
+	if want == nil || !strings.Contains(want.Error(), "disconnects") {
+		t.Fatalf("build error %v, want the reject guard's", want)
+	}
+	if j := waitTerminal(t, s, sub.ID); j.State != StateFailed || j.Error != want.Error() {
+		t.Fatalf("job ended %q with %q, want failed with %q", j.State, j.Error, want)
 	}
 }
 

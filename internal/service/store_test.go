@@ -189,7 +189,11 @@ func TestRecoverResumesConcurrentCheckpoint(t *testing.T) {
 	}
 	flush := make(chan struct{}, 1)
 	var legacy []byte
-	_, err = job.RunCheckpointed(context.Background(), sc, func(r int, _ []model.Value) {
+	sb, err := sc.Build(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = job.RunCheckpointed(context.Background(), sb, func(r int, _ []model.Value) {
 		if r == round {
 			flush <- struct{}{}
 		}

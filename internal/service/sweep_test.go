@@ -6,8 +6,8 @@ package service
 // byte-identical to the one job.Compile and job.Run give without the
 // service, batch members get their IDs in submission order, durable
 // dedup must persist the result payload exactly once and recover
-// followers as independent jobs, and snapshots pinned by running jobs
-// must survive eviction pressure.
+// followers as independent jobs, snapshots pinned by running jobs must
+// survive eviction pressure, and queued jobs must pin none.
 
 import (
 	"bytes"
@@ -153,6 +153,7 @@ func TestSweepEvictionSparesRunningJobs(t *testing.T) {
 	}
 	waitState(t, s, a.ID, StateRunning)
 	waitState(t, s, bj.ID, StateRunning)
+	g.waitHeld(t, 2) // both attempts have built and hold their entries
 
 	st := s.Stats()
 	if st.TopoCacheEntries != 2 {
@@ -178,6 +179,35 @@ func TestSweepEvictionSparesRunningJobs(t *testing.T) {
 			t.Fatalf("idle entries not evicted under a 1-byte budget: %+v", st)
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestQueuedJobsPinNoGraph: admission builds no network, so while the
+// first member of a 64-ring batch is held mid-attempt on the only worker,
+// the 63 queued members hold no topology entry.
+func TestQueuedJobsPinNoGraph(t *testing.T) {
+	g := newGate()
+	s := New(Config{Workers: 1, Intercept: g.intercept})
+	defer s.Close()
+
+	specs := make([]job.Spec, MaxBatchSize)
+	for i := range specs {
+		specs[i] = sweepSpec(16+i, 1)
+	}
+	b, err := s.SubmitBatch(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.waitHeld(t, 1)
+	st := s.Stats()
+	g.release(MaxBatchSize)
+	for _, j := range b.Jobs {
+		if got := waitTerminal(t, s, j.ID); got.State != StateDone {
+			t.Fatalf("job %s ended %q (err %q)", j.ID, got.State, got.Error)
+		}
+	}
+	if st.TopoCacheEntries > 1 {
+		t.Fatalf("%d topology entries resident while one job ran, want ≤ 1 (misses %d)", st.TopoCacheEntries, st.TopoCacheMisses)
 	}
 }
 

@@ -11,9 +11,10 @@ import (
 // Cache is a process-wide, size-bounded, refcounted cache of immutable
 // (graph, Snapshot) pairs keyed by the canonical graph fingerprint
 // (job.Compile derives it from builder + dims + seed-when-seeded + model
-// kind). It is the sweep fast path's core: N jobs on the same static
-// network acquire one shared CSR build instead of paying N graph
-// constructions and N counting-sort flattenings.
+// kind; job.Compiled.Build acquires the entry). It is the sweep fast
+// path's core: N jobs on the same static network acquire one shared CSR
+// build instead of paying N graph constructions and N counting-sort
+// flattenings.
 //
 // Concurrency contract: Acquire is safe for concurrent use and guarantees
 // a single build per key — concurrent misses on the same key coalesce onto
@@ -26,7 +27,8 @@ import (
 // once the resident bytes exceed the budget. Entries still referenced by
 // running jobs are pinned — they are never evicted, even if that holds the
 // cache over budget (the bound throttles retention, it must not corrupt a
-// run that already holds the snapshot).
+// run that already holds the snapshot). A queued job holds no entry: a
+// run acquires its entry when it starts and releases it when it returns.
 type Cache struct {
 	mu       sync.Mutex
 	maxBytes int64
@@ -61,8 +63,8 @@ type CacheStats struct {
 }
 
 // Entry is one cached (graph, snapshot) pair. Holders treat both as
-// immutable and call Release exactly once when the job that acquired the
-// entry reaches a terminal state.
+// immutable and call Release exactly once, when the run that acquired the
+// entry returns.
 type Entry struct {
 	// Graph is the built network, self-loops and ports materialized.
 	Graph *graph.Graph
