@@ -131,8 +131,8 @@ func TestPanickingJobLeavesDaemonServing(t *testing.T) {
 	if j2.State != service.StateDone {
 		t.Fatalf("faulted job → %q (err %q), want done", j2.State, j2.Error)
 	}
-	if j2.Result == nil || j2.Result.Faults == nil || j2.Result.Faults.Dropped == 0 {
-		t.Fatalf("faulted job result missing fault counts: %+v", j2.Result)
+	if r := decodeResult(t, j2.Result); r.Faults == nil || r.Faults.Dropped == 0 {
+		t.Fatalf("faulted job result missing fault counts: %s", j2.Result)
 	}
 }
 

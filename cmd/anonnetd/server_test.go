@@ -79,6 +79,16 @@ func waitDone(t *testing.T, ts *httptest.Server, id string) service.Job {
 	return service.Job{}
 }
 
+// decodeResult reads a job's Result bytes back into a job.Result.
+func decodeResult(t *testing.T, raw json.RawMessage) *job.Result {
+	t.Helper()
+	var res job.Result
+	if err := json.Unmarshal(raw, &res); err != nil {
+		t.Fatalf("result %s: %v", raw, err)
+	}
+	return &res
+}
+
 // pushSumRingSpec is the acceptance scenario: Push-Sum (outdegree-aware,
 // Table 2 via dynamic=true) computing the average on a 16-node ring, with
 // the known bound enabling the §5.4 exact rounding. The true average of
@@ -104,7 +114,7 @@ func TestEndToEndPushSumRing(t *testing.T) {
 	if done.State != service.StateDone || done.Result == nil {
 		t.Fatalf("job finished %q: %+v", done.State, done.Error)
 	}
-	for i, o := range done.Result.Outputs {
+	for i, o := range decodeResult(t, done.Result).Outputs {
 		if math.Abs(float64(o)-8.5) > 1e-9 {
 			t.Fatalf("output %d = %v, want 8.5", i, o)
 		}
@@ -493,15 +503,16 @@ func TestEndToEndVecEngine(t *testing.T) {
 	if spec, err := job.Decode(vec.Spec); err != nil || spec.Engine != "vec" {
 		t.Fatalf("canonical spec engine = %q (%v), want \"vec\"", spec.Engine, err)
 	}
-	if vec.Result.Rounds != seq.Result.Rounds {
-		t.Fatalf("rounds: vec %d, seq %d", vec.Result.Rounds, seq.Result.Rounds)
+	vr, sr := decodeResult(t, vec.Result), decodeResult(t, seq.Result)
+	if vr.Rounds != sr.Rounds {
+		t.Fatalf("rounds: vec %d, seq %d", vr.Rounds, sr.Rounds)
 	}
-	if len(vec.Result.Outputs) != len(seq.Result.Outputs) {
-		t.Fatalf("output lengths differ: %d vs %d", len(vec.Result.Outputs), len(seq.Result.Outputs))
+	if len(vr.Outputs) != len(sr.Outputs) {
+		t.Fatalf("output lengths differ: %d vs %d", len(vr.Outputs), len(sr.Outputs))
 	}
-	for i := range vec.Result.Outputs {
-		if vec.Result.Outputs[i] != seq.Result.Outputs[i] {
-			t.Fatalf("output %d: vec %v, seq %v", i, vec.Result.Outputs[i], seq.Result.Outputs[i])
+	for i := range vr.Outputs {
+		if vr.Outputs[i] != sr.Outputs[i] {
+			t.Fatalf("output %d: vec %v, seq %v", i, vr.Outputs[i], sr.Outputs[i])
 		}
 	}
 }

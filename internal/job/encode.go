@@ -2,6 +2,7 @@ package job
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"slices"
 	"strconv"
@@ -98,19 +99,39 @@ func AppendResult(dst []byte, r *Result) []byte {
 	return append(dst, '}')
 }
 
-// OutputsJSON returns the outputs array inside an encoded Result — one
-// written by AppendResult or by encoding/json — as a sub-slice of enc, or
-// nil when the outputs are null or empty or enc is not an encoded Result.
-// The array holds only numbers and the non-finite strings, so its first
-// ']' closes it.
-func OutputsJSON(enc []byte) []byte {
-	if !bytes.HasPrefix(enc, []byte(outputsKey+"[")) {
-		return nil
+// Summarize reads an encoded Result — one written by AppendResult or by
+// encoding/json — without decoding its outputs. outputs is the outputs
+// array as a sub-slice of enc, nil when the outputs are null or empty; the
+// array holds only numbers and the non-finite strings, so its first ']'
+// closes it. rounds and maxErr are decoded from the fields after the
+// array alone. ok is false when enc is not an encoded Result.
+func Summarize(enc []byte) (outputs []byte, rounds int, maxErr F64, ok bool) {
+	rest, found := bytes.CutPrefix(enc, []byte(outputsKey))
+	if !found {
+		return nil, 0, 0, false
 	}
-	arr := enc[len(outputsKey):]
-	end := bytes.IndexByte(arr, ']')
-	if end < 2 {
-		return nil
+	switch {
+	case bytes.HasPrefix(rest, []byte("null")):
+		rest = rest[len("null"):]
+	case bytes.HasPrefix(rest, []byte("[")):
+		end := bytes.IndexByte(rest, ']')
+		if end < 0 {
+			return nil, 0, 0, false
+		}
+		if end > 1 {
+			outputs = rest[:end+1]
+		}
+		rest = rest[end+1:]
+	default:
+		return nil, 0, 0, false
 	}
-	return arr[:end+1]
+	// Decode the object with its outputs spliced out as null.
+	var tail struct {
+		Rounds int `json:"rounds"`
+		MaxErr F64 `json:"max_err"`
+	}
+	if json.Unmarshal(append([]byte(outputsKey+"null"), rest...), &tail) != nil {
+		return nil, 0, 0, false
+	}
+	return outputs, tail.Rounds, tail.MaxErr, true
 }

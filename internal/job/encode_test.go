@@ -152,25 +152,41 @@ func TestAppendResultMatchesEncodingJSON(t *testing.T) {
 		if string(enc) != want {
 			t.Fatalf("result %d: AppendResult = %s, want %s", i, enc, want)
 		}
-		// The outputs sub-slice is the vector's own encoding, or nil when a
-		// stream line would omit it.
+		// Summarize reads the encoding back: the outputs sub-slice is the
+		// vector's own encoding, or nil when a stream line would omit it,
+		// and rounds and max error are the result's. A nil Result's
+		// "null" is no encoded Result.
+		outputs, rounds, maxErr, ok := Summarize(enc)
+		if r == nil {
+			if ok || outputs != nil {
+				t.Fatalf("result %d: Summarize(%s) = %s, ok %v; want nil, false", i, enc, outputs, ok)
+			}
+			continue
+		}
 		wantOutputs := ""
-		if r != nil && len(r.Outputs) > 0 {
+		if len(r.Outputs) > 0 {
 			wantOutputs = mustMarshal(t, refVector(r.Outputs))
 		}
-		if got := string(OutputsJSON(enc)); got != wantOutputs {
-			t.Fatalf("result %d: OutputsJSON = %s, want %s", i, got, wantOutputs)
+		if !ok || string(outputs) != wantOutputs || rounds != r.Rounds ||
+			string(AppendF64(nil, maxErr)) != string(AppendF64(nil, r.MaxErr)) {
+			t.Fatalf("result %d: Summarize = %s, %d, %v, ok %v; want %s, %d, %v",
+				i, outputs, rounds, maxErr, ok, wantOutputs, r.Rounds, r.MaxErr)
 		}
 	}
 }
 
-// TestOutputsJSONOfForeignBytes: bytes that are not an encoded Result
-// yield no outputs rather than a wrong slice.
-func TestOutputsJSONOfForeignBytes(t *testing.T) {
-	for _, b := range []string{"", "null", `{"stable":true}`, `{"outputs":null}`, `{"outputs":[1,2`} {
-		if got := OutputsJSON([]byte(b)); got != nil {
-			t.Fatalf("OutputsJSON(%s) = %s, want nil", b, got)
+// TestSummarizeForeignBytes: bytes that are not an encoded Result are
+// refused and yield no outputs rather than a wrong slice.
+func TestSummarizeForeignBytes(t *testing.T) {
+	for _, b := range []string{"", "null", `{"stable":true}`, `{"outputs":[1,2`, `{"r":1}`, `{"outputs":[1]`,
+		`{"outputs":[1],"stable":true,"rounds":1.5,"expected":1,"max_err":0,"messages":0}`} {
+		if outputs, rounds, maxErr, ok := Summarize([]byte(b)); ok || outputs != nil || rounds != 0 || maxErr != 0 {
+			t.Fatalf("Summarize(%s) = %s, %d, %v, ok %v; want nil, 0, 0, false", b, outputs, rounds, maxErr, ok)
 		}
+	}
+	// Null outputs are no outputs, in an object that is still a Result.
+	if outputs, _, _, ok := Summarize([]byte(`{"outputs":null}`)); !ok || outputs != nil {
+		t.Fatalf(`Summarize({"outputs":null}) = %s, ok %v; want nil, true`, outputs, ok)
 	}
 }
 

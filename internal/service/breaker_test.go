@@ -7,10 +7,10 @@ package service
 // probe lands.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
-	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -249,7 +249,7 @@ func TestInterceptTransientRetriesAndPanicIsContained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(j.Result, want) {
+	if !bytes.Equal(j.Result, job.AppendResult(nil, want)) {
 		t.Fatal("intercepted job's result differs from the uninterfered run")
 	}
 

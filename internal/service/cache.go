@@ -13,7 +13,7 @@ type lru struct {
 
 type lruEntry struct {
 	key string
-	res *encodedResult
+	res []byte // the encoded result, shared read-only
 }
 
 func newLRU(capacity int) *lru {
@@ -21,7 +21,7 @@ func newLRU(capacity int) *lru {
 }
 
 // get returns the cached result for key and marks it most recently used.
-func (c *lru) get(key string) (*encodedResult, bool) {
+func (c *lru) get(key string) ([]byte, bool) {
 	el, ok := c.items[key]
 	if !ok {
 		return nil, false
@@ -32,7 +32,7 @@ func (c *lru) get(key string) (*encodedResult, bool) {
 
 // add inserts (or refreshes) key, evicting the least recently used entry
 // when over capacity. A zero or negative capacity disables caching.
-func (c *lru) add(key string, res *encodedResult) {
+func (c *lru) add(key string, res []byte) {
 	if c.capacity <= 0 {
 		return
 	}

@@ -8,6 +8,7 @@ package service
 // nothing.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"runtime"
@@ -113,8 +114,8 @@ func TestDedupFollowerSharesRunningLeader(t *testing.T) {
 	if a.State != StateDone || b.State != StateDone {
 		t.Fatalf("states %q / %q, want done / done", a.State, b.State)
 	}
-	if a.Result == nil || b.Result == nil || a.Result.MaxErr != b.Result.MaxErr || len(a.Result.Outputs) != len(b.Result.Outputs) {
-		t.Fatalf("results diverge:\n%+v\n%+v", a.Result, b.Result)
+	if len(a.Result) == 0 || !bytes.Equal(a.Result, b.Result) {
+		t.Fatalf("results diverge:\n%s\n%s", a.Result, b.Result)
 	}
 	if got := g.count(); got != 1 {
 		t.Fatalf("execution ran %d times for 2 submissions, want 1", got)
@@ -167,7 +168,7 @@ func TestDedupFollowerOfQueuedLeader(t *testing.T) {
 		t.Fatalf("leader ended %q", j.State)
 	}
 	if j := waitTerminal(t, s, fol.ID); j.State != StateDone || j.Result == nil {
-		t.Fatalf("follower ended %q with result %v", j.State, j.Result)
+		t.Fatalf("follower ended %q with result %s", j.State, j.Result)
 	}
 	if got := g.count(); got != 2 {
 		t.Fatalf("execution ran %d times, want 2 (blocker + deduped pair)", got)
@@ -271,7 +272,7 @@ func TestDedupCancelLeaderDetachesButRunsOn(t *testing.T) {
 	// been released yet, so a stopped execution would end it canceled.
 	g.release(1)
 	if j := waitTerminal(t, s, fol.ID); j.State != StateDone || j.Result == nil {
-		t.Fatalf("follower of detached leader ended %q (result %v), want done", j.State, j.Result)
+		t.Fatalf("follower of detached leader ended %q (result %s), want done", j.State, j.Result)
 	}
 	// The leader's client-facing state never flipped back.
 	if j, _ := s.Get(lead.ID); j.State != StateCanceled {
@@ -346,46 +347,67 @@ func TestDedupCancelQueuedLeaderWithFollower(t *testing.T) {
 	}
 }
 
-// TestDedupRetainsOneSpecPerExecution: a job keeps its spec only as the
-// canonical bytes, and a job that joined an execution shares that
+// TestFinishedJobRetention: a finished job keeps its spec and result only
+// as encoded bytes, and a job that joined an execution shares that
 // execution's, so a durable service that finished four 64-member batches
-// of identical n=10⁴ specs retains a few KB per job rather than every
-// member's decoded and encoded spec. It measures the process heap, so it
-// must not run in parallel with other tests.
-func TestDedupRetainsOneSpecPerExecution(t *testing.T) {
-	const batches = 4
-	st := openStore(t, t.TempDir())
-	defer st.Close()
-	// A 1-byte topology budget evicts the ring as soon as each run
-	// releases it, so the heap keeps only what the jobs themselves hold.
-	s := New(Config{Workers: 1, Store: st, TopoCacheBytes: 1})
-	defer s.Close()
+// of n=10⁴ rings retains per job its share of two encodings and little
+// else: a few KB when each batch's members are identical (dedup), and its
+// own spec and result bytes plus a few KB when every member is its own
+// execution (distinct). It measures the process heap, so it must not run
+// in parallel with other tests.
+func TestFinishedJobRetention(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		distinct bool // every member its own seed, so its own execution
+	}{{"dedup", false}, {"distinct", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			const batches = 4
+			st := openStore(t, t.TempDir())
+			defer st.Close()
+			// A 1-byte topology budget evicts the ring as soon as each run
+			// releases it, so the heap keeps only what the jobs themselves
+			// hold.
+			s := New(Config{Workers: 1, Store: st, TopoCacheBytes: 1})
+			defer s.Close()
 
-	var ms runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&ms)
-	before := ms.HeapAlloc
-	for seed := int64(1); seed <= batches; seed++ {
-		specs := make([]job.Spec, MaxBatchSize)
-		for i := range specs {
-			specs[i] = job.Spec{Graph: job.GraphSpec{Builder: "ring", N: 10_000}, Kind: "bc",
-				Function: "max", Seed: seed, MaxRounds: 2, Patience: 2}
-		}
-		b, err := s.SubmitBatch(specs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, j := range b.Jobs {
-			if got := waitTerminal(t, s, j.ID); got.State != StateDone {
-				t.Fatalf("job %s ended %q (err %q)", j.ID, got.State, got.Error)
+			var ms runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
+			before := ms.HeapAlloc
+			var encoded int64 // the distinct members' spec and result bytes
+			for batch := int64(0); batch < batches; batch++ {
+				specs := make([]job.Spec, MaxBatchSize)
+				for i := range specs {
+					seed := batch + 1
+					if tc.distinct {
+						seed = batch*MaxBatchSize + int64(i) + 1
+					}
+					specs[i] = job.Spec{Graph: job.GraphSpec{Builder: "ring", N: 10_000}, Kind: "bc",
+						Function: "max", Seed: seed, MaxRounds: 2, Patience: 2}
+				}
+				b, err := s.SubmitBatch(specs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, j := range b.Jobs {
+					got := waitTerminal(t, s, j.ID)
+					if got.State != StateDone {
+						t.Fatalf("job %s ended %q (err %q)", j.ID, got.State, got.Error)
+					}
+					if tc.distinct {
+						encoded += int64(len(got.Spec) + len(got.Result))
+					}
+				}
 			}
-		}
-	}
-	runtime.GC()
-	runtime.ReadMemStats(&ms)
-	perJob := (int64(ms.HeapAlloc) - int64(before)) / (batches * MaxBatchSize)
-	t.Logf("retained %d B per finished job", perJob)
-	if perJob > 8<<10 {
-		t.Fatalf("each finished job retains %d B after GC, want ≤ 8 KB", perJob)
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
+			const jobs = batches * MaxBatchSize
+			perJob := (int64(ms.HeapAlloc) - int64(before)) / jobs
+			bound := encoded/jobs + 8<<10
+			t.Logf("retained %d B per finished job (bound %d B)", perJob, bound)
+			if perJob > bound {
+				t.Fatalf("each finished job retains %d B after GC, want ≤ %d B", perJob, bound)
+			}
+		})
 	}
 }

@@ -68,7 +68,7 @@ type entry struct {
 	state     State
 	err       string
 	cacheHit  bool
-	result    *encodedResult
+	result    []byte // the encoded result, shared read-only
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
@@ -137,7 +137,7 @@ func record(e *entry, from State, c cause) store.Record {
 	case StateDone:
 		if x := e.exec; x != nil && !x.resultLogged {
 			x.resultLogged = true
-			rec.Result = e.result.json
+			rec.Result = e.result
 		}
 	case StateInterrupted:
 		rec.Round = e.exec.ckptRound

@@ -1,8 +1,9 @@
 package service
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -73,7 +74,7 @@ func TestConcurrentSubmissionsDeterministic(t *testing.T) {
 	}
 	wg.Wait()
 
-	byHash := make(map[string]*job.Result)
+	byHash := make(map[string]json.RawMessage)
 	deadline := time.Now().Add(120 * time.Second)
 	for _, id := range ids {
 		var got *Job
@@ -95,8 +96,8 @@ func TestConcurrentSubmissionsDeterministic(t *testing.T) {
 			t.Fatalf("job %s finished %q (%s)", id, got.State, got.Error)
 		}
 		if ref, ok := byHash[got.Hash]; ok {
-			if !reflect.DeepEqual(ref, got.Result) {
-				t.Fatalf("hash %s produced two different results:\n%+v\n%+v", got.Hash, ref, got.Result)
+			if !bytes.Equal(ref, got.Result) {
+				t.Fatalf("hash %s produced two different results:\n%s\n%s", got.Hash, ref, got.Result)
 			}
 		} else {
 			byHash[got.Hash] = got.Result
@@ -166,7 +167,7 @@ func TestConcurrentBatchSharded(t *testing.T) {
 	wg.Wait()
 
 	deadline := time.Now().Add(120 * time.Second)
-	byHash := make(map[string]*job.Result)
+	byHash := make(map[string]json.RawMessage)
 	for _, id := range bs {
 		for {
 			b, err := s.GetBatch(id)
@@ -179,7 +180,7 @@ func TestConcurrentBatchSharded(t *testing.T) {
 				}
 				for _, j := range b.Jobs {
 					if ref, ok := byHash[j.Hash]; ok {
-						if !reflect.DeepEqual(ref, j.Result) {
+						if !bytes.Equal(ref, j.Result) {
 							t.Fatalf("hash %s produced two different results", j.Hash)
 						}
 					} else {
@@ -196,7 +197,7 @@ func TestConcurrentBatchSharded(t *testing.T) {
 	}
 	// Note shards is part of the hash (different shard counts are distinct
 	// cache keys) but never the results: every seed's outputs appear once
-	// per (seed, shards) pair and all agree through DeepEqual whenever the
+	// per (seed, shards) pair and all agree byte for byte whenever the
 	// full spec matches.
 }
 

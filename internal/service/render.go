@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
 	"slices"
 	"strconv"
@@ -11,45 +10,22 @@ import (
 	"anonnet/internal/job"
 )
 
-// encodedResult is a finished run's result together with its JSON
-// encoding, made once per execution — by runOne before it settles, or read
-// back from the log on a disk-tier hit — and shared read-only by the
-// execution's jobs, the LRU, the done record and every response that
-// carries the result.
-type encodedResult struct {
-	res     *job.Result
-	json    []byte // job.AppendResult(nil, res), or the log's copy of it
-	outputs []byte // the outputs array inside json; nil when empty
-}
-
-func encodeResult(res *job.Result) *encodedResult {
-	// The encoder reserves by estimate; keep an exact-size copy, since the
-	// bytes live as long as the job, the LRU entry and the store's view.
-	b := bytes.Clone(job.AppendResult(nil, res))
-	return &encodedResult{res: res, json: b, outputs: job.OutputsJSON(b)}
-}
-
 // The renderers below write exactly the compact JSON encoding/json writes
 // for the same value, but copy the spec and result bytes instead of
 // encoding them again. render_test.go and cmd/anonnetd's
 // TestResponsesMatchEncodingJSON hold them to encoding/json.
 
 // AppendJSON appends j's compact JSON encoding to dst, byte-identical to
-// json.Marshal(j) when Spec holds compact JSON, as the service's snapshots
-// do. It copies the spec bytes and, on a snapshot from the service, the
-// result as settle encoded it; a replaced Result is encoded afresh.
+// json.Marshal(j) when Spec and Result hold compact JSON, as the service's
+// snapshots do. It copies the spec and result bytes.
 func (j *Job) AppendJSON(dst []byte) ([]byte, error) {
 	spec := []byte(j.Spec)
 	if spec == nil {
 		spec = []byte("null")
 	}
-	var result []byte
-	if j.encoded != nil && j.encoded.res == j.Result {
-		result = j.encoded.json
-	}
 	// One allocation for the body, whatever n is: everything but the
 	// spec, the result and the strings fits in the fixed slack.
-	dst = slices.Grow(dst, len(spec)+len(result)+len(j.ID)+len(j.Hash)+len(j.Error)+len(j.DedupOf)+256)
+	dst = slices.Grow(dst, len(spec)+len(j.Result)+len(j.ID)+len(j.Hash)+len(j.Error)+len(j.DedupOf)+256)
 	dst = append(dst, `{"id":`...)
 	dst = appendString(dst, j.ID)
 	dst = append(dst, `,"hash":`...)
@@ -69,13 +45,9 @@ func (j *Job) AppendJSON(dst []byte) ([]byte, error) {
 		dst = append(dst, `,"dedup_of":`...)
 		dst = appendString(dst, j.DedupOf)
 	}
-	if j.Result != nil {
+	if len(j.Result) > 0 {
 		dst = append(dst, `,"result":`...)
-		if result != nil {
-			dst = append(dst, result...)
-		} else {
-			dst = job.AppendResult(dst, j.Result)
-		}
+		dst = append(dst, j.Result...)
 	}
 	var err error
 	dst = append(dst, `,"submitted":`...)
@@ -144,10 +116,10 @@ func AppendJobsJSON(dst []byte, jobs []*Job) ([]byte, error) {
 }
 
 // AppendJSON appends p's compact JSON encoding to dst, byte-identical to
-// json.Marshal(p). A terminal event from TerminalProgress copies its
-// outputs from the result's encoding.
+// json.Marshal(p) when Outputs holds compact JSON, as the service's events
+// do. It copies the outputs bytes.
 func (p Progress) AppendJSON(dst []byte) []byte {
-	dst = slices.Grow(dst, len(p.outputsJSON)+len(p.JobID)+len(p.Error)+128)
+	dst = slices.Grow(dst, len(p.Outputs)+len(p.JobID)+len(p.Error)+128)
 	dst = append(dst, `{"job_id":`...)
 	dst = appendString(dst, p.JobID)
 	dst = append(dst, `,"state":`...)
@@ -158,11 +130,7 @@ func (p Progress) AppendJSON(dst []byte) []byte {
 	}
 	if len(p.Outputs) > 0 {
 		dst = append(dst, `,"outputs":`...)
-		if p.outputsJSON != nil {
-			dst = append(dst, p.outputsJSON...)
-		} else {
-			dst = job.AppendVector(dst, p.Outputs)
-		}
+		dst = append(dst, p.Outputs...)
 	}
 	dst = append(dst, `,"max_err":`...)
 	dst = job.AppendF64(dst, p.MaxErr)

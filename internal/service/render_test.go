@@ -24,9 +24,9 @@ func marshalString(t testing.TB, v any) string {
 // error text that needs escaping.
 func TestProgressAppendJSONMatchesEncodingJSON(t *testing.T) {
 	events := []Progress{
-		{JobID: "j000001", State: StateRunning, Round: 1, Outputs: []job.F64{1, 2.5, job.F64(math.NaN())}, MaxErr: 1.5},
-		{JobID: "j000001", State: StateRunning, Outputs: []job.F64{}, MaxErr: job.F64(math.Inf(1))},
-		{JobID: "j000001", State: StateDone, Round: 9, Outputs: []job.F64{-0.5, 1e21}, Done: true},
+		{JobID: "j000001", State: StateRunning, Round: 1, Outputs: job.AppendVector(nil, []job.F64{1, 2.5, job.F64(math.NaN())}), MaxErr: 1.5},
+		{JobID: "j000001", State: StateRunning, Outputs: json.RawMessage{}, MaxErr: job.F64(math.Inf(1))},
+		{JobID: "j000001", State: StateDone, Round: 9, Outputs: job.AppendVector(nil, []job.F64{-0.5, 1e21}), Done: true},
 		{JobID: "j000002", State: StateFailed, Done: true, Error: "agent <3> & \"friends\"\nsaid: héllo ☃  "},
 		{},
 	}
@@ -37,12 +37,12 @@ func TestProgressAppendJSONMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
-// TestAppendJSONWithoutEncodedBytes covers values built outside the
-// service, which carry no encodings to copy, and a snapshot whose Result
-// the caller replaced.
-func TestAppendJSONWithoutEncodedBytes(t *testing.T) {
+// TestAppendJSONMatchesEncodingJSON covers jobs and batches built outside
+// the service: queued, done with a result, failed with an error that needs
+// escaping, and a nil member.
+func TestAppendJSONMatchesEncodingJSON(t *testing.T) {
 	started := time.Date(2024, 6, 17, 9, 30, 0, 123456789, time.UTC)
-	res := &job.Result{Outputs: []job.F64{1, job.F64(math.Inf(-1))}, Rounds: 3, Expected: 2}
+	res := job.AppendResult(nil, &job.Result{Outputs: []job.F64{1, job.F64(math.Inf(-1))}, Rounds: 3, Expected: 2})
 	jobs := []*Job{
 		{ID: "j1", Hash: "abc", Spec: json.RawMessage(marshalString(t, ringSpec(1))), State: StateQueued, Submitted: started},
 		{ID: "j2", Hash: "abc", Spec: json.RawMessage(marshalString(t, ringSpec(2))), State: StateDone, CacheHit: true, DedupOf: "j1", Result: res,
@@ -71,44 +71,47 @@ func TestAppendJSONWithoutEncodedBytes(t *testing.T) {
 			t.Fatalf("batch %s: AppendJSON = %s, want %s", b.ID, got, want)
 		}
 	}
-
-	s := New(Config{Workers: 1})
-	defer s.Close()
-	sub, err := s.Submit(ringSpec(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	j := waitState(t, s, sub.ID, StateDone)
-	j.Result = res
-	got, err := j.AppendJSON(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := marshalString(t, j); string(got) != want {
-		t.Fatalf("snapshot with a replaced Result: AppendJSON = %s, want %s", got, want)
-	}
-	if ev := TerminalProgress(j); ev.outputsJSON != nil {
-		t.Fatalf("terminal event of a replaced Result copies the old encoding: %s", ev.outputsJSON)
-	}
 }
 
-// TestEncodedOnceAndShared checks that a done job's spec and result bytes
-// are the ones compile and settle made, shared rather than copied: the
-// LRU, every member of the execution and the terminal event's outputs
-// point at the same result encoding, and a member that joined the
-// execution at the creator's spec encoding.
+// TestEncodedOnceAndShared checks that a job's spec, result and outputs
+// bytes are the ones compile, settle and the round observer made, shared
+// rather than copied: two watchers of one execution receive each running
+// event's outputs in one backing array; the LRU and every member of the
+// execution carry one result encoding, and the terminal event's outputs
+// are a sub-slice of it; and a member that joined the execution carries
+// the creator's spec encoding.
 func TestEncodedOnceAndShared(t *testing.T) {
-	s := New(Config{Workers: 1})
+	g := newGate()
+	s := New(Config{Workers: 1, ProgressEvery: 1, Intercept: g.intercept})
 	defer s.Close()
 	b, err := s.SubmitBatch([]job.Spec{ringSpec(4), ringSpec(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if b.Jobs[1].DedupOf != b.Jobs[0].ID {
+		t.Fatalf("second member did not join the first: %+v", b.Jobs[1])
+	}
+	// Both members are watched before their execution starts, so each
+	// stream's first event is round 1.
+	var watch [2]<-chan Progress
+	for i, m := range b.Jobs {
+		ch, stop, err := s.Watch(m.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer stop()
+		watch[i] = ch
+	}
+	g.release(1)
+	r0, r1 := <-watch[0], <-watch[1]
+	if r0.State != StateRunning || r0.Round != 1 || r1.Round != 1 || len(r0.Outputs) == 0 {
+		t.Fatalf("first events: %s round %d, %s round %d; want round 1 running with outputs", r0.State, r0.Round, r1.State, r1.Round)
+	}
+	if &r0.Outputs[0] != &r1.Outputs[0] {
+		t.Fatal("watchers of one execution receive their own copies of a round's outputs")
+	}
 	a := waitState(t, s, b.Jobs[0].ID, StateDone)
 	d := waitState(t, s, b.Jobs[1].ID, StateDone)
-	if d.DedupOf != a.ID {
-		t.Fatalf("second member did not join the first: %+v", d)
-	}
 	hit, err := s.Submit(ringSpec(4))
 	if err != nil {
 		t.Fatal(err)
@@ -116,14 +119,14 @@ func TestEncodedOnceAndShared(t *testing.T) {
 	if !hit.CacheHit {
 		t.Fatal("resubmission was not a cache hit")
 	}
-	enc := a.encoded.json
+	enc := a.Result
 	for _, j := range []*Job{d, hit} {
-		if &j.encoded.json[0] != &enc[0] {
+		if &j.Result[0] != &enc[0] {
 			t.Fatalf("job %s carries its own result encoding", j.ID)
 		}
 	}
 	ev := TerminalProgress(a)
-	if len(ev.outputsJSON) == 0 || &ev.outputsJSON[0] != &enc[len(`{"outputs":`)] {
+	if len(ev.Outputs) == 0 || &ev.Outputs[0] != &enc[len(`{"outputs":`)] {
 		t.Fatal("terminal event's outputs are not a sub-slice of the result's encoding")
 	}
 	if &d.Spec[0] != &a.Spec[0] {

@@ -7,6 +7,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -59,8 +60,9 @@ type Config struct {
 	// QueueDepth bounds the number of queued-but-not-running jobs
 	// (default 64).
 	QueueDepth int
-	// CacheSize is the LRU result-cache capacity in entries (default 128;
-	// negative disables caching).
+	// CacheSize is the in-memory LRU result-cache capacity in entries
+	// (default 128). A negative value disables the in-memory tier only:
+	// with a Store, identical specs are still served from the log.
 	CacheSize int
 	// JobTimeout is the per-job deadline (default 2m; negative disables).
 	JobTimeout time.Duration
@@ -165,32 +167,29 @@ type Job struct {
 	// DedupOf names the job whose execution this job joined because it
 	// was submitted while an identical job was in flight.
 	DedupOf string `json:"dedup_of,omitempty"`
-	// Result is set when State is done.
-	Result    *job.Result `json:"result,omitempty"`
-	Submitted time.Time   `json:"submitted"`
-	Started   *time.Time  `json:"started,omitempty"`
-	Finished  *time.Time  `json:"finished,omitempty"`
-
-	// encoded is the encoding settle made of Result, shared read-only
-	// with the service; AppendJSON copies it instead of encoding the
-	// outputs again.
-	encoded *encodedResult
+	// Result is set when State is done: the JSON encoding of the run's
+	// job.Result, which decodes back into one. On a snapshot from the
+	// service it is shared with the service and must not be modified.
+	Result    json.RawMessage `json:"result,omitempty"`
+	Submitted time.Time       `json:"submitted"`
+	Started   *time.Time      `json:"started,omitempty"`
+	Finished  *time.Time      `json:"finished,omitempty"`
 }
 
 // Progress is one event on a job's watch stream: a round-by-round sample
 // while running, then exactly one terminal event (Done=true).
 type Progress struct {
-	JobID   string    `json:"job_id"`
-	State   State     `json:"state"`
-	Round   int       `json:"round,omitempty"`
-	Outputs []job.F64 `json:"outputs,omitempty"`
-	MaxErr  job.F64   `json:"max_err"`
-	Done    bool      `json:"done,omitempty"`
-	Error   string    `json:"error,omitempty"`
-
-	// outputsJSON is Outputs already encoded — on a terminal event, a
-	// sub-slice of the result's encoding. Nil: AppendJSON encodes Outputs.
-	outputsJSON []byte
+	JobID string `json:"job_id"`
+	State State  `json:"state"`
+	Round int    `json:"round,omitempty"`
+	// Outputs is the output vector's JSON array. On an event from the
+	// service it is shared with every subscriber and must not be
+	// modified: a running event's is encoded once per published round, a
+	// terminal event's is a sub-slice of the job's Result.
+	Outputs json.RawMessage `json:"outputs,omitempty"`
+	MaxErr  job.F64         `json:"max_err"`
+	Done    bool            `json:"done,omitempty"`
+	Error   string          `json:"error,omitempty"`
 }
 
 // Stats is a snapshot of the service counters (rendered by anonnetd's
@@ -401,24 +400,23 @@ func (s *Service) dropInflightLocked(x *execution) {
 }
 
 // resultForHash consults the two result tiers: the in-memory LRU, then
-// the durable store. A disk hit keeps the log's bytes as its encoding and
-// is promoted into the LRU. Callers hold s.mu.
-func (s *Service) resultForHash(hash string) (*encodedResult, bool) {
+// the durable store. A disk hit serves the log's bytes once job.Summarize
+// accepts them as an encoded Result, and is promoted into the LRU.
+// Callers hold s.mu.
+func (s *Service) resultForHash(hash string) ([]byte, bool) {
 	if r, ok := s.cache.get(hash); ok {
 		return r, true
 	}
 	if s.cfg.Store == nil {
 		return nil, false
 	}
-	raw, ok := s.cfg.Store.ResultByHash(hash)
+	r, ok := s.cfg.Store.ResultByHash(hash)
 	if !ok {
 		return nil, false
 	}
-	var res job.Result
-	if err := json.Unmarshal(raw, &res); err != nil {
+	if _, _, _, ok := job.Summarize(r); !ok {
 		return nil, false
 	}
-	r := &encodedResult{res: &res, json: raw, outputs: job.OutputsJSON(raw)}
 	s.cache.add(hash, r)
 	return r, true
 }
@@ -509,8 +507,8 @@ func (s *Service) backfillLocked() {
 		}
 		rec := store.Record{JobID: e.id, Hash: e.hash, State: string(e.state),
 			Spec: e.specJSON, Error: e.err, Unix: time.Now().UnixNano()}
-		if e.state == StateDone && e.result != nil {
-			rec.Result = e.result.json
+		if e.state == StateDone {
+			rec.Result = e.result
 		}
 		if err := s.cfg.Store.Append(rec); err != nil {
 			if lost := s.noteStoreFailureLocked(err); lost {
@@ -1000,21 +998,25 @@ func (s *Service) runOne(x *execution) {
 				// outright.
 				return
 			}
+			// Encode the outputs once: every subscriber shares the bytes.
 			outputs, maxErr := job.Numeric(outs, b.Expected)
 			s.publish(x, Progress{
 				State:   StateRunning,
 				Round:   round,
-				Outputs: outputs,
+				Outputs: job.AppendVector(nil, outputs),
 				MaxErr:  job.F64(maxErr),
 			})
 		}
 	}
 	res, err := s.execute(ctx, x, observe)
-	var r *encodedResult
+	var r []byte
 	if err == nil {
 		// Encode the result once, outside the lock: every member, the
-		// LRU, the done record and every response share these bytes.
-		r = encodeResult(res)
+		// LRU, the done record and every response share these bytes, and
+		// nothing keeps the decoded result. The encoder reserves by
+		// estimate; keep an exact-size copy, since the bytes live as long
+		// as the job, the LRU entry and the store's view.
+		r = bytes.Clone(job.AppendResult(nil, res))
 	}
 
 	s.mu.Lock()
@@ -1028,7 +1030,7 @@ func (s *Service) runOne(x *execution) {
 // result payload in the log (the other members' done records resolve
 // through the shared hash). A run stopped because every member left has
 // nobody to settle. Callers hold s.mu.
-func (s *Service) settleLocked(x *execution, r *encodedResult, err error) {
+func (s *Service) settleLocked(x *execution, r []byte, err error) {
 	s.dropInflightLocked(x)
 	for _, m := range x.members {
 		switch {
@@ -1193,19 +1195,12 @@ func (s *Service) finishLocked(e *entry) {
 // for the streams a job's terminal transition ends, and for stream
 // consumers that see the channel close without a Done event (publish
 // drops events a slow subscriber has no buffer for, the terminal one
-// included) and synthesize the final line. On a snapshot from the
-// service, the event's encoded outputs are a sub-slice of the result's
-// encoding.
+// included) and synthesize the final line. Its round, max error and
+// outputs come from job.Summarize of the job's Result: the outputs are a
+// sub-slice of those bytes.
 func TerminalProgress(j *Job) Progress {
 	ev := Progress{JobID: j.ID, State: j.State, Done: true, Error: j.Error}
-	if r := j.Result; r != nil {
-		ev.Round = r.Rounds
-		ev.Outputs = r.Outputs
-		ev.MaxErr = r.MaxErr
-		if j.encoded != nil && j.encoded.res == r {
-			ev.outputsJSON = j.encoded.outputs
-		}
-	}
+	ev.Outputs, ev.Round, ev.MaxErr, _ = job.Summarize(j.Result)
 	return ev
 }
 
@@ -1219,11 +1214,8 @@ func snapshot(e *entry) *Job {
 		Error:     e.err,
 		CacheHit:  e.cacheHit,
 		DedupOf:   e.dedupOf,
+		Result:    e.result,
 		Submitted: e.submitted,
-		encoded:   e.result,
-	}
-	if e.result != nil {
-		j.Result = e.result.res
 	}
 	if !e.started.IsZero() {
 		t := e.started

@@ -1,9 +1,10 @@
 package service
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -57,6 +58,16 @@ func waitState(t testing.TB, s *Service, id string, want State) *Job {
 	return nil
 }
 
+// decodeResult reads a job's Result bytes back into a job.Result.
+func decodeResult(t testing.TB, raw json.RawMessage) *job.Result {
+	t.Helper()
+	var res job.Result
+	if err := json.Unmarshal(raw, &res); err != nil {
+		t.Fatalf("result %s: %v", raw, err)
+	}
+	return &res
+}
+
 func TestSubmitAndComplete(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer s.Close()
@@ -68,11 +79,12 @@ func TestSubmitAndComplete(t *testing.T) {
 		t.Fatalf("submission missing id/hash: %+v", j)
 	}
 	done := waitState(t, s, j.ID, StateDone)
-	if done.Result == nil || !done.Result.Stable {
-		t.Fatalf("no stable result: %+v", done.Result)
+	res := decodeResult(t, done.Result)
+	if !res.Stable {
+		t.Fatalf("no stable result: %s", done.Result)
 	}
 	want := 5.0 // average of the 16 values
-	for i, o := range done.Result.Outputs {
+	for i, o := range res.Outputs {
 		if math.Abs(float64(o)-want) > 1e-9 {
 			t.Fatalf("output %d = %v, want %v", i, o, want)
 		}
@@ -101,8 +113,8 @@ func TestCacheHit(t *testing.T) {
 	}
 	a, _ := s.Get(first.ID)
 	b, _ := s.Get(second.ID)
-	if !reflect.DeepEqual(a.Result, b.Result) {
-		t.Fatalf("cached result differs:\n%+v\n%+v", a.Result, b.Result)
+	if !bytes.Equal(a.Result, b.Result) {
+		t.Fatalf("cached result differs:\n%s\n%s", a.Result, b.Result)
 	}
 	if st := s.Stats(); st.CacheHits != 1 || st.Completed != 1 {
 		t.Fatalf("stats = %+v", st)
@@ -131,7 +143,7 @@ func TestCancelRunning(t *testing.T) {
 	}
 	got := waitState(t, s, j.ID, StateCanceled)
 	if got.Result != nil {
-		t.Fatalf("canceled job has a result: %+v", got.Result)
+		t.Fatalf("canceled job has a result: %s", got.Result)
 	}
 	if st := s.Stats(); st.Canceled != 1 {
 		t.Fatalf("stats = %+v", st)

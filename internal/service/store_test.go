@@ -1,9 +1,10 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
-	"reflect"
 	"testing"
 	"time"
 
@@ -118,8 +119,8 @@ func TestShutdownFlushInterruptsAndRecoverResumes(t *testing.T) {
 		if j.Hash != hashes[i] {
 			t.Errorf("job %s hash %s, want original %s", id, j.Hash, hashes[i])
 		}
-		if !reflect.DeepEqual(j.Result, want[i]) {
-			t.Errorf("job %s result %+v diverges from uninterrupted %+v", id, j.Result, want[i])
+		if w := job.AppendResult(nil, want[i]); !bytes.Equal(j.Result, w) {
+			t.Errorf("job %s result %s diverges from uninterrupted %s", id, j.Result, w)
 		}
 	}
 	// The resumed job really did resume: it re-simulated fewer rounds
@@ -229,8 +230,8 @@ func TestRecoverResumesConcurrentCheckpoint(t *testing.T) {
 		t.Fatalf("recover: %d jobs, %v", n, err)
 	}
 	got := waitState(t, s2, j.ID, StateDone)
-	if !reflect.DeepEqual(got.Result, want) {
-		t.Errorf("resumed result %+v diverges from uninterrupted %+v", got.Result, want)
+	if w := job.AppendResult(nil, want); !bytes.Equal(got.Result, w) {
+		t.Errorf("resumed result %s diverges from uninterrupted %s", got.Result, w)
 	}
 	if sim := s2.Stats().RoundsSimulated; sim != int64(rounds-round) {
 		t.Errorf("recovery simulated %d rounds, want the %d after the checkpoint", sim, rounds-round)
@@ -239,39 +240,83 @@ func TestRecoverResumesConcurrentCheckpoint(t *testing.T) {
 
 // TestResultServedFromDiskAcrossRestart pins the disk tier: a result
 // persisted by one service instance satisfies an identical submission in
-// a later instance as a cache hit, without re-running the job.
+// a later instance as a cache hit, without re-running the job. A negative
+// CacheSize disables only the in-memory tier, so the disk tier serves
+// the hit all the same.
 func TestResultServedFromDiskAcrossRestart(t *testing.T) {
-	dir := t.TempDir()
-	spec := durableSpec(7, 500)
+	for _, tc := range []struct {
+		name      string
+		cacheSize int
+	}{{"lru", 0}, {"disk-only", -1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			spec := durableSpec(7, 500)
 
-	st1 := openStore(t, dir)
-	s1 := New(Config{Workers: 1, Store: st1})
-	j1, err := s1.Submit(spec)
+			st1 := openStore(t, dir)
+			s1 := New(Config{Workers: 1, Store: st1, CacheSize: tc.cacheSize})
+			j1, err := s1.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := waitState(t, s1, j1.ID, StateDone)
+			s1.Close()
+			if err := st1.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			st2 := openStore(t, dir)
+			defer st2.Close()
+			s2 := New(Config{Workers: 1, Store: st2, CacheSize: tc.cacheSize})
+			defer s2.Close()
+			j2, err := s2.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if j2.State != StateDone || !j2.CacheHit {
+				t.Fatalf("restarted submit = state %s cacheHit %v, want done via disk tier", j2.State, j2.CacheHit)
+			}
+			if !bytes.Equal(j2.Result, done.Result) {
+				t.Errorf("disk-tier result %s diverges from original %s", j2.Result, done.Result)
+			}
+			if s2.Stats().RoundsSimulated != 0 {
+				t.Errorf("disk-tier hit re-simulated %d rounds", s2.Stats().RoundsSimulated)
+			}
+		})
+	}
+}
+
+// TestDiskHitRefusesForeignResult: a done record whose result payload is
+// not an encoded Result — here JSON that decodes into an empty Result,
+// since unknown fields are ignored — is no disk-tier hit. The job runs
+// and ends with the result job.Run gives.
+func TestDiskHitRefusesForeignResult(t *testing.T) {
+	spec := durableSpec(9, 300)
+	c, err := job.Compile(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := waitState(t, s1, j1.ID, StateDone)
-	s1.Close()
-	if err := st1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	st2 := openStore(t, dir)
-	defer st2.Close()
-	s2 := New(Config{Workers: 1, Store: st2})
-	defer s2.Close()
-	j2, err := s2.Submit(spec)
+	want, err := job.Run(context.Background(), c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j2.State != StateDone || !j2.CacheHit {
-		t.Fatalf("restarted submit = state %s cacheHit %v, want done via disk tier", j2.State, j2.CacheHit)
+	st := openStore(t, t.TempDir())
+	defer st.Close()
+	if err := st.Append(store.Record{JobID: "j000001", Hash: c.Hash, State: store.StateDone,
+		Spec: c.SpecJSON, Result: json.RawMessage(`{"r":1}`)}); err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(j2.Result, done.Result) {
-		t.Errorf("disk-tier result %+v diverges from original %+v", j2.Result, done.Result)
+	s := New(Config{Workers: 1, Store: st})
+	defer s.Close()
+	j, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s2.Stats().RoundsSimulated != 0 {
-		t.Errorf("disk-tier hit re-simulated %d rounds", s2.Stats().RoundsSimulated)
+	if j.CacheHit {
+		t.Fatalf("foreign disk-tier payload served as a cache hit: %s", j.Result)
+	}
+	done := waitState(t, s, j.ID, StateDone)
+	if w := job.AppendResult(nil, want); !bytes.Equal(done.Result, w) {
+		t.Errorf("result %s, want job.Run's %s", done.Result, w)
 	}
 }
 
