@@ -34,11 +34,12 @@
 //	fmt.Println(res.Outputs[0]) // 3.875, at every agent
 //
 // Compute takes functional options: WithEngine(Sequential|Sharded|
-// Vectorized) selects the runner (the sharded engine scales to
-// thousands of agents; the vectorized kernel runs linear mass-passing
-// algorithms over flat float64 buffers with zero steady-state allocations,
-// falling back to the sequential engine — identical traces — for
-// algorithms it cannot express), WithParallelism sets the degree of
+// Vectorized) selects the runner (the sharded engine spreads each round's
+// agent work over cores, which pays only for compute-heavy agents; the
+// vectorized kernel runs linear mass-passing algorithms over flat float64
+// buffers with zero steady-state allocations, falling back to the
+// sequential engine — identical traces — for algorithms it cannot
+// express), WithParallelism sets the degree of
 // parallelism (shard count for the sharded engine, worker count for the
 // parallel vectorized kernel), WithOnRound streams per-round progress,
 // WithPatience /
@@ -333,9 +334,13 @@ type EngineKind int
 const (
 	// Sequential is the deterministic single-threaded engine (default).
 	Sequential EngineKind = iota
-	// Sharded partitions agents across cores and delivers messages
-	// through preallocated shard-to-shard buffers; the fastest engine for
-	// large n.
+	// Sharded partitions agents into one contiguous shard per core; each
+	// shard fills its own agents' inboxes from the shared sent buffers,
+	// with no locks. The shard barrier costs more than it saves on light
+	// agents: on Push-Sum rings at two cores it runs at 0.30–0.95× the
+	// sequential engine's speed from n = 16 to 1024 (BENCH_engine.json).
+	// Its one measured lead is compute-heavy minimum-base agents on a
+	// 12-ring, 96.8 vs 123.1 ms (EXPERIMENTS A2).
 	Sharded
 	// Vectorized executes linear mass-passing algorithms over flat
 	// float64 buffers with zero steady-state allocations; algorithms that

@@ -20,7 +20,8 @@ type CheckpointConfig struct {
 	// is an error — the blob could only have come from somewhere else.
 	Resume []byte
 	// Save receives each encoded checkpoint (periodic and flush-triggered).
-	Save func(round int, blob []byte) error
+	// The blob carries its round: engine.DecodeCheckpoint(blob).Round.
+	Save func(blob []byte) error
 	// Flush asks the run to checkpoint at the next round boundary and stop
 	// with engine.ErrInterrupted — the graceful-shutdown path.
 	Flush <-chan struct{}
@@ -50,7 +51,7 @@ func RunCheckpointed(ctx context.Context, b *Built, obs engine.Observer, ck Chec
 				if err != nil {
 					return err
 				}
-				return ck.Save(cp.Round, blob)
+				return ck.Save(blob)
 			}
 		}
 		if ck.Resume != nil {

@@ -98,25 +98,18 @@ func TestRunCheckpointedResumeMatchesUninterrupted(t *testing.T) {
 				const k = 5
 				flush := make(chan struct{}, 1)
 				var blob []byte
-				var blobRound int
 				pre := &traceRecorder{}
 				_, err = RunCheckpointed(context.Background(), build(t, compile()), func(round int, outs []model.Value) {
 					pre.obs(round, outs)
 					if round == k {
 						flush <- struct{}{}
 					}
-				}, CheckpointConfig{
-					Flush: flush,
-					Save: func(round int, b []byte) error {
-						blobRound, blob = round, b
-						return nil
-					},
-				})
+				}, CheckpointConfig{Flush: flush, Save: func(b []byte) error { blob = b; return nil }})
 				if !errors.Is(err, engine.ErrInterrupted) {
 					t.Fatalf("killed run error = %v, want ErrInterrupted", err)
 				}
-				if blob == nil || blobRound != k {
-					t.Fatalf("flush checkpoint at round %d (blob %d bytes), want round %d", blobRound, len(blob), k)
+				if cp, err := engine.DecodeCheckpoint(blob); err != nil || cp.Round != k {
+					t.Fatalf("flush checkpoint %+v (%v), want round %d", cp, err, k)
 				}
 
 				// The resumed run completes the job from the blob.
@@ -156,7 +149,7 @@ func concurrentBlob(t *testing.T, spec Spec, k int) ([]byte, []string) {
 		if round == k {
 			flush <- struct{}{}
 		}
-	}, CheckpointConfig{Flush: flush, Save: func(_ int, b []byte) error { blob = b; return nil }})
+	}, CheckpointConfig{Flush: flush, Save: func(b []byte) error { blob = b; return nil }})
 	if !errors.Is(err, engine.ErrInterrupted) {
 		t.Fatalf("sequential run error = %v, want ErrInterrupted", err)
 	}
@@ -246,7 +239,7 @@ func TestRunCheckpointedPlainWhenNotCheckpointable(t *testing.T) {
 	got, err := RunCheckpointed(context.Background(), build(t, c2), nil, CheckpointConfig{
 		Every: 1,
 		Flush: flush,
-		Save:  func(int, []byte) error { saves++; return nil },
+		Save:  func([]byte) error { saves++; return nil },
 	})
 	if err != nil {
 		t.Fatalf("degraded run error: %v", err)

@@ -119,7 +119,7 @@ func runResult(t *testing.T, s Spec, stopAt int) (res *Result, resumed bool) {
 		if round == stopAt {
 			flush <- struct{}{}
 		}
-	}, CheckpointConfig{Flush: flush, Save: func(_ int, b []byte) error { blob = b; return nil }})
+	}, CheckpointConfig{Flush: flush, Save: func(b []byte) error { blob = b; return nil }})
 	if resumed = errors.Is(err, engine.ErrInterrupted); resumed {
 		res, err = RunCheckpointed(ctx, build(t, compile()), nil, CheckpointConfig{Resume: blob})
 	}

@@ -89,7 +89,6 @@ type execution struct {
 	started      time.Time          // zero while queued
 	cancel       context.CancelFunc // non-nil exactly while running
 	flush        chan struct{}      // non-nil while running durably: shutdown's flush request
-	ckptRound    int                // last checkpointed round (durable path)
 	resultLogged bool               // a member's done record carried the result payload
 }
 
@@ -125,9 +124,9 @@ func (s *Service) transition(e *entry, to State, c cause) {
 
 // record renders e's transition into its state as one log record: the
 // spec on the job's first record, the result payload on the first done
-// record of each execution, the checkpoint round on interrupted, the
-// error on failed. Spec and result are the bytes compile and settle
-// encoded, not encoded again. Callers hold Service.mu.
+// record of each execution, the error on failed. Spec and result are the
+// bytes compile and settle encoded, not encoded again. Callers hold
+// Service.mu.
 func record(e *entry, from State, c cause) store.Record {
 	rec := store.Record{JobID: e.id, Hash: e.hash, State: string(e.state)}
 	if from == stateNew && c != causeRecover {
@@ -139,8 +138,6 @@ func record(e *entry, from State, c cause) store.Record {
 			x.resultLogged = true
 			rec.Result = e.result
 		}
-	case StateInterrupted:
-		rec.Round = e.exec.ckptRound
 	case StateFailed:
 		rec.Error = e.err
 	}

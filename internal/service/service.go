@@ -532,8 +532,9 @@ func (s *Service) backfillLocked() {
 // Recover re-enqueues every non-terminal job found in the durable store —
 // the boot step after a crash or graceful shutdown. Jobs keep their
 // original IDs; those with an on-disk checkpoint resume mid-run from it.
-// Specs that no longer compile are marked failed in the log rather than
-// wedging recovery. Returns the number of jobs re-enqueued.
+// Specs that no longer compile are marked failed in the log, and their
+// checkpoint dropped, rather than wedging recovery. Returns the number of
+// jobs re-enqueued.
 func (s *Service) Recover() (int, error) {
 	if s.cfg.Store == nil {
 		return 0, nil
@@ -558,6 +559,9 @@ func (s *Service) Recover() (int, error) {
 		if err != nil {
 			s.persist(store.Record{JobID: v.ID, Hash: v.Hash, State: store.StateFailed,
 				Error: fmt.Sprintf("recovery: %v", err)})
+			// Equal hashes are equal canonical specs, so no other pending
+			// job can resume from this blob.
+			s.cfg.Store.DropCheckpoints(v.Hash)
 			continue
 		}
 		// Recovery never registers executions in the dedup index: each
@@ -1123,7 +1127,7 @@ func (s *Service) checkpointConfig(x *execution) job.CheckpointConfig {
 	ck := job.CheckpointConfig{
 		Every: s.cfg.CheckpointEvery,
 		Flush: x.flush,
-		Save: func(round int, blob []byte) error {
+		Save: func(blob []byte) error {
 			// A checkpoint is an optimization, not a correctness need: a
 			// failed or skipped save must never fail the job (the run just
 			// resumes from an older round after a crash). Failures feed the
@@ -1136,20 +1140,18 @@ func (s *Service) checkpointConfig(x *execution) job.CheckpointConfig {
 				s.degradedDrop.Add(1)
 				return nil
 			}
-			if err := s.cfg.Store.SaveCheckpoint(hash, round, blob); err != nil {
-				s.mu.Lock()
-				s.noteStoreFailureLocked(err)
-				s.mu.Unlock()
-				return nil
-			}
+			err := s.cfg.Store.SaveCheckpoint(hash, blob)
 			s.mu.Lock()
-			s.noteStoreSuccessLocked()
-			x.ckptRound = round
+			if err != nil {
+				s.noteStoreFailureLocked(err)
+			} else {
+				s.noteStoreSuccessLocked()
+			}
 			s.mu.Unlock()
 			return nil
 		},
 	}
-	if blob, _, err := s.cfg.Store.LatestCheckpoint(hash); err == nil {
+	if blob, err := s.cfg.Store.LatestCheckpoint(hash); err == nil {
 		ck.Resume = blob
 	}
 	return ck

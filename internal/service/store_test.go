@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"os"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -102,8 +104,13 @@ func TestShutdownFlushInterruptsAndRecoverResumes(t *testing.T) {
 	// The second daemon: same data dir, recover, drain.
 	st2 := openStore(t, dir)
 	defer st2.Close()
-	if v, ok := st2.Job(ids[0]); !ok || v.State != store.StateInterrupted || v.Round <= 0 {
+	if v, ok := st2.Job(ids[0]); !ok || v.State != store.StateInterrupted {
 		t.Fatalf("persisted view of interrupted job: %+v (ok=%v)", v, ok)
+	}
+	if blob, err := st2.LatestCheckpoint(hashes[0]); err != nil {
+		t.Fatalf("interrupted job's checkpoint: %v", err)
+	} else if cp, err := engine.DecodeCheckpoint(blob); err != nil || cp.Round <= 0 {
+		t.Fatalf("interrupted job's checkpoint %+v (%v), want a round past 0", cp, err)
 	}
 	s2 := New(Config{Workers: 2, CheckpointEvery: 250, Store: st2})
 	defer s2.Close()
@@ -175,10 +182,15 @@ func TestRecoverResumesConcurrentCheckpoint(t *testing.T) {
 	if err := s1.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-	_, round, err := st1.LatestCheckpoint(j.Hash)
+	flushed, err := st1.LatestCheckpoint(j.Hash)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fcp, err := engine.DecodeCheckpoint(flushed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	round := fcp.Round
 	// Overwrite the flushed blob with what the concurrent runner wrote at
 	// that round: the sequential snapshot (same core layout, same draw
 	// sequence) stamped "concurrent".
@@ -198,7 +210,7 @@ func TestRecoverResumesConcurrentCheckpoint(t *testing.T) {
 		if r == round {
 			flush <- struct{}{}
 		}
-	}, job.CheckpointConfig{Flush: flush, Save: func(_ int, b []byte) error { legacy = b; return nil }})
+	}, job.CheckpointConfig{Flush: flush, Save: func(b []byte) error { legacy = b; return nil }})
 	if !errors.Is(err, engine.ErrInterrupted) {
 		t.Fatalf("sequential run error = %v, want ErrInterrupted", err)
 	}
@@ -210,7 +222,7 @@ func TestRecoverResumesConcurrentCheckpoint(t *testing.T) {
 	if legacy, err = cp.Encode(); err != nil {
 		t.Fatal(err)
 	}
-	if err := st1.SaveCheckpoint(j.Hash, round, legacy); err != nil {
+	if err := st1.SaveCheckpoint(j.Hash, legacy); err != nil {
 		t.Fatal(err)
 	}
 	if err := st1.Close(); err != nil {
@@ -219,7 +231,7 @@ func TestRecoverResumesConcurrentCheckpoint(t *testing.T) {
 
 	st2 := openStore(t, dir)
 	defer st2.Close()
-	if blob, _, err := st2.LatestCheckpoint(j.Hash); err != nil {
+	if blob, err := st2.LatestCheckpoint(j.Hash); err != nil {
 		t.Fatal(err)
 	} else if cp, err := engine.DecodeCheckpoint(blob); err != nil || cp.Engine != "concurrent" || cp.Round != round {
 		t.Fatalf("on-disk checkpoint %+v (%v), want the concurrent one at round %d", cp, err, round)
@@ -235,6 +247,55 @@ func TestRecoverResumesConcurrentCheckpoint(t *testing.T) {
 	}
 	if sim := s2.Stats().RoundsSimulated; sim != int64(rounds-round) {
 		t.Errorf("recovery simulated %d rounds, want the %d after the checkpoint", sim, rounds-round)
+	}
+}
+
+// listingFS is a store.FS that counts directory listings and renames.
+type listingFS struct {
+	store.FS
+	readDirs, renames atomic.Int64
+}
+
+func (f *listingFS) ReadDir(path string) ([]os.DirEntry, error) {
+	f.readDirs.Add(1)
+	return f.FS.ReadDir(path)
+}
+
+func (f *listingFS) Rename(oldpath, newpath string) error {
+	f.renames.Add(1)
+	return f.FS.Rename(oldpath, newpath)
+}
+
+// TestJobPathListsNoDirectory pins that a job's checkpoint is found,
+// saved and dropped by name: once Open has replayed the data dir, neither
+// a job that checkpoints every 5 of its 40 rounds nor a gossip job that
+// never saves lists a directory.
+func TestJobPathListsNoDirectory(t *testing.T) {
+	fs := &listingFS{FS: store.OS()}
+	st, err := store.Open(t.TempDir(), store.Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	opened := fs.readDirs.Load()
+	s := New(Config{Workers: 1, CheckpointEvery: 5, Store: st})
+	defer s.Close()
+	batch, err := s.SubmitBatch([]job.Spec{durableSpec(7, 40),
+		{Graph: job.GraphSpec{Builder: "ring", N: 16}, Kind: "bc", Function: "max", MaxRounds: 2, Patience: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range batch.Jobs {
+		waitState(t, s, j.ID, StateDone)
+	}
+	if fs.renames.Load() == 0 {
+		t.Fatal("the checkpointing job saved no checkpoint")
+	}
+	if n := fs.readDirs.Load() - opened; n != 0 {
+		t.Errorf("the jobs listed a directory %d times, want 0", n)
+	}
+	if n := st.Stats().Checkpoints; n != 0 {
+		t.Errorf("store counts %d checkpoints after both jobs finished, want 0", n)
 	}
 }
 
@@ -322,7 +383,8 @@ func TestDiskHitRefusesForeignResult(t *testing.T) {
 
 // TestRecoverRejectsUncompilableSpec pins recovery's poison-pill
 // handling: a persisted job whose spec no longer compiles is marked
-// failed in the log instead of wedging the boot.
+// failed in the log instead of wedging the boot, and its checkpoint blob
+// is dropped with it.
 func TestRecoverRejectsUncompilableSpec(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
@@ -330,6 +392,9 @@ func TestRecoverRejectsUncompilableSpec(t *testing.T) {
 		JobID: "j000001", Hash: "bad", State: store.StateQueued,
 		Spec: []byte(`{"graph":{"builder":"moebius","n":4},"kind":"od","function":"average"}`),
 	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SaveCheckpoint("bad", []byte("blob")); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -345,6 +410,12 @@ func TestRecoverRejectsUncompilableSpec(t *testing.T) {
 	}
 	if v, ok := st2.Job("j000001"); !ok || v.State != store.StateFailed || v.Error == "" {
 		t.Fatalf("poison job view = %+v (ok=%v), want failed with error", v, ok)
+	}
+	if _, err := st2.LatestCheckpoint("bad"); !errors.Is(err, store.ErrNoCheckpoint) {
+		t.Fatalf("poison job's checkpoint after Recover: %v, want ErrNoCheckpoint", err)
+	}
+	if n := st2.Stats().Checkpoints; n != 0 {
+		t.Fatalf("store counts %d checkpoints after Recover, want 0", n)
 	}
 }
 

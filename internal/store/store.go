@@ -5,15 +5,15 @@
 // a size ceiling, and replay truncates a torn tail (a crash mid-append)
 // while sealing a segment corrupted anywhere else to a .quarantine
 // forensic copy, preserving its valid prefix and replaying the segments
-// after it (Options.StrictReplay restores fail-stop). Checkpoints are written
-// atomically (tmp + rename) under deterministic names derived from the
-// canonical spec hash and the round, so a restarted daemon can find the
-// latest checkpoint of any interrupted job without an index.
+// after it. Each spec hash has at most one checkpoint blob, named after
+// the hash and replaced atomically (temp file + rename) on every save, so
+// a restarted daemon reads an interrupted job's latest checkpoint by name,
+// with no index and no directory scan.
 //
 // Layout under the data dir:
 //
 //	log/seg-000001.log   append-only record segments
-//	ckpt/<hash16>-r00000042.ckpt   engine checkpoint blobs
+//	ckpt/<hash>.ckpt     the latest engine checkpoint of each spec hash
 //
 // The store knows nothing about the service's entry bookkeeping or the
 // engines' checkpoint encoding; it persists opaque JSON and opaque blobs.
@@ -41,11 +41,6 @@ var (
 	// store did not write — a safety interlock against pointing -data-dir
 	// at a directory that belongs to something else.
 	ErrDirtyDir = errors.New("store: data dir contains foreign files")
-	// ErrCorrupt is returned by Open under Options.StrictReplay when a
-	// non-final segment fails framing or checksum validation. The default
-	// replay quarantines the damaged segment instead; a torn tail in the
-	// final segment is expected crash damage and is truncated either way.
-	ErrCorrupt = errors.New("store: corrupt segment")
 	// ErrClosed is returned by mutating calls after Close.
 	ErrClosed = errors.New("store: closed")
 	// ErrNoCheckpoint is returned by LatestCheckpoint when no blob exists
@@ -74,9 +69,6 @@ type Record struct {
 	// Result is the result JSON, present on the done record.
 	Result json.RawMessage `json:"result,omitempty"`
 	Error  string          `json:"error,omitempty"`
-	// Round is the last checkpointed round, present on interrupted
-	// records so recovery can report where the job will resume.
-	Round int `json:"round,omitempty"`
 	// Unix is the transition time in Unix nanoseconds (informational).
 	Unix int64 `json:"unix,omitempty"`
 }
@@ -108,7 +100,6 @@ type JobView struct {
 	Spec   json.RawMessage
 	Result json.RawMessage
 	Error  string
-	Round  int
 }
 
 // Options tunes a Store. The zero value selects defaults.
@@ -120,12 +111,6 @@ type Options struct {
 	// the cost of append latency; the framing already survives process
 	// crashes without it.
 	Sync bool
-	// StrictReplay restores the pre-quarantine contract: a bad frame in a
-	// non-final segment fails Open with ErrCorrupt instead of sealing the
-	// damaged segment to .quarantine and replaying the rest. For
-	// operators who prefer refusing to boot over booting with a sealed
-	// segment.
-	StrictReplay bool
 	// FS is the filesystem the store runs on (default: the real one).
 	// Injection point for the chaos layer's deterministic fault wrapper.
 	FS FS
@@ -181,11 +166,12 @@ type Store struct {
 	// served indexes ResultByHash: spec hash → the earliest job in log
 	// order that is done with a result payload under that hash.
 	served map[string]*jobView
+	// ckpts holds the names of the checkpoint blobs on disk, for Stats.
+	ckpts map[string]struct{}
 
 	records     int64
 	logBytes    int64
 	appends     int64
-	ckptSaves   int64
 	truncated   bool
 	quarantined int
 	appendErrs  int64
@@ -211,7 +197,10 @@ const quarantineSuffix = ".quarantine"
 var (
 	segRe  = regexp.MustCompile(`^seg-(\d{6})\.log$`)
 	qsegRe = regexp.MustCompile(`^seg-(\d{6})\.log\.quarantine$`)
-	ckptRe = regexp.MustCompile(`^[0-9a-f]{1,16}-r\d{8}\.ckpt$`)
+	ckptRe = regexp.MustCompile(`^[0-9a-f]+\.ckpt$`)
+	// legacyCkptRe matches the round-stamped blob names of earlier
+	// builds, which replay removes.
+	legacyCkptRe = regexp.MustCompile(`^[0-9a-f]{1,16}-r\d{8}\.ckpt$`)
 )
 
 // Open opens (or initializes) the store in dir. A fresh dir is laid out;
@@ -239,6 +228,7 @@ func Open(dir string, opt Options) (*Store, error) {
 		fs:     fs,
 		jobs:   make(map[string]*jobView),
 		served: make(map[string]*jobView),
+		ckpts:  make(map[string]struct{}),
 	}
 	if err := s.replay(); err != nil {
 		return nil, err
@@ -271,9 +261,10 @@ func checkLayout(fs FS, dir string) error {
 		return err
 	}
 	return checkNames(fs, filepath.Join(dir, ckptDir), func(name string) bool {
-		// Leftover .tmp files from a crash mid-save are cleaned by
-		// replay, not rejected.
-		return ckptRe.MatchString(name) || strings.HasSuffix(name, ".tmp")
+		// Leftover .tmp files from a crash mid-save and the blobs of
+		// earlier builds are removed by replay, not rejected.
+		return ckptRe.MatchString(name) || legacyCkptRe.MatchString(name) ||
+			strings.HasSuffix(name, ".tmp")
 	})
 }
 
@@ -313,7 +304,8 @@ func (s *Store) segments() ([]string, error) {
 
 // replay loads every segment, verifying frames and merging records. A
 // torn tail — a partial frame at the end of the final segment — is
-// truncated in place; the same damage anywhere else is ErrCorrupt.
+// truncated in place; the same damage anywhere else quarantines the
+// segment.
 func (s *Store) replay() error {
 	names, err := s.segments()
 	if err != nil {
@@ -334,25 +326,26 @@ func (s *Store) replay() error {
 		}
 		s.logBytes += good
 	}
-	// Sweep checkpoint temp files left by a crash mid-save, and count the
-	// surviving blobs.
+	// Note the blobs and sweep the rest: checkLayout admitted only temp
+	// files left by a crash mid-save and the round-stamped blobs of
+	// earlier builds, whose jobs rerun from round 0.
 	entries, err := s.fs.ReadDir(filepath.Join(s.dir, ckptDir))
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".tmp") {
-			s.fs.Remove(filepath.Join(s.dir, ckptDir, e.Name()))
+		if ckptRe.MatchString(e.Name()) {
+			s.ckpts[e.Name()] = struct{}{}
 			continue
 		}
-		s.ckptSaves++
+		s.fs.Remove(filepath.Join(s.dir, ckptDir, e.Name()))
 	}
 	return nil
 }
 
 // replaySegment reads one segment, returning the byte offset of the last
 // good frame. In the final segment a bad tail is truncated; elsewhere the
-// damaged segment is quarantined (or, under StrictReplay, fatal).
+// damaged segment is quarantined.
 func (s *Store) replaySegment(path string, last bool) (int64, error) {
 	data, err := s.fs.ReadFile(path)
 	if err != nil {
@@ -381,10 +374,6 @@ func (s *Store) replaySegment(path string, last bool) (int64, error) {
 		return off, nil
 	}
 	if !last {
-		if s.opt.StrictReplay {
-			return 0, fmt.Errorf("%w: %s has a bad frame at offset %d (not the final segment — refusing to repair under strict replay)",
-				ErrCorrupt, filepath.Base(path), off)
-		}
 		return s.quarantineSegment(path, data[:off])
 	}
 	if err := s.fs.Truncate(path, off); err != nil {
@@ -462,9 +451,6 @@ func (s *Store) apply(rec Record) {
 		v.Result = rec.Result
 	}
 	v.Error = rec.Error
-	if rec.Round > 0 {
-		v.Round = rec.Round
-	}
 	if wasServable && s.served[oldHash] == v && (!v.servable() || v.Hash != oldHash) {
 		s.reindex(oldHash)
 	}
@@ -666,39 +652,30 @@ func (s *Store) MaxJobSeq() int64 {
 	return max
 }
 
-// hashPrefix is the checkpoint-name fragment of a spec hash. Spec hashes
-// are hex SHA-256; sixteen characters keep names short while making a
-// collision within one data dir vanishingly unlikely.
-func hashPrefix(hash string) string {
-	h := strings.ToLower(hash)
-	if len(h) > 16 {
-		h = h[:16]
-	}
-	if h == "" {
-		h = "0"
-	}
-	return h
+// checkpointName is a spec hash's blob name: the lower-cased hash plus
+// .ckpt. Only a hex hash has one, so every blob the store writes passes
+// checkLayout, and a hash read back from the log cannot name a file
+// outside ckpt/.
+func checkpointName(hash string) (string, bool) {
+	name := strings.ToLower(hash) + ".ckpt"
+	return name, ckptRe.MatchString(name)
 }
 
-// CheckpointName is the deterministic blob name for a spec hash at a
-// round — pure function of its inputs, so independent daemons agree on
-// it.
-func CheckpointName(hash string, round int) string {
-	return fmt.Sprintf("%s-r%08d.ckpt", hashPrefix(hash), round)
-}
-
-// SaveCheckpoint atomically writes an engine checkpoint blob for the spec
-// hash at round: temp file, then rename. Earlier checkpoints of the same
-// hash are pruned after the new one is durable, keeping exactly one blob
-// per job on disk.
-func (s *Store) SaveCheckpoint(hash string, round int, blob []byte) error {
+// SaveCheckpoint replaces the spec hash's checkpoint blob: blob goes to a
+// temp file in ckpt/ that is renamed over the previous one, so the file on
+// disk is always a whole checkpoint. Any failure removes the temp file and
+// leaves the previous blob in place.
+func (s *Store) SaveCheckpoint(hash string, blob []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
+	name, ok := checkpointName(hash)
+	if !ok {
+		return fmt.Errorf("store: checkpoint for spec hash %q: not hex", hash)
+	}
 	dir := filepath.Join(s.dir, ckptDir)
-	name := CheckpointName(hash, round)
 	tmp, err := s.fs.CreateTemp(dir, name+".*.tmp")
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
@@ -726,71 +703,39 @@ func (s *Store) SaveCheckpoint(hash string, round int, blob []byte) error {
 		s.fs.Remove(tmp.Name())
 		return fmt.Errorf("store: %w", err)
 	}
-	s.ckptSaves++
-	s.pruneCheckpointsLocked(hash, round)
+	s.ckpts[name] = struct{}{}
 	return nil
 }
 
-// pruneCheckpointsLocked removes blobs of hash at rounds other than keep
-// (keep < 0 removes all). Callers hold s.mu.
-func (s *Store) pruneCheckpointsLocked(hash string, keep int) {
-	prefix := hashPrefix(hash) + "-r"
-	entries, err := s.fs.ReadDir(filepath.Join(s.dir, ckptDir))
+// LatestCheckpoint returns the checkpoint blob last saved for the spec
+// hash, or ErrNoCheckpoint. The blob carries its own round.
+func (s *Store) LatestCheckpoint(hash string) ([]byte, error) {
+	name, ok := checkpointName(hash)
+	if !ok {
+		return nil, ErrNoCheckpoint
+	}
+	blob, err := s.fs.ReadFile(filepath.Join(s.dir, ckptDir, name))
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, ErrNoCheckpoint
+	}
 	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	return blob, nil
+}
+
+// DropCheckpoints removes the spec hash's checkpoint blob — called once a
+// job reaches a terminal state and resume is moot.
+func (s *Store) DropCheckpoints(hash string) {
+	name, ok := checkpointName(hash)
+	if !ok {
 		return
 	}
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, prefix) || !ckptRe.MatchString(name) {
-			continue
-		}
-		round, err := strconv.Atoi(strings.TrimSuffix(name[len(prefix):], ".ckpt"))
-		if err != nil || round == keep {
-			continue
-		}
-		if s.fs.Remove(filepath.Join(s.dir, ckptDir, name)) == nil {
-			s.ckptSaves--
-		}
-	}
-}
-
-// LatestCheckpoint returns the highest-round checkpoint blob saved for
-// the spec hash, or ErrNoCheckpoint.
-func (s *Store) LatestCheckpoint(hash string) (blob []byte, round int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	prefix := hashPrefix(hash) + "-r"
-	entries, err := s.fs.ReadDir(filepath.Join(s.dir, ckptDir))
-	if err != nil {
-		return nil, 0, fmt.Errorf("store: %w", err)
+	if s.fs.Remove(filepath.Join(s.dir, ckptDir, name)) == nil {
+		delete(s.ckpts, name)
 	}
-	best := -1
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, prefix) || !ckptRe.MatchString(name) {
-			continue
-		}
-		r, err := strconv.Atoi(strings.TrimSuffix(name[len(prefix):], ".ckpt"))
-		if err == nil && r > best {
-			best = r
-		}
-	}
-	if best < 0 {
-		return nil, 0, fmt.Errorf("%w for hash %s", ErrNoCheckpoint, hashPrefix(hash))
-	}
-	data, err := s.fs.ReadFile(filepath.Join(s.dir, ckptDir, CheckpointName(hash, best)))
-	if err != nil {
-		return nil, 0, fmt.Errorf("store: %w", err)
-	}
-	return data, best, nil
-}
-
-// DropCheckpoints removes every checkpoint blob of the spec hash — called
-// once a job reaches a terminal state and resume is moot.
-func (s *Store) DropCheckpoints(hash string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.pruneCheckpointsLocked(hash, -1)
 }
 
 // Stats snapshots the store counters.
@@ -809,7 +754,7 @@ func (s *Store) Stats() Stats {
 		LogBytes:            s.logBytes,
 		Jobs:                len(s.jobs),
 		Pending:             pending,
-		Checkpoints:         s.ckptSaves,
+		Checkpoints:         int64(len(s.ckpts)),
 		Appends:             s.appends,
 		TailTruncated:       s.truncated,
 		QuarantinedSegments: s.quarantined,
@@ -817,9 +762,6 @@ func (s *Store) Stats() Stats {
 		SyncFailures:        s.syncFails,
 	}
 }
-
-// Dir returns the data directory the store was opened on.
-func (s *Store) Dir() string { return s.dir }
 
 // Close flushes and closes the active segment. Further Appends fail with
 // ErrClosed; queries keep working on the in-memory view.

@@ -1,11 +1,14 @@
 package store
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -111,36 +114,6 @@ func TestTornTailTruncated(t *testing.T) {
 	}
 }
 
-func TestCorruptMiddleSegmentRejectedUnderStrictReplay(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{MaxSegmentBytes: 64})
-	for _, id := range []string{"j000001", "j000002", "j000003", "j000004"} {
-		if err := s.Append(Record{JobID: id, Hash: "somehash", State: StateQueued}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	segs, _ := filepath.Glob(filepath.Join(dir, "log", "seg-*.log"))
-	if len(segs) < 2 {
-		t.Fatalf("expected rotation, got %d segments", len(segs))
-	}
-	// Flip a payload byte in the first (non-final) segment.
-	data, err := os.ReadFile(segs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-2] ^= 0xff
-	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err = Open(dir, Options{StrictReplay: true})
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("strict Open on corrupt middle segment = %v, want ErrCorrupt", err)
-	}
-}
-
 func TestDirtyDirRejected(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -203,68 +176,124 @@ func jobID(i int) string {
 	return fmt.Sprintf("j%06d", i+1)
 }
 
-func TestCheckpointSaveLatestPrune(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{})
-	hash := "0123456789abcdef0123456789abcdef"
-	if _, _, err := s.LatestCheckpoint(hash); !errors.Is(err, ErrNoCheckpoint) {
-		t.Fatalf("empty LatestCheckpoint = %v, want ErrNoCheckpoint", err)
-	}
-	if err := s.SaveCheckpoint(hash, 4, []byte("four")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SaveCheckpoint(hash, 8, []byte("eight")); err != nil {
-		t.Fatal(err)
-	}
-	blob, round, err := s.LatestCheckpoint(hash)
-	if err != nil || round != 8 || string(blob) != "eight" {
-		t.Fatalf("LatestCheckpoint = %q r%d %v", blob, round, err)
-	}
-	// Prune kept exactly one blob on disk, under the deterministic name.
+// ckptNames lists the files in dir's ckpt/ directory.
+func ckptNames(t *testing.T, dir string) []string {
+	t.Helper()
 	entries, err := os.ReadDir(filepath.Join(dir, "ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 || entries[0].Name() != CheckpointName(hash, 8) {
-		names := make([]string, 0, len(entries))
-		for _, e := range entries {
-			names = append(names, e.Name())
-		}
-		t.Fatalf("ckpt dir = %v, want exactly %s", names, CheckpointName(hash, 8))
+	names := make([]string, 0, len(entries))
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+func TestCheckpointSaveLatestDrop(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{})
+	hash := "0123456789abcdef0123456789abcdef"
+	if _, err := s.LatestCheckpoint(hash); !errors.Is(err, ErrNoCheckpoint) {
+		t.Fatalf("empty LatestCheckpoint = %v, want ErrNoCheckpoint", err)
+	}
+	if err := s.SaveCheckpoint(hash, []byte("four")); err != nil {
+		t.Fatal(err)
+	}
+	// An upper-case spelling of the hash reaches the same blob.
+	if err := s.SaveCheckpoint(strings.ToUpper(hash), []byte("eight")); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := s.LatestCheckpoint(hash)
+	if err != nil || string(blob) != "eight" {
+		t.Fatalf("LatestCheckpoint = %q %v", blob, err)
+	}
+	if names := ckptNames(t, dir); len(names) != 1 || names[0] != hash+".ckpt" {
+		t.Fatalf("ckpt dir = %v, want exactly %s.ckpt", names, hash)
+	}
+	if n := s.Stats().Checkpoints; n != 1 {
+		t.Fatalf("Stats().Checkpoints = %d, want 1", n)
+	}
+	// A hash that is not hex names no blob, so it cannot reach outside ckpt/.
+	if err := s.SaveCheckpoint("../log/"+hash, []byte("x")); err == nil {
+		t.Fatal("SaveCheckpoint accepted a hash that is not hex")
 	}
 	s.DropCheckpoints(hash)
-	if _, _, err := s.LatestCheckpoint(hash); !errors.Is(err, ErrNoCheckpoint) {
+	if _, err := s.LatestCheckpoint(hash); !errors.Is(err, ErrNoCheckpoint) {
 		t.Fatalf("after drop, LatestCheckpoint = %v, want ErrNoCheckpoint", err)
+	}
+	if n := s.Stats().Checkpoints; n != 0 {
+		t.Fatalf("after drop, Stats().Checkpoints = %d, want 0", n)
 	}
 }
 
-func TestCheckpointNameDeterministic(t *testing.T) {
-	a := CheckpointName("ABCDEF0123456789ffff", 42)
-	b := CheckpointName("abcdef0123456789ffff", 42)
-	if a != b || a != "abcdef0123456789-r00000042.ckpt" {
-		t.Fatalf("CheckpointName not deterministic: %q vs %q", a, b)
+// failWriteFS is a store.FS whose temp-file writes fail on demand.
+type failWriteFS struct {
+	FS
+	fail bool
+}
+
+func (f *failWriteFS) CreateTemp(dir, pattern string) (File, error) {
+	file, err := f.FS.CreateTemp(dir, pattern)
+	if err != nil || !f.fail {
+		return file, err
+	}
+	return failWriteFile{file}, nil
+}
+
+type failWriteFile struct{ File }
+
+func (failWriteFile) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+
+func TestCheckpointFailedSaveKeepsPrevious(t *testing.T) {
+	dir := t.TempDir()
+	fs := &failWriteFS{FS: OS()}
+	s := mustOpen(t, dir, Options{FS: fs})
+	if err := s.SaveCheckpoint("cafe", []byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	fs.fail = true
+	if err := s.SaveCheckpoint("cafe", []byte("second")); err == nil {
+		t.Fatal("SaveCheckpoint succeeded through a failing write")
+	}
+	if blob, err := s.LatestCheckpoint("cafe"); err != nil || string(blob) != "first" {
+		t.Fatalf("LatestCheckpoint after failed save = %q %v, want the first blob", blob, err)
+	}
+	if names := ckptNames(t, dir); len(names) != 1 || names[0] != "cafe.ckpt" {
+		t.Fatalf("ckpt dir = %v, want exactly cafe.ckpt", names)
+	}
+	if n := s.Stats().Checkpoints; n != 1 {
+		t.Fatalf("Stats().Checkpoints = %d, want 1", n)
 	}
 }
 
 func TestCheckpointTempSweptOnOpen(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Options{})
-	if err := s.SaveCheckpoint("cafe", 1, []byte("x")); err != nil {
+	if err := s.SaveCheckpoint("cafe", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
-	// A crash mid-save leaves a .tmp behind; reopen must sweep it, not
-	// reject the dir.
-	tmp := filepath.Join(dir, "ckpt", "cafe-r00000002.ckpt.123.tmp")
-	if err := os.WriteFile(tmp, []byte("partial"), 0o644); err != nil {
-		t.Fatal(err)
+	// A crash mid-save leaves a .tmp behind, and an earlier build left a
+	// round-stamped blob; reopen must sweep both, not reject the dir.
+	tmp := filepath.Join(dir, "ckpt", "cafe.ckpt.123.tmp")
+	legacy := filepath.Join(dir, "ckpt", "cafe-r00000002.ckpt")
+	for _, path := range []string{tmp, legacy} {
+		if err := os.WriteFile(path, []byte("old"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	r := mustOpen(t, dir, Options{})
-	if _, err := os.Stat(tmp); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("temp file survived reopen: %v", err)
+	for _, path := range []string{tmp, legacy} {
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("%s survived reopen: %v", filepath.Base(path), err)
+		}
 	}
-	if _, round, err := r.LatestCheckpoint("cafe"); err != nil || round != 1 {
-		t.Fatalf("LatestCheckpoint after sweep = r%d %v", round, err)
+	if blob, err := r.LatestCheckpoint("cafe"); err != nil || string(blob) != "x" {
+		t.Fatalf("LatestCheckpoint after sweep = %q %v", blob, err)
+	}
+	if n := r.Stats().Checkpoints; n != 1 {
+		t.Fatalf("Stats().Checkpoints after sweep = %d, want 1", n)
 	}
 }
 
@@ -277,7 +306,40 @@ func TestAppendAfterCloseFails(t *testing.T) {
 	if err := s.Append(Record{JobID: "j000001"}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Append after Close = %v, want ErrClosed", err)
 	}
-	if err := s.SaveCheckpoint("h", 1, nil); !errors.Is(err, ErrClosed) {
+	if err := s.SaveCheckpoint("h", nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("SaveCheckpoint after Close = %v, want ErrClosed", err)
+	}
+}
+
+// BenchmarkCheckpointLookupDrop times what each execution of a job that
+// never checkpoints asks of the store: one resume lookup and one drop of
+// a spec hash with no blob, beside 0 and 10³ other jobs' blobs.
+func BenchmarkCheckpointLookupDrop(b *testing.B) {
+	hash := func(i int) string {
+		sum := sha256.Sum256([]byte(fmt.Sprint(i)))
+		return hex.EncodeToString(sum[:])
+	}
+	for _, blobs := range []int{0, 1_000} {
+		b.Run(fmt.Sprintf("blobs=%d", blobs), func(b *testing.B) {
+			s, err := Open(b.TempDir(), Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			for i := 0; i < blobs; i++ {
+				if err := s.SaveCheckpoint(hash(i), []byte("blob")); err != nil {
+					b.Fatal(err)
+				}
+			}
+			miss := hash(-1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.LatestCheckpoint(miss); !errors.Is(err, ErrNoCheckpoint) {
+					b.Fatalf("LatestCheckpoint of a hash with no blob = %v", err)
+				}
+				s.DropCheckpoints(miss)
+			}
+		})
 	}
 }

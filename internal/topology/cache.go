@@ -232,7 +232,7 @@ func BuildSnapshot(g *graph.Graph, kind model.Kind) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := validate(g, desc, g.N(), 1, false); err != nil {
+	if err := validate(g, desc, g.N(), 1); err != nil {
 		return nil, err
 	}
 	s := new(Snapshot)

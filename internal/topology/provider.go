@@ -24,14 +24,6 @@ type BuildStats struct {
 // Option configures a Provider.
 type Option func(*Provider)
 
-// RequireStrongConnectivity makes the Provider reject round graphs that
-// are not strongly connected. Off by default: legitimate dynamic schedules
-// (split rings, pairwise interactions) have rounds that are only connected
-// over time, which is exactly the regime Theorem 4.1 speaks to.
-func RequireStrongConnectivity() Option {
-	return func(p *Provider) { p.requireSC = true }
-}
-
 // WithSharedSnapshot pre-seeds the provider with an immutable snapshot
 // built from g under the provider's kind — the process-wide cache entry of
 // the sweep fast path. Rounds whose graph is pointer-identical to g are
@@ -51,11 +43,10 @@ func WithSharedSnapshot(g *graph.Graph, snap *Snapshot) Option {
 // snapshots' arrays through a sync.Pool so steady-state dynamic runs do
 // not allocate.
 type Provider struct {
-	schedule  dynamic.Schedule
-	kind      model.Kind
-	desc      *model.Descriptor // nil when kind is unregistered; Round then errors
-	n         int
-	requireSC bool
+	schedule dynamic.Schedule
+	kind     model.Kind
+	desc     *model.Descriptor // nil when kind is unregistered; Round then errors
+	n        int
 
 	cur    *Snapshot
 	curFor *graph.Graph
@@ -108,7 +99,7 @@ func (p *Provider) Round(t int) (*Snapshot, error) {
 	if g == p.curFor {
 		return p.cur, nil
 	}
-	if err := validate(g, p.desc, p.n, t, p.requireSC); err != nil {
+	if err := validate(g, p.desc, p.n, t); err != nil {
 		return nil, err
 	}
 	snap := p.pool.Get().(*Snapshot)

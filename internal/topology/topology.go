@@ -186,11 +186,12 @@ func (s *Snapshot) build(g *graph.Graph, desc *model.Descriptor) {
 
 // validate checks the invariants a round graph must satisfy before it may
 // be flattened: the agent count matches, every vertex carries a self-loop
-// (§2.1's standing assumption), the model's registered graph-class
+// (§2.1's standing assumption), and the model's registered graph-class
 // constraints hold (symmetric ⇒ bidirectional edge relation, port-aware ⇒
-// valid port labelling), and — when the caller opted in — the graph is
-// strongly connected.
-func validate(g *graph.Graph, desc *model.Descriptor, n, t int, requireSC bool) error {
+// valid port labelling). Strong connectivity is not checked: legitimate
+// dynamic schedules (split rings, pairwise interactions) have rounds that
+// are only connected over time, the regime Theorem 4.1 speaks to.
+func validate(g *graph.Graph, desc *model.Descriptor, n, t int) error {
 	if g.N() != n {
 		return fmt.Errorf("topology: round %d graph has %d vertices, want %d", t, g.N(), n)
 	}
@@ -202,9 +203,6 @@ func validate(g *graph.Graph, desc *model.Descriptor, n, t int, requireSC bool) 
 	}
 	if desc.RequirePorts && !g.PortsValid() {
 		return fmt.Errorf("topology: round %d graph has no valid port labelling (use Graph.AssignPorts)", t)
-	}
-	if requireSC && !g.StronglyConnected() {
-		return fmt.Errorf("topology: round %d graph is not strongly connected", t)
 	}
 	return nil
 }
