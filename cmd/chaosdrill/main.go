@@ -427,9 +427,11 @@ func corruptSafeFrame(dir string) (bool, error) {
 		if lastOff < 0 || off != len(data) {
 			continue
 		}
-		var rec store.Record
-		if err := json.Unmarshal(data[lastOff+8:lastOff+8+lastLen], &rec); err != nil {
-			continue
+		// Every CRC-valid frame is a record the store wrote; one the
+		// decoder refuses means the drill no longer reads the log format.
+		rec, err := store.DecodeRecord(data[lastOff+8 : lastOff+8+lastLen])
+		if err != nil {
+			return false, fmt.Errorf("%s: CRC-valid frame at offset %d: %w", filepath.Base(segs[i]), lastOff, err)
 		}
 		safe := (rec.State == store.StateRunning || rec.State == store.StateQueued) &&
 			len(rec.Spec) == 0 && len(rec.Result) == 0

@@ -78,8 +78,22 @@ func randomFloats(n int) []float64 {
 	return out
 }
 
+// integralFloats are the integral values around the integer fast path's
+// edges: every integer within 2,000 of ±2⁵³ and the powers of ten up to
+// the %e cutoff and past it, with their negations.
+func integralFloats() []float64 {
+	var out []float64
+	for d := -2000.0; d <= 2000; d++ {
+		out = append(out, maxExactInt+d, -maxExactInt+d)
+	}
+	for p := 1.0; p < 1e25; p *= 10 {
+		out = append(out, p, -p)
+	}
+	return out
+}
+
 func TestAppendF64MatchesEncodingJSON(t *testing.T) {
-	for _, v := range append(specialFloats, randomFloats(100_000)...) {
+	for _, v := range append(append(specialFloats, integralFloats()...), randomFloats(100_000)...) {
 		want := mustMarshal(t, refF64(v))
 		if got := string(AppendF64(nil, F64(v))); got != want {
 			t.Fatalf("AppendF64(%b) = %s, encoding/json writes %s", math.Float64bits(v), got, want)
@@ -190,18 +204,57 @@ func TestSummarizeForeignBytes(t *testing.T) {
 	}
 }
 
+// valueShapes are the n-vectors the encoder benchmarks write: the
+// integers 1..n of the default inputs and of max outputs, which take
+// AppendF64's integer path, and two non-integral shapes, which pay its
+// integer check before the float path — the short fractions i+0.5 and the
+// 16–17-digit fractions (i+1)/3 that averages produce.
+var valueShapes = []struct {
+	name string
+	v    func(i int) float64
+}{
+	{"integral", func(i int) float64 { return float64(i + 1) }},
+	{"half", func(i int) float64 { return float64(i) + 0.5 }},
+	{"thirds", func(i int) float64 { return float64(i+1) / 3 }},
+}
+
 func BenchmarkAppendResult(b *testing.B) {
 	for _, n := range []int{10, 10_000} {
-		r := &Result{Outputs: make([]F64, n), Rounds: 2, Expected: F64(n)}
-		for i := range r.Outputs {
-			r.Outputs[i] = F64(i + 1)
-		}
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			var buf []byte
-			for i := 0; i < b.N; i++ {
-				buf = AppendResult(buf[:0], r)
+		for _, shape := range valueShapes {
+			r := &Result{Outputs: make([]F64, n), Rounds: 2, Expected: F64(n)}
+			for i := range r.Outputs {
+				r.Outputs[i] = F64(shape.v(i))
 			}
-		})
+			b.Run(fmt.Sprintf("n=%d/%s", n, shape.name), func(b *testing.B) {
+				b.ReportAllocs()
+				var buf []byte
+				for i := 0; i < b.N; i++ {
+					buf = AppendResult(buf[:0], r)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkCompile admits a bc max job on an n-ring, whose canonical
+// encoding Compile writes and hashes. Its integral inputs 1..n encode as
+// perfbench's spec, which leaves them to the default.
+func BenchmarkCompile(b *testing.B) {
+	for _, n := range []int{10, 10_000} {
+		for _, shape := range valueShapes {
+			spec := Spec{Graph: GraphSpec{Builder: "ring", N: n}, Kind: "bc", Function: "max", MaxRounds: 2, Patience: 2,
+				Values: make([]float64, n)}
+			for i := range spec.Values {
+				spec.Values[i] = shape.v(i)
+			}
+			b.Run(fmt.Sprintf("n=%d/%s", n, shape.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := Compile(spec); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

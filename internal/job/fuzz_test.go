@@ -1,7 +1,9 @@
 package job
 
 import (
+	"encoding/json"
 	"errors"
+	"math"
 	"testing"
 
 	"anonnet/internal/model"
@@ -51,6 +53,11 @@ func FuzzSpecCodec(f *testing.F) {
 		if err != nil {
 			t.Fatalf("canonical spec failed to hash: %v", err)
 		}
+		// The hand-written canonical encoding is encoding/json's.
+		enc, _ := encodeCanonical(c)
+		if want, err := json.Marshal(c); err != nil || string(enc) != string(want) {
+			t.Fatalf("canonical encoding\n%s\njson.Marshal writes\n%s (%v)", enc, want, err)
+		}
 		// Canonicalization is idempotent on accepted specs.
 		c2, err := c.Canonical()
 		if err != nil {
@@ -72,6 +79,30 @@ func FuzzSpecCodec(f *testing.F) {
 		h3, err := back.Hash()
 		if err != nil || h3 != h1 {
 			t.Fatalf("encode/decode changed the hash: %q vs %q (%v)", h1, h3, err)
+		}
+	})
+}
+
+// FuzzAppendF64 holds AppendF64 to encoding/json on every finite float64
+// bit pattern.
+func FuzzAppendF64(f *testing.F) {
+	for _, v := range specialFloats {
+		f.Add(math.Float64bits(v))
+	}
+	f.Add(uint64(1<<63 | 1<<62))
+	f.Add(math.Float64bits(1<<53 + 2))
+	f.Add(math.Float64bits(-(1 << 53)))
+	f.Fuzz(func(t *testing.T, u uint64) {
+		v := math.Float64frombits(u)
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return
+		}
+		want, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := AppendF64(nil, F64(v)); string(got) != string(want) {
+			t.Fatalf("AppendF64(%b) = %s, encoding/json writes %s", u, got, want)
 		}
 	})
 }

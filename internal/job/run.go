@@ -58,9 +58,10 @@ type Compiled struct {
 	Spec Spec
 	Hash string
 	// SpecJSON is the canonical form's JSON encoding, the bytes Hash
-	// digests. It is json.Marshal(Spec), made once here: the service
-	// copies it into log records and responses instead of encoding the
-	// spec's n values again. Read-only.
+	// digests. It equals json.Marshal(Spec) and is written once here, at
+	// its exact size: the service keeps it for the job's life and copies
+	// it into log records and responses instead of encoding the spec's n
+	// values again. Read-only.
 	SpecJSON []byte
 	// Fingerprint is the canonical graph fingerprint — the sub-hash of
 	// Hash covering only the fields that determine the round graph and
@@ -87,10 +88,7 @@ func Compile(s Spec) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	specJSON, hash, err := encodeCanonical(c)
-	if err != nil {
-		return nil, err
-	}
+	specJSON, hash := encodeCanonical(c)
 	info := builders[c.Graph.Builder]
 	n, verr := info.n(c.Graph)
 	if verr != nil {

@@ -18,6 +18,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 
 	"anonnet/internal/core"
 	"anonnet/internal/dynamic"
@@ -424,6 +425,10 @@ func (s Spec) Canonical() (Spec, error) {
 	if err := c.Graph.checkStray(); err != nil {
 		return Spec{}, err
 	}
+	// JSON cannot hold a non-finite radius; only a Go caller can pass one.
+	if r := c.Graph.Radius; math.IsNaN(r) || math.IsInf(r, 0) {
+		return Spec{}, errf("graph.radius", "radius %v is not finite", r)
+	}
 	// Materialize builder parameter defaults so "default" and "explicitly
 	// default" specs hash identically.
 	switch c.Graph.Builder {
@@ -628,21 +633,36 @@ func (s Spec) Hash() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	_, hash, err := encodeCanonical(c)
-	return hash, err
+	sum := sha256.Sum256(appendCanonical(nil, c))
+	return hex.EncodeToString(sum[:]), nil
 }
 
+// encodeScratch holds the buffers encodeCanonical writes into before it
+// copies the encoding out at its exact size, as encoding/json pools its
+// own. A buffer over maxPooledEncoding is left to the GC instead, so a
+// spec near MaxAgents does not pin megabytes for the next compile.
+var encodeScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledEncoding is the largest scratch buffer encodeScratch keeps:
+// the encoding of about 10⁵ default inputs.
+const maxPooledEncoding = 1 << 20
+
 // encodeCanonical encodes a spec that is already in canonical form and
-// hashes the encoding. Compile uses it directly so the canonicalization
-// pass — which copies the length-n Values vector — runs once per compile,
-// not twice, and keeps the encoding.
-func encodeCanonical(c Spec) (b []byte, hash string, err error) {
-	b, err = json.Marshal(c)
-	if err != nil {
-		return nil, "", errf("spec", "canonical encoding failed: %v", err)
+// hashes the encoding; the encoding is json.Marshal(c). Compile uses it
+// directly so the canonicalization pass — which copies the length-n
+// Values vector — runs once per compile, not twice, and keeps the
+// encoding. A job retains it for its whole life, so it is returned at
+// its exact size.
+func encodeCanonical(c Spec) (b []byte, hash string) {
+	buf := encodeScratch.Get().(*[]byte)
+	enc := appendCanonical((*buf)[:0], c)
+	sum := sha256.Sum256(enc)
+	b = bytes.Clone(enc)
+	if cap(enc) <= maxPooledEncoding {
+		*buf = enc
+		encodeScratch.Put(buf)
 	}
-	sum := sha256.Sum256(b)
-	return b, hex.EncodeToString(sum[:]), nil
+	return b, hex.EncodeToString(sum[:])
 }
 
 // seededBuilders are the static builders whose graph depends on Spec.Seed.

@@ -209,6 +209,65 @@ func TestBreakerSyncFailuresCountedButNotDirty(t *testing.T) {
 	}
 }
 
+// TestOversizeBackfillLoggedWithoutPayloads: a backfill record carries
+// a job's spec and result together, and one over the log's 64 MiB frame
+// ceiling is refused by the store whatever the disk does. The service
+// logs the transition without its spec and result, counts one store
+// error, and neither re-opens the breaker nor leaves the job dirty, so
+// later appends are not dropped.
+func TestOversizeBackfillLoggedWithoutPayloads(t *testing.T) {
+	dir := t.TempDir()
+	fs := newSwitchFS()
+	st := openSwitchStore(t, dir, fs, false)
+	s := New(Config{Workers: 1, Store: st, BreakerThreshold: -1})
+
+	// A cache hit on a planted 64 MiB result, while the disk is dark: its
+	// spec record fails and the job is left dirty.
+	huge := append([]byte(`{"outputs":[`), bytes.Repeat([]byte("0,"), 32<<20)...)
+	huge = append(huge, `0],"stable":true,"rounds":2,"expected":0,"max_err":0,"messages":0}`...)
+	spec := job.Spec{Graph: job.GraphSpec{Builder: "ring", N: 5}, Kind: "bc", Function: "max"}
+	hash, err := spec.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	s.cache.add(hash, huge)
+	s.mu.Unlock()
+	fs.failWrites.Store(true)
+	hit, err := s.Submit(spec)
+	if err != nil || !hit.CacheHit || hit.State != StateDone {
+		t.Fatalf("cache-hit submit = %+v, %v", hit, err)
+	}
+	fs.failWrites.Store(false)
+
+	// The next persist succeeds and backfills the hit.
+	later, err := s.Submit(durableSpec(601, 50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, s, later.ID)
+	stats := s.Stats()
+	s.mu.Lock()
+	dirty := len(s.dirty)
+	s.mu.Unlock()
+	if stats.StoreErrors != 2 || stats.Backfilled != 1 || stats.BreakerTrips != 0 || stats.Degraded || dirty != 0 {
+		t.Fatalf("after the backfill: %+v, %d dirty; want 2 store errors, 1 backfilled, no trips, 0 dirty", stats, dirty)
+	}
+	s.Close()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2 := openStore(t, dir)
+	defer st2.Close()
+	if v, ok := st2.Job(hit.ID); !ok || v.State != store.StateDone || v.Spec != nil || v.Result != nil {
+		t.Fatalf("oversize job %s replays as ok=%v %+v, want done without spec and result", hit.ID, ok, v)
+	}
+	if v, ok := st2.Job(later.ID); !ok || v.State != store.StateDone || len(v.Result) == 0 {
+		t.Fatalf("job %s after the oversize backfill: ok=%v %+v", later.ID, ok, v)
+	}
+}
+
 func TestInterceptTransientRetriesAndPanicIsContained(t *testing.T) {
 	var calls atomic.Int64
 	s := New(Config{

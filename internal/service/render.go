@@ -1,11 +1,9 @@
 package service
 
 import (
-	"encoding/json"
 	"slices"
 	"strconv"
 	"time"
-	"unicode/utf8"
 
 	"anonnet/internal/job"
 )
@@ -23,27 +21,25 @@ func (j *Job) AppendJSON(dst []byte) ([]byte, error) {
 	if spec == nil {
 		spec = []byte("null")
 	}
-	// One allocation for the body, whatever n is: everything but the
-	// spec, the result and the strings fits in the fixed slack.
-	dst = slices.Grow(dst, len(spec)+len(j.Result)+len(j.ID)+len(j.Hash)+len(j.Error)+len(j.DedupOf)+256)
+	dst = slices.Grow(dst, j.renderSize())
 	dst = append(dst, `{"id":`...)
-	dst = appendString(dst, j.ID)
+	dst = job.AppendString(dst, j.ID)
 	dst = append(dst, `,"hash":`...)
-	dst = appendString(dst, j.Hash)
+	dst = job.AppendString(dst, j.Hash)
 	dst = append(dst, `,"spec":`...)
 	dst = append(dst, spec...)
 	dst = append(dst, `,"state":`...)
-	dst = appendString(dst, string(j.State))
+	dst = job.AppendString(dst, string(j.State))
 	if j.Error != "" {
 		dst = append(dst, `,"error":`...)
-		dst = appendString(dst, j.Error)
+		dst = job.AppendString(dst, j.Error)
 	}
 	if j.CacheHit {
 		dst = append(dst, `,"cache_hit":true`...)
 	}
 	if j.DedupOf != "" {
 		dst = append(dst, `,"dedup_of":`...)
-		dst = appendString(dst, j.DedupOf)
+		dst = job.AppendString(dst, j.DedupOf)
 	}
 	if len(j.Result) > 0 {
 		dst = append(dst, `,"result":`...)
@@ -69,11 +65,33 @@ func (j *Job) AppendJSON(dst []byte) ([]byte, error) {
 	return append(dst, '}'), nil
 }
 
+// renderSize bounds the length of j's body, so rendering it takes one
+// allocation whatever n is: everything but the spec, the result and the
+// strings fits in the fixed slack.
+func (j *Job) renderSize() int {
+	return len(j.Spec) + len(j.Result) + len(j.ID) + len(j.Hash) + len(j.Error) + len(j.DedupOf) + 256
+}
+
+// jobsSize bounds the length of the JSON array of jobs, plus the newline
+// a response ends with.
+func jobsSize(jobs []*Job) int {
+	n := len("[]\n")
+	for _, j := range jobs {
+		n += len(",null")
+		if j != nil {
+			n += j.renderSize()
+		}
+	}
+	return n
+}
+
 // AppendJSON appends b's compact JSON encoding to dst, byte-identical to
-// json.Marshal(b), rendering each member as Job.AppendJSON does.
+// json.Marshal(b), rendering each member as Job.AppendJSON does. The body
+// takes one allocation, whatever the members' sizes.
 func (b *Batch) AppendJSON(dst []byte) ([]byte, error) {
+	dst = slices.Grow(dst, len(b.ID)+128+jobsSize(b.Jobs))
 	dst = append(dst, `{"id":`...)
-	dst = appendString(dst, b.ID)
+	dst = job.AppendString(dst, b.ID)
 	dst = append(dst, `,"jobs":`...)
 	dst, err := AppendJobsJSON(dst, b.Jobs)
 	if err != nil {
@@ -93,11 +111,13 @@ func (b *Batch) AppendJSON(dst []byte) ([]byte, error) {
 }
 
 // AppendJobsJSON appends the JSON array of jobs to dst, byte-identical to
-// json.Marshal(jobs), rendering each job as Job.AppendJSON does.
+// json.Marshal(jobs), rendering each job as Job.AppendJSON does. It grows
+// dst once, by enough for every member and the response's newline.
 func AppendJobsJSON(dst []byte, jobs []*Job) ([]byte, error) {
 	if jobs == nil {
 		return append(dst, "null"...), nil
 	}
+	dst = slices.Grow(dst, jobsSize(jobs))
 	dst = append(dst, '[')
 	for i, j := range jobs {
 		if i > 0 {
@@ -121,9 +141,9 @@ func AppendJobsJSON(dst []byte, jobs []*Job) ([]byte, error) {
 func (p Progress) AppendJSON(dst []byte) []byte {
 	dst = slices.Grow(dst, len(p.Outputs)+len(p.JobID)+len(p.Error)+128)
 	dst = append(dst, `{"job_id":`...)
-	dst = appendString(dst, p.JobID)
+	dst = job.AppendString(dst, p.JobID)
 	dst = append(dst, `,"state":`...)
-	dst = appendString(dst, string(p.State))
+	dst = job.AppendString(dst, string(p.State))
 	if p.Round != 0 {
 		dst = append(dst, `,"round":`...)
 		dst = strconv.AppendInt(dst, int64(p.Round), 10)
@@ -139,25 +159,9 @@ func (p Progress) AppendJSON(dst []byte) []byte {
 	}
 	if p.Error != "" {
 		dst = append(dst, `,"error":`...)
-		dst = appendString(dst, p.Error)
+		dst = job.AppendString(dst, p.Error)
 	}
 	return append(dst, '}')
-}
-
-// appendString appends s as encoding/json writes a string. IDs, hashes
-// and states are plain ASCII and are copied as they are; anything that
-// needs an escape, an HTML-safe form or a UTF-8 check goes through
-// encoding/json itself.
-func appendString(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			b, _ := json.Marshal(s) // a string always marshals
-			return append(dst, b...)
-		}
-	}
-	dst = append(dst, '"')
-	dst = append(dst, s...)
-	return append(dst, '"')
 }
 
 // appendTime appends t as encoding/json writes a time.Time.

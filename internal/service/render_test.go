@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -141,21 +142,37 @@ func TestEncodedOnceAndShared(t *testing.T) {
 	}
 }
 
-// BenchmarkRenderDoneJob renders the two bodies every member of a sweep
-// costs once done — its GET body and its terminal stream line — at n=10
-// and n=10⁴. Both copy encodings made once, so allocs/op must not grow
-// with n (a CI gate).
+// BenchmarkRenderDoneJob renders the bodies every member of a sweep costs
+// once done — its GET body and its terminal stream line — and the body of
+// a done 64-member sweep, at n=10 and n=10⁴. All of them copy encodings
+// made once, so allocs/op must not grow with n (a CI gate).
 func BenchmarkRenderDoneJob(b *testing.B) {
 	for _, n := range []int{10, 10_000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			s := New(Config{Workers: 1})
 			defer s.Close()
-			sub, err := s.Submit(job.Spec{Graph: job.GraphSpec{Builder: "ring", N: n}, Kind: "bc",
-				Function: "max", MaxRounds: 2, Patience: 2})
+			spec := job.Spec{Graph: job.GraphSpec{Builder: "ring", N: n}, Kind: "bc",
+				Function: "max", MaxRounds: 2, Patience: 2}
+			sub, err := s.Submit(spec)
 			if err != nil {
 				b.Fatal(err)
 			}
 			j := waitState(b, s, sub.ID, StateDone)
+			specs := make([]job.Spec, 64)
+			for i := range specs {
+				specs[i] = spec
+			}
+			sweep, err := s.SubmitBatch(specs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if sweep.Done != 64 {
+				b.Fatalf("sweep of cache hits has %d of 64 members done", sweep.Done)
+			}
+			// Each batch render at n=10⁴ leaves 6 MB of garbage. Collect
+			// seldom, so that allocations the runtime makes after each
+			// collection do not count toward the renders' allocs/op.
+			defer debug.SetGCPercent(debug.SetGCPercent(1000))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -165,6 +182,10 @@ func BenchmarkRenderDoneJob(b *testing.B) {
 				}
 				renderSink = append(body, '\n')
 				renderSink = append(TerminalProgress(j).AppendJSON(nil), '\n')
+				if body, err = sweep.AppendJSON(nil); err != nil {
+					b.Fatal(err)
+				}
+				renderSink = append(body, '\n')
 			}
 		})
 	}

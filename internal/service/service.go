@@ -208,8 +208,10 @@ type Stats struct {
 	Recovered   int64 `json:"recovered"`
 	Interrupted int64 `json:"interrupted"`
 	// StoreErrors counts durable-store append failures (the service keeps
-	// serving from memory when the disk misbehaves); SyncFailures is the
-	// subset that lost only durability, not data (store.ErrSyncFailed).
+	// serving from memory when the disk misbehaves), including records
+	// too large for the log, which are logged without their spec and
+	// result; SyncFailures is the subset that lost only durability, not
+	// data (store.ErrSyncFailed).
 	StoreErrors  int64 `json:"store_errors"`
 	SyncFailures int64 `json:"sync_failures"`
 	// BreakerTrips counts closed→open transitions of the store circuit
@@ -438,13 +440,28 @@ func (s *Service) persist(rec store.Record) {
 		s.dirty[rec.JobID] = true
 		return
 	}
-	if err := s.cfg.Store.Append(rec); err != nil {
+	if err := s.appendLocked(rec); err != nil {
 		if lost := s.noteStoreFailureLocked(err); lost {
 			s.dirty[rec.JobID] = true
 		}
 		return
 	}
 	s.noteStoreSuccessLocked()
+}
+
+// appendLocked appends rec to the store. A record too large for a log
+// frame (store.ErrRecordTooLarge) is a property of its job, not a disk
+// fault, and would fail every retry: it counts as a store error, and the
+// transition is logged without its spec and result, so the breaker never
+// sees it and the job is not left dirty. Callers hold s.mu.
+func (s *Service) appendLocked(rec store.Record) error {
+	err := s.cfg.Store.Append(rec)
+	if errors.Is(err, store.ErrRecordTooLarge) {
+		s.storeErrs.Add(1)
+		rec.Spec, rec.Result = nil, nil
+		err = s.cfg.Store.Append(rec)
+	}
+	return err
 }
 
 // degradedLocked reports whether the breaker is open and still inside its
@@ -510,7 +527,7 @@ func (s *Service) backfillLocked() {
 		if e.state == StateDone {
 			rec.Result = e.result
 		}
-		if err := s.cfg.Store.Append(rec); err != nil {
+		if err := s.appendLocked(rec); err != nil {
 			if lost := s.noteStoreFailureLocked(err); lost {
 				// The disk proved unhealthy again mid-recovery: re-open
 				// immediately rather than rebuilding a failure streak while

@@ -1,22 +1,31 @@
 // Package store is anonnetd's durable job store: an append-only,
 // spec-hash-addressed log of job records plus a directory of engine
-// checkpoint blobs. The log survives crashes — records are
-// length-prefixed JSON frames with a per-record CRC32, segments rotate at
-// a size ceiling, and replay truncates a torn tail (a crash mid-append)
-// while sealing a segment corrupted anywhere else to a .quarantine
-// forensic copy, preserving its valid prefix and replaying the segments
-// after it. Each spec hash has at most one checkpoint blob, named after
-// the hash and replaced atomically (temp file + rename) on every save, so
-// a restarted daemon reads an interrupted job's latest checkpoint by name,
-// with no index and no directory scan.
+// checkpoint blobs. The log survives crashes — each record is a frame of
+// a payload length, a CRC32 of the payload and the payload, segments
+// rotate at a size ceiling, and replay truncates a torn tail (a crash
+// mid-append) while sealing a segment corrupted anywhere else to a
+// .quarantine forensic copy, preserving its valid prefix and replaying
+// the segments after it. Each spec hash has at most one checkpoint blob,
+// named after the hash and replaced atomically (temp file + rename) on
+// every save, so a restarted daemon reads an interrupted job's latest
+// checkpoint by name, with no index and no directory scan.
+//
+// A payload is a version byte and the record's fields with their lengths
+// (record.go), so every field round-trips byte for byte and Append copies
+// the spec and result without parsing them. Replay also reads the JSON
+// records of earlier builds, whose first byte is '{'. Open writes the
+// log/format-v1 marker before it appends anything; earlier builds reject
+// that file as foreign, so they refuse an upgraded dir with ErrDirtyDir
+// instead of truncating its v1 frames as a torn tail.
 //
 // Layout under the data dir:
 //
 //	log/seg-000001.log   append-only record segments
+//	log/format-v1        empty marker: the log may hold v1 records
 //	ckpt/<hash>.ckpt     the latest engine checkpoint of each spec hash
 //
 // The store knows nothing about the service's entry bookkeeping or the
-// engines' checkpoint encoding; it persists opaque JSON and opaque blobs.
+// engines' checkpoint encoding; it persists opaque bytes and opaque blobs.
 package store
 
 import (
@@ -53,18 +62,26 @@ var (
 	// lost-data — an append failing with any other error wrote nothing
 	// usable.
 	ErrSyncFailed = errors.New("store: fsync failed")
+	// ErrRecordTooLarge is returned by Append, which writes nothing, for
+	// a record whose payload exceeds the frame ceiling (maxRecordBytes):
+	// replay would read its length as damage. It is a property of the
+	// record, not of the disk, so appending the same record again fails
+	// the same way.
+	ErrRecordTooLarge = errors.New("store: record exceeds the frame ceiling")
 )
 
 // Record is one append-only log entry: a job state transition. The first
 // record of a job carries its spec; the done record carries its result.
 // Later records for the same job ID overlay the earlier ones during
-// replay, so the log compacts naturally into a map of latest states.
+// replay, so the log compacts naturally into a map of latest states. The
+// JSON tags decode the records of earlier builds.
 type Record struct {
 	JobID string `json:"job_id"`
 	// Hash is the canonical spec hash (the result address).
 	Hash  string `json:"hash"`
 	State string `json:"state"`
-	// Spec is the validated spec JSON, present on the first record.
+	// Spec is the canonical spec JSON, present on the first record. The
+	// store copies it as given.
 	Spec json.RawMessage `json:"spec,omitempty"`
 	// Result is the result JSON, present on the done record.
 	Result json.RawMessage `json:"result,omitempty"`
@@ -184,9 +201,17 @@ const (
 	// frameHeader is the per-record overhead: 4-byte big-endian payload
 	// length followed by 4-byte CRC32 (IEEE) of the payload.
 	frameHeader = 8
-	// maxRecordBytes bounds a single record frame; larger lengths in a
-	// segment header are treated as corruption, not allocation requests.
-	maxRecordBytes = 16 << 20
+	// maxRecordBytes bounds a record's payload. Append refuses a larger
+	// record (ErrRecordTooLarge), and replay treats a larger length in a
+	// frame header as corruption, not as an allocation request. 64 MiB
+	// holds the spec and the result of a job at the service's ceiling of
+	// 2²⁰ agents when each carries one number of at most 25 bytes per
+	// agent (50 MiB). A spec that also lists every agent's start round
+	// and leader can exceed it.
+	maxRecordBytes = 64 << 20
+	// formatMarker is the empty file in log/ that marks a log holding v1
+	// records.
+	formatMarker = "format-v1"
 )
 
 // quarantineSuffix seals a segment whose middle failed validation: the
@@ -222,6 +247,15 @@ func Open(dir string, opt Options) (*Store, error) {
 			return nil, fmt.Errorf("store: %w", err)
 		}
 	}
+	// The marker goes down before any v1 record can, so a build that reads
+	// only JSON records refuses this dir instead of truncating it.
+	marker, err := fs.OpenFile(filepath.Join(dir, logDir, formatMarker), os.O_CREATE|os.O_WRONLY, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	if err := marker.Close(); err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
 	s := &Store{
 		dir:    dir,
 		opt:    opt,
@@ -256,7 +290,7 @@ func checkLayout(fs FS, dir string) error {
 	if err := checkNames(fs, filepath.Join(dir, logDir), func(name string) bool {
 		// .quarantine seals are the store's own damage reports, not
 		// foreign files.
-		return segRe.MatchString(name) || qsegRe.MatchString(name)
+		return segRe.MatchString(name) || qsegRe.MatchString(name) || name == formatMarker
 	}); err != nil {
 		return err
 	}
@@ -362,8 +396,8 @@ func (s *Store) replaySegment(path string, last bool) (int64, error) {
 		if crc32.ChecksumIEEE(payload) != sum {
 			break // torn mid-payload or bit rot
 		}
-		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil {
+		rec, err := DecodeRecord(payload)
+		if err != nil {
 			break // framing intact but payload is not a record
 		}
 		s.apply(rec)
@@ -504,6 +538,10 @@ func segName(idx int) string { return fmt.Sprintf("seg-%06d.log", idx) }
 // in-memory view. The active segment rotates once it exceeds the size
 // ceiling; a record is never split across segments.
 //
+// The frame copies rec's bytes as they are: Append parses and validates
+// none of them. A record whose payload would exceed maxRecordBytes is
+// refused with ErrRecordTooLarge, and nothing is written.
+//
 // A failed write (disk error, short write) loses the record: Append
 // repairs the segment back to the last frame boundary — or, if the repair
 // itself fails, abandons the segment and rotates on the next call — and
@@ -512,14 +550,10 @@ func segName(idx int) string { return fmt.Sprintf("seg-%06d.log", idx) }
 // applied and counted, and Append returns ErrSyncFailed to flag the
 // durability gap.
 func (s *Store) Append(rec Record) error {
-	payload, err := json.Marshal(rec)
+	frame, err := encodeFrame(rec)
 	if err != nil {
-		return fmt.Errorf("store: %w", err)
+		return err
 	}
-	frame := make([]byte, frameHeader+len(payload))
-	binary.BigEndian.PutUint32(frame, uint32(len(payload)))
-	binary.BigEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
-	copy(frame[frameHeader:], payload)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
