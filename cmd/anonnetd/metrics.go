@@ -50,17 +50,17 @@ func newMetricsRegistry(svc *service.Service, st *store.Store, lim *quota.Limite
 		func(s service.Stats) int64 { return s.DegradedDropped })
 	counter("anonnetd_backfilled_total", "Jobs re-appended to the log after the breaker closed.",
 		func(s service.Stats) int64 { return s.Backfilled })
-	counter("anonnetd_topo_cache_hits_total", "Compiles served an already-resident topology snapshot.",
+	counter("anonnetd_topo_cache_hits_total", "Job attempts served an already-resident topology snapshot.",
 		func(s service.Stats) int64 { return s.TopoCacheHits })
 	counter("anonnetd_topo_cache_misses_total", "Topology snapshots built because no shared one was resident.",
 		func(s service.Stats) int64 { return s.TopoCacheMisses })
-	counter("anonnetd_topo_cache_coalesced_total", "Compiles that waited on another compile's in-flight snapshot build.",
+	counter("anonnetd_topo_cache_coalesced_total", "Job attempts that waited on another job attempt's in-flight snapshot build.",
 		func(s service.Stats) int64 { return s.TopoCacheCoalesced })
 	counter("anonnetd_topo_cache_evictions_total", "Idle snapshots evicted to stay under the byte budget.",
 		func(s service.Stats) int64 { return s.TopoCacheEvictions })
 	counter("anonnetd_dedup_coalesced_total", "Submissions attached to an identical in-flight job instead of enqueueing.",
 		func(s service.Stats) int64 { return s.DedupCoalesced })
-	gauge("anonnetd_topo_cache_bytes", "Resident bytes in the shared topology-snapshot cache.",
+	gauge("anonnetd_topo_cache_bytes", "Resident bytes in the shared topology cache: the CSR arrays of its snapshots.",
 		func(s service.Stats) float64 { return float64(s.TopoCacheBytes) })
 	gauge("anonnetd_topo_cache_entries", "Snapshots resident in the shared topology cache.",
 		func(s service.Stats) float64 { return float64(s.TopoCacheEntries) })

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"anonnet/internal/dynamic"
-	"anonnet/internal/graph"
 	"anonnet/internal/model"
 	"anonnet/internal/topology"
 )
@@ -26,8 +25,17 @@ import (
 // inputs, and the algorithm (as an agent factory).
 type Config struct {
 	// Schedule is the dynamic graph 𝔾; use dynamic.NewStatic for static
-	// networks.
+	// networks. Exactly one of Schedule and Snapshot is set.
 	Schedule dynamic.Schedule
+	// Snapshot is a static network given as its validated CSR
+	// (topology.BuildSnapshot under Kind), set instead of Schedule: every
+	// round is served this snapshot, with no graph, no validation and no
+	// build — how a job runs on its topology-cache entry (see
+	// job.Compiled.Build). It cannot be combined with Starts, whose
+	// pre-start rounds rewrite the graph. The runner borrows the snapshot
+	// and never recycles it, so the caller keeps it alive (pinned) for the
+	// runner's lifetime.
+	Snapshot *topology.Snapshot
 	// Kind is the communication model.
 	Kind model.Kind
 	// Inputs holds one private input per agent.
@@ -46,25 +54,21 @@ type Config struct {
 	// follow exactly the pre-fault code paths, so traces are bit-identical
 	// to builds without the fault layer.
 	Faults FaultInjector
-	// SharedSnapshot, together with SharedGraph, pre-seeds the runner's
-	// topology provider with an immutable prebuilt CSR of a static round
-	// graph (the process-wide topology cache entry of the sweep fast
-	// path). Rounds whose graph is pointer-identical to SharedGraph are
-	// served the shared snapshot without validation or rebuild; all other
-	// round graphs — churn rewrites, pre-start filtered graphs, dynamic
-	// schedules — build normally, so the pair is always safe to set. The
-	// snapshot must have been built from SharedGraph under Kind
-	// (topology.BuildSnapshot; a job built from a topology cache wires
-	// this, see job.Compiled.Build), and the caller must keep it pinned
-	// for the runner's lifetime — the runner borrows it and never recycles
-	// or frees it.
-	SharedSnapshot *topology.Snapshot
-	// SharedGraph identifies the graph SharedSnapshot flattens.
-	SharedGraph *graph.Graph
 }
 
 func (c *Config) validate() error {
-	if c.Schedule == nil {
+	var n int
+	switch {
+	case c.Schedule != nil && c.Snapshot != nil:
+		return fmt.Errorf("engine: both schedule and snapshot set, want one")
+	case c.Schedule != nil:
+		n = c.Schedule.N()
+	case c.Snapshot != nil:
+		if c.Starts != nil {
+			return fmt.Errorf("engine: start rounds need a schedule, not a snapshot (pre-start rounds rewrite the graph)")
+		}
+		n = c.Snapshot.N()
+	default:
 		return fmt.Errorf("engine: nil schedule")
 	}
 	if _, err := model.Lookup(c.Kind); err != nil {
@@ -73,8 +77,8 @@ func (c *Config) validate() error {
 	if c.Factory == nil {
 		return fmt.Errorf("engine: nil agent factory")
 	}
-	if len(c.Inputs) != c.Schedule.N() {
-		return fmt.Errorf("engine: %d inputs for %d agents", len(c.Inputs), c.Schedule.N())
+	if len(c.Inputs) != n {
+		return fmt.Errorf("engine: %d inputs for %d agents", len(c.Inputs), n)
 	}
 	if c.Starts != nil && len(c.Starts) != len(c.Inputs) {
 		return fmt.Errorf("engine: %d start rounds for %d agents", len(c.Starts), len(c.Inputs))
@@ -142,8 +146,8 @@ type core struct {
 }
 
 // newCore validates cfg, instantiates the agents, and assembles the shared
-// state, including the topology provider over the (possibly async-start
-// wrapped) schedule.
+// state, including the topology provider over the snapshot or the
+// (possibly async-start wrapped) schedule.
 func newCore(cfg Config, name string) (*core, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -152,13 +156,18 @@ func newCore(cfg Config, name string) (*core, error) {
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
-	schedule := cfg.Schedule
-	if cfg.Starts != nil {
-		wrapped, err := dynamic.NewAsyncStart(schedule, cfg.Starts)
+	var topo *topology.Provider
+	switch {
+	case cfg.Snapshot != nil:
+		topo = topology.NewStaticProvider(cfg.Snapshot)
+	case cfg.Starts != nil:
+		wrapped, err := dynamic.NewAsyncStart(cfg.Schedule, cfg.Starts)
 		if err != nil {
 			return nil, err
 		}
-		schedule = wrapped
+		topo = topology.NewProvider(wrapped, cfg.Kind)
+	default:
+		topo = topology.NewProvider(cfg.Schedule, cfg.Kind)
 	}
 	agents := make([]model.Agent, len(cfg.Inputs))
 	for i, in := range cfg.Inputs {
@@ -175,15 +184,11 @@ func newCore(cfg Config, name string) (*core, error) {
 	}
 	n := len(agents)
 	src := newCountingSource(cfg.Seed)
-	var topoOpts []topology.Option
-	if cfg.SharedSnapshot != nil && cfg.SharedGraph != nil && cfg.SharedSnapshot.N() == n {
-		topoOpts = append(topoOpts, topology.WithSharedSnapshot(cfg.SharedGraph, cfg.SharedSnapshot))
-	}
 	c := &core{
 		cfg:     cfg,
 		name:    name,
 		desc:    desc,
-		topo:    topology.NewProvider(schedule, cfg.Kind, topoOpts...),
+		topo:    topo,
 		agents:  agents,
 		rng:     rand.New(src),
 		src:     src,

@@ -9,6 +9,7 @@ import (
 	"anonnet/internal/dynamic"
 	"anonnet/internal/graph"
 	"anonnet/internal/model"
+	"anonnet/internal/topology"
 )
 
 // countAgent counts received messages and sums received payloads; it
@@ -60,6 +61,10 @@ func inputs(vals ...float64) []model.Input {
 
 func TestConfigValidation(t *testing.T) {
 	g := dynamic.NewStatic(graph.Ring(3))
+	snap, err := topology.BuildSnapshot(g.Graph(), model.SimpleBroadcast)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		cfg  Config
@@ -69,6 +74,9 @@ func TestConfigValidation(t *testing.T) {
 		{"nil factory", Config{Schedule: g, Kind: model.SimpleBroadcast, Inputs: inputs(1, 2, 3)}},
 		{"wrong inputs", Config{Schedule: g, Kind: model.SimpleBroadcast, Inputs: inputs(1), Factory: countFactory}},
 		{"bad starts", Config{Schedule: g, Kind: model.SimpleBroadcast, Inputs: inputs(1, 2, 3), Factory: countFactory, Starts: []int{0, 1, 1}}},
+		{"schedule and snapshot", Config{Schedule: g, Snapshot: snap, Kind: model.SimpleBroadcast, Inputs: inputs(1, 2, 3), Factory: countFactory}},
+		{"snapshot with starts", Config{Snapshot: snap, Kind: model.SimpleBroadcast, Inputs: inputs(1, 2, 3), Factory: countFactory, Starts: []int{1, 2, 1}}},
+		{"snapshot wrong inputs", Config{Snapshot: snap, Kind: model.SimpleBroadcast, Inputs: inputs(1, 2), Factory: countFactory}},
 	}
 	for _, c := range cases {
 		if _, err := New(c.cfg); err == nil {

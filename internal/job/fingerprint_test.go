@@ -3,9 +3,10 @@ package job
 // Graph-fingerprint semantics and the cache-aware build path: the
 // fingerprint must be exactly as coarse as snapshot sharing is safe —
 // seed-insensitive for deterministic builders, seed-sensitive for seeded
-// ones, kind-sensitive always, absent for dynamic schedules — and Build
-// must build one snapshot per fingerprint whatever the build concurrency,
-// with results identical to the uncached path.
+// ones, kind-sensitive always, absent for dynamic schedules and for
+// starts and churn, which rewrite the round graph — and Build must build
+// one snapshot per fingerprint whatever the build concurrency, with
+// results identical to the uncached path.
 
 import (
 	"context"
@@ -13,6 +14,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"anonnet/internal/faults"
 	"anonnet/internal/topology"
 )
 
@@ -74,12 +76,31 @@ func TestGraphFingerprintSemantics(t *testing.T) {
 	if fp := fpOf(t, dyn); fp != "" {
 		t.Fatalf("dynamic-forced spec has fingerprint %q, want none", fp)
 	}
+
+	// Async starts and churn rewrite the round graph: those jobs build
+	// their own schedule and never run on a cached snapshot.
+	st := ring
+	st.Starts = []int{1, 2, 3, 1, 1, 2, 1, 1, 1, 1, 4, 1, 1, 1, 1, 1}
+	if fp := fpOf(t, st); fp != "" {
+		t.Fatalf("spec with starts has fingerprint %q, want none", fp)
+	}
+	ch := ring
+	ch.Faults = &faults.Plan{Churn: &faults.ChurnPlan{Drop: 0.2, Guard: faults.GuardRepair}}
+	if fp := fpOf(t, ch); fp != "" {
+		t.Fatalf("spec with churn has fingerprint %q, want none", fp)
+	}
+	// Message faults act on deliveries, not on the graph.
+	dr := ring
+	dr.Faults = &faults.Plan{Drop: 0.3}
+	if fpOf(t, dr) != fpOf(t, ring) {
+		t.Fatal("a drop-only fault plan changed the graph fingerprint")
+	}
 }
 
 // TestBuildSingleBuild: K racing builds of seed-distinct specs over the
 // same graph fingerprint acquire exactly one snapshot build, and each
-// built job runs to the same result as an uncached one (race-checked in
-// CI).
+// built job, which has no schedule of its own, runs to the same result as
+// an uncached one (race-checked in CI).
 func TestBuildSingleBuild(t *testing.T) {
 	const k = 16
 	cache := topology.NewCache(0)
@@ -113,8 +134,12 @@ func TestBuildSingleBuild(t *testing.T) {
 		t.Fatalf("pinned entries = %d, want 1 shared", st.Pinned)
 	}
 
-	// Cached and uncached builds of the same spec agree bit-for-bit.
+	// A cached build's network is the snapshot alone, and cached and
+	// uncached builds of the same spec agree bit-for-bit.
 	for i, b := range built {
+		if b.Schedule != nil {
+			t.Fatalf("seed %d: cached build also built a schedule", i)
+		}
 		plain, err := Compile(b.Spec)
 		if err != nil {
 			t.Fatal(err)

@@ -11,7 +11,6 @@ import (
 	"anonnet/internal/engine"
 	"anonnet/internal/faults"
 	"anonnet/internal/funcs"
-	"anonnet/internal/graph"
 	"anonnet/internal/model"
 	"anonnet/internal/topology"
 )
@@ -65,9 +64,11 @@ type Compiled struct {
 	SpecJSON []byte
 	// Fingerprint is the canonical graph fingerprint — the sub-hash of
 	// Hash covering only the fields that determine the round graph and
-	// its CSR (builder + dims + seed-when-seeded + kind). Empty for
-	// dynamic builders and Dynamic-forced specs, which have no single
-	// graph to share. The service keys its topology cache by it.
+	// its CSR (builder + dims + seed-when-seeded + kind). Empty when the
+	// run has no single graph to share: dynamic builders, Dynamic-forced
+	// specs, and specs with starts or a churn plan, whose rounds rewrite
+	// the graph. It is the one place that decides whether a job may run
+	// on a cached snapshot; the service keys its topology cache by it.
 	Fingerprint string
 	// N is the number of agents.
 	N int
@@ -134,7 +135,8 @@ func Compile(s Spec) (*Compiled, error) {
 // network, the fault injector, and the marked inputs.
 type Built struct {
 	*Compiled
-	// Schedule is the built network, churn-wrapped when the spec asks.
+	// Schedule is the built network, churn-wrapped when the spec asks; nil
+	// when the run takes the cached snapshot instead.
 	Schedule dynamic.Schedule
 	// Injector is the compiled fault injector; nil when the spec has no
 	// faults block (the engines then follow the fault-free paths exactly).
@@ -145,18 +147,19 @@ type Built struct {
 	// measures errors against.
 	Expected float64
 
-	// topo is the topology-cache entry the network was taken from; nil
+	// topo is the topology-cache entry whose snapshot is the network; nil
 	// when the build used no cache or built its network privately.
 	topo *topology.Entry
 }
 
 // Build makes the job's network, inputs, fault injector and Expected.
-// With a cache and a static graph, the network and its validated CSR
-// snapshot are taken from (or built once into) cache under the spec's
-// graph fingerprint, and the entry stays pinned until Release — the run
-// that built the job calls it once, when it returns. A nil cache builds
-// privately. A churn plan whose reject guard fires on the first window
-// fails here with a *Error on faults.churn.
+// With a cache and a graph fingerprint, the network is the validated CSR
+// snapshot taken from (or built once into) cache under the fingerprint,
+// Schedule stays nil, and the entry stays pinned until Release — the run
+// that built the job calls it once, when it returns. A nil cache, or a
+// spec without a fingerprint, builds the schedule privately. A churn plan
+// whose reject guard fires on the first window fails here with a *Error on
+// faults.churn.
 func (c *Compiled) Build(cache *topology.Cache) (*Built, error) {
 	s := c.Spec
 	info := builders[s.Graph.Builder]
@@ -168,32 +171,23 @@ func (c *Compiled) Build(cache *topology.Cache) (*Built, error) {
 		b.Inputs[l].Leader = true
 	}
 	if cache != nil && c.Fingerprint != "" {
-		entry, err := cache.Acquire(c.Fingerprint, func() (*graph.Graph, *topology.Snapshot, error) {
-			st, ok := info.build(s.Graph, c.N, s.Seed).(*dynamic.Static)
+		entry, err := cache.Acquire(c.Fingerprint, func() (*topology.Snapshot, error) {
+			sched := info.build(s.Graph, c.N, s.Seed)
+			st, ok := sched.(*dynamic.Static)
 			if !ok {
-				return nil, nil, fmt.Errorf("job: static builder %q produced a %T schedule", s.Graph.Builder, st)
+				return nil, fmt.Errorf("job: static builder %q produced a %T schedule", s.Graph.Builder, sched)
 			}
-			g := st.Graph()
-			snap, err := topology.BuildSnapshot(g, c.Setting.Kind)
-			if err != nil {
-				return nil, nil, err
-			}
-			return g, snap, nil
+			return topology.BuildSnapshot(st.Graph(), c.Setting.Kind)
 		})
-		if err == nil {
-			b.topo = entry
-			// The cached graph already carries its self-loops, so NewStatic
-			// returns a schedule over the exact shared pointer — which is
-			// what lets the engine's provider serve the shared snapshot by
-			// pointer identity.
-			b.Schedule = dynamic.NewStatic(entry.Graph)
-		}
 		// On Acquire error, fall through to the private build: a graph the
 		// §2.1 validation rejects (say kind=sym on a directed builder) must
 		// keep building fine and failing at run time, exactly as it does
 		// without a cache.
+		if err == nil {
+			b.topo = entry
+		}
 	}
-	if b.Schedule == nil {
+	if b.topo == nil {
 		b.Schedule = info.build(s.Graph, c.N, s.Seed)
 	}
 	if s.Faults != nil {
@@ -261,13 +255,9 @@ func (b *Built) engineConfig() (engine.Config, string) {
 	if b.Injector != nil {
 		cfg.Faults = b.Injector
 	}
-	// A cached build borrows the shared snapshot: rounds whose graph is
-	// the pinned entry's graph skip validation and the CSR build. The
-	// engine matches by pointer identity, so churned or async-start rounds
-	// that rewrite the graph simply fall back to building their own.
+	// A cached build's network is the pinned entry's snapshot.
 	if b.topo != nil {
-		cfg.SharedSnapshot = b.topo.Snap
-		cfg.SharedGraph = b.topo.Graph
+		cfg.Snapshot = b.topo.Snap
 	}
 	// One engine-selection point for the whole repo: engine.NewRunner maps
 	// the spec's engine name to the runner and handles the deterministic

@@ -679,10 +679,12 @@ var seededBuilders = map[string]bool{"random": true, "randomsym": true, "geometr
 // layout and validation depend on it). Specs producing byte-identical
 // snapshots share a fingerprint; anything else differs.
 //
-// Dynamic builders and Dynamic-forced specs return "": their round graphs
-// change over time, so there is no single snapshot to share (DESIGN §5h).
+// Dynamic builders, Dynamic-forced specs, and specs with starts or a
+// churn plan return "": their round graphs change over time, so there is
+// no single snapshot to share (DESIGN §5h). Message and agent faults
+// (drop, dup, delay, stall, crash) leave the graph alone and keep it.
 func graphFingerprint(c Spec, info builderInfo) string {
-	if !info.static || c.Dynamic {
+	if !info.static || c.Dynamic || c.Starts != nil || (c.Faults != nil && c.Faults.Churn != nil) {
 		return ""
 	}
 	key := struct {

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"anonnet/internal/faults"
 	"anonnet/internal/job"
 	"anonnet/internal/store"
 )
@@ -74,36 +75,92 @@ func TestSweepSingleTopologyBuild(t *testing.T) {
 
 // TestSweepResultsMatchJobRun is the golden gate: the shared snapshot,
 // dedup, and the result cache are pure plumbing — every member of a mixed
-// sweep (seed axis, duplicates, two graphs) must carry a result whose
-// encoding is byte-identical to the one job.Compile and job.Run give for
-// its spec, with no cache, no dedup and no service.
+// sweep (seed axis, duplicates, two graphs, a drop-only fault plan, every
+// static builder under every model kind that admits max, and the starts
+// and churn jobs that bypass the topology cache) must carry a result
+// whose encoding is byte-identical to the one job.Compile and job.Run give
+// for its spec, with no cache, no dedup and no service — or, where that
+// run fails, the same error.
 func TestSweepResultsMatchJobRun(t *testing.T) {
-	specs := make([]job.Spec, 0, 24)
+	mixed := make([]job.Spec, 0, 25)
 	for seed := int64(0); seed < 8; seed++ {
 		sp := sweepSpec(48, seed)
-		specs = append(specs, sp, sp) // duplicate: dedup fodder
+		mixed = append(mixed, sp, sp) // duplicate: dedup fodder
 		sp.Graph.N = 32               // second fingerprint in the mix
-		specs = append(specs, sp)
+		mixed = append(mixed, sp)
 	}
+	drop := sweepSpec(24, 3)
+	drop.Faults = &faults.Plan{Drop: 0.2}
+	mixed = append(mixed, drop)
+
+	graphs := []job.GraphSpec{
+		{Builder: "ring", N: 9}, {Builder: "bidiring", N: 9}, {Builder: "star", N: 9},
+		{Builder: "path", N: 9}, {Builder: "complete", N: 6}, {Builder: "hypercube", D: 3},
+		{Builder: "debruijn", K: 2, D: 3}, {Builder: "torus", Rows: 3, Cols: 4},
+		{Builder: "random", N: 10}, {Builder: "randomsym", N: 10}, {Builder: "geometric", N: 10},
+	}
+	var static []job.Spec
+	for _, kind := range []string{"bc", "od", "op", "sym", "onebit"} {
+		for _, g := range graphs {
+			sp := job.Spec{Graph: g, Kind: kind, Function: "max", Seed: 5, MaxRounds: 16}
+			if _, err := job.Compile(sp); err == nil {
+				static = append(static, sp)
+			}
+		}
+	}
+	if len(static) < len(graphs) {
+		t.Fatalf("only %d builder×kind members compile with max", len(static))
+	}
+
+	starts := sweepSpec(24, 4)
+	starts.Starts = make([]int, 24)
+	for i := range starts.Starts {
+		starts.Starts[i] = 1 + i%4
+	}
+	churn := sweepSpec(24, 6)
+	churn.Faults = &faults.Plan{Churn: &faults.ChurnPlan{Drop: 0.3, Guard: faults.GuardRepair}}
 
 	s := New(Config{Workers: 2})
 	defer s.Close()
+	checkBatchMatchesJobRun(t, s, mixed)
+	checkBatchMatchesJobRun(t, s, static)
+	// Starts and churn rewrite the round graph, so those jobs never touch
+	// the topology cache.
+	before := s.Stats()
+	checkBatchMatchesJobRun(t, s, []job.Spec{starts, churn})
+	after := s.Stats()
+	if after.TopoCacheHits != before.TopoCacheHits || after.TopoCacheMisses != before.TopoCacheMisses ||
+		after.TopoCacheCoalesced != before.TopoCacheCoalesced {
+		t.Fatalf("starts/churn batch touched the topology cache: hits %d→%d misses %d→%d coalesced %d→%d",
+			before.TopoCacheHits, after.TopoCacheHits, before.TopoCacheMisses, after.TopoCacheMisses,
+			before.TopoCacheCoalesced, after.TopoCacheCoalesced)
+	}
+}
+
+// checkBatchMatchesJobRun submits specs as one batch and checks each
+// member against job.Compile + job.Run: the same result bytes, or the
+// same error.
+func checkBatchMatchesJobRun(t *testing.T, s *Service, specs []job.Spec) {
+	t.Helper()
 	b, err := s.SubmitBatch(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, j := range b.Jobs {
 		got := waitTerminal(t, s, j.ID)
-		if got.State != StateDone {
-			t.Fatalf("specs[%d] ended %q (err %q)", i, got.State, got.Error)
-		}
 		c, err := job.Compile(specs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
 		ref, err := job.Run(context.Background(), c, nil)
 		if err != nil {
-			t.Fatal(err)
+			if got.State != StateFailed || got.Error != err.Error() {
+				t.Fatalf("specs[%d] (%s) ended %q (err %q); job.Run failed with %q", i, j.ID, got.State, got.Error, err)
+			}
+			continue
+		}
+		if got.State != StateDone {
+			t.Fatalf("specs[%d] (%s) ended %q (err %q)", i, j.ID, got.State, got.Error)
 		}
 		if w := job.AppendResult(nil, ref); !bytes.Equal(got.Result, w) {
 			t.Fatalf("specs[%d] (%s):\nservice %s\njob.Run %s", i, j.ID, got.Result, w)

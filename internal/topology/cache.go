@@ -9,12 +9,14 @@ import (
 )
 
 // Cache is a process-wide, size-bounded, refcounted cache of immutable
-// (graph, Snapshot) pairs keyed by the canonical graph fingerprint
+// validated Snapshots keyed by the canonical graph fingerprint
 // (job.Compile derives it from builder + dims + seed-when-seeded + model
 // kind; job.Compiled.Build acquires the entry). It is the sweep fast
 // path's core: N jobs on the same static network acquire one shared CSR
 // build instead of paying N graph constructions and N counting-sort
-// flattenings.
+// flattenings. An entry keeps the snapshot alone — the graph it was
+// flattened from is garbage once the build returns — and a run takes
+// that snapshot as its network (NewStaticProvider).
 //
 // Concurrency contract: Acquire is safe for concurrent use and guarantees
 // a single build per key — concurrent misses on the same key coalesce onto
@@ -24,11 +26,13 @@ import (
 //
 // Eviction is by memory footprint, not entry count: entries whose refcount
 // has dropped to zero sit on an LRU list and are discarded oldest-first
-// once the resident bytes exceed the budget. Entries still referenced by
-// running jobs are pinned — they are never evicted, even if that holds the
-// cache over budget (the bound throttles retention, it must not corrupt a
-// run that already holds the snapshot). A queued job holds no entry: a
-// run acquires its entry when it starts and releases it when it returns.
+// once the resident bytes (Snapshot.Bytes of every ready entry: the arrays
+// the cache actually holds) exceed the budget. Entries still referenced
+// by running jobs are pinned — they are never evicted, even if that holds
+// the cache over budget (the bound throttles retention, it must not
+// corrupt a run that already holds the snapshot). A queued job holds no
+// entry: a run acquires its entry when it starts and releases it when it
+// returns.
 type Cache struct {
 	mu       sync.Mutex
 	maxBytes int64
@@ -55,20 +59,17 @@ type CacheStats struct {
 	// Evictions counts idle entries discarded to keep ResidentBytes under
 	// the budget.
 	Evictions int64 `json:"evictions"`
-	// ResidentBytes is the estimated footprint of all ready entries;
+	// ResidentBytes is the Snapshot.Bytes sum of all ready entries;
 	// Entries counts them. Pinned is the subset still referenced by jobs.
 	ResidentBytes int64 `json:"resident_bytes"`
 	Entries       int   `json:"entries"`
 	Pinned        int   `json:"pinned"`
 }
 
-// Entry is one cached (graph, snapshot) pair. Holders treat both as
-// immutable and call Release exactly once, when the run that acquired the
-// entry returns.
+// Entry is one cached snapshot. Holders treat it as immutable and call
+// Release exactly once, when the run that acquired the entry returns.
 type Entry struct {
-	// Graph is the built network, self-loops and ports materialized.
-	Graph *graph.Graph
-	// Snap is the validated destination-major CSR of Graph.
+	// Snap is the validated destination-major CSR of the static network.
 	Snap *Snapshot
 
 	cache *Cache
@@ -102,7 +103,7 @@ func NewCache(maxBytes int64) *Cache {
 // same missing key run build exactly once; the others wait for it. A
 // failed build is not cached — every waiter receives the error and the
 // next Acquire retries.
-func (c *Cache) Acquire(key string, build func() (*graph.Graph, *Snapshot, error)) (*Entry, error) {
+func (c *Cache) Acquire(key string, build func() (*Snapshot, error)) (*Entry, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		e.refs++
@@ -132,7 +133,7 @@ func (c *Cache) Acquire(key string, build func() (*graph.Graph, *Snapshot, error
 	c.misses++
 	c.mu.Unlock()
 
-	g, snap, err := build()
+	snap, err := build()
 	c.mu.Lock()
 	if err != nil {
 		e.err = err
@@ -140,8 +141,8 @@ func (c *Cache) Acquire(key string, build func() (*graph.Graph, *Snapshot, error
 		// already holding e see err through the latch.
 		delete(c.entries, key)
 	} else {
-		e.Graph, e.Snap = g, snap
-		e.bytes = snap.Bytes() + graphBytes(g)
+		e.Snap = snap
+		e.bytes = snap.Bytes()
 		c.resident += e.bytes
 		c.evictLocked()
 	}
@@ -154,8 +155,8 @@ func (c *Cache) Acquire(key string, build func() (*graph.Graph, *Snapshot, error
 }
 
 // Release unpins the entry. When the last reference drops, the entry joins
-// the idle LRU list and becomes evictable. Callers must not touch Graph or
-// Snap after Release (the arrays may be discarded at any time).
+// the idle LRU list and becomes evictable. Callers must not touch Snap
+// after Release (the arrays may be discarded at any time).
 func (e *Entry) Release() {
 	if e == nil {
 		return
@@ -215,12 +216,6 @@ func (s *Snapshot) Bytes() int64 {
 	ints := len(s.Start) + len(s.Src) + len(s.Slot) + len(s.Port) + len(s.Outdeg) +
 		len(s.srcStart) + len(s.bykey) + len(s.fill)
 	return int64(ints) * 4
-}
-
-// graphBytes estimates a graph's footprint: the edge array plus the two
-// per-vertex adjacency indexes.
-func graphBytes(g *graph.Graph) int64 {
-	return int64(g.M())*24 + int64(g.N())*48
 }
 
 // BuildSnapshot validates g under kind (the same §2.1 invariants a

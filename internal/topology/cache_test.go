@@ -2,12 +2,14 @@ package topology_test
 
 // The process-wide topology cache's contracts, race-checked: exactly one
 // snapshot build under K concurrent Acquires of one key, byte-footprint
-// eviction that spares pinned entries, failed builds not cached, and the
-// shared snapshot matching a per-run Provider build entry for entry.
+// eviction that spares pinned entries, failed builds not cached, resident
+// bytes that are the bytes the entries really hold, and the shared
+// snapshot matching a per-run Provider build entry for entry.
 
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,10 +20,9 @@ import (
 	"anonnet/internal/topology"
 )
 
-func buildRing(n int) (*graph.Graph, *topology.Snapshot, error) {
+func buildRing(n int) (*topology.Snapshot, error) {
 	g := graph.BidirectionalRing(n).AssignPorts().EnsureSelfLoops()
-	snap, err := topology.BuildSnapshot(g, model.OutdegreeAware)
-	return g, snap, err
+	return topology.BuildSnapshot(g, model.OutdegreeAware)
 }
 
 // TestCacheSingleBuildUnderConcurrency is the single-build guarantee: K
@@ -37,7 +38,7 @@ func TestCacheSingleBuildUnderConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			e, err := c.Acquire("ring/64", func() (*graph.Graph, *topology.Snapshot, error) {
+			e, err := c.Acquire("ring/64", func() (*topology.Snapshot, error) {
 				builds.Add(1)
 				return buildRing(64)
 			})
@@ -59,10 +60,10 @@ func TestCacheSingleBuildUnderConcurrency(t *testing.T) {
 	if st.Hits+st.InflightCoalesced != k-1 {
 		t.Fatalf("hits (%d) + coalesced (%d) = %d, want %d", st.Hits, st.InflightCoalesced, st.Hits+st.InflightCoalesced, k-1)
 	}
-	// Every winner got the same immutable pair.
+	// Every winner got the same immutable snapshot.
 	for i := 1; i < k; i++ {
-		if entries[i].Snap != entries[0].Snap || entries[i].Graph != entries[0].Graph {
-			t.Fatalf("Acquire %d returned a different snapshot/graph than Acquire 0", i)
+		if entries[i].Snap != entries[0].Snap {
+			t.Fatalf("Acquire %d returned a different snapshot than Acquire 0", i)
 		}
 	}
 	for _, e := range entries {
@@ -77,20 +78,20 @@ func TestCacheSingleBuildUnderConcurrency(t *testing.T) {
 // while one entry stays pinned (a running job holds it): the pinned entry
 // must survive every eviction pass, idle ones go oldest-first.
 func TestCacheEvictionSparesPinned(t *testing.T) {
-	// Budget fits roughly one n=256 ring entry, so each further insert
-	// evicts the idle tail.
-	_, probe, err := buildRing(256)
+	// Budget fits two n=256 ring entries — the pinned one and one idle —
+	// so each further insert evicts the idle tail.
+	probe, err := buildRing(256)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := topology.NewCache(2 * probe.Bytes())
 
-	pinned, err := c.Acquire("pinned", func() (*graph.Graph, *topology.Snapshot, error) { return buildRing(256) })
+	pinned, err := c.Acquire("pinned", func() (*topology.Snapshot, error) { return buildRing(256) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		e, err := c.Acquire(fmt.Sprintf("idle/%d", i), func() (*graph.Graph, *topology.Snapshot, error) { return buildRing(256) })
+		e, err := c.Acquire(fmt.Sprintf("idle/%d", i), func() (*topology.Snapshot, error) { return buildRing(256) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,8 +106,8 @@ func TestCacheEvictionSparesPinned(t *testing.T) {
 	}
 	// The pinned key must still hit, without a rebuild.
 	misses := st.Misses
-	again, err := c.Acquire("pinned", func() (*graph.Graph, *topology.Snapshot, error) {
-		return nil, nil, errors.New("pinned entry was evicted: build should not run")
+	again, err := c.Acquire("pinned", func() (*topology.Snapshot, error) {
+		return nil, errors.New("pinned entry was evicted: build should not run")
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -127,23 +128,56 @@ func TestCacheEvictionSparesPinned(t *testing.T) {
 func TestCacheFailedBuildNotCached(t *testing.T) {
 	c := topology.NewCache(0)
 	boom := errors.New("boom")
-	if _, err := c.Acquire("k", func() (*graph.Graph, *topology.Snapshot, error) { return nil, nil, boom }); !errors.Is(err, boom) {
+	if _, err := c.Acquire("k", func() (*topology.Snapshot, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("Acquire error = %v, want %v", err, boom)
 	}
 	if st := c.Stats(); st.Entries != 0 {
 		t.Fatalf("failed build left %d entries resident", st.Entries)
 	}
-	e, err := c.Acquire("k", func() (*graph.Graph, *topology.Snapshot, error) { return buildRing(16) })
+	e, err := c.Acquire("k", func() (*topology.Snapshot, error) { return buildRing(16) })
 	if err != nil {
 		t.Fatalf("retry after failed build: %v", err)
 	}
 	e.Release()
 }
 
+// TestCacheResidentBytesAreLive: the byte budget is exact. After 16
+// distinct n=10⁴ broadcast-ring snapshots are acquired and released, the
+// live heap grows by the cache's ResidentBytes to within 5% — an entry
+// holds its snapshot's arrays and nothing else (the graph it was
+// flattened from is garbage once the build returns).
+func TestCacheResidentBytesAreLive(t *testing.T) {
+	const entries, n = 16, 10_000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c := topology.NewCache(0)
+	for i := 0; i < entries; i++ {
+		e, err := c.Acquire(fmt.Sprintf("ring/%d", i), func() (*topology.Snapshot, error) {
+			return topology.BuildSnapshot(graph.Ring(n).EnsureSelfLoops(), model.SimpleBroadcast)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Release()
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	st := c.Stats()
+	runtime.KeepAlive(c)
+	if st.Entries != entries || st.Evictions != 0 {
+		t.Fatalf("entries = %d, evictions = %d; want %d resident under the default budget", st.Entries, st.Evictions, entries)
+	}
+	live := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if ratio := float64(st.ResidentBytes) / float64(live); ratio < 0.95 || ratio > 1.05 {
+		t.Fatalf("cache counts %d resident bytes but holds %d live (ratio %.3f), want within 5%%", st.ResidentBytes, live, ratio)
+	}
+}
+
 // TestSharedSnapshotMatchesProviderBuild pins the fast path's correctness
 // core: the cache's shared snapshot must be entry-for-entry identical to
-// what a per-run Provider builds from the same graph, and a Provider
-// seeded with it must serve it with zero builds.
+// what a per-run Provider builds from the same graph, and the fixed-
+// snapshot provider must serve it every round with zero builds.
 func TestSharedSnapshotMatchesProviderBuild(t *testing.T) {
 	for _, kind := range []model.Kind{model.SimpleBroadcast, model.OutdegreeAware, model.OutputPortAware, model.Symmetric} {
 		g := graph.BidirectionalRing(48).AssignPorts().EnsureSelfLoops()
@@ -171,7 +205,7 @@ func TestSharedSnapshotMatchesProviderBuild(t *testing.T) {
 			}
 		}
 
-		p := topology.NewProvider(dynamic.NewStatic(g), kind, topology.WithSharedSnapshot(g, shared))
+		p := topology.NewStaticProvider(shared)
 		for round := 1; round <= 50; round++ {
 			snap, err := p.Round(round)
 			if err != nil {

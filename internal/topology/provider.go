@@ -11,9 +11,9 @@ import (
 )
 
 // BuildStats counts the snapshot builds a Provider has performed. For a
-// static schedule Builds stays at 1 however many rounds run; dynamic
-// schedules (and churn-wrapped ones) pay one build per distinct round
-// graph.
+// static schedule Builds stays at 1 however many rounds run, and at 0 for
+// a provider over a fixed snapshot; dynamic schedules (and churn-wrapped
+// ones) pay one build per distinct round graph.
 type BuildStats struct {
 	// Builds is the number of CSR builds performed.
 	Builds int64
@@ -21,38 +21,21 @@ type BuildStats struct {
 	BuildNanos int64
 }
 
-// Option configures a Provider.
-type Option func(*Provider)
-
-// WithSharedSnapshot pre-seeds the provider with an immutable snapshot
-// built from g under the provider's kind — the process-wide cache entry of
-// the sweep fast path. Rounds whose graph is pointer-identical to g are
-// served snap with no validation, no build, and no pool traffic (the
-// shared snapshot is never recycled); any other round graph — churn
-// rewrites, pre-start filtered graphs, dynamic schedules — falls through
-// to the normal validate-and-build path. The caller owns snap's lifetime
-// and must keep it alive (cache-pinned) for as long as the provider runs.
-func WithSharedSnapshot(g *graph.Graph, snap *Snapshot) Option {
-	return func(p *Provider) { p.sharedFor, p.shared = g, snap }
-}
-
 // Provider turns a dynamic.Schedule into a stream of validated Snapshots,
 // one per round. It caches by pointer identity — schedules that return the
 // same *graph.Graph (dynamic.Static, and AsyncStart past the last start)
 // get the cached snapshot back without revalidation — and recycles retired
 // snapshots' arrays through a sync.Pool so steady-state dynamic runs do
-// not allocate.
+// not allocate. A provider from NewStaticProvider has no schedule and
+// serves its one snapshot every round.
 type Provider struct {
-	schedule dynamic.Schedule
+	schedule dynamic.Schedule // nil: serve cur every round
 	kind     model.Kind
 	desc     *model.Descriptor // nil when kind is unregistered; Round then errors
 	n        int
 
 	cur    *Snapshot
 	curFor *graph.Graph
-
-	shared    *Snapshot
-	sharedFor *graph.Graph
 
 	pool sync.Pool
 
@@ -64,37 +47,42 @@ type Provider struct {
 // its registered descriptor once for the provider's lifetime. An
 // unregistered kind is not rejected here (NewProvider predates validation
 // in some callers); Round reports it on first use.
-func NewProvider(schedule dynamic.Schedule, kind model.Kind, opts ...Option) *Provider {
+func NewProvider(schedule dynamic.Schedule, kind model.Kind) *Provider {
 	desc, _ := model.Lookup(kind)
-	p := &Provider{
+	return &Provider{
 		schedule: schedule,
 		kind:     kind,
 		desc:     desc,
 		n:        schedule.N(),
 		pool:     sync.Pool{New: func() any { return new(Snapshot) }},
 	}
-	for _, o := range opts {
-		o(p)
-	}
-	return p
 }
 
-// N returns the agent count of the underlying schedule.
+// NewStaticProvider returns a provider for a static network given as its
+// validated CSR (BuildSnapshot): Round serves snap every round with no
+// validation, no build and no pool traffic, so Stats().Builds stays 0.
+// The caller owns snap and must keep it alive (a topology-cache entry
+// pinned) for as long as the provider runs.
+func NewStaticProvider(snap *Snapshot) *Provider {
+	return &Provider{cur: snap, n: snap.N()}
+}
+
+// N returns the agent count of the network.
 func (p *Provider) N() int { return p.n }
 
 // Round returns the validated snapshot of round t's communication graph.
 // The snapshot stays valid until the next Round call with a different
 // graph, at which point its arrays may be recycled.
 func (p *Provider) Round(t int) (*Snapshot, error) {
+	if p.schedule == nil {
+		return p.cur, nil
+	}
 	if p.desc == nil {
 		return nil, fmt.Errorf("topology: unknown model kind %d (registered models: %s)", int(p.kind), model.NamesList())
 	}
 	g := p.schedule.At(t)
 	if g == nil {
 		return nil, fmt.Errorf("topology: schedule returned nil graph for round %d", t)
-	}
-	if g == p.sharedFor {
-		return p.shared, nil
 	}
 	if g == p.curFor {
 		return p.cur, nil

@@ -2,7 +2,9 @@
 // round engines: it turns the per-round graphs of a dynamic.Schedule into
 // immutable, flat, destination-major CSR snapshots with the §2.1
 // invariants checked at build time, and caches them so static networks pay
-// the build and the validation exactly once.
+// the build and the validation exactly once. A static network may also be
+// handed over as its snapshot alone (NewStaticProvider), which is how a
+// run takes its network from the process-wide Cache: no graph takes part.
 //
 // The paper's results hold uniformly across the four communication models
 // because the round structure — snapshot the graph, deliver multisets,
