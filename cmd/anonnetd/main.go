@@ -38,7 +38,6 @@ import (
 	"syscall"
 	"time"
 
-	"anonnet/internal/chaos"
 	"anonnet/internal/metrics"
 	"anonnet/internal/quota"
 	"anonnet/internal/service"
@@ -73,48 +72,20 @@ func run() error {
 
 		breakerK    = flag.Int("breaker-threshold", 0, "consecutive persist failures before degraded mode (0: default 5, <0: disabled)")
 		breakerCool = flag.Duration("breaker-cooldown", 0, "degraded-mode dwell before a half-open store probe (0: default 3s)")
-		chaosPlan   = flag.String("chaos", "", "chaos failpoint plan as JSON (testing only; see internal/chaos)")
-		chaosSeed   = flag.Int64("chaos-seed", 1, "seed for the -chaos failpoint decisions")
 	)
 	flag.Parse()
 	if *topoBytes < 0 {
 		return fmt.Errorf("-topo-cache-bytes %d: want a budget ≥ 0 (0: default)", *topoBytes)
 	}
 
-	var plan chaos.Plan
-	if *chaosPlan != "" {
-		p, err := chaos.ParsePlan([]byte(*chaosPlan))
-		if err != nil {
-			return fmt.Errorf("parsing -chaos: %w", err)
-		}
-		plan = *p
-		log.Printf("anonnetd: CHAOS PLAN ACTIVE (seed %d): %s", *chaosSeed, *chaosPlan)
-	}
-
 	var st *store.Store
 	if *dataDir != "" {
-		var fs store.FS
-		if !plan.IsZero() {
-			cfs, err := chaos.NewFS(*chaosSeed, plan, nil)
-			if err != nil {
-				return fmt.Errorf("building chaos fs: %w", err)
-			}
-			fs = cfs
-		}
 		var err error
-		st, err = store.Open(*dataDir, store.Options{FS: fs, Sync: *syncEvery})
+		st, err = store.Open(*dataDir, store.Options{Sync: *syncEvery})
 		if err != nil {
 			return err
 		}
 		defer st.Close()
-	}
-	var intercept func(context.Context, string, int) error
-	if !plan.IsZero() {
-		var err error
-		intercept, err = chaos.Intercept(*chaosSeed, plan, service.ErrTransient)
-		if err != nil {
-			return fmt.Errorf("building chaos intercept: %w", err)
-		}
 	}
 	jobLatency := metrics.NewHistogram("anonnetd_job_duration_seconds",
 		"Wall-clock seconds from job start to terminal state.", nil)
@@ -131,7 +102,6 @@ func run() error {
 		JobLatency:       jobLatency,
 		BreakerThreshold: *breakerK,
 		BreakerCooldown:  *breakerCool,
-		Intercept:        intercept,
 		TopoCacheBytes:   *topoBytes,
 	})
 	if st != nil {

@@ -19,11 +19,9 @@ package main
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"hash/crc32"
 	"log"
 	"os"
 	"os/exec"
@@ -189,17 +187,8 @@ func runChild(dir string, seed int64, iter int, plan chaos.Plan, specs []job.Spe
 	// Top up: submit every spec whose hash has never been persisted (its
 	// first submission either hasn't happened or was dropped while the
 	// breaker was open and then lost to a kill).
-	for _, sp := range specs {
-		c, err := job.Compile(sp)
-		if err != nil {
-			return err
-		}
-		if _, known := hashKnown(st, c.Hash); known {
-			continue
-		}
-		if _, err := svc.Submit(sp); err != nil {
-			return err
-		}
+	if err := topUp(svc, st, specs); err != nil {
+		return err
 	}
 
 	out := bufio.NewWriter(os.Stdout)
@@ -230,14 +219,29 @@ func runChild(dir string, seed int64, iter int, plan chaos.Plan, specs []job.Spe
 	return out.Flush()
 }
 
-// hashKnown reports whether any persisted job carries the spec hash.
-func hashKnown(st *store.Store, hash string) (string, bool) {
-	for _, v := range st.Jobs() {
-		if v.Hash == hash {
-			return v.ID, true
+// topUp submits every spec whose hash no logged record carries, reading
+// the log once.
+func topUp(svc *service.Service, st *store.Store, specs []job.Spec) error {
+	known := make(map[string]bool)
+	if err := st.Scan(func(rec store.Record) error {
+		known[rec.Hash] = true
+		return nil
+	}); err != nil {
+		return err
+	}
+	for _, sp := range specs {
+		c, err := job.Compile(sp)
+		if err != nil {
+			return err
+		}
+		if known[c.Hash] {
+			continue
+		}
+		if _, err := svc.Submit(sp); err != nil {
+			return err
 		}
 	}
-	return "", false
+	return nil
 }
 
 func allTerminal(svc *service.Service) bool {
@@ -396,8 +400,9 @@ func runIteration(exe, dir string, seed int64, iter, target int, planJSON string
 // (running/queued without spec or result) — damage the store must absorb
 // by quarantining the segment without losing job identity: the job's
 // spec-bearing record sits in an earlier frame, so recovery re-derives
-// everything the lost frame carried. Returns false when no segment offers
-// a safely corruptible frame.
+// everything the lost frame carried. It reads the segments with the
+// store's own frame walker. Returns false when no segment offers a safely
+// corruptible frame.
 func corruptSafeFrame(dir string) (bool, error) {
 	segs, err := filepath.Glob(filepath.Join(dir, "log", "seg-*.log"))
 	if err != nil {
@@ -412,33 +417,25 @@ func corruptSafeFrame(dir string) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		off, lastOff, lastLen := 0, -1, 0
-		for len(data)-off >= 8 {
-			n := int(binary.BigEndian.Uint32(data[off:]))
-			if off+8+n > len(data) {
-				break
-			}
-			if crc32.ChecksumIEEE(data[off+8:off+8+n]) != binary.BigEndian.Uint32(data[off+4:]) {
-				break // already damaged (an earlier corruption not yet replayed)
-			}
-			lastOff, lastLen = off, n
-			off += 8 + n
-		}
-		if lastOff < 0 || off != len(data) {
-			continue
-		}
-		// Every CRC-valid frame is a record the store wrote; one the
-		// decoder refuses means the drill no longer reads the log format.
-		rec, err := store.DecodeRecord(data[lastOff+8 : lastOff+8+lastLen])
+		var last *store.Record
+		end, err := store.WalkFrames(data, func(_ int64, rec store.Record) error {
+			last = &rec
+			return nil
+		})
 		if err != nil {
-			return false, fmt.Errorf("%s: CRC-valid frame at offset %d: %w", filepath.Base(segs[i]), lastOff, err)
+			// Every CRC-valid frame is a record the store wrote; one the
+			// decoder refuses means the drill no longer reads the log format.
+			return false, fmt.Errorf("%s: CRC-valid frame at offset %d: %w", filepath.Base(segs[i]), end, err)
 		}
-		safe := (rec.State == store.StateRunning || rec.State == store.StateQueued) &&
-			len(rec.Spec) == 0 && len(rec.Result) == 0
+		if last == nil || end != int64(len(data)) {
+			continue // empty, or already damaged (an earlier corruption not yet replayed)
+		}
+		safe := (last.State == store.StateRunning || last.State == store.StateQueued) &&
+			len(last.Spec) == 0 && len(last.Result) == 0
 		if !safe {
 			continue
 		}
-		data[lastOff+8] ^= 0xff
+		data[end-1] ^= 0xff // the frame's last payload byte
 		if err := os.WriteFile(segs[i], data, 0o644); err != nil {
 			return false, err
 		}
@@ -455,25 +452,12 @@ func verify(dir string, specs []job.Spec, ref map[string]*job.Result, corruption
 	if err != nil {
 		return 0, fmt.Errorf("final open: %w", err)
 	}
-	preIDs := make(map[string]string) // id → hash, before the drain
-	for _, v := range st.Jobs() {
-		preIDs[v.ID] = v.Hash
-	}
 	svc := service.New(service.Config{Workers: 1, Store: st})
 	if _, err := svc.Recover(); err != nil {
 		return 0, fmt.Errorf("final recover: %w", err)
 	}
-	for _, sp := range specs {
-		c, err := job.Compile(sp)
-		if err != nil {
-			return 0, err
-		}
-		if _, known := hashKnown(st, c.Hash); known {
-			continue
-		}
-		if _, err := svc.Submit(sp); err != nil {
-			return 0, err
-		}
+	if err := topUp(svc, st, specs); err != nil {
+		return 0, err
 	}
 	deadline := time.Now().Add(120 * time.Second)
 	for !allTerminal(svc) {
@@ -498,38 +482,63 @@ func verify(dir string, specs []job.Spec, ref map[string]*job.Result, corruption
 	if corruptions > 0 && stats.QuarantinedSegments == 0 {
 		return 0, fmt.Errorf("%d corruptions injected but no segment was quarantined", corruptions)
 	}
-	views := final.Jobs()
-	if len(views) != len(specs) {
-		return 0, fmt.Errorf("log holds %d jobs, want %d (lost or duplicated jobs)", len(views), len(specs))
-	}
-	seen := make(map[string]bool)
-	for _, v := range views {
-		if v.State != store.StateDone {
-			return 0, fmt.Errorf("job %s ended %q, want done (%s)", v.ID, v.State, v.Error)
-		}
-		if seen[v.Hash] {
-			return 0, fmt.Errorf("hash %s appears on more than one job (duplicated terminal job)", v.Hash)
-		}
-		seen[v.Hash] = true
-		want, ok := ref[v.Hash]
+	// One pass over the whole log, which still holds every record the kill
+	// loop persisted: a job keeps one hash through every recovery, and a
+	// hash belongs to one job (no duplicated terminal jobs).
+	type jobEnd struct{ hash, state, err string }
+	jobs := make(map[string]*jobEnd)
+	var order []string
+	owner := make(map[string]string) // hash → job ID
+	if err := final.Scan(func(rec store.Record) error {
+		j, ok := jobs[rec.JobID]
 		if !ok {
-			return 0, fmt.Errorf("job %s carries unknown hash %s", v.ID, v.Hash)
+			j = &jobEnd{}
+			jobs[rec.JobID] = j
+			order = append(order, rec.JobID)
+		}
+		if rec.Hash != "" {
+			if j.hash != "" && j.hash != rec.Hash {
+				return fmt.Errorf("job %s changed hash across recovery: %s → %s", rec.JobID, j.hash, rec.Hash)
+			}
+			if id, ok := owner[rec.Hash]; ok && id != rec.JobID {
+				return fmt.Errorf("hash %s appears on jobs %s and %s (duplicated terminal job)", rec.Hash, id, rec.JobID)
+			}
+			j.hash, owner[rec.Hash] = rec.Hash, rec.JobID
+		}
+		if rec.State != "" {
+			j.state = rec.State
+		}
+		j.err = rec.Error
+		return nil
+	}); err != nil {
+		return 0, err
+	}
+	if len(jobs) != len(specs) {
+		return 0, fmt.Errorf("log holds %d jobs, want %d (lost or duplicated jobs)", len(jobs), len(specs))
+	}
+	for _, id := range order {
+		j := jobs[id]
+		if j.state != store.StateDone {
+			return 0, fmt.Errorf("job %s ended %q, want done (%s)", id, j.state, j.err)
+		}
+		want, ok := ref[j.hash]
+		if !ok {
+			return 0, fmt.Errorf("job %s carries unknown hash %s", id, j.hash)
+		}
+		raw, ok := final.ResultByHash(j.hash)
+		if !ok {
+			return 0, fmt.Errorf("job %s: no result is logged under hash %s", id, j.hash)
 		}
 		var got job.Result
-		if err := json.Unmarshal(v.Result, &got); err != nil {
-			return 0, fmt.Errorf("job %s result: %w", v.ID, err)
+		if err := json.Unmarshal(raw, &got); err != nil {
+			return 0, fmt.Errorf("job %s result: %w", id, err)
 		}
 		if !reflect.DeepEqual(&got, want) {
-			return 0, fmt.Errorf("job %s: resumed result differs from the uninterrupted run (hash %s)", v.ID, v.Hash)
-		}
-		// A job the kill loop persisted must have kept its identity
-		// through the final recovery.
-		if h, existed := preIDs[v.ID]; existed && h != "" && h != v.Hash {
-			return 0, fmt.Errorf("job %s changed hash across recovery: %s → %s", v.ID, h, v.Hash)
+			return 0, fmt.Errorf("job %s: resumed result differs from the uninterrupted run (hash %s)", id, j.hash)
 		}
 	}
 	for hash := range ref {
-		if !seen[hash] {
+		if _, ok := owner[hash]; !ok {
 			return 0, fmt.Errorf("spec hash %s never reached a done record", hash)
 		}
 	}

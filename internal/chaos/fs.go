@@ -113,9 +113,9 @@ func (c *FS) maybeSlow(seq uint64) {
 	time.Sleep(time.Duration(d) * time.Millisecond)
 }
 
-// chaosFile interposes on the write-side file surface. Reads never happen
-// through store.File; Close, Seek, Truncate, and Name pass through so the
-// store's own repair machinery stays reliable.
+// chaosFile interposes on the write-side file surface. ReadAt, Close,
+// Seek, Truncate, and Name pass through so the store's own repair
+// machinery and its result read-back stay reliable.
 type chaosFile struct {
 	store.File
 	fs *FS

@@ -165,7 +165,7 @@ func TestBreakerTripsDegradedModeAndBackfills(t *testing.T) {
 	defer st2.Close()
 	all := append(append([]*Job{warm}, dark...), hit, probe)
 	for _, j := range all {
-		v, ok := st2.Job(j.ID)
+		v, ok := scanJob(t, st2, j.ID)
 		if !ok || v.State != store.StateDone {
 			t.Fatalf("job %s after backfill: ok=%v state=%q, want done", j.ID, ok, v.State)
 		}
@@ -173,7 +173,7 @@ func TestBreakerTripsDegradedModeAndBackfills(t *testing.T) {
 			t.Fatalf("job %s backfilled without a result", j.ID)
 		}
 	}
-	if got := len(st2.Jobs()); got != len(all) {
+	if got := len(scanJobs(t, st2)); got != len(all) {
 		t.Fatalf("log holds %d jobs, want %d (no losses, no duplicates)", got, len(all))
 	}
 }
@@ -204,7 +204,7 @@ func TestBreakerSyncFailuresCountedButNotDirty(t *testing.T) {
 	// backfill having ever run.
 	st2 := openStore(t, dir)
 	defer st2.Close()
-	if v, ok := st2.Job(j.ID); !ok || v.State != store.StateDone {
+	if v, ok := scanJob(t, st2, j.ID); !ok || v.State != store.StateDone {
 		t.Fatalf("sync-failed records did not replay: ok=%v %+v", ok, v)
 	}
 }
@@ -260,10 +260,10 @@ func TestOversizeBackfillLoggedWithoutPayloads(t *testing.T) {
 
 	st2 := openStore(t, dir)
 	defer st2.Close()
-	if v, ok := st2.Job(hit.ID); !ok || v.State != store.StateDone || v.Spec != nil || v.Result != nil {
+	if v, ok := scanJob(t, st2, hit.ID); !ok || v.State != store.StateDone || v.Spec != nil || v.Result != nil {
 		t.Fatalf("oversize job %s replays as ok=%v %+v, want done without spec and result", hit.ID, ok, v)
 	}
-	if v, ok := st2.Job(later.ID); !ok || v.State != store.StateDone || len(v.Result) == 0 {
+	if v, ok := scanJob(t, st2, later.ID); !ok || v.State != store.StateDone || len(v.Result) == 0 {
 		t.Fatalf("job %s after the oversize backfill: ok=%v %+v", later.ID, ok, v)
 	}
 }

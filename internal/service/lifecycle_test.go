@@ -431,7 +431,8 @@ func (m *lifecycleModel) check(t *testing.T, k uint64, s *Service, st *store.Sto
 		t.Fatalf("op %d: stats\n got %+v\nwant %+v", k, got, want)
 	}
 	payloads := make(map[string]int)
-	for _, v := range st.Jobs() {
+	views := scanJobs(t, st)
+	for _, v := range views {
 		if len(v.Result) > 0 {
 			payloads[v.Hash]++
 		}
@@ -439,7 +440,7 @@ func (m *lifecycleModel) check(t *testing.T, k uint64, s *Service, st *store.Sto
 			t.Fatalf("op %d: log has job %s %s, model says %s", k, v.ID, v.State, m.last[v.ID])
 		}
 	}
-	if n := len(st.Jobs()); n != len(m.issued) {
+	if n := len(views); n != len(m.issued) {
 		t.Fatalf("op %d: log holds %d jobs, %d IDs were issued", k, n, len(m.issued))
 	}
 	for i, h := range hashes {

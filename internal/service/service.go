@@ -57,8 +57,11 @@ const MaxBatchSize = 64
 type Config struct {
 	// Workers is the pool size (default runtime.GOMAXPROCS(0)).
 	Workers int
-	// QueueDepth bounds the number of queued-but-not-running jobs
-	// (default 64).
+	// QueueDepth bounds admission: Submit and SubmitBatch refuse a new
+	// execution while this many are queued but not running (default 64).
+	// Recover's jobs were admitted before the restart and are not refused:
+	// the queue holds them beside QueueDepth new ones, and admission stays
+	// closed until the backlog drains below QueueDepth.
 	QueueDepth int
 	// CacheSize is the in-memory LRU result-cache capacity in entries
 	// (default 128). A negative value disables the in-memory tier only:
@@ -298,14 +301,16 @@ func New(cfg Config) *Service {
 		inflight: make(map[string]*execution),
 		created:  make(map[cause]int64),
 		reached:  make(map[State]int64),
-		queue:    make(chan *execution, cfg.QueueDepth),
 		dirty:    make(map[string]bool),
 	}
+	depth := cfg.QueueDepth
 	if cfg.Store != nil {
 		// Continue the persisted ID sequence so recovered and new jobs
-		// never collide.
+		// never collide, and make room for every job Recover re-enqueues.
 		s.nextID = cfg.Store.MaxJobSeq()
+		depth += cfg.Store.Stats().Pending
 	}
+	s.queue = make(chan *execution, depth)
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
 		s.workersAlive.Add(1)
@@ -337,7 +342,8 @@ func (s *Service) Submit(spec job.Spec) (*Job, error) {
 // submitLocked registers one compiled job: cache-served jobs are born
 // done, a job identical to one already queued or running joins its
 // execution, and everything else gets its own execution on the bounded
-// queue (ErrQueueFull when at capacity). Callers hold s.mu.
+// queue (ErrQueueFull while QueueDepth executions are queued). Callers
+// hold s.mu.
 func (s *Service) submitLocked(compiled *job.Compiled) (*entry, error) {
 	e := &entry{hash: compiled.Hash, specJSON: compiled.SpecJSON}
 	if res, ok := s.resultForHash(e.hash); ok {
@@ -357,12 +363,11 @@ func (s *Service) submitLocked(compiled *job.Compiled) (*entry, error) {
 		s.addLocked(e, x, causeDedup)
 		return e, nil
 	}
-	x := &execution{compiled: compiled}
-	select {
-	case s.queue <- x:
-	default:
+	if len(s.queue) >= s.cfg.QueueDepth {
 		return nil, ErrQueueFull
 	}
+	x := &execution{compiled: compiled}
+	s.queue <- x
 	s.addLocked(e, x, causeSubmit)
 	x.id = e.id
 	s.inflight[e.hash] = x
@@ -547,7 +552,8 @@ func (s *Service) backfillLocked() {
 }
 
 // Recover re-enqueues every non-terminal job found in the durable store —
-// the boot step after a crash or graceful shutdown. Jobs keep their
+// the boot step after a crash or graceful shutdown — whatever their
+// number: New sized the queue for them beside QueueDepth. Jobs keep their
 // original IDs; those with an on-disk checkpoint resume mid-run from it.
 // Specs that no longer compile are marked failed in the log, and their
 // checkpoint dropped, rather than wedging recovery. Returns the number of
@@ -564,7 +570,7 @@ func (s *Service) Recover() (int, error) {
 	}
 	n := 0
 	for _, v := range pending {
-		if _, exists := s.jobs[v.ID]; exists {
+		if _, exists := s.jobs[v.JobID]; exists {
 			continue
 		}
 		var spec job.Spec
@@ -574,7 +580,7 @@ func (s *Service) Recover() (int, error) {
 			compiled, err = job.Compile(spec)
 		}
 		if err != nil {
-			s.persist(store.Record{JobID: v.ID, Hash: v.Hash, State: store.StateFailed,
+			s.persist(store.Record{JobID: v.JobID, Hash: v.Hash, State: store.StateFailed,
 				Error: fmt.Sprintf("recovery: %v", err)})
 			// Equal hashes are equal canonical specs, so no other pending
 			// job can resume from this blob.
@@ -583,14 +589,11 @@ func (s *Service) Recover() (int, error) {
 		}
 		// Recovery never registers executions in the dedup index: each
 		// persisted job resumes as an independent execution (identical
-		// ones converge through the result cache).
-		x := &execution{id: v.ID, compiled: compiled}
-		select {
-		case s.queue <- x:
-		default:
-			return n, fmt.Errorf("%w: %d jobs recovered, %s and later still pending", ErrQueueFull, n, v.ID)
-		}
-		s.addLocked(&entry{id: v.ID, hash: compiled.Hash, specJSON: compiled.SpecJSON}, x, causeRecover)
+		// ones converge through the result cache). The send never blocks:
+		// admission leaves the Pending slots New added for these jobs.
+		x := &execution{id: v.JobID, compiled: compiled}
+		s.queue <- x
+		s.addLocked(&entry{id: v.JobID, hash: compiled.Hash, specJSON: compiled.SpecJSON}, x, causeRecover)
 		n++
 	}
 	return n, nil
@@ -654,7 +657,7 @@ func (s *Service) SubmitBatch(specs []job.Spec) (*Batch, error) {
 		seen[c.Hash] = true
 		need++
 	}
-	if need > cap(s.queue)-len(s.queue) {
+	if need > max(0, s.cfg.QueueDepth-len(s.queue)) {
 		return nil, ErrQueueFull
 	}
 	s.nextBatch++

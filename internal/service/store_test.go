@@ -40,6 +40,59 @@ func openStore(t *testing.T, dir string) *store.Store {
 	return st
 }
 
+// logView is one job's records merged in log order: the latest hash,
+// state, spec and result, and the last record's error.
+type logView struct {
+	ID, Hash, State string
+	Spec, Result    json.RawMessage
+	Error           string
+}
+
+// scanJobs folds the log, read with Scan, into one view per job ID in
+// first-seen order.
+func scanJobs(t testing.TB, st *store.Store) []logView {
+	t.Helper()
+	var views []logView
+	pos := make(map[string]int)
+	if err := st.Scan(func(rec store.Record) error {
+		i, ok := pos[rec.JobID]
+		if !ok {
+			i = len(views)
+			pos[rec.JobID] = i
+			views = append(views, logView{ID: rec.JobID})
+		}
+		v := &views[i]
+		if rec.Hash != "" {
+			v.Hash = rec.Hash
+		}
+		if rec.State != "" {
+			v.State = rec.State
+		}
+		if len(rec.Spec) > 0 {
+			v.Spec = rec.Spec
+		}
+		if len(rec.Result) > 0 {
+			v.Result = rec.Result
+		}
+		v.Error = rec.Error
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return views
+}
+
+// scanJob is scanJobs' view of job id, or false.
+func scanJob(t testing.TB, st *store.Store, id string) (logView, bool) {
+	t.Helper()
+	for _, v := range scanJobs(t, st) {
+		if v.ID == id {
+			return v, true
+		}
+	}
+	return logView{}, false
+}
+
 // TestShutdownFlushInterruptsAndRecoverResumes is the service-level
 // recovery drill: a daemon is killed mid-batch (graceful shutdown with a
 // running job), a second daemon on the same data dir recovers, and every
@@ -104,7 +157,7 @@ func TestShutdownFlushInterruptsAndRecoverResumes(t *testing.T) {
 	// The second daemon: same data dir, recover, drain.
 	st2 := openStore(t, dir)
 	defer st2.Close()
-	if v, ok := st2.Job(ids[0]); !ok || v.State != store.StateInterrupted {
+	if v, ok := scanJob(t, st2, ids[0]); !ok || v.State != store.StateInterrupted {
 		t.Fatalf("persisted view of interrupted job: %+v (ok=%v)", v, ok)
 	}
 	if blob, err := st2.LatestCheckpoint(hashes[0]); err != nil {
@@ -408,7 +461,7 @@ func TestRecoverRejectsUncompilableSpec(t *testing.T) {
 	if err != nil || n != 0 {
 		t.Fatalf("Recover = %d, %v; want 0 jobs and no error", n, err)
 	}
-	if v, ok := st2.Job("j000001"); !ok || v.State != store.StateFailed || v.Error == "" {
+	if v, ok := scanJob(t, st2, "j000001"); !ok || v.State != store.StateFailed || v.Error == "" {
 		t.Fatalf("poison job view = %+v (ok=%v), want failed with error", v, ok)
 	}
 	if _, err := st2.LatestCheckpoint("bad"); !errors.Is(err, store.ErrNoCheckpoint) {
@@ -416,6 +469,80 @@ func TestRecoverRejectsUncompilableSpec(t *testing.T) {
 	}
 	if n := st2.Stats().Checkpoints; n != 0 {
 		t.Fatalf("store counts %d checkpoints after Recover, want 0", n)
+	}
+}
+
+// holdAttempts is an Intercept that parks every attempt until release
+// closes or the attempt is canceled.
+func holdAttempts(release <-chan struct{}) func(context.Context, string, int) error {
+	return func(ctx context.Context, _ string, _ int) error {
+		select {
+		case <-release:
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+}
+
+// TestRecoverMoreJobsThanQueueDepth: a restart recovers every pending job,
+// whatever the queue depth. A crash leaves three 3-member dedup batches
+// pending behind a queue depth of 2, and each member recovers as its own
+// execution. Recover re-enqueues all nine, admission refuses new work
+// while the backlog exceeds the depth, and every job ends done under its
+// original ID. Earlier builds failed Recover with ErrQueueFull, which the
+// daemon treats as fatal at boot.
+func TestRecoverMoreJobsThanQueueDepth(t *testing.T) {
+	dir := t.TempDir()
+	st1 := openStore(t, dir)
+	s1 := New(Config{Workers: 1, QueueDepth: 2, Store: st1, Intercept: holdAttempts(make(chan struct{}))})
+	crash := func() {
+		s1.CancelAll() // unpark the held attempt, so Close returns
+		s1.Close()
+	}
+	defer crash()
+	var ids []string
+	for b := 0; b < 3; b++ {
+		sp := durableSpec(int64(700+b), 50)
+		batch, err := s1.SubmitBatch([]job.Spec{sp, sp, sp})
+		if err != nil {
+			t.Fatalf("batch %d: %v", b, err)
+		}
+		for _, j := range batch.Jobs {
+			ids = append(ids, j.ID)
+		}
+		if b == 0 {
+			// The first execution leaves the queue before the next two
+			// batches fill it.
+			waitState(t, s1, batch.Jobs[0].ID, StateRunning)
+		}
+	}
+	// The crash: the log ends with three jobs running and six queued.
+	if err := st1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	crash()
+
+	st2 := openStore(t, dir)
+	defer st2.Close()
+	release := make(chan struct{})
+	s2 := New(Config{Workers: 1, QueueDepth: 2, Store: st2, Intercept: holdAttempts(release)})
+	defer s2.Close()
+	defer s2.CancelAll() // a failed check must not leave an attempt parked
+	if n, err := s2.Recover(); err != nil || n != len(ids) {
+		t.Fatalf("Recover = %d, %v; want all %d pending jobs", n, err, len(ids))
+	}
+	if _, err := s2.Submit(durableSpec(799, 50)); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("Submit during the recovered backlog = %v, want ErrQueueFull", err)
+	}
+	if rd := s2.Readiness(); rd.Ready || rd.Reason != "queue full" {
+		t.Fatalf("readiness during the recovered backlog = %+v, want not ready: queue full", rd)
+	}
+	close(release)
+	for _, id := range ids {
+		if j := waitTerminal(t, s2, id); j.State != StateDone {
+			t.Fatalf("recovered job %s ended %q (%s), want done", id, j.State, j.Error)
+		}
 	}
 }
 
@@ -454,7 +581,7 @@ func TestCacheHitIDNotReissuedAfterRestart(t *testing.T) {
 	if b.ID == a.ID || b.ID == hit.ID {
 		t.Fatalf("post-restart job got ID %s, already issued to %s or %s", b.ID, a.ID, hit.ID)
 	}
-	if v, ok := st2.Job(hit.ID); !ok || v.State != store.StateDone || len(v.Spec) == 0 || len(v.Result) != 0 {
+	if v, ok := scanJob(t, st2, hit.ID); !ok || v.State != store.StateDone || len(v.Spec) == 0 || len(v.Result) != 0 {
 		t.Fatalf("cache-hit log view %+v (ok=%v), want done with its spec and no result payload", v, ok)
 	}
 }

@@ -303,11 +303,11 @@ func TestDedupDurableResultPersistedOnce(t *testing.T) {
 		t.Fatalf("follower ended %q (err %q)", j.State, j.Error)
 	}
 
-	lv, ok := st.Job(lead.ID)
+	lv, ok := scanJob(t, st, lead.ID)
 	if !ok || lv.State != store.StateDone || len(lv.Result) == 0 {
 		t.Fatalf("leader log view %+v, want done with result payload", lv)
 	}
-	fv, ok := st.Job(fol.ID)
+	fv, ok := scanJob(t, st, fol.ID)
 	if !ok || fv.State != store.StateDone {
 		t.Fatalf("follower log view %+v, want done", fv)
 	}

@@ -101,7 +101,7 @@ func TestQuarantineMidSegmentCorruption(t *testing.T) {
 	}
 	// Records from segments after the victim replayed: the last appended
 	// job is present.
-	if _, ok := s.Job(jobID(records - 1)); !ok {
+	if _, ok := scanJob(t, s, jobID(records-1)); !ok {
 		t.Fatal("record from a post-quarantine segment lost")
 	}
 	// The store keeps appending, and the repaired log reopens without
@@ -228,7 +228,7 @@ func TestGarbageLengthPrefix(t *testing.T) {
 					t.Fatalf("non-final garbage length: stats %+v, want one quarantine", st)
 				}
 			}
-			if _, ok := s.Job("jmangle"); ok {
+			if _, ok := scanJob(t, s, "jmangle"); ok {
 				t.Fatal("the mangled frame replayed as a record")
 			}
 			if got := countFrames(t, victim); got != before {
@@ -261,8 +261,8 @@ func TestAppendWriteErrorRepairsSegment(t *testing.T) {
 		t.Fatalf("AppendErrors = %d, want 1", got)
 	}
 	// The lost record is really lost, the log is clean, appends continue.
-	if _, ok := s.Job("j000002"); ok {
-		t.Fatal("failed append applied to the in-memory view")
+	if _, ok := scanJob(t, s, "j000002"); ok {
+		t.Fatal("failed append reached the log")
 	}
 	if err := s.Append(Record{JobID: "j000003", Hash: "h", State: StateQueued}); err != nil {
 		t.Fatal(err)
@@ -275,7 +275,7 @@ func TestAppendWriteErrorRepairsSegment(t *testing.T) {
 	if st.Records != 2 || st.TailTruncated || st.QuarantinedSegments != 0 {
 		t.Fatalf("replay after repaired short write: %+v, want 2 clean records", st)
 	}
-	if _, ok := r.Job("j000003"); !ok {
+	if _, ok := scanJob(t, r, "j000003"); !ok {
 		t.Fatal("post-repair record lost")
 	}
 }
@@ -303,14 +303,14 @@ func TestAppendSyncFailureIsTyped(t *testing.T) {
 		t.Fatalf("stats %+v, want exactly one sync failure and no append errors", st)
 	}
 	// The frame reached the file: the record is applied and replays.
-	if v, ok := s.Job("j000002"); !ok || v.State != StateDone {
+	if v, ok := scanJob(t, s, "j000002"); !ok || v.State != StateDone {
 		t.Fatalf("sync-failed record not applied: %+v (ok=%v)", v, ok)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	r := mustOpen(t, dir, Options{})
-	if v, ok := r.Job("j000002"); !ok || v.State != StateDone {
+	if v, ok := scanJob(t, r, "j000002"); !ok || v.State != StateDone {
 		t.Fatalf("sync-failed record lost on replay: %+v (ok=%v)", v, ok)
 	}
 }

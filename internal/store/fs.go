@@ -24,9 +24,11 @@ type FS interface {
 
 // File is the open-file surface the store uses (a strict subset of
 // *os.File). Write may return a short count with an error — the store
-// repairs the resulting partial frame itself.
+// repairs the resulting partial frame itself. ReadAt reads a served
+// result's frame back from its segment.
 type File interface {
 	io.Writer
+	io.ReaderAt
 	io.Closer
 	Sync() error
 	Seek(offset int64, whence int) (int64, error)

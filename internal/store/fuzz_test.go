@@ -53,7 +53,7 @@ func FuzzNonFinalSegmentDamage(f *testing.F) {
 		defer s.Close()
 		// The final record lives past the victim segment; quarantine must
 		// never take later segments down with it.
-		if _, ok := s.Job(jobID(records - 1)); !ok {
+		if _, ok := scanJob(t, s, jobID(records-1)); !ok {
 			t.Fatalf("job %s from a later segment lost to quarantine", jobID(records-1))
 		}
 	})
@@ -105,7 +105,7 @@ func FuzzStoreRecord(f *testing.F) {
 		// record; only its pre-tail field survival is guaranteed when the
 		// tail failed to parse.
 		if r.Stats().Records >= 1 {
-			v, ok := r.Job(id)
+			v, ok := scanJob(t, r, id)
 			if !ok {
 				t.Fatalf("record for %q lost on replay", id)
 			}

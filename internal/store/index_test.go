@@ -1,36 +1,130 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"strconv"
+	"sync"
 	"testing"
 )
 
-// scanResultByHash is the lookup ResultByHash's index replaces: the first
-// job in log order that is done with a result under hash.
-func scanResultByHash(s *Store, hash string) (json.RawMessage, bool) {
-	for _, v := range s.Jobs() {
-		if v.Hash == hash && v.State == StateDone && len(v.Result) > 0 {
-			return v.Result, true
+// scanResultByHash is the rule ResultByHash's index serves, read from the
+// log: the result of the first done record that carries a result under
+// hash.
+func scanResultByHash(t *testing.T, s *Store, hash string) (json.RawMessage, bool) {
+	t.Helper()
+	var res json.RawMessage
+	found := false
+	if err := s.Scan(func(rec Record) error {
+		if !found && rec.JobID != "" && rec.Hash == hash && rec.State == StateDone && len(rec.Result) > 0 {
+			res, found = rec.Result, true
 		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	return nil, false
+	return res, found
+}
+
+// logFold is what the rest of the index must agree with, folded from the
+// log: the job IDs in first-seen order, the pending jobs in that order,
+// and the highest j<n> sequence. A job is pending when its latest record
+// with a state is non-terminal, or none of its records has a state. Its
+// pending view merges its records from the one that made it pending: its
+// first record, or the first record with a state after its last terminal
+// one (a record with no state leaves a finished job finished).
+type logFold struct {
+	jobs    int
+	pending []Record
+	maxSeq  int64
+}
+
+func foldLog(t *testing.T, s *Store) logFold {
+	t.Helper()
+	var order []string
+	recs := make(map[string][]Record)
+	if err := s.Scan(func(rec Record) error {
+		if rec.JobID == "" {
+			return nil
+		}
+		if _, ok := recs[rec.JobID]; !ok {
+			order = append(order, rec.JobID)
+		}
+		recs[rec.JobID] = append(recs[rec.JobID], rec)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	f := logFold{jobs: len(order), pending: []Record{}}
+	for _, id := range order {
+		if n, err := strconv.ParseInt(id[1:], 10, 64); id[0] == 'j' && err == nil && n > f.maxSeq {
+			f.maxSeq = n
+		}
+		rs := recs[id]
+		state, since := "", 0
+		for i, r := range rs {
+			if r.State != "" {
+				state = r.State
+			}
+			if Terminal(r.State) {
+				since = i + 1
+			}
+		}
+		if Terminal(state) {
+			continue
+		}
+		if since > 0 {
+			for rs[since].State == "" {
+				since++
+			}
+		}
+		p := Record{JobID: id}
+		for _, r := range rs[since:] {
+			if r.Hash != "" {
+				p.Hash = r.Hash
+			}
+			if r.State != "" {
+				p.State = r.State
+			}
+			if len(r.Spec) > 0 {
+				p.Spec = r.Spec
+			}
+		}
+		f.pending = append(f.pending, p)
+	}
+	return f
 }
 
 var indexHashes = []string{"h0", "h1", "h2", "h3", "absent"}
 
+// checkIndexMatchesScan holds every part of the index to the log read
+// with Scan: ResultByHash, Stats().Jobs, Stats().Pending, Pending() and
+// MaxJobSeq().
 func checkIndexMatchesScan(t *testing.T, s *Store, when string) {
 	t.Helper()
 	for _, h := range indexHashes {
 		got, gotOK := s.ResultByHash(h)
-		want, wantOK := scanResultByHash(s, h)
+		want, wantOK := scanResultByHash(t, s, h)
 		if gotOK != wantOK || string(got) != string(want) {
 			t.Fatalf("%s: ResultByHash(%s) = %s, %v; the scan finds %s, %v", when, h, got, gotOK, want, wantOK)
 		}
+	}
+	f := foldLog(t, s)
+	if st := s.Stats(); st.Jobs != f.jobs || st.Pending != len(f.pending) {
+		t.Fatalf("%s: Stats() counts %d jobs, %d pending; the scan finds %d, %d", when, st.Jobs, st.Pending, f.jobs, len(f.pending))
+	}
+	if got := s.Pending(); !reflect.DeepEqual(got, f.pending) {
+		t.Fatalf("%s: Pending() = %+v; the scan finds %+v", when, got, f.pending)
+	}
+	if got := s.MaxJobSeq(); got != f.maxSeq {
+		t.Fatalf("%s: MaxJobSeq() = %d; the scan finds %d", when, got, f.maxSeq)
 	}
 }
 
@@ -100,9 +194,287 @@ func TestResultByHashIndexMatchesScan(t *testing.T) {
 	appendRandom(t, s, rng, 100, "after quarantine")
 }
 
+// TestResultByHashRereadsTheLog: a disk hit reads its frame back from the
+// segment, so a frame damaged after Open is a miss, not stale bytes, and
+// the next done record carrying a result under the hash is served.
+func TestResultByHashRereadsTheLog(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{})
+	first := json.RawMessage(`{"outputs":[1]}`)
+	for _, rec := range []Record{
+		{JobID: "j000001", Hash: "aa", State: StateQueued, Spec: json.RawMessage(`{"n":1}`)},
+		{JobID: "j000001", Hash: "aa", State: StateDone, Result: first},
+	} {
+		if err := s.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r := mustOpen(t, dir, Options{})
+	if res, ok := r.ResultByHash("aa"); !ok || !bytes.Equal(res, first) {
+		t.Fatalf("ResultByHash before the damage = %s, %v", res, ok)
+	}
+	seg := filepath.Join(dir, "log", "seg-000001.log")
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The served frame is the last one, and its last byte is a payload
+	// byte of the result.
+	data[len(data)-1] ^= 0xff
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if res, ok := r.ResultByHash("aa"); ok {
+		t.Fatalf("ResultByHash served %s from a damaged frame", res)
+	}
+
+	fresh := json.RawMessage(`{"outputs":[2]}`)
+	if err := r.Append(Record{JobID: "j000002", Hash: "aa", State: StateDone, Result: fresh}); err != nil {
+		t.Fatal(err)
+	}
+	if res, ok := r.ResultByHash("aa"); !ok || !bytes.Equal(res, fresh) {
+		t.Fatalf("ResultByHash after a fresh done record = %s, %v; want %s", res, ok, fresh)
+	}
+}
+
+// TestReadsDuringAppends: ResultByHash reads its frame back and Scan reads
+// the segments without holding the append lock, so both run beside
+// appends that rotate segments. Every hash has one result encoding, so a
+// hit must return exactly it.
+func TestReadsDuringAppends(t *testing.T) {
+	s := mustOpen(t, t.TempDir(), Options{MaxSegmentBytes: 512})
+	result := func(k int) json.RawMessage { return json.RawMessage(fmt.Sprintf(`{"outputs":[%d]}`, k)) }
+	const appends, hashes = 400, 8
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				for k := 0; k < hashes; k++ {
+					if res, ok := s.ResultByHash(fmt.Sprintf("h%d", k)); ok && !bytes.Equal(res, result(k)) {
+						t.Errorf("ResultByHash(h%d) = %s, want %s", k, res, result(k))
+					}
+				}
+				n := 0
+				if err := s.Scan(func(Record) error { n++; return nil }); err != nil || n > appends {
+					t.Errorf("Scan read %d records, %v", n, err)
+				}
+				s.Stats()
+				s.Pending()
+			}
+		}()
+	}
+	for i := 0; i < appends; i += 2 {
+		id, k := jobID(i), (i/2)%hashes
+		for _, rec := range []Record{
+			{JobID: id, Hash: fmt.Sprintf("h%d", k), State: StateQueued, Spec: json.RawMessage(`{"n":1}`)},
+			{JobID: id, Hash: fmt.Sprintf("h%d", k), State: StateDone, Result: result(k)},
+		} {
+			if err := s.Append(rec); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	close(done)
+	wg.Wait()
+	if st := s.Stats(); st.Segments < 2 || st.Records != appends || st.Pending != 0 {
+		t.Fatalf("stats after the appends: %+v", st)
+	}
+}
+
+// TestScanSkipsMissingSegment: a segment index with no file (a
+// quarantine whose rewrite failed leaves one) is skipped, and Scan reads
+// every record replay did.
+func TestScanSkipsMissingSegment(t *testing.T) {
+	dir := t.TempDir()
+	segs := fillSegments(t, dir, 12)
+	if err := os.Remove(segs[1]); err != nil {
+		t.Fatal(err)
+	}
+	s := mustOpen(t, dir, Options{MaxSegmentBytes: 128})
+	n := 0
+	if err := s.Scan(func(Record) error { n++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if want := s.Stats().Records; int64(n) != want || n == 0 {
+		t.Fatalf("Scan read %d records, replay %d", n, want)
+	}
+	if _, ok := scanJob(t, s, jobID(11)); !ok {
+		t.Fatal("the last segment's job is missing from Scan")
+	}
+}
+
+// failOpenFS is a store.FS that fails the next O_EXCL open when armed:
+// the open a segment rotation makes.
+type failOpenFS struct {
+	FS
+	armed bool
+}
+
+func (f *failOpenFS) OpenFile(path string, flag int, perm os.FileMode) (File, error) {
+	if f.armed && flag&os.O_EXCL != 0 {
+		f.armed = false
+		return nil, errors.New("injected open failure")
+	}
+	return f.FS.OpenFile(path, flag, perm)
+}
+
+// TestRotationRetriesAfterFailedOpen: a rotation whose open fails leaves
+// the current segment active, so the append that needed it fails and the
+// next one rotates. Earlier builds closed the active segment first and
+// then failed every later append on the closed file.
+func TestRotationRetriesAfterFailedOpen(t *testing.T) {
+	dir := t.TempDir()
+	fs := &failOpenFS{FS: OS()}
+	opt := Options{MaxSegmentBytes: 96, FS: fs}
+	s := mustOpen(t, dir, opt)
+	var logged []Record
+	appendRec := func(i int) error {
+		rec := Record{JobID: jobID(i), Hash: "deadbeef", State: StateQueued}
+		err := s.Append(rec)
+		if err == nil {
+			logged = append(logged, rec)
+		}
+		return err
+	}
+	if err := appendRec(0); err != nil {
+		t.Fatal(err)
+	}
+	fs.armed = true
+	next := 1
+	for fs.armed {
+		if next > 20 {
+			t.Fatal("no rotation within 20 appends")
+		}
+		err := appendRec(next)
+		if fs.armed && err != nil {
+			t.Fatalf("append %d failed before the injected fault: %v", next, err)
+		}
+		if !fs.armed && err == nil {
+			t.Fatalf("append %d succeeded through the failed rotation", next)
+		}
+		next++
+	}
+	for k := 0; k < 3; k++ {
+		if err := appendRec(next + k); err != nil {
+			t.Fatalf("append %d after the failed rotation: %v", k+1, err)
+		}
+	}
+	segsOnDisk := func() int {
+		segs, err := filepath.Glob(filepath.Join(dir, "log", "seg-*.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(segs)
+	}
+	if got, want := s.Stats().Segments, segsOnDisk(); got != want {
+		t.Fatalf("Stats().Segments = %d, %d segment files on disk", got, want)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r := mustOpen(t, dir, Options{MaxSegmentBytes: 96})
+	var replayed []Record
+	if err := r.Scan(func(rec Record) error {
+		replayed = append(replayed, rec)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(replayed, logged) {
+		t.Fatalf("reopen replays %d records %+v, want the %d successful appends %+v", len(replayed), replayed, len(logged), logged)
+	}
+	if got, want := r.Stats().Segments, segsOnDisk(); got != want {
+		t.Fatalf("after reopen Stats().Segments = %d, %d segment files on disk", got, want)
+	}
+}
+
+// TestReopenRetainsIndexOnly: reopening a log keeps the index, not the
+// jobs, so the heap a reopen retains does not grow with the spec and
+// result bytes in the log. The shapes are perfbench's n=10⁴ jobs: one
+// job per spec hash, and 64 dedup members per hash with a spec on every
+// queued record and one result per hash. Earlier builds retained about
+// 98 KB and 48 KB per job.
+func TestReopenRetainsIndexOnly(t *testing.T) {
+	const (
+		jobs      = 256
+		specSize  = 49_024
+		resSize   = 48_990
+		perJob    = 2 << 10
+		dedupSize = 64
+	)
+	spec := bytes.Repeat([]byte("s"), specSize)
+	result := bytes.Repeat([]byte("r"), resSize)
+	for _, shape := range []string{"distinct", "dedup"} {
+		t.Run(shape, func(t *testing.T) {
+			dir := t.TempDir()
+			s := mustOpen(t, dir, Options{})
+			for i := 0; i < jobs; i++ {
+				id, hash := jobID(i), fmt.Sprintf("%064x", i)
+				firstOfHash := true
+				if shape == "dedup" {
+					hash = fmt.Sprintf("%064x", i/dedupSize)
+					firstOfHash = i%dedupSize == 0
+				}
+				done := Record{JobID: id, Hash: hash, State: StateDone}
+				if firstOfHash {
+					done.Result = result
+				}
+				for _, rec := range []Record{
+					{JobID: id, Hash: hash, State: StateQueued, Spec: spec},
+					{JobID: id, Hash: hash, State: StateRunning},
+					done,
+				} {
+					if err := s.Append(rec); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			r, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			defer r.Close()
+			if st := r.Stats(); st.Jobs != jobs || st.Pending != 0 {
+				t.Fatalf("reopen stats %+v, want %d finished jobs", st, jobs)
+			}
+			if res, ok := r.ResultByHash(fmt.Sprintf("%064x", 0)); !ok || !bytes.Equal(res, result) {
+				t.Fatalf("ResultByHash after reopen: %d bytes, %v", len(res), ok)
+			}
+			grown := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+			t.Logf("reopen retains %d B (%d B per job)", grown, grown/jobs)
+			if grown > perJob*jobs {
+				t.Fatalf("reopen retains %d B, %d B per job; want ≤ %d per job", grown, grown/jobs, perJob)
+			}
+			runtime.KeepAlive(r)
+		})
+	}
+}
+
 // BenchmarkResultByHash times one disk-tier lookup — a hit and a miss —
-// against logs of 10³ and 10⁵ done jobs. The index makes both independent
-// of the log's size.
+// against logs of 10³ and 10⁵ done jobs. A miss is one index lookup and a
+// hit reads one frame back, so neither grows with the log's size.
 func BenchmarkResultByHash(b *testing.B) {
 	for _, jobs := range []int{1_000, 100_000} {
 		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {

@@ -44,10 +44,10 @@ func openLegacyCopy(t *testing.T) (string, *Store) {
 	return dir, s
 }
 
-func ids(views []JobView) []string {
-	out := make([]string, len(views))
-	for i, v := range views {
-		out[i] = v.ID
+func ids(recs []Record) []string {
+	out := make([]string, len(recs))
+	for i, r := range recs {
+		out[i] = r.JobID
 	}
 	return out
 }
@@ -55,7 +55,7 @@ func ids(views []JobView) []string {
 // checkLegacyViews asserts the views the legacy segment replays to.
 func checkLegacyViews(t *testing.T, s *Store) {
 	t.Helper()
-	want := map[string]JobView{
+	want := map[string]logView{
 		"j000001": {ID: "j000001", Hash: legacyHashDone, State: StateDone, Spec: json.RawMessage(legacyDoneSpec), Result: json.RawMessage(legacyResult)},
 		"j000002": {ID: "j000002", Hash: legacyHashFailed, State: StateFailed, Error: "agent panicked: \"<&>\" ü\n"},
 		"j000003": {ID: "j000003", Hash: legacyHashCanceled, State: StateCanceled, Error: "canceled"},
@@ -64,7 +64,7 @@ func checkLegacyViews(t *testing.T, s *Store) {
 		"j000006": {ID: "j000006", Hash: legacyHashDone, State: StateDone, Spec: json.RawMessage(legacyDoneSpec), Result: json.RawMessage(legacyResult)},
 	}
 	for id, w := range want {
-		v, ok := s.Job(id)
+		v, ok := scanJob(t, s, id)
 		if !ok {
 			t.Fatalf("job %s missing", id)
 		}
@@ -124,10 +124,10 @@ func TestLegacyLogReplays(t *testing.T) {
 	if got := ids(r.Pending()); !reflect.DeepEqual(got, []string{"j000005", "j000007"}) {
 		t.Fatalf("merged Pending = %v", got)
 	}
-	if v, _ := r.Job("j000004"); v.State != StateDone || string(v.Result) != string(result) {
+	if v, _ := scanJob(t, r, "j000004"); v.State != StateDone || string(v.Result) != string(result) {
 		t.Fatalf("merged j000004 = %+v", v)
 	}
-	if v, _ := r.Job("j000007"); string(v.Spec) != string(spec) {
+	if v, _ := scanJob(t, r, "j000007"); string(v.Spec) != string(spec) {
 		t.Fatalf("merged j000007 spec = %s", v.Spec)
 	}
 	if res, ok := r.ResultByHash(legacyHashInterr); !ok || string(res) != string(result) {
@@ -209,7 +209,7 @@ func TestRecordBound(t *testing.T) {
 	if after := s.Stats(); after != before {
 		t.Fatalf("refused append changed the store: %+v → %+v", before, after)
 	}
-	if v, _ := s.Job("j000002"); v.State != StateQueued {
+	if v, _ := scanJob(t, s, "j000002"); v.State != StateQueued {
 		t.Fatalf("refused append changed the view: %+v", v)
 	}
 	if err := s.Close(); err != nil {
@@ -220,10 +220,10 @@ func TestRecordBound(t *testing.T) {
 	if st := r.Stats(); st.Records != 3 || st.QuarantinedSegments != 0 || st.TailTruncated || st.LogBytes != before.LogBytes {
 		t.Fatalf("reopen stats %+v, want the 3 appended records intact (%d log bytes)", st, before.LogBytes)
 	}
-	if v, _ := r.Job("j000001"); v.State != StateDone || !bytes.Equal(v.Result, result) {
+	if v, _ := scanJob(t, r, "j000001"); v.State != StateDone || !bytes.Equal(v.Result, result) {
 		t.Fatalf("large done record replayed as %q with %d result bytes", v.State, len(v.Result))
 	}
-	if v, _ := r.Job("j000002"); v.State != StateQueued {
+	if v, _ := scanJob(t, r, "j000002"); v.State != StateQueued {
 		t.Fatalf("j000002 replayed as %q", v.State)
 	}
 }

@@ -10,6 +10,13 @@
 // every save, so a restarted daemon reads an interrupted job's latest
 // checkpoint by name, with no index and no directory scan.
 //
+// The store keeps an index, not the jobs. Replay and Append keep where
+// the first done record carrying a result under each spec hash sits, the
+// non-terminal jobs with their specs, each job ID's first-seen position
+// and the highest job sequence; everything else stays in the log.
+// ResultByHash reads its one frame back from the segment, and Scan walks
+// the whole log for drills and tests.
+//
 // A payload is a version byte and the record's fields with their lengths
 // (record.go), so every field round-trips byte for byte and Append copies
 // the spec and result without parsing them. Replay also reads the JSON
@@ -72,9 +79,9 @@ var (
 
 // Record is one append-only log entry: a job state transition. The first
 // record of a job carries its spec; the done record carries its result.
-// Later records for the same job ID overlay the earlier ones during
-// replay, so the log compacts naturally into a map of latest states. The
-// JSON tags decode the records of earlier builds.
+// Later records for the same job ID overlay the earlier ones' hash, state
+// and spec in the pending set, and a terminal record takes the job out of
+// it. The JSON tags decode the records of earlier builds.
 type Record struct {
 	JobID string `json:"job_id"`
 	// Hash is the canonical spec hash (the result address).
@@ -106,17 +113,6 @@ const (
 // found during replay are recovery candidates.
 func Terminal(state string) bool {
 	return state == StateDone || state == StateFailed || state == StateCanceled
-}
-
-// JobView is the replayed, merged view of one job: the latest state plus
-// the spec and (when done) result captured along the way.
-type JobView struct {
-	ID     string
-	Hash   string
-	State  string
-	Spec   json.RawMessage
-	Result json.RawMessage
-	Error  string
 }
 
 // Options tunes a Store. The zero value selects defaults.
@@ -178,11 +174,11 @@ type Store struct {
 	closed  bool
 	damaged bool // active segment has an unrepaired partial frame: rotate before the next append
 
-	jobs  map[string]*jobView
-	order []string // job IDs in first-seen log order
-	// served indexes ResultByHash: spec hash → the earliest job in log
-	// order that is done with a result payload under that hash.
-	served map[string]*jobView
+	// The index (see apply); the log holds everything else.
+	served  map[string]frameAt // spec hash → its first done record with a result
+	pending map[string]*Record // job ID → a non-terminal job's ID, hash, state and spec
+	seen    map[string]int     // job ID → first-seen position
+	maxSeq  int64              // the highest j<n> job sequence
 	// ckpts holds the names of the checkpoint blobs on disk, for Stats.
 	ckpts map[string]struct{}
 
@@ -230,9 +226,9 @@ var (
 
 // Open opens (or initializes) the store in dir. A fresh dir is laid out;
 // an existing one is replayed — every segment is CRC-verified, a torn
-// final record is truncated, and all job records are merged into the
-// in-memory view. A dir holding anything the store does not recognize is
-// rejected with ErrDirtyDir rather than guessed at.
+// final record is truncated, and every job record is folded into the
+// index. A dir holding anything the store does not recognize is rejected
+// with ErrDirtyDir rather than guessed at.
 func Open(dir string, opt Options) (*Store, error) {
 	opt = opt.withDefaults()
 	fs := opt.FS
@@ -257,12 +253,13 @@ func Open(dir string, opt Options) (*Store, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	s := &Store{
-		dir:    dir,
-		opt:    opt,
-		fs:     fs,
-		jobs:   make(map[string]*jobView),
-		served: make(map[string]*jobView),
-		ckpts:  make(map[string]struct{}),
+		dir:     dir,
+		opt:     opt,
+		fs:      fs,
+		served:  make(map[string]frameAt),
+		pending: make(map[string]*Record),
+		seen:    make(map[string]int),
+		ckpts:   make(map[string]struct{}),
 	}
 	if err := s.replay(); err != nil {
 		return nil, err
@@ -336,10 +333,10 @@ func (s *Store) segments() ([]string, error) {
 	return names, nil
 }
 
-// replay loads every segment, verifying frames and merging records. A
-// torn tail — a partial frame at the end of the final segment — is
-// truncated in place; the same damage anywhere else quarantines the
-// segment.
+// replay loads every segment, verifying frames and folding records into
+// the index. A torn tail — a partial frame at the end of the final
+// segment — is truncated in place; the same damage anywhere else
+// quarantines the segment.
 func (s *Store) replay() error {
 	names, err := s.segments()
 	if err != nil {
@@ -347,14 +344,13 @@ func (s *Store) replay() error {
 	}
 	s.segs = len(names)
 	for i, name := range names {
-		path := filepath.Join(s.dir, logDir, name)
+		idx, _ := strconv.Atoi(segRe.FindStringSubmatch(name)[1])
 		last := i == len(names)-1
-		good, err := s.replaySegment(path, last)
+		good, err := s.replaySegment(idx, last)
 		if err != nil {
 			return err
 		}
 		if last {
-			idx, _ := strconv.Atoi(segRe.FindStringSubmatch(name)[1])
 			s.segIdx = idx
 			s.segSize = good
 		}
@@ -377,33 +373,22 @@ func (s *Store) replay() error {
 	return nil
 }
 
-// replaySegment reads one segment, returning the byte offset of the last
+// replaySegment reads segment idx, returning the byte offset of the last
 // good frame. In the final segment a bad tail is truncated; elsewhere the
 // damaged segment is quarantined.
-func (s *Store) replaySegment(path string, last bool) (int64, error) {
+func (s *Store) replaySegment(idx int, last bool) (int64, error) {
+	path := filepath.Join(s.dir, logDir, segName(idx))
 	data, err := s.fs.ReadFile(path)
 	if err != nil {
 		return 0, fmt.Errorf("store: %w", err)
 	}
-	off := int64(0)
-	for int64(len(data))-off >= frameHeader {
-		n := int64(binary.BigEndian.Uint32(data[off:]))
-		sum := binary.BigEndian.Uint32(data[off+4:])
-		if n > maxRecordBytes || off+frameHeader+n > int64(len(data)) {
-			break // torn or insane length
-		}
-		payload := data[off+frameHeader : off+frameHeader+n]
-		if crc32.ChecksumIEEE(payload) != sum {
-			break // torn mid-payload or bit rot
-		}
-		rec, err := DecodeRecord(payload)
-		if err != nil {
-			break // framing intact but payload is not a record
-		}
-		s.apply(rec)
+	// A CRC-valid frame that is not a record ends the walk with an error:
+	// it is damage like any other.
+	off, _ := WalkFrames(data, func(at int64, rec Record) error {
+		s.apply(rec, frameAt{seg: idx, off: at})
 		s.records++
-		off += frameHeader + n
-	}
+		return nil
+	})
 	if off == int64(len(data)) {
 		return off, nil
 	}
@@ -415,6 +400,36 @@ func (s *Store) replaySegment(path string, last bool) (int64, error) {
 	}
 	s.truncated = true
 	return off, nil
+}
+
+// WalkFrames walks the log frames at the start of data as replay does,
+// calling fn with each frame's offset and record. A frame is a 4-byte
+// big-endian payload length, the payload's CRC32 (IEEE) and the payload.
+// The walk stops at the first frame that is torn, fails its CRC or claims
+// more than the frame ceiling, and returns the offset just past the last
+// good frame. A CRC-valid frame that does not decode as a record stops it
+// with the decode error, and so does an error from fn; end is then that
+// frame's offset.
+func WalkFrames(data []byte, fn func(off int64, rec Record) error) (end int64, err error) {
+	for int64(len(data))-end >= frameHeader {
+		n := int64(binary.BigEndian.Uint32(data[end:]))
+		if n > maxRecordBytes || end+frameHeader+n > int64(len(data)) {
+			break // torn or insane length
+		}
+		payload := data[end+frameHeader : end+frameHeader+n]
+		if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(data[end+4:]) {
+			break // torn mid-payload or bit rot
+		}
+		rec, err := DecodeRecord(payload)
+		if err != nil {
+			return end, err
+		}
+		if err := fn(end, rec); err != nil {
+			return end, err
+		}
+		end += frameHeader + n
+	}
+	return end, nil
 }
 
 // quarantineSegment seals a mid-log segment with a bad frame: the damaged
@@ -450,63 +465,62 @@ func (s *Store) quarantineSegment(path string, good []byte) (int64, error) {
 	return int64(len(good)), nil
 }
 
-// jobView is a job's merged view with its position in s.order.
-type jobView struct {
-	JobView
-	pos int
+// frameAt is where a frame sits in the log: its segment index and its
+// offset in that segment.
+type frameAt struct {
+	seg int
+	off int64
 }
 
-// servable reports whether ResultByHash may serve v's result.
-func (v *jobView) servable() bool { return v.State == StateDone && len(v.Result) > 0 }
-
-// apply merges one record into the replayed view and keeps the
-// ResultByHash index current. Replay and Append both go through it.
-func (s *Store) apply(rec Record) {
+// apply folds one record, logged at at, into the index. Replay and Append
+// both go through it. The first done record carrying a result under a
+// hash is the one ResultByHash serves; a terminal record takes its job
+// out of pending.
+func (s *Store) apply(rec Record, at frameAt) {
 	if rec.JobID == "" {
 		return
 	}
-	v, ok := s.jobs[rec.JobID]
-	if !ok {
-		v = &jobView{JobView: JobView{ID: rec.JobID}, pos: len(s.order)}
-		s.jobs[rec.JobID] = v
-		s.order = append(s.order, rec.JobID)
+	_, known := s.seen[rec.JobID]
+	if !known {
+		s.seen[rec.JobID] = len(s.seen)
+		if seq, ok := jobSeq(rec.JobID); ok && seq > s.maxSeq {
+			s.maxSeq = seq
+		}
 	}
-	wasServable, oldHash := v.servable(), v.Hash
+	if rec.State == StateDone && len(rec.Result) > 0 {
+		if _, ok := s.served[rec.Hash]; !ok {
+			s.served[rec.Hash] = at
+		}
+	}
+	p := s.pending[rec.JobID]
+	switch {
+	case Terminal(rec.State):
+		delete(s.pending, rec.JobID)
+		return
+	case p == nil && known && rec.State == "":
+		return // a record with no state leaves a finished job finished
+	case p == nil:
+		p = &Record{JobID: rec.JobID}
+		s.pending[rec.JobID] = p
+	}
 	if rec.Hash != "" {
-		v.Hash = rec.Hash
+		p.Hash = rec.Hash
 	}
 	if rec.State != "" {
-		v.State = rec.State
+		p.State = rec.State
 	}
 	if len(rec.Spec) > 0 {
-		v.Spec = rec.Spec
-	}
-	if len(rec.Result) > 0 {
-		v.Result = rec.Result
-	}
-	v.Error = rec.Error
-	if wasServable && s.served[oldHash] == v && (!v.servable() || v.Hash != oldHash) {
-		s.reindex(oldHash)
-	}
-	if v.servable() {
-		if cur, ok := s.served[v.Hash]; !ok || v.pos < cur.pos {
-			s.served[v.Hash] = v
-		}
+		p.Spec = rec.Spec
 	}
 }
 
-// reindex points served[hash] at the earliest servable job under hash, or
-// drops the entry — the scan the index saves. It runs only when a record
-// takes the indexed job off done or onto another hash, which the service
-// never writes.
-func (s *Store) reindex(hash string) {
-	delete(s.served, hash)
-	for _, id := range s.order {
-		if v := s.jobs[id]; v.Hash == hash && v.servable() {
-			s.served[hash] = v
-			return
-		}
+// jobSeq parses the numeric suffix of a job ID of the form j<digits>.
+func jobSeq(id string) (int64, bool) {
+	if len(id) < 2 || id[0] != 'j' {
+		return 0, false
 	}
+	n, err := strconv.ParseInt(id[1:], 10, 64)
+	return n, err == nil
 }
 
 // openActive opens the current segment for appending, creating the first
@@ -534,8 +548,8 @@ func (s *Store) openActive() error {
 
 func segName(idx int) string { return fmt.Sprintf("seg-%06d.log", idx) }
 
-// Append durably adds one record to the log and merges it into the
-// in-memory view. The active segment rotates once it exceeds the size
+// Append durably adds one record to the log and folds it into the
+// index. The active segment rotates once it exceeds the size
 // ceiling; a record is never split across segments.
 //
 // The frame copies rec's bytes as they are: Append parses and validates
@@ -582,90 +596,140 @@ func (s *Store) Append(rec Record) error {
 		}
 		return fmt.Errorf("store: append: %w", err)
 	}
+	var syncErr error
 	if s.opt.Sync {
 		if err := s.active.Sync(); err != nil {
 			s.syncFails++
-			s.segSize += int64(len(frame))
-			s.logBytes += int64(len(frame))
-			s.records++
-			s.appends++
-			s.apply(rec)
-			return fmt.Errorf("%w: %w", ErrSyncFailed, err)
+			syncErr = fmt.Errorf("%w: %w", ErrSyncFailed, err)
 		}
 	}
+	s.apply(rec, frameAt{seg: s.segIdx, off: s.segSize})
 	s.segSize += int64(len(frame))
 	s.logBytes += int64(len(frame))
 	s.records++
 	s.appends++
-	s.apply(rec)
-	return nil
+	return syncErr
 }
 
-// rotateLocked closes the active segment and starts the next one.
-// Callers hold s.mu.
+// rotateLocked starts the next segment. It opens the next file first and
+// swaps it in only once it is open, so a failed open leaves the current
+// segment active and the next Append retries the rotation. The old
+// handle's frames are all written when it is closed, so a failed close
+// loses nothing. Callers hold s.mu.
 func (s *Store) rotateLocked() error {
-	if err := s.active.Close(); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	s.segIdx++
-	s.segs++
-	s.segSize = 0
-	path := filepath.Join(s.dir, logDir, segName(s.segIdx))
+	path := filepath.Join(s.dir, logDir, segName(s.segIdx+1))
 	f, err := s.fs.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
+	old := s.active
 	s.active = f
+	s.segIdx++
+	s.segs++
+	s.segSize = 0
+	old.Close()
 	return nil
 }
 
-// Job returns the merged view of one job, or false.
-func (s *Store) Job(id string) (JobView, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, ok := s.jobs[id]
-	if !ok {
-		return JobView{}, false
-	}
-	return v.JobView, true
-}
-
-// Jobs returns merged views of every job in first-seen order.
-func (s *Store) Jobs() []JobView {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]JobView, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, s.jobs[id].JobView)
-	}
-	return out
-}
-
 // Pending returns the jobs whose latest persisted state is non-terminal —
-// the recovery set a restarted daemon re-enqueues.
-func (s *Store) Pending() []JobView {
+// the recovery set a restarted daemon re-enqueues — in first-seen order.
+// Each record holds the job's ID, hash, latest state and spec.
+func (s *Store) Pending() []Record {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var out []JobView
-	for _, id := range s.order {
-		if v := s.jobs[id]; !Terminal(v.State) {
-			out = append(out, v.JobView)
-		}
+	out := make([]Record, 0, len(s.pending))
+	for _, p := range s.pending {
+		out = append(out, *p)
 	}
+	sort.Slice(out, func(i, j int) bool { return s.seen[out[i].JobID] < s.seen[out[j].JobID] })
 	return out
 }
 
-// ResultByHash returns the persisted result JSON of the earliest job in
-// log order that is done with a result under the given spec hash — the
-// disk tier behind the service's LRU. It is one index lookup, whatever
-// the size of the log.
+// ResultByHash returns the result of the first done record in log order
+// that carries a result under the spec hash — the disk tier behind the
+// service's LRU. A hit reads that one frame back from its segment and
+// checks its length and CRC, whatever the size of the log. A frame that
+// no longer reads back as that record leaves the index, so the next done
+// record carrying a result under the hash takes its place.
 func (s *Store) ResultByHash(hash string) (json.RawMessage, bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if v, ok := s.served[hash]; ok {
-		return v.Result, true
+	at, ok := s.served[hash]
+	s.mu.Unlock()
+	if !ok {
+		return nil, false
 	}
+	if rec, ok := s.readFrame(at); ok && rec.Hash == hash && rec.State == StateDone && len(rec.Result) > 0 {
+		return rec.Result, true
+	}
+	s.mu.Lock()
+	if s.served[hash] == at {
+		delete(s.served, hash)
+	}
+	s.mu.Unlock()
 	return nil, false
+}
+
+// readFrame reads the record of the frame at at back from its segment:
+// one open and two reads, the header and then the frame. ok is false when
+// the frame no longer reads back whole.
+func (s *Store) readFrame(at frameAt) (rec Record, ok bool) {
+	f, err := s.fs.OpenFile(filepath.Join(s.dir, logDir, segName(at.seg)), os.O_RDONLY, 0)
+	if err != nil {
+		return Record{}, false
+	}
+	defer f.Close()
+	var hdr [frameHeader]byte
+	if _, err := f.ReadAt(hdr[:], at.off); err != nil {
+		return Record{}, false
+	}
+	n := binary.BigEndian.Uint32(hdr[:])
+	if n > maxRecordBytes {
+		return Record{}, false
+	}
+	frame := make([]byte, frameHeader+int(n))
+	copy(frame, hdr[:])
+	if _, err := f.ReadAt(frame[frameHeader:], at.off+frameHeader); err != nil {
+		return Record{}, false
+	}
+	end, err := WalkFrames(frame, func(_ int64, r Record) error {
+		rec = r
+		return nil
+	})
+	return rec, err == nil && end == int64(len(frame))
+}
+
+// Scan calls fn with every record in the log, in log order, up to the
+// last append; it stops at fn's first error and returns it. It reads each
+// segment as replay does, up to its first damaged frame, and skips a
+// segment index with no file (a quarantine whose rewrite failed leaves
+// one). Scan is for drills and tests: it reads the whole log.
+func (s *Store) Scan(fn func(Record) error) error {
+	s.mu.Lock()
+	last, size := s.segIdx, s.segSize
+	s.mu.Unlock()
+	for idx := 1; idx <= last; idx++ {
+		data, err := s.fs.ReadFile(filepath.Join(s.dir, logDir, segName(idx)))
+		if errors.Is(err, os.ErrNotExist) {
+			continue
+		}
+		if err != nil {
+			return fmt.Errorf("store: %w", err)
+		}
+		if idx == last && int64(len(data)) > size {
+			data = data[:size]
+		}
+		// A frame that does not decode is damage, as in replay: the walk
+		// stops there and goes on with the next segment.
+		var fnErr error
+		WalkFrames(data, func(_ int64, rec Record) error {
+			fnErr = fn(rec)
+			return fnErr
+		})
+		if fnErr != nil {
+			return fnErr
+		}
+	}
+	return nil
 }
 
 // MaxJobSeq returns the largest numeric suffix over persisted job IDs of
@@ -674,16 +738,7 @@ func (s *Store) ResultByHash(hash string) (json.RawMessage, bool) {
 func (s *Store) MaxJobSeq() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var max int64
-	for id := range s.jobs {
-		if len(id) < 2 || id[0] != 'j' {
-			continue
-		}
-		if n, err := strconv.ParseInt(id[1:], 10, 64); err == nil && n > max {
-			max = n
-		}
-	}
-	return max
+	return s.maxSeq
 }
 
 // checkpointName is a spec hash's blob name: the lower-cased hash plus
@@ -776,18 +831,12 @@ func (s *Store) DropCheckpoints(hash string) {
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	pending := 0
-	for _, v := range s.jobs {
-		if !Terminal(v.State) {
-			pending++
-		}
-	}
 	return Stats{
 		Segments:            s.segs,
 		Records:             s.records,
 		LogBytes:            s.logBytes,
-		Jobs:                len(s.jobs),
-		Pending:             pending,
+		Jobs:                len(s.seen),
+		Pending:             len(s.pending),
 		Checkpoints:         int64(len(s.ckpts)),
 		Appends:             s.appends,
 		TailTruncated:       s.truncated,
@@ -798,7 +847,8 @@ func (s *Store) Stats() Stats {
 }
 
 // Close flushes and closes the active segment. Further Appends fail with
-// ErrClosed; queries keep working on the in-memory view.
+// ErrClosed; queries keep working on the index, and ResultByHash and Scan
+// still read the segment files.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

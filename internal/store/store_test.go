@@ -22,6 +22,63 @@ func mustOpen(t *testing.T, dir string, opt Options) *Store {
 	return s
 }
 
+// logView is one job's records merged in log order: the latest hash,
+// state, spec and result, and the last record's error.
+type logView struct {
+	ID, Hash, State string
+	Spec, Result    json.RawMessage
+	Error           string
+}
+
+// scanJobs folds the log, read with Scan, into one view per job ID in
+// first-seen order. Records without a job ID are skipped, as replay
+// skips them.
+func scanJobs(t testing.TB, s *Store) []logView {
+	t.Helper()
+	var views []logView
+	pos := make(map[string]int)
+	if err := s.Scan(func(rec Record) error {
+		if rec.JobID == "" {
+			return nil
+		}
+		i, ok := pos[rec.JobID]
+		if !ok {
+			i = len(views)
+			pos[rec.JobID] = i
+			views = append(views, logView{ID: rec.JobID})
+		}
+		v := &views[i]
+		if rec.Hash != "" {
+			v.Hash = rec.Hash
+		}
+		if rec.State != "" {
+			v.State = rec.State
+		}
+		if len(rec.Spec) > 0 {
+			v.Spec = rec.Spec
+		}
+		if len(rec.Result) > 0 {
+			v.Result = rec.Result
+		}
+		v.Error = rec.Error
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return views
+}
+
+// scanJob is scanJobs' view of job id, or false.
+func scanJob(t testing.TB, s *Store, id string) (logView, bool) {
+	t.Helper()
+	for _, v := range scanJobs(t, s) {
+		if v.ID == id {
+			return v, true
+		}
+	}
+	return logView{}, false
+}
+
 func TestAppendReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Options{})
@@ -47,7 +104,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	if got := r.Stats().Records; got != int64(len(recs)) {
 		t.Fatalf("replayed %d records, want %d", got, len(recs))
 	}
-	j1, ok := r.Job("j000001")
+	j1, ok := scanJob(t, r, "j000001")
 	if !ok || j1.State != StateDone || string(j1.Result) != string(result) || string(j1.Spec) != string(spec) {
 		t.Fatalf("j000001 replay wrong: %+v (ok=%v)", j1, ok)
 	}
@@ -55,7 +112,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		t.Fatalf("j000001 error should be empty, got %q", j1.Error)
 	}
 	pend := r.Pending()
-	if len(pend) != 1 || pend[0].ID != "j000002" || pend[0].State != StateRunning {
+	if len(pend) != 1 || pend[0].JobID != "j000002" || pend[0].Hash != "bb22" || pend[0].State != StateRunning || string(pend[0].Spec) != string(spec) {
 		t.Fatalf("pending = %+v, want running j000002", pend)
 	}
 	if res, ok := r.ResultByHash("aa11"); !ok || string(res) != string(result) {
@@ -67,7 +124,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	if got := r.MaxJobSeq(); got != 2 {
 		t.Fatalf("MaxJobSeq = %d, want 2", got)
 	}
-	jobs := r.Jobs()
+	jobs := scanJobs(t, r)
 	if len(jobs) != 2 || jobs[0].ID != "j000001" || jobs[1].ID != "j000002" {
 		t.Fatalf("job order = %+v", jobs)
 	}
