@@ -583,10 +583,11 @@ func BenchmarkGossipFlooding(b *testing.B) {
 }
 
 // BenchmarkServiceThroughput measures jobs/sec through the anonnetd worker
-// pool: "cold" submits b.N distinct computations (unique seeds, no cache
+// pool: "cold" submits b.N distinct computations (unique seeds, no result
 // reuse possible); "cachehit" submits one computation b.N times, so all
-// but the first are served from the LRU without touching the pool. The
-// gap between the two is the service-layer perf baseline for future PRs.
+// but the first are served from the result index without touching the
+// pool. The gap between the two is the service-layer perf baseline for
+// future PRs.
 func BenchmarkServiceThroughput(b *testing.B) {
 	spec := func(seed int64) job.Spec {
 		return job.Spec{
@@ -610,7 +611,7 @@ func BenchmarkServiceThroughput(b *testing.B) {
 	}
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
-		svc := service.New(service.Config{QueueDepth: b.N + 1, CacheSize: -1, ProgressEvery: 1 << 30})
+		svc := service.New(service.Config{QueueDepth: b.N + 1, ProgressEvery: 1 << 30})
 		defer svc.Close()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -682,7 +683,6 @@ func BenchmarkServiceSweep(b *testing.B) {
 	run := func(b *testing.B, cfg service.Config, specFor func(iter int, j int) job.Spec, wantBuilds func(iters int) int64) {
 		b.ReportAllocs()
 		cfg.QueueDepth = members * (b.N + 1)
-		cfg.CacheSize = -1
 		cfg.ProgressEvery = 1 << 30
 		svc := service.New(cfg)
 		defer svc.Close()
@@ -704,8 +704,8 @@ func BenchmarkServiceSweep(b *testing.B) {
 		b.ReportMetric(float64(members*b.N)/b.Elapsed().Seconds(), "jobs/s")
 	}
 	for _, n := range []int{10_000, 100_000, 1_000_000} {
-		// Distinct seeds per iteration keep every job a fresh computation
-		// (no result-LRU carryover between b.N iterations).
+		// Distinct specs per iteration keep every job a fresh computation:
+		// no iteration finds an earlier one's result in the index.
 		seedSweep := func(i, j int) job.Spec { return sweepMember(n, int64(i*members+j)) }
 		identical := func(i, j int) job.Spec { return sweepMember(n, int64(i)) }
 		sizeSweep := func(i, j int) job.Spec { return sweepMember(n+i*members+j, 0) }

@@ -56,7 +56,7 @@ func TestShedRetryAfterGoesThroughJitter(t *testing.T) {
 		return nil
 	}
 	defer close(release)
-	svc := service.New(service.Config{Workers: 1, QueueDepth: 1, CacheSize: -1, Intercept: intercept})
+	svc := service.New(service.Config{Workers: 1, QueueDepth: 1, Intercept: intercept})
 	// A marker jitter proves the header goes through the hook: base + 41.
 	ts := httptest.NewServer(newMux(svc, muxOptions{jitter: func(secs int) int { return secs + 41 }}))
 	t.Cleanup(func() {

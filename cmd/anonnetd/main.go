@@ -56,7 +56,6 @@ func run() error {
 		addr    = flag.String("addr", ":8080", "listen address")
 		workers = flag.Int("workers", 0, "worker pool size (0: GOMAXPROCS)")
 		queue   = flag.Int("queue", 64, "bounded job-queue depth")
-		cache   = flag.Int("cache", 128, "in-memory LRU result-cache entries (negative disables this tier only: with -data-dir, results are still served from the log)")
 		timeout = flag.Duration("timeout", 2*time.Minute, "per-job deadline")
 		grace   = flag.Duration("grace", 30*time.Second, "shutdown drain budget before in-flight jobs are canceled")
 		every   = flag.Int("every", 1, "publish stream progress every k rounds")
@@ -94,7 +93,6 @@ func run() error {
 	svc := service.New(service.Config{
 		Workers:          *workers,
 		QueueDepth:       *queue,
-		CacheSize:        *cache,
 		JobTimeout:       *timeout,
 		ProgressEvery:    *every,
 		Store:            st,
@@ -129,8 +127,8 @@ func run() error {
 
 	errCh := make(chan error, 1)
 	go func() {
-		log.Printf("anonnetd: listening on %s (workers=%d queue=%d cache=%d timeout=%v)",
-			*addr, svc.Stats().Workers, *queue, *cache, *timeout)
+		log.Printf("anonnetd: listening on %s (workers=%d queue=%d timeout=%v)",
+			*addr, svc.Stats().Workers, *queue, *timeout)
 		errCh <- srv.ListenAndServe()
 	}()
 

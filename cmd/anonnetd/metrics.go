@@ -36,7 +36,7 @@ func newMetricsRegistry(svc *service.Service, st *store.Store, lim *quota.Limite
 		func(s service.Stats) int64 { return s.Retries })
 	counter("anonnetd_panics_recovered_total", "Runner panics converted to failed jobs.",
 		func(s service.Stats) int64 { return s.PanicsRecovered })
-	counter("anonnetd_jobs_recovered_total", "Jobs re-enqueued from the durable store at boot.",
+	counter("anonnetd_jobs_recovered_total", "Pending jobs re-registered from the durable store at boot: run, joined to an identical one, or served from a logged result.",
 		func(s service.Stats) int64 { return s.Recovered })
 	counter("anonnetd_jobs_interrupted_total", "Running jobs flushed to checkpoints at shutdown.",
 		func(s service.Stats) int64 { return s.Interrupted })
@@ -70,7 +70,7 @@ func newMetricsRegistry(svc *service.Service, st *store.Store, lim *quota.Limite
 		func(s service.Stats) float64 { return float64(s.Queued) })
 	gauge("anonnetd_workers", "Configured worker-pool size.",
 		func(s service.Stats) float64 { return float64(s.Workers) })
-	gauge("anonnetd_cache_entries", "Result-cache entries resident in memory.",
+	gauge("anonnetd_cache_entries", "Spec hashes in the result index: the results done jobs of this process hold.",
 		func(s service.Stats) float64 { return float64(s.CacheEntries) })
 	gauge("anonnetd_degraded", "1 while the store breaker is open (in-memory degraded mode), else 0.",
 		func(s service.Stats) float64 {

@@ -47,7 +47,7 @@ func TestReadyzShedsWhenSaturated(t *testing.T) {
 		return nil
 	}
 	defer close(release)
-	ts, svc := newTestServer(t, service.Config{Workers: 1, QueueDepth: 1, CacheSize: -1, Intercept: intercept})
+	ts, svc := newTestServer(t, service.Config{Workers: 1, QueueDepth: 1, Intercept: intercept})
 
 	// Fill the pool and the queue.
 	if _, code := postJob(t, ts, `{"graph":{"builder":"ring","n":4},"kind":"od","function":"average","seed":1}`); code != http.StatusAccepted {

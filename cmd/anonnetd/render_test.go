@@ -119,7 +119,6 @@ func TestResponsesMatchEncodingJSON(t *testing.T) {
 	var svc *service.Service
 	ts, svc := newTestServer(t, service.Config{
 		Workers:    1,
-		CacheSize:  16,
 		MaxRetries: -1,
 		Store:      openStore(t, t.TempDir()),
 		Intercept: func(ctx context.Context, id string, attempt int) error {
@@ -245,8 +244,8 @@ func TestResponsesMatchEncodingJSON(t *testing.T) {
 }
 
 // TestDiskHitResponseMatchesEncodingJSON covers the result tier that
-// reuses the log's bytes: after a restart the LRU is empty, so a cache hit
-// renders the result exactly as the done record stored it.
+// reuses the log's bytes: after a restart the result index is empty, so a
+// cache hit renders the result exactly as the done record stored it.
 func TestDiskHitResponseMatchesEncodingJSON(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)

@@ -445,10 +445,9 @@ func (s *server) handleCancel(w http.ResponseWriter, r *http.Request) {
 
 // handleStream serves NDJSON: one service.Progress object per line,
 // round-by-round while the job runs, ending with the terminal event (or
-// earlier if the client goes away). The watch channel may drop events a
-// slow reader had no buffer for — the terminal event included — so a
-// channel close without a Done line synthesizes one from the job snapshot:
-// the stream's last line always reports the outcome.
+// earlier if the client goes away). The watch channel may drop round
+// events a slow reader had no buffer for, but never the terminal one, so
+// the stream's last line reports the outcome.
 func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	ch, stop, err := s.svc.Watch(id)
@@ -480,13 +479,7 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 	for {
 		select {
 		case ev, ok := <-ch:
-			if !ok {
-				if j, err := s.svc.Get(id); err == nil && j.State.Terminal() {
-					emit(service.TerminalProgress(j))
-				}
-				return
-			}
-			if !emit(ev) || ev.Done {
+			if !ok || !emit(ev) || ev.Done {
 				return
 			}
 		case <-r.Context().Done():

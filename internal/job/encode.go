@@ -14,9 +14,10 @@ import (
 // One-pass JSON encoders for the n-vectors a job carries and the
 // canonical spec that holds them. The spec hash digests the canonical
 // encoding, and the service encodes each result once and afterwards only
-// copies the bytes — into the log, the LRU and every response — so these
-// encoders must write exactly what encoding/json writes for the same
-// values. encode_test.go and golden_test.go hold them to it.
+// shares or copies the bytes — into the result index, the log and every
+// response — so these encoders must write exactly what encoding/json
+// writes for the same values. encode_test.go and golden_test.go hold
+// them to it.
 
 // maxExactInt is 2⁵³: every integer up to it in magnitude is a float64.
 const maxExactInt = 1 << 53

@@ -221,8 +221,8 @@ func TestOversizeBackfillLoggedWithoutPayloads(t *testing.T) {
 	st := openSwitchStore(t, dir, fs, false)
 	s := New(Config{Workers: 1, Store: st, BreakerThreshold: -1})
 
-	// A cache hit on a planted 64 MiB result, while the disk is dark: its
-	// spec record fails and the job is left dirty.
+	// A cache hit on a 64 MiB result planted in the result index, while
+	// the disk is dark: its spec record fails and the job is left dirty.
 	huge := append([]byte(`{"outputs":[`), bytes.Repeat([]byte("0,"), 32<<20)...)
 	huge = append(huge, `0],"stable":true,"rounds":2,"expected":0,"max_err":0,"messages":0}`...)
 	spec := job.Spec{Graph: job.GraphSpec{Builder: "ring", N: 5}, Kind: "bc", Function: "max"}
@@ -231,7 +231,7 @@ func TestOversizeBackfillLoggedWithoutPayloads(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
-	s.cache.add(hash, huge)
+	s.results[hash] = huge
 	s.mu.Unlock()
 	fs.failWrites.Store(true)
 	hit, err := s.Submit(spec)

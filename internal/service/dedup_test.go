@@ -3,9 +3,9 @@ package service
 // Single-flight dedup lifecycle coverage: followers attach to queued and
 // running leaders, share the one execution's result / failure / panic,
 // detach individually under Cancel, and keep the execution alive until
-// the last interested member lets go. Plus the durable composition: the
-// result payload is persisted exactly once, and recovery re-attaches
-// nothing.
+// the last interested member lets go. The durable composition (the
+// result payload is persisted exactly once, and recovery joins identical
+// pending jobs into one execution again) is in sweep_test.go.
 
 import (
 	"bytes"
@@ -279,7 +279,7 @@ func TestDedupCancelLeaderDetachesButRunsOn(t *testing.T) {
 		t.Fatalf("detached leader reports %q, want canceled", j.State)
 	}
 	// A fresh identical submission starts a new execution (the detached
-	// leader left the single-flight index)... unless the result cache
+	// leader left the single-flight index)... unless the result index
 	// serves it first, which is exactly as good.
 	again, err := s.Submit(ringSpec(5))
 	if err != nil {

@@ -131,7 +131,7 @@ func TestReadinessSaturationAndClose(t *testing.T) {
 			return ctx.Err()
 		}
 	}
-	s := New(Config{Workers: 1, QueueDepth: 1, CacheSize: -1, Intercept: intercept})
+	s := New(Config{Workers: 1, QueueDepth: 1, Intercept: intercept})
 
 	if r := s.Readiness(); !r.Ready {
 		t.Fatalf("fresh service not ready: %+v", r)

@@ -189,7 +189,7 @@ type lifecycleModel struct {
 	queue    []*mExec // executions not yet started, FIFO
 	running  *mExec   // the execution whose attempt Intercept holds
 	inflight map[int]*mExec
-	cached   map[int]bool // spec index → a result is in the LRU or the log
+	cached   map[int]bool // spec index → a result is in the result index or the log
 	stats    Stats        // counters of the current process
 
 	issued   []string         // every ID ever issued, in order
@@ -255,26 +255,37 @@ func (m *lifecycleModel) submit(i int) string {
 	e := &mEntry{id: fmt.Sprintf("j%06d", m.seq), spec: i}
 	m.issued = append(m.issued, e.id)
 	m.spec[e.id] = i
-	switch x := m.inflight[i]; {
-	case m.cached[i]:
-		e.state, e.cacheHit = StateDone, true
+	m.admit(e)
+	switch {
+	case e.cacheHit:
 		m.stats.CacheHits++
+	case e.dedupOf != "":
+		m.stats.DedupCoalesced++
+	}
+	m.advance()
+	return e.id
+}
+
+// admit registers e as the service's one admission pass does: born done
+// when its spec's result is cached, a member of the execution in flight
+// for its spec, or the creator of a new execution entered in inflight.
+func (m *lifecycleModel) admit(e *mEntry) {
+	switch x := m.inflight[e.spec]; {
+	case m.cached[e.spec]:
+		e.state, e.cacheHit = StateDone, true
 	case x != nil:
 		e.state, e.dedupOf, e.exec = StateQueued, x.creator, x
 		if x == m.running {
 			e.state = StateRunning
 		}
 		x.members = append(x.members, e)
-		m.stats.DedupCoalesced++
 	default:
-		x := &mExec{spec: i, creator: e.id, members: []*mEntry{e}}
+		x := &mExec{spec: e.spec, creator: e.id, members: []*mEntry{e}}
 		e.state, e.exec = StateQueued, x
 		m.queue = append(m.queue, x)
-		m.inflight[i] = x
+		m.inflight[e.spec] = x
 	}
 	m.add(e)
-	m.advance()
-	return e.id
 }
 
 // advance lets the idle worker take the next execution that still has
@@ -360,18 +371,16 @@ func (m *lifecycleModel) shutdown() {
 }
 
 // recover starts the next process: every pending job comes back under its
-// ID, in log order, as its own execution. Returns how many.
+// ID, in log order, and is admitted as a submission is, so identical jobs
+// share one execution and a job whose result is logged is born done. Every
+// one counts as recovered. Returns how many.
 func (m *lifecycleModel) recover() int {
 	m.reset()
 	for _, id := range m.issued {
 		if !m.pending[id] {
 			continue
 		}
-		e := &mEntry{id: id, spec: m.spec[id], state: StateQueued}
-		x := &mExec{spec: e.spec, creator: id, members: []*mEntry{e}}
-		e.exec = x
-		m.queue = append(m.queue, x)
-		m.add(e)
+		m.admit(&mEntry{id: id, spec: m.spec[id]})
 		m.stats.Recovered++
 	}
 	m.advance()

@@ -13,12 +13,13 @@ import (
 
 // TestConcurrentSubmissionsDeterministic hammers the pool from many
 // goroutines with a small set of distinct specs (several seeds, both
-// engines) and asserts the service invariant the cache depends on: equal
-// canonical hash ⇒ byte-identical result, whichever worker ran it, cached
-// or fresh. Run under -race (the Makefile and CI do), this also shakes
-// the queue, cache, metrics, and subscription plumbing.
+// engines) and asserts the service invariant the result index depends
+// on: equal canonical hash ⇒ byte-identical result, whichever worker ran
+// it, served from the index, joined or fresh. Run under -race (the
+// Makefile and CI do), this also shakes the queue, the index, dedup,
+// metrics, and subscription plumbing.
 func TestConcurrentSubmissionsDeterministic(t *testing.T) {
-	s := New(Config{Workers: 4, QueueDepth: 256, CacheSize: 2, ProgressEvery: 4})
+	s := New(Config{Workers: 4, QueueDepth: 256, ProgressEvery: 4})
 	defer s.Close()
 
 	spec := func(seed int64, concurrent bool) job.Spec {
@@ -44,9 +45,9 @@ func TestConcurrentSubmissionsDeterministic(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perGoroutine; i++ {
-				// 4 seeds × 2 engines = 8 distinct hashes, submitted 8×
-				// each overall; the tiny cache forces evictions and
-				// recomputation of evicted hashes.
+				// 4 seeds × 2 engines = 8 distinct hashes, submitted 6×
+				// each overall: a resubmission joins the execution in
+				// flight or is served from the index once it finished.
 				sp := spec(int64(i%4), (g+i)%2 == 0)
 				j, err := s.Submit(sp)
 				if err != nil {
@@ -123,7 +124,7 @@ func TestConcurrentSubmissionsDeterministic(t *testing.T) {
 // functional assertion is that every batch completes and equal hashes give
 // equal results.
 func TestConcurrentBatchSharded(t *testing.T) {
-	s := New(Config{Workers: 4, QueueDepth: 256, CacheSize: 4, ProgressEvery: 8})
+	s := New(Config{Workers: 4, QueueDepth: 256, ProgressEvery: 8})
 	defer s.Close()
 
 	batch := func(base int64) []job.Spec {

@@ -77,10 +77,10 @@ func TestAppendJSONMatchesEncodingJSON(t *testing.T) {
 // TestEncodedOnceAndShared checks that a job's spec, result and outputs
 // bytes are the ones compile, settle and the round observer made, shared
 // rather than copied: two watchers of one execution receive each running
-// event's outputs in one backing array; the LRU and every member of the
-// execution carry one result encoding, and the terminal event's outputs
-// are a sub-slice of it; and a member that joined the execution carries
-// the creator's spec encoding.
+// event's outputs in one backing array; the result index and every member
+// of the execution carry one result encoding, and the terminal event's
+// outputs are a sub-slice of it; and a member that joined the execution
+// carries the creator's spec encoding.
 func TestEncodedOnceAndShared(t *testing.T) {
 	g := newGate()
 	s := New(Config{Workers: 1, ProgressEvery: 1, Intercept: g.intercept})

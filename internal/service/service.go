@@ -1,9 +1,13 @@
 // Package service is the heart of anonnetd: a bounded job queue feeding a
 // worker pool that executes validated job.Specs through the round engines,
-// with per-job deadlines and cancellation, an LRU result cache keyed by
-// the canonical spec hash, round-by-round progress subscriptions, and a
-// Stats snapshot of its counters. The service is embeddable: cmd/anonnetd
-// wraps it in an HTTP API, tests drive it directly.
+// with per-job deadlines and cancellation, an index of done results keyed
+// by the canonical spec hash, round-by-round progress subscriptions, and a
+// Stats snapshot of its counters. Every job the service learns about — a
+// submission, a batch member, or a pending job read back from the log —
+// enters through one admission pass that serves it from the result tiers,
+// joins it to the identical execution in flight, or gives it its own. The
+// service is embeddable: cmd/anonnetd wraps it in an HTTP API, tests drive
+// it directly.
 package service
 
 import (
@@ -63,10 +67,6 @@ type Config struct {
 	// the queue holds them beside QueueDepth new ones, and admission stays
 	// closed until the backlog drains below QueueDepth.
 	QueueDepth int
-	// CacheSize is the in-memory LRU result-cache capacity in entries
-	// (default 128). A negative value disables the in-memory tier only:
-	// with a Store, identical specs are still served from the log.
-	CacheSize int
 	// JobTimeout is the per-job deadline (default 2m; negative disables).
 	JobTimeout time.Duration
 	// ProgressEvery publishes a progress event every k rounds (default 1:
@@ -80,8 +80,9 @@ type Config struct {
 	RetryBase time.Duration
 	// Store, when non-nil, makes the service durable: every job state
 	// transition is appended to the log, done results are served from disk
-	// on LRU misses, running jobs checkpoint their engine state, and
-	// Recover re-enqueues non-terminal jobs after a restart.
+	// when no job of this process holds them, running jobs checkpoint their
+	// engine state, and Recover re-registers non-terminal jobs after a
+	// restart.
 	Store *store.Store
 	// CheckpointEvery snapshots a running job's engine every k rounds
 	// (default 50 when Store is set; meaningless without one). Shutdown
@@ -122,9 +123,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
-	}
-	if c.CacheSize == 0 {
-		c.CacheSize = 128
 	}
 	if c.JobTimeout == 0 {
 		c.JobTimeout = 2 * time.Minute
@@ -206,8 +204,10 @@ type Stats struct {
 	RoundsSimulated int64 `json:"rounds_simulated"`
 	PanicsRecovered int64 `json:"panics_recovered"`
 	Retries         int64 `json:"retries"`
-	// Recovered counts jobs re-enqueued from the durable store at boot;
-	// Interrupted counts running jobs flushed to checkpoints at shutdown.
+	// Recovered counts jobs re-registered from the durable store at boot,
+	// whether they run, join an identical one or are served from the log
+	// (CacheHits and DedupCoalesced count submissions only); Interrupted
+	// counts running jobs flushed to checkpoints at shutdown.
 	Recovered   int64 `json:"recovered"`
 	Interrupted int64 `json:"interrupted"`
 	// StoreErrors counts durable-store append failures (the service keeps
@@ -236,8 +236,9 @@ type Stats struct {
 	DedupCoalesced     int64 `json:"dedup_coalesced"`
 	Queued             int   `json:"queued"`
 	Running            int   `json:"running"`
-	CacheEntries       int   `json:"cache_entries"`
-	Workers            int   `json:"workers"`
+	// CacheEntries counts the spec hashes in the result index.
+	CacheEntries int `json:"cache_entries"`
+	Workers      int `json:"workers"`
 }
 
 // Service is the concurrent simulation service.
@@ -252,7 +253,7 @@ type Service struct {
 	jobs      map[string]*entry
 	order     []string
 	batches   map[string][]string
-	cache     *lru
+	results   map[string][]byte     // canonical hash → the encoded result this process's done jobs hold
 	inflight  map[string]*execution // canonical hash → the identical execution in flight
 	closed    bool
 	shutdown  bool // graceful shutdown: queued jobs stay queued for the next boot
@@ -297,7 +298,7 @@ func New(cfg Config) *Service {
 		topo:     topology.NewCache(cfg.TopoCacheBytes),
 		jobs:     make(map[string]*entry),
 		batches:  make(map[string][]string),
-		cache:    newLRU(cfg.CacheSize),
+		results:  make(map[string][]byte),
 		inflight: make(map[string]*execution),
 		created:  make(map[cause]int64),
 		reached:  make(map[State]int64),
@@ -306,7 +307,7 @@ func New(cfg Config) *Service {
 	depth := cfg.QueueDepth
 	if cfg.Store != nil {
 		// Continue the persisted ID sequence so recovered and new jobs
-		// never collide, and make room for every job Recover re-enqueues.
+		// never collide, and make room for an execution per pending job.
 		s.nextID = cfg.Store.MaxJobSeq()
 		depth += cfg.Store.Stats().Pending
 	}
@@ -320,8 +321,8 @@ func New(cfg Config) *Service {
 }
 
 // Submit validates and enqueues spec. When an identical computation (same
-// canonical hash) has a cached result, the job is born done with
-// CacheHit set and no work is queued. Returns the job snapshot.
+// canonical hash) has a result in the result tiers, the job is born done
+// with CacheHit set and no work is queued. Returns the job snapshot.
 func (s *Service) Submit(spec job.Spec) (*Job, error) {
 	compiled, err := job.Compile(spec)
 	if err != nil {
@@ -332,46 +333,65 @@ func (s *Service) Submit(spec job.Spec) (*Job, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
-	e, err := s.submitLocked(compiled)
+	es, err := s.admitLocked([]*job.Compiled{compiled}, nil)
 	if err != nil {
 		return nil, err
 	}
-	return snapshot(e), nil
+	return snapshot(es[0]), nil
 }
 
-// submitLocked registers one compiled job: cache-served jobs are born
-// done, a job identical to one already queued or running joins its
-// execution, and everything else gets its own execution on the bounded
-// queue (ErrQueueFull while QueueDepth executions are queued). Callers
-// hold s.mu.
-func (s *Service) submitLocked(compiled *job.Compiled) (*entry, error) {
-	e := &entry{hash: compiled.Hash, specJSON: compiled.SpecJSON}
-	if res, ok := s.resultForHash(e.hash); ok {
-		e.result = res
-		e.cacheHit = true
-		s.addLocked(e, nil, causeCache)
-		return e, nil
+// admitLocked registers every job the service learns about, in order and
+// in one pass: a Submit's one, a batch's members, or the pending jobs
+// Recover read from the log, under their logged ids. Each job is born
+// done from the result tiers, joins the execution in flight for its hash
+// (or one an earlier job of cs starts), or gets an execution of its own
+// on the queue. Submissions are all-or-nothing: when their new executions
+// do not fit in QueueDepth minus the queued ones, admitLocked returns
+// ErrQueueFull and registers nothing. Recovered jobs skip that check,
+// since New sized the queue for them, and count as recovered whatever
+// becomes of them. Callers hold s.mu.
+func (s *Service) admitLocked(cs []*job.Compiled, ids []string) ([]*entry, error) {
+	es := make([]*entry, len(cs))
+	starts := make(map[string]bool) // hashes a job of cs starts an execution for
+	for i, c := range cs {
+		e := &entry{hash: c.Hash, specJSON: c.SpecJSON}
+		if r, ok := s.resultForHash(c.Hash); ok {
+			e.result, e.cacheHit = r, true
+		} else if s.inflight[c.Hash] == nil {
+			starts[c.Hash] = true
+		}
+		es[i] = e
 	}
-	if x, ok := s.inflight[e.hash]; ok {
-		// Single-flight: an identical computation is already in flight —
-		// join it instead of enqueueing a duplicate. The new job keeps its
-		// own ID, watch stream, and cancel button; the result and terminal
-		// state arrive from the one execution. Equal hashes are equal
-		// bytes, so the new job keeps the execution's spec encoding.
-		e.specJSON = x.compiled.SpecJSON
-		e.dedupOf = x.id
-		s.addLocked(e, x, causeDedup)
-		return e, nil
-	}
-	if len(s.queue) >= s.cfg.QueueDepth {
+	hit, join, run := causeCache, causeDedup, causeSubmit
+	if ids != nil {
+		hit, join, run = causeRecover, causeRecover, causeRecover
+	} else if len(starts) > max(0, s.cfg.QueueDepth-len(s.queue)) {
 		return nil, ErrQueueFull
 	}
-	x := &execution{compiled: compiled}
-	s.queue <- x
-	s.addLocked(e, x, causeSubmit)
-	x.id = e.id
-	s.inflight[e.hash] = x
-	return e, nil
+	for i, e := range es {
+		if ids != nil {
+			e.id = ids[i]
+		}
+		switch x := s.inflight[e.hash]; {
+		case e.cacheHit:
+			s.addLocked(e, nil, hit)
+		case x != nil:
+			// Single-flight: the new job keeps its own ID, watch stream and
+			// cancel button; the result and terminal state arrive from the
+			// one execution. Equal hashes are equal bytes, so the new job
+			// keeps the execution's spec encoding.
+			e.specJSON = x.compiled.SpecJSON
+			e.dedupOf = x.id
+			s.addLocked(e, x, join)
+		default:
+			x := &execution{compiled: cs[i]}
+			s.queue <- x
+			s.addLocked(e, x, run)
+			x.id = e.id
+			s.inflight[e.hash] = x
+		}
+	}
+	return es, nil
 }
 
 // addLocked registers a new entry — under the next job ID unless it
@@ -406,12 +426,13 @@ func (s *Service) dropInflightLocked(x *execution) {
 	}
 }
 
-// resultForHash consults the two result tiers: the in-memory LRU, then
-// the durable store. A disk hit serves the log's bytes once job.Summarize
-// accepts them as an encoded Result, and is promoted into the LRU.
-// Callers hold s.mu.
+// resultForHash consults the two result tiers: the index of the results
+// this process's done jobs hold, then the durable store. A disk hit
+// serves the log's bytes once job.Summarize accepts them as an encoded
+// Result, and enters the index. The index evicts nothing: every entry is
+// a slice a done job keeps anyway. Callers hold s.mu.
 func (s *Service) resultForHash(hash string) ([]byte, bool) {
-	if r, ok := s.cache.get(hash); ok {
+	if r, ok := s.results[hash]; ok {
 		return r, true
 	}
 	if s.cfg.Store == nil {
@@ -424,7 +445,7 @@ func (s *Service) resultForHash(hash string) ([]byte, bool) {
 	if _, _, _, ok := job.Summarize(r); !ok {
 		return nil, false
 	}
-	s.cache.add(hash, r)
+	s.results[hash] = r
 	return r, true
 }
 
@@ -551,13 +572,15 @@ func (s *Service) backfillLocked() {
 	}
 }
 
-// Recover re-enqueues every non-terminal job found in the durable store —
-// the boot step after a crash or graceful shutdown — whatever their
-// number: New sized the queue for them beside QueueDepth. Jobs keep their
-// original IDs; those with an on-disk checkpoint resume mid-run from it.
-// Specs that no longer compile are marked failed in the log, and their
-// checkpoint dropped, rather than wedging recovery. Returns the number of
-// jobs re-enqueued.
+// Recover re-registers every non-terminal job found in the durable store —
+// the boot step after a crash or graceful shutdown — under its original
+// ID, whatever their number: New sized the queue for them beside
+// QueueDepth. The jobs go through the admission pass in log order, so
+// identical ones resume as one execution from their hash's checkpoint,
+// and one whose hash already has a logged result is born done without
+// running. Specs that no longer compile are marked failed in the log, and
+// their checkpoint dropped, rather than wedging recovery. Returns the
+// number of jobs registered.
 func (s *Service) Recover() (int, error) {
 	if s.cfg.Store == nil {
 		return 0, nil
@@ -568,7 +591,8 @@ func (s *Service) Recover() (int, error) {
 	if s.closed {
 		return 0, ErrClosed
 	}
-	n := 0
+	var cs []*job.Compiled
+	var ids []string
 	for _, v := range pending {
 		if _, exists := s.jobs[v.JobID]; exists {
 			continue
@@ -587,16 +611,17 @@ func (s *Service) Recover() (int, error) {
 			s.cfg.Store.DropCheckpoints(v.Hash)
 			continue
 		}
-		// Recovery never registers executions in the dedup index: each
-		// persisted job resumes as an independent execution (identical
-		// ones converge through the result cache). The send never blocks:
-		// admission leaves the Pending slots New added for these jobs.
-		x := &execution{id: v.JobID, compiled: compiled}
-		s.queue <- x
-		s.addLocked(&entry{id: v.JobID, hash: compiled.Hash, specJSON: compiled.SpecJSON}, x, causeRecover)
-		n++
+		cs = append(cs, compiled)
+		ids = append(ids, v.JobID)
 	}
-	return n, nil
+	es, err := s.admitLocked(cs, ids)
+	for _, e := range es {
+		if e.cacheHit {
+			// A logged result makes the hash's resume point moot.
+			s.cfg.Store.DropCheckpoints(e.hash)
+		}
+	}
+	return len(es), err
 }
 
 // Batch is a client-facing snapshot of one batch submission: the member
@@ -609,7 +634,7 @@ type Batch struct {
 	Done int `json:"done"`
 	// Failed counts member jobs that failed or were canceled.
 	Failed int `json:"failed"`
-	// CacheHits counts member jobs served from the result cache.
+	// CacheHits counts member jobs served from the result tiers.
 	CacheHits int `json:"cache_hits"`
 	// Deduped counts member jobs that joined another job's execution.
 	Deduped int `json:"deduped,omitempty"`
@@ -641,35 +666,14 @@ func (s *Service) SubmitBatch(specs []job.Spec) (*Batch, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
-	// Capacity pre-check makes the enqueue loop infallible: count the jobs
-	// that will actually need a queue slot. Cache hits are born done, and
-	// duplicates — of an in-flight job or of an earlier member of this
-	// very batch — join its execution without a slot.
-	need := 0
-	seen := make(map[string]bool)
-	for _, c := range compiled {
-		if _, ok := s.resultForHash(c.Hash); ok {
-			continue
-		}
-		if _, infl := s.inflight[c.Hash]; infl || seen[c.Hash] {
-			continue
-		}
-		seen[c.Hash] = true
-		need++
-	}
-	if need > max(0, s.cfg.QueueDepth-len(s.queue)) {
-		return nil, ErrQueueFull
+	es, err := s.admitLocked(compiled, nil)
+	if err != nil {
+		return nil, err
 	}
 	s.nextBatch++
 	bid := fmt.Sprintf("b%04d", s.nextBatch)
-	ids := make([]string, len(compiled))
-	for i, c := range compiled {
-		e, err := s.submitLocked(c)
-		if err != nil {
-			// Unreachable given the pre-check; surface it rather than
-			// leaving a half-registered batch silently.
-			return nil, fmt.Errorf("batch %s: %w", bid, err)
-		}
+	ids := make([]string, len(es))
+	for i, e := range es {
 		ids[i] = e.id
 	}
 	s.batches[bid] = ids
@@ -789,7 +793,7 @@ func (s *Service) CancelAll() int {
 
 // Watch subscribes to job id's progress stream. The returned channel
 // carries round-by-round Progress events and is closed after the terminal
-// event. The returned stop function detaches the subscription (safe to
+// event; a slow reader may miss round events, never the terminal one. The returned stop function detaches the subscription (safe to
 // call at any time, including after the channel closed). A terminal job
 // yields its terminal event immediately.
 func (s *Service) Watch(id string) (<-chan Progress, func(), error) {
@@ -831,7 +835,7 @@ func (s *Service) Stats() Stats {
 		DedupCoalesced: s.created[causeDedup],
 		Degraded:       s.breakerOpen,
 		Queued:         len(s.queue),
-		CacheEntries:   s.cache.len(),
+		CacheEntries:   len(s.results),
 	}
 	s.mu.Unlock()
 	st.SyncFailures = s.syncFails.Load()
@@ -1036,10 +1040,10 @@ func (s *Service) runOne(x *execution) {
 	var r []byte
 	if err == nil {
 		// Encode the result once, outside the lock: every member, the
-		// LRU, the done record and every response share these bytes, and
-		// nothing keeps the decoded result. The encoder reserves by
-		// estimate; keep an exact-size copy, since the bytes live as long
-		// as the job, the LRU entry and the store's view.
+		// result index, the done record and every response share these
+		// bytes, and nothing keeps the decoded result. The encoder
+		// reserves by estimate; keep an exact-size copy, since the bytes
+		// live as long as the jobs that hold them.
 		r = bytes.Clone(job.AppendResult(nil, res))
 	}
 
@@ -1050,7 +1054,7 @@ func (s *Service) runOne(x *execution) {
 }
 
 // settleLocked applies one finished execution to every member still
-// waiting on it: one transition each, one result-cache insert, one
+// waiting on it: one transition each, one result-index entry, one
 // result payload in the log (the other members' done records resolve
 // through the shared hash). A run stopped because every member left has
 // nobody to settle. Callers hold s.mu.
@@ -1063,8 +1067,8 @@ func (s *Service) settleLocked(x *execution, r []byte, err error) {
 			s.transition(m, StateDone, causeRun)
 		case errors.Is(err, engine.ErrInterrupted):
 			// Graceful shutdown flushed the engine to a checkpoint: the
-			// job is not terminal — each member resumes (via Recover) on
-			// the next boot as an independent job.
+			// job is not terminal — the members resume (via Recover) on the
+			// next boot, as one execution again.
 			s.transition(m, StateInterrupted, causeRun)
 		default:
 			m.err = err.Error()
@@ -1074,7 +1078,7 @@ func (s *Service) settleLocked(x *execution, r []byte, err error) {
 	}
 	x.members = nil
 	if err == nil {
-		s.cache.add(x.compiled.Hash, r)
+		s.results[x.compiled.Hash] = r
 	}
 	if s.cfg.Store != nil && !errors.Is(err, engine.ErrInterrupted) {
 		s.cfg.Store.DropCheckpoints(x.compiled.Hash)
@@ -1178,9 +1182,8 @@ func (s *Service) checkpointConfig(x *execution) job.CheckpointConfig {
 }
 
 // publish fans an event out to every member of x under its own job ID,
-// dropping events a slow subscriber has no buffer for (the terminal
-// event is handled by finishLocked and never dropped silently: the
-// channel close itself is the durable signal).
+// dropping events a slow subscriber has no buffer for (finishLocked makes
+// room for the terminal event, so it is never dropped).
 func (s *Service) publish(x *execution, ev Progress) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1196,6 +1199,8 @@ func (s *Service) publish(x *execution, ev Progress) {
 }
 
 // finishLocked sends the terminal event and closes every subscription.
+// A full buffer gives up its oldest event, so every stream ends with the
+// terminal one; every send holds s.mu, so the freed slot stays free.
 // Callers hold s.mu.
 func (s *Service) finishLocked(e *entry) {
 	if len(e.subs) == 0 {
@@ -1203,23 +1208,23 @@ func (s *Service) finishLocked(e *entry) {
 	}
 	ev := TerminalProgress(snapshot(e))
 	for ch := range e.subs {
-		select {
-		case ch <- ev:
-		default:
+		if len(ch) == cap(ch) {
+			select {
+			case <-ch:
+			default:
+			}
 		}
+		ch <- ev
 		close(ch)
 		delete(e.subs, ch)
 	}
 }
 
 // TerminalProgress renders a terminal job snapshot as the stream event
-// that ends its watch stream — the one builder of that event, for Watch,
-// for the streams a job's terminal transition ends, and for stream
-// consumers that see the channel close without a Done event (publish
-// drops events a slow subscriber has no buffer for, the terminal one
-// included) and synthesize the final line. Its round, max error and
-// outputs come from job.Summarize of the job's Result: the outputs are a
-// sub-slice of those bytes.
+// that ends its watch stream — the one builder of that event, for Watch
+// and for the streams a job's terminal transition ends. Its round, max
+// error and outputs come from job.Summarize of the job's Result: the
+// outputs are a sub-slice of those bytes.
 func TerminalProgress(j *Job) Progress {
 	ev := Progress{JobID: j.ID, State: j.State, Done: true, Error: j.Error}
 	ev.Outputs, ev.Round, ev.MaxErr, _ = job.Summarize(j.Result)

@@ -130,6 +130,49 @@ func TestCacheHit(t *testing.T) {
 	waitState(t, s, third.ID, StateDone)
 }
 
+// TestResultIndexServesEveryDoneHash: the result index evicts nothing,
+// so after an ephemeral service finished 200 distinct jobs, resubmitting
+// the first is a hit that runs no round. Earlier builds kept results in a
+// 128-entry LRU, which had evicted it.
+func TestResultIndexServesEveryDoneHash(t *testing.T) {
+	const jobs = 200
+	s := New(Config{Workers: 1, QueueDepth: jobs})
+	defer s.Close()
+	spec := func(seed int64) job.Spec {
+		return job.Spec{Graph: job.GraphSpec{Builder: "ring", N: 16}, Kind: "bc", Function: "max",
+			Seed: seed, MaxRounds: 2, Patience: 2}
+	}
+	var first *Job
+	for i := int64(0); i < jobs; i++ {
+		j, err := s.Submit(spec(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = j
+		}
+	}
+	done := waitState(t, s, first.ID, StateDone)
+	for _, j := range s.List() {
+		waitState(t, s, j.ID, StateDone)
+	}
+	ran := s.Stats().RoundsSimulated
+	again, err := s.Submit(spec(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.CacheHit || again.State != StateDone || !bytes.Equal(again.Result, done.Result) {
+		t.Fatalf("resubmission of the first job: state %s, cache hit %v; want a cache hit with its result", again.State, again.CacheHit)
+	}
+	st := s.Stats()
+	if n := st.RoundsSimulated - ran; n != 0 {
+		t.Fatalf("the hit ran %d rounds, want 0", n)
+	}
+	if st.CacheEntries != jobs {
+		t.Fatalf("result index holds %d hashes after %d distinct jobs, want %d", st.CacheEntries, jobs, jobs)
+	}
+}
+
 func TestCancelRunning(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
@@ -339,6 +382,45 @@ func TestWatchStreamsProgressAndTerminal(t *testing.T) {
 	ev, ok := <-ch2
 	if !ok || !ev.Done {
 		t.Fatalf("terminal watch: ok=%v ev=%+v", ok, ev)
+	}
+}
+
+// TestWatchEndsWithTerminalEvent: a watcher that reads nothing while a
+// 500-round job publishes every round fills its 64-slot buffer, yet its
+// stream ends with the terminal event: finishing the job gives up the
+// oldest round event to make room. Earlier builds dropped the terminal
+// event, and the stream ended on round 64.
+func TestWatchEndsWithTerminalEvent(t *testing.T) {
+	const rounds = 500
+	g := newGate()
+	s := New(Config{Workers: 1, Intercept: g.intercept})
+	defer s.Close()
+	j, err := s.Submit(durableSpec(41, rounds))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, stop, err := s.Watch(j.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	g.release(1)
+	waitTerminal(t, s, j.ID)
+	var events []Progress
+	for ev := range ch {
+		events = append(events, ev)
+	}
+	if len(events) != cap(ch) {
+		t.Fatalf("the watcher got %d events, want a full buffer of %d", len(events), cap(ch))
+	}
+	last := events[len(events)-1]
+	if !last.Done || last.State != StateDone || last.Round != rounds || last.JobID != j.ID {
+		t.Fatalf("last event %+v, want the terminal one: done at round %d", last, rounds)
+	}
+	for _, ev := range events[:len(events)-1] {
+		if ev.Done {
+			t.Fatalf("terminal event %+v before the last one", ev)
+		}
 	}
 }
 

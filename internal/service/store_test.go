@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"os"
+	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -303,10 +305,14 @@ func TestRecoverResumesConcurrentCheckpoint(t *testing.T) {
 	}
 }
 
-// listingFS is a store.FS that counts directory listings and renames.
+// listingFS is a store.FS that counts directory listings and renames, and
+// each read and remove of a file under ckpt/.
 type listingFS struct {
 	store.FS
 	readDirs, renames atomic.Int64
+
+	mu   sync.Mutex
+	ckpt map[string]int // "read <name>" or "remove <name>" → calls
 }
 
 func (f *listingFS) ReadDir(path string) ([]os.DirEntry, error) {
@@ -319,10 +325,35 @@ func (f *listingFS) Rename(oldpath, newpath string) error {
 	return f.FS.Rename(oldpath, newpath)
 }
 
+func (f *listingFS) ReadFile(path string) ([]byte, error) {
+	f.noteCkpt("read", path)
+	return f.FS.ReadFile(path)
+}
+
+func (f *listingFS) Remove(path string) error {
+	f.noteCkpt("remove", path)
+	return f.FS.Remove(path)
+}
+
+func (f *listingFS) noteCkpt(op, path string) {
+	if filepath.Base(filepath.Dir(path)) != "ckpt" {
+		return
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.ckpt == nil {
+		f.ckpt = make(map[string]int)
+	}
+	f.ckpt[op+" "+filepath.Base(path)]++
+}
+
 // TestJobPathListsNoDirectory pins that a job's checkpoint is found,
 // saved and dropped by name: once Open has replayed the data dir, neither
 // a job that checkpoints every 5 of its 40 rounds nor a gossip job that
-// never saves lists a directory.
+// never saves lists a directory. A hash with no blob is answered from the
+// store's set of blob names, so the gossip job reads and removes no file
+// under ckpt/, and the checkpointing job reads none before its first save
+// and drops its blob exactly once.
 func TestJobPathListsNoDirectory(t *testing.T) {
 	fs := &listingFS{FS: store.OS()}
 	st, err := store.Open(t.TempDir(), store.Options{FS: fs})
@@ -350,53 +381,70 @@ func TestJobPathListsNoDirectory(t *testing.T) {
 	if n := st.Stats().Checkpoints; n != 0 {
 		t.Errorf("store counts %d checkpoints after both jobs finished, want 0", n)
 	}
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	saver, gossip := batch.Jobs[0].Hash+".ckpt", batch.Jobs[1].Hash+".ckpt"
+	if n := fs.ckpt["read "+gossip] + fs.ckpt["remove "+gossip]; n != 0 {
+		t.Errorf("the gossip job, which never saves, read or removed its blob %d times, want 0", n)
+	}
+	if n := fs.ckpt["read "+saver]; n != 0 {
+		t.Errorf("the checkpointing job read its blob %d times before saving one, want 0", n)
+	}
+	if n := fs.ckpt["remove "+saver]; n != 1 {
+		t.Errorf("the checkpointing job's blob was removed %d times, want once", n)
+	}
+	if len(fs.ckpt) != 1 {
+		t.Errorf("calls under ckpt/: %v, want only the one remove", fs.ckpt)
+	}
 }
 
 // TestResultServedFromDiskAcrossRestart pins the disk tier: a result
 // persisted by one service instance satisfies an identical submission in
-// a later instance as a cache hit, without re-running the job. A negative
-// CacheSize disables only the in-memory tier, so the disk tier serves
-// the hit all the same.
+// a later instance, whose result index starts empty, as a cache hit,
+// without re-running the job. The subtest keeps the name of the
+// in-memory tier it was written for: the disk hit is promoted into the
+// result index, as the LRU promoted it.
 func TestResultServedFromDiskAcrossRestart(t *testing.T) {
-	for _, tc := range []struct {
-		name      string
-		cacheSize int
-	}{{"lru", 0}, {"disk-only", -1}} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			spec := durableSpec(7, 500)
+	t.Run("lru", func(t *testing.T) {
+		dir := t.TempDir()
+		spec := durableSpec(7, 500)
 
-			st1 := openStore(t, dir)
-			s1 := New(Config{Workers: 1, Store: st1, CacheSize: tc.cacheSize})
-			j1, err := s1.Submit(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			done := waitState(t, s1, j1.ID, StateDone)
-			s1.Close()
-			if err := st1.Close(); err != nil {
-				t.Fatal(err)
-			}
+		st1 := openStore(t, dir)
+		s1 := New(Config{Workers: 1, Store: st1})
+		j1, err := s1.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := waitState(t, s1, j1.ID, StateDone)
+		s1.Close()
+		if err := st1.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-			st2 := openStore(t, dir)
-			defer st2.Close()
-			s2 := New(Config{Workers: 1, Store: st2, CacheSize: tc.cacheSize})
-			defer s2.Close()
-			j2, err := s2.Submit(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if j2.State != StateDone || !j2.CacheHit {
-				t.Fatalf("restarted submit = state %s cacheHit %v, want done via disk tier", j2.State, j2.CacheHit)
-			}
-			if !bytes.Equal(j2.Result, done.Result) {
-				t.Errorf("disk-tier result %s diverges from original %s", j2.Result, done.Result)
-			}
-			if s2.Stats().RoundsSimulated != 0 {
-				t.Errorf("disk-tier hit re-simulated %d rounds", s2.Stats().RoundsSimulated)
-			}
-		})
-	}
+		st2 := openStore(t, dir)
+		defer st2.Close()
+		s2 := New(Config{Workers: 1, Store: st2})
+		defer s2.Close()
+		if n := s2.Stats().CacheEntries; n != 0 {
+			t.Fatalf("restarted result index holds %d hashes before any submit, want 0", n)
+		}
+		j2, err := s2.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j2.State != StateDone || !j2.CacheHit {
+			t.Fatalf("restarted submit = state %s cacheHit %v, want done via disk tier", j2.State, j2.CacheHit)
+		}
+		if !bytes.Equal(j2.Result, done.Result) {
+			t.Errorf("disk-tier result %s diverges from original %s", j2.Result, done.Result)
+		}
+		if s2.Stats().RoundsSimulated != 0 {
+			t.Errorf("disk-tier hit re-simulated %d rounds", s2.Stats().RoundsSimulated)
+		}
+		if n := s2.Stats().CacheEntries; n != 1 {
+			t.Errorf("result index holds %d hashes after the disk hit, want 1", n)
+		}
+	})
 }
 
 // TestDiskHitRefusesForeignResult: a done record whose result payload is
@@ -472,6 +520,151 @@ func TestRecoverRejectsUncompilableSpec(t *testing.T) {
 	}
 }
 
+// TestRecoveredDedupBatchRunsOnce: a 16-member dedup batch of one durable
+// spec, shut down mid-run, resumes as one execution from the hash's
+// flushed checkpoint. It runs only the remaining rounds, logs one result
+// payload, and every member ends with job.Run's result. Earlier builds
+// resumed each member as its own execution, and once the first finished
+// and dropped the hash's blob, the rest restarted from round 0.
+func TestRecoveredDedupBatchRunsOnce(t *testing.T) {
+	const rounds, members = 3000, 16
+	spec := durableSpec(21, rounds)
+	c, err := job.Compile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := job.Run(context.Background(), c, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	st1 := openStore(t, dir)
+	s1 := New(Config{Workers: 1, CheckpointEvery: 250, Store: st1})
+	specs := make([]job.Spec, members)
+	for i := range specs {
+		specs[i] = spec
+	}
+	batch, err := s1.SubmitBatch(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(15 * time.Second)
+	for s1.Stats().RoundsSimulated < 300 {
+		if time.Now().After(deadline) {
+			t.Fatal("the batch's execution never got going")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	if err := s1.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if got := s1.Stats().Interrupted; got != members {
+		t.Fatalf("interrupted = %d, want all %d members", got, members)
+	}
+	if err := st1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2 := openStore(t, dir)
+	defer st2.Close()
+	blob, err := st2.LatestCheckpoint(c.Hash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := engine.DecodeCheckpoint(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2 := New(Config{Workers: 2, CheckpointEvery: 250, Store: st2})
+	defer s2.Close()
+	if n, err := s2.Recover(); err != nil || n != members {
+		t.Fatalf("Recover = %d, %v; want %d jobs", n, err, members)
+	}
+	w := job.AppendResult(nil, want)
+	for _, j := range batch.Jobs {
+		if got := waitState(t, s2, j.ID, StateDone); !bytes.Equal(got.Result, w) {
+			t.Fatalf("member %s result %s, want job.Run's %s", j.ID, got.Result, w)
+		}
+	}
+	if sim := s2.Stats().RoundsSimulated; sim != int64(rounds-cp.Round) {
+		t.Errorf("recovery simulated %d rounds, want the %d after the flushed checkpoint's round %d", sim, rounds-cp.Round, cp.Round)
+	}
+	payloads := 0
+	if err := st2.Scan(func(rec store.Record) error {
+		if rec.Hash == c.Hash && len(rec.Result) > 0 {
+			payloads++
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if payloads != 1 {
+		t.Errorf("the log holds %d result payloads for the hash, want 1", payloads)
+	}
+}
+
+// TestRecoverServesLoggedResult: a pending job whose hash already has a
+// logged result (an earlier job wrote it) recovers born done, as a cache
+// hit with that result, without running; its done record carries no
+// result of its own, and the hash's checkpoint blob, a resume point no
+// job will read, is dropped.
+func TestRecoverServesLoggedResult(t *testing.T) {
+	spec := durableSpec(31, 300)
+	c, err := job.Compile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := job.Run(context.Background(), c, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	result := job.AppendResult(nil, res)
+	dir := t.TempDir()
+	st1 := openStore(t, dir)
+	for _, rec := range []store.Record{
+		{JobID: "j000001", Hash: c.Hash, State: store.StateQueued, Spec: c.SpecJSON},
+		{JobID: "j000001", Hash: c.Hash, State: store.StateDone, Result: result},
+		{JobID: "j000002", Hash: c.Hash, State: store.StateQueued, Spec: c.SpecJSON},
+	} {
+		if err := st1.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st1.SaveCheckpoint(c.Hash, []byte("blob")); err != nil {
+		t.Fatal(err)
+	}
+	if err := st1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2 := openStore(t, dir)
+	defer st2.Close()
+	s := New(Config{Workers: 1, Store: st2})
+	defer s.Close()
+	if n, err := s.Recover(); err != nil || n != 1 {
+		t.Fatalf("Recover = %d, %v; want 1 job", n, err)
+	}
+	j, err := s.Get("j000002")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.State != StateDone || !j.CacheHit || !bytes.Equal(j.Result, result) {
+		t.Fatalf("recovered j000002: state %s, cache hit %v, result %s; want done from j000001's result", j.State, j.CacheHit, j.Result)
+	}
+	if st := s.Stats(); st.RoundsSimulated != 0 || st.Recovered != 1 || st.CacheHits != 0 {
+		t.Fatalf("stats %+v, want 0 rounds, 1 recovered, 0 cache hits (hits count submissions)", st)
+	}
+	if v, ok := scanJob(t, st2, "j000002"); !ok || v.State != store.StateDone || len(v.Result) != 0 {
+		t.Fatalf("j000002's log view %+v (ok=%v), want done with no result payload", v, ok)
+	}
+	if _, err := st2.LatestCheckpoint(c.Hash); !errors.Is(err, store.ErrNoCheckpoint) || st2.Stats().Checkpoints != 0 {
+		t.Fatalf("the served hash's checkpoint after Recover: %v, %d blobs; want ErrNoCheckpoint and none", err, st2.Stats().Checkpoints)
+	}
+}
+
 // holdAttempts is an Intercept that parks every attempt until release
 // closes or the attempt is canceled.
 func holdAttempts(release <-chan struct{}) func(context.Context, string, int) error {
@@ -487,11 +680,12 @@ func holdAttempts(release <-chan struct{}) func(context.Context, string, int) er
 
 // TestRecoverMoreJobsThanQueueDepth: a restart recovers every pending job,
 // whatever the queue depth. A crash leaves three 3-member dedup batches
-// pending behind a queue depth of 2, and each member recovers as its own
-// execution. Recover re-enqueues all nine, admission refuses new work
-// while the backlog exceeds the depth, and every job ends done under its
-// original ID. Earlier builds failed Recover with ErrQueueFull, which the
-// daemon treats as fatal at boot.
+// pending behind a queue depth of 2, and their three hashes recover as
+// three executions, one more than the queue depth. Recover registers all
+// nine jobs, admission refuses new work while the backlog exceeds the
+// depth, and every job ends done under its original ID. Earlier builds
+// failed Recover with ErrQueueFull, which the daemon treats as fatal at
+// boot.
 func TestRecoverMoreJobsThanQueueDepth(t *testing.T) {
 	dir := t.TempDir()
 	st1 := openStore(t, dir)

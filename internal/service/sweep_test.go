@@ -5,8 +5,8 @@ package service
 // specs must coalesce into one execution, every result must be
 // byte-identical to the one job.Compile and job.Run give without the
 // service, batch members get their IDs in submission order, durable
-// dedup must persist the result payload exactly once and recover
-// followers as independent jobs, snapshots pinned by running jobs must
+// dedup must persist the result payload exactly once and recover an
+// interrupted pair as one execution, snapshots pinned by running jobs must
 // survive eviction pressure, and queued jobs must pin none.
 
 import (
@@ -41,7 +41,7 @@ func sweepSpec(n int, seed int64) job.Spec {
 // and every other member hits or coalesces on the shared cache.
 func TestSweepSingleTopologyBuild(t *testing.T) {
 	const members = 48
-	s := New(Config{Workers: 1, CacheSize: -1})
+	s := New(Config{Workers: 1})
 	defer s.Close()
 
 	specs := make([]job.Spec, members)
@@ -74,7 +74,7 @@ func TestSweepSingleTopologyBuild(t *testing.T) {
 }
 
 // TestSweepResultsMatchJobRun is the golden gate: the shared snapshot,
-// dedup, and the result cache are pure plumbing — every member of a mixed
+// dedup, and the result index are pure plumbing — every member of a mixed
 // sweep (seed axis, duplicates, two graphs, a drop-only fault plan, every
 // static builder under every model kind that admits max, and the starts
 // and churn jobs that bypass the topology cache) must carry a result
@@ -197,7 +197,7 @@ func TestBatchIDsFollowSubmissionOrder(t *testing.T) {
 // once their jobs finish.
 func TestSweepEvictionSparesRunningJobs(t *testing.T) {
 	g := newGate()
-	s := New(Config{Workers: 2, Intercept: g.intercept, TopoCacheBytes: 1, CacheSize: -1})
+	s := New(Config{Workers: 2, Intercept: g.intercept, TopoCacheBytes: 1})
 	defer s.Close()
 
 	a, err := s.Submit(sweepSpec(64, 1))
@@ -322,10 +322,12 @@ func TestDedupDurableResultPersistedOnce(t *testing.T) {
 	}
 }
 
-// TestDedupInterruptedRecoversIndependently: a deduped pair interrupted
-// at graceful shutdown recovers as two independent executions — recovery
-// re-attaches nothing.
-func TestDedupInterruptedRecoversIndependently(t *testing.T) {
+// TestDedupInterruptedRecoversAsOneExecution: a deduped pair interrupted
+// at graceful shutdown recovers as one execution again: the leader's,
+// entered in the dedup index, with the follower joined to it. Both resume
+// from the hash's one checkpoint, which is valid for both because equal
+// hashes are equal canonical specs, seed included.
+func TestDedupInterruptedRecoversAsOneExecution(t *testing.T) {
 	dir := t.TempDir()
 	st1 := openStore(t, dir)
 	s1 := New(Config{Workers: 1, CheckpointEvery: 250, Store: st1})
@@ -359,27 +361,29 @@ func TestDedupInterruptedRecoversIndependently(t *testing.T) {
 	defer st2.Close()
 	s2 := New(Config{Workers: 2, CheckpointEvery: 250, Store: st2})
 	defer s2.Close()
+	defer s2.CancelAll() // don't wait out the 400k rounds
 	n, err := s2.Recover()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 2 {
-		t.Fatalf("recovered %d jobs, want 2 (leader and follower, independently)", n)
+		t.Fatalf("recovered %d jobs, want 2 (leader and follower)", n)
 	}
-	if s2.Stats().DedupCoalesced != 0 {
-		t.Fatal("recovery re-attached a follower")
+	if st := s2.Stats(); st.Recovered != 2 || st.DedupCoalesced != 0 {
+		t.Fatalf("Recovered = %d, DedupCoalesced = %d; want 2 and 0 (recovered jobs count as recovered)", st.Recovered, st.DedupCoalesced)
 	}
-	for _, id := range []string{lead.ID, fol.ID} {
-		j, err := s2.Get(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if j.DedupOf != "" {
-			t.Fatalf("recovered job %s still linked to %s", id, j.DedupOf)
-		}
-		// Don't wait out the 400k rounds: independent re-enqueue is what
-		// this test proves.
-		s2.Cancel(id)
-		waitTerminal(t, s2, id)
+	if j, _ := s2.Get(lead.ID); j.DedupOf != "" {
+		t.Fatalf("recovered leader %s joined %s", lead.ID, j.DedupOf)
+	}
+	if j, _ := s2.Get(fol.ID); j.DedupOf != lead.ID {
+		t.Fatalf("recovered follower %s has DedupOf %q, want the leader %s", fol.ID, j.DedupOf, lead.ID)
+	}
+	// A later identical submission joins the recovered execution too.
+	again, err := s2.Submit(durableSpec(5, 400000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.DedupOf != lead.ID {
+		t.Fatalf("post-restart submission has DedupOf %q, want the recovered leader %s", again.DedupOf, lead.ID)
 	}
 }

@@ -401,47 +401,57 @@ func TestRotationRetriesAfterFailedOpen(t *testing.T) {
 	}
 }
 
+// The logs appendShape writes: 256 jobs with the spec and result sizes of
+// perfbench's n=10⁴ jobs, and 64 members per hash in the dedup shape.
+const (
+	shapeJobs     = 256
+	shapeSpecSize = 49_024
+	shapeResSize  = 48_990
+	shapeDedup    = 64
+)
+
+// appendShape appends shapeJobs finished jobs in one of two shapes:
+// "distinct", one job per spec hash, each queued with its spec, running,
+// then done with its result; and "dedup", 64 members per hash with a spec
+// on every queued record and one result per hash.
+func appendShape(t *testing.T, s *Store, shape string) {
+	t.Helper()
+	spec := bytes.Repeat([]byte("s"), shapeSpecSize)
+	result := bytes.Repeat([]byte("r"), shapeResSize)
+	for i := 0; i < shapeJobs; i++ {
+		id, hash := jobID(i), fmt.Sprintf("%064x", i)
+		firstOfHash := true
+		if shape == "dedup" {
+			hash = fmt.Sprintf("%064x", i/shapeDedup)
+			firstOfHash = i%shapeDedup == 0
+		}
+		done := Record{JobID: id, Hash: hash, State: StateDone}
+		if firstOfHash {
+			done.Result = result
+		}
+		for _, rec := range []Record{
+			{JobID: id, Hash: hash, State: StateQueued, Spec: spec},
+			{JobID: id, Hash: hash, State: StateRunning},
+			done,
+		} {
+			if err := s.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 // TestReopenRetainsIndexOnly: reopening a log keeps the index, not the
 // jobs, so the heap a reopen retains does not grow with the spec and
-// result bytes in the log. The shapes are perfbench's n=10⁴ jobs: one
-// job per spec hash, and 64 dedup members per hash with a spec on every
-// queued record and one result per hash. Earlier builds retained about
-// 98 KB and 48 KB per job.
+// result bytes in the log. The shapes are appendShape's. Earlier builds
+// retained about 98 KB and 48 KB per job.
 func TestReopenRetainsIndexOnly(t *testing.T) {
-	const (
-		jobs      = 256
-		specSize  = 49_024
-		resSize   = 48_990
-		perJob    = 2 << 10
-		dedupSize = 64
-	)
-	spec := bytes.Repeat([]byte("s"), specSize)
-	result := bytes.Repeat([]byte("r"), resSize)
+	const perJob = 2 << 10
 	for _, shape := range []string{"distinct", "dedup"} {
 		t.Run(shape, func(t *testing.T) {
 			dir := t.TempDir()
 			s := mustOpen(t, dir, Options{})
-			for i := 0; i < jobs; i++ {
-				id, hash := jobID(i), fmt.Sprintf("%064x", i)
-				firstOfHash := true
-				if shape == "dedup" {
-					hash = fmt.Sprintf("%064x", i/dedupSize)
-					firstOfHash = i%dedupSize == 0
-				}
-				done := Record{JobID: id, Hash: hash, State: StateDone}
-				if firstOfHash {
-					done.Result = result
-				}
-				for _, rec := range []Record{
-					{JobID: id, Hash: hash, State: StateQueued, Spec: spec},
-					{JobID: id, Hash: hash, State: StateRunning},
-					done,
-				} {
-					if err := s.Append(rec); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
+			appendShape(t, s, shape)
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -456,20 +466,67 @@ func TestReopenRetainsIndexOnly(t *testing.T) {
 			runtime.GC()
 			runtime.ReadMemStats(&after)
 			defer r.Close()
-			if st := r.Stats(); st.Jobs != jobs || st.Pending != 0 {
-				t.Fatalf("reopen stats %+v, want %d finished jobs", st, jobs)
+			if st := r.Stats(); st.Jobs != shapeJobs || st.Pending != 0 {
+				t.Fatalf("reopen stats %+v, want %d finished jobs", st, shapeJobs)
 			}
-			if res, ok := r.ResultByHash(fmt.Sprintf("%064x", 0)); !ok || !bytes.Equal(res, result) {
+			if res, ok := r.ResultByHash(fmt.Sprintf("%064x", 0)); !ok || !bytes.Equal(res, bytes.Repeat([]byte("r"), shapeResSize)) {
 				t.Fatalf("ResultByHash after reopen: %d bytes, %v", len(res), ok)
 			}
 			grown := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-			t.Logf("reopen retains %d B (%d B per job)", grown, grown/jobs)
-			if grown > perJob*jobs {
-				t.Fatalf("reopen retains %d B, %d B per job; want ≤ %d per job", grown, grown/jobs, perJob)
+			t.Logf("reopen retains %d B (%d B per job)", grown, grown/shapeJobs)
+			if grown > perJob*shapeJobs {
+				t.Fatalf("reopen retains %d B, %d B per job; want ≤ %d per job", grown, grown/shapeJobs, perJob)
 			}
 			runtime.KeepAlive(r)
 		})
 	}
+}
+
+// TestOpenCopiesOnlyPendingSpecs: replay decodes each record in place in
+// the segment it read, and copies out only the specs pending jobs keep.
+// The log is appendShape's "distinct" one behind a job left queued with
+// its spec, in the first segment. Opening it allocates little more than
+// the bytes it reads (earlier builds cloned every spec and result, about
+// twice the log), and the pending spec is a copy: the heap the reopen
+// retains holds no segment.
+func TestOpenCopiesOnlyPendingSpecs(t *testing.T) {
+	const perJob = 2 << 10
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{})
+	spec := bytes.Repeat([]byte("p"), shapeSpecSize)
+	if err := s.Append(Record{JobID: "j999999", Hash: fmt.Sprintf("%064x", 999_999), State: StateQueued, Spec: spec}); err != nil {
+		t.Fatal(err)
+	}
+	appendShape(t, s, "distinct")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	r, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	defer r.Close()
+	logBytes := r.Stats().LogBytes
+	t.Logf("Open allocates %d B for a %d-B log (%.2f×)", alloc, logBytes, float64(alloc)/float64(logBytes))
+	if float64(alloc) > 1.25*float64(logBytes) {
+		t.Fatalf("Open allocates %d B, %.2f× the log's %d B; want ≤ 1.25×", alloc, float64(alloc)/float64(logBytes), logBytes)
+	}
+	if p := r.Pending(); len(p) != 1 || p[0].JobID != "j999999" || !bytes.Equal(p[0].Spec, spec) {
+		t.Fatalf("pending after reopen: %d jobs, want j999999 with its %d-B spec", len(p), len(spec))
+	}
+	grown := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if bound := int64(perJob*shapeJobs + len(spec)); grown > bound {
+		t.Fatalf("reopen retains %d B, want ≤ %d: the pending spec keeps its segment alive", grown, bound)
+	}
+	runtime.KeepAlive(r)
 }
 
 // BenchmarkResultByHash times one disk-tier lookup — a hit and a miss —

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -58,9 +57,10 @@ func encodeFrame(rec Record) ([]byte, error) {
 }
 
 // DecodeRecord decodes one record payload: a v1 record of this build or
-// the JSON record of an earlier one. The spec and result are copied out
-// of payload, and an empty one decodes as nil. Any other first byte, a
-// truncated field or trailing bytes are an error.
+// the JSON record of an earlier one. A v1 record's spec and result alias
+// payload, so a caller that keeps them past payload's life copies them;
+// an empty one decodes as nil. Any other first byte, a truncated field or
+// trailing bytes are an error.
 func DecodeRecord(payload []byte) (Record, error) {
 	if len(payload) == 0 {
 		return Record{}, errors.New("store: empty record")
@@ -93,7 +93,7 @@ func decodeV1(b []byte) (Record, error) {
 	}
 	payload := func() []byte {
 		if v := field(); len(v) > 0 {
-			return bytes.Clone(v)
+			return v
 		}
 		return nil
 	}

@@ -36,6 +36,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -179,7 +180,9 @@ type Store struct {
 	pending map[string]*Record // job ID → a non-terminal job's ID, hash, state and spec
 	seen    map[string]int     // job ID → first-seen position
 	maxSeq  int64              // the highest j<n> job sequence
-	// ckpts holds the names of the checkpoint blobs on disk, for Stats.
+	// ckpts holds the names of the checkpoint blobs on disk, for Stats and
+	// so that finding or dropping the blob of a hash with none touches no
+	// file.
 	ckpts map[string]struct{}
 
 	records     int64
@@ -384,11 +387,22 @@ func (s *Store) replaySegment(idx int, last bool) (int64, error) {
 	}
 	// A CRC-valid frame that is not a record ends the walk with an error:
 	// it is damage like any other.
+	fresh := make(map[string]bool) // jobs whose latest spec this segment set
 	off, _ := WalkFrames(data, func(at int64, rec Record) error {
 		s.apply(rec, frameAt{seg: idx, off: at})
+		if len(rec.Spec) > 0 {
+			fresh[rec.JobID] = true
+		}
 		s.records++
 		return nil
 	})
+	// The records alias data: keep copies of only the specs pending jobs
+	// hold.
+	for id := range fresh {
+		if p := s.pending[id]; p != nil {
+			p.Spec = bytes.Clone(p.Spec)
+		}
+	}
 	if off == int64(len(data)) {
 		return off, nil
 	}
@@ -403,7 +417,8 @@ func (s *Store) replaySegment(idx int, last bool) (int64, error) {
 }
 
 // WalkFrames walks the log frames at the start of data as replay does,
-// calling fn with each frame's offset and record. A frame is a 4-byte
+// calling fn with each frame's offset and record, whose spec and result
+// alias data (DecodeRecord). A frame is a 4-byte
 // big-endian payload length, the payload's CRC32 (IEEE) and the payload.
 // The walk stops at the first frame that is torn, fails its CRC or claims
 // more than the frame ceiling, and returns the offset just past the last
@@ -647,10 +662,10 @@ func (s *Store) Pending() []Record {
 
 // ResultByHash returns the result of the first done record in log order
 // that carries a result under the spec hash — the disk tier behind the
-// service's LRU. A hit reads that one frame back from its segment and
-// checks its length and CRC, whatever the size of the log. A frame that
-// no longer reads back as that record leaves the index, so the next done
-// record carrying a result under the hash takes its place.
+// service's result index. A hit reads that one frame back from its
+// segment and checks its length and CRC, whatever the size of the log. A
+// frame that no longer reads back as that record leaves the index, so the
+// next done record carrying a result under the hash takes its place.
 func (s *Store) ResultByHash(hash string) (json.RawMessage, bool) {
 	s.mu.Lock()
 	at, ok := s.served[hash]
@@ -670,8 +685,9 @@ func (s *Store) ResultByHash(hash string) (json.RawMessage, bool) {
 }
 
 // readFrame reads the record of the frame at at back from its segment:
-// one open and two reads, the header and then the frame. ok is false when
-// the frame no longer reads back whole.
+// one open and two reads, the header and then the frame. The record's
+// spec and result alias a buffer of its own. ok is false when the frame
+// no longer reads back whole.
 func (s *Store) readFrame(at frameAt) (rec Record, ok bool) {
 	f, err := s.fs.OpenFile(filepath.Join(s.dir, logDir, segName(at.seg)), os.O_RDONLY, 0)
 	if err != nil {
@@ -702,7 +718,8 @@ func (s *Store) readFrame(at frameAt) (rec Record, ok bool) {
 // last append; it stops at fn's first error and returns it. It reads each
 // segment as replay does, up to its first damaged frame, and skips a
 // segment index with no file (a quarantine whose rewrite failed leaves
-// one). Scan is for drills and tests: it reads the whole log.
+// one). Each record's spec and result are fn's to keep. Scan is for
+// drills and tests: it reads the whole log.
 func (s *Store) Scan(fn func(Record) error) error {
 	s.mu.Lock()
 	last, size := s.segIdx, s.segSize
@@ -722,6 +739,7 @@ func (s *Store) Scan(fn func(Record) error) error {
 		// stops there and goes on with the next segment.
 		var fnErr error
 		WalkFrames(data, func(_ int64, rec Record) error {
+			rec.Spec, rec.Result = bytes.Clone(rec.Spec), bytes.Clone(rec.Result)
 			fnErr = fn(rec)
 			return fnErr
 		})
@@ -797,9 +815,15 @@ func (s *Store) SaveCheckpoint(hash string, blob []byte) error {
 }
 
 // LatestCheckpoint returns the checkpoint blob last saved for the spec
-// hash, or ErrNoCheckpoint. The blob carries its own round.
+// hash, or ErrNoCheckpoint. The blob carries its own round. A hash with no
+// blob is answered from the set of blob names, without a read.
 func (s *Store) LatestCheckpoint(hash string) ([]byte, error) {
 	name, ok := checkpointName(hash)
+	if ok {
+		s.mu.Lock()
+		_, ok = s.ckpts[name]
+		s.mu.Unlock()
+	}
 	if !ok {
 		return nil, ErrNoCheckpoint
 	}
@@ -814,7 +838,8 @@ func (s *Store) LatestCheckpoint(hash string) ([]byte, error) {
 }
 
 // DropCheckpoints removes the spec hash's checkpoint blob — called once a
-// job reaches a terminal state and resume is moot.
+// job reaches a terminal state and resume is moot. A hash with no blob
+// removes nothing.
 func (s *Store) DropCheckpoints(hash string) {
 	name, ok := checkpointName(hash)
 	if !ok {
@@ -822,6 +847,9 @@ func (s *Store) DropCheckpoints(hash string) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if _, ok := s.ckpts[name]; !ok {
+		return
+	}
 	if s.fs.Remove(filepath.Join(s.dir, ckptDir, name)) == nil {
 		delete(s.ckpts, name)
 	}
