@@ -47,6 +47,7 @@ fuzz:
 crash-recovery:
 	$(GO) test -race -count=1 -run 'Checkpoint' ./internal/engine ./internal/job
 	$(GO) test -race -count=1 ./internal/store ./internal/service
+	$(GO) test -race -count=1 -run 'TestShutdown' ./cmd/anonnetd
 
 # The chaos gate: 25 seeded kill/restart/corrupt iterations against the
 # real store+service, plus the corruption-quarantine and breaker suites

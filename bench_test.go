@@ -645,7 +645,7 @@ func BenchmarkServiceThroughput(b *testing.B) {
 // gossip on a static ring, whose fingerprint is seed-independent, so the
 // whole sweep shares one topology snapshot. Gossip is the cheap per-round
 // algorithm of the suite, which keeps the benchmark about the submit path
-// (graph build + validate + CSR) rather than engine rounds.
+// (arcs → validated CSR on a cache miss) rather than engine rounds.
 func sweepMember(n int, seed int64) job.Spec {
 	return job.Spec{
 		Graph:     job.GraphSpec{Builder: "ring", N: n},
@@ -660,8 +660,8 @@ func sweepMember(n int, seed int64) job.Spec {
 // BenchmarkServiceSweep measures the sweep fast path on 64-job batches
 // (DESIGN §5h), in the shapes of perfbench's workloads: "cold" gives every
 // member of every iteration a ring size of its own, so every member pays
-// its own graph+snapshot build (counter-asserted: 64 builds per
-// iteration); "warm" shares one snapshot across a 64-seed sweep and
+// its own snapshot build from the ring's arcs (counter-asserted: 64
+// builds per iteration); "warm" shares one snapshot across a 64-seed sweep and
 // "dedup" submits 64 identical specs that coalesce into a single
 // execution, both on one ring that every iteration reuses
 // (counter-asserted: exactly one build in total). Sub-benchmark sizes

@@ -13,11 +13,12 @@
 //	curl -s localhost:8080/v1/jobs/j000001
 //	curl -N localhost:8080/v1/jobs/j000001/stream
 //
-// SIGINT/SIGTERM shut the daemon down gracefully: the listener stops,
-// then — with -data-dir — running jobs flush their engine state to
-// checkpoints and queued jobs stay in the log, both resuming on the next
-// boot; without a store the queue drains in-flight jobs up to -grace and
-// remaining jobs are canceled.
+// SIGINT/SIGTERM shut the daemon down gracefully: the listener stops and,
+// at the same time, with -data-dir running jobs flush their engine state
+// to checkpoints (their watch streams end with the interrupted event) and
+// queued jobs stay in the log, both resuming on the next boot; without a
+// store the queue drains in-flight jobs up to -grace and remaining jobs
+// are canceled.
 //
 // With -data-dir the daemon is durable: every job transition lands in an
 // append-only log, results are served from disk across restarts, and
@@ -142,39 +143,36 @@ func run() error {
 	log.Printf("anonnetd: shutting down, draining in-flight jobs (grace %v)", *grace)
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), *grace)
 	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		log.Printf("anonnetd: http shutdown: %v", err)
-	}
-
-	if st != nil {
-		// Durable shutdown: running jobs flush their engine state to
-		// checkpoints and end interrupted, queued jobs stay queued in the
-		// log; the next boot's Recover resumes all of them.
-		if err := svc.Shutdown(shutdownCtx); err != nil {
-			log.Printf("anonnetd: flush shutdown: %v", err)
-		} else {
-			stats := svc.Stats()
-			log.Printf("anonnetd: flushed state to %s (%d interrupted)", *dataDir, stats.Interrupted)
-		}
-	} else {
-		// Ephemeral drain: give the queue the remaining grace budget, then
-		// cancel whatever is still running and wait for the workers to exit.
-		drained := make(chan struct{})
-		go func() {
-			svc.Close()
-			close(drained)
-		}()
-		select {
-		case <-drained:
-			log.Printf("anonnetd: drained cleanly")
-		case <-shutdownCtx.Done():
-			n := svc.CancelAll()
-			log.Printf("anonnetd: grace expired, canceled %d jobs", n)
-			<-drained
-		}
-	}
+	shutdown(shutdownCtx, srv, svc, *dataDir)
 	if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
 	return nil
+}
+
+// shutdown stops the HTTP server and the service together within ctx. The
+// server stops accepting and drains its connections while the service
+// flushes (with a data dir: running jobs checkpoint and end interrupted,
+// queued jobs stay queued in the log, and the next boot's Recover resumes
+// all of them) or drains (without one: in-flight jobs run on). Jobs still
+// running when ctx expires are canceled. The two run together because an
+// open NDJSON stream of a running job never goes idle: drained first, the
+// server would wait out the whole grace on it, and the service would then
+// get an expired context and cancel the job. Flushed, the job ends
+// interrupted, its stream sends that event and closes, and the server's
+// drain completes. dataDir only names the directory in the log.
+func shutdown(ctx context.Context, srv *http.Server, svc *service.Service, dataDir string) {
+	httpDone := make(chan error, 1)
+	go func() { httpDone <- srv.Shutdown(ctx) }()
+	switch err := svc.Shutdown(ctx); {
+	case err != nil:
+		log.Printf("anonnetd: grace expired, canceled the jobs still running: %v", err)
+	case dataDir != "":
+		log.Printf("anonnetd: flushed state to %s (%d interrupted)", dataDir, svc.Stats().Interrupted)
+	default:
+		log.Printf("anonnetd: drained cleanly")
+	}
+	if err := <-httpDone; err != nil {
+		log.Printf("anonnetd: http shutdown: %v", err)
+	}
 }

@@ -36,9 +36,6 @@ func (s *Static) N() int { return s.g.N() }
 // At returns the underlying graph regardless of t.
 func (s *Static) At(int) *graph.Graph { return s.g }
 
-// Graph returns the underlying static graph.
-func (s *Static) Graph() *graph.Graph { return s.g }
-
 // Periodic cycles through a fixed list of graphs: round t uses
 // graphs[(t-1) mod len].
 type Periodic struct {

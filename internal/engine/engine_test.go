@@ -61,7 +61,7 @@ func inputs(vals ...float64) []model.Input {
 
 func TestConfigValidation(t *testing.T) {
 	g := dynamic.NewStatic(graph.Ring(3))
-	snap, err := topology.BuildSnapshot(g.Graph(), model.SimpleBroadcast)
+	snap, err := topology.BuildSnapshot(3, graph.RingArcs(3), model.SimpleBroadcast)
 	if err != nil {
 		t.Fatal(err)
 	}

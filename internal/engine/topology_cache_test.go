@@ -151,7 +151,7 @@ func TestTopologyStatsBuildTime(t *testing.T) {
 func TestSharedSnapshotZeroBuildsIdenticalTrace(t *testing.T) {
 	const n, rounds = 48, 60
 	g := graph.BidirectionalRing(n).AssignPorts().EnsureSelfLoops()
-	shared, err := topology.BuildSnapshot(g, model.OutdegreeAware)
+	shared, err := topology.BuildSnapshot(g.N(), g.Arcs(), model.OutdegreeAware)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -279,7 +279,7 @@ func TestFaultChurnInvariants(t *testing.T) {
 		if !g.StronglyConnected() {
 			t.Fatalf("round %d: repair guard let a disconnected graph through", round)
 		}
-		if g.M() < base.Graph().M() {
+		if g.M() < base.At(1).M() {
 			churnedSomewhere = true
 		}
 		if s.At(round) != g {

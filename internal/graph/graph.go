@@ -45,6 +45,17 @@ func New(n int) *Graph {
 	}
 }
 
+// FromArcs returns the graph on n vertices whose edges are arcs, in order:
+// edge i is arcs[i]. n must be positive and every arc must lie in [0, n).
+func FromArcs(n int, arcs []Edge) *Graph {
+	g := New(n)
+	g.edges = make([]Edge, 0, len(arcs))
+	for _, e := range arcs {
+		g.AddPortEdge(e.From, e.To, e.Port)
+	}
+	return g
+}
+
 // N returns the number of vertices.
 func (g *Graph) N() int { return g.n }
 
@@ -76,6 +87,10 @@ func (g *Graph) Edges() []Edge {
 	copy(out, g.edges)
 	return out
 }
+
+// Arcs returns the edge list itself, in insertion order, for consumers
+// that only read it (a CSR build); callers must not modify it.
+func (g *Graph) Arcs() []Edge { return g.edges }
 
 // OutDegree returns the number of edges leaving v, counting the self-loop
 // and parallel edges. This is the d⁻ of the paper's outdegree-awareness
@@ -172,13 +187,7 @@ func (g *Graph) EnsureSelfLoops() *Graph {
 }
 
 // Clone returns an independent copy of g.
-func (g *Graph) Clone() *Graph {
-	h := New(g.n)
-	for _, e := range g.edges {
-		h.AddPortEdge(e.From, e.To, e.Port)
-	}
-	return h
-}
+func (g *Graph) Clone() *Graph { return FromArcs(g.n, g.edges) }
 
 // IsSymmetric reports whether the edge relation is bidirectional ignoring
 // self-loops: u→v exists iff v→u exists (§2.1's class of symmetric
@@ -216,14 +225,17 @@ func (g *Graph) Symmetrized() *Graph {
 // are labelled with ports 1..d⁻ in insertion order, realizing the local
 // output labelling of the output-port-awareness model. Existing port labels
 // are overwritten.
-func (g *Graph) AssignPorts() *Graph {
-	h := New(g.n)
-	next := make([]int, g.n)
-	for _, e := range g.edges {
-		next[e.From]++
-		h.AddPortEdge(e.From, e.To, next[e.From])
+func (g *Graph) AssignPorts() *Graph { return FromArcs(g.n, NumberPorts(g.n, g.Edges())) }
+
+// NumberPorts labels arcs, in place, the way AssignPorts labels a graph's
+// edges: each source's arcs get ports 1..d⁻ in arc order. It returns arcs.
+func NumberPorts(n int, arcs []Edge) []Edge {
+	next := make([]int, n)
+	for i := range arcs {
+		next[arcs[i].From]++
+		arcs[i].Port = next[arcs[i].From]
 	}
-	return h
+	return arcs
 }
 
 // PortsValid reports whether every vertex's outgoing edges carry the ports

@@ -109,7 +109,7 @@ func Compile(s Spec) (*Compiled, error) {
 	}
 	setting := core.Setting{
 		Kind:    kind,
-		Static:  info.static && !c.Dynamic,
+		Static:  info.static() && !c.Dynamic,
 		Row:     row,
 		BoundN:  c.BoundN,
 		KnownN:  n,
@@ -156,9 +156,11 @@ type Built struct {
 // With a cache and a graph fingerprint, the network is the validated CSR
 // snapshot taken from (or built once into) cache under the fingerprint,
 // Schedule stays nil, and the entry stays pinned until Release — the run
-// that built the job calls it once, when it returns. A nil cache, or a
-// spec without a fingerprint, builds the schedule privately. A churn plan
-// whose reject guard fires on the first window fails here with a *Error on
+// that built the job calls it once, when it returns. A miss builds the
+// snapshot from the static family's arcs and makes no graph. A nil cache,
+// or a spec without a fingerprint, builds the schedule privately (a
+// static family's graph from the same arcs). A churn plan whose reject
+// guard fires on the first window fails here with a *Error on
 // faults.churn.
 func (c *Compiled) Build(cache *topology.Cache) (*Built, error) {
 	s := c.Spec
@@ -171,18 +173,11 @@ func (c *Compiled) Build(cache *topology.Cache) (*Built, error) {
 		b.Inputs[l].Leader = true
 	}
 	if cache != nil && c.Fingerprint != "" {
-		entry, err := cache.Acquire(c.Fingerprint, func() (*topology.Snapshot, error) {
-			sched := info.build(s.Graph, c.N, s.Seed)
-			st, ok := sched.(*dynamic.Static)
-			if !ok {
-				return nil, fmt.Errorf("job: static builder %q produced a %T schedule", s.Graph.Builder, sched)
-			}
-			return topology.BuildSnapshot(st.Graph(), c.Setting.Kind)
-		})
-		// On Acquire error, fall through to the private build: a graph the
-		// §2.1 validation rejects (say kind=sym on a directed builder) must
-		// keep building fine and failing at run time, exactly as it does
-		// without a cache.
+		entry, err := cache.Acquire(c.Fingerprint, c.snapshot)
+		// On Acquire error, fall through to the private build: a network
+		// the §2.1 validation rejects (say kind=sym on a directed builder)
+		// must keep building fine and failing at run time, exactly as it
+		// does without a cache.
 		if err == nil {
 			b.topo = entry
 		}
@@ -202,6 +197,13 @@ func (c *Compiled) Build(cache *topology.Cache) (*Built, error) {
 		}
 	}
 	return b, nil
+}
+
+// snapshot is a topology-cache miss: the static network's arcs go
+// straight into the validated CSR build, and no graph is made.
+func (c *Compiled) snapshot() (*topology.Snapshot, error) {
+	arcs := builders[c.Spec.Graph.Builder].portArcs(c.Spec.Graph, c.N, c.Spec.Seed)
+	return topology.BuildSnapshot(c.N, arcs, c.Setting.Kind)
 }
 
 // Release unpins the topology-cache entry the build holds, if any; the

@@ -165,12 +165,35 @@ type Spec struct {
 	Faults *faults.Plan `json:"faults,omitempty"`
 }
 
-// builderInfo describes one graph family: whether its schedule is static,
-// how many vertices a spec yields, and how to build the schedule.
+// builderInfo describes one graph family: how many vertices a spec
+// yields, and how to build its network. A static family is its arc list
+// (the graph package writes each once); a dynamic one is a schedule.
 type builderInfo struct {
-	static bool
-	n      func(g GraphSpec) (int, *Error)
-	build  func(g GraphSpec, n int, seed int64) dynamic.Schedule
+	n func(g GraphSpec) (int, *Error)
+	// arcs emits a static family's arcs in insertion order, self-loops
+	// included and ports unlabelled; nil for dynamic builders.
+	arcs func(g GraphSpec, n int, seed int64) []graph.Edge
+	// schedule builds a dynamic builder's schedule; nil for static ones.
+	schedule func(g GraphSpec, n int, seed int64) dynamic.Schedule
+}
+
+func (b builderInfo) static() bool { return b.arcs != nil }
+
+// portArcs returns the static network's arcs with AssignPorts' numbering
+// (1..d⁻ per source in arc order): what a cache miss flattens, and what
+// the private build makes its graph from.
+func (b builderInfo) portArcs(g GraphSpec, n int, seed int64) []graph.Edge {
+	return graph.NumberPorts(n, b.arcs(g, n, seed))
+}
+
+// build makes the network privately, as a schedule: a static family's
+// graph comes through graph.FromArcs from the same arcs a cache miss
+// flattens.
+func (b builderInfo) build(g GraphSpec, n int, seed int64) dynamic.Schedule {
+	if !b.static() {
+		return b.schedule(g, n, seed)
+	}
+	return dynamic.NewStatic(graph.FromArcs(n, b.portArcs(g, n, seed)))
 }
 
 func sizeN(g GraphSpec) (int, *Error) {
@@ -180,36 +203,33 @@ func sizeN(g GraphSpec) (int, *Error) {
 	return g.N, nil
 }
 
+// family adapts a single-size static family to an arcs entry.
+func family(arcs func(n int) []graph.Edge) func(GraphSpec, int, int64) []graph.Edge {
+	return func(_ GraphSpec, n int, _ int64) []graph.Edge { return arcs(n) }
+}
+
 var builders = map[string]builderInfo{
-	"ring": {static: true, n: sizeN, build: func(g GraphSpec, n int, _ int64) dynamic.Schedule {
-		return dynamic.NewStatic(graph.Ring(n).AssignPorts())
-	}},
-	"bidiring": {static: true, n: sizeN, build: func(g GraphSpec, n int, _ int64) dynamic.Schedule {
-		return dynamic.NewStatic(graph.BidirectionalRing(n).AssignPorts())
-	}},
-	"star": {static: true, n: sizeN, build: func(g GraphSpec, n int, _ int64) dynamic.Schedule {
-		return dynamic.NewStatic(graph.Star(n).AssignPorts())
-	}},
-	"path": {static: true, n: sizeN, build: func(g GraphSpec, n int, _ int64) dynamic.Schedule {
-		return dynamic.NewStatic(graph.Path(n).AssignPorts())
-	}},
-	"complete": {static: true, n: sizeN, build: func(g GraphSpec, n int, _ int64) dynamic.Schedule {
-		return dynamic.NewStatic(graph.Complete(n).AssignPorts())
-	}},
-	"hypercube": {static: true,
+	"ring":     {n: sizeN, arcs: family(graph.RingArcs)},
+	"bidiring": {n: sizeN, arcs: family(graph.BidirectionalRingArcs)},
+	"star":     {n: sizeN, arcs: family(graph.StarArcs)},
+	"path":     {n: sizeN, arcs: family(graph.PathArcs)},
+	"complete": {n: sizeN, arcs: family(graph.CompleteArcs)},
+	"hypercube": {
 		n: func(g GraphSpec) (int, *Error) {
 			if g.D < 0 || g.D > 12 {
 				return 0, errf("graph.d", "hypercube dimension %d out of range [0, 12]", g.D)
 			}
 			return 1 << g.D, nil
 		},
-		build: func(g GraphSpec, n int, _ int64) dynamic.Schedule {
-			return dynamic.NewStatic(graph.Hypercube(g.D).AssignPorts())
-		}},
-	"debruijn": {static: true,
+		arcs: func(g GraphSpec, _ int, _ int64) []graph.Edge { return graph.HypercubeArcs(g.D) }},
+	"debruijn": {
 		n: func(g GraphSpec) (int, *Error) {
 			if g.K < 1 || g.D < 0 {
 				return 0, errf("graph.k", "debruijn needs k ≥ 1 and d ≥ 0, got k=%d d=%d", g.K, g.D)
+			}
+			if g.K > MaxAgents {
+				// Every vertex gets k arcs, and d=0 makes n=1 whatever k is.
+				return 0, errf("graph.k", "debruijn alphabet k=%d exceeds %d", g.K, MaxAgents)
 			}
 			n := 1
 			for i := 0; i < g.D; i++ {
@@ -220,39 +240,42 @@ var builders = map[string]builderInfo{
 			}
 			return n, nil
 		},
-		build: func(g GraphSpec, n int, _ int64) dynamic.Schedule {
-			return dynamic.NewStatic(graph.DeBruijn(g.K, g.D).AssignPorts())
-		}},
-	"torus": {static: true,
+		arcs: func(g GraphSpec, _ int, _ int64) []graph.Edge { return graph.DeBruijnArcs(g.K, g.D) }},
+	"torus": {
 		n: func(g GraphSpec) (int, *Error) {
 			if g.Rows < 1 || g.Cols < 1 {
 				return 0, errf("graph.rows", "torus needs rows ≥ 1 and cols ≥ 1, got %d×%d", g.Rows, g.Cols)
 			}
+			if g.Rows > MaxAgents || g.Cols > MaxAgents {
+				// Bounded sides keep the product from overflowing past the
+				// agent ceiling.
+				return 0, errf("graph.rows", "torus %d×%d exceeds %d agents", g.Rows, g.Cols, MaxAgents)
+			}
 			return g.Rows * g.Cols, nil
 		},
-		build: func(g GraphSpec, n int, _ int64) dynamic.Schedule {
-			return dynamic.NewStatic(graph.Torus(g.Rows, g.Cols).AssignPorts())
-		}},
-	"random": {static: true, n: sizeN, build: func(g GraphSpec, n int, seed int64) dynamic.Schedule {
-		return dynamic.NewStatic(graph.RandomStronglyConnected(n, extra(g, n), rand.New(rand.NewSource(seed))).AssignPorts())
+		arcs: func(g GraphSpec, _ int, _ int64) []graph.Edge { return graph.TorusArcs(g.Rows, g.Cols) }},
+	// The random families query the partial graph while they build, so
+	// they build one and hand over a copy of its arcs.
+	"random": {n: sizeN, arcs: func(g GraphSpec, n int, seed int64) []graph.Edge {
+		return graph.RandomStronglyConnected(n, extra(g, n), rand.New(rand.NewSource(seed))).Edges()
 	}},
-	"randomsym": {static: true, n: sizeN, build: func(g GraphSpec, n int, seed int64) dynamic.Schedule {
-		return dynamic.NewStatic(graph.RandomSymmetricConnected(n, extra(g, n), rand.New(rand.NewSource(seed))).AssignPorts())
+	"randomsym": {n: sizeN, arcs: func(g GraphSpec, n int, seed int64) []graph.Edge {
+		return graph.RandomSymmetricConnected(n, extra(g, n), rand.New(rand.NewSource(seed))).Edges()
 	}},
-	"geometric": {static: true, n: sizeN, build: func(g GraphSpec, n int, seed int64) dynamic.Schedule {
+	"geometric": {n: sizeN, arcs: func(g GraphSpec, n int, seed int64) []graph.Edge {
 		r := g.Radius
 		if r == 0 {
 			r = 0.35
 		}
-		return dynamic.NewStatic(graph.RandomGeometric(n, r, rand.New(rand.NewSource(seed))).AssignPorts())
+		return graph.RandomGeometric(n, r, rand.New(rand.NewSource(seed))).Edges()
 	}},
-	"splitring": {static: false, n: sizeN, build: func(g GraphSpec, n int, _ int64) dynamic.Schedule {
+	"splitring": {n: sizeN, schedule: func(g GraphSpec, n int, _ int64) dynamic.Schedule {
 		return &dynamic.SplitRing{Vertices: n}
 	}},
-	"randomdyn": {static: false, n: sizeN, build: func(g GraphSpec, n int, seed int64) dynamic.Schedule {
+	"randomdyn": {n: sizeN, schedule: func(g GraphSpec, n int, seed int64) dynamic.Schedule {
 		return &dynamic.RandomConnected{Vertices: n, ExtraEdges: 2, Seed: seed}
 	}},
-	"pairwise": {static: false, n: sizeN, build: func(g GraphSpec, n int, seed int64) dynamic.Schedule {
+	"pairwise": {n: sizeN, schedule: func(g GraphSpec, n int, seed int64) dynamic.Schedule {
 		return &dynamic.Pairwise{Vertices: n, Seed: seed}
 	}},
 }
@@ -482,8 +505,8 @@ func (s Spec) Canonical() (Spec, error) {
 	}
 	c.Function = f.Name
 
-	static := info.static && !s.Dynamic
-	if !info.static && !s.Dynamic {
+	static := info.static() && !s.Dynamic
+	if !info.static() && !s.Dynamic {
 		// A dynamic builder is always a Table 2 setting; record it.
 		c.Dynamic = true
 	}
@@ -684,7 +707,7 @@ var seededBuilders = map[string]bool{"random": true, "randomsym": true, "geometr
 // no single snapshot to share (DESIGN §5h). Message and agent faults
 // (drop, dup, delay, stall, crash) leave the graph alone and keep it.
 func graphFingerprint(c Spec, info builderInfo) string {
-	if !info.static || c.Dynamic || c.Starts != nil || (c.Faults != nil && c.Faults.Churn != nil) {
+	if !info.static() || c.Dynamic || c.Starts != nil || (c.Faults != nil && c.Faults.Churn != nil) {
 		return ""
 	}
 	key := struct {

@@ -356,6 +356,11 @@ func TestValidationErrors(t *testing.T) {
 		{"unknown builder", Spec{Graph: GraphSpec{Builder: "moebius", N: 4}, Kind: "od", Function: "average"}, "graph.builder"},
 		{"bad size", Spec{Graph: GraphSpec{Builder: "ring"}, Kind: "od", Function: "average"}, "graph.n"},
 		{"too large", Spec{Graph: GraphSpec{Builder: "ring", N: MaxAgents + 1}, Kind: "od", Function: "average"}, "graph"},
+		{"torus too large", Spec{Graph: GraphSpec{Builder: "torus", Rows: 1024, Cols: 1025}, Kind: "bc", Function: "max"}, "graph"},
+		{"torus rows overflow", Spec{Graph: GraphSpec{Builder: "torus", Rows: 1<<62 + 1, Cols: 4}, Kind: "bc", Function: "max"}, "graph.rows"},
+		{"torus cols overflow", Spec{Graph: GraphSpec{Builder: "torus", Rows: 4, Cols: 1<<62 + 1}, Kind: "bc", Function: "max"}, "graph.rows"},
+		{"debruijn alphabet", Spec{Graph: GraphSpec{Builder: "debruijn", K: 1 << 30, D: 0}, Kind: "bc", Function: "max"}, "graph.k"},
+		{"debruijn too large", Spec{Graph: GraphSpec{Builder: "debruijn", K: 2, D: 21}, Kind: "bc", Function: "max"}, "graph.d"},
 		{"stray param", Spec{Graph: GraphSpec{Builder: "ring", N: 4, K: 2}, Kind: "od", Function: "average"}, "graph.k"},
 		{"bad kind", Spec{Graph: GraphSpec{Builder: "ring", N: 4}, Kind: "telepathy", Function: "average"}, "kind"},
 		{"bad row", Spec{Graph: GraphSpec{Builder: "ring", N: 4}, Kind: "od", Row: "oracle", Function: "average"}, "row"},

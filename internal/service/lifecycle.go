@@ -35,6 +35,11 @@ func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled
 }
 
+// settled reports whether a job in this state makes no further transition
+// in this process: a terminal state, or interrupted, which only the next
+// boot's Recover picks up. Its watch streams have nothing left to say.
+func (s State) settled() bool { return s.Terminal() || s == StateInterrupted }
+
 // legal is the job state machine: legal[from][to] holds for exactly the
 // transitions a job can make. An interrupted job makes none in this
 // process; the next boot's Recover registers it afresh.
@@ -94,9 +99,10 @@ type execution struct {
 
 // transition moves e to state to, the only write of e.state. It stamps
 // e's timestamps, bumps the transition's counter, appends the store
-// record and, on a terminal state, ends e's watch streams. An illegal
-// transition is a bug and panics. Callers hold s.mu and set e.err or
-// e.result before moving e to failed or done.
+// record and, on a terminal or interrupted state, ends e's watch streams
+// with that state's event. An illegal transition is a bug and panics.
+// Callers hold s.mu and set e.err or e.result before moving e to failed
+// or done.
 func (s *Service) transition(e *entry, to State, c cause) {
 	from := e.state
 	if !legal[from][to] {
@@ -117,7 +123,7 @@ func (s *Service) transition(e *entry, to State, c cause) {
 	if s.cfg.Store != nil {
 		s.persist(record(e, from, c))
 	}
-	if to.Terminal() {
+	if to.settled() {
 		s.finishLocked(e)
 	}
 }

@@ -178,7 +178,10 @@ type Job struct {
 }
 
 // Progress is one event on a job's watch stream: a round-by-round sample
-// while running, then exactly one terminal event (Done=true).
+// while running, then exactly one last event (Done=true) carrying the
+// terminal state, or interrupted when a durable shutdown flushed the job.
+// An interrupted event has no round and no outputs: the job has no result
+// yet, and the next boot resumes it from its checkpoint.
 type Progress struct {
 	JobID string `json:"job_id"`
 	State State  `json:"state"`
@@ -793,9 +796,11 @@ func (s *Service) CancelAll() int {
 
 // Watch subscribes to job id's progress stream. The returned channel
 // carries round-by-round Progress events and is closed after the terminal
-// event; a slow reader may miss round events, never the terminal one. The returned stop function detaches the subscription (safe to
-// call at any time, including after the channel closed). A terminal job
-// yields its terminal event immediately.
+// event, or the interrupted one when a durable shutdown flushes the job;
+// a slow reader may miss round events, never that last one. The returned
+// stop function detaches the subscription (safe to call at any time,
+// including after the channel closed). A terminal or interrupted job
+// yields its last event immediately.
 func (s *Service) Watch(id string) (<-chan Progress, func(), error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -804,7 +809,7 @@ func (s *Service) Watch(id string) (<-chan Progress, func(), error) {
 		return nil, nil, ErrNotFound
 	}
 	ch := make(chan Progress, 64)
-	if e.state.Terminal() {
+	if e.state.settled() {
 		ch <- TerminalProgress(snapshot(e))
 		close(ch)
 		return ch, func() {}, nil
@@ -1220,11 +1225,14 @@ func (s *Service) finishLocked(e *entry) {
 	}
 }
 
-// TerminalProgress renders a terminal job snapshot as the stream event
-// that ends its watch stream — the one builder of that event, for Watch
-// and for the streams a job's terminal transition ends. Its round, max
-// error and outputs come from job.Summarize of the job's Result: the
-// outputs are a sub-slice of those bytes.
+// TerminalProgress renders the snapshot of a terminal job, or of one a
+// durable shutdown interrupted, as the stream event that ends its watch
+// stream — the one builder of that event, for Watch and for the streams
+// such a transition ends. Its round, max error and outputs come from
+// job.Summarize of the job's Result: the outputs are a sub-slice of those
+// bytes. Only a done job has a Result, so an interrupted job's event, like
+// a failed or canceled one's, carries no round or outputs and a zero max
+// error.
 func TerminalProgress(j *Job) Progress {
 	ev := Progress{JobID: j.ID, State: j.State, Done: true, Error: j.Error}
 	ev.Outputs, ev.Round, ev.MaxErr, _ = job.Summarize(j.Result)

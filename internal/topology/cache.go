@@ -13,10 +13,10 @@ import (
 // (job.Compile derives it from builder + dims + seed-when-seeded + model
 // kind; job.Compiled.Build acquires the entry). It is the sweep fast
 // path's core: N jobs on the same static network acquire one shared CSR
-// build instead of paying N graph constructions and N counting-sort
-// flattenings. An entry keeps the snapshot alone — the graph it was
-// flattened from is garbage once the build returns — and a run takes
-// that snapshot as its network (NewStaticProvider).
+// build instead of paying N counting-sort builds. A miss builds the
+// snapshot from the network's arcs (BuildSnapshot) and makes no graph;
+// an entry keeps the snapshot alone, and a run takes that snapshot as its
+// network (NewStaticProvider).
 //
 // Concurrency contract: Acquire is safe for concurrent use and guarantees
 // a single build per key — concurrent misses on the same key coalesce onto
@@ -218,20 +218,22 @@ func (s *Snapshot) Bytes() int64 {
 	return int64(ints) * 4
 }
 
-// BuildSnapshot validates g under kind (the same §2.1 invariants a
-// Provider enforces per round) and flattens it into a fresh, immutable,
-// scratch-free Snapshot suitable for sharing across runs — the build a
-// Cache performs on a miss.
-func BuildSnapshot(g *graph.Graph, kind model.Kind) (*Snapshot, error) {
+// BuildSnapshot flattens the static network on n vertices given by arcs
+// (edge i is arcs[i], self-loops and ports included) into a fresh,
+// immutable, scratch-free Snapshot suitable for sharing across runs, and
+// checks the §2.1 invariants of kind on it — the validator a Provider runs
+// on every round graph. It is the build a Cache performs on a miss; no
+// graph takes part. Every arc must lie in [0, n).
+func BuildSnapshot(n int, arcs []graph.Edge, kind model.Kind) (*Snapshot, error) {
 	desc, err := model.Lookup(kind)
 	if err != nil {
 		return nil, err
 	}
-	if err := validate(g, desc, g.N(), 1); err != nil {
+	s := new(Snapshot)
+	s.build(n, arcs, desc)
+	if err := s.validate(desc, 1); err != nil {
 		return nil, err
 	}
-	s := new(Snapshot)
-	s.build(g, desc)
 	// A shared snapshot is never rebuilt in place, so the counting-sort
 	// scratch would be dead weight for its whole cache lifetime.
 	s.srcStart, s.bykey, s.fill = nil, nil, nil

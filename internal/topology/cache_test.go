@@ -4,7 +4,8 @@ package topology_test
 // snapshot build under K concurrent Acquires of one key, byte-footprint
 // eviction that spares pinned entries, failed builds not cached, resident
 // bytes that are the bytes the entries really hold, and the shared
-// snapshot matching a per-run Provider build entry for entry.
+// snapshot matching a per-run Provider build entry for entry; and a
+// Provider's pooled per-round rebuilds allocating nothing.
 
 import (
 	"errors"
@@ -22,7 +23,7 @@ import (
 
 func buildRing(n int) (*topology.Snapshot, error) {
 	g := graph.BidirectionalRing(n).AssignPorts().EnsureSelfLoops()
-	return topology.BuildSnapshot(g, model.OutdegreeAware)
+	return topology.BuildSnapshot(g.N(), g.Arcs(), model.OutdegreeAware)
 }
 
 // TestCacheSingleBuildUnderConcurrency is the single-build guarantee: K
@@ -144,8 +145,8 @@ func TestCacheFailedBuildNotCached(t *testing.T) {
 // TestCacheResidentBytesAreLive: the byte budget is exact. After 16
 // distinct n=10⁴ broadcast-ring snapshots are acquired and released, the
 // live heap grows by the cache's ResidentBytes to within 5% — an entry
-// holds its snapshot's arrays and nothing else (the graph it was
-// flattened from is garbage once the build returns).
+// holds its snapshot's arrays and nothing else (the arcs it was built
+// from are garbage once the build returns).
 func TestCacheResidentBytesAreLive(t *testing.T) {
 	const entries, n = 16, 10_000
 	var before, after runtime.MemStats
@@ -154,7 +155,7 @@ func TestCacheResidentBytesAreLive(t *testing.T) {
 	c := topology.NewCache(0)
 	for i := 0; i < entries; i++ {
 		e, err := c.Acquire(fmt.Sprintf("ring/%d", i), func() (*topology.Snapshot, error) {
-			return topology.BuildSnapshot(graph.Ring(n).EnsureSelfLoops(), model.SimpleBroadcast)
+			return topology.BuildSnapshot(n, graph.RingArcs(n), model.SimpleBroadcast)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -181,7 +182,7 @@ func TestCacheResidentBytesAreLive(t *testing.T) {
 func TestSharedSnapshotMatchesProviderBuild(t *testing.T) {
 	for _, kind := range []model.Kind{model.SimpleBroadcast, model.OutdegreeAware, model.OutputPortAware, model.Symmetric} {
 		g := graph.BidirectionalRing(48).AssignPorts().EnsureSelfLoops()
-		shared, err := topology.BuildSnapshot(g, kind)
+		shared, err := topology.BuildSnapshot(g.N(), g.Arcs(), kind)
 		if err != nil {
 			t.Fatalf("%v: BuildSnapshot: %v", kind, err)
 		}
@@ -228,10 +229,47 @@ func TestBuildSnapshotValidates(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		g.AddEdge(i, (i+1)%8)
 	}
-	if _, err := topology.BuildSnapshot(g, model.SimpleBroadcast); err == nil {
+	if _, err := topology.BuildSnapshot(8, g.Arcs(), model.SimpleBroadcast); err == nil {
 		t.Fatal("BuildSnapshot accepted a graph without self-loops")
 	}
-	if _, err := topology.BuildSnapshot(g.EnsureSelfLoops(), model.Symmetric); err == nil {
+	if _, err := topology.BuildSnapshot(8, g.EnsureSelfLoops().Arcs(), model.Symmetric); err == nil {
 		t.Fatal("BuildSnapshot accepted an asymmetric graph under the symmetric model")
+	}
+}
+
+// raceEnabled is set by race_test.go in race-detector builds.
+var raceEnabled bool
+
+// TestProviderRebuildsAllocateNothing: a schedule that alternates two
+// round graphs makes the Provider rebuild every round; once its pool
+// holds both snapshots' arrays, a rebuild — the CSR build and the §2.1
+// validator, symmetry check included — allocates nothing.
+func TestProviderRebuildsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	const n = 64
+	sched, err := dynamic.NewPeriodic(graph.BidirectionalRing(n), graph.Star(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []model.Kind{model.SimpleBroadcast, model.Symmetric} {
+		p := topology.NewProvider(sched, kind)
+		round := 0
+		step := func() {
+			round++
+			if _, err := p.Round(round); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 4; i++ { // warm-up: fill the pool
+			step()
+		}
+		if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
+			t.Fatalf("%v: a round rebuild allocates %v times, want 0", kind, allocs)
+		}
+		if st := p.Stats(); st.Builds != int64(round) {
+			t.Fatalf("%v: %d builds over %d rounds, want one per round", kind, st.Builds, round)
+		}
 	}
 }

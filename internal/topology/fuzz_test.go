@@ -1,20 +1,24 @@
 package topology_test
 
-// FuzzSnapshotBuild checks the CSR invariants on random digraphs, with and
-// without churn: degree sums close, every vertex keeps its §2.1 self-loop,
-// and each destination's entries follow the delivery-order invariant —
-// sources ascending, edge insertion order — that makes the four engines'
-// traces byte-identical by construction. The reference order is recomputed
-// here from the graph the naive O(n·m) way, independent of the counting
-// sorts in the builder.
+// FuzzSnapshotBuild checks the CSR build on random digraphs, with and
+// without churn: every snapshot equals, array for array, the flattening
+// testutil.CheckSnapshot recomputes from the graph independently of the
+// counting sorts, so each destination's entries follow the delivery-order
+// invariant — sources ascending, edge insertion order — that makes the
+// four engines' traces byte-identical by construction. On raw arc lists
+// (self-loops not ensured, arbitrary ports, parallel arcs) it checks the
+// CSR validator against the graph package's predicates under every
+// registered model.
 
 import (
+	"strings"
 	"testing"
 
 	"anonnet/internal/dynamic"
 	"anonnet/internal/faults"
 	"anonnet/internal/graph"
 	"anonnet/internal/model"
+	"anonnet/internal/testutil"
 	"anonnet/internal/topology"
 )
 
@@ -29,80 +33,59 @@ func buildGraph(n int, edges []byte) *graph.Graph {
 	return g.EnsureSelfLoops()
 }
 
-// checkSnapshot asserts every Snapshot invariant against the round graph it
-// was built from.
-func checkSnapshot(t *testing.T, g *graph.Graph, s *topology.Snapshot, kind model.Kind, round int) {
+// rawArcs decodes a fuzz byte string into arcs on n vertices, consumed as
+// (from, to, port) triples: self-loops are not ensured, parallel arcs
+// stay, and ports are arbitrary in 0..7, so every §2.1 check can fail.
+func rawArcs(n int, b []byte) []graph.Edge {
+	var arcs []graph.Edge
+	for i := 0; i+2 < len(b) && i < 120; i += 3 {
+		arcs = append(arcs, graph.Edge{From: int(b[i]) % n, To: int(b[i+1]) % n, Port: int(b[i+2] % 8)})
+	}
+	return arcs
+}
+
+// rawSchedule serves one graph as-is every round; unlike dynamic.Static
+// it does not add missing self-loops.
+type rawSchedule struct{ g *graph.Graph }
+
+func (r rawSchedule) N() int              { return r.g.N() }
+func (r rawSchedule) At(int) *graph.Graph { return r.g }
+
+// checkValidator asserts that the CSR validator accepts arcs under every
+// registered model exactly when the graph predicates hold — HasSelfLoops,
+// IsSymmetric if the model requires it, PortsValid if it requires ports —
+// and otherwise fails with the first failing check's error, in that
+// order, through BuildSnapshot and Provider.Round alike.
+func checkValidator(t *testing.T, n int, arcs []graph.Edge) {
 	t.Helper()
-	n, m := g.N(), g.M()
-	if s.N() != n || s.M() != m {
-		t.Fatalf("round %d: snapshot is %d×%d, graph is %d×%d", round, s.N(), s.M(), n, m)
+	g := graph.New(n)
+	for _, a := range arcs {
+		g.AddPortEdge(a.From, a.To, a.Port)
 	}
-	if len(s.Start) != n+1 || len(s.Src) < m || len(s.Slot) < m || len(s.Port) < m || len(s.Outdeg) < n {
-		t.Fatalf("round %d: array lengths Start=%d Src=%d Slot=%d Port=%d Outdeg=%d for n=%d m=%d",
-			round, len(s.Start), len(s.Src), len(s.Slot), len(s.Port), len(s.Outdeg), n, m)
-	}
-	if s.Start[0] != 0 || int(s.Start[n]) != m {
-		t.Fatalf("round %d: Start[0]=%d Start[n]=%d, want 0 and %d", round, s.Start[0], s.Start[n], m)
-	}
-	outSum := 0
-	for i := 0; i < n; i++ {
-		if s.Start[i] > s.Start[i+1] {
-			t.Fatalf("round %d: Start not monotone at %d: %d > %d", round, i, s.Start[i], s.Start[i+1])
+	for _, d := range model.Descriptors() {
+		want := ""
+		switch {
+		case !g.HasSelfLoops():
+			want = "graph lacks self-loops"
+		case d.RequireSymmetric && !g.IsSymmetric():
+			want = "graph is not symmetric"
+		case d.RequirePorts && !g.PortsValid():
+			want = "graph has no valid port labelling"
 		}
-		if s.OutDegree(i) != g.OutDegree(i) {
-			t.Fatalf("round %d: Outdeg[%d]=%d, graph says %d", round, i, s.OutDegree(i), g.OutDegree(i))
-		}
-		if s.InDegree(i) != g.InDegree(i) {
-			t.Fatalf("round %d: InDegree(%d)=%d, graph says %d", round, i, s.InDegree(i), g.InDegree(i))
-		}
-		outSum += s.OutDegree(i)
-	}
-	if outSum != m {
-		t.Fatalf("round %d: Σ Outdeg = %d, want m = %d", round, outSum, m)
-	}
-	// Every destination hears itself: a self-loop entry in each range.
-	for j := 0; j < n; j++ {
-		found := false
-		for k := s.Start[j]; k < s.Start[j+1]; k++ {
-			if int(s.Src[k]) == j {
-				found = true
-				break
+		snap, err := topology.BuildSnapshot(n, arcs, d.Kind)
+		_, perr := topology.NewProvider(rawSchedule{g}, d.Kind).Round(1)
+		if want == "" {
+			if err != nil || perr != nil {
+				t.Fatalf("%s: %v rejected (build: %v; provider: %v), want accepted", d.Canon, g, err, perr)
 			}
+			testutil.CheckSnapshot(t, g, snap, d.Kind, 1)
+			continue
 		}
-		if !found {
-			t.Fatalf("round %d: destination %d has no self-loop entry", round, j)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: %v: build error %v, want one saying %q", d.Canon, g, err, want)
 		}
-	}
-	// Delivery-order invariant: within destination j the entries are the
-	// edges into j taken sources-ascending, insertion order within a source
-	// — exactly the order the sequential engine fills j's inbox.
-	type entry struct{ src, port int }
-	for j := 0; j < n; j++ {
-		var want []entry
-		for src := 0; src < n; src++ {
-			for e := 0; e < m; e++ {
-				if ed := g.Edge(e); ed.From == src && ed.To == j {
-					want = append(want, entry{src, ed.Port})
-				}
-			}
-		}
-		if got := s.InDegree(j); got != len(want) {
-			t.Fatalf("round %d: destination %d has %d entries, want %d", round, j, got, len(want))
-		}
-		for k, w := range want {
-			pos := int(s.Start[j]) + k
-			if int(s.Src[pos]) != w.src || int(s.Port[pos]) != w.port {
-				t.Fatalf("round %d: destination %d entry %d is (src=%d, port=%d), want (src=%d, port=%d)",
-					round, j, k, s.Src[pos], s.Port[pos], w.src, w.port)
-			}
-			wantSlot := 0
-			if kind == model.OutputPortAware {
-				wantSlot = w.port - 1
-			}
-			if int(s.Slot[pos]) != wantSlot {
-				t.Fatalf("round %d: destination %d entry %d has slot %d, want %d (kind %v)",
-					round, j, k, s.Slot[pos], wantSlot, kind)
-			}
+		if perr == nil || perr.Error() != err.Error() {
+			t.Fatalf("%s: %v: provider error %v, build error %v, want the same", d.Canon, g, perr, err)
 		}
 	}
 }
@@ -112,6 +95,7 @@ func FuzzSnapshotBuild(f *testing.F) {
 	f.Add(uint8(5), []byte{0, 1, 0, 1, 3, 4, 4, 3, 2, 2}, int64(11), true)
 	f.Add(uint8(9), []byte{}, int64(0), true)
 	f.Add(uint8(4), []byte{1, 0, 2, 0, 3, 0, 0, 1, 0, 2, 0, 3}, int64(23), false)
+	f.Add(uint8(1), []byte{0, 0, 1, 0, 1, 2, 1, 1, 1, 1, 0, 2, 2, 2, 1}, int64(3), false)
 	f.Fuzz(func(t *testing.T, nb uint8, edges []byte, seed int64, churn bool) {
 		n := 2 + int(nb%12)
 		g := buildGraph(n, edges)
@@ -122,7 +106,7 @@ func FuzzSnapshotBuild(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkSnapshot(t, g, snap, model.SimpleBroadcast, 1)
+		testutil.CheckSnapshot(t, g, snap, model.SimpleBroadcast, 1)
 
 		// Same graph with a valid port labelling under the output-port
 		// model: Slot must become port−1.
@@ -132,7 +116,18 @@ func FuzzSnapshotBuild(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkSnapshot(t, pg, psnap, model.OutputPortAware, 1)
+		testutil.CheckSnapshot(t, pg, psnap, model.OutputPortAware, 1)
+
+		// Raw arcs; then with a self-loop appended at every vertex, so the
+		// symmetry and port checks decide; then with AssignPorts' ports.
+		arcs := rawArcs(n, edges)
+		checkValidator(t, n, arcs)
+		looped := append([]graph.Edge(nil), arcs...)
+		for v := 0; v < n; v++ {
+			looped = append(looped, graph.Edge{From: v, To: v, Port: v % 3})
+		}
+		checkValidator(t, n, looped)
+		checkValidator(t, n, graph.NumberPorts(n, looped))
 
 		if !churn {
 			return
@@ -154,7 +149,7 @@ func FuzzSnapshotBuild(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkSnapshot(t, rg, rsnap, model.SimpleBroadcast, r)
+			testutil.CheckSnapshot(t, rg, rsnap, model.SimpleBroadcast, r)
 		}
 	})
 }

@@ -17,7 +17,8 @@ import (
 type BuildStats struct {
 	// Builds is the number of CSR builds performed.
 	Builds int64
-	// BuildNanos is the wall-clock time spent inside those builds.
+	// BuildNanos is the wall-clock time spent inside those builds, the
+	// §2.1 validation of each included.
 	BuildNanos int64
 }
 
@@ -87,12 +88,16 @@ func (p *Provider) Round(t int) (*Snapshot, error) {
 	if g == p.curFor {
 		return p.cur, nil
 	}
-	if err := validate(g, p.desc, p.n, t); err != nil {
-		return nil, err
+	if g.N() != p.n {
+		return nil, fmt.Errorf("topology: round %d graph has %d vertices, want %d", t, g.N(), p.n)
 	}
 	snap := p.pool.Get().(*Snapshot)
 	start := time.Now()
-	snap.build(g, p.desc)
+	snap.build(p.n, g.Arcs(), p.desc)
+	if err := snap.validate(p.desc, t); err != nil {
+		p.pool.Put(snap)
+		return nil, err
+	}
 	p.buildNanos += time.Since(start).Nanoseconds()
 	p.builds++
 	if p.cur != nil {

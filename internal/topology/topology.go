@@ -125,12 +125,13 @@ func grow(b []int32, n int) []int32 {
 	return b[:n]
 }
 
-// build flattens g destination-major for the model described by desc. Two
-// stable counting sorts order the edges by (source, insertion index) and
-// then bucket them per destination, reproducing exactly the order in which
-// the reference engine appends to each inbox.
-func (s *Snapshot) build(g *graph.Graph, desc *model.Descriptor) {
-	n, m := g.N(), g.M()
+// build flattens the round graph on n vertices given by arcs (edge i is
+// arcs[i]) destination-major for the model described by desc. Two stable
+// counting sorts order the arcs by (source, insertion index) and then
+// bucket them per destination, reproducing exactly the order in which the
+// reference engine appends to each inbox. Every arc must lie in [0, n).
+func (s *Snapshot) build(n int, arcs []graph.Edge, desc *model.Descriptor) {
+	m := len(arcs)
 	s.n, s.m = n, m
 	s.Start = grow(s.Start, n+1)
 	s.Src = grow(s.Src, m)
@@ -141,70 +142,123 @@ func (s *Snapshot) build(g *graph.Graph, desc *model.Descriptor) {
 	s.bykey = grow(s.bykey, m)
 	s.fill = grow(s.fill, n)
 
-	// Pass 1: order edge indices by (From, index) — stable counting sort.
+	// Pass 1: order arc indices by (From, index) — stable counting sort.
 	for i := 0; i < n; i++ {
 		s.srcStart[i] = 0
 	}
 	s.srcStart[n] = 0
-	for e := 0; e < m; e++ {
-		s.srcStart[g.Edge(e).From+1]++
+	for _, a := range arcs {
+		s.srcStart[a.From+1]++
 	}
 	for i := 0; i < n; i++ {
 		s.srcStart[i+1] += s.srcStart[i]
 		s.Outdeg[i] = s.srcStart[i+1] - s.srcStart[i]
 		s.fill[i] = 0
 	}
-	for e := 0; e < m; e++ {
-		from := g.Edge(e).From
-		s.bykey[s.srcStart[from]+s.fill[from]] = int32(e)
-		s.fill[from]++
+	for e, a := range arcs {
+		s.bykey[s.srcStart[a.From]+s.fill[a.From]] = int32(e)
+		s.fill[a.From]++
 	}
 
-	// Pass 2: bucket the source-ordered edges per destination.
+	// Pass 2: bucket the source-ordered arcs per destination.
 	for j := 0; j < n; j++ {
 		s.Start[j] = 0
 		s.fill[j] = 0
 	}
 	s.Start[n] = 0
-	for e := 0; e < m; e++ {
-		s.Start[g.Edge(e).To+1]++
+	for _, a := range arcs {
+		s.Start[a.To+1]++
 	}
 	for j := 0; j < n; j++ {
 		s.Start[j+1] += s.Start[j]
 	}
 	for _, ei := range s.bykey[:m] {
-		e := g.Edge(int(ei))
-		pos := s.Start[e.To] + s.fill[e.To]
-		s.fill[e.To]++
-		s.Src[pos] = int32(e.From)
-		s.Port[pos] = int32(e.Port)
+		a := arcs[ei]
+		pos := s.Start[a.To] + s.fill[a.To]
+		s.fill[a.To]++
+		s.Src[pos] = int32(a.From)
+		s.Port[pos] = int32(a.Port)
 		if desc.PortSlots {
-			s.Slot[pos] = int32(e.Port - 1)
+			s.Slot[pos] = int32(a.Port - 1)
 		} else {
 			s.Slot[pos] = 0
 		}
 	}
 }
 
-// validate checks the invariants a round graph must satisfy before it may
-// be flattened: the agent count matches, every vertex carries a self-loop
-// (§2.1's standing assumption), and the model's registered graph-class
+// validate checks, on the CSR just built and its source-ordered scratch,
+// the invariants a round graph must satisfy (§2.1), in this order: every
+// vertex carries a self-loop, and the model's registered graph-class
 // constraints hold (symmetric ⇒ bidirectional edge relation, port-aware ⇒
-// valid port labelling). Strong connectivity is not checked: legitimate
-// dynamic schedules (split rings, pairwise interactions) have rounds that
-// are only connected over time, the regime Theorem 4.1 speaks to.
-func validate(g *graph.Graph, desc *model.Descriptor, n, t int) error {
-	if g.N() != n {
-		return fmt.Errorf("topology: round %d graph has %d vertices, want %d", t, g.N(), n)
+// valid port labelling). It is the one validator: BuildSnapshot runs it
+// for the cache and Provider.Round for every round graph. Strong
+// connectivity is not checked: legitimate dynamic schedules (split rings,
+// pairwise interactions) have rounds that are only connected over time,
+// the regime Theorem 4.1 speaks to. It allocates nothing.
+func (s *Snapshot) validate(desc *model.Descriptor, t int) error {
+	for j := 0; j < s.n; j++ {
+		if !s.hasArc(j, j) {
+			return fmt.Errorf("topology: round %d graph lacks self-loops (§2.1 requires them)", t)
+		}
 	}
-	if !g.HasSelfLoops() {
-		return fmt.Errorf("topology: round %d graph lacks self-loops (§2.1 requires them)", t)
-	}
-	if desc.RequireSymmetric && !g.IsSymmetric() {
+	if desc.RequireSymmetric && !s.symmetric() {
 		return fmt.Errorf("topology: round %d graph is not symmetric but the model is %s", t, desc.Name)
 	}
-	if desc.RequirePorts && !g.PortsValid() {
+	if desc.RequirePorts && !s.portsValid() {
 		return fmt.Errorf("topology: round %d graph has no valid port labelling (use Graph.AssignPorts)", t)
 	}
 	return nil
+}
+
+// hasArc reports whether an i→j arc exists: a binary search for source i
+// among destination j's entries, which are sorted by source.
+func (s *Snapshot) hasArc(i, j int) bool {
+	lo, hi := s.Start[j], s.Start[j+1]
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if int(s.Src[mid]) < i {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo < s.Start[j+1] && int(s.Src[lo]) == i
+}
+
+// symmetric reports whether every arc i→j with i ≠ j has a j→i arc
+// (multiplicities need not match).
+func (s *Snapshot) symmetric() bool {
+	for j := 0; j < s.n; j++ {
+		for k := s.Start[j]; k < s.Start[j+1]; k++ {
+			i := int(s.Src[k])
+			if i == j || (k > s.Start[j] && s.Src[k-1] == s.Src[k]) {
+				continue
+			}
+			if !s.hasArc(j, i) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// portsValid reports whether every source's arcs carry the ports 1..d⁻
+// exactly once each. Port p of source i claims slot srcStart[i]+p−1 of
+// the source-ordered scratch, which the finished build no longer needs:
+// a port out of range, or one claimed twice, is not a labelling.
+func (s *Snapshot) portsValid() bool {
+	claimed := s.bykey[:s.m]
+	clear(claimed)
+	for k, i := range s.Src[:s.m] {
+		p := s.Port[k]
+		if p < 1 || p > s.Outdeg[i] {
+			return false
+		}
+		at := s.srcStart[i] + p - 1
+		if claimed[at] != 0 {
+			return false
+		}
+		claimed[at] = 1
+	}
+	return true
 }
