@@ -445,10 +445,10 @@ func (s *server) handleCancel(w http.ResponseWriter, r *http.Request) {
 
 // handleStream serves NDJSON: one service.Progress object per line,
 // round-by-round while the job runs, ending with the terminal event, or
-// the interrupted one when a durable shutdown flushes the job (or earlier
-// if the client goes away). The watch channel may drop round events a
-// slow reader had no buffer for, but never that last one, so the stream's
-// last line reports the outcome.
+// the interrupted or queued one when a durable shutdown flushes the job or
+// leaves it queued (or earlier if the client goes away). The watch channel
+// may drop round events a slow reader had no buffer for, but never that
+// last one, so the stream's last line reports the outcome.
 func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	ch, stop, err := s.svc.Watch(id)

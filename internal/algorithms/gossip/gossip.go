@@ -20,11 +20,14 @@ import (
 // richer models (it simply ignores the extra information).
 type Agent struct {
 	f funcs.Func
-	// seen is the set of values heard of, ascending and distinct. It is
-	// sent as is, and the engines hand one message to several receivers
-	// and hold delayed ones across rounds, so a slice once sent is never
-	// written again: a growing set is always a new slice.
-	seen []float64
+	// set is the set of values heard of, a funcs.Set view of an ascending,
+	// distinct slice, so f reads it in place. The slice is sent as is, and
+	// the engines hand one message to several receivers and hold delayed
+	// ones across rounds, so a slice once sent is never written again: a
+	// growing set is always a new slice.
+	set funcs.Args
+	// own holds the agent's input, the slice of its first set.
+	own [1]float64
 }
 
 var (
@@ -42,12 +45,14 @@ func NewFactory(f funcs.Func) (model.Factory, error) {
 		return nil, fmt.Errorf("gossip: function %q is %v, need set-based", f.Name, f.Class)
 	}
 	return func(in model.Input) model.Agent {
-		return &Agent{f: f, seen: []float64{in.Value}}
+		a := &Agent{f: f, own: [1]float64{in.Value}}
+		a.set = funcs.Set(a.own[:])
+		return a
 	}, nil
 }
 
 // Send broadcasts the sorted set of values seen so far.
-func (a *Agent) Send() model.Message { return a.seen }
+func (a *Agent) Send() model.Message { return a.set.Values() }
 
 // SendOutdegree ignores the outdegree: gossip is graph-invariant (§2.2).
 func (a *Agent) SendOutdegree(int) model.Message { return a.Send() }
@@ -62,39 +67,44 @@ func (a *Agent) SendPorts(outdeg int) []model.Message {
 	return out
 }
 
-// Receive unions the received sets into the local one.
+// Receive unions the received sets into the local one. The unseen values
+// are appended to a clipped view of the set, so the first of them copies
+// it into a new slice and the sent one is never written; with none the set
+// is left as it is.
 func (a *Agent) Receive(msgs []model.Message) {
-	var fresh []float64
+	seen := a.set.Values()
+	next := slices.Clip(seen)
 	for _, m := range msgs {
 		vals, ok := m.([]float64)
 		if !ok {
 			continue // foreign message; gossip is tolerant by nature
 		}
 		for _, v := range vals {
-			if _, known := slices.BinarySearch(a.seen, v); !known {
-				fresh = append(fresh, v)
+			if _, known := slices.BinarySearch(seen, v); !known {
+				next = append(next, v)
 			}
 		}
 	}
-	a.add(fresh)
+	if len(next) > len(seen) {
+		a.grow(next)
+	}
 }
 
 // Output evaluates f on the set of values seen (each with multiplicity 1 —
-// immaterial for a set-based f).
-func (a *Agent) Output() model.Value { return a.f.Eval(funcs.NewArgs(a.seen...)) }
+// immaterial for a set-based f), read in place.
+func (a *Agent) Output() model.Value { return a.f.Eval(&a.set) }
 
 // Corrupt injects junk values into the seen-set. Gossip never forgets, so
 // it is *not* self-stabilizing — the self-stabilization tests demonstrate
 // exactly this failure, as the paper notes for flooding-style algorithms.
-func (a *Agent) Corrupt(junk int64) { a.add([]float64{float64(junk%1000) + 0.5}) }
+func (a *Agent) Corrupt(junk int64) {
+	a.grow(append(slices.Clip(a.set.Values()), float64(junk%1000)+0.5))
+}
 
-// add replaces the seen-set by a new slice holding its values and vals,
-// leaving the old one — which may have been sent — untouched.
-func (a *Agent) add(vals []float64) {
-	if len(vals) == 0 {
-		return
-	}
-	next := append(slices.Clip(a.seen), vals...)
+// grow makes next — a new slice holding the set's values and then the
+// ones to add — the set, leaving the old slice, which may have been sent,
+// untouched.
+func (a *Agent) grow(next []float64) {
 	slices.Sort(next)
-	a.seen = slices.Compact(next)
+	a.set = funcs.Set(slices.Compact(next))
 }

@@ -105,26 +105,31 @@ func (a *Agent) Receive(msgs []model.Message) {
 	a.odd = !a.odd
 }
 
+// The input sets Output can reconstruct, as read-only funcs.Set views
+// shared by every agent, so reading an output builds no multiset.
+var (
+	setZero = funcs.Set([]float64{0})
+	setOne  = funcs.Set([]float64{1})
+	setBoth = funcs.Set([]float64{0, 1})
+)
+
 // Output evaluates f on the reconstructed input set: 1 is present iff the
 // OR flood saw it, 0 is present iff the AND flood lost it. Before either
 // flood has crossed the network the set is a partial view, exactly like
 // gossip's — the outputs stabilize within 2·D rounds.
 func (a *Agent) Output() model.Value {
-	vals := make([]float64, 0, 2)
-	if !a.and {
-		vals = append(vals, 0)
+	switch {
+	case a.or && a.and:
+		return a.f.Eval(&setOne)
+	case a.or:
+		return a.f.Eval(&setBoth)
+	default:
+		// {0} — and the or=false ∧ and=true state, which claims "no input
+		// at all": unreachable for an uncorrupted agent (its own input
+		// seeds both accumulators), but a corrupted one can land here;
+		// report the empty set as {0} so f still gets a nonempty multiset.
+		return a.f.Eval(&setZero)
 	}
-	if a.or {
-		vals = append(vals, 1)
-	}
-	if len(vals) == 0 {
-		// or=false ∧ and=true claims "no input at all" — unreachable for
-		// an uncorrupted agent (its own input seeds both accumulators),
-		// but a corrupted one can land here; report the empty set as {0}
-		// so f still gets a nonempty multiset.
-		vals = append(vals, 0)
-	}
-	return a.f.Eval(funcs.NewArgs(vals...))
 }
 
 // Corrupt scrambles the accumulators and the phase from the junk's low

@@ -134,3 +134,36 @@ func TestWireFormatIsOneBit(t *testing.T) {
 		t.Fatal("agent with input 1 should send a 1 bit in the OR phase")
 	}
 }
+
+// TestOutputBuildsNoMultiset: Output evaluates f on one of three shared
+// Set views, so in every accumulator state — the corrupted "no input"
+// one included, which reads as {0} — it allocates no more than boxing
+// its result does.
+func TestOutputBuildsNoMultiset(t *testing.T) {
+	factory, err := NewFactory(funcs.Range())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		or, and bool
+		set     []float64
+	}{
+		{false, false, []float64{0}},
+		{true, false, []float64{0, 1}},
+		{true, true, []float64{1}},
+		{false, true, []float64{0}},
+	} {
+		a := factory(model.Input{}).(*Agent)
+		a.or, a.and = tc.or, tc.and
+		want := funcs.Range().FromVector(tc.set)
+		var sink model.Value
+		boxing := testing.AllocsPerRun(100, func() { sink = model.Value(want) })
+		if allocs := testing.AllocsPerRun(100, func() { sink = a.Output() }); allocs > boxing {
+			t.Errorf("or=%v and=%v: Output allocates %v times, boxing its result %v", tc.or, tc.and, allocs, boxing)
+		}
+		if got := a.Output(); got != want {
+			t.Errorf("or=%v and=%v: Output = %v, want range%v = %v", tc.or, tc.and, got, tc.set, want)
+		}
+		_ = sink
+	}
+}

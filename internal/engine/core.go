@@ -137,10 +137,11 @@ type core struct {
 	active []bool
 	allOn  bool
 
-	// Per-round buffers reused across Steps: sent[i] holds agent i's
-	// outgoing messages, inboxes[j] the deliveries to agent j. Agents only
-	// see an inbox for the duration of Receive (the model.Agent contract),
-	// so truncate-and-refill is safe.
+	// Per-round buffers reused across Steps, cut by buffers on the first
+	// round the generic runners send: sent[i] holds agent i's outgoing
+	// messages, inboxes[j] the deliveries to agent j. Agents only see an
+	// inbox for the duration of Receive (the model.Agent contract), so
+	// truncate-and-refill is safe.
 	sent    [][]model.Message
 	inboxes [][]model.Message
 }
@@ -185,17 +186,15 @@ func newCore(cfg Config, name string) (*core, error) {
 	n := len(agents)
 	src := newCountingSource(cfg.Seed)
 	c := &core{
-		cfg:     cfg,
-		name:    name,
-		desc:    desc,
-		topo:    topo,
-		agents:  agents,
-		rng:     rand.New(src),
-		src:     src,
-		active:  make([]bool, n),
-		allOn:   cfg.Starts == nil,
-		sent:    make([][]model.Message, n),
-		inboxes: make([][]model.Message, n),
+		cfg:    cfg,
+		name:   name,
+		desc:   desc,
+		topo:   topo,
+		agents: agents,
+		rng:    rand.New(src),
+		src:    src,
+		active: make([]bool, n),
+		allOn:  cfg.Starts == nil,
 	}
 	if cfg.Faults != nil {
 		c.pend = newPendingStore(n)
@@ -255,6 +254,36 @@ func (c *core) beginRound(t int) (*topology.Snapshot, error) {
 // re-initializes through the vector contract instead).
 func (c *core) restartAll(t int) error {
 	return restartAgents(c.cfg.Faults, t, c.cfg.Factory, c.cfg.Inputs, c.agents)
+}
+
+// buffers cuts the per-round message buffers out of two slabs on the
+// first call, sizing them by that round's snapshot. Under a
+// broadcast-shaped model sent[i] is a one-slot window of the first slab
+// that the model's Plan appends into; under the output-port model it
+// stays nil and takes the slice SendPorts returns. inboxes[j] is a window
+// of the second slab holding j's in-degree, its capacity capped there: a
+// later round that delivers more (duplicates, delayed flushes, a denser
+// dynamic graph) regrows that inbox alone instead of writing into its
+// neighbour's window. The generic runners call it before their send
+// stage, from the engine goroutine; the vectorized kernels never do.
+func (c *core) buffers(snap *topology.Snapshot) {
+	if c.inboxes != nil {
+		return
+	}
+	n := len(c.agents)
+	c.sent = make([][]model.Message, n)
+	if !c.desc.PortSlots {
+		slab := make([]model.Message, n)
+		for i := range c.sent {
+			c.sent[i] = slab[i : i : i+1]
+		}
+	}
+	slab := make([]model.Message, snap.Start[n])
+	c.inboxes = make([][]model.Message, n)
+	for j := range c.inboxes {
+		lo, hi := snap.Start[j], snap.Start[j+1]
+		c.inboxes[j] = slab[lo:lo:hi]
+	}
 }
 
 // sendRange drives the sending functions of agents [lo, hi) into the

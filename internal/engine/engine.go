@@ -78,6 +78,7 @@ func (e *Engine) Step() error { return e.step(e) }
 func (e *Engine) restart(t int) error { return e.restartAll(t) }
 
 func (e *Engine) send(t int, snap *topology.Snapshot) error {
+	e.buffers(snap)
 	return e.sendRange(snap, 0, e.N())
 }
 

@@ -128,6 +128,7 @@ func (s *Sharded) restart(t int) error { return s.restartAll(t) }
 
 // send drives each shard's agents' sending functions behind the barrier.
 func (s *Sharded) send(t int, snap *topology.Snapshot) error {
+	s.buffers(snap)
 	s.forShards(func(k, lo, hi int) {
 		if err := s.sendRange(snap, lo, hi); err != nil {
 			s.shardErr[k] = err

@@ -66,8 +66,8 @@ func randomMultiset(universe []float64, rng *rand.Rand) *Args {
 
 func resampleMultiplicities(m *Args, rng *rand.Rand) *Args {
 	entries := make([]Entry, m.Distinct())
-	for i, e := range m.entries {
-		entries[i] = Entry{Value: e.Value, Count: 1 + rng.Intn(5)}
+	for i, v := range m.vals {
+		entries[i] = Entry{Value: v, Count: 1 + rng.Intn(5)}
 	}
 	return CountArgs(entries)
 }
@@ -106,15 +106,14 @@ func ContinuousInFrequency(f Func, m *Args, discrete bool) bool {
 			if scaled.Count(dir[0]) < 2 {
 				continue
 			}
-			perturbed := make([]Entry, scaled.Distinct())
-			for i, e := range scaled.entries {
+			perturbed := scaled.Entries()
+			for i, e := range perturbed {
 				switch e.Value {
 				case dir[0]:
-					e.Count--
+					perturbed[i].Count--
 				case dir[1]:
-					e.Count++
+					perturbed[i].Count++
 				}
-				perturbed[i] = e
 			}
 			got := f.Eval(CountArgs(perturbed))
 			err := math.Abs(got - want)

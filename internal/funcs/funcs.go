@@ -66,14 +66,14 @@ func (f Func) FromVector(v []float64) float64 {
 // Max returns the maximum function, the canonical set-based example.
 func Max() Func {
 	return Func{Name: "max", Class: SetBased, Eval: func(a *Args) float64 {
-		return a.entries[len(a.entries)-1].Value
+		return a.vals[len(a.vals)-1]
 	}}
 }
 
 // Min returns the minimum function (set-based).
 func Min() Func {
 	return Func{Name: "min", Class: SetBased, Eval: func(a *Args) float64 {
-		return a.entries[0].Value
+		return a.vals[0]
 	}}
 }
 
@@ -122,13 +122,13 @@ func ThresholdFreq(omega, r float64) Func {
 // frequency-based: it depends on relative frequencies only.
 func Mode() Func {
 	return Func{Name: "mode", Class: FrequencyBased, Eval: func(a *Args) float64 {
-		best := a.entries[0]
-		for _, e := range a.entries {
-			if e.Count > best.Count { // ascending walk: a tie keeps the smaller
-				best = e
+		best := 0
+		for i := range a.vals {
+			if a.count(i) > a.count(best) { // ascending walk: a tie keeps the smaller
+				best = i
 			}
 		}
-		return best.Value
+		return a.vals[best]
 	}}
 }
 
@@ -137,11 +137,12 @@ func Mode() Func {
 func Median() Func {
 	return Func{Name: "median", Class: FrequencyBased, Eval: func(a *Args) float64 {
 		k := (a.n - 1) / 2
-		for _, e := range a.entries {
-			if k < e.Count {
-				return e.Value
+		for i, v := range a.vals {
+			c := a.count(i)
+			if k < c {
+				return v
 			}
-			k -= e.Count
+			k -= c
 		}
 		panic("funcs: median of an empty multiset")
 	}}
@@ -153,9 +154,9 @@ func Variance() Func {
 	return Func{Name: "variance", Class: FrequencyBased, Eval: func(a *Args) float64 {
 		mu := Average().Eval(a)
 		s := 0.0
-		for _, e := range a.entries {
-			d := e.Value - mu
-			s += d * d * float64(e.Count)
+		for i, v := range a.vals {
+			d := v - mu
+			s += d * d * float64(a.count(i))
 		}
 		return s / float64(a.n)
 	}}
@@ -166,8 +167,8 @@ func Variance() Func {
 func GeometricMean() Func {
 	return Func{Name: "geomean", Class: FrequencyBased, Eval: func(a *Args) float64 {
 		s := 0.0
-		for _, e := range a.entries {
-			s += math.Log(e.Value) * float64(e.Count)
+		for i, v := range a.vals {
+			s += math.Log(v) * float64(a.count(i))
 		}
 		return math.Exp(s / float64(a.n))
 	}}
@@ -178,8 +179,8 @@ func GeometricMean() Func {
 func Sum() Func {
 	return Func{Name: "sum", Class: MultisetBased, Eval: func(a *Args) float64 {
 		s := 0.0
-		for _, e := range a.entries {
-			s += e.Value * float64(e.Count)
+		for i, v := range a.vals {
+			s += v * float64(a.count(i))
 		}
 		return s
 	}}

@@ -198,3 +198,41 @@ func TestEvalIgnoresInputOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestSetEvalAllocatesNothing: a Set view is read in place, so every
+// set-based catalog function evaluates on it without allocating — and
+// agrees with the copying constructor on the same set.
+func TestSetEvalAllocatesNothing(t *testing.T) {
+	vals := []float64{-4.25, 0.1, 1, 2.3, 1e9}
+	set := Set(vals)
+	checked := 0
+	for _, f := range Catalog() {
+		if f.Class != SetBased {
+			continue
+		}
+		checked++
+		var got float64
+		if allocs := testing.AllocsPerRun(100, func() { got = f.Eval(&set) }); allocs != 0 {
+			t.Errorf("%s on a Set view allocates %v times, want 0", f.Name, allocs)
+		}
+		if want := f.FromVector(vals); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s on a Set view = %v, want %v", f.Name, got, want)
+		}
+	}
+	if checked == 0 {
+		t.Fatal("the catalog has no set-based function")
+	}
+}
+
+// TestSetViewsItsInput: Set copies nothing — its values are the caller's
+// slice — while NewArgs never aliases the slice it is given.
+func TestSetViewsItsInput(t *testing.T) {
+	vals := []float64{1, 2, 5}
+	set := Set(vals)
+	if got := set.Values(); &got[0] != &vals[0] || set.Len() != 3 || set.Distinct() != 3 || set.Count(2) != 1 {
+		t.Fatalf("Set(%v) = values %v at a copy or with Len %d, Distinct %d, Count(2) %d", vals, got, set.Len(), set.Distinct(), set.Count(2))
+	}
+	if got := NewArgs(vals...).Values(); &got[0] == &vals[0] {
+		t.Fatal("NewArgs aliases its input")
+	}
+}

@@ -179,9 +179,10 @@ type Job struct {
 
 // Progress is one event on a job's watch stream: a round-by-round sample
 // while running, then exactly one last event (Done=true) carrying the
-// terminal state, or interrupted when a durable shutdown flushed the job.
-// An interrupted event has no round and no outputs: the job has no result
-// yet, and the next boot resumes it from its checkpoint.
+// terminal state, or interrupted when a durable shutdown flushed the job,
+// or queued when a durable shutdown left the job queued. An interrupted or
+// queued last event has no round and no outputs: the job has no result
+// yet, and the next boot resumes or runs it.
 type Progress struct {
 	JobID string `json:"job_id"`
 	State State  `json:"state"`
@@ -796,11 +797,12 @@ func (s *Service) CancelAll() int {
 
 // Watch subscribes to job id's progress stream. The returned channel
 // carries round-by-round Progress events and is closed after the terminal
-// event, or the interrupted one when a durable shutdown flushes the job;
-// a slow reader may miss round events, never that last one. The returned
-// stop function detaches the subscription (safe to call at any time,
-// including after the channel closed). A terminal or interrupted job
-// yields its last event immediately.
+// event, the interrupted one when a durable shutdown flushes the job, or
+// the queued one when a durable shutdown leaves it queued for the next
+// boot; a slow reader may miss round events, never that last one. The
+// returned stop function detaches the subscription (safe to call at any
+// time, including after the channel closed). A terminal, interrupted or
+// stranded job yields its last event immediately.
 func (s *Service) Watch(id string) (<-chan Progress, func(), error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -809,7 +811,7 @@ func (s *Service) Watch(id string) (<-chan Progress, func(), error) {
 		return nil, nil, ErrNotFound
 	}
 	ch := make(chan Progress, 64)
-	if e.state.settled() {
+	if e.state.settled() || s.stranded(e) {
 		ch <- TerminalProgress(snapshot(e))
 		close(ch)
 		return ch, func() {}, nil
@@ -930,10 +932,10 @@ func (s *Service) Close() {
 // Shutdown gracefully stops a durable service: intake closes, every
 // running job is asked to flush its engine state to a checkpoint (ending
 // interrupted, to resume on the next boot's Recover), and queued jobs
-// stay queued in the log instead of running. Shutdown blocks until the
-// pool is idle; if ctx expires first it falls back to hard cancellation
-// and returns the context's error. Without a store, Shutdown degrades to
-// Close's drain.
+// stay queued in the log instead of running, their watch streams ended
+// with their queued event. Shutdown blocks until the pool is idle; if ctx
+// expires first it falls back to hard cancellation and returns the
+// context's error. Without a store, Shutdown degrades to Close's drain.
 func (s *Service) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.closed {
@@ -949,6 +951,9 @@ func (s *Service) Shutdown(ctx context.Context) error {
 			case x.flush <- struct{}{}:
 			default:
 			}
+		}
+		if s.stranded(e) {
+			s.finishLocked(e)
 		}
 	}
 	s.mu.Unlock()
@@ -966,6 +971,11 @@ func (s *Service) Shutdown(ctx context.Context) error {
 		return ctx.Err()
 	}
 }
+
+// stranded reports whether e is a queued job a durable shutdown leaves
+// for the next boot: it makes no transition in this process, so nothing
+// else would end its watch streams. Callers hold s.mu.
+func (s *Service) stranded(e *entry) bool { return s.shutdown && e.state == StateQueued }
 
 // worker is one pool goroutine: it pops executions until the queue
 // closes.
@@ -1203,9 +1213,9 @@ func (s *Service) publish(x *execution, ev Progress) {
 	}
 }
 
-// finishLocked sends the terminal event and closes every subscription.
-// A full buffer gives up its oldest event, so every stream ends with the
-// terminal one; every send holds s.mu, so the freed slot stays free.
+// finishLocked sends the last event and closes every subscription.
+// A full buffer gives up its oldest event, so every stream ends with that
+// last one; every send holds s.mu, so the freed slot stays free.
 // Callers hold s.mu.
 func (s *Service) finishLocked(e *entry) {
 	if len(e.subs) == 0 {
@@ -1226,13 +1236,13 @@ func (s *Service) finishLocked(e *entry) {
 }
 
 // TerminalProgress renders the snapshot of a terminal job, or of one a
-// durable shutdown interrupted, as the stream event that ends its watch
-// stream — the one builder of that event, for Watch and for the streams
-// such a transition ends. Its round, max error and outputs come from
-// job.Summarize of the job's Result: the outputs are a sub-slice of those
-// bytes. Only a done job has a Result, so an interrupted job's event, like
-// a failed or canceled one's, carries no round or outputs and a zero max
-// error.
+// durable shutdown interrupted or left queued, as the stream event that
+// ends its watch stream — the one builder of that event, for Watch and for
+// the streams such a transition or shutdown ends. Its round, max error and
+// outputs come from job.Summarize of the job's Result: the outputs are a
+// sub-slice of those bytes. Only a done job has a Result, so an
+// interrupted or queued job's event, like a failed or canceled one's,
+// carries no round or outputs and a zero max error.
 func TerminalProgress(j *Job) Progress {
 	ev := Progress{JobID: j.ID, State: j.State, Done: true, Error: j.Error}
 	ev.Outputs, ev.Round, ev.MaxErr, _ = job.Summarize(j.Result)
