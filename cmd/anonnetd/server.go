@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"expvar"
@@ -386,10 +385,8 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
 	var br batchRequest
-	if err := dec.Decode(&br); err != nil {
+	if err := job.DecodeJSON(body, &br); err != nil {
 		writeProblem(w, http.StatusBadRequest, "invalid_batch", err.Error(), "")
 		return
 	}

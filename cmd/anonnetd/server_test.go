@@ -212,19 +212,30 @@ func TestEndToEndCancel(t *testing.T) {
 }
 
 func TestEndToEndErrors(t *testing.T) {
-	ts, _ := newTestServer(t, service.Config{Workers: 1})
+	ts, svc := newTestServer(t, service.Config{Workers: 1})
+	const ring = `{"graph":{"builder":"ring","n":4},"kind":"od","function":"average"}`
 	cases := []struct {
+		path string
 		body string
 		want int
 		code string
 	}{
-		{`not json`, http.StatusBadRequest, "invalid_spec"},
-		{`{"graph":{"builder":"klein","n":4},"kind":"od","function":"average"}`, http.StatusBadRequest, "invalid_spec"},
-		{`{"graph":{"builder":"ring","n":8},"kind":"od","function":"sum"}`, http.StatusUnprocessableEntity, "table_forbidden"},
-		{`{"schema_version":7,"graph":{"builder":"ring","n":8},"kind":"od","function":"average"}`, http.StatusBadRequest, "invalid_spec"},
+		{"/v1/jobs", `not json`, http.StatusBadRequest, "invalid_spec"},
+		{"/v1/jobs", `{"graph":{"builder":"klein","n":4},"kind":"od","function":"average"}`, http.StatusBadRequest, "invalid_spec"},
+		{"/v1/jobs", `{"graph":{"builder":"ring","n":8},"kind":"od","function":"sum"}`, http.StatusUnprocessableEntity, "table_forbidden"},
+		{"/v1/jobs", `{"schema_version":7,"graph":{"builder":"ring","n":8},"kind":"od","function":"average"}`, http.StatusBadRequest, "invalid_spec"},
+		// Trailing data after the object, a stray closer included: no
+		// part of the body is admitted.
+		{"/v1/jobs", ring + ring, http.StatusBadRequest, "invalid_spec"},
+		{"/v1/jobs", ring + `]garbage`, http.StatusBadRequest, "invalid_spec"},
+		{"/v1/jobs", ring + `}`, http.StatusBadRequest, "invalid_spec"},
+		{"/v1/batch", `{"specs":[` + ring + `]} garbage`, http.StatusBadRequest, "invalid_batch"},
+		{"/v1/batch", `{"specs":[` + ring + `]}{"specs":[` + ring + `]}`, http.StatusBadRequest, "invalid_batch"},
+		{"/v1/batch", `{"specs":[` + ring + `]}]garbage`, http.StatusBadRequest, "invalid_batch"},
+		{"/v1/batch", `{"specs":[` + ring + `]}}`, http.StatusBadRequest, "invalid_batch"},
 	}
 	for _, tc := range cases {
-		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,14 +247,17 @@ func TestEndToEndErrors(t *testing.T) {
 		decErr := json.NewDecoder(resp.Body).Decode(&p)
 		resp.Body.Close()
 		if resp.StatusCode != tc.want {
-			t.Fatalf("POST %q → %d, want %d", tc.body, resp.StatusCode, tc.want)
+			t.Fatalf("POST %s %q → %d, want %d", tc.path, tc.body, resp.StatusCode, tc.want)
 		}
 		if decErr != nil || p.Code != tc.code || p.Message == "" {
-			t.Fatalf("POST %q → problem %+v (decode %v), want code %q", tc.body, p, decErr, tc.code)
+			t.Fatalf("POST %s %q → problem %+v (decode %v), want code %q", tc.path, tc.body, p, decErr, tc.code)
 		}
 		if tc.code == "table_forbidden" && p.Detail == "" {
 			t.Fatal("422 problem lacks the dispatcher explanation in detail")
 		}
+	}
+	if n := svc.Stats().Submitted; n != 0 {
+		t.Fatalf("rejected requests admitted %d jobs", n)
 	}
 	if resp, err := http.Get(ts.URL + "/v1/jobs/j999999"); err != nil {
 		t.Fatal(err)

@@ -54,9 +54,20 @@ func FuzzSpecCodec(f *testing.F) {
 			t.Fatalf("canonical spec failed to hash: %v", err)
 		}
 		// The hand-written canonical encoding is encoding/json's.
-		enc, _ := encodeCanonical(c)
+		enc := appendCanonical(nil, c)
 		if want, err := json.Marshal(c); err != nil || string(enc) != string(want) {
 			t.Fatalf("canonical encoding\n%s\njson.Marshal writes\n%s (%v)", enc, want, err)
+		}
+		// The encoding a job keeps, default inputs left out, decodes back
+		// to the hash its compile digested.
+		kept, hash := encodeCanonical(c)
+		if hash != h1 {
+			t.Fatalf("compile hash %q, Hash() %q", hash, h1)
+		}
+		if back, err := Decode(kept); err != nil {
+			t.Fatalf("kept encoding %s rejected by Decode: %v", kept, err)
+		} else if h, err := back.Hash(); err != nil || h != h1 {
+			t.Fatalf("kept encoding %s hashes to %q, want %q (%v)", kept, h, h1, err)
 		}
 		// Canonicalization is idempotent on accepted specs.
 		c2, err := c.Canonical()

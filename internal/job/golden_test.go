@@ -62,7 +62,8 @@ var goldenSpecs = []struct {
 
 // TestSpecHashGolden pins spec hashes to absolute values: a consistent
 // drift of the canonical encoder would pass every test that only compares
-// specs with each other. The encoding must also be json.Marshal's.
+// specs with each other. The hashed encoding, default inputs written out,
+// must also be json.Marshal's.
 func TestSpecHashGolden(t *testing.T) {
 	for _, g := range goldenSpecs {
 		t.Run(g.name, func(t *testing.T) {
@@ -70,7 +71,8 @@ func TestSpecHashGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			enc, hash := encodeCanonical(c)
+			enc := appendCanonical(nil, c)
+			_, hash := encodeCanonical(c)
 			want, err := json.Marshal(c)
 			if err != nil {
 				t.Fatal(err)

@@ -48,19 +48,22 @@ func (f *F64) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// Compiled is an admitted job: the canonical spec, its hash and encoding,
-// the table setting, and the dispatched factory. Of size n it holds only
-// the spec and its encoding; Build makes the network and inputs a run
-// needs.
+// Compiled is an admitted job: the canonical spec, its hash and kept
+// encoding, the table setting, and the dispatched factory. Of size n it
+// holds only the spec's values and, when they are not the defaults,
+// their encoding; Build makes the network and inputs a run needs.
 type Compiled struct {
 	// Spec is the canonical form; Hash its content hash.
 	Spec Spec
 	Hash string
-	// SpecJSON is the canonical form's JSON encoding, the bytes Hash
-	// digests. It equals json.Marshal(Spec) and is written once here, at
-	// its exact size: the service keeps it for the job's life and copies
-	// it into log records and responses instead of encoding the spec's n
-	// values again. Read-only.
+	// SpecJSON is the spec encoding a job keeps: the canonical form's
+	// JSON encoding with values left out when they are the model's
+	// default inputs (json.Marshal(Spec) with Values cleared), and
+	// json.Marshal(Spec) otherwise. Hash digests json.Marshal(Spec) with
+	// the defaults written out, and Decode of SpecJSON compiles back to
+	// the same Spec and Hash. It is written once here, at its exact size:
+	// the service keeps it for the job's life and copies it into log
+	// records and responses. Read-only.
 	SpecJSON []byte
 	// Fingerprint is the canonical graph fingerprint — the sub-hash of
 	// Hash covering only the fields that determine the round graph and

@@ -13,7 +13,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"sort"
@@ -549,11 +551,7 @@ func (s Spec) Canonical() (Spec, error) {
 	if len(s.Values) == 0 {
 		c.Values = make([]float64, n)
 		for i := range c.Values {
-			if desc.BinaryInputs {
-				c.Values[i] = float64(i % 2)
-			} else {
-				c.Values[i] = float64(i + 1)
-			}
+			c.Values[i] = defaultInput(i, desc.BinaryInputs)
 		}
 	} else {
 		if len(s.Values) != n {
@@ -605,6 +603,34 @@ func (s Spec) Canonical() (Spec, error) {
 	}
 
 	return c, nil
+}
+
+// defaultInput is agent i's private input when a spec gives no values:
+// i+1, or i mod 2 under a model whose reference algorithms take binary
+// inputs. Canonical fills these in, and the spec encoding a job keeps
+// leaves them out (defaultInputs), so the rule lives here alone.
+func defaultInput(i int, binary bool) float64 {
+	if binary {
+		return float64(i % 2)
+	}
+	return float64(i + 1)
+}
+
+// defaultInputs reports whether a canonical spec's values are exactly
+// its model's default inputs, bit for bit: a binary model accepts an
+// explicit -0, which encodes, and so hashes, differently from the
+// default 0.
+func defaultInputs(c Spec) bool {
+	desc, ok := model.Parse(c.Kind)
+	if !ok {
+		return false
+	}
+	for i, v := range c.Values {
+		if math.Float64bits(v) != math.Float64bits(defaultInput(i, desc.BinaryInputs)) {
+			return false
+		}
+	}
+	return true
 }
 
 // checkStray rejects graph parameters that the named builder does not
@@ -660,32 +686,43 @@ func (s Spec) Hash() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// encodeScratch holds the buffers encodeCanonical writes into before it
-// copies the encoding out at its exact size, as encoding/json pools its
-// own. A buffer over maxPooledEncoding is left to the GC instead, so a
-// spec near MaxAgents does not pin megabytes for the next compile.
+// encodeScratch holds the buffers encodeCanonical hashes in, as
+// encoding/json pools its own. A buffer over maxPooledEncoding is left to
+// the GC instead, so a spec near MaxAgents does not pin megabytes for the
+// next compile.
 var encodeScratch = sync.Pool{New: func() any { return new([]byte) }}
 
 // maxPooledEncoding is the largest scratch buffer encodeScratch keeps:
 // the encoding of about 10⁵ default inputs.
 const maxPooledEncoding = 1 << 20
 
-// encodeCanonical encodes a spec that is already in canonical form and
-// hashes the encoding; the encoding is json.Marshal(c). Compile uses it
-// directly so the canonicalization pass — which copies the length-n
-// Values vector — runs once per compile, not twice, and keeps the
-// encoding. A job retains it for its whole life, so it is returned at
-// its exact size.
-func encodeCanonical(c Spec) (b []byte, hash string) {
+// encodeCanonical hashes a spec that is already in canonical form and
+// returns the spec encoding a job keeps. The hash digests json.Marshal(c),
+// default inputs written out, so it is the hash Spec.Hash gives; that
+// encoding is written in a pooled scratch buffer and not kept. The kept
+// bytes leave values out when they are the model's default inputs — they
+// are json.Marshal(c) with Values cleared, which Decode and Compile read
+// back to c and the same hash — and are the hashed encoding itself
+// otherwise. A job retains them for its whole life, so they are returned
+// at their exact size. Compile calls it directly so the canonicalization
+// pass, which copies the length-n Values vector, runs once per compile.
+func encodeCanonical(c Spec) (kept []byte, hash string) {
 	buf := encodeScratch.Get().(*[]byte)
 	enc := appendCanonical((*buf)[:0], c)
 	sum := sha256.Sum256(enc)
-	b = bytes.Clone(enc)
+	if defaultInputs(c) {
+		c.Values = nil
+		n := len(enc)
+		enc = appendCanonical(enc, c)
+		kept = bytes.Clone(enc[n:])
+	} else {
+		kept = bytes.Clone(enc)
+	}
 	if cap(enc) <= maxPooledEncoding {
 		*buf = enc
 		encodeScratch.Put(buf)
 	}
-	return b, hex.EncodeToString(sum[:])
+	return kept, hex.EncodeToString(sum[:])
 }
 
 // seededBuilders are the static builders whose graph depends on Spec.Seed.
@@ -735,19 +772,31 @@ func Encode(s Spec) ([]byte, error) {
 	return b, nil
 }
 
-// Decode parses a JSON spec. Unknown fields are rejected — a service must
-// not silently drop a parameter the client thought it set. All failures
-// are typed *Error values; Decode never panics.
+// Decode parses a JSON spec. Unknown fields and trailing data are
+// rejected (DecodeJSON) — a service must not silently drop a parameter
+// the client thought it set. All failures are typed *Error values; Decode
+// never panics.
 func Decode(data []byte) (Spec, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var s Spec
-	if err := dec.Decode(&s); err != nil {
+	if err := DecodeJSON(data, &s); err != nil {
 		return Spec{}, errf("json", "%v", err)
 	}
-	// Reject trailing garbage after the object.
-	if dec.More() {
-		return Spec{}, errf("json", "trailing data after spec object")
-	}
 	return s, nil
+}
+
+// DecodeJSON decodes data, which must hold one JSON value and nothing
+// after it but white space, into v, rejecting unknown fields. Decode reads
+// a spec with it and anonnetd a batch request. The end of the input is
+// checked with Token, not More: More reports false before a stray ']' or
+// '}', and so would accept `{…}]garbage`.
+func DecodeJSON(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
 }

@@ -506,8 +506,13 @@ func TestCodecRoundTrip(t *testing.T) {
 	if _, err := Decode([]byte(`{"graph":{"builder":"ring","n":4},"kind":"od","function":"average","bogus":1}`)); err == nil {
 		t.Fatal("unknown field accepted")
 	}
-	if _, err := Decode([]byte(`{"kind":"od"} trailing`)); err == nil {
-		t.Fatal("trailing data accepted")
+	for _, tail := range []string{` trailing`, `}`, `]`, `]]]garbage`, `{}`, ` 1`} {
+		if _, err := Decode([]byte(`{"kind":"od"}` + tail)); err == nil {
+			t.Fatalf("trailing data %q accepted", tail)
+		}
+	}
+	if _, err := Decode([]byte("{\"kind\":\"od\"}\n\t ")); err != nil {
+		t.Fatalf("trailing white space rejected: %v", err)
 	}
 }
 

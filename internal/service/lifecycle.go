@@ -67,7 +67,7 @@ const (
 type entry struct {
 	id       string
 	hash     string
-	specJSON []byte // the canonical spec's encoding, shared read-only
+	specJSON []byte // the kept spec encoding (job.Compiled.SpecJSON), shared read-only
 	dedupOf  string // creator of the execution this job joined as a duplicate
 
 	state     State

@@ -16,8 +16,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+	"reflect"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -158,9 +161,12 @@ func (c Config) withDefaults() Config {
 type Job struct {
 	ID   string `json:"id"`
 	Hash string `json:"hash"`
-	// Spec is the canonical spec's JSON encoding, the bytes Hash digests;
-	// job.Decode reads it back. On a snapshot from the service it is
-	// shared with the service and must not be modified.
+	// Spec is the canonical spec's JSON encoding as the job keeps it
+	// (job.Compiled.SpecJSON): values are left out when they are the
+	// model's default inputs. Hash digests the canonical spec with them
+	// written out, and job.Decode of Spec compiles back to the same hash.
+	// On a snapshot from the service it is shared with the service and
+	// must not be modified.
 	Spec     json.RawMessage `json:"spec"`
 	State    State           `json:"state"`
 	Error    string          `json:"error,omitempty"`
@@ -659,6 +665,11 @@ func (s *Service) SubmitBatch(specs []job.Spec) (*Batch, error) {
 	}
 	compiled := make([]*job.Compiled, len(specs))
 	for i, sp := range specs {
+		if i > 0 && sameSpec(&specs[i], &specs[i-1]) {
+			// A repeated member compiles to the same read-only job.
+			compiled[i] = compiled[i-1]
+			continue
+		}
 		c, err := job.Compile(sp)
 		if err != nil {
 			return nil, fmt.Errorf("specs[%d]: %w", i, err)
@@ -682,6 +693,17 @@ func (s *Service) SubmitBatch(specs []job.Spec) (*Batch, error) {
 	}
 	s.batches[bid] = ids
 	return s.batchLocked(bid, ids), nil
+}
+
+// sameSpec reports whether two specs compile to the same job. DeepEqual
+// compares floats with ==, which takes an explicit -0 input for 0 although
+// the two encode, and so hash, apart; Values are therefore also compared
+// bit for bit. (A -0 radius canonicalizes as 0.) Pointers keep the
+// comparison from boxing two specs.
+func sameSpec(a, b *job.Spec) bool {
+	return reflect.DeepEqual(a, b) && slices.EqualFunc(a.Values, b.Values, func(x, y float64) bool {
+		return math.Float64bits(x) == math.Float64bits(y)
+	})
 }
 
 // GetBatch returns an aggregate snapshot of batch id.

@@ -255,20 +255,7 @@ func TestRecoverResumesConcurrentCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flush := make(chan struct{}, 1)
-	var legacy []byte
-	sb, err := sc.Build(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = job.RunCheckpointed(context.Background(), sb, func(r int, _ []model.Value) {
-		if r == round {
-			flush <- struct{}{}
-		}
-	}, job.CheckpointConfig{Flush: flush, Save: func(b []byte) error { legacy = b; return nil }})
-	if !errors.Is(err, engine.ErrInterrupted) {
-		t.Fatalf("sequential run error = %v, want ErrInterrupted", err)
-	}
+	legacy := interruptedAt(t, sc, round)
 	cp, err := engine.DecodeCheckpoint(legacy)
 	if err != nil {
 		t.Fatal(err)
@@ -303,6 +290,29 @@ func TestRecoverResumesConcurrentCheckpoint(t *testing.T) {
 	if sim := s2.Stats().RoundsSimulated; sim != int64(rounds-round) {
 		t.Errorf("recovery simulated %d rounds, want the %d after the checkpoint", sim, rounds-round)
 	}
+}
+
+// interruptedAt runs c without a service, flushes it when the observer
+// sees round, and returns the checkpoint blob that flush saves: what an
+// interrupted run of c leaves on disk.
+func interruptedAt(t *testing.T, c *job.Compiled, round int) []byte {
+	t.Helper()
+	b, err := c.Build(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Release()
+	flush := make(chan struct{}, 1)
+	var blob []byte
+	_, err = job.RunCheckpointed(context.Background(), b, func(r int, _ []model.Value) {
+		if r == round {
+			flush <- struct{}{}
+		}
+	}, job.CheckpointConfig{Flush: flush, Save: func(p []byte) error { blob = p; return nil }})
+	if !errors.Is(err, engine.ErrInterrupted) {
+		t.Fatalf("run error = %v, want ErrInterrupted", err)
+	}
+	return blob
 }
 
 // listingFS is a store.FS that counts directory listings and renames, and
@@ -662,6 +672,94 @@ func TestRecoverServesLoggedResult(t *testing.T) {
 	}
 	if _, err := st2.LatestCheckpoint(c.Hash); !errors.Is(err, store.ErrNoCheckpoint) || st2.Stats().Checkpoints != 0 {
 		t.Fatalf("the served hash's checkpoint after Recover: %v, %d blobs; want ErrNoCheckpoint and none", err, st2.Stats().Checkpoints)
+	}
+}
+
+// TestRecoverExpandedSpecResumes: a data dir whose log holds a spec with
+// its default inputs written out — what builds that kept the expanded
+// canonical spec logged — recovers unchanged. The interrupted job comes
+// back under its ID and hash, keeps its spec without the inputs, and
+// resumes from the hash's checkpoint blob; after another restart, the
+// same spec submitted in that kept form is a cache hit on the logged
+// result.
+func TestRecoverExpandedSpecResumes(t *testing.T) {
+	const rounds = 2000
+	c, err := job.Compile(durableSpec(41, rounds))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := job.Run(context.Background(), c, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expanded, err := json.Marshal(c.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(expanded, c.SpecJSON) || !bytes.Contains(expanded, []byte(`"values"`)) {
+		t.Fatalf("expanded spec %s, kept spec %s: want the inputs in the first only", expanded, c.SpecJSON)
+	}
+	blob := interruptedAt(t, c, rounds/3)
+	cp, err := engine.DecodeCheckpoint(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	st1 := openStore(t, dir)
+	for _, rec := range []store.Record{
+		{JobID: "j000001", Hash: c.Hash, State: store.StateQueued, Spec: expanded},
+		{JobID: "j000001", Hash: c.Hash, State: store.StateRunning},
+		{JobID: "j000001", Hash: c.Hash, State: store.StateInterrupted},
+	} {
+		if err := st1.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st1.SaveCheckpoint(c.Hash, blob); err != nil {
+		t.Fatal(err)
+	}
+	if err := st1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2 := openStore(t, dir)
+	s2 := New(Config{Workers: 1, Store: st2})
+	if n, err := s2.Recover(); err != nil || n != 1 {
+		t.Fatalf("Recover = %d, %v; want 1 job", n, err)
+	}
+	got := waitState(t, s2, "j000001", StateDone)
+	if got.Hash != c.Hash || !bytes.Equal(got.Spec, c.SpecJSON) {
+		t.Fatalf("recovered job: hash %s, spec %s; want %s, %s", got.Hash, got.Spec, c.Hash, c.SpecJSON)
+	}
+	if w := job.AppendResult(nil, want); !bytes.Equal(got.Result, w) {
+		t.Fatalf("resumed result %s diverges from uninterrupted %s", got.Result, w)
+	}
+	if sim := s2.Stats().RoundsSimulated; sim != int64(rounds-cp.Round) {
+		t.Fatalf("recovery simulated %d rounds, want the %d after the checkpoint", sim, rounds-cp.Round)
+	}
+	s2.Close()
+	if err := st2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st3 := openStore(t, dir)
+	defer st3.Close()
+	s3 := New(Config{Workers: 1, Store: st3})
+	defer s3.Close()
+	kept, err := job.Decode(c.SpecJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit, err := s3.Submit(kept)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit.CacheHit || hit.Hash != c.Hash || !bytes.Equal(hit.Result, got.Result) {
+		t.Fatalf("kept-form submission: cache hit %v, hash %s, result %s; want a hit on %s with the logged result", hit.CacheHit, hit.Hash, hit.Result, c.Hash)
+	}
+	if sim := s3.Stats().RoundsSimulated; sim != 0 {
+		t.Fatalf("the cache hit simulated %d rounds", sim)
 	}
 }
 

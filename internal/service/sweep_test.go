@@ -12,6 +12,8 @@ package service
 import (
 	"bytes"
 	"context"
+	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -385,5 +387,108 @@ func TestDedupInterruptedRecoversAsOneExecution(t *testing.T) {
 	}
 	if again.DedupOf != lead.ID {
 		t.Fatalf("post-restart submission has DedupOf %q, want the recovered leader %s", again.DedupOf, lead.ID)
+	}
+}
+
+// TestBatchCompilesRepeatedMemberOnce: a batch of 64 identical n=10⁴
+// specs compiles its spec once, not once per member, so SubmitBatch
+// allocates at most two compiles' worth: one compile, plus the members'
+// entries and the batch snapshot. The compile the batch is measured
+// against starts from an empty encoder scratch pool, so the bound holds
+// whether or not the pool keeps its buffer between compiles (the race
+// detector drops pooled items at random). A blocker holds the only
+// worker, so no run allocates while the batch is admitted.
+func TestBatchCompilesRepeatedMemberOnce(t *testing.T) {
+	g := newGate()
+	s := New(Config{Workers: 1, Intercept: g.intercept})
+	defer s.Close()
+	blocker, err := s.Submit(sweepSpec(4, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.waitHeld(t, 1)
+
+	spec := job.Spec{Graph: job.GraphSpec{Builder: "ring", N: 10_000}, Kind: "bc",
+		Function: "max", MaxRounds: 2, Patience: 2}
+	allocated := func(f func()) uint64 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		f()
+		runtime.ReadMemStats(&ms)
+		return ms.TotalAlloc - before
+	}
+	// Two collections empty every sync.Pool.
+	runtime.GC()
+	runtime.GC()
+	one := allocated(func() {
+		if _, err := job.Compile(spec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	specs := make([]job.Spec, MaxBatchSize)
+	for i := range specs {
+		specs[i] = spec
+	}
+	var b *Batch
+	batch := allocated(func() {
+		if b, err = s.SubmitBatch(specs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("one compile allocates %d B; the 64-member batch %d B", one, batch)
+	// Not Fatal: the held attempt must still be released below.
+	if batch > 2*one {
+		t.Errorf("SubmitBatch of %d identical specs allocated %d B, want ≤ %d B (two compiles of %d B)", len(specs), batch, 2*one, one)
+	}
+	g.release(2)
+	for _, id := range []string{blocker.ID, b.Jobs[0].ID, b.Jobs[len(b.Jobs)-1].ID} {
+		if got := waitTerminal(t, s, id); got.State != StateDone {
+			t.Fatalf("job %s ended %q (err %q)", id, got.State, got.Error)
+		}
+	}
+}
+
+// TestBatchNegativeZeroMemberKeepsItsHash: a member that differs from the
+// one before it only in the sign of a zero input is its own job, since -0
+// and 0 encode, and so hash, apart. Each member's hash and spec bytes are
+// the ones job.Compile gives it when compiled alone.
+func TestBatchNegativeZeroMemberKeepsItsHash(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	negZero := math.Copysign(0, -1)
+	ring := func(kind string, values ...float64) job.Spec {
+		return job.Spec{Graph: job.GraphSpec{Builder: "bidiring", N: len(values)}, Kind: kind,
+			Function: "max", MaxRounds: 4, Patience: 4, Values: values}
+	}
+	specs := []job.Spec{
+		ring("bc", negZero, 2, 3), ring("bc", 0, 2, 3),
+		// onebit's default inputs are 0,1,0,1: the second member is them
+		// written out, the first is not.
+		ring("onebit", negZero, 1, 0, 1), ring("onebit", 0, 1, 0, 1),
+	}
+	b, err := s.SubmitBatch(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sp := range specs {
+		c, err := job.Compile(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := b.Jobs[i]; got.Hash != c.Hash || !bytes.Equal(got.Spec, c.SpecJSON) {
+			t.Errorf("member %d (values %v) admitted as hash %s spec %s, want %s spec %s",
+				i, sp.Values, got.Hash, got.Spec, c.Hash, c.SpecJSON)
+		}
+	}
+	for i := 0; i < len(specs); i += 2 {
+		if b.Jobs[i].Hash == b.Jobs[i+1].Hash {
+			t.Errorf("members %d and %d share hash %s although one input is -0 and the other 0", i, i+1, b.Jobs[i].Hash)
+		}
+	}
+	for _, j := range b.Jobs {
+		if got := waitTerminal(t, s, j.ID); got.State != StateDone {
+			t.Fatalf("job %s ended %q (err %q)", j.ID, got.State, got.Error)
+		}
 	}
 }
