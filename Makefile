@@ -42,12 +42,12 @@ fuzz:
 	$(GO) test -fuzz=FuzzNonFinalSegmentDamage -fuzztime=30s ./internal/store
 
 # The durability gate: checkpoint/resume trace equality on every engine
-# and across each checkpoint family (± faults) plus the kill/restart
-# service recovery drill.
+# and across each checkpoint family (± faults), the kill/restart service
+# recovery drill, and the daemon's boot and shutdown order.
 crash-recovery:
 	$(GO) test -race -count=1 -run 'Checkpoint' ./internal/engine ./internal/job
 	$(GO) test -race -count=1 ./internal/store ./internal/service
-	$(GO) test -race -count=1 -run 'TestShutdown' ./cmd/anonnetd
+	$(GO) test -race -count=1 -run 'TestShutdown|TestBoot' ./cmd/anonnetd
 
 # The chaos gate: 25 seeded kill/restart/corrupt iterations against the
 # real store+service, plus the corruption-quarantine and breaker suites

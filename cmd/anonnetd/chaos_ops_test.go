@@ -48,7 +48,7 @@ func TestRetryAfterJitterDeterministicRange(t *testing.T) {
 
 func TestShedRetryAfterGoesThroughJitter(t *testing.T) {
 	release := make(chan struct{})
-	intercept := func(ctx context.Context, jobID string, attempt int) error {
+	intercept := func(ctx context.Context, jobID string) error {
 		select {
 		case <-release:
 		case <-ctx.Done():

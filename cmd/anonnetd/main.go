@@ -33,6 +33,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -46,41 +47,52 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "anonnetd:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run boots the daemon on the command-line arguments args and serves
+// until a signal or a serve error. It binds -addr before it opens
+// -data-dir: a daemon that cannot listen returns the bind error having
+// touched nothing, where recovering first would run (and could fail for
+// good) the recovered jobs on its way out. A serve error shuts the daemon
+// down as a signal does, flushing running jobs with -data-dir.
+func run(args []string) error {
+	fs := flag.NewFlagSet("anonnetd", flag.ExitOnError)
 	var (
-		addr    = flag.String("addr", ":8080", "listen address")
-		workers = flag.Int("workers", 0, "worker pool size (0: GOMAXPROCS)")
-		queue   = flag.Int("queue", 64, "bounded job-queue depth")
-		timeout = flag.Duration("timeout", 2*time.Minute, "per-job deadline")
-		grace   = flag.Duration("grace", 30*time.Second, "shutdown drain budget before in-flight jobs are canceled")
-		every   = flag.Int("every", 1, "publish stream progress every k rounds")
-		pprofOn = flag.Bool("pprof", false, "serve net/http/pprof profiles under /debug/pprof/ (off by default)")
+		addr    = fs.String("addr", ":8080", "listen address")
+		workers = fs.Int("workers", 0, "worker pool size (0: GOMAXPROCS)")
+		queue   = fs.Int("queue", 64, "bounded job-queue depth")
+		timeout = fs.Duration("timeout", 2*time.Minute, "per-job deadline")
+		grace   = fs.Duration("grace", 30*time.Second, "shutdown drain budget before in-flight jobs are canceled")
+		every   = fs.Int("every", 1, "publish stream progress every k rounds")
+		pprofOn = fs.Bool("pprof", false, "serve net/http/pprof profiles under /debug/pprof/ (off by default)")
 
-		dataDir     = flag.String("data-dir", "", "durable store directory (empty: ephemeral, no persistence)")
-		syncEvery   = flag.Bool("sync", false, "fsync the job log after every append (with -data-dir)")
-		ckptEvery   = flag.Int("ckpt-every", 50, "checkpoint running jobs every k rounds (with -data-dir)")
-		tenantRPS   = flag.Float64("tenant-rps", 0, "per-tenant submit rate limit in requests/second (0: disabled)")
-		tenantBurst = flag.Int("tenant-burst", 10, "per-tenant submit burst ceiling (with -tenant-rps)")
+		dataDir     = fs.String("data-dir", "", "durable store directory (empty: ephemeral, no persistence)")
+		syncEvery   = fs.Bool("sync", false, "fsync the job log after every append (with -data-dir)")
+		ckptEvery   = fs.Int("ckpt-every", 50, "checkpoint running jobs every k rounds (with -data-dir)")
+		tenantRPS   = fs.Float64("tenant-rps", 0, "per-tenant submit rate limit in requests/second (0: disabled)")
+		tenantBurst = fs.Int("tenant-burst", 10, "per-tenant submit burst ceiling (with -tenant-rps)")
 
-		topoBytes = flag.Int64("topo-cache-bytes", 0, "shared topology-snapshot cache budget in bytes (0: default 256 MiB)")
+		topoBytes = fs.Int64("topo-cache-bytes", 0, "shared topology-snapshot cache budget in bytes (0: default 256 MiB)")
 
-		breakerK    = flag.Int("breaker-threshold", 0, "consecutive persist failures before degraded mode (0: default 5, <0: disabled)")
-		breakerCool = flag.Duration("breaker-cooldown", 0, "degraded-mode dwell before a half-open store probe (0: default 3s)")
+		breakerK    = fs.Int("breaker-threshold", 0, "consecutive persist failures before degraded mode (0: default 5, <0: disabled)")
+		breakerCool = fs.Duration("breaker-cooldown", 0, "degraded-mode dwell before a half-open store probe (0: default 3s)")
 	)
-	flag.Parse()
+	fs.Parse(args)
 	if *topoBytes < 0 {
 		return fmt.Errorf("-topo-cache-bytes %d: want a budget ≥ 0 (0: default)", *topoBytes)
 	}
 
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
+	defer ln.Close()
 	var st *store.Store
 	if *dataDir != "" {
-		var err error
 		st, err = store.Open(*dataDir, store.Options{Sync: *syncEvery})
 		if err != nil {
 			return err
@@ -114,7 +126,6 @@ func run() error {
 	}
 
 	srv := &http.Server{
-		Addr: *addr,
 		Handler: newMux(svc, muxOptions{
 			pprof:   *pprofOn,
 			metrics: newMetricsRegistry(svc, st, lim, jobLatency),
@@ -129,23 +140,25 @@ func run() error {
 	errCh := make(chan error, 1)
 	go func() {
 		log.Printf("anonnetd: listening on %s (workers=%d queue=%d timeout=%v)",
-			*addr, svc.Stats().Workers, *queue, *timeout)
-		errCh <- srv.ListenAndServe()
+			ln.Addr(), svc.Stats().Workers, *queue, *timeout)
+		errCh <- srv.Serve(ln)
 	}()
 
+	var serveErr error
 	select {
-	case err := <-errCh:
-		svc.Close()
-		return err
+	case serveErr = <-errCh:
+		log.Printf("anonnetd: serving failed, shutting down (grace %v): %v", *grace, serveErr)
 	case <-ctx.Done():
+		log.Printf("anonnetd: shutting down, draining in-flight jobs (grace %v)", *grace)
 	}
-
-	log.Printf("anonnetd: shutting down, draining in-flight jobs (grace %v)", *grace)
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), *grace)
 	defer cancel()
 	shutdown(shutdownCtx, srv, svc, *dataDir)
-	if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
+	if serveErr == nil {
+		serveErr = <-errCh
+	}
+	if !errors.Is(serveErr, http.ErrServerClosed) {
+		return serveErr
 	}
 	return nil
 }

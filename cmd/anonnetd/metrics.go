@@ -32,8 +32,6 @@ func newMetricsRegistry(svc *service.Service, st *store.Store, lim *quota.Limite
 		func(s service.Stats) int64 { return s.CacheHits })
 	counter("anonnetd_rounds_simulated_total", "Engine rounds executed across all jobs.",
 		func(s service.Stats) int64 { return s.RoundsSimulated })
-	counter("anonnetd_retries_total", "Transient-error re-executions.",
-		func(s service.Stats) int64 { return s.Retries })
 	counter("anonnetd_panics_recovered_total", "Runner panics converted to failed jobs.",
 		func(s service.Stats) int64 { return s.PanicsRecovered })
 	counter("anonnetd_jobs_recovered_total", "Pending jobs re-registered from the durable store at boot: run, joined to an identical one, or served from a logged result.",
@@ -50,11 +48,11 @@ func newMetricsRegistry(svc *service.Service, st *store.Store, lim *quota.Limite
 		func(s service.Stats) int64 { return s.DegradedDropped })
 	counter("anonnetd_backfilled_total", "Jobs re-appended to the log after the breaker closed.",
 		func(s service.Stats) int64 { return s.Backfilled })
-	counter("anonnetd_topo_cache_hits_total", "Job attempts served an already-resident topology snapshot.",
+	counter("anonnetd_topo_cache_hits_total", "Job runs served an already-resident topology snapshot.",
 		func(s service.Stats) int64 { return s.TopoCacheHits })
 	counter("anonnetd_topo_cache_misses_total", "Topology snapshots built because no shared one was resident.",
 		func(s service.Stats) int64 { return s.TopoCacheMisses })
-	counter("anonnetd_topo_cache_coalesced_total", "Job attempts that waited on another job attempt's in-flight snapshot build.",
+	counter("anonnetd_topo_cache_coalesced_total", "Job runs that waited on another job run's in-flight snapshot build.",
 		func(s service.Stats) int64 { return s.TopoCacheCoalesced })
 	counter("anonnetd_topo_cache_evictions_total", "Idle snapshots evicted to stay under the byte budget.",
 		func(s service.Stats) int64 { return s.TopoCacheEvictions })

@@ -39,7 +39,7 @@ func TestReadyzReady(t *testing.T) {
 
 func TestReadyzShedsWhenSaturated(t *testing.T) {
 	release := make(chan struct{})
-	intercept := func(ctx context.Context, jobID string, attempt int) error {
+	intercept := func(ctx context.Context, jobID string) error {
 		select {
 		case <-release:
 		case <-ctx.Done():
@@ -89,7 +89,7 @@ func TestReadyzShedsWhenSaturated(t *testing.T) {
 // panicking agent factory) yields a failed job carrying the panic
 // message, while the daemon stays ready and completes later submissions.
 func TestPanickingJobLeavesDaemonServing(t *testing.T) {
-	intercept := func(ctx context.Context, jobID string, attempt int) error {
+	intercept := func(ctx context.Context, jobID string) error {
 		if jobID == "j000001" {
 			panic("agent factory exploded")
 		}

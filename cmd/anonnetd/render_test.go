@@ -118,10 +118,9 @@ func TestResponsesMatchEncodingJSON(t *testing.T) {
 	release := make(chan struct{})
 	var svc *service.Service
 	ts, svc := newTestServer(t, service.Config{
-		Workers:    1,
-		MaxRetries: -1,
-		Store:      openStore(t, t.TempDir()),
-		Intercept: func(ctx context.Context, id string, attempt int) error {
+		Workers: 1,
+		Store:   openStore(t, t.TempDir()),
+		Intercept: func(ctx context.Context, id string) error {
 			j, err := svc.Get(id)
 			if err != nil {
 				return err

@@ -81,9 +81,10 @@ func fatalf(format string, args ...any) {
 // only channels that cannot permanently lose or fail a job are on.
 // Fsync errors exercise the typed ErrSyncFailed path and the circuit
 // breaker without losing log bytes; slow I/O widens the SIGKILL window;
-// stalls and transient errors exercise the retry loop. Write errors and
-// panics are available via -plan for exploratory runs but would turn the
-// drill's invariants probabilistic, so they stay out of the default.
+// worker stalls shift when each run starts against the kill instants.
+// Write errors and panics are available via -plan for exploratory runs
+// but would turn the drill's invariants probabilistic, so they stay out
+// of the default.
 func drillPlan() chaos.Plan {
 	return chaos.Plan{
 		SyncErr:       0.10,
@@ -91,7 +92,6 @@ func drillPlan() chaos.Plan {
 		SlowMaxMs:     3,
 		RunStall:      0.25,
 		RunStallMaxMs: 5,
-		RunTransient:  0.10,
 	}
 }
 
@@ -167,7 +167,7 @@ func runChild(dir string, seed int64, iter int, plan chaos.Plan, specs []job.Spe
 		return err
 	}
 	defer st.Close()
-	ic, err := chaos.Intercept(cs, plan, service.ErrTransient)
+	ic, err := chaos.Intercept(cs, plan)
 	if err != nil {
 		return err
 	}
@@ -177,8 +177,6 @@ func runChild(dir string, seed int64, iter int, plan chaos.Plan, specs []job.Spe
 		CheckpointEvery:  25,
 		BreakerThreshold: 4,
 		BreakerCooldown:  100 * time.Millisecond,
-		MaxRetries:       4,
-		RetryBase:        time.Millisecond,
 		Intercept:        ic,
 	})
 	if _, err := svc.Recover(); err != nil {

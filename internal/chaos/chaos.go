@@ -3,8 +3,8 @@
 // daemon itself runs on. A seeded, JSON-codable Plan describes failpoint
 // probabilities for the two infrastructure surfaces anonnetd touches: the
 // filesystem under the durable store (failed writes, short writes, fsync
-// errors, slow I/O — see NewFS) and the worker executing a job (stalls,
-// panics, transient errors — see Intercept).
+// errors, slow I/O — see NewFS) and the worker executing a job (stalls
+// and panics — see Intercept).
 //
 // Determinism is the design center, exactly as in internal/faults: every
 // fault decision is a splitmix64-style hash of (seed, channel salt,
@@ -43,20 +43,16 @@ type Plan struct {
 	// SlowMaxMs bounds the injected I/O delay in milliseconds (0 means 10).
 	SlowMaxMs int `json:"slow_max_ms,omitempty"`
 
-	// RunStall is the per-attempt probability that a worker stalls for up
-	// to RunStallMaxMs milliseconds before running a job attempt.
+	// RunStall is the per-job probability that a worker stalls for up to
+	// RunStallMaxMs milliseconds before running the job's engine.
 	RunStall float64 `json:"run_stall,omitempty"`
 	// RunStallMaxMs bounds the injected worker stall in milliseconds
 	// (0 means 25).
 	RunStallMaxMs int `json:"run_stall_max_ms,omitempty"`
-	// RunPanic is the per-attempt probability that a worker panics instead
-	// of running the job — the service must recover it into a failed job,
+	// RunPanic is the per-job probability that a worker panics instead of
+	// running the job — the service must recover it into a failed job,
 	// never a dead worker.
 	RunPanic float64 `json:"run_panic,omitempty"`
-	// RunTransient is the per-attempt probability that a job attempt fails
-	// with a retryable error, exercising the service's backoff-and-retry
-	// path.
-	RunTransient float64 `json:"run_transient,omitempty"`
 }
 
 func probability(name string, p float64) error {
@@ -78,7 +74,6 @@ func (p *Plan) Validate() error {
 		{"slow_io", p.SlowIO},
 		{"run_stall", p.RunStall},
 		{"run_panic", p.RunPanic},
-		{"run_transient", p.RunTransient},
 	} {
 		if err := probability(c.name, c.p); err != nil {
 			return err
@@ -106,7 +101,7 @@ func (p *Plan) IsZero() bool {
 		return true
 	}
 	return p.WriteErr == 0 && p.ShortWrite == 0 && p.SyncErr == 0 && p.SlowIO == 0 &&
-		p.RunStall == 0 && p.RunPanic == 0 && p.RunTransient == 0
+		p.RunStall == 0 && p.RunPanic == 0
 }
 
 // ParsePlan decodes and validates a JSON plan, rejecting unknown fields.
@@ -134,7 +129,6 @@ const (
 	saltStall      = 0x1ce4e5b9bf58476d
 	saltStallLen   = 0x7f4a7c159e3779b9
 	saltPanic      = 0x27d4eb4fc2b2ae3d
-	saltTransient  = 0x9e6c63d0876a9a35
 )
 
 // splitmix64 is the finalizer of the splitmix64 generator: a bijective

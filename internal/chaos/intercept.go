@@ -7,30 +7,27 @@ import (
 )
 
 // Intercept compiles the plan's runner channels into the service's
-// pre-attempt hook: worker stalls, panics, and transient errors, each
-// decided by a pure hash of (seed, channel salt, job ID, attempt). The
-// transient sentinel is passed in by the caller (cmd wiring hands over
-// service.ErrTransient) so this package stays ignorant of the service —
-// the returned error wraps it, which is all the retry loop needs.
+// pre-run hook: worker stalls and panics, each decided by a pure hash of
+// (seed, channel salt, job ID).
 //
 // A nil return means the plan has no runner channels and the service
 // should skip the hook entirely.
-func Intercept(seed int64, plan Plan, transient error) (func(ctx context.Context, jobID string, attempt int) error, error) {
+func Intercept(seed int64, plan Plan) (func(ctx context.Context, jobID string) error, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
-	if plan.RunStall == 0 && plan.RunPanic == 0 && plan.RunTransient == 0 {
+	if plan.RunStall == 0 && plan.RunPanic == 0 {
 		return nil, nil
 	}
 	s := uint64(seed)
-	return func(ctx context.Context, jobID string, attempt int) error {
-		jk, ak := hashString(jobID), uint64(int64(attempt))
-		if plan.RunStall > 0 && hash01(s, saltStall, jk, ak) < plan.RunStall {
+	return func(ctx context.Context, jobID string) error {
+		jk := hashString(jobID)
+		if plan.RunStall > 0 && hash01(s, saltStall, jk) < plan.RunStall {
 			maxMs := plan.RunStallMaxMs
 			if maxMs <= 0 {
 				maxMs = 25
 			}
-			d := 1 + int(hash01(s, saltStallLen, jk, ak)*float64(maxMs))
+			d := 1 + int(hash01(s, saltStallLen, jk)*float64(maxMs))
 			if d > maxMs {
 				d = maxMs
 			}
@@ -42,15 +39,8 @@ func Intercept(seed int64, plan Plan, transient error) (func(ctx context.Context
 			case <-t.C:
 			}
 		}
-		if plan.RunPanic > 0 && hash01(s, saltPanic, jk, ak) < plan.RunPanic {
-			panic(fmt.Sprintf("chaos: injected panic (job %s attempt %d)", jobID, attempt))
-		}
-		if plan.RunTransient > 0 && hash01(s, saltTransient, jk, ak) < plan.RunTransient {
-			if transient != nil {
-				return fmt.Errorf("%w: injected transient failure (job %s attempt %d): %w",
-					ErrInjected, jobID, attempt, transient)
-			}
-			return fmt.Errorf("%w: injected failure (job %s attempt %d)", ErrInjected, jobID, attempt)
+		if plan.RunPanic > 0 && hash01(s, saltPanic, jk) < plan.RunPanic {
+			panic(fmt.Sprintf("chaos: injected panic (job %s)", jobID))
 		}
 		return nil
 	}, nil

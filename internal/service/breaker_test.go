@@ -268,18 +268,20 @@ func TestOversizeBackfillLoggedWithoutPayloads(t *testing.T) {
 	}
 }
 
-func TestInterceptTransientRetriesAndPanicIsContained(t *testing.T) {
+func TestInterceptPanicIsContained(t *testing.T) {
 	var calls atomic.Int64
 	s := New(Config{
-		Workers:    1,
-		MaxRetries: 2,
-		RetryBase:  time.Millisecond,
-		Intercept: func(ctx context.Context, jobID string, attempt int) error {
+		Workers: 1,
+		Intercept: func(ctx context.Context, jobID string) error {
 			calls.Add(1)
-			if attempt == 0 {
-				return ErrTransient
+			// Stall before the engine starts, as the chaos run_stall
+			// channel does.
+			select {
+			case <-ctx.Done():
+				return ctx.Err()
+			case <-time.After(5 * time.Millisecond):
+				return nil
 			}
-			return nil
 		},
 	})
 	defer s.Close()
@@ -289,17 +291,14 @@ func TestInterceptTransientRetriesAndPanicIsContained(t *testing.T) {
 	}
 	j = waitTerminal(t, s, j.ID)
 	if j.State != StateDone {
-		t.Fatalf("job after transient intercept = %s (%s), want done", j.State, j.Error)
+		t.Fatalf("job after stalling intercept = %s (%s), want done", j.State, j.Error)
 	}
-	if got := s.Stats().Retries; got != 1 {
-		t.Fatalf("retries = %d, want 1", got)
-	}
-	if calls.Load() != 2 {
-		t.Fatalf("intercept ran %d times, want 2 (attempt 0 and 1)", calls.Load())
+	if calls.Load() != 1 {
+		t.Fatalf("intercept ran %d times, want 1", calls.Load())
 	}
 
 	// A reference run without the hook returns the identical result: the
-	// intercept may delay or retry a job but never perturb its output.
+	// intercept may delay a job but never perturb its output.
 	c, err := job.Compile(durableSpec(501, 50))
 	if err != nil {
 		t.Fatal(err)
@@ -314,7 +313,7 @@ func TestInterceptTransientRetriesAndPanicIsContained(t *testing.T) {
 
 	p := New(Config{
 		Workers: 1,
-		Intercept: func(ctx context.Context, jobID string, attempt int) error {
+		Intercept: func(ctx context.Context, jobID string) error {
 			panic("chaos says hello")
 		},
 	})

@@ -59,7 +59,7 @@ func (g *gate) waitHeld(t *testing.T, n int) {
 	}
 }
 
-func (g *gate) intercept(ctx context.Context, jobID string, attempt int) error {
+func (g *gate) intercept(ctx context.Context, jobID string) error {
 	g.mu.Lock()
 	g.calls++
 	g.mu.Unlock()

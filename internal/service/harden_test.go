@@ -1,11 +1,11 @@
 package service
 
-// Hardened-runtime coverage: worker panic recovery, transient-error
-// retries with backoff, and the readiness probe.
+// Hardened-runtime coverage: worker panic recovery, a failing hook, and
+// the readiness probe.
 
 import (
 	"context"
-	"fmt"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -16,7 +16,7 @@ import (
 // with the panic message, the worker pool survives, readiness stays
 // ready, and a subsequent submission completes normally.
 func TestPanicRecoveredKeepsServing(t *testing.T) {
-	intercept := func(ctx context.Context, jobID string, attempt int) error {
+	intercept := func(ctx context.Context, jobID string) error {
 		if jobID == "j000001" {
 			panic("agent factory exploded")
 		}
@@ -54,16 +54,15 @@ func TestPanicRecoveredKeepsServing(t *testing.T) {
 	}
 }
 
-func TestTransientRetrySucceeds(t *testing.T) {
+// TestInterceptErrorFailsOnce pins one run per execution: a hook error
+// fails the job with that error, and the hook is not called again.
+func TestInterceptErrorFailsOnce(t *testing.T) {
 	calls := 0
-	intercept := func(ctx context.Context, jobID string, attempt int) error {
+	intercept := func(context.Context, string) error {
 		calls++
-		if calls <= 2 {
-			return fmt.Errorf("%w: backend hiccup %d", ErrTransient, calls)
-		}
-		return nil
+		return errors.New("backend down")
 	}
-	s := New(Config{Workers: 1, Intercept: intercept, MaxRetries: 3, RetryBase: time.Millisecond})
+	s := New(Config{Workers: 1, Intercept: intercept})
 	defer s.Close()
 
 	j, err := s.Submit(ringSpec(1))
@@ -71,59 +70,15 @@ func TestTransientRetrySucceeds(t *testing.T) {
 		t.Fatal(err)
 	}
 	j = waitTerminal(t, s, j.ID)
-	if j.State != StateDone {
-		t.Fatalf("job ended %q (err %q), want done after retries", j.State, j.Error)
-	}
-	if calls != 3 {
-		t.Fatalf("intercept called %d times, want 3", calls)
-	}
-	if got := s.Stats().Retries; got != 2 {
-		t.Fatalf("Retries = %d, want 2", got)
-	}
-}
-
-func TestTransientRetryExhausted(t *testing.T) {
-	intercept := func(context.Context, string, int) error {
-		return fmt.Errorf("%w: always down", ErrTransient)
-	}
-	s := New(Config{Workers: 1, Intercept: intercept, MaxRetries: 2, RetryBase: time.Millisecond})
-	defer s.Close()
-
-	j, err := s.Submit(ringSpec(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	j = waitTerminal(t, s, j.ID)
-	if j.State != StateFailed || !strings.Contains(j.Error, "transient") {
-		t.Fatalf("job ended %q (err %q), want failed with transient error", j.State, j.Error)
-	}
-	if got := s.Stats().Retries; got != 2 {
-		t.Fatalf("Retries = %d, want 2", got)
-	}
-}
-
-func TestRetriesDisabled(t *testing.T) {
-	calls := 0
-	intercept := func(context.Context, string, int) error {
-		calls++
-		return fmt.Errorf("%w: nope", ErrTransient)
-	}
-	s := New(Config{Workers: 1, Intercept: intercept, MaxRetries: -1})
-	defer s.Close()
-
-	j, err := s.Submit(ringSpec(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	j = waitTerminal(t, s, j.ID)
-	if j.State != StateFailed || calls != 1 {
-		t.Fatalf("state %q after %d calls, want failed after exactly 1", j.State, calls)
+	if j.State != StateFailed || j.Error != "backend down" || calls != 1 {
+		t.Fatalf("state %q (err %q) after %d calls, want failed with the hook's error after exactly 1",
+			j.State, j.Error, calls)
 	}
 }
 
 func TestReadinessSaturationAndClose(t *testing.T) {
 	release := make(chan struct{})
-	intercept := func(ctx context.Context, jobID string, attempt int) error {
+	intercept := func(ctx context.Context, jobID string) error {
 		select {
 		case <-release:
 			return nil

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -530,6 +531,69 @@ func TestRecoverRejectsUncompilableSpec(t *testing.T) {
 	}
 }
 
+// TestRecoverRejectsForeignSpec: a logged spec carrying a field this
+// build does not know is refused as POST /v1/jobs refuses it, even though
+// the rest of it compiles to the logged hash: the job is marked failed in
+// the log and its checkpoint blob dropped, instead of resuming without the
+// field under its old ID.
+func TestRecoverRejectsForeignSpec(t *testing.T) {
+	spec := job.Spec{Graph: job.GraphSpec{Builder: "ring", N: 8}, Kind: "od", Function: "average"}
+	c, err := job.Compile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign := []byte(`{"graph":{"builder":"ring","n":8},"kind":"od","function":"average","future_field":7}`)
+	if _, err := job.Decode(foreign); err == nil {
+		t.Fatal("job.Decode accepted the foreign field")
+	}
+	recoverRejects(t, c.Hash, foreign, "future_field")
+}
+
+// TestRecoverRejectsHashMismatch: a logged spec that compiles to another
+// hash than the one logged with it is another computation, so its job is
+// marked failed in the log, and the blob under the logged hash dropped,
+// instead of running under its old ID and the new hash.
+func TestRecoverRejectsHashMismatch(t *testing.T) {
+	const logged = "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef"
+	spec := []byte(`{"graph":{"builder":"ring","n":8},"kind":"od","function":"average"}`)
+	recoverRejects(t, logged, spec, logged)
+}
+
+// recoverRejects logs one queued job j000001 with spec under hash, saves a
+// checkpoint blob under hash, and requires Recover to register nothing,
+// log the job failed with an error containing want, and drop the blob.
+func recoverRejects(t *testing.T, hash string, spec []byte, want string) {
+	t.Helper()
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	if err := st.Append(store.Record{JobID: "j000001", Hash: hash, State: store.StateQueued, Spec: spec}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SaveCheckpoint(hash, []byte("blob")); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2 := openStore(t, dir)
+	defer st2.Close()
+	s := New(Config{Workers: 1, Store: st2})
+	defer s.Close()
+	if n, err := s.Recover(); err != nil || n != 0 {
+		t.Fatalf("Recover = %d, %v; want 0 jobs and no error", n, err)
+	}
+	if _, err := s.Get("j000001"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get(j000001) = %v, want ErrNotFound: the job must not be registered", err)
+	}
+	if v, ok := scanJob(t, st2, "j000001"); !ok || v.State != store.StateFailed || v.Hash != hash ||
+		!strings.Contains(v.Error, want) {
+		t.Fatalf("job view = %+v (ok=%v), want failed under %s with an error naming %q", v, ok, hash, want)
+	}
+	if _, err := st2.LatestCheckpoint(hash); !errors.Is(err, store.ErrNoCheckpoint) {
+		t.Fatalf("checkpoint under the logged hash after Recover: %v, want ErrNoCheckpoint", err)
+	}
+}
+
 // TestRecoveredDedupBatchRunsOnce: a 16-member dedup batch of one durable
 // spec, shut down mid-run, resumes as one execution from the hash's
 // flushed checkpoint. It runs only the remaining rounds, logs one result
@@ -763,10 +827,10 @@ func TestRecoverExpandedSpecResumes(t *testing.T) {
 	}
 }
 
-// holdAttempts is an Intercept that parks every attempt until release
-// closes or the attempt is canceled.
-func holdAttempts(release <-chan struct{}) func(context.Context, string, int) error {
-	return func(ctx context.Context, _ string, _ int) error {
+// holdRuns is an Intercept that parks every run until release
+// closes or the run is canceled.
+func holdRuns(release <-chan struct{}) func(context.Context, string) error {
+	return func(ctx context.Context, _ string) error {
 		select {
 		case <-release:
 			return nil
@@ -787,9 +851,9 @@ func holdAttempts(release <-chan struct{}) func(context.Context, string, int) er
 func TestRecoverMoreJobsThanQueueDepth(t *testing.T) {
 	dir := t.TempDir()
 	st1 := openStore(t, dir)
-	s1 := New(Config{Workers: 1, QueueDepth: 2, Store: st1, Intercept: holdAttempts(make(chan struct{}))})
+	s1 := New(Config{Workers: 1, QueueDepth: 2, Store: st1, Intercept: holdRuns(make(chan struct{}))})
 	crash := func() {
-		s1.CancelAll() // unpark the held attempt, so Close returns
+		s1.CancelAll() // unpark the held run, so Close returns
 		s1.Close()
 	}
 	defer crash()
@@ -818,9 +882,9 @@ func TestRecoverMoreJobsThanQueueDepth(t *testing.T) {
 	st2 := openStore(t, dir)
 	defer st2.Close()
 	release := make(chan struct{})
-	s2 := New(Config{Workers: 1, QueueDepth: 2, Store: st2, Intercept: holdAttempts(release)})
+	s2 := New(Config{Workers: 1, QueueDepth: 2, Store: st2, Intercept: holdRuns(release)})
 	defer s2.Close()
-	defer s2.CancelAll() // a failed check must not leave an attempt parked
+	defer s2.CancelAll() // a failed check must not leave a run parked
 	if n, err := s2.Recover(); err != nil || n != len(ids) {
 		t.Fatalf("Recover = %d, %v; want all %d pending jobs", n, err, len(ids))
 	}
