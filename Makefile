@@ -22,10 +22,11 @@ lint: vet
 	$(GO) test -count=1 -run 'TestRegistryComplete' ./internal/engine
 
 # The model-conformance gate: every registered communication model's
-# reference workload, byte-identical across the applicable engines, under
-# the race detector.
+# reference workload, byte-identical across the applicable engines, and
+# the flooding kernel against the sequential engine, under the race
+# detector.
 conformance:
-	$(GO) test -race -count=1 -run 'Conformance|RegistryComplete' ./internal/engine
+	$(GO) test -race -count=1 -run 'Conformance|RegistryComplete|Flood' ./internal/engine
 
 test: build
 	$(GO) test ./...
@@ -40,6 +41,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzAppendF64 -fuzztime=30s ./internal/job
 	$(GO) test -fuzz=FuzzStoreRecord -fuzztime=30s ./internal/store
 	$(GO) test -fuzz=FuzzNonFinalSegmentDamage -fuzztime=30s ./internal/store
+	$(GO) test -fuzz=FuzzFloodMatchesSequential -fuzztime=30s ./internal/engine
 
 # The durability gate: checkpoint/resume trace equality on every engine
 # and across each checkpoint family (± faults), the kill/restart service

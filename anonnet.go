@@ -332,7 +332,10 @@ type EngineKind int
 // property tests assert it); they differ only in how the rounds are
 // scheduled onto the hardware.
 const (
-	// Sequential is the deterministic single-threaded engine (default).
+	// Sequential is the deterministic single-threaded engine (default);
+	// fault-free set-flooding algorithms (gossip) run on the flooding
+	// kernel, the sequential engine's single-threaded counterpart for
+	// them.
 	Sequential EngineKind = iota
 	// Sharded partitions agents into one contiguous shard per core; each
 	// shard fills its own agents' inboxes from the shared sent buffers,
@@ -345,7 +348,7 @@ const (
 	// Vectorized executes linear mass-passing algorithms over flat
 	// float64 buffers with zero steady-state allocations; algorithms that
 	// do not implement the vector contract fall back to the sequential
-	// engine, whose traces the kernel reproduces byte for byte.
+	// path, whose traces the kernel reproduces byte for byte.
 	Vectorized
 )
 
@@ -481,8 +484,10 @@ func WithFaults(p FaultPlan) Option {
 }
 
 // WithOnRound installs a per-round observer: after every completed round it
-// receives the round number and the current output vector (round-by-round
-// progress streaming; see engine.Observer).
+// receives the round number and the current output vector, a fresh slice
+// it owns (round-by-round progress streaming). It wraps fn in an
+// engine.Observer that reads the outputs for it; a run without one reads
+// none.
 func WithOnRound(fn func(round int, outputs []Value)) Option {
 	return func(c *computeConfig) { c.onRound = fn }
 }
@@ -554,12 +559,16 @@ func Compute(ctx context.Context, spec Spec, opts ...Option) (*ComputeResult, er
 		return nil, err
 	}
 	defer r.Close()
-	res, err := engine.RunUntilStableCtx(ctx, r, model.Discrete, cc.patience, cc.maxRounds, engine.Observer(cc.onRound))
+	var obs engine.Observer
+	if fn := cc.onRound; fn != nil {
+		obs = func(round int, r engine.Runner) { fn(round, r.Outputs()) }
+	}
+	res, err := engine.RunUntilStableCtx(ctx, r, model.Discrete, cc.patience, cc.maxRounds, obs)
 	if err != nil {
 		return nil, err
 	}
 	return &ComputeResult{
-		Outputs:      res.Outputs,
+		Outputs:      res.Values(),
 		Stable:       res.Stable,
 		StabilizedAt: res.StabilizedAt,
 		Rounds:       res.Rounds,

@@ -546,6 +546,60 @@ func BenchmarkParallelVecRound(b *testing.B) {
 	}
 }
 
+// BenchmarkFloodRound measures the flooding kernel's steady-state round
+// loop alone: on an n=10⁴ ring whose inputs cycle through 25 values (a
+// divisor of n, so every 25 consecutive agents hold them all), run until
+// every set holds all of them, and on a complete graph whose sets are
+// saturated after one round. Construction and warm-up happen outside
+// the timer, so every timed op is one Step that grows no set. Like
+// BenchmarkVecRound, the CI bench-smoke job fails when it reports a
+// nonzero allocs/op: such a round must allocate nothing.
+func BenchmarkFloodRound(b *testing.B) {
+	for _, tc := range []struct {
+		name     string
+		g        *graph.Graph
+		distinct int
+	}{
+		{"gossip/ring/n=10000", graph.Ring(10_000), 25},
+		{"gossip/complete/n=128", graph.Complete(128), 128},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			factory, err := core.NewFactory(funcs.Max(),
+				core.Setting{Kind: model.SimpleBroadcast, Static: true, Row: core.RowNoHelp})
+			if err != nil {
+				b.Fatal(err)
+			}
+			inputs := make([]model.Input, tc.g.N())
+			for j := range inputs {
+				inputs[j] = model.Input{Value: float64(j % tc.distinct)}
+			}
+			f, err := engine.NewFlood(engine.Config{
+				Schedule: dynamic.NewStatic(tc.g),
+				Kind:     model.SimpleBroadcast,
+				Inputs:   inputs,
+				Factory:  factory,
+				Seed:     1,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer f.Close()
+			for t := 0; t < 2*tc.distinct; t++ { // warm-up: saturate every set
+				if err := f.Step(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := f.Step(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkGossipFlooding measures the baseline algorithm's cost per round
 // budget across network families.
 func BenchmarkGossipFlooding(b *testing.B) {

@@ -121,7 +121,9 @@ func run(args []string) error {
 			return fmt.Errorf("recovering jobs from %s: %w", *dataDir, err)
 		}
 		if n > 0 {
-			log.Printf("anonnetd: recovered %d interrupted job(s) from %s", n, *dataDir)
+			// Recover re-registers every job the log holds unfinished:
+			// queued, running at a crash, or interrupted.
+			log.Printf("anonnetd: recovered %d unfinished job(s) from %s", n, *dataDir)
 		}
 	}
 

@@ -140,7 +140,8 @@ func run(args []string, out io.Writer) error {
 		initial[i] = c.Factory(in).Output()
 	}
 	prev, lastChange := fmt.Sprint(initial), 0
-	obs := func(round int, outs []model.Value) {
+	obs := func(round int, r engine.Runner) {
+		outs := r.Outputs()
 		if cur := fmt.Sprint(outs); cur != prev {
 			prev, lastChange = cur, round
 		}

@@ -9,7 +9,6 @@ package gossip
 
 import (
 	"fmt"
-	"slices"
 
 	"anonnet/internal/funcs"
 	"anonnet/internal/model"
@@ -17,17 +16,20 @@ import (
 
 // Agent is one gossip automaton. It implements the senders of all four
 // communication models, since a broadcast algorithm runs unchanged in the
-// richer models (it simply ignores the extra information).
+// richer models (it simply ignores the extra information), and the
+// flooding kernel's model.SetAgent contract.
 type Agent struct {
 	f funcs.Func
 	// set is the set of values heard of, a funcs.Set view of an ascending,
-	// distinct slice, so f reads it in place. The slice is sent as is, and
-	// the engines hand one message to several receivers and hold delayed
-	// ones across rounds, so a slice once sent is never written again: a
-	// growing set is always a new slice.
+	// distinct slice that model.Union built, so f reads it in place. The
+	// slice is sent as is, and the engines hand one message to several
+	// receivers and hold delayed ones across rounds, so a slice once sent
+	// is never written again: a growing set is always a new slice.
 	set funcs.Args
 	// own holds the agent's input, the slice of its first set.
 	own [1]float64
+	// view is SetOutput's scratch view of the set it is handed.
+	view funcs.Args
 }
 
 var (
@@ -35,6 +37,7 @@ var (
 	_ model.OutdegreeSender = (*Agent)(nil)
 	_ model.PortSender      = (*Agent)(nil)
 	_ model.Corruptible     = (*Agent)(nil)
+	_ model.SetAgent        = (*Agent)(nil)
 )
 
 // NewFactory returns a factory of gossip agents computing f, which must be
@@ -67,44 +70,49 @@ func (a *Agent) SendPorts(outdeg int) []model.Message {
 	return out
 }
 
-// Receive unions the received sets into the local one. The unseen values
-// are appended to a clipped view of the set, so the first of them copies
-// it into a new slice and the sent one is never written; with none the set
-// is left as it is.
+// Receive unions the received sets, each an ascending, distinct []float64
+// as a gossip agent sends it, into the local one with model.Union — the
+// merge the flooding kernel runs on its arenas — so the new set does not
+// depend on the order the messages arrive in. A union that grows the set
+// writes a new slice, alternating between two made in this call, so the
+// sent set is never written; with nothing new the set is left as it is.
 func (a *Agent) Receive(msgs []model.Message) {
-	seen := a.set.Values()
-	next := slices.Clip(seen)
+	set := a.set.Values()
+	var bufs [2][]float64
+	k := 0
 	for _, m := range msgs {
 		vals, ok := m.([]float64)
 		if !ok {
 			continue // foreign message; gossip is tolerant by nature
 		}
-		for _, v := range vals {
-			if _, known := slices.BinarySearch(seen, v); !known {
-				next = append(next, v)
-			}
+		if next, grew := model.Union(bufs[k][:0], set, vals); grew {
+			bufs[k], set = next, next
+			k ^= 1
 		}
 	}
-	if len(next) > len(seen) {
-		a.grow(next)
-	}
+	a.set = funcs.Set(set)
 }
 
 // Output evaluates f on the set of values seen (each with multiplicity 1 —
 // immaterial for a set-based f), read in place.
 func (a *Agent) Output() model.Value { return a.f.Eval(&a.set) }
 
-// Corrupt injects junk values into the seen-set. Gossip never forgets, so
+// SetOutput evaluates f on set, read in place through the agent's
+// scratch view, which keeps viewing it until the next call.
+func (a *Agent) SetOutput(set []float64) float64 {
+	a.view.View(set)
+	return a.f.Eval(&a.view)
+}
+
+// Corrupt injects a junk value into the seen-set. Gossip never forgets, so
 // it is *not* self-stabilizing — the self-stabilization tests demonstrate
 // exactly this failure, as the paper notes for flooding-style algorithms.
 func (a *Agent) Corrupt(junk int64) {
-	a.grow(append(slices.Clip(a.set.Values()), float64(junk%1000)+0.5))
+	v := [1]float64{a.CorruptValue(junk)}
+	if next, grew := model.Union(nil, a.set.Values(), v[:]); grew {
+		a.set = funcs.Set(next)
+	}
 }
 
-// grow makes next — a new slice holding the set's values and then the
-// ones to add — the set, leaving the old slice, which may have been sent,
-// untouched.
-func (a *Agent) grow(next []float64) {
-	slices.Sort(next)
-	a.set = funcs.Set(slices.Compact(next))
-}
+// CorruptValue is the value Corrupt(junk) unions into the set.
+func (a *Agent) CorruptValue(junk int64) float64 { return float64(junk%1000) + 0.5 }

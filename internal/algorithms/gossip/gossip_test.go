@@ -1,6 +1,8 @@
 package gossip
 
 import (
+	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -161,5 +163,53 @@ func TestSentSetNeverWritten(t *testing.T) {
 	}
 	if got := a.Output(); got != 9.0 {
 		t.Fatalf("Output = %v, want 9", got)
+	}
+}
+
+// TestSignedZeroUnionIsOrderFree: −0 and +0 are one value to the set's
+// order, so a set that hears both must hold the same zero whichever
+// arrives first — +0 — or the transition would depend on the delivery
+// order, which the engines shuffle by seed (§2.2: it must be a function of
+// the received multiset). Under min the held zero is every agent's output,
+// so each seed's output vector must be the same.
+func TestSignedZeroUnionIsOrderFree(t *testing.T) {
+	factory, err := NewFactory(funcs.Min())
+	if err != nil {
+		t.Fatal(err)
+	}
+	negZero := math.Copysign(0, -1)
+	want := ""
+	for seed := int64(0); seed < 40; seed++ {
+		e, err := engine.New(engine.Config{
+			Schedule: dynamic.NewStatic(graph.Star(5)),
+			Kind:     model.SimpleBroadcast,
+			Inputs:   testutil.Inputs(1, negZero, 0, negZero, 0),
+			Factory:  factory,
+			Seed:     seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < 3; r++ {
+			if err := e.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := fmt.Sprint(e.Outputs())
+		if seed == 0 {
+			want = got
+		} else if got != want {
+			t.Fatalf("seed %d: outputs %s, seed 0: %s", seed, got, want)
+		}
+	}
+	for _, order := range [][]model.Message{
+		{[]float64{negZero}, []float64{0}},
+		{[]float64{0}, []float64{negZero}},
+	} {
+		a := factory(model.Input{Value: negZero}).(*Agent)
+		a.Receive(order)
+		if got := a.Send().([]float64); len(got) != 1 || math.Signbit(got[0]) {
+			t.Fatalf("after %v the set is %v, want [+0]", order, got)
+		}
 	}
 }

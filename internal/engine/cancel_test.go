@@ -105,7 +105,7 @@ func TestRunUntilStableCtxObservesCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	rounds := 0
-	obs := func(round int, _ []model.Value) {
+	obs := func(round int, _ engine.Runner) {
 		rounds = round
 		if round == 2 {
 			cancel()

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"anonnet/internal/model"
 )
@@ -30,8 +31,10 @@ var ErrInterrupted = errors.New("engine: run interrupted after checkpoint flush"
 var ErrNotCheckpointable = errors.New("engine: execution is not checkpointable")
 
 // Checkpointer is the optional runner capability behind checkpoint/resume.
-// All four runners implement it; Snapshot fails with ErrNotCheckpointable
-// when the agents do not cooperate. Both methods must only be called
+// The four agent-holding runners implement it; Snapshot fails with
+// ErrNotCheckpointable when the agents do not cooperate. The flooding
+// kernel holds no agents and does not implement it, as its set agents do
+// not checkpoint. Both methods must only be called
 // between rounds (the engines are quiescent there — no worker goroutine
 // touches agent state outside Step).
 type Checkpointer interface {
@@ -362,6 +365,11 @@ type CheckpointPolicy struct {
 // with a final checkpoint and ErrInterrupted. The stability window state
 // travels inside the checkpoint, so a resumed run stabilizes at exactly
 // the round an uninterrupted one does.
+//
+// On a FloatRunner under model.Discrete or model.Euclid the harness takes
+// the float path: it compares the runner's float vectors round over round
+// in one reused copy, whose distance 0 is the metric's on those floats,
+// and returns the final vector as Floats, boxing nothing.
 func RunUntilStableCheckpointedCtx(ctx context.Context, r Runner, met model.Metric, patience, maxRounds int, obs Observer, pol CheckpointPolicy) (*StableResult, error) {
 	if patience < 1 {
 		return nil, fmt.Errorf("engine: RunUntilStable: patience %d, want ≥ 1", patience)
@@ -392,7 +400,18 @@ func RunUntilStableCheckpointedCtx(ctx context.Context, r Runner, met model.Metr
 		cp.StableSince = stableSince
 		return cp, nil
 	}
-	prev := r.Outputs()
+	// prev holds the outputs of the round before, or on the float path
+	// prevF does: a copy of the runner's vector, overwritten in place.
+	var prev []model.Value
+	var prevF []float64
+	fr, _ := r.(FloatRunner)
+	eq := floatEqual(met)
+	if fr != nil && eq != nil {
+		prevF = slices.Clone(fr.Floats())
+	} else {
+		fr = nil
+		prev = r.Outputs()
+	}
 	for t := start; t <= maxRounds; t++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("engine: run aborted after %d rounds: %w", r.Round(), err)
@@ -400,22 +419,30 @@ func RunUntilStableCheckpointedCtx(ctx context.Context, r Runner, met model.Metr
 		if err := r.Step(); err != nil {
 			return nil, err
 		}
-		cur := r.Outputs()
 		if obs != nil {
-			obs(r.Round(), cur)
+			obs(r.Round(), r)
 		}
-		if outputsEqual(prev, cur, met) {
+		var same bool
+		if fr != nil {
+			cur := fr.Floats()
+			same = floatsEqual(prevF, cur, eq)
+			copy(prevF, cur)
+		} else {
+			cur := r.Outputs()
+			same = outputsEqual(prev, cur, met)
+			prev = cur
+		}
+		if same {
 			if unchanged == 0 {
 				stableSince = r.Round() - 1
 			}
 			unchanged++
 			if unchanged >= patience {
-				return &StableResult{Stable: true, StabilizedAt: stableSince, Rounds: r.Round(), Outputs: cur}, nil
+				return &StableResult{Stable: true, StabilizedAt: stableSince, Rounds: r.Round(), Outputs: prev, Floats: prevF}, nil
 			}
 		} else {
 			unchanged = 0
 		}
-		prev = cur
 		if pol.Flush != nil {
 			select {
 			case <-pol.Flush:
@@ -442,5 +469,16 @@ func RunUntilStableCheckpointedCtx(ctx context.Context, r Runner, met model.Metr
 			}
 		}
 	}
-	return &StableResult{Stable: false, Rounds: r.Round(), Outputs: prev}, nil
+	return &StableResult{Stable: false, Rounds: r.Round(), Outputs: prev, Floats: prevF}, nil
+}
+
+// floatsEqual reports whether every output of a is at distance 0 from b's
+// under eq.
+func floatsEqual(a, b []float64, eq func(a, b float64) bool) bool {
+	for i := range a {
+		if !eq(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
 }

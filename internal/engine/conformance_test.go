@@ -151,7 +151,8 @@ func TestRegistryComplete(t *testing.T) {
 // TestConformanceTraceEquality runs every registered model's reference
 // workload under the sequential and sharded engines (plus the
 // vectorized kernels when the model is vectorizable and the agents expose
-// vector rows) and asserts the traces are byte-identical.
+// vector rows, and the flooding kernel when they are set agents that
+// conform to the model) and asserts the traces are byte-identical.
 func TestConformanceTraceEquality(t *testing.T) {
 	const n = 7
 	suite := conformanceSuite()
@@ -180,10 +181,14 @@ func TestConformanceTraceEquality(t *testing.T) {
 				{"shard3", func() (engine.Runner, error) { return engine.NewSharded(cfg(), 3) }},
 				{"vec", func() (engine.Runner, error) { return engine.NewVectorized(cfg()) }},
 				{"parvec3", func() (engine.Runner, error) { return engine.NewParallelVec(cfg(), 3) }},
+				{"flood", func() (engine.Runner, error) { return engine.NewFlood(cfg()) }},
 			}
 			var want string
 			for _, rn := range runners {
 				r, err := rn.mk()
+				if errors.Is(err, engine.ErrNotFloodable) {
+					continue // not set agents of this model: the generic runners cover it
+				}
 				if errors.Is(err, engine.ErrNotVectorizable) {
 					if d.VecSend == nil {
 						continue // model has no vector form; fallback contract covered elsewhere

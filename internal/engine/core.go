@@ -10,7 +10,8 @@ import (
 	"anonnet/internal/topology"
 )
 
-// This file is the shared round pipeline under the four runners: one core
+// This file is the shared round pipeline under the four agent-holding
+// runners (the flooding kernel holds sets, not agents): one core
 // holds the configuration, the agents, the topology provider, the fault
 // machinery, and the reused message buffers, and drives every round
 // through the same stage sequence — restart, snapshot, send, exchange
@@ -157,18 +158,9 @@ func newCore(cfg Config, name string) (*core, error) {
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
-	var topo *topology.Provider
-	switch {
-	case cfg.Snapshot != nil:
-		topo = topology.NewStaticProvider(cfg.Snapshot)
-	case cfg.Starts != nil:
-		wrapped, err := dynamic.NewAsyncStart(cfg.Schedule, cfg.Starts)
-		if err != nil {
-			return nil, err
-		}
-		topo = topology.NewProvider(wrapped, cfg.Kind)
-	default:
-		topo = topology.NewProvider(cfg.Schedule, cfg.Kind)
+	topo, err := newProvider(cfg)
+	if err != nil {
+		return nil, err
 	}
 	agents := make([]model.Agent, len(cfg.Inputs))
 	for i, in := range cfg.Inputs {
@@ -205,6 +197,23 @@ func newCore(cfg Config, name string) (*core, error) {
 		}
 	}
 	return c, nil
+}
+
+// newProvider returns the topology provider of a validated cfg: over the
+// snapshot, or over the (async-start wrapped) schedule.
+func newProvider(cfg Config) (*topology.Provider, error) {
+	switch {
+	case cfg.Snapshot != nil:
+		return topology.NewStaticProvider(cfg.Snapshot), nil
+	case cfg.Starts != nil:
+		wrapped, err := dynamic.NewAsyncStart(cfg.Schedule, cfg.Starts)
+		if err != nil {
+			return nil, err
+		}
+		return topology.NewProvider(wrapped, cfg.Kind), nil
+	default:
+		return topology.NewProvider(cfg.Schedule, cfg.Kind), nil
+	}
 }
 
 // step executes one round through the shared pipeline: restart, activity
@@ -436,12 +445,13 @@ func shuffleMessages(msgs []model.Message, rng *rand.Rand) {
 // NewRunner constructs the named runner over cfg: "seq" (or "") for the
 // sequential engine, "shard" for the sharded one with the given shard
 // count, and "vec" for the vectorized kernel — single-threaded when
-// shards ≤ 0, the parallel kernel with shards workers otherwise — with
-// silent fallback to the sequential engine when the workload is not
-// vectorizable (the traces are identical either way). Names resolve
-// through the engine-name table, so the aliases ("sequential", "conc",
-// "vectorized", …) work too. This is the one engine-selection point
-// shared by the facade and the job runner.
+// shards ≤ 0, the parallel kernel with shards workers otherwise. "seq",
+// and "vec" on a workload that is not vectorizable, take the flooding
+// kernel when the agents are model.SetAgents it can run (see Flood), and
+// the sequential engine otherwise; the traces are identical either way.
+// Names resolve through the engine-name table, so the aliases
+// ("sequential", "conc", "vectorized", …) work too. This is the one
+// engine-selection point shared by the facade and the job runner.
 func NewRunner(cfg Config, name string, shards int) (Runner, error) {
 	canon, ok := CanonicalName(name)
 	if !ok {
@@ -449,7 +459,7 @@ func NewRunner(cfg Config, name string, shards int) (Runner, error) {
 	}
 	switch canon {
 	case "seq":
-		return New(cfg)
+		return newSequential(cfg)
 	case "shard":
 		return NewSharded(cfg, shards)
 	default: // "vec"
@@ -460,12 +470,25 @@ func NewRunner(cfg Config, name string, shards int) (Runner, error) {
 		} else {
 			r, err = NewVectorized(cfg)
 		}
+		if errors.Is(err, ErrNotVectorizable) {
+			return newSequential(cfg)
+		}
 		if err != nil {
-			if errors.Is(err, ErrNotVectorizable) {
-				return New(cfg)
-			}
 			return nil, err
 		}
 		return r, nil
 	}
+}
+
+// newSequential returns the flooding kernel over cfg when it can run it,
+// and the sequential engine otherwise.
+func newSequential(cfg Config) (Runner, error) {
+	f, err := NewFlood(cfg)
+	if errors.Is(err, ErrNotFloodable) {
+		return New(cfg)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
 }

@@ -3,14 +3,16 @@
 // sending function, the communication graph 𝔾(t) routes the messages, and
 // every agent applies its transition function to the received multiset.
 //
-// Four interchangeable runners implement the semantics: a deterministic
+// Five interchangeable runners implement the semantics: a deterministic
 // sequential engine, a sharded batch engine that partitions the agents
-// across cores, and a vectorized kernel that executes linear mass-passing
+// across cores, a vectorized kernel that executes linear mass-passing
 // algorithms (model.VectorAgent) over flat float64 buffers with zero
 // steady-state allocations, single-threaded or on a pool of parallel
-// workers. All four are thin executors over one shared round core
-// (core.go) and one topology substrate (internal/topology); property tests
-// assert they produce identical traces for deterministic agents.
+// workers, and a flooding kernel that executes set-flooding algorithms
+// (model.SetAgent) over flat set arenas with one agent instead of n. The
+// first four are thin executors over one shared round core (core.go); all
+// five share one topology substrate (internal/topology), and property
+// tests assert they produce identical traces for deterministic agents.
 package engine
 
 import (
@@ -18,7 +20,7 @@ import (
 	"anonnet/internal/topology"
 )
 
-// Runner is the common interface of the four runners.
+// Runner is the common interface of the five runners.
 type Runner interface {
 	// Step executes one round.
 	Step() error
@@ -54,7 +56,7 @@ type Stats struct {
 
 // Engine is the deterministic sequential runner: every pipeline stage is a
 // plain loop over the agents on the calling goroutine. It is the reference
-// executor the other three are property-tested against.
+// executor the other four are property-tested against.
 type Engine struct {
 	*core
 }

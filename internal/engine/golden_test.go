@@ -8,8 +8,9 @@ package engine_test
 // round, rendered with %v so float formatting is part of the contract)
 // across the five algorithm families, async starts, and nonzero fault
 // plans, and asserts that the sequential, sharded, and (where the
-// workload is vectorizable) both vectorized engines all match the
-// recorded constant. A failure here means observable behaviour changed relative to
+// workload is vectorizable) both vectorized engines, and (where the agents
+// are set agents and the run is fault-free) the flooding kernel, all match
+// the recorded constant. A failure here means observable behaviour changed relative to
 // the pre-refactor engines — never "update the constant" without
 // understanding why.
 
@@ -203,10 +204,22 @@ func TestGoldenTraces(t *testing.T) {
 					}
 					return r, err
 				}},
+				{"flood", func() (engine.Runner, error) {
+					r, err := engine.NewFlood(goldenConfig(t, gc))
+					if errors.Is(err, engine.ErrNotFloodable) {
+						return nil, err // skipped below
+					}
+					return r, err
+				}},
 			}
 			for _, rn := range runners {
 				r, err := rn.mk()
-				if errors.Is(err, engine.ErrNotVectorizable) {
+				if errors.Is(err, engine.ErrNotVectorizable) || errors.Is(err, engine.ErrNotFloodable) {
+					// The fault-free gossip golden must run on the
+					// flooding kernel.
+					if gc.name == "gossip" && rn.name == "flood" {
+						t.Fatalf("flood: %v", err)
+					}
 					continue
 				}
 				if err != nil {

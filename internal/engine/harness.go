@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 
 	"anonnet/internal/model"
 )
@@ -23,16 +24,61 @@ type StableResult struct {
 	StabilizedAt int
 	// Rounds is the number of rounds executed.
 	Rounds int
-	// Outputs is the final output vector.
+	// Outputs is the final output vector; nil when the run took the
+	// float path, whose final vector is Floats.
 	Outputs []model.Value
+	// Floats is the final output vector of a run on a FloatRunner under
+	// a metric the harness compares floats with (see
+	// RunUntilStableCheckpointedCtx); nil otherwise. The result owns it.
+	Floats []float64
+}
+
+// Values returns the final output vector as values: Outputs, or Floats
+// boxed.
+func (res *StableResult) Values() []model.Value {
+	if res.Floats == nil {
+		return res.Outputs
+	}
+	out := make([]model.Value, len(res.Floats))
+	for i, v := range res.Floats {
+		out[i] = v
+	}
+	return out
 }
 
 // Observer is a per-round callback: after every completed round the
-// harness hands it the round number and the current output vector. The
-// slice is owned by the observer (it is freshly allocated each round).
-// Observers enable round-by-round progress streaming without giving
-// callers control of the loop.
-type Observer func(round int, outputs []model.Value)
+// harness hands it the round number and the runner, from which it reads
+// the outputs it needs, when it needs them: Outputs boxes a fresh vector
+// the observer owns, and a FloatRunner's Floats reads the runner's own.
+// A run nobody watches boxes nothing. Observers enable round-by-round
+// progress streaming without giving callers control of the loop; they
+// must not step, corrupt or close the runner.
+type Observer func(round int, r Runner)
+
+// FloatRunner is the optional runner capability behind the harness's
+// float path: a runner whose every output is a float64 offers them as one
+// vector, read without boxing. The flooding kernel implements it.
+type FloatRunner interface {
+	Runner
+	// Floats returns the current outputs in the runner's own vector,
+	// valid until its next Step or Corrupt; callers must not write it.
+	Floats() []float64
+}
+
+// floatEqual returns how met tells two float64 outputs at distance 0
+// without boxing them, for the two metrics whose distance on floats it
+// knows — under Discrete a == b (reflect.DeepEqual's float rule), under
+// Euclid |a − b| == 0, which two equal infinities are not — and nil for
+// any other metric, which the harness applies to boxed outputs.
+func floatEqual(met model.Metric) func(a, b float64) bool {
+	switch reflect.ValueOf(met).Pointer() {
+	case reflect.ValueOf(model.Discrete).Pointer():
+		return func(a, b float64) bool { return a == b }
+	case reflect.ValueOf(model.Euclid).Pointer():
+		return func(a, b float64) bool { return math.Abs(a-b) == 0 }
+	}
+	return nil
+}
 
 // RunUntilStable steps r until the outputs are unchanged (distance 0 under
 // met) for `patience` consecutive rounds, or until maxRounds. The discrete
@@ -92,10 +138,10 @@ func RunUntilCloseCtx(ctx context.Context, r Runner, target model.Value, met mod
 		if err := r.Step(); err != nil {
 			return nil, err
 		}
-		res.Outputs = r.Outputs()
 		if obs != nil {
-			obs(r.Round(), res.Outputs)
+			obs(r.Round(), r)
 		}
+		res.Outputs = r.Outputs()
 		res.MaxErr = maxDistance(res.Outputs, target, met)
 		res.Rounds = r.Round()
 		if res.MaxErr <= eps {

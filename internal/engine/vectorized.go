@@ -58,9 +58,10 @@ var _ Runner = (*Vectorized)(nil)
 // ErrNotVectorizable reports that a Config cannot run on the vectorized
 // engine: its factory builds agents that do not implement
 // model.VectorAgent, or that decline vectorization (a non-linear variant),
-// or the model is output-port aware. Callers that want transparent
-// degradation (the job runner, the facade) match it with errors.Is and
-// fall back to the sequential engine, whose traces are identical anyway.
+// or the model is output-port aware. NewRunner, the one selection point
+// of the job runner and the facade, matches it with errors.Is and falls
+// back to the sequential path (the flooding kernel or the sequential
+// engine), whose traces are identical anyway.
 var ErrNotVectorizable = errors.New("engine: config is not vectorizable")
 
 // NewVectorized validates cfg, instantiates the agents through the

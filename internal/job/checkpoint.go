@@ -69,7 +69,14 @@ func RunCheckpointed(ctx context.Context, b *Built, obs engine.Observer, ck Chec
 	if err != nil {
 		return nil, err
 	}
-	outputs, maxErr := Numeric(res.Outputs, b.Expected)
+	var outputs []F64
+	var maxErr float64
+	if res.Floats != nil {
+		// The float path: the result is encoded straight from its vector.
+		outputs, maxErr = NumericFloats(res.Floats, b.Expected)
+	} else {
+		outputs, maxErr = Numeric(res.Outputs, b.Expected)
+	}
 	out := &Result{
 		Outputs:      outputs,
 		Stable:       res.Stable,

@@ -11,7 +11,6 @@ import (
 
 	"anonnet/internal/engine"
 	"anonnet/internal/faults"
-	"anonnet/internal/model"
 )
 
 // ckptSpec is the acceptance workload: a dynamic outdegree-aware Push-Sum
@@ -50,8 +49,8 @@ func build(t testing.TB, c *Compiled) *Built {
 // sees, in the golden-test format.
 type traceRecorder struct{ lines []string }
 
-func (tr *traceRecorder) obs(round int, outs []model.Value) {
-	tr.lines = append(tr.lines, fmt.Sprintf("%d:%v\n", round, outs))
+func (tr *traceRecorder) obs(round int, r engine.Runner) {
+	tr.lines = append(tr.lines, fmt.Sprintf("%d:%v\n", round, r.Outputs()))
 }
 
 func hashTrace(lines []string) string {
@@ -99,8 +98,8 @@ func TestRunCheckpointedResumeMatchesUninterrupted(t *testing.T) {
 				flush := make(chan struct{}, 1)
 				var blob []byte
 				pre := &traceRecorder{}
-				_, err = RunCheckpointed(context.Background(), build(t, compile()), func(round int, outs []model.Value) {
-					pre.obs(round, outs)
+				_, err = RunCheckpointed(context.Background(), build(t, compile()), func(round int, r engine.Runner) {
+					pre.obs(round, r)
 					if round == k {
 						flush <- struct{}{}
 					}
@@ -144,8 +143,8 @@ func concurrentBlob(t *testing.T, spec Spec, k int) ([]byte, []string) {
 	flush := make(chan struct{}, 1)
 	var blob []byte
 	pre := &traceRecorder{}
-	_, err = RunCheckpointed(context.Background(), build(t, c), func(round int, outs []model.Value) {
-		pre.obs(round, outs)
+	_, err = RunCheckpointed(context.Background(), build(t, c), func(round int, r engine.Runner) {
+		pre.obs(round, r)
 		if round == k {
 			flush <- struct{}{}
 		}

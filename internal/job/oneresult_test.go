@@ -7,7 +7,6 @@ import (
 
 	"anonnet/internal/engine"
 	"anonnet/internal/funcs"
-	"anonnet/internal/model"
 )
 
 // TestOneSpecOneResult pins the system's central invariant on fractional
@@ -115,7 +114,7 @@ func runResult(t *testing.T, s Spec, stopAt int) (res *Result, resumed bool) {
 	}
 	flush := make(chan struct{}, 1)
 	var blob []byte
-	res, err := RunCheckpointed(ctx, build(t, compile()), func(round int, _ []model.Value) {
+	res, err := RunCheckpointed(ctx, build(t, compile()), func(round int, _ engine.Runner) {
 		if round == stopAt {
 			flush <- struct{}{}
 		}

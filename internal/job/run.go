@@ -304,9 +304,37 @@ func Numeric(outs []model.Value, expected float64) ([]F64, float64) {
 			continue
 		}
 		vals[i] = F64(f)
-		if d := math.Abs(f - expected); d > maxErr || math.IsNaN(d) {
-			maxErr = d
-		}
+		maxErr = worseErr(maxErr, f, expected)
 	}
 	return vals, maxErr
+}
+
+// NumericFloats is Numeric on a float output vector, such as an
+// engine.FloatRunner's, read without boxing.
+func NumericFloats(outs []float64, expected float64) ([]F64, float64) {
+	vals := make([]F64, len(outs))
+	maxErr := 0.0
+	for i, f := range outs {
+		vals[i] = F64(f)
+		maxErr = worseErr(maxErr, f, expected)
+	}
+	return vals, maxErr
+}
+
+// NumericOf is Numeric on r's current outputs, read through Floats when r
+// is an engine.FloatRunner, so a float vector is never boxed.
+func NumericOf(r engine.Runner, expected float64) ([]F64, float64) {
+	if fr, ok := r.(engine.FloatRunner); ok {
+		return NumericFloats(fr.Floats(), expected)
+	}
+	return Numeric(r.Outputs(), expected)
+}
+
+// worseErr returns the larger of maxErr and |f − expected|, a NaN
+// distance winning.
+func worseErr(maxErr, f, expected float64) float64 {
+	if d := math.Abs(f - expected); d > maxErr || math.IsNaN(d) {
+		return d
+	}
+	return maxErr
 }

@@ -137,16 +137,15 @@ func TestCacheMissAllocs(t *testing.T) {
 	t.Logf("cache miss: %v allocs, %d bytes; snapshot holds %d bytes", allocs, perMiss, snap.Bytes())
 }
 
-// TestGossipJobAllocs gates what a gossip job allocates per agent: a
-// compiled n=10⁴ bc ring max job runs its two rounds on the cached
-// snapshot. Per agent that is the agent itself, one boxed output per read
-// (three reads: before round 1 and after each round), and per round one
-// boxed send and one grown set — 8 in all. f reads the seen set in place,
-// and the engine cuts its sent and inbox buffers from slabs, so nothing
-// else grows with n; the run's own objects (runner, slabs, output
-// vectors, result) get a fixed allowance of 64.
+// TestGossipJobAllocs gates what a gossip job allocates: a compiled
+// n=10⁴ bc ring max job runs its two rounds on the cached snapshot. It
+// runs on the flooding kernel, which holds the sets in two arenas, builds
+// one agent instead of n, boxes no message, and hands its outputs to the
+// harness and the result as floats, so nothing it allocates grows with n:
+// the run (build, runner, arenas, output vectors, result) gets a fixed
+// allowance of 64.
 func TestGossipJobAllocs(t *testing.T) {
-	const n, perAgent, perRun = 10_000, 8, 64
+	const n, perRun = 10_000, 64
 	c, err := Compile(Spec{Graph: GraphSpec{Builder: "ring", N: n}, Kind: "bc", Function: "max", MaxRounds: 2, Patience: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -168,8 +167,8 @@ func TestGossipJobAllocs(t *testing.T) {
 	}
 	run() // the cache miss, outside the measurement
 	allocs := testing.AllocsPerRun(5, run)
-	t.Logf("a 2-round n=%d gossip job allocates %v times, %.4f per agent", n, allocs, allocs/n)
-	if allocs > perAgent*n+perRun {
-		t.Fatalf("a 2-round n=%d gossip job allocates %v times, want at most %d per agent plus %d", n, allocs, perAgent, perRun)
+	t.Logf("a 2-round n=%d gossip job allocates %v times", n, allocs)
+	if allocs > perRun {
+		t.Fatalf("a 2-round n=%d gossip job allocates %v times, want at most %d", n, allocs, perRun)
 	}
 }

@@ -8,8 +8,8 @@ import (
 	"runtime"
 	"testing"
 
+	"anonnet/internal/engine"
 	"anonnet/internal/faults"
-	"anonnet/internal/model"
 )
 
 func ringAverageSpec() Spec {
@@ -525,7 +525,7 @@ func TestCompileRunAverageOnRing(t *testing.T) {
 		t.Fatalf("compile: n=%d expected=%v", c.N, b.Expected)
 	}
 	rounds := 0
-	res, err := Run(context.Background(), c, func(round int, outs []model.Value) { rounds++ })
+	res, err := Run(context.Background(), c, func(int, engine.Runner) { rounds++ })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -632,7 +632,7 @@ func TestVecShardsCappedAtN(t *testing.T) {
 		t.Fatal(err)
 	}
 	before, peak := runtime.NumGoroutine(), 0
-	res, err := Run(context.Background(), c, func(int, []model.Value) {
+	res, err := Run(context.Background(), c, func(int, engine.Runner) {
 		peak = max(peak, runtime.NumGoroutine()-before)
 	})
 	if err != nil {

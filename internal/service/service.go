@@ -25,7 +25,6 @@ import (
 	"anonnet/internal/engine"
 	"anonnet/internal/job"
 	"anonnet/internal/metrics"
-	"anonnet/internal/model"
 	"anonnet/internal/store"
 	"anonnet/internal/topology"
 )
@@ -821,7 +820,7 @@ func (s *Service) safeRun(ctx context.Context, x *execution) (res *job.Result, e
 // x's members while any of them is watched.
 func (s *Service) observer(x *execution, b *job.Built) engine.Observer {
 	every := s.cfg.ProgressEvery
-	return func(round int, outs []model.Value) {
+	return func(round int, r engine.Runner) {
 		s.rounds.Add(1)
 		if round%every != 0 {
 			return
@@ -836,13 +835,12 @@ func (s *Service) observer(x *execution, b *job.Built) engine.Observer {
 		}
 		s.mu.Unlock()
 		if !watched {
-			// The warm path of a sweep has no stream subscribers: skip
-			// the per-round output conversion (and its allocations)
-			// outright.
+			// The warm path of a sweep has no stream subscribers: read
+			// no outputs at all.
 			return
 		}
 		// Encode the outputs once: every subscriber shares the bytes.
-		outputs, maxErr := job.Numeric(outs, b.Expected)
+		outputs, maxErr := job.NumericOf(r, b.Expected)
 		s.publish(x, Progress{
 			State:   StateRunning,
 			Round:   round,

@@ -15,7 +15,6 @@ import (
 
 	"anonnet/internal/engine"
 	"anonnet/internal/job"
-	"anonnet/internal/model"
 	"anonnet/internal/store"
 )
 
@@ -305,7 +304,7 @@ func interruptedAt(t *testing.T, c *job.Compiled, round int) []byte {
 	defer b.Release()
 	flush := make(chan struct{}, 1)
 	var blob []byte
-	_, err = job.RunCheckpointed(context.Background(), b, func(r int, _ []model.Value) {
+	_, err = job.RunCheckpointed(context.Background(), b, func(r int, _ engine.Runner) {
 		if r == round {
 			flush <- struct{}{}
 		}
