@@ -270,3 +270,24 @@ func TestFloodRoundWithoutGrowthAllocatesNothing(t *testing.T) {
 		t.Fatalf("a round that grows no set allocates %v times, want 0", allocs)
 	}
 }
+
+// TestFloodLifecycle: the kernel keeps the lifecycle every runner shares —
+// Corrupt reaches every agent, Close is idempotent, Step after Close
+// fails, and Corrupt after Close is a no-op that reports 0.
+func TestFloodLifecycle(t *testing.T) {
+	f := floodRing(t, 5, 5)
+	if err := f.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.Corrupt(5); got != 5 {
+		t.Fatalf("Corrupt reported %d agents, want 5", got)
+	}
+	f.Close()
+	f.Close()
+	if err := f.Step(); err == nil {
+		t.Fatal("Step after Close should fail")
+	}
+	if got := f.Corrupt(5); got != 0 {
+		t.Fatalf("Corrupt after Close reported %d", got)
+	}
+}
