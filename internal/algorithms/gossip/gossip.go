@@ -21,7 +21,7 @@ import (
 type Agent struct {
 	f funcs.Func
 	// set is the set of values heard of, a funcs.Set view of an ascending,
-	// distinct slice that model.Union built, so f reads it in place. The
+	// distinct slice that model.SetUnion built, so f reads it in place. The
 	// slice is sent as is, and the engines hand one message to several
 	// receivers and hold delayed ones across rounds, so a slice once sent
 	// is never written again: a growing set is always a new slice.
@@ -71,26 +71,20 @@ func (a *Agent) SendPorts(outdeg int) []model.Message {
 }
 
 // Receive unions the received sets, each an ascending, distinct []float64
-// as a gossip agent sends it, into the local one with model.Union — the
-// merge the flooding kernel runs on its arenas — so the new set does not
-// depend on the order the messages arrive in. A union that grows the set
-// writes a new slice, alternating between two made in this call, so the
-// sent set is never written; with nothing new the set is left as it is.
+// as a gossip agent sends it, into the local one with model.SetUnion —
+// the merge the flooding kernel runs on its arenas — so the new set does
+// not depend on the order the messages arrive in.
 func (a *Agent) Receive(msgs []model.Message) {
-	set := a.set.Values()
-	var bufs [2][]float64
-	k := 0
+	var u model.SetUnion
+	u.Reset(a.set.Values())
 	for _, m := range msgs {
 		vals, ok := m.([]float64)
 		if !ok {
 			continue // foreign message; gossip is tolerant by nature
 		}
-		if next, grew := model.Union(bufs[k][:0], set, vals); grew {
-			bufs[k], set = next, next
-			k ^= 1
-		}
+		u.Add(vals)
 	}
-	a.set = funcs.Set(set)
+	a.grow(&u)
 }
 
 // Output evaluates f on the set of values seen (each with multiplicity 1 —
@@ -100,7 +94,7 @@ func (a *Agent) Output() model.Value { return a.f.Eval(&a.set) }
 // SetOutput evaluates f on set, read in place through the agent's
 // scratch view, which keeps viewing it until the next call.
 func (a *Agent) SetOutput(set []float64) float64 {
-	a.view.View(set)
+	a.view = funcs.Set(set)
 	return a.f.Eval(&a.view)
 }
 
@@ -108,9 +102,18 @@ func (a *Agent) SetOutput(set []float64) float64 {
 // it is *not* self-stabilizing — the self-stabilization tests demonstrate
 // exactly this failure, as the paper notes for flooding-style algorithms.
 func (a *Agent) Corrupt(junk int64) {
-	v := [1]float64{a.CorruptValue(junk)}
-	if next, grew := model.Union(nil, a.set.Values(), v[:]); grew {
-		a.set = funcs.Set(next)
+	var u model.SetUnion
+	u.Reset(a.set.Values())
+	u.Add([]float64{a.CorruptValue(junk)})
+	a.grow(&u)
+}
+
+// grow makes u's union the set when it differs from the set, writing it to
+// a new slice, so the old one, which may have been sent, is never written;
+// with nothing new the set is left as it is.
+func (a *Agent) grow(u *model.SetUnion) {
+	if u.Grows() {
+		a.set = funcs.Set(u.AppendTo(make([]float64, 0, u.Len())))
 	}
 }
 

@@ -366,10 +366,9 @@ type CheckpointPolicy struct {
 // travels inside the checkpoint, so a resumed run stabilizes at exactly
 // the round an uninterrupted one does.
 //
-// On a FloatRunner under model.Discrete or model.Euclid the harness takes
-// the float path: it compares the runner's float vectors round over round
-// in one reused copy, whose distance 0 is the metric's on those floats,
-// and returns the final vector as Floats, boxing nothing.
+// On a FloatRunner under model.Discrete the harness takes the float path:
+// it compares the runner's float vectors round over round with ==, in one
+// reused copy, and returns the final vector as Floats, boxing nothing.
 func RunUntilStableCheckpointedCtx(ctx context.Context, r Runner, met model.Metric, patience, maxRounds int, obs Observer, pol CheckpointPolicy) (*StableResult, error) {
 	if patience < 1 {
 		return nil, fmt.Errorf("engine: RunUntilStable: patience %d, want ≥ 1", patience)
@@ -405,8 +404,7 @@ func RunUntilStableCheckpointedCtx(ctx context.Context, r Runner, met model.Metr
 	var prev []model.Value
 	var prevF []float64
 	fr, _ := r.(FloatRunner)
-	eq := floatEqual(met)
-	if fr != nil && eq != nil {
+	if fr != nil && isDiscrete(met) {
 		prevF = slices.Clone(fr.Floats())
 	} else {
 		fr = nil
@@ -425,7 +423,7 @@ func RunUntilStableCheckpointedCtx(ctx context.Context, r Runner, met model.Metr
 		var same bool
 		if fr != nil {
 			cur := fr.Floats()
-			same = floatsEqual(prevF, cur, eq)
+			same = slices.Equal(prevF, cur)
 			copy(prevF, cur)
 		} else {
 			cur := r.Outputs()
@@ -470,15 +468,4 @@ func RunUntilStableCheckpointedCtx(ctx context.Context, r Runner, met model.Metr
 		}
 	}
 	return &StableResult{Stable: false, Rounds: r.Round(), Outputs: prev, Floats: prevF}, nil
-}
-
-// floatsEqual reports whether every output of a is at distance 0 from b's
-// under eq.
-func floatsEqual(a, b []float64, eq func(a, b float64) bool) bool {
-	for i := range a {
-		if !eq(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
 }

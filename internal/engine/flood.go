@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"reflect"
 
 	"anonnet/internal/model"
 	"anonnet/internal/topology"
@@ -13,19 +14,20 @@ import (
 // linear ones. Such an agent is the set of values it has heard, so the
 // kernel builds one probe agent from the factory, for f, instead of n: it
 // holds every agent's set as a window of a flat arena, unions each active
-// destination's active in-neighbour windows into its own with
-// model.Union — the merge the agents' own Receive uses — and writes f's
-// values into one reused []float64. A union does not depend on the order
-// of its operands, so the kernel draws nothing from the RNG and shuffles
-// nothing, and its per-round outputs and Stats equal the sequential
-// Engine's for equal Config; the differential tests in flood_test.go
-// assert it.
+// destination's active in-neighbour windows into its own with one
+// model.SetUnion — the merge the agents' own Receive uses — written
+// straight into the next arena, and writes f's values into one reused
+// []float64. A union does not depend on the order of its operands, so the
+// kernel draws nothing from the RNG and shuffles nothing, and its
+// per-round outputs and Stats equal the sequential Engine's for equal
+// Config; the differential tests in flood_test.go assert it.
 //
 // NewRunner builds it for "seq" and as the fallback of "vec" when the
 // factory's agents are SetAgents that conform to the model and the run
-// has no fault injector. A round in which no
-// set changes writes and allocates nothing, and between rounds the two
-// arenas hold at most twice the floats of the sets they store.
+// has no fault injector. A round in which no set changes writes and
+// allocates nothing; an arena never holds more than twice the floats of
+// the sets written into it, and between rounds the two arenas together
+// hold at most twice the floats of the sets they store.
 type Flood struct {
 	cfg      Config
 	desc     *model.Descriptor
@@ -44,9 +46,8 @@ type Flood struct {
 	// one piece.
 	sets, spare   []float64
 	off, spareOff []int
-	// merge holds the two buffers a destination's unions alternate
-	// between, so the set the next union reads is never the one it writes.
-	merge [2][]float64
+	// union is the next set of the agent being written.
+	union model.SetUnion
 	// out[i] is f on agent i's set; changed marks the sets a round
 	// rewrote, whose outputs commit recomputes.
 	out     []float64
@@ -56,10 +57,10 @@ type Flood struct {
 var _ Runner = (*Flood)(nil)
 
 // ErrNotFloodable reports that a Config cannot run on the flooding
-// kernel: its agents do not implement model.SetAgent or do not conform to
-// the model, or the run injects faults. NewRunner
-// matches it with errors.Is and builds the sequential engine instead,
-// whose traces are identical.
+// kernel: its agents do not implement model.SetAgent, inherit it by
+// embedding, or do not conform to the model, or the run injects faults.
+// NewRunner matches it with errors.Is and builds the sequential engine
+// instead, whose traces are identical.
 var ErrNotFloodable = errors.New("engine: config is not floodable")
 
 // NewFlood validates cfg, probes one agent from the factory, and returns a
@@ -119,10 +120,33 @@ func floodProbe(cfg Config, desc *model.Descriptor) (model.SetAgent, error) {
 	switch {
 	case !ok:
 		return nil, fmt.Errorf("%w: agent (%T) does not implement model.SetAgent", ErrNotFloodable, a)
+	case embedsSetAgent(a):
+		return nil, fmt.Errorf("%w: agent (%T) embeds a model.SetAgent, whose Send or Receive it may override", ErrNotFloodable, a)
 	case !desc.Conforms(a):
 		return nil, fmt.Errorf("%w: agent (%T) does not implement %s", ErrNotFloodable, a, desc.Iface)
 	}
 	return sa, nil
+}
+
+// embedsSetAgent reports whether a's type embeds a model.SetAgent. Go
+// promotes the contract's methods to such a type, which may still
+// override Send or Receive — overrides the kernel would never call — so
+// only a type that declares the contract itself runs on the kernel.
+func embedsSetAgent(a model.Agent) bool {
+	t := reflect.TypeOf(a)
+	if t.Kind() == reflect.Pointer {
+		t = t.Elem()
+	}
+	if t.Kind() != reflect.Struct {
+		return false
+	}
+	setAgent := reflect.TypeFor[model.SetAgent]()
+	for i := range t.NumField() {
+		if ft := t.Field(i); ft.Anonymous && (ft.Type.Implements(setAgent) || reflect.PointerTo(ft.Type).Implements(setAgent)) {
+			return true
+		}
+	}
+	return false
 }
 
 // Step executes one round with the same outputs and Stats as Engine.Step:
@@ -161,13 +185,12 @@ func (f *Flood) Step() error {
 // do not fit the model fails at the same edge with the same error, before
 // any set changes.
 func (f *Flood) flood(snap *topology.Snapshot) (int64, error) {
-	sets, off, active, portSlots := f.sets, f.off, f.active, f.desc.PortSlots
+	sets, off, active, portSlots, u := f.sets, f.off, f.active, f.desc.PortSlots, &f.union
 	var delivered int64
 	var next []float64
 	writing := false
-	k := 0
 	for j := range f.out {
-		acc := sets[off[j]:off[j+1]]
+		u.Reset(sets[off[j]:off[j+1]])
 		if active[j] {
 			for e := snap.Start[j]; e < snap.Start[j+1]; e++ {
 				src := int(snap.Src[e])
@@ -182,17 +205,13 @@ func (f *Flood) flood(snap *topology.Snapshot) (int64, error) {
 					return 0, fmt.Errorf("engine: agent %d: edge port %d out of range 1..%d", src, snap.Port[e], sent)
 				}
 				delivered++
-				if src == j {
-					continue // a set's union with itself is the set
-				}
-				if u, ok := model.Union(f.merge[k][:0], acc, sets[off[src]:off[src+1]]); ok {
-					f.merge[k], acc = u, u
-					f.changed[j] = true
-					k ^= 1
+				if src != j { // a set's union with itself is the set
+					u.Add(sets[off[src]:off[src+1]])
 				}
 			}
 		}
-		next, writing = f.put(next, writing, acc, j)
+		f.changed[j] = u.Grows()
+		next, writing = f.put(next, writing, j)
 	}
 	if writing {
 		f.commit(next)
@@ -200,55 +219,55 @@ func (f *Flood) flood(snap *topology.Snapshot) (int64, error) {
 	return delivered, nil
 }
 
-// put writes agent j's next set into the spare arena next once some set
-// has changed, and reports whether it is writing: at the first changed
-// set it copies the unchanged sets before it in one piece. When next is
-// full it is reallocated at the capacity the growth so far extrapolates
-// to over all n agents, so a round whose sets grow evenly reallocates at
-// most once.
-func (f *Flood) put(next []float64, writing bool, set []float64, j int) ([]float64, bool) {
+// put writes agent j's next set, f.union, into the spare arena next once
+// some set has changed, and reports whether it is writing: at the first
+// changed set it copies the unchanged sets before it in one piece. When
+// next is full it is reallocated by reserve.
+func (f *Flood) put(next []float64, writing bool, j int) ([]float64, bool) {
 	if !writing {
 		if !f.changed[j] {
 			return nil, false
 		}
 		next = f.spare[:0]
-		if need := f.off[j] + len(set); need > cap(next) {
+		if need := f.off[j] + f.union.Len(); need > cap(next) {
 			next = f.reserve(next, need, j)
 		}
 		next = append(next, f.sets[:f.off[j]]...)
 		copy(f.spareOff[:j+1], f.off[:j+1])
-	} else if need := len(next) + len(set); need > cap(next) {
+	} else if need := len(next) + f.union.Len(); need > cap(next) {
 		next = f.reserve(next, need, j)
 	}
-	next = append(next, set...)
+	next = f.union.AppendTo(next)
 	f.spareOff[j+1] = len(next)
 	return next, true
 }
 
 // reserve returns next moved to a new arena for need floats through agent
-// j: the sets stay at most as large as the live ones (they only grow) plus
-// the growth so far extrapolated over all n agents.
+// j. The new arena holds the live floats plus the growth so far
+// extrapolated over all n agents, so a round whose sets grow evenly
+// reallocates about once. Sets only grow, so the round's sets need at
+// least the live floats plus the growth so far, and the arena holds at
+// most twice that: a hub early in agent order does not reserve its growth
+// n times over.
 func (f *Flood) reserve(next []float64, need, j int) []float64 {
-	growth := int64(need - f.off[j+1])
-	c := len(f.sets) + int(growth*int64(len(f.out))/int64(j+1))
-	grown := make([]float64, len(next), max(c, need))
+	growth := need - f.off[j+1]
+	extrapolated := len(f.sets) + int(int64(growth)*int64(len(f.out))/int64(j+1))
+	grown := make([]float64, len(next), min(extrapolated, 2*(len(f.sets)+growth)))
 	copy(grown, next)
 	return grown
 }
 
 // commit makes next, holding every agent's next set, the live arena and
 // the old one the spare, recomputing the outputs of the changed sets.
-// When the two arenas' capacities add up to more than twice the live
-// floats it drops the spare, and cuts the live arena to its length if
-// that alone is more than twice them.
+// next holds at most twice the live floats (reserve sizes it so, and a
+// reused spare held at most twice the fewer floats of an earlier round),
+// and when the two arenas' capacities add up to more than that, commit
+// drops the spare.
 func (f *Flood) commit(next []float64) {
 	f.sets, f.spare = next, f.sets
 	f.off, f.spareOff = f.spareOff, f.off
-	if live := len(next); cap(next)+cap(f.spare) > 2*live {
+	if cap(next)+cap(f.spare) > 2*len(next) {
 		f.spare = nil
-		if cap(next) > 2*live {
-			f.sets = append(make([]float64, 0, live), next...)
-		}
 	}
 	for i, c := range f.changed {
 		if c {
@@ -298,13 +317,11 @@ func (f *Flood) Corrupt(junk int64) int {
 	var next []float64
 	writing := false
 	for i := range f.out {
-		set := f.sets[f.off[i]:f.off[i+1]]
+		f.union.Reset(f.sets[f.off[i]:f.off[i+1]])
 		v := [1]float64{f.probe.CorruptValue(junk + int64(i)*7919)}
-		if u, ok := model.Union(f.merge[0][:0], set, v[:]); ok {
-			f.merge[0], set = u, u
-			f.changed[i] = true
-		}
-		next, writing = f.put(next, writing, set, i)
+		f.union.Add(v[:])
+		f.changed[i] = f.union.Grows()
+		next, writing = f.put(next, writing, i)
 	}
 	if writing {
 		f.commit(next)

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"anonnet/internal/algorithms/gossip"
@@ -152,8 +153,8 @@ func assertSameRun(t *testing.T, want, got engine.Runner, rounds, corruptAt int,
 // TestFloodRunnerSelection: NewRunner builds the flooding kernel for
 // "seq", its aliases, and the fallback of "vec", when the agents are set
 // agents that conform to the model and the run has no fault injector; a
-// fault injector, the sharded engine, a non-conforming model and a
-// non-set algorithm keep their runners.
+// fault injector, the sharded engine, a non-conforming model, a non-set
+// algorithm and an agent that embeds a gossip agent keep their runners.
 func TestFloodRunnerSelection(t *testing.T) {
 	gossipMax, err := gossip.NewFactory(funcs.Max())
 	if err != nil {
@@ -162,6 +163,13 @@ func TestFloodRunnerSelection(t *testing.T) {
 	inj, err := faults.NewInjector(1, faults.Plan{Drop: 0.1})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// inboxAgent embeds a gossip agent, so it inherits SetOutput and
+	// CorruptValue, and overrides Send and Receive.
+	var wrapped *inboxAgent
+	wrap := func(in model.Input) model.Agent {
+		wrapped = &inboxAgent{Agent: gossipMax(in).(*gossip.Agent)}
+		return wrapped
 	}
 	cfg := func(k model.Kind, f model.Factory, inj engine.FaultInjector) engine.Config {
 		return engine.Config{Schedule: dynamic.NewStatic(graph.BidirectionalRing(5)), Kind: k,
@@ -179,6 +187,7 @@ func TestFloodRunnerSelection(t *testing.T) {
 		{"faults", "seq", cfg(model.SimpleBroadcast, gossipMax, inj), "*engine.Engine"},
 		{"shard", "shard", cfg(model.SimpleBroadcast, gossipMax, nil), "*engine.Sharded"},
 		{"linear agents", "seq", cfg(model.OutdegreeAware, pushsum.NewAverageFactory(), nil), "*engine.Engine"},
+		{"embedding wrapper", "seq", cfg(model.SimpleBroadcast, wrap, nil), "*engine.Engine"},
 	} {
 		r, err := engine.NewRunner(tc.cfg, tc.engine, 2)
 		if err != nil {
@@ -189,6 +198,18 @@ func TestFloodRunnerSelection(t *testing.T) {
 		}
 		r.Close()
 	}
+	// The wrapper's overrides run: its last agent received a round.
+	r, err := engine.NewRunner(cfg(model.SimpleBroadcast, wrap, nil), "seq", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if len(wrapped.got) == 0 || wrapped.sent == nil {
+		t.Fatalf("the embedding wrapper's Send and Receive did not run: sent %v, received %v", wrapped.sent, wrapped.got)
+	}
+	r.Close()
 	// gossip is no BitSender: the one-bit model keeps the sequential
 	// engine's conformance error.
 	bit := cfg(model.OneBitBroadcast, gossipMax, nil)
@@ -249,6 +270,46 @@ func TestFloodArenaBound(t *testing.T) {
 	}
 	if _, stored := f.ArenaFloats(); stored <= n*distinct {
 		t.Fatalf("the arenas store %d floats, want more than every agent's %d values: the junk floods too", stored, distinct)
+	}
+}
+
+// TestFloodHubRoundPeak: on a star whose centre is agent 0, the first
+// agent the kernel writes gains n−1 values in round 1 while every other
+// set grows by one. Sizing the new arena by that growth extrapolated over
+// all n agents alone would reserve about n² floats (800 MB at n=10⁴). The
+// round must allocate a small multiple of the floats the sets store after
+// it — the arena at most twice them, the rest the buffer of the centre's
+// union — and the arenas it leaves must hold at most twice them.
+func TestFloodHubRoundPeak(t *testing.T) {
+	const n = 10000
+	factory, err := gossip.NewFactory(funcs.Max())
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := make([]model.Input, n)
+	for i := range inputs {
+		inputs[i] = model.Input{Value: float64(i + 1)}
+	}
+	f, err := engine.NewFlood(engine.Config{Schedule: dynamic.NewStatic(graph.Star(n)),
+		Kind: model.SimpleBroadcast, Inputs: inputs, Factory: factory, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := f.Step(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	held, stored := f.ArenaFloats()
+	if want := n + 2*(n-1); stored != want {
+		t.Fatalf("round 1 stores %d floats, want %d", stored, want)
+	}
+	if allocated := after.TotalAlloc - before.TotalAlloc; allocated > 16*8*uint64(stored) {
+		t.Fatalf("round 1 allocated %d bytes for %d stored floats, more than 16 floats each", allocated, stored)
+	}
+	if held > 2*stored {
+		t.Fatalf("after round 1 the arenas hold %d floats for %d stored, more than twice", held, stored)
 	}
 }
 

@@ -28,8 +28,8 @@ type StableResult struct {
 	// float path, whose final vector is Floats.
 	Outputs []model.Value
 	// Floats is the final output vector of a run on a FloatRunner under
-	// a metric the harness compares floats with (see
-	// RunUntilStableCheckpointedCtx); nil otherwise. The result owns it.
+	// model.Discrete (see RunUntilStableCheckpointedCtx); nil otherwise.
+	// The result owns it.
 	Floats []float64
 }
 
@@ -65,19 +65,12 @@ type FloatRunner interface {
 	Floats() []float64
 }
 
-// floatEqual returns how met tells two float64 outputs at distance 0
-// without boxing them, for the two metrics whose distance on floats it
-// knows — under Discrete a == b (reflect.DeepEqual's float rule), under
-// Euclid |a − b| == 0, which two equal infinities are not — and nil for
-// any other metric, which the harness applies to boxed outputs.
-func floatEqual(met model.Metric) func(a, b float64) bool {
-	switch reflect.ValueOf(met).Pointer() {
-	case reflect.ValueOf(model.Discrete).Pointer():
-		return func(a, b float64) bool { return a == b }
-	case reflect.ValueOf(model.Euclid).Pointer():
-		return func(a, b float64) bool { return math.Abs(a-b) == 0 }
-	}
-	return nil
+// isDiscrete reports whether met is model.Discrete, under which two
+// float64 outputs are at distance 0 exactly when a == b
+// (reflect.DeepEqual's float rule), so the harness compares floats
+// without boxing them.
+func isDiscrete(met model.Metric) bool {
+	return reflect.ValueOf(met).Pointer() == reflect.ValueOf(model.Discrete).Pointer()
 }
 
 // RunUntilStable steps r until the outputs are unchanged (distance 0 under

@@ -36,10 +36,6 @@ type Args struct {
 // while the view is in use.
 func Set(vals []float64) Args { return Args{vals: vals, n: len(vals)} }
 
-// View makes a the set view of vals in place, as a = Set(vals) does but
-// field by field, so a reused view costs no struct copy.
-func (a *Args) View(vals []float64) { a.vals, a.counts, a.n = vals, nil, len(vals) }
-
 // NewArgs returns the multiset holding each of vals once per occurrence.
 // vals is read, never written, and never aliased: the multiset is a copy.
 func NewArgs(vals ...float64) *Args {

@@ -321,15 +321,6 @@ func NumericFloats(outs []float64, expected float64) ([]F64, float64) {
 	return vals, maxErr
 }
 
-// NumericOf is Numeric on r's current outputs, read through Floats when r
-// is an engine.FloatRunner, so a float vector is never boxed.
-func NumericOf(r engine.Runner, expected float64) ([]F64, float64) {
-	if fr, ok := r.(engine.FloatRunner); ok {
-		return NumericFloats(fr.Floats(), expected)
-	}
-	return Numeric(r.Outputs(), expected)
-}
-
 // worseErr returns the larger of maxErr and |f − expected|, a NaN
 // distance winning.
 func worseErr(maxErr, f, expected float64) float64 {

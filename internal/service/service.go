@@ -840,7 +840,7 @@ func (s *Service) observer(x *execution, b *job.Built) engine.Observer {
 			return
 		}
 		// Encode the outputs once: every subscriber shares the bytes.
-		outputs, maxErr := job.NumericOf(r, b.Expected)
+		outputs, maxErr := job.Numeric(r.Outputs(), b.Expected)
 		s.publish(x, Progress{
 			State:   StateRunning,
 			Round:   round,
