@@ -52,12 +52,13 @@ crash-recovery:
 	$(GO) test -race -count=1 -run 'TestShutdown|TestBoot' ./cmd/anonnetd
 
 # The chaos gate: 25 seeded kill/restart/corrupt iterations against the
-# real store+service, plus the corruption-quarantine and breaker suites
-# under the race detector. Fully reproducible from the seed.
+# real store+service, plus the corruption-quarantine, dark-disk backfill
+# and sync-failure suites under the race detector. Fully reproducible
+# from the seed.
 chaos:
 	$(GO) run ./cmd/chaosdrill -iterations 25 -seed 1
 	$(GO) test -race -count=1 ./internal/chaos
-	$(GO) test -race -count=1 -run 'Quarantine|GarbageLength|Breaker|Intercept' ./internal/store ./internal/service
+	$(GO) test -race -count=1 -run 'Quarantine|GarbageLength|Backfill|SyncFail|Intercept' ./internal/store ./internal/service
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .

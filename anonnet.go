@@ -278,7 +278,8 @@ var (
 	// CanVectorize probes whether a config is runnable by the vectorized
 	// kernel.
 	CanVectorize = engine.CanVectorize
-	// RunUntilStable detects exact stabilization (discrete metric).
+	// RunUntilStable(r, patience, maxRounds) detects exact stabilization:
+	// outputs unchanged under the discrete metric for patience rounds.
 	RunUntilStable = engine.RunUntilStable
 	// RunUntilClose detects ε-agreement with a known target.
 	RunUntilClose = engine.RunUntilClose
@@ -563,7 +564,7 @@ func Compute(ctx context.Context, spec Spec, opts ...Option) (*ComputeResult, er
 	if fn := cc.onRound; fn != nil {
 		obs = func(round int, r engine.Runner) { fn(round, r.Outputs()) }
 	}
-	res, err := engine.RunUntilStableCtx(ctx, r, model.Discrete, cc.patience, cc.maxRounds, obs)
+	res, err := engine.RunUntilStableCtx(ctx, r, cc.patience, cc.maxRounds, obs)
 	if err != nil {
 		return nil, err
 	}

@@ -236,7 +236,7 @@ func BenchmarkMinBaseStabilization(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := engine.RunUntilStable(e, model.Discrete, n+3*(n-1)+4, 4*n+40)
+				res, err := engine.RunUntilStable(e, n+3*(n-1)+4, 4*n+40)
 				if err != nil || !res.Stable {
 					b.Fatal("no stabilization")
 				}
@@ -318,7 +318,7 @@ func BenchmarkExactRounding(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := engine.RunUntilStable(e, model.Discrete, 100, 5000)
+				res, err := engine.RunUntilStable(e, 100, 5000)
 				if err != nil || !res.Stable {
 					b.Fatal("no stabilization")
 				}

@@ -2,11 +2,14 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"flag"
 	"io/fs"
 	"log"
 	"net"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -167,4 +170,26 @@ func (b *lockedBuffer) String() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.buf.String()
+}
+
+// TestBootRefusesRemovedFlags: a flag the daemon no longer defines fails
+// flag parsing, and the daemon exits 2 before it binds or opens anything.
+// The test binary re-runs itself with the flag after "--" to reach the
+// os.Exit; a daemon that accepted the flag would fail to bind the invalid
+// address and exit 1 instead.
+func TestBootRefusesRemovedFlags(t *testing.T) {
+	if args := flag.Args(); len(args) > 0 {
+		t.Fatalf("run(%q) returned %v", args, run(args))
+	}
+	for _, removed := range []string{"-breaker-threshold=3", "-breaker-cooldown=1s", "-cache=16", "-chaos"} {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestBootRefusesRemovedFlags$", "--",
+			"-addr", "invalid address", removed)
+		err := cmd.Run()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("anonnetd %s: %v, want exit status 2", removed, err)
+		}
+	}
 }

@@ -77,9 +77,6 @@ func run(args []string) error {
 		tenantBurst = fs.Int("tenant-burst", 10, "per-tenant submit burst ceiling (with -tenant-rps)")
 
 		topoBytes = fs.Int64("topo-cache-bytes", 0, "shared topology-snapshot cache budget in bytes (0: default 256 MiB)")
-
-		breakerK    = fs.Int("breaker-threshold", 0, "consecutive persist failures before degraded mode (0: default 5, <0: disabled)")
-		breakerCool = fs.Duration("breaker-cooldown", 0, "degraded-mode dwell before a half-open store probe (0: default 3s)")
 	)
 	fs.Parse(args)
 	if *topoBytes < 0 {
@@ -104,16 +101,14 @@ func run(args []string) error {
 	lim := quota.New(*tenantRPS, *tenantBurst)
 
 	svc := service.New(service.Config{
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		JobTimeout:       *timeout,
-		ProgressEvery:    *every,
-		Store:            st,
-		CheckpointEvery:  *ckptEvery,
-		JobLatency:       jobLatency,
-		BreakerThreshold: *breakerK,
-		BreakerCooldown:  *breakerCool,
-		TopoCacheBytes:   *topoBytes,
+		Workers:         *workers,
+		QueueDepth:      *queue,
+		JobTimeout:      *timeout,
+		ProgressEvery:   *every,
+		Store:           st,
+		CheckpointEvery: *ckptEvery,
+		JobLatency:      jobLatency,
+		TopoCacheBytes:  *topoBytes,
 	})
 	if st != nil {
 		n, err := svc.Recover()

@@ -36,17 +36,13 @@ func newMetricsRegistry(svc *service.Service, st *store.Store, lim *quota.Limite
 		func(s service.Stats) int64 { return s.PanicsRecovered })
 	counter("anonnetd_jobs_recovered_total", "Pending jobs re-registered from the durable store at boot: run, joined to an identical one, or served from a logged result.",
 		func(s service.Stats) int64 { return s.Recovered })
-	counter("anonnetd_jobs_interrupted_total", "Running jobs flushed to checkpoints at shutdown.",
+	counter("anonnetd_jobs_interrupted_total", "Running jobs a durable shutdown stopped, to resume from a checkpoint or rerun on the next boot.",
 		func(s service.Stats) int64 { return s.Interrupted })
-	counter("anonnetd_store_errors_total", "Durable-store append failures.",
+	counter("anonnetd_store_errors_total", "Durable-store append and checkpoint failures.",
 		func(s service.Stats) int64 { return s.StoreErrors })
 	counter("anonnetd_sync_failures_total", "Appends that landed but whose fsync failed (durability in doubt).",
 		func(s service.Stats) int64 { return s.SyncFailures })
-	counter("anonnetd_breaker_trips_total", "Times the store circuit breaker opened into degraded mode.",
-		func(s service.Stats) int64 { return s.BreakerTrips })
-	counter("anonnetd_degraded_dropped_total", "Persists skipped while the breaker was open.",
-		func(s service.Stats) int64 { return s.DegradedDropped })
-	counter("anonnetd_backfilled_total", "Jobs re-appended to the log after the breaker closed.",
+	counter("anonnetd_backfilled_total", "Jobs whose lost transition a later append re-appended to the log.",
 		func(s service.Stats) int64 { return s.Backfilled })
 	counter("anonnetd_topo_cache_hits_total", "Job runs served an already-resident topology snapshot.",
 		func(s service.Stats) int64 { return s.TopoCacheHits })
@@ -70,7 +66,7 @@ func newMetricsRegistry(svc *service.Service, st *store.Store, lim *quota.Limite
 		func(s service.Stats) float64 { return float64(s.Workers) })
 	gauge("anonnetd_cache_entries", "Spec hashes in the result index: the results done jobs of this process hold.",
 		func(s service.Stats) float64 { return float64(s.CacheEntries) })
-	gauge("anonnetd_degraded", "1 while the store breaker is open (in-memory degraded mode), else 0.",
+	gauge("anonnetd_degraded", "1 while some job's latest transition is missing from the log (the next append that lands backfills it), else 0.",
 		func(s service.Stats) float64 {
 			if s.Degraded {
 				return 1

@@ -79,12 +79,11 @@ func fatalf(format string, args ...any) {
 
 // drillPlan is the default failpoint mix. It is deliberately KILL-SAFE:
 // only channels that cannot permanently lose or fail a job are on.
-// Fsync errors exercise the typed ErrSyncFailed path and the circuit
-// breaker without losing log bytes; slow I/O widens the SIGKILL window;
-// worker stalls shift when each run starts against the kill instants.
-// Write errors and panics are available via -plan for exploratory runs
-// but would turn the drill's invariants probabilistic, so they stay out
-// of the default.
+// Fsync errors exercise the typed ErrSyncFailed path without losing log
+// bytes; slow I/O widens the SIGKILL window; worker stalls shift when each
+// run starts against the kill instants. Write errors and panics are
+// available via -plan for exploratory runs but would turn the drill's
+// invariants probabilistic, so they stay out of the default.
 func drillPlan() chaos.Plan {
 	return chaos.Plan{
 		SyncErr:       0.10,
@@ -172,19 +171,17 @@ func runChild(dir string, seed int64, iter int, plan chaos.Plan, specs []job.Spe
 		return err
 	}
 	svc := service.New(service.Config{
-		Workers:          1, // one worker keeps the I/O sequence deterministic
-		Store:            st,
-		CheckpointEvery:  25,
-		BreakerThreshold: 4,
-		BreakerCooldown:  100 * time.Millisecond,
-		Intercept:        ic,
+		Workers:         1, // one worker keeps the I/O sequence deterministic
+		Store:           st,
+		CheckpointEvery: 25,
+		Intercept:       ic,
 	})
 	if _, err := svc.Recover(); err != nil {
 		return err
 	}
 	// Top up: submit every spec whose hash has never been persisted (its
-	// first submission either hasn't happened or was dropped while the
-	// breaker was open and then lost to a kill).
+	// first submission either hasn't happened or lost its append and was
+	// killed before a later append backfilled it).
 	if err := topUp(svc, st, specs); err != nil {
 		return err
 	}
@@ -204,7 +201,7 @@ func runChild(dir string, seed int64, iter int, plan chaos.Plan, specs []job.Spe
 		time.Sleep(2 * time.Millisecond)
 	}
 	// Clean exit: flush running state (there is none — everything is
-	// terminal) and give the breaker one last chance to backfill.
+	// terminal).
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := svc.Shutdown(ctx); err != nil {

@@ -47,7 +47,7 @@ func TestStabilizesWithinDiameterRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := testutil.RunStatic(t, g, model.SimpleBroadcast, testutil.Inputs(vals...), factory, 0, 2)
-	res, err := engine.RunUntilStable(e, model.Discrete, 3, 40)
+	res, err := engine.RunUntilStable(e, 3, 40)
 	if err != nil {
 		t.Fatal(err)
 	}

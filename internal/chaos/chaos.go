@@ -35,7 +35,7 @@ type Plan struct {
 	ShortWrite float64 `json:"short_write,omitempty"`
 	// SyncErr is the probability that an fsync fails after the bytes
 	// reached the file — lost durability, not lost data. Exercises the
-	// store's ErrSyncFailed path and the service's circuit breaker.
+	// store's ErrSyncFailed path and the service's sync-failure count.
 	SyncErr float64 `json:"sync_err,omitempty"`
 	// SlowIO is the probability that a write or fsync is delayed by up to
 	// SlowMaxMs milliseconds, widening the window a SIGKILL can land in.

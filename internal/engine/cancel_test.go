@@ -61,7 +61,7 @@ func TestShardedCancelMidRoundNoGoroutineLeak(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := engine.RunUntilStableCtx(ctx, shd, model.Discrete, 2, 1000, nil)
+	res, err := engine.RunUntilStableCtx(ctx, shd, 2, 1000, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err %v (result %+v), want context.Canceled", err, res)
 	}
@@ -111,7 +111,7 @@ func TestRunUntilStableCtxObservesCancel(t *testing.T) {
 			cancel()
 		}
 	}
-	_, err = engine.RunUntilStableCtx(ctx, e, model.Discrete, 2, 1000, obs)
+	_, err = engine.RunUntilStableCtx(ctx, e, 2, 1000, obs)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err %v, want context.Canceled", err)
 	}

@@ -22,9 +22,10 @@ import (
 // model.Checkpointable, and the resume-equality tests hash both traces.
 
 // ErrInterrupted is returned by RunUntilStableCheckpointedCtx when the run
-// was stopped by a flush request after writing a final checkpoint. The run
-// is not failed: it can be resumed from that checkpoint.
-var ErrInterrupted = errors.New("engine: run interrupted after checkpoint flush")
+// was stopped by a flush request, after writing a final checkpoint when
+// the policy saves them. The run is not failed: it resumes from that
+// checkpoint, or reruns from round 0 when there is none.
+var ErrInterrupted = errors.New("engine: run interrupted by a flush")
 
 // ErrNotCheckpointable reports a runner whose agents do not implement
 // model.Checkpointable, or whose in-flight state cannot be serialized.
@@ -345,7 +346,8 @@ func CanCheckpoint(r Runner) bool {
 
 // CheckpointPolicy drives RunUntilStableCheckpointedCtx: periodic
 // snapshots through Save, an optional resume point, and an optional flush
-// channel for checkpoint-and-stop (graceful shutdown).
+// channel for stop-at-the-next-round (graceful shutdown). Every, Save and
+// Resume need a Checkpointer runner; Flush alone works on every runner.
 type CheckpointPolicy struct {
 	// Every takes a checkpoint after every Every-th round (0: never).
 	Every int
@@ -354,27 +356,31 @@ type CheckpointPolicy struct {
 	// Resume, when non-nil, is restored into the runner before the first
 	// step; the run continues at Resume.Round+1.
 	Resume *Checkpoint
-	// Flush, when readable, requests an immediate checkpoint at the next
-	// round boundary followed by ErrInterrupted.
+	// Flush, when readable, stops the run at the next round boundary with
+	// ErrInterrupted, after a final checkpoint through Save when Save is
+	// set. Without Save the run stops with no checkpoint, to rerun from
+	// round 0.
 	Flush <-chan struct{}
 }
 
 // RunUntilStableCheckpointedCtx is RunUntilStableCtx with a checkpoint
 // policy: it restores pol.Resume first (when set), snapshots the execution
 // every pol.Every rounds through pol.Save, and answers a pol.Flush request
-// with a final checkpoint and ErrInterrupted. The stability window state
-// travels inside the checkpoint, so a resumed run stabilizes at exactly
-// the round an uninterrupted one does.
+// with ErrInterrupted, after a final checkpoint when pol.Save is set. The
+// stability window state travels inside the checkpoint, so a resumed run
+// stabilizes at exactly the round an uninterrupted one does.
 //
-// On a FloatRunner under model.Discrete the harness takes the float path:
-// it compares the runner's float vectors round over round with ==, in one
-// reused copy, and returns the final vector as Floats, boxing nothing.
-func RunUntilStableCheckpointedCtx(ctx context.Context, r Runner, met model.Metric, patience, maxRounds int, obs Observer, pol CheckpointPolicy) (*StableResult, error) {
+// On a FloatRunner the harness takes the float path: under
+// model.Discrete two float64 outputs are at distance 0 exactly when
+// a == b, so it compares the runner's float vectors round over round with
+// ==, in one reused copy, and returns the final vector as Floats, boxing
+// nothing.
+func RunUntilStableCheckpointedCtx(ctx context.Context, r Runner, patience, maxRounds int, obs Observer, pol CheckpointPolicy) (*StableResult, error) {
 	if patience < 1 {
 		return nil, fmt.Errorf("engine: RunUntilStable: patience %d, want ≥ 1", patience)
 	}
 	var ck Checkpointer
-	if pol.Every > 0 || pol.Resume != nil || pol.Flush != nil {
+	if pol.Every > 0 || pol.Resume != nil || pol.Save != nil {
 		var ok bool
 		if ck, ok = r.(Checkpointer); !ok {
 			return nil, fmt.Errorf("%w: %T does not implement engine.Checkpointer", ErrNotCheckpointable, r)
@@ -404,10 +410,9 @@ func RunUntilStableCheckpointedCtx(ctx context.Context, r Runner, met model.Metr
 	var prev []model.Value
 	var prevF []float64
 	fr, _ := r.(FloatRunner)
-	if fr != nil && isDiscrete(met) {
+	if fr != nil {
 		prevF = slices.Clone(fr.Floats())
 	} else {
-		fr = nil
 		prev = r.Outputs()
 	}
 	for t := start; t <= maxRounds; t++ {
@@ -427,7 +432,7 @@ func RunUntilStableCheckpointedCtx(ctx context.Context, r Runner, met model.Metr
 			copy(prevF, cur)
 		} else {
 			cur := r.Outputs()
-			same = outputsEqual(prev, cur, met)
+			same = outputsEqual(prev, cur)
 			prev = cur
 		}
 		if same {
@@ -444,11 +449,11 @@ func RunUntilStableCheckpointedCtx(ctx context.Context, r Runner, met model.Metr
 		if pol.Flush != nil {
 			select {
 			case <-pol.Flush:
-				cp, err := snapshot()
-				if err != nil {
-					return nil, err
-				}
 				if pol.Save != nil {
+					cp, err := snapshot()
+					if err != nil {
+						return nil, err
+					}
 					if err := pol.Save(cp); err != nil {
 						return nil, fmt.Errorf("engine: saving flush checkpoint at round %d: %w", r.Round(), err)
 					}

@@ -17,7 +17,6 @@ import (
 
 	"anonnet/internal/engine"
 	"anonnet/internal/faults"
-	"anonnet/internal/model"
 )
 
 // ckptCase names one checkpointable workload × fault plan.
@@ -271,7 +270,7 @@ func TestCheckpointedHarnessResume(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer a.Close()
-			want, err := engine.RunUntilStableCheckpointedCtx(context.Background(), a, model.Discrete, patience, maxRounds, nil, engine.CheckpointPolicy{
+			want, err := engine.RunUntilStableCheckpointedCtx(context.Background(), a, patience, maxRounds, nil, engine.CheckpointPolicy{
 				Every: every,
 				Save: func(cp *engine.Checkpoint) error {
 					saved = append(saved, cp)
@@ -290,7 +289,7 @@ func TestCheckpointedHarnessResume(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer b.Close()
-			got, err := engine.RunUntilStableCheckpointedCtx(context.Background(), b, model.Discrete, patience, maxRounds, nil, engine.CheckpointPolicy{Resume: resume})
+			got, err := engine.RunUntilStableCheckpointedCtx(context.Background(), b, patience, maxRounds, nil, engine.CheckpointPolicy{Resume: resume})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -317,7 +316,7 @@ func TestCheckpointFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer base.Close()
-	want, err := engine.RunUntilStableCtx(context.Background(), base, model.Discrete, patience, maxRounds, nil)
+	want, err := engine.RunUntilStableCtx(context.Background(), base, patience, maxRounds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +329,7 @@ func TestCheckpointFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	_, err = engine.RunUntilStableCheckpointedCtx(context.Background(), a, model.Discrete, patience, maxRounds, nil, engine.CheckpointPolicy{
+	_, err = engine.RunUntilStableCheckpointedCtx(context.Background(), a, patience, maxRounds, nil, engine.CheckpointPolicy{
 		Flush: flush,
 		Save:  func(cp *engine.Checkpoint) error { flushed = cp; return nil },
 	})
@@ -349,13 +348,41 @@ func TestCheckpointFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	got, err := engine.RunUntilStableCheckpointedCtx(context.Background(), b, model.Discrete, patience, maxRounds, nil, engine.CheckpointPolicy{Resume: flushed})
+	got, err := engine.RunUntilStableCheckpointedCtx(context.Background(), b, patience, maxRounds, nil, engine.CheckpointPolicy{Resume: flushed})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Rounds != want.Rounds || got.Stable != want.Stable || !reflect.DeepEqual(got.Outputs, want.Outputs) {
 		t.Errorf("resumed-after-flush result diverges: got rounds=%d stable=%v, want rounds=%d stable=%v",
 			got.Rounds, got.Stable, want.Rounds, want.Stable)
+	}
+}
+
+// TestCheckpointFlushWithoutCheckpointer: a flush alone needs no
+// Checkpointer. The flooding kernel, which cannot checkpoint, stops at the
+// next round boundary with ErrInterrupted and no snapshot; asked to save
+// checkpoints, it is refused before its first round.
+func TestCheckpointFlushWithoutCheckpointer(t *testing.T) {
+	flush := make(chan struct{}, 1)
+	flush <- struct{}{}
+	f := floodRing(t, 8, 8)
+	defer f.Close()
+	if _, err := engine.RunUntilStableCheckpointedCtx(context.Background(), f, 3, 60, nil, engine.CheckpointPolicy{Flush: flush}); !errors.Is(err, engine.ErrInterrupted) {
+		t.Fatalf("flushed kernel run = %v, want ErrInterrupted", err)
+	}
+	if f.Round() != 1 {
+		t.Fatalf("flush stopped the kernel after round %d, want 1", f.Round())
+	}
+
+	g := floodRing(t, 8, 8)
+	defer g.Close()
+	flush <- struct{}{}
+	_, err := engine.RunUntilStableCheckpointedCtx(context.Background(), g, 3, 60, nil, engine.CheckpointPolicy{
+		Flush: flush,
+		Save:  func(*engine.Checkpoint) error { return nil },
+	})
+	if !errors.Is(err, engine.ErrNotCheckpointable) || g.Round() != 0 {
+		t.Fatalf("kernel run with Save = %v after round %d, want ErrNotCheckpointable before round 1", err, g.Round())
 	}
 }
 

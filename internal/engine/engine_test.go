@@ -340,7 +340,7 @@ func TestRunUntilStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunUntilStable(e, model.Discrete, 3, 50)
+	res, err := RunUntilStable(e, 3, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -576,7 +576,7 @@ func TestRunUntilStableValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunUntilStable(e, model.Discrete, 0, 5); err == nil {
+	if _, err := RunUntilStable(e, 0, 5); err == nil {
 		t.Fatal("patience 0 accepted")
 	}
 }

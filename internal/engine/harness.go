@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"reflect"
 
 	"anonnet/internal/model"
 )
@@ -27,9 +26,8 @@ type StableResult struct {
 	// Outputs is the final output vector; nil when the run took the
 	// float path, whose final vector is Floats.
 	Outputs []model.Value
-	// Floats is the final output vector of a run on a FloatRunner under
-	// model.Discrete (see RunUntilStableCheckpointedCtx); nil otherwise.
-	// The result owns it.
+	// Floats is the final output vector of a run on a FloatRunner (see
+	// RunUntilStableCheckpointedCtx); nil otherwise. The result owns it.
 	Floats []float64
 }
 
@@ -65,19 +63,11 @@ type FloatRunner interface {
 	Floats() []float64
 }
 
-// isDiscrete reports whether met is model.Discrete, under which two
-// float64 outputs are at distance 0 exactly when a == b
-// (reflect.DeepEqual's float rule), so the harness compares floats
-// without boxing them.
-func isDiscrete(met model.Metric) bool {
-	return reflect.ValueOf(met).Pointer() == reflect.ValueOf(model.Discrete).Pointer()
-}
-
 // RunUntilStable steps r until the outputs are unchanged (distance 0 under
-// met) for `patience` consecutive rounds, or until maxRounds. The discrete
-// metric makes this "computation in finite time" detection (§2.3).
-func RunUntilStable(r Runner, met model.Metric, patience, maxRounds int) (*StableResult, error) {
-	return RunUntilStableCtx(context.Background(), r, met, patience, maxRounds, nil)
+// model.Discrete) for `patience` consecutive rounds, or until maxRounds:
+// "computation in finite time" detection (§2.3).
+func RunUntilStable(r Runner, patience, maxRounds int) (*StableResult, error) {
+	return RunUntilStableCtx(context.Background(), r, patience, maxRounds, nil)
 }
 
 // RunUntilStableCtx is RunUntilStable with cooperative cancellation and an
@@ -86,13 +76,13 @@ func RunUntilStable(r Runner, met model.Metric, patience, maxRounds int) (*Stabl
 // with the context's error; obs (when non-nil) is invoked after every
 // round. Every runner is driven through this loop, so the context bounds
 // all of them alike.
-func RunUntilStableCtx(ctx context.Context, r Runner, met model.Metric, patience, maxRounds int, obs Observer) (*StableResult, error) {
-	return RunUntilStableCheckpointedCtx(ctx, r, met, patience, maxRounds, obs, CheckpointPolicy{})
+func RunUntilStableCtx(ctx context.Context, r Runner, patience, maxRounds int, obs Observer) (*StableResult, error) {
+	return RunUntilStableCheckpointedCtx(ctx, r, patience, maxRounds, obs, CheckpointPolicy{})
 }
 
-func outputsEqual(a, b []model.Value, met model.Metric) bool {
+func outputsEqual(a, b []model.Value) bool {
 	for i := range a {
-		if met(a[i], b[i]) != 0 {
+		if model.Discrete(a[i], b[i]) != 0 {
 			return false
 		}
 	}

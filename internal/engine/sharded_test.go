@@ -365,7 +365,7 @@ func ExampleNewSharded() {
 		Factory:  f,
 	}, 2)
 	defer shd.Close()
-	res, _ := engine.RunUntilStable(shd, model.Discrete, 5, 100)
+	res, _ := engine.RunUntilStable(shd, 5, 100)
 	fmt.Println(res.Stable, res.Outputs[0])
 	// Output: true 4
 }

@@ -402,7 +402,7 @@ func TestVectorizedStableRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer vec.Close()
-	res, err := engine.RunUntilStable(vec, model.Discrete, 5, 5000)
+	res, err := engine.RunUntilStable(vec, 5, 5000)
 	if err != nil {
 		t.Fatal(err)
 	}

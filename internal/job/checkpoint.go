@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"anonnet/internal/engine"
-	"anonnet/internal/model"
 )
 
 // CheckpointConfig tells RunCheckpointed how to persist and resume engine
@@ -22,18 +21,19 @@ type CheckpointConfig struct {
 	// Save receives each encoded checkpoint (periodic and flush-triggered).
 	// The blob carries its round: engine.DecodeCheckpoint(blob).Round.
 	Save func(blob []byte) error
-	// Flush asks the run to checkpoint at the next round boundary and stop
-	// with engine.ErrInterrupted — the graceful-shutdown path.
+	// Flush asks the run to stop at the next round boundary with
+	// engine.ErrInterrupted — the graceful-shutdown path — after a final
+	// checkpoint through Save when the algorithm can checkpoint.
 	Flush <-chan struct{}
 }
 
 // RunCheckpointed executes a built job like Run, checkpointing the
 // engine every cfg.Every rounds through cfg.Save and resuming from
 // cfg.Resume when set. Jobs whose algorithm does not implement
-// model.Checkpointable run exactly as under Run: no snapshots, and a
-// Flush signal is ignored (the job simply runs to completion during the
-// drain). An interrupted run surfaces an error wrapping
-// engine.ErrInterrupted after its final checkpoint reached cfg.Save.
+// model.Checkpointable take no snapshots. A Flush stops every job at the
+// next round boundary with an error wrapping engine.ErrInterrupted: a
+// checkpointable one after its final checkpoint reached cfg.Save, any
+// other with no checkpoint, so that it reruns from round 0.
 func RunCheckpointed(ctx context.Context, b *Built, obs engine.Observer, ck CheckpointConfig) (*Result, error) {
 	cfg, name := b.engineConfig()
 	r, err := engine.NewRunner(cfg, name, b.Spec.Shards)
@@ -42,9 +42,9 @@ func RunCheckpointed(ctx context.Context, b *Built, obs engine.Observer, ck Chec
 	}
 	defer r.Close()
 
-	var pol engine.CheckpointPolicy
+	pol := engine.CheckpointPolicy{Flush: ck.Flush}
 	if engine.CanCheckpoint(r) {
-		pol = engine.CheckpointPolicy{Every: ck.Every, Flush: ck.Flush}
+		pol.Every = ck.Every
 		if ck.Save != nil {
 			pol.Save = func(cp *engine.Checkpoint) error {
 				blob, err := cp.Encode()
@@ -65,7 +65,7 @@ func RunCheckpointed(ctx context.Context, b *Built, obs engine.Observer, ck Chec
 		return nil, fmt.Errorf("job: %w: spec %s has a resume checkpoint but its algorithm cannot restore one",
 			engine.ErrNotCheckpointable, b.Hash)
 	}
-	res, err := engine.RunUntilStableCheckpointedCtx(ctx, r, model.Discrete, b.Spec.Patience, b.Spec.MaxRounds, obs, pol)
+	res, err := engine.RunUntilStableCheckpointedCtx(ctx, r, b.Spec.Patience, b.Spec.MaxRounds, obs, pol)
 	if err != nil {
 		return nil, err
 	}

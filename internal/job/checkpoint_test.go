@@ -208,9 +208,11 @@ func TestRunCheckpointedResumesConcurrentCheckpoint(t *testing.T) {
 	}
 }
 
-// TestRunCheckpointedPlainWhenNotCheckpointable pins the degraded mode: a
-// non-checkpointable algorithm (gossip over simple broadcast) runs to
-// completion, ignoring Every/Save/Flush, and matches plain Run.
+// TestRunCheckpointedPlainWhenNotCheckpointable pins a non-checkpointable
+// algorithm (gossip over simple broadcast) under a checkpoint config: with
+// Every and Save it runs to completion, takes no snapshot and matches
+// plain Run; a Flush stops it at the next round boundary with
+// ErrInterrupted and no checkpoint; a Resume is refused.
 func TestRunCheckpointedPlainWhenNotCheckpointable(t *testing.T) {
 	spec := Spec{
 		Graph:     GraphSpec{Builder: "ring", N: 6},
@@ -228,26 +230,35 @@ func TestRunCheckpointedPlainWhenNotCheckpointable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flush := make(chan struct{}, 1)
-	flush <- struct{}{}
 	saves := 0
+	save := func([]byte) error { saves++; return nil }
 	c2, err := Compile(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunCheckpointed(context.Background(), build(t, c2), nil, CheckpointConfig{
-		Every: 1,
-		Flush: flush,
-		Save:  func([]byte) error { saves++; return nil },
-	})
+	got, err := RunCheckpointed(context.Background(), build(t, c2), nil, CheckpointConfig{Every: 1, Save: save})
 	if err != nil {
-		t.Fatalf("degraded run error: %v", err)
+		t.Fatalf("non-checkpointable run error: %v", err)
 	}
 	if saves != 0 {
 		t.Errorf("non-checkpointable run saved %d checkpoints", saves)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("degraded result %+v diverges from Run %+v", got, want)
+		t.Errorf("non-checkpointable result %+v diverges from Run %+v", got, want)
+	}
+
+	// A flush stops the run without a checkpoint.
+	flush := make(chan struct{}, 1)
+	flush <- struct{}{}
+	c4, err := Compile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunCheckpointed(context.Background(), build(t, c4), nil, CheckpointConfig{Every: 1, Flush: flush, Save: save}); !errors.Is(err, engine.ErrInterrupted) {
+		t.Errorf("flushed non-checkpointable run = %v, want ErrInterrupted", err)
+	}
+	if saves != 0 {
+		t.Errorf("flushed non-checkpointable run saved %d checkpoints", saves)
 	}
 
 	// Resuming a non-checkpointable job is an explicit error.

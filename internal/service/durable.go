@@ -3,43 +3,36 @@ package service
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"time"
 
 	"anonnet/internal/job"
 	"anonnet/internal/store"
 )
 
-// persist appends one record to the durable store. Append failures (disk
-// full, store closed during shutdown races) are counted, not fatal: the
-// service keeps serving from memory. Failures also feed the circuit
-// breaker — once it opens, appends are dropped outright (the job is
-// remembered as dirty) until a half-open probe lands, at which point the
-// dirty set is backfilled. Callers hold s.mu, which is what makes the
-// breaker fields plain fields.
+// persist appends one record to the durable store. Every persist
+// attempts its append. An append that lost its record marks the job
+// dirty: the service keeps serving from memory, and the next append that
+// lands backfills every dirty job, so the log converges to what memory
+// holds. A store.ErrSyncFailed append landed (it replays after a process
+// crash) and dirties nothing. Callers hold s.mu.
 func (s *Service) persist(rec store.Record) {
 	if s.cfg.Store == nil {
 		return
 	}
 	rec.Unix = time.Now().UnixNano()
-	if s.degradedLocked() {
-		s.degradedDrop.Add(1)
+	if err := s.appendLocked(rec); err != nil && s.noteStoreError(err) {
 		s.dirty[rec.JobID] = true
 		return
 	}
-	if err := s.appendLocked(rec); err != nil {
-		if lost := s.noteStoreFailureLocked(err); lost {
-			s.dirty[rec.JobID] = true
-		}
-		return
-	}
-	s.noteStoreSuccessLocked()
+	s.backfillLocked()
 }
 
 // appendLocked appends rec to the store. A record too large for a log
 // frame (store.ErrRecordTooLarge) is a property of its job, not a disk
 // fault, and would fail every retry: it counts as a store error, and the
-// transition is logged without its spec and result, so the breaker never
-// sees it and the job is not left dirty. Callers hold s.mu.
+// transition is logged without its spec and result, so the job is not
+// left dirty. Callers hold s.mu.
 func (s *Service) appendLocked(rec store.Record) error {
 	err := s.cfg.Store.Append(rec)
 	if errors.Is(err, store.ErrRecordTooLarge) {
@@ -50,59 +43,36 @@ func (s *Service) appendLocked(rec store.Record) error {
 	return err
 }
 
-// degradedLocked reports whether the breaker is open and still inside its
-// cooldown — the window in which persists are dropped rather than
-// attempted. Once the cooldown elapses the next persist goes through as
-// the half-open probe. Callers hold s.mu.
-func (s *Service) degradedLocked() bool {
-	return s.breakerOpen && time.Since(s.breakerOpenedAt) < s.cfg.BreakerCooldown
-}
-
-// noteStoreSuccessLocked records a successful append: the failure streak
-// resets, a half-open probe closes the breaker, and any dirty backlog —
-// from a degraded stretch or from sporadic failures that never tripped —
-// is flushed. Callers hold s.mu.
-func (s *Service) noteStoreSuccessLocked() {
-	s.consecFails = 0
-	s.breakerOpen = false
-	if len(s.dirty) > 0 {
-		s.backfillLocked()
-	}
-}
-
-// noteStoreFailureLocked counts one failed store operation and advances
-// the breaker state machine. The return value reports whether record data
-// was actually lost: a store.ErrSyncFailed append reached the file and
-// will replay after a crash (lost durability only), so its job does not
-// need a backfill. Callers hold s.mu.
-func (s *Service) noteStoreFailureLocked(err error) (lost bool) {
+// noteStoreError counts one failed store operation and reports whether it
+// lost its data: a store.ErrSyncFailed append reached the file and will
+// replay after a crash (lost durability only), so its job needs no
+// backfill.
+func (s *Service) noteStoreError(err error) (lost bool) {
 	s.storeErrs.Add(1)
-	lost = true
 	if errors.Is(err, store.ErrSyncFailed) {
 		s.syncFails.Add(1)
-		lost = false
+		return false
 	}
-	s.consecFails++
-	switch {
-	case s.breakerOpen:
-		// Failed half-open probe: stay open and restart the cooldown.
-		s.breakerOpenedAt = time.Now()
-	case s.cfg.BreakerThreshold > 0 && s.consecFails >= s.cfg.BreakerThreshold:
-		s.breakerOpen = true
-		s.breakerOpenedAt = time.Now()
-		s.breakerTrips.Add(1)
-	}
-	return lost
+	return true
 }
 
-// backfillLocked re-persists the current state of every dirty job after
-// the breaker closes: one append per job carrying its spec, latest state,
-// and (when terminal) result or error, so a log that went dark mid-flight
-// still converges to the truth the memory view holds. A failure mid-flush
-// re-opens the breaker and leaves the remainder dirty for the next probe.
-// Callers hold s.mu.
+// backfillLocked re-persists the current state of every dirty job, in
+// ascending job-ID order so that a backfill writes the same records in the
+// same order on every run: one append per job carrying its spec, latest
+// state, and (when terminal) result or error, so a log that went dark
+// mid-flight converges to the truth the memory view holds. An append that
+// loses its record ends the backfill and leaves that job and the rest
+// dirty for the next append that lands. Callers hold s.mu.
 func (s *Service) backfillLocked() {
+	if len(s.dirty) == 0 {
+		return
+	}
+	ids := make([]string, 0, len(s.dirty))
 	for id := range s.dirty {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	for _, id := range ids {
 		e, ok := s.jobs[id]
 		if !ok {
 			delete(s.dirty, id)
@@ -113,19 +83,8 @@ func (s *Service) backfillLocked() {
 		if e.state == StateDone {
 			rec.Result = e.result
 		}
-		if err := s.appendLocked(rec); err != nil {
-			if lost := s.noteStoreFailureLocked(err); lost {
-				// The disk proved unhealthy again mid-recovery: re-open
-				// immediately rather than rebuilding a failure streak while
-				// more records go missing. id stays dirty for the next probe.
-				if !s.breakerOpen {
-					s.breakerOpen = true
-					s.breakerOpenedAt = time.Now()
-					s.breakerTrips.Add(1)
-				}
-				return
-			}
-			// Sync-only failure: the record is in the log, keep flushing.
+		if err := s.appendLocked(rec); err != nil && s.noteStoreError(err) {
+			return
 		}
 		delete(s.dirty, id)
 		s.backfilled.Add(1)
@@ -201,25 +160,11 @@ func (s *Service) checkpointConfig(x *execution) job.CheckpointConfig {
 		Flush: x.flush,
 		Save: func(blob []byte) error {
 			// A checkpoint is an optimization, not a correctness need: a
-			// failed or skipped save must never fail the job (the run just
-			// resumes from an older round after a crash). Failures feed the
-			// breaker like any other store error; while degraded, saves are
-			// skipped outright.
-			s.mu.Lock()
-			degraded := s.degradedLocked()
-			s.mu.Unlock()
-			if degraded {
-				s.degradedDrop.Add(1)
-				return nil
+			// failed save is counted and never fails the job (the run just
+			// resumes from an older round after a crash).
+			if err := s.cfg.Store.SaveCheckpoint(hash, blob); err != nil {
+				s.noteStoreError(err)
 			}
-			err := s.cfg.Store.SaveCheckpoint(hash, blob)
-			s.mu.Lock()
-			if err != nil {
-				s.noteStoreFailureLocked(err)
-			} else {
-				s.noteStoreSuccessLocked()
-			}
-			s.mu.Unlock()
 			return nil
 		},
 	}

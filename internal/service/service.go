@@ -78,16 +78,6 @@ type Config struct {
 	// JobLatency, when non-nil, observes each finished job's wall-clock
 	// seconds (the /metrics latency histogram).
 	JobLatency *metrics.Histogram
-	// BreakerThreshold trips the store circuit breaker after this many
-	// consecutive failed persists (default 5; negative disables the
-	// breaker). While tripped the service runs degraded: jobs still
-	// execute and results serve from memory, but log appends are dropped
-	// and their jobs marked dirty for a backfill flush once a half-open
-	// probe succeeds.
-	BreakerThreshold int
-	// BreakerCooldown is how long a tripped breaker waits before letting
-	// one append through as a half-open probe (default 3s).
-	BreakerCooldown time.Duration
 	// Intercept, when non-nil, runs once per execution, after the run has
 	// built its network and before the engine starts, with the ID of the
 	// job that created the execution. A returned error fails the
@@ -118,15 +108,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 50
-	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 5
-	}
-	if c.BreakerThreshold < 0 {
-		c.BreakerThreshold = 0 // disabled
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 3 * time.Second
 	}
 	return c
 }
@@ -190,24 +171,22 @@ type Stats struct {
 	// Recovered counts jobs re-registered from the durable store at boot,
 	// whether they run, join an identical one or are served from the log
 	// (CacheHits and DedupCoalesced count submissions only); Interrupted
-	// counts running jobs flushed to checkpoints at shutdown.
+	// counts running jobs a durable shutdown stopped, each flushed to a
+	// checkpoint when its algorithm can checkpoint.
 	Recovered   int64 `json:"recovered"`
 	Interrupted int64 `json:"interrupted"`
-	// StoreErrors counts durable-store append failures (the service keeps
-	// serving from memory when the disk misbehaves), including records
-	// too large for the log, which are logged without their spec and
-	// result; SyncFailures is the subset that lost only durability, not
-	// data (store.ErrSyncFailed).
+	// StoreErrors counts durable-store append and checkpoint failures (the
+	// service keeps serving from memory when the disk misbehaves),
+	// including records too large for the log, which are logged without
+	// their spec and result; SyncFailures is the subset that lost only
+	// durability, not data (store.ErrSyncFailed).
 	StoreErrors  int64 `json:"store_errors"`
 	SyncFailures int64 `json:"sync_failures"`
-	// BreakerTrips counts closed→open transitions of the store circuit
-	// breaker; DegradedDropped counts appends dropped while it was open;
-	// Backfilled counts dirty jobs re-persisted after recovery; Degraded
-	// reports whether the breaker is open right now.
-	BreakerTrips    int64 `json:"breaker_trips"`
-	DegradedDropped int64 `json:"degraded_dropped"`
-	Backfilled      int64 `json:"backfilled"`
-	Degraded        bool  `json:"degraded"`
+	// Backfilled counts dirty jobs re-persisted by a later append that
+	// landed; Degraded reports whether some job is dirty right now: its
+	// latest transition is missing from the log.
+	Backfilled int64 `json:"backfilled"`
+	Degraded   bool  `json:"degraded"`
 	// Sweep fast path: the shared topology-snapshot cache and the
 	// single-flight dedup layer above it.
 	TopoCacheHits      int64 `json:"topo_cache_hits"`
@@ -248,15 +227,9 @@ type Service struct {
 	created map[cause]int64
 	reached map[State]int64
 
-	// Store circuit breaker (mu-guarded: persist always runs under mu).
-	// After BreakerThreshold consecutive failed persists the breaker opens
-	// and the service degrades to in-memory operation; after the cooldown
-	// one append goes through as a half-open probe, and on probe success
-	// the dirty set is backfilled into the log.
-	consecFails     int
-	breakerOpen     bool
-	breakerOpenedAt time.Time
-	dirty           map[string]bool // job IDs with un-persisted transitions
+	// dirty holds the jobs whose latest transition an append lost; the
+	// next append that lands backfills them (persist always runs under mu).
+	dirty map[string]bool
 
 	queue chan *execution
 	wg    sync.WaitGroup
@@ -266,8 +239,6 @@ type Service struct {
 	panics       atomic.Int64
 	storeErrs    atomic.Int64
 	syncFails    atomic.Int64
-	breakerTrips atomic.Int64
-	degradedDrop atomic.Int64
 	backfilled   atomic.Int64
 	workersAlive atomic.Int64
 }
@@ -554,14 +525,12 @@ func (s *Service) Stats() Stats {
 		CacheHits:      s.created[causeCache],
 		Recovered:      s.created[causeRecover],
 		DedupCoalesced: s.created[causeDedup],
-		Degraded:       s.breakerOpen,
+		Degraded:       len(s.dirty) > 0,
 		Queued:         len(s.queue),
 		CacheEntries:   len(s.results),
 	}
 	s.mu.Unlock()
 	st.SyncFailures = s.syncFails.Load()
-	st.BreakerTrips = s.breakerTrips.Load()
-	st.DegradedDropped = s.degradedDrop.Load()
 	st.Backfilled = s.backfilled.Load()
 	st.RoundsSimulated = s.rounds.Load()
 	st.PanicsRecovered = s.panics.Load()
@@ -586,11 +555,11 @@ type Readiness struct {
 	// Reason explains a not-ready verdict ("closed", "no live workers",
 	// "queue full").
 	Reason string `json:"reason,omitempty"`
-	// Degraded reports an open store circuit breaker: the service still
-	// accepts and runs jobs (Ready stays true), but durability is
-	// suspended — results serve from memory and log appends wait for the
-	// breaker to close and backfill. Operators alert on it; load balancers
-	// need not drain on it.
+	// Degraded reports that the log lags memory: some job's latest
+	// transition is missing from it, and the next append that lands
+	// backfills it. The service still accepts and runs jobs (Ready stays
+	// true) and serves results from memory. Operators alert on it; load
+	// balancers need not drain on it.
 	Degraded bool `json:"degraded,omitempty"`
 	// Queued and QueueDepth report queue saturation; clients seeing
 	// Queued near QueueDepth should back off before Submit fails.
@@ -607,7 +576,7 @@ func (s *Service) Readiness() Readiness {
 	s.mu.Lock()
 	closed := s.closed
 	queued := len(s.queue)
-	degraded := s.breakerOpen
+	degraded := len(s.dirty) > 0
 	s.mu.Unlock()
 	r := Readiness{
 		Degraded:   degraded,

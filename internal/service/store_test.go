@@ -200,6 +200,75 @@ func TestShutdownFlushInterruptsAndRecoverResumes(t *testing.T) {
 	}
 }
 
+// TestShutdownInterruptsJobThatCannotCheckpoint: a durable shutdown stops
+// a job whose algorithm cannot checkpoint (gossip on the flooding kernel)
+// at the next round boundary instead of waiting out the grace and
+// canceling it. The job ends interrupted, in memory and in the log, with
+// no checkpoint blob, and the next boot reruns it from round 0 to the
+// uninterrupted result.
+func TestShutdownInterruptsJobThatCannotCheckpoint(t *testing.T) {
+	const grace = 100 * time.Millisecond
+	// A stabilized round on an n=32 ring costs about 4.5 µs (2 vCPUs, 15
+	// times that under the race detector), so 40,000 rounds outlive the
+	// grace.
+	spec := job.Spec{Graph: job.GraphSpec{Builder: "ring", N: 32}, Kind: "bc", Function: "max",
+		MaxRounds: 40000, Patience: 40000}
+	c, err := job.Compile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	st1 := openStore(t, dir)
+	s1 := New(Config{Workers: 1, Store: st1})
+	j, err := s1.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(15 * time.Second); s1.Stats().RoundsSimulated < 100; {
+		if time.Now().After(deadline) {
+			t.Fatal("the job never got going")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), grace)
+	defer cancel()
+	if err := s1.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v, want the job flushed within the %v grace", err, grace)
+	}
+	if got, err := s1.Get(j.ID); err != nil || got.State != StateInterrupted {
+		t.Fatalf("job after shutdown: %+v, %v; want interrupted", got, err)
+	}
+	if err := st1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2 := openStore(t, dir)
+	defer st2.Close()
+	if v, ok := scanJob(t, st2, j.ID); !ok || v.State != store.StateInterrupted {
+		t.Fatalf("logged job: %+v (ok=%v), want interrupted", v, ok)
+	}
+	if _, err := st2.LatestCheckpoint(c.Hash); !errors.Is(err, store.ErrNoCheckpoint) {
+		t.Fatalf("checkpoint of a job that cannot checkpoint: %v, want ErrNoCheckpoint", err)
+	}
+	s2 := New(Config{Workers: 1, Store: st2})
+	defer s2.Close()
+	if n, err := s2.Recover(); err != nil || n != 1 {
+		t.Fatalf("recover = %d, %v; want 1 job", n, err)
+	}
+	got := waitState(t, s2, j.ID, StateDone)
+	if rounds := s2.Stats().RoundsSimulated; rounds != int64(spec.MaxRounds) {
+		t.Errorf("the rerun simulated %d rounds, want all %d from round 0", rounds, spec.MaxRounds)
+	}
+	want, err := job.Run(context.Background(), c, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := job.AppendResult(nil, want); !bytes.Equal(got.Result, w) {
+		t.Errorf("rerun result %s diverges from the uninterrupted %s", got.Result, w)
+	}
+}
+
 // TestRecoverResumesConcurrentCheckpoint: a data dir written while the
 // retired goroutine-per-agent runner still existed holds checkpoints it
 // stamped "concurrent" under the spec's hash. A daemon recovering the

@@ -66,9 +66,8 @@ var (
 	// ErrSyncFailed marks an append whose bytes reached the file but whose
 	// fsync failed: the record will replay after a process crash, yet
 	// durability against power loss is not guaranteed. Callers (the
-	// service's circuit breaker) use it to tell lost-durability from
-	// lost-data — an append failing with any other error wrote nothing
-	// usable.
+	// service's backfill) use it to tell lost-durability from lost-data —
+	// an append failing with any other error wrote nothing usable.
 	ErrSyncFailed = errors.New("store: fsync failed")
 	// ErrRecordTooLarge is returned by Append, which writes nothing, for
 	// a record whose payload exceeds the frame ceiling (maxRecordBytes):
