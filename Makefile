@@ -39,6 +39,7 @@ race:
 fuzz:
 	$(GO) test -fuzz=FuzzSpecCodec -fuzztime=30s ./internal/job
 	$(GO) test -fuzz=FuzzAppendF64 -fuzztime=30s ./internal/job
+	$(GO) test -fuzz=FuzzAppendVector -fuzztime=30s ./internal/job
 	$(GO) test -fuzz=FuzzStoreRecord -fuzztime=30s ./internal/store
 	$(GO) test -fuzz=FuzzNonFinalSegmentDamage -fuzztime=30s ./internal/store
 	$(GO) test -fuzz=FuzzFloodMatchesSequential -fuzztime=30s ./internal/engine

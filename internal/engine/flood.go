@@ -14,20 +14,25 @@ import (
 // linear ones. Such an agent is the set of values it has heard, so the
 // kernel builds one probe agent from the factory, for f, instead of n: it
 // holds every agent's set as a window of a flat arena, unions each active
-// destination's active in-neighbour windows into its own with one
-// model.SetUnion — the merge the agents' own Receive uses — written
-// straight into the next arena, and writes f's values into one reused
-// []float64. A union does not depend on the order of its operands, so the
-// kernel draws nothing from the RNG and shuffles nothing, and its
-// per-round outputs and Stats equal the sequential Engine's for equal
-// Config; the differential tests in flood_test.go assert it.
+// destination's window with its active in-neighbours' written straight
+// into the next arena, and writes f's values into one reused []float64.
+// A destination with one in-neighbour set to merge — every agent of a
+// directed ring, path or cycle — merges the two windows in one
+// two-pointer pass (model.AppendUnion); one with more takes them all in
+// one model.SetUnion, the merge the agents' own Receive uses. A union
+// does not depend on the order of its operands, so the kernel draws
+// nothing from the RNG and shuffles nothing, and its per-round outputs
+// and Stats equal the sequential Engine's for equal Config; the
+// differential tests in flood_test.go assert it.
 //
 // NewRunner builds it for "seq" and as the fallback of "vec" when the
 // factory's agents are SetAgents that conform to the model and the run
 // has no fault injector. A round in which no set changes writes and
-// allocates nothing; an arena never holds more than twice the floats of
-// the sets written into it, and between rounds the two arenas together
-// hold at most twice the floats of the sets they store.
+// allocates nothing, and a round that runs over the last round's
+// snapshot with the same agents active merges no in-neighbour set that
+// the last round left unchanged; an arena never holds more than twice the
+// floats of the sets written into it, and between rounds the two arenas
+// together hold at most twice the floats of the sets they store.
 type Flood struct {
 	cfg      Config
 	desc     *model.Descriptor
@@ -37,7 +42,9 @@ type Flood struct {
 	round    int
 	messages int64
 	closed   bool
-	active   []bool
+	// active is the round's activity mask; nil when every agent is active
+	// from round 1 (no Starts).
+	active []bool
 
 	// Agent i's set is sets[off[i]:off[i+1]], packed in agent order. A
 	// round that changes a set writes every set, packed again, into spare
@@ -46,12 +53,18 @@ type Flood struct {
 	// one piece.
 	sets, spare   []float64
 	off, spareOff []int
-	// union is the next set of the agent being written.
+	// union stages the next set of an agent with several in-neighbour
+	// sets to merge.
 	union model.SetUnion
-	// out[i] is f on agent i's set; changed marks the sets a round
-	// rewrote, whose outputs commit recomputes.
-	out     []float64
-	changed []bool
+	// out[i] is f on agent i's set; changed marks the sets this round
+	// rewrote, whose outputs commit recomputes, and last the sets the
+	// last round rewrote.
+	out           []float64
+	changed, last []bool
+	// lastBuilds is the provider's build count after the last round, or
+	// −1 when the next round must merge every in-neighbour set: before
+	// round 1, and after an error or a Corrupt.
+	lastBuilds int64
 }
 
 var _ Runner = (*Flood)(nil)
@@ -84,20 +97,23 @@ func NewFlood(cfg Config) (*Flood, error) {
 	}
 	n := len(cfg.Inputs)
 	f := &Flood{
-		cfg:      cfg,
-		desc:     desc,
-		topo:     topo,
-		probe:    probe,
-		active:   make([]bool, n),
-		sets:     make([]float64, n),
-		off:      make([]int, n+1),
-		spareOff: make([]int, n+1),
-		out:      make([]float64, n),
-		changed:  make([]bool, n),
+		cfg:        cfg,
+		desc:       desc,
+		topo:       topo,
+		probe:      probe,
+		sets:       make([]float64, n),
+		off:        make([]int, n+1),
+		spareOff:   make([]int, n+1),
+		out:        make([]float64, n),
+		changed:    make([]bool, n),
+		last:       make([]bool, n),
+		lastBuilds: -1,
+	}
+	if cfg.Starts != nil {
+		f.active = make([]bool, n)
 	}
 	_, f.corrupts = probe.(model.Corruptible)
 	for i, in := range cfg.Inputs {
-		f.active[i] = true
 		f.sets[i] = in.Value
 		f.off[i+1] = i + 1
 		f.out[i] = probe.SetOutput(f.sets[i : i+1])
@@ -151,67 +167,104 @@ func embedsSetAgent(a model.Agent) bool {
 
 // Step executes one round with the same outputs and Stats as Engine.Step:
 // refresh the activity mask, fetch the round's snapshot, and union every
-// active destination's active in-neighbour sets into its own.
+// active destination's active in-neighbour sets into its own. A
+// destination skips an in-neighbour set the last round left unchanged
+// when the round runs over the last round's snapshot (the provider built
+// none since) with the same agents active: it merged that set then.
 func (f *Flood) Step() error {
 	if f.closed {
 		return fmt.Errorf("engine: Step on closed flood engine")
 	}
 	t := f.round + 1
+	same := true // every agent's activity is the last round's
 	if f.cfg.Starts != nil {
-		for i := range f.active {
-			f.active[i] = t >= f.cfg.Starts[i]
+		for i, start := range f.cfg.Starts {
+			on := t >= start
+			same = same && on == f.active[i]
+			f.active[i] = on
 		}
 	}
 	snap, err := f.topo.Round(t)
 	if err != nil {
+		f.lastBuilds = -1
 		return err
 	}
-	delivered, err := f.flood(snap)
+	builds := f.topo.Stats().Builds
+	delivered, err := f.flood(snap, same && builds == f.lastBuilds)
 	if err != nil {
 		clear(f.changed)
+		f.lastBuilds = -1
 		return err
 	}
+	f.changed, f.last = f.last, f.changed
+	clear(f.changed)
+	f.lastBuilds = builds
 	f.messages += delivered
 	f.round = t
 	return nil
 }
 
 // flood unions every active destination's active in-neighbour sets into
-// its own, commits the sets when any changed, and returns the number of
+// its own — skipping those the last round left unchanged when skip is
+// set — commits the sets when any changed, and returns the number of
 // messages delivered: one per edge from an active source into an active
 // destination, self-loops included, as the generic engines count them.
 // It walks the destinations and their edges in the snapshot's order and
 // checks each edge's slot as deliverRange does, so a snapshot whose slots
 // do not fit the model fails at the same edge with the same error, before
 // any set changes.
-func (f *Flood) flood(snap *topology.Snapshot) (int64, error) {
-	sets, off, active, portSlots, u := f.sets, f.off, f.active, f.desc.PortSlots, &f.union
+func (f *Flood) flood(snap *topology.Snapshot, skip bool) (int64, error) {
+	sets, off, active, last, portSlots, u := f.sets, f.off, f.active, f.last, f.desc.PortSlots, &f.union
+	starts, srcs, slots, changed, spareOff := snap.Start, snap.Src, snap.Slot, f.changed, f.spareOff
 	var delivered int64
 	var next []float64
 	writing := false
 	for j := range f.out {
-		u.Reset(sets[off[j]:off[j+1]])
-		if active[j] {
-			for e := snap.Start[j]; e < snap.Start[j+1]; e++ {
-				src := int(snap.Src[e])
-				if !active[src] {
+		base := sets[off[j]:off[j+1]]
+		// from is the one in-neighbour set to merge, until a second one
+		// stages them all in u.
+		from, staged := -1, false
+		if active == nil || active[j] {
+			for e := starts[j]; e < starts[j+1]; e++ {
+				src := int(srcs[e])
+				if active != nil && !active[src] {
 					continue
 				}
 				sent := 1
 				if portSlots {
 					sent = snap.OutDegree(src)
 				}
-				if slot := snap.Slot[e]; slot < 0 || int(slot) >= sent {
+				if slot := slots[e]; slot < 0 || int(slot) >= sent {
 					return 0, fmt.Errorf("engine: agent %d: edge port %d out of range 1..%d", src, snap.Port[e], sent)
 				}
 				delivered++
-				if src != j { // a set's union with itself is the set
-					u.Add(sets[off[src]:off[src+1]])
+				// A set's union with itself is the set, and a set the
+				// last round left unchanged was merged then.
+				if src == j || src == from || skip && !last[src] {
+					continue
 				}
+				if from < 0 {
+					from = src
+					continue
+				}
+				if !staged {
+					staged = true
+					u.Reset(base)
+					u.Add(sets[off[from]:off[from+1]])
+				}
+				u.Add(sets[off[src]:off[src+1]])
 			}
 		}
-		f.changed[j] = u.Grows()
-		next, writing = f.put(next, writing, j)
+		var b []float64
+		if from >= 0 && !staged {
+			b = sets[off[from]:off[from+1]]
+		}
+		if writing && !staged && len(next)+len(base)+len(b) <= cap(next) {
+			next, changed[j] = model.AppendUnion(next, base, b)
+			spareOff[j+1] = len(next)
+			continue
+		}
+		next, writing = f.write(next, writing, j, base, b, staged)
 	}
 	if writing {
 		f.commit(next)
@@ -219,25 +272,45 @@ func (f *Flood) flood(snap *topology.Snapshot) (int64, error) {
 	return delivered, nil
 }
 
-// put writes agent j's next set, f.union, into the spare arena next once
-// some set has changed, and reports whether it is writing: at the first
-// changed set it copies the unchanged sets before it in one piece. When
-// next is full it is reallocated by reserve.
-func (f *Flood) put(next []float64, writing bool, j int) ([]float64, bool) {
+// write puts agent j's next set — base united with b, or with the sets
+// staged in f.union when staged — in the spare arena next, and reports
+// whether the round is writing. Until the round's first change it writes
+// nothing (model.Covers tests the two-set case); at the first changed set
+// it copies the unchanged sets before it in one piece. The room a union
+// needs is checked against |base|+|b| and counted exactly only when that
+// bound does not fit, so reserve, which reallocates next, sees the floats
+// the round is known to need.
+func (f *Flood) write(next []float64, writing bool, j int, base, b []float64, staged bool) ([]float64, bool) {
+	u := &f.union
+	at := len(next)
 	if !writing {
-		if !f.changed[j] {
+		if staged && !u.Grows() || !staged && model.Covers(base, b) {
 			return nil, false
 		}
-		next = f.spare[:0]
-		if need := f.off[j] + f.union.Len(); need > cap(next) {
-			next = f.reserve(next, need, j)
-		}
-		next = append(next, f.sets[:f.off[j]]...)
-		copy(f.spareOff[:j+1], f.off[:j+1])
-	} else if need := len(next) + f.union.Len(); need > cap(next) {
-		next = f.reserve(next, need, j)
+		next, at = f.spare[:0], f.off[j]
 	}
-	next = f.union.AppendTo(next)
+	size := len(base) + len(b)
+	if staged {
+		size = u.Len()
+	}
+	if at+size > cap(next) {
+		if !staged {
+			size = model.UnionLen(base, b)
+		}
+		if at+size > cap(next) {
+			next = f.reserve(next, at+size, j)
+		}
+	}
+	if !writing {
+		next = append(next, f.sets[:at]...)
+		copy(f.spareOff[:j+1], f.off[:j+1])
+	}
+	if staged {
+		f.changed[j] = u.Grows()
+		next = u.AppendTo(next)
+	} else {
+		next, f.changed[j] = model.AppendUnion(next, base, b)
+	}
 	f.spareOff[j+1] = len(next)
 	return next, true
 }
@@ -272,7 +345,6 @@ func (f *Flood) commit(next []float64) {
 	for i, c := range f.changed {
 		if c {
 			f.out[i] = f.probe.SetOutput(f.sets[f.off[i]:f.off[i+1]])
-			f.changed[i] = false
 		}
 	}
 }
@@ -309,7 +381,7 @@ func (f *Flood) TopologyStats() topology.BuildStats { return f.topo.Stats() }
 // Corrupt unions into agent i's set the value agent i's Corrupt(junk +
 // i·7919) would add — the junk the generic runners hand agent i — when
 // the agents are Corruptible, and reports how many were corrupted (none
-// after Close).
+// after Close). The next round merges every in-neighbour set.
 func (f *Flood) Corrupt(junk int64) int {
 	if f.closed || !f.corrupts {
 		return 0
@@ -317,15 +389,14 @@ func (f *Flood) Corrupt(junk int64) int {
 	var next []float64
 	writing := false
 	for i := range f.out {
-		f.union.Reset(f.sets[f.off[i]:f.off[i+1]])
 		v := [1]float64{f.probe.CorruptValue(junk + int64(i)*7919)}
-		f.union.Add(v[:])
-		f.changed[i] = f.union.Grows()
-		next, writing = f.put(next, writing, i)
+		next, writing = f.write(next, writing, i, f.sets[f.off[i]:f.off[i+1]], v[:], false)
 	}
 	if writing {
 		f.commit(next)
 	}
+	clear(f.changed)
+	f.lastBuilds = -1
 	return len(f.out)
 }
 

@@ -58,9 +58,17 @@ type Func struct {
 	Eval func(args *Args) float64
 }
 
-// FromVector evaluates f on a plain input vector.
+// FromVector evaluates f on a plain input vector. A vector strictly
+// increasing under < is the set NewArgs would build from it, so f reads
+// it in place through a Set view instead of a copy.
 func (f Func) FromVector(v []float64) float64 {
-	return f.Eval(NewArgs(v...))
+	for i := 1; i < len(v); i++ {
+		if !(v[i-1] < v[i]) {
+			return f.Eval(NewArgs(v...))
+		}
+	}
+	s := Set(v)
+	return f.Eval(&s)
 }
 
 // Max returns the maximum function, the canonical set-based example.

@@ -2,8 +2,10 @@ package job
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math"
+	"math/bits"
 	"slices"
 	"strconv"
 	"unicode/utf8"
@@ -16,24 +18,121 @@ import (
 // encoding, and the service encodes each result once and afterwards only
 // shares or copies the bytes — into the result index, the log and every
 // response — so these encoders must write exactly what encoding/json
-// writes for the same values. encode_test.go and golden_test.go hold
-// them to it.
+// writes for the same values. encode_test.go, fuzz_test.go and
+// golden_test.go hold them to it.
+//
+// Most values a job writes are integers: the default inputs 1..n that
+// every spec omitting values hashes, and the outputs of max, min and the
+// counting functions. An integral value's digits are written in place
+// from a two-digit table, with no strconv call and no temporary; a value
+// one more than the non-negative integer of at most eight digits before
+// it, as in 1..n, is written by adding one to that integer's digits, held
+// in a register; and anything else takes strconv's shortest-digit float
+// path value by value.
 
 // maxExactInt is 2⁵³: every integer up to it in magnitude is a float64.
 const maxExactInt = 1 << 53
+
+// digitPairs holds the two-digit decimals 00 through 99.
+const digitPairs = "00010203040506070809101112131415161718192021222324252627282930313233343536373839404142434445464748495051525354555657585960616263646566676869707172737475767778798081828384858687888990919293949596979899"
+
+// exactInt returns v as an integer when encoding/json writes v as that
+// integer's digits: v is integral, at most 2⁵³ in magnitude, and not
+// negative zero. Above 2⁵³ encoding/json pads the shortest digits with
+// zeros, and negative zero is "-0", so both take the float path.
+func exactInt(v float64) (int64, bool) {
+	i := int64(v)
+	return i, float64(i) == v && -maxExactInt <= i && i <= maxExactInt && (i != 0 || !math.Signbit(v))
+}
 
 // AppendF64 appends the JSON encoding of f: the strings "NaN", "+Inf" and
 // "-Inf" for non-finite values, and encoding/json's float64 format
 // otherwise.
 func AppendF64(dst []byte, f F64) []byte {
-	v := float64(f)
-	// encoding/json writes an integral value up to 2⁵³ as its integer
-	// digits, which need no shortest-digit search. Above 2⁵³ it pads the
-	// shortest digits with zeros, and negative zero is "-0", so both take
-	// the float path below.
-	if i := int64(v); float64(i) == v && -maxExactInt <= i && i <= maxExactInt && (i != 0 || !math.Signbit(v)) {
-		return strconv.AppendInt(dst, i, 10)
+	if i, ok := exactInt(float64(f)); ok {
+		return appendInt(dst, i)
 	}
+	return appendFloat(dst, float64(f))
+}
+
+// appendInt appends the decimal digits of i, at most 2⁵³ in magnitude,
+// writing them in place from the last, two at a time.
+func appendInt(dst []byte, i int64) []byte {
+	u := uint64(i)
+	if i < 0 {
+		dst, u = append(dst, '-'), uint64(-i)
+	}
+	// The number of digits: log10(2)·bits, less one when u is below the
+	// power of ten it rounds to, and one for zero.
+	k := bits.Len64(u) * 1233 >> 12
+	if u >= pow10[k] {
+		k++
+	}
+	k = max(k, 1)
+	n := len(dst)
+	dst = slices.Grow(dst, k)[:n+k]
+	d := dst[n:]
+	for u >= 100 {
+		q := u / 100
+		r := 2 * (u - 100*q)
+		k -= 2
+		d[k], d[k+1] = digitPairs[r], digitPairs[r+1]
+		u = q
+	}
+	if u >= 10 {
+		d[0], d[1] = digitPairs[2*u], digitPairs[2*u+1]
+	} else {
+		d[0] = byte('0' + u)
+	}
+	return dst
+}
+
+// pow10[k] is 10^k, up to the 16 digits of 2⁵³.
+var pow10 = [...]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16}
+
+// A run's integer of at most eight digits is also held as a counter: its
+// ASCII digits packed in a uint64, the last in the low byte. Adding one
+// turns the trailing nines to zeros and adds one to the digit before them,
+// in a register, and one eight-byte store writes the digits out.
+const (
+	counterNines = 0x3939393939393939 // "99999999"
+	counterZeros = 0x3030303030303030 // "00000000"
+)
+
+// counter returns the counter of the digits d, at most eight.
+func counter(d []byte) uint64 {
+	var c uint64
+	for _, b := range d {
+		c = c<<8 | uint64(b)
+	}
+	return c
+}
+
+// succ returns the counter of the integer after the one of width digits
+// whose counter is c, and its width; ok is false when that integer has
+// more than eight digits.
+func succ(c uint64, width int) (next uint64, w int, ok bool) {
+	nines := bits.TrailingZeros64(c^counterNines) >> 3
+	if nines < width {
+		low := uint64(1)<<(8*nines) - 1
+		return c - (0x0909090909090909 & low) + low + 1, width, true
+	}
+	if width == 8 {
+		return 0, 0, false
+	}
+	return '1'<<(8*width) | counterZeros&(1<<(8*width)-1), width + 1, true
+}
+
+// appendCounter appends the width digits of the counter c.
+func appendCounter(dst []byte, c uint64, width int) []byte {
+	n := len(dst)
+	dst = slices.Grow(dst, 8)
+	binary.BigEndian.PutUint64(dst[n:n+8], c<<(64-8*width))
+	return dst[:n+width]
+}
+
+// appendFloat appends the JSON encoding of a value exactInt refuses.
+func appendFloat(dst []byte, v float64) []byte {
 	switch {
 	case math.IsNaN(v):
 		return append(dst, `"NaN"`...)
@@ -63,15 +162,49 @@ func AppendVector(dst []byte, v []F64) []byte {
 	if v == nil {
 		return append(dst, "null"...)
 	}
-	// Most outputs are short integers or fractions; reserve for that once
-	// instead of growing the buffer element by element.
-	dst = slices.Grow(dst, 8*len(v)+2)
+	return appendValues(dst, v)
+}
+
+// appendValues appends the JSON array of v, each value as AppendF64
+// writes it, in one pass: an integer one more than the non-negative
+// integer before it is that integer's digits plus one.
+func appendValues[T ~float64](dst []byte, v []T) []byte {
+	// Most values are short integers or fractions; reserve for that once
+	// instead of growing the buffer element by element. (slices.Grow
+	// would also do, but under the race detector it allocates the room
+	// twice.)
+	if need := 8*len(v) + 2; cap(dst)-len(dst) < need {
+		dst = append(make([]byte, 0, len(dst)+need), dst...)
+	}
 	dst = append(dst, '[')
-	for i, f := range v {
-		if i > 0 {
+	// When run is set, the last value written is a non-negative integer
+	// of width digits, at most eight, whose counter is digits, and next is
+	// that integer plus one.
+	var digits uint64
+	run, width, next := false, 0, 0.0
+	for k, x := range v {
+		if k > 0 {
 			dst = append(dst, ',')
 		}
-		dst = AppendF64(dst, f)
+		f := float64(x)
+		if run && f == next {
+			if digits, width, run = succ(digits, width); run {
+				dst, next = appendCounter(dst, digits, width), f+1
+				continue
+			}
+		}
+		i, ok := exactInt(f)
+		if !ok {
+			dst, run = appendFloat(dst, f), false
+			continue
+		}
+		at := len(dst)
+		dst = appendInt(dst, i)
+		if width = len(dst) - at; 0 <= i && width <= 8 {
+			digits, run, next = counter(dst[at:]), true, f+1
+		} else {
+			run = false
+		}
 	}
 	return append(dst, ']')
 }
@@ -138,14 +271,7 @@ func appendCanonical(dst []byte, c Spec) []byte {
 	}
 	dst = AppendString(appendKey(dst, "function"), c.Function)
 	if len(c.Values) > 0 {
-		dst = append(appendKey(dst, "values"), '[')
-		for i, v := range c.Values {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = AppendF64(dst, F64(v))
-		}
-		dst = append(dst, ']')
+		dst = appendValues(appendKey(dst, "values"), c.Values)
 	}
 	if c.Seed != 0 {
 		dst = strconv.AppendInt(appendKey(dst, "seed"), c.Seed, 10)

@@ -1,9 +1,11 @@
 package job
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"anonnet/internal/model"
@@ -114,6 +116,73 @@ func FuzzAppendF64(f *testing.F) {
 		}
 		if got := AppendF64(nil, F64(v)); string(got) != string(want) {
 			t.Fatalf("AppendF64(%b) = %s, encoding/json writes %s", u, got, want)
+		}
+	})
+}
+
+// vectorRunStarts are where FuzzAppendVector's runs of consecutive
+// integers start: across 0→1, a digit more at 9→10, 99→100, 9,999→10,000,
+// 9,999,999→10,000,000 and 99,999,999→100,000,000 (past the eight digits a
+// run's counter holds), into 2⁵³−1→2⁵³, and up from negatives.
+var vectorRunStarts = []float64{0, 7, 95, 9995, 9_999_995, 99_999_995, 1<<53 - 4, -3, -(1 << 53)}
+
+// fuzzVector decodes data into a vector, an op byte at a time: 8 bytes of
+// bit pattern, a run of consecutive integers from a vectorRunStarts entry,
+// negative zero, or a non-integral value.
+func fuzzVector(data []byte) []float64 {
+	var v []float64
+	for len(data) > 0 {
+		op, arg := data[0], byte(0)
+		if len(data) > 1 {
+			arg = data[1]
+		}
+		switch op % 4 {
+		case 0:
+			var b [8]byte
+			copy(b[:], data[1:])
+			v = append(v, math.Float64frombits(binary.LittleEndian.Uint64(b[:])))
+			data = data[min(len(data), 9):]
+			continue
+		case 1:
+			start := vectorRunStarts[int(arg)%len(vectorRunStarts)]
+			for k := range 1 + int(op/4)%24 {
+				v = append(v, start+float64(k))
+			}
+		case 2:
+			v = append(v, math.Copysign(0, -1))
+		case 3:
+			v = append(v, float64(int8(arg))+[]float64{0.5, 1.0 / 3, 1e-7, 0.1}[op/4%4])
+		}
+		data = data[min(len(data), 2):]
+	}
+	return v
+}
+
+// FuzzAppendVector holds AppendVector and the canonical spec's values
+// writer to encoding/json byte for byte, on vectors mixing fuzzed bit
+// patterns with runs of consecutive integers, negative zeros and
+// non-integral values, written after bytes the buffer already holds.
+func FuzzAppendVector(f *testing.F) {
+	for k := range vectorRunStarts {
+		f.Add([]byte{1 + 4*23, byte(k)})
+	}
+	f.Add([]byte{2, 0, 1 + 4*5, 0, 3, 200, 1 + 4*3, 3, 0, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f})
+	f.Add([]byte{1 + 4*3, 6, 1 + 4*3, 6, 0, 0, 0, 0, 0, 0, 0, 0xf8, 0x7f, 1, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		vals := fuzzVector(data)
+		v := make([]F64, len(vals))
+		for i, x := range vals {
+			v[i] = F64(x)
+		}
+		want := mustMarshal(t, refVector(v))
+		if got := AppendVector([]byte("x"), v); string(got[1:]) != want {
+			t.Fatalf("AppendVector(%v) = %s, encoding/json writes %s", vals, got[1:], want)
+		}
+		// A canonical spec holds finite values only.
+		finite := slices.DeleteFunc(vals, func(x float64) bool { return math.IsNaN(x) || math.IsInf(x, 0) })
+		c := Spec{Graph: GraphSpec{Builder: "ring", N: len(finite)}, Function: "max", Values: finite}
+		if got, want := appendCanonical(nil, c), mustMarshal(t, c); string(got) != want {
+			t.Fatalf("canonical values %v:\n%s\nencoding/json writes\n%s", finite, got, want)
 		}
 	})
 }

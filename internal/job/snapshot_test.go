@@ -6,6 +6,7 @@ package job
 // registered model, and gate what a miss allocates.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"runtime"
@@ -137,38 +138,79 @@ func TestCacheMissAllocs(t *testing.T) {
 	t.Logf("cache miss: %v allocs, %d bytes; snapshot holds %d bytes", allocs, perMiss, snap.Bytes())
 }
 
-// TestGossipJobAllocs gates what a gossip job allocates: a compiled
-// n=10⁴ bc ring max job runs its two rounds on the cached snapshot. It
-// runs on the flooding kernel, which holds the sets in two arenas, builds
-// one agent instead of n, boxes no message, and hands its outputs to the
-// harness and the result as floats, so nothing it allocates grows with n:
-// the run (build, runner, arenas, output vectors, result) gets a fixed
-// allowance of 64.
-func TestGossipJobAllocs(t *testing.T) {
-	const n, perRun = 10_000, 64
+// gossipJob compiles perfbench's job — gossip max on an n-agent bc ring,
+// two rounds, on the default inputs 1..n — and returns one run of it on
+// a topology cache whose snapshot it has already built: Build, then
+// RunCheckpointed, then AppendResult and the exact-size copy the service
+// keeps.
+func gossipJob(tb testing.TB, n int) func() []byte {
+	tb.Helper()
 	c, err := Compile(Spec{Graph: GraphSpec{Builder: "ring", N: n}, Kind: "bc", Function: "max", MaxRounds: 2, Patience: 2})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	cache := topology.NewCache(0)
-	run := func() {
+	run := func() []byte {
 		b, err := c.Build(cache)
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		defer b.Release()
 		res, err := RunCheckpointed(context.Background(), b, nil, CheckpointConfig{})
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		if res.Rounds != 2 {
-			t.Fatalf("ran %d rounds, want 2", res.Rounds)
+			tb.Fatalf("ran %d rounds, want 2", res.Rounds)
 		}
+		return bytes.Clone(AppendResult(nil, res))
 	}
-	run() // the cache miss, outside the measurement
-	allocs := testing.AllocsPerRun(5, run)
-	t.Logf("a 2-round n=%d gossip job allocates %v times", n, allocs)
+	run() // the cache miss
+	return run
+}
+
+// TestGossipJobAllocs gates what a gossip job allocates: a compiled
+// n=10⁴ bc ring max job runs its two rounds on the cached snapshot. It
+// runs on the flooding kernel, which holds the sets in two arenas, builds
+// one agent instead of n, boxes no message, and hands its outputs to the
+// harness and the result as floats, so the number of its allocations does
+// not grow with n: the job (build, runner, arenas, output vectors, result
+// and its encoding) gets a fixed allowance of 64. Its bytes are n-sized
+// arrays, each made once a job: they get 1.25 MB, 2.7% over the 1.22 MB
+// the job allocates.
+func TestGossipJobAllocs(t *testing.T) {
+	const n, perRun, perRunBytes = 10_000, 64, 1_250_000
+	run := gossipJob(t, n)
+	allocs := testing.AllocsPerRun(5, func() { run() })
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	bytesPerRun := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("a 2-round n=%d gossip job allocates %v times, %d bytes", n, allocs, bytesPerRun)
 	if allocs > perRun {
 		t.Fatalf("a 2-round n=%d gossip job allocates %v times, want at most %d", n, allocs, perRun)
+	}
+	if bytesPerRun > perRunBytes {
+		t.Fatalf("a 2-round n=%d gossip job allocates %d bytes, want at most %d", n, bytesPerRun, perRunBytes)
+	}
+}
+
+// BenchmarkGossipJob runs perfbench's job without HTTP (gossipJob): at
+// n=10⁴, the ring of the warm and dedup workloads, and at 12,047, the
+// largest ring of the cold workload's range.
+func BenchmarkGossipJob(b *testing.B) {
+	for _, n := range []int{10_000, 12_047} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			run := gossipJob(b, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+		})
 	}
 }

@@ -49,7 +49,8 @@ type SetAgent interface {
 // not once per neighbour, and Add gallops past long runs of the
 // base, so a small set added to a large one costs O(log) per value, not a
 // scan of the base. The zero value is ready for Reset; a SetUnion reuses
-// its buffer across Resets.
+// its buffer across Resets. The union of two sets alone needs no staging:
+// AppendUnion writes it in one two-pointer pass under the same rules.
 type SetUnion struct {
 	base, add []float64
 	sorted    bool // add is ascending, one value per class
@@ -164,6 +165,116 @@ func (u *SetUnion) sort() {
 		w++
 	}
 	u.add, u.sorted = u.add[:w], true
+}
+
+// AppendUnion appends the union of the sets a and b to dst in one
+// two-pointer pass, under SetUnion's rules — a NaN first, and of two
+// values cmp.Compare holds equal the one with the smaller bit pattern —
+// and reports whether the union differs from a. dst must not overlap a
+// or b. It grows dst only when dst lacks room for |a|+|b| values and for
+// the union (UnionLen), so a caller that sized dst for the union keeps its
+// array.
+func AppendUnion(dst, a, b []float64) ([]float64, bool) {
+	if cap(dst)-len(dst) < len(a)+len(b) {
+		dst = slices.Grow(dst, UnionLen(a, b))
+	}
+	// The union holds a, so it differs from a when it is longer, or when
+	// it took a NaN or a zero of b for its smaller bits.
+	w, n, size, smaller := dst[len(dst):cap(dst)], 0, len(a), false
+	if hasNaN(a) || hasNaN(b) {
+		switch {
+		case !hasNaN(b):
+			w[0] = a[0]
+		case !hasNaN(a):
+			w[0] = b[0]
+		default:
+			w[0], smaller = a[0], math.Float64bits(b[0]) < math.Float64bits(a[0])
+			if smaller {
+				w[0] = b[0]
+			}
+		}
+		a, b, n = dropNaN(a), dropNaN(b), 1
+	}
+	// a and b hold no NaN from here on, so < orders them.
+	for len(a) > 0 && len(b) > 0 {
+		x, y := a[0], b[0]
+		switch {
+		case x < y:
+			a = a[1:]
+		case y < x:
+			x, b = y, b[1:]
+		default: // equal: only two zeros can differ in bits
+			if math.Float64bits(y) < math.Float64bits(x) {
+				x, smaller = y, true
+			}
+			a, b = a[1:], b[1:]
+		}
+		w[n] = x
+		n++
+	}
+	// The tails are short on sets that grow by a few values a round, where
+	// a loop beats a call to memmove.
+	for _, x := range a {
+		w[n] = x
+		n++
+	}
+	for _, y := range b {
+		w[n] = y
+		n++
+	}
+	return dst[:len(dst)+n], n > size || smaller
+}
+
+// Covers reports whether the union of the sets a and b is a, bit for bit:
+// every value of b is in a, with no smaller bit pattern. It writes nothing.
+func Covers(a, b []float64) bool {
+	if hasNaN(b) {
+		if !hasNaN(a) || math.Float64bits(b[0]) < math.Float64bits(a[0]) {
+			return false
+		}
+	}
+	a, b = dropNaN(a), dropNaN(b)
+	i := 0
+	for _, y := range b {
+		for i < len(a) && a[i] < y {
+			i++
+		}
+		if i == len(a) || y < a[i] || math.Float64bits(y) < math.Float64bits(a[i]) {
+			return false
+		}
+		i++
+	}
+	return true
+}
+
+// UnionLen returns the number of values in the union of the sets a and b:
+// both counted, less the values they share a class of.
+func UnionLen(a, b []float64) int {
+	n := len(a) + len(b)
+	if hasNaN(a) && hasNaN(b) {
+		n--
+	}
+	a, b = dropNaN(a), dropNaN(b)
+	for i, k := 0, 0; i < len(a) && k < len(b); {
+		switch x, y := a[i], b[k]; {
+		case x < y:
+			i++
+		case y < x:
+			k++
+		default:
+			n--
+			i, k = i+1, k+1
+		}
+	}
+	return n
+}
+
+// dropNaN returns the set s without its NaN, which sorts first.
+func dropNaN(s []float64) []float64 {
+	if hasNaN(s) {
+		return s[1:]
+	}
+	return s
 }
 
 // seek returns the index of the first value of s, at or after i, that v is

@@ -33,6 +33,9 @@ func TestUnionIsOrderFree(t *testing.T) {
 		if u.Grows() == slices.Equal(before, bits(out)) {
 			t.Fatalf("union of %v with %v reported Grows=%v for %v", base, sets, u.Grows(), out)
 		}
+		if len(sets) == 1 {
+			checkTwoWay(t, base, sets[0], out)
+		}
 		return out
 	}
 	set := func() []float64 {
@@ -101,10 +104,13 @@ func TestUnionMatchesSortedReference(t *testing.T) {
 		base := set()
 		all := slices.Clone(base)
 		u.Reset(base)
-		for range 1 + rng.Intn(4) {
+		for k := range 1 + rng.Intn(4) {
 			b := set()
 			u.Add(b)
 			all = append(all, b...)
+			if k == 0 {
+				checkTwoWay(t, base, b, normalize(slices.Concat(base, b)))
+			}
 		}
 		want := normalize(all)
 		if got := u.AppendTo(nil); !slices.Equal(bits(got), bits(want)) {
@@ -113,6 +119,53 @@ func TestUnionMatchesSortedReference(t *testing.T) {
 		if u.Len() != len(want) {
 			t.Fatalf("trial %d: Len %d, want %d", trial, u.Len(), len(want))
 		}
+	}
+	// The two-way merge on the shapes a ring's sets take, and on both
+	// kinds of value whose class holds other bits: NaN payloads and ±0 on
+	// either side.
+	negZero, nan1, nan2 := math.Copysign(0, -1), math.NaN(), math.Float64frombits(0x7ff8000000000001)
+	for _, tc := range []struct{ a, b []float64 }{
+		{nil, nil},
+		{nil, []float64{1, 2}},
+		{[]float64{1, 2}, nil},
+		{[]float64{1, 2, 3}, []float64{1, 2, 3}},
+		{[]float64{1, 2}, []float64{3, 4}},
+		{[]float64{3, 4}, []float64{1, 2}},
+		{[]float64{1, 3, 5}, []float64{2, 4, 6}},
+		{[]float64{1, 2}, []float64{0, 1}},
+		{[]float64{negZero, 1}, []float64{0}},
+		{[]float64{0, 1}, []float64{negZero}},
+		{[]float64{negZero}, []float64{-1, negZero, 2}},
+		{[]float64{nan2, 1}, []float64{nan1}},
+		{[]float64{nan1, 1}, []float64{nan2, 2}},
+		{[]float64{nan1}, nil},
+		{nil, []float64{nan2, negZero}},
+		{[]float64{nan2, negZero, 3}, []float64{nan1, 0, 3}},
+	} {
+		checkTwoWay(t, tc.a, tc.b, normalize(slices.Concat(tc.a, tc.b)))
+	}
+}
+
+// checkTwoWay holds the two-way merge of the sets a and b to want, their
+// union: AppendUnion writes its bits after what dst holds, into a dst
+// sized by UnionLen without growing it, and reports growth exactly when
+// the union's bits differ from a's, which Covers reports the other way.
+func checkTwoWay(t *testing.T, a, b, want []float64) {
+	t.Helper()
+	if n := UnionLen(a, b); n != len(want) {
+		t.Fatalf("UnionLen(%v, %v) = %d, want %d", a, b, n, len(want))
+	}
+	dst := make([]float64, 1, 1+len(want))
+	dst[0] = -99
+	got, grew := AppendUnion(dst, a, b)
+	if !slices.Equal(bits(got[1:]), bits(want)) || got[0] != -99 {
+		t.Fatalf("AppendUnion(%v, %v) = %v, want %v after the -99 already held", a, b, got, want)
+	}
+	if cap(got) != cap(dst) {
+		t.Fatalf("AppendUnion(%v, %v) grew a dst sized for the union", a, b)
+	}
+	if changed := !slices.Equal(bits(a), bits(want)); grew != changed || Covers(a, b) == changed {
+		t.Fatalf("union of %v with %v is %v: AppendUnion grew=%v, Covers=%v", a, b, want, grew, Covers(a, b))
 	}
 }
 

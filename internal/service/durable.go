@@ -22,7 +22,12 @@ func (s *Service) persist(rec store.Record) {
 	}
 	rec.Unix = time.Now().UnixNano()
 	if err := s.appendLocked(rec); err != nil && s.noteStoreError(err) {
-		s.dirty[rec.JobID] = true
+		var lost *store.Record
+		if _, held := s.jobs[rec.JobID]; !held {
+			kept := rec
+			lost = &kept
+		}
+		s.dirty[rec.JobID] = lost
 		return
 	}
 	s.backfillLocked()
@@ -60,9 +65,11 @@ func (s *Service) noteStoreError(err error) (lost bool) {
 // ascending job-ID order so that a backfill writes the same records in the
 // same order on every run: one append per job carrying its spec, latest
 // state, and (when terminal) result or error, so a log that went dark
-// mid-flight converges to the truth the memory view holds. An append that
-// loses its record ends the backfill and leaves that job and the rest
-// dirty for the next append that lands. Callers hold s.mu.
+// mid-flight converges to the truth the memory view holds. A job the
+// service does not hold — one Recover failed — is backfilled with the
+// record it lost. An append that loses its record ends the backfill and
+// leaves that job and the rest dirty for the next append that lands.
+// Callers hold s.mu.
 func (s *Service) backfillLocked() {
 	if len(s.dirty) == 0 {
 		return
@@ -73,16 +80,16 @@ func (s *Service) backfillLocked() {
 	}
 	sort.Strings(ids)
 	for _, id := range ids {
-		e, ok := s.jobs[id]
-		if !ok {
-			delete(s.dirty, id)
-			continue
+		var rec store.Record
+		if e, ok := s.jobs[id]; ok {
+			rec = store.Record{JobID: e.id, Hash: e.hash, State: string(e.state), Spec: e.specJSON, Error: e.err}
+			if e.state == StateDone {
+				rec.Result = e.result
+			}
+		} else {
+			rec = *s.dirty[id]
 		}
-		rec := store.Record{JobID: e.id, Hash: e.hash, State: string(e.state),
-			Spec: e.specJSON, Error: e.err, Unix: time.Now().UnixNano()}
-		if e.state == StateDone {
-			rec.Result = e.result
-		}
+		rec.Unix = time.Now().UnixNano()
 		if err := s.appendLocked(rec); err != nil && s.noteStoreError(err) {
 			return
 		}

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"os"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -234,6 +235,58 @@ func TestBackfillInJobIDOrder(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("repetition %d: backfilled %v, want job-ID order %v", rep, got, want)
 		}
+	}
+}
+
+// TestRecoveryFailureBackfilled: a logged job whose spec does not decode
+// is failed by Recover without being registered. When that failed record
+// is lost on a dark disk, the first append that lands after the disk heals
+// backfills it, so Degraded clears only once the log holds it, and a
+// reopened store has no pending job left to fail again.
+func TestRecoveryFailureBackfilled(t *testing.T) {
+	const hash = "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef"
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	if err := st.Append(store.Record{JobID: "j000001", Hash: hash, State: store.StateQueued,
+		Spec: []byte(`{"bogus":1}`)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	fs := newSwitchFS()
+	st = openSwitchStore(t, dir, fs, false)
+	s := New(Config{Workers: 1, Store: st})
+	fs.failWrites.Store(true)
+	if n, err := s.Recover(); err != nil || n != 0 {
+		t.Fatalf("Recover = %d, %v; want 0 jobs and no error", n, err)
+	}
+	if !s.Stats().Degraded {
+		t.Fatal("not degraded after the failed record was lost")
+	}
+
+	fs.failWrites.Store(false)
+	j, err := s.Submit(durableSpec(901, 30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, s, j.ID)
+	if stats := s.Stats(); stats.Degraded || stats.Backfilled != 1 {
+		t.Fatalf("after an append landed: %+v, want not degraded and 1 backfilled", stats)
+	}
+	if v, ok := scanJob(t, st, "j000001"); !ok || v.State != store.StateFailed || !strings.Contains(v.Error, "recovery") {
+		t.Fatalf("j000001 in the log: ok=%v %+v, want failed by recovery", ok, v)
+	}
+	s.Close()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st = openStore(t, dir)
+	defer st.Close()
+	if pending := st.Pending(); len(pending) != 0 {
+		t.Fatalf("the reopened store has %d pending jobs, want 0: %+v", len(pending), pending)
 	}
 }
 

@@ -228,8 +228,10 @@ type Service struct {
 	reached map[State]int64
 
 	// dirty holds the jobs whose latest transition an append lost; the
-	// next append that lands backfills them (persist always runs under mu).
-	dirty map[string]bool
+	// next append that lands backfills them (persist always runs under mu):
+	// a job the service holds from its entry, and any other — one Recover
+	// failed without registering it — from the lost record it maps to.
+	dirty map[string]*store.Record
 
 	queue chan *execution
 	wg    sync.WaitGroup
@@ -255,7 +257,7 @@ func New(cfg Config) *Service {
 		inflight: make(map[string]*execution),
 		created:  make(map[cause]int64),
 		reached:  make(map[State]int64),
-		dirty:    make(map[string]bool),
+		dirty:    make(map[string]*store.Record),
 	}
 	depth := cfg.QueueDepth
 	if cfg.Store != nil {

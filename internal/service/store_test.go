@@ -208,11 +208,11 @@ func TestShutdownFlushInterruptsAndRecoverResumes(t *testing.T) {
 // uninterrupted result.
 func TestShutdownInterruptsJobThatCannotCheckpoint(t *testing.T) {
 	const grace = 100 * time.Millisecond
-	// A stabilized round on an n=32 ring costs about 4.5 µs (2 vCPUs, 15
-	// times that under the race detector), so 40,000 rounds outlive the
+	// A stabilized round on an n=32 ring costs about 1.2 µs (2 vCPUs, 10
+	// times that under the race detector), so 250,000 rounds outlive the
 	// grace.
 	spec := job.Spec{Graph: job.GraphSpec{Builder: "ring", N: 32}, Kind: "bc", Function: "max",
-		MaxRounds: 40000, Patience: 40000}
+		MaxRounds: 250000, Patience: 250000}
 	c, err := job.Compile(spec)
 	if err != nil {
 		t.Fatal(err)
