@@ -31,8 +31,8 @@ conformance:
 test: build
 	$(GO) test ./...
 
-# The sharded and parallel vectorized engines, the anonnetd worker pool,
-# and the job codec are permanently race-checked: this is the CI gate.
+# The parallel vectorized engine, the anonnetd worker pool, and the job
+# codec are permanently race-checked: this is the CI gate.
 race:
 	$(GO) test -race ./...
 
@@ -65,8 +65,8 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
 
 # Regenerates the committed benchmark record with both sections the
-# README quotes: the core ring sweep (seq, shard, vec, parvec on the
-# BenchmarkEngineSharded workload) and the -scale large-n sweep. The
+# README quotes: the core ring sweep (seq, vec, parvec on the
+# BenchmarkEngineRing workload) and the -scale large-n sweep. The
 # service is measured end to end by perfbench (BENCHMARK.json).
 benchreport:
 	$(GO) run ./cmd/benchreport -scale -o BENCH_engine.json

@@ -33,19 +33,15 @@
 //	})
 //	fmt.Println(res.Outputs[0]) // 3.875, at every agent
 //
-// Compute takes functional options: WithEngine(Sequential|Sharded|
-// Vectorized) selects the runner (the sharded engine spreads each round's
-// agent work over cores, which pays only for compute-heavy agents; the
-// vectorized kernel runs linear mass-passing algorithms over flat float64
-// buffers with zero steady-state allocations, falling back to the
-// sequential engine — identical traces — for algorithms it cannot
-// express), WithParallelism sets the degree of
-// parallelism (shard count for the sharded engine, worker count for the
-// parallel vectorized kernel), WithOnRound streams per-round progress,
-// WithPatience /
-// WithMaxRounds tune stabilization detection, and WithFaults injects
-// seeded deterministic faults (message drop/dup/delay, agent
-// stall/crash-restart, link churn).
+// Compute takes functional options: WithEngine(Sequential|Vectorized)
+// selects the runner (the vectorized kernel runs linear mass-passing
+// algorithms over flat float64 buffers with zero steady-state
+// allocations, falling back to the sequential engine — identical traces
+// — for algorithms it cannot express), WithParallelism sets the worker
+// count of the parallel vectorized kernel, WithOnRound streams per-round
+// progress, WithPatience / WithMaxRounds tune stabilization detection,
+// and WithFaults injects seeded deterministic faults (message
+// drop/dup/delay, agent stall/crash-restart, link churn).
 //
 // The package re-exports the stable surface of the internal packages; the
 // full machinery (fibrations, exact rational solvers, matrix analysis)
@@ -259,9 +255,6 @@ var (
 var (
 	// NewEngine returns the deterministic sequential round engine.
 	NewEngine = engine.New
-	// NewShardedEngine returns the sharded batch engine (shards ≤ 0 means
-	// one per core).
-	NewShardedEngine = engine.NewSharded
 	// NewVectorizedEngine returns the zero-allocation vectorized kernel
 	// for linear mass-passing algorithms; it fails with
 	// ErrNotVectorizable when the algorithm does not implement the vector
@@ -290,8 +283,8 @@ var (
 // Deterministic fault injection (the faultnet subsystem). A FaultPlan
 // composes message drop/duplication/delay, agent stall and crash-restart,
 // and link churn; every decision is a pure hash of (seed, round,
-// participants), so equal seeds and plans give equal traces on all four
-// engines, and a zero plan is bit-identical to no plan at all.
+// participants), so equal seeds and plans give equal traces on every
+// engine, and a zero plan is bit-identical to no plan at all.
 type (
 	// FaultPlan describes the fault channels of one execution.
 	FaultPlan = faults.Plan
@@ -338,13 +331,11 @@ const (
 	// kernel, the sequential engine's single-threaded counterpart for
 	// them.
 	Sequential EngineKind = iota
-	// Sharded partitions agents into one contiguous shard per core; each
-	// shard fills its own agents' inboxes from the shared sent buffers,
-	// with no locks. The shard barrier costs more than it saves on light
-	// agents: on Push-Sum rings at two cores it runs at 0.30–0.95× the
-	// sequential engine's speed from n = 16 to 1024 (BENCH_engine.json).
-	// Its one measured lead is compute-heavy minimum-base agents on a
-	// 12-ring, 96.8 vs 123.1 ms (EXPERIMENTS A2).
+	// Sharded named the retired sharded engine; it runs the Sequential
+	// path, and its parallelism is ignored.
+	//
+	// Deprecated: use Sequential. Kept so that every engine name parses
+	// to the EngineKind it always did and Vectorized keeps its value.
 	Sharded
 	// Vectorized executes linear mass-passing algorithms over flat
 	// float64 buffers with zero steady-state allocations; algorithms that
@@ -365,8 +356,9 @@ func (e EngineKind) String() string {
 
 // ParseEngineKind resolves an engine name — canonical ("seq", "shard",
 // "vec") or alias ("sequential", "sharded", "vectorized", and "conc" or
-// "concurrent", which name the retired goroutine-per-agent engine and
-// select Sharded), case-insensitively — to its EngineKind. The empty
+// "concurrent", which name the retired goroutine-per-agent engine),
+// case-insensitively — to its EngineKind. "shard" and its aliases select
+// the deprecated Sharded, which runs the Sequential path. The empty
 // string is Sequential.
 func ParseEngineKind(name string) (EngineKind, error) {
 	canon, ok := engine.CanonicalName(name)
@@ -441,13 +433,11 @@ func WithModel(k Kind) Option {
 	return func(c *computeConfig) { c.model = k }
 }
 
-// WithParallelism sets the engine's degree of parallelism (default: one
-// worker per core for the sharded engine, single-threaded for the
-// vectorized one). With WithEngine(Sharded) it is the shard count; with
-// WithEngine(Vectorized) and k ≥ 1 it selects the parallel vectorized
-// kernel with k workers. Either count is capped at the number of agents.
-// The trace is independent of k on every engine. It has no effect on the
-// Sequential engine.
+// WithParallelism sets the engine's degree of parallelism (default:
+// single-threaded). With WithEngine(Vectorized) and k ≥ 1 it selects the
+// parallel vectorized kernel with k workers, capped at the number of
+// agents. The trace is independent of k. It has no effect on the
+// Sequential path.
 func WithParallelism(k int) Option {
 	return func(c *computeConfig) { c.parallelism = k }
 }

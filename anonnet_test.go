@@ -52,6 +52,8 @@ func TestComputeEngineOption(t *testing.T) {
 		return res
 	}
 	seq := run(anonnet.WithEngine(anonnet.Sequential))
+	// The deprecated Sharded runs the sequential path and ignores the
+	// parallelism.
 	shd := run(anonnet.WithEngine(anonnet.Sharded), anonnet.WithParallelism(3))
 	// The static minbase pipeline is not vectorizable, so Vectorized
 	// exercises the silent fallback — still byte-identical to seq —
@@ -120,8 +122,9 @@ func TestParseEngineKind(t *testing.T) {
 	if k, err := anonnet.ParseEngineKind("Vectorized"); err != nil || k != anonnet.Vectorized {
 		t.Fatalf("long alias: %v, %v", k, err)
 	}
-	// The retired concurrent engine's names select the sharded one.
-	for _, name := range []string{"conc", "concurrent"} {
+	// The retired engines' names select the deprecated Sharded, which
+	// runs the sequential path.
+	for _, name := range []string{"shard", "sharded", "conc", "concurrent"} {
 		if k, err := anonnet.ParseEngineKind(name); err != nil || k != anonnet.Sharded {
 			t.Fatalf("ParseEngineKind(%q) = %v, %v; want Sharded", name, k, err)
 		}
@@ -233,17 +236,17 @@ func TestComputeWithFaults(t *testing.T) {
 		return res
 	}
 	seq := run(anonnet.WithEngine(anonnet.Sequential))
-	shd := run(anonnet.WithEngine(anonnet.Sharded), anonnet.WithParallelism(3))
+	vec := run(anonnet.WithEngine(anonnet.Vectorized), anonnet.WithParallelism(3))
 	for i := range seq.Outputs {
-		if seq.Outputs[i] != shd.Outputs[i] {
-			t.Fatalf("faulted engines disagree at %d: %v vs %v", i, seq.Outputs[i], shd.Outputs[i])
+		if seq.Outputs[i] != vec.Outputs[i] {
+			t.Fatalf("faulted engines disagree at %d: %v vs %v", i, seq.Outputs[i], vec.Outputs[i])
 		}
 		if seq.Outputs[i].(float64) != 7 {
 			t.Fatalf("agent %d output %v under faults, want max 7", i, seq.Outputs[i])
 		}
 	}
-	if seq.Rounds != shd.Rounds {
-		t.Fatalf("faulted engines ran different round counts: %d vs %d", seq.Rounds, shd.Rounds)
+	if seq.Rounds != vec.Rounds {
+		t.Fatalf("faulted engines ran different round counts: %d vs %d", seq.Rounds, vec.Rounds)
 	}
 }
 

@@ -395,32 +395,29 @@ func BenchmarkEngines(b *testing.B) {
 		}
 	}
 	b.Run("sequential", mk(anonnet.Sequential))
-	b.Run("sharded", mk(anonnet.Sharded))
 	b.Run("vectorized", mk(anonnet.Vectorized))
 }
 
-// shardedBenchRounds is the fixed round budget of the sharded-engine
-// benchmarks: long enough to amortize engine start-up, short enough that a
-// full family stays in benchtime.
-const shardedBenchRounds = 50
+// ringBenchRounds is the fixed round budget of the ring sweep: long
+// enough to amortize engine start-up, short enough that a full family
+// stays in benchtime.
+const ringBenchRounds = 50
 
-// BenchmarkEngineSharded compares the sharded and vectorized engines
-// against the sequential one on Push-Sum over rings of growing size.
-// Push-Sum keeps every agent busy every round, and each engine is
-// constructed and warmed up outside the timer, so an op is exactly
-// shardedBenchRounds steady-state rounds: the family isolates the
-// per-round engine overhead — the plain agent loop (sequential) vs CSR
-// shard delivery (sharded) vs the flat-buffer scatter-add of the
-// vectorized kernels — and the allocs/op column records what the round
-// loop allocates (zero, for vec and parvec). The committed
+// BenchmarkEngineRing compares the vectorized kernels against the
+// sequential engine on Push-Sum over rings of growing size. Push-Sum
+// keeps every agent busy every round, and each engine is constructed and
+// warmed up outside the timer, so an op is exactly ringBenchRounds
+// steady-state rounds: the family isolates the per-round engine overhead
+// — the plain agent loop (sequential) vs the flat-buffer scatter-add of
+// the vectorized kernels — and the allocs/op column records what the
+// round loop allocates (zero, for vec and parvec). The committed
 // BENCH_engine.json is generated from this workload by cmd/benchreport.
-func BenchmarkEngineSharded(b *testing.B) {
+func BenchmarkEngineRing(b *testing.B) {
 	engines := []struct {
 		name string
 		mk   func(cfg engine.Config) (engine.Runner, error)
 	}{
 		{"seq", func(cfg engine.Config) (engine.Runner, error) { return engine.New(cfg) }},
-		{"shard", func(cfg engine.Config) (engine.Runner, error) { return engine.NewSharded(cfg, 0) }},
 		{"vec", func(cfg engine.Config) (engine.Runner, error) { return engine.NewVectorized(cfg) }},
 		{"parvec", func(cfg engine.Config) (engine.Runner, error) { return engine.NewParallelVec(cfg, 0) }},
 	}
@@ -450,13 +447,13 @@ func BenchmarkEngineSharded(b *testing.B) {
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					for t := 0; t < shardedBenchRounds; t++ {
+					for t := 0; t < ringBenchRounds; t++ {
 						if err := r.Step(); err != nil {
 							b.Fatal(err)
 						}
 					}
 				}
-				b.ReportMetric(float64(shardedBenchRounds), "rounds/op")
+				b.ReportMetric(float64(ringBenchRounds), "rounds/op")
 			})
 		}
 	}

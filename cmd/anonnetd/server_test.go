@@ -291,8 +291,8 @@ func TestEndToEndErrors(t *testing.T) {
 }
 
 // TestEndToEndBatch covers the sweep endpoint: template×grid expansion,
-// aggregate polling, all-or-nothing rejection, and the sharded engine
-// running inside the pool.
+// aggregate polling, all-or-nothing rejection, and a template naming the
+// retired "shard" engine running inside the pool.
 func TestEndToEndBatch(t *testing.T) {
 	ts, _ := newTestServer(t, service.Config{Workers: 2})
 	body := `{

@@ -54,8 +54,8 @@ func run(args []string, out io.Writer) error {
 		rounds     = fs.Int("rounds", 2000, "round budget; the run always lasts all of it")
 		every      = fs.Int("every", 0, "print outputs every k rounds (0: only the final)")
 		seed       = fs.Int64("seed", 1, "RNG seed")
-		engineFlag = fs.String("engine", "", "round engine: "+engine.NamesList()+" (vec runs on seq, with identical traces, when the algorithm is not vectorizable)")
-		parallel   = fs.Int("parallel", 0, "degree of parallelism: shard count for -engine shard (0: one per core), worker count for -engine vec (0: single-threaded kernel)")
+		engineFlag = fs.String("engine", "", "round engine: "+engine.NamesList()+" (shard, the retired sharded engine, runs on seq; vec runs on seq, with identical traces, when the algorithm is not vectorizable)")
+		parallel   = fs.Int("parallel", 0, "degree of parallelism: worker count for -engine vec (0: single-threaded kernel); accepted and ignored with -engine shard")
 		dot        = fs.Bool("dot", false, "print the round-1 network in Graphviz dot format and exit")
 
 		dropP    = fs.Float64("drop", 0, "fault: per-message drop probability")

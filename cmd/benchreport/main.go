@@ -1,9 +1,8 @@
 // Command benchreport regenerates BENCH_engine.json, the committed record
 // of the engine Push-Sum benchmark (the same workload as the
-// BenchmarkEngineSharded family in bench_test.go): 50 steady-state rounds
+// BenchmarkEngineRing family in bench_test.go): 50 steady-state rounds
 // of Push-Sum average on a bidirectional ring, for each engine (sequential,
-// sharded, vectorized, parallel-vectorized) at each size
-// n ∈ {16, 64, 256, 1024}. Each engine is constructed and warmed up
+// vectorized, parallel-vectorized) at each size n ∈ {16, 64, 256, 1024}. Each engine is constructed and warmed up
 // outside the timed region, so an op is exactly 50 rounds of the warm
 // round loop — the per-round engine overhead the family exists to isolate
 // — and the allocs_per_op / bytes_per_op columns record what that loop
@@ -14,7 +13,7 @@
 //
 //	go run ./cmd/benchreport [-o BENCH_engine.json] [-benchtime 1s] [-scale]
 //
-// -scale appends the large-n sweep: seq, vec, and parvec at
+// -scale appends the large-n sweep: the same engines at
 // n ∈ {10⁴, 10⁵, 10⁶} on ring, torus, and random strongly-connected
 // topologies, 10 steady-state rounds per op. That is the workload behind
 // the README perf table and the parallel kernel's speedup claim; the
@@ -22,8 +21,8 @@
 // header is ≥ 2 (on one core the parallel kernel pays its barrier overhead
 // without any parallelism to show for it).
 //
-// The report also derives shard-vs-sequential, vec-vs-sequential,
-// parvec-vs-sequential, and parvec-vs-vec speedups per (topology, size); the
+// The report also derives vec-vs-sequential, parvec-vs-sequential, and
+// parvec-vs-vec speedups per (topology, size); the
 // headline numbers are the n=1024 vec/seq ratio and — with -scale on a
 // multicore machine — the n=10⁵ parvec/vec ratio.
 package main
@@ -47,8 +46,8 @@ import (
 	"anonnet/internal/topology"
 )
 
-// benchRounds mirrors shardedBenchRounds in bench_test.go so the committed
-// numbers and the `go test -bench=EngineSharded` numbers are comparable.
+// benchRounds mirrors ringBenchRounds in bench_test.go so the committed
+// numbers and the `go test -bench=EngineRing` numbers are comparable.
 const benchRounds = 50
 
 // scaleRounds is the -scale sweep's rounds per op: shorter than the core
@@ -88,7 +87,6 @@ type measurement struct {
 type speedup struct {
 	Topology    string  `json:"topology"`
 	N           int     `json:"n"`
-	ShardVsSeq  float64 `json:"shard_vs_seq,omitempty"`
 	VecVsSeq    float64 `json:"vec_vs_seq,omitempty"`
 	ParVecVsSeq float64 `json:"parvec_vs_seq,omitempty"`
 	ParVecVsVec float64 `json:"parvec_vs_vec,omitempty"`
@@ -182,7 +180,7 @@ type engineCase struct {
 func main() {
 	out := flag.String("o", "BENCH_engine.json", "output path for the JSON report")
 	benchtime := flag.String("benchtime", "1s", "per-case benchtime (testing -benchtime syntax)")
-	scale := flag.Bool("scale", false, "append the large-n sweep (seq/vec/parvec at n=10⁴..10⁶ on ring/torus/random)")
+	scale := flag.Bool("scale", false, "append the large-n sweep (every engine at n=10⁴..10⁶ on ring/torus/random)")
 	testing.Init()
 	flag.Parse()
 	if err := flag.Set("test.benchtime", *benchtime); err != nil {
@@ -193,7 +191,6 @@ func main() {
 	parvecWorkers := runtime.GOMAXPROCS(0)
 	engines := []engineCase{
 		{"seq", func(cfg engine.Config) (engine.Runner, error) { return engine.New(cfg) }},
-		{"shard", func(cfg engine.Config) (engine.Runner, error) { return engine.NewSharded(cfg, 0) }},
 		{"vec", func(cfg engine.Config) (engine.Runner, error) { return engine.NewVectorized(cfg) }},
 		{"parvec", func(cfg engine.Config) (engine.Runner, error) { return engine.NewParallelVec(cfg, 0) }},
 	}
@@ -255,10 +252,7 @@ func main() {
 		for _, topoName := range scaleTopos {
 			for _, n := range scaleSizes {
 				for _, eng := range engines {
-					switch eng.name {
-					case "seq", "vec", "parvec":
-						runCase(eng, topoName, n, scaleRounds)
-					}
+					runCase(eng, topoName, n, scaleRounds)
 				}
 			}
 		}
@@ -268,7 +262,6 @@ func main() {
 		rep.Speedups = append(rep.Speedups, speedup{
 			Topology:    topoName,
 			N:           n,
-			ShardVsSeq:  ratio(ops["seq"][n], ops["shard"][n]),
 			VecVsSeq:    ratio(ops["seq"][n], ops["vec"][n]),
 			ParVecVsSeq: ratio(ops["seq"][n], ops["parvec"][n]),
 			ParVecVsVec: ratio(ops["vec"][n], ops["parvec"][n]),

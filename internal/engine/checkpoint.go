@@ -54,8 +54,8 @@ type Checkpointer interface {
 type Checkpoint struct {
 	// Engine is the runner name the snapshot was taken on. Restore refuses
 	// a runner of the other family, because the pending-state layout is
-	// family-specific: the core-layout runners (sequential, sharded) share
-	// one, the vector runners another.
+	// family-specific: the sequential engine has one (as had the retired
+	// concurrent and sharded runners), the vector runners another.
 	Engine string
 	// Round is the number of completed rounds at the snapshot.
 	Round int
@@ -152,9 +152,9 @@ func (s *countingSource) fastForward(seed int64, n int64) {
 	s.draws = n
 }
 
-// Snapshot captures the core's execution state; the generic runners
-// (sequential, sharded) promote it unchanged, the vector runners wrap it
-// to add their pending rows. Callers must be between rounds.
+// Snapshot captures the core's execution state; the sequential engine
+// promotes it unchanged, the vector runners wrap it to add their pending
+// rows. Callers must be between rounds.
 func (c *core) Snapshot() (*Checkpoint, error) {
 	cp := &Checkpoint{
 		Engine:   c.name,
@@ -185,15 +185,16 @@ func (c *core) Snapshot() (*Checkpoint, error) {
 	return cp, nil
 }
 
-// coreCheckpointEngines are the Engine tags of the core-layout runners.
-// They share the generic Delayed layout and the RNG draw sequence, so a
-// snapshot taken on any of them resumes on either generic runner —
-// "concurrent" included, the tag of the retired goroutine-per-agent
-// runner, whose checkpoints a durable store may still hold. The vector
-// runners' "vectorized" snapshots stay refused.
+// coreCheckpointEngines are the Engine tags of the core-layout runners:
+// the sequential engine and the retired goroutine-per-agent
+// ("concurrent") and sharded ("sharded") runners, whose checkpoints
+// durable stores written by earlier builds may still hold. They share the
+// generic Delayed layout and the RNG draw sequence, so a snapshot stamped
+// with any of them resumes on the sequential engine. The vector runners'
+// "vectorized" snapshots stay refused.
 var coreCheckpointEngines = map[string]bool{"sequential": true, "concurrent": true, "sharded": true}
 
-// Restore rewinds a freshly constructed generic runner to the round
+// Restore rewinds a freshly constructed sequential engine to the round
 // boundary of a core-layout checkpoint: counters, fault totals, the
 // fast-forwarded RNG, agent states, and the pending delayed messages.
 func (c *core) Restore(cp *Checkpoint) error {
@@ -244,7 +245,7 @@ func (c *core) restoreState(cp *Checkpoint) error {
 // vecCheckpointEngine is the Engine tag both vector runners stamp on
 // their checkpoints: they share the VecDelayed pending layout (and the
 // RNG draw sequence), so a snapshot taken on one resumes on the other —
-// vec ↔ parallel vec — while the generic runners still refuse it.
+// vec ↔ parallel vec — while the sequential engine still refuses it.
 const vecCheckpointEngine = "vectorized"
 
 // Snapshot captures a vectorized engine's state: the core snapshot plus

@@ -85,20 +85,28 @@ type ckptRunner struct {
 	tag    string
 }
 
-// ckptRunners enumerates the four engines, plus "conc": the retired
-// concurrent runner's checkpoints — sequential snapshots stamped
-// "concurrent", which is exactly what it wrote — resumed on the sharded
-// runner.
+// ckptRunners enumerates the three checkpointing engines, plus the
+// checkpoints of the two retired core-layout runners, which durable
+// stores written by earlier builds may hold — sequential snapshots
+// stamped "concurrent" or "sharded", exactly what those runners wrote,
+// since they shared the sequential engine's layout and draw sequence —
+// each resumed on the runner NewRunner now builds for its spec's engine
+// name: "conc", or "shard" with 3 shards.
 func ckptRunners() []ckptRunner {
 	seq := func(cfg engine.Config) (engine.Runner, error) { return engine.New(cfg) }
-	shard3 := func(cfg engine.Config) (engine.Runner, error) { return engine.NewSharded(cfg, 3) }
 	return []ckptRunner{
 		{name: "seq", mk: seq},
-		{name: "conc", mk: seq, resume: shard3, tag: "concurrent"},
-		{name: "shard3", mk: shard3},
+		{name: "conc", mk: seq, resume: named("conc", 0), tag: "concurrent"},
+		{name: "shard3", mk: seq, resume: named("shard", 3), tag: "sharded"},
 		{name: "vec", mk: func(cfg engine.Config) (engine.Runner, error) { return engine.NewVectorized(cfg) }},
 		{name: "parvec3", mk: func(cfg engine.Config) (engine.Runner, error) { return engine.NewParallelVec(cfg, 3) }},
 	}
+}
+
+// named returns the runner NewRunner builds for an engine name and shard
+// count.
+func named(name string, shards int) func(cfg engine.Config) (engine.Runner, error) {
+	return func(cfg engine.Config) (engine.Runner, error) { return engine.NewRunner(cfg, name, shards) }
 }
 
 func traceLine(r engine.Runner) string {
@@ -214,13 +222,14 @@ func TestCheckpointResumeTraceEquality(t *testing.T) {
 }
 
 // TestCoreCheckpointCrossResume pins the checkpoint families: a snapshot
-// taken on the sequential or sharded runner — or written by the retired
-// concurrent runner, a sequential snapshot stamped "concurrent" — resumes
-// on either generic runner and splices to the uninterrupted trace hash,
-// delayed in-flight messages included, while the vector runners refuse
-// it, and the generic runners refuse theirs.
+// taken on the sequential engine — or written by the retired concurrent
+// or sharded runner, a sequential snapshot stamped "concurrent" or
+// "sharded" — resumes on the sequential engine, and on what NewRunner
+// builds for "shard" with 3 shards, and splices to the uninterrupted trace
+// hash, delayed in-flight messages included, while the vector runners
+// refuse it, and the sequential engine refuses theirs.
 func TestCoreCheckpointCrossResume(t *testing.T) {
-	mk := map[string]func(cfg engine.Config) (engine.Runner, error){}
+	mk := map[string]func(cfg engine.Config) (engine.Runner, error){"shard3": named("shard", 3)}
 	for _, rn := range ckptRunners() {
 		if rn.tag == "" {
 			mk[rn.name] = rn.mk
@@ -234,9 +243,12 @@ func TestCoreCheckpointCrossResume(t *testing.T) {
 		{"shard3", "", "seq", true},
 		{"seq", "concurrent", "seq", true},
 		{"seq", "concurrent", "shard3", true},
+		{"seq", "sharded", "seq", true},
 		{"seq", "", "vec", false},
 		{"shard3", "", "parvec3", false},
 		{"seq", "concurrent", "vec", false},
+		{"seq", "sharded", "vec", false},
+		{"seq", "sharded", "parvec3", false},
 		{"vec", "", "seq", false},
 		{"parvec3", "", "shard3", false},
 	} {

@@ -149,10 +149,10 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 // TestConformanceTraceEquality runs every registered model's reference
-// workload under the sequential and sharded engines (plus the
-// vectorized kernels when the model is vectorizable and the agents expose
-// vector rows, and the flooding kernel when they are set agents that
-// conform to the model) and asserts the traces are byte-identical.
+// workload under the sequential engine (plus the vectorized kernels when
+// the model is vectorizable and the agents expose vector rows, and the
+// flooding kernel when they are set agents that conform to the model) and
+// asserts the traces are byte-identical.
 func TestConformanceTraceEquality(t *testing.T) {
 	const n = 7
 	suite := conformanceSuite()
@@ -178,7 +178,6 @@ func TestConformanceTraceEquality(t *testing.T) {
 				mk   func() (engine.Runner, error)
 			}{
 				{"seq", func() (engine.Runner, error) { return engine.New(cfg()) }},
-				{"shard3", func() (engine.Runner, error) { return engine.NewSharded(cfg(), 3) }},
 				{"vec", func() (engine.Runner, error) { return engine.NewVectorized(cfg()) }},
 				{"parvec3", func() (engine.Runner, error) { return engine.NewParallelVec(cfg(), 3) }},
 				{"flood", func() (engine.Runner, error) { return engine.NewFlood(cfg()) }},

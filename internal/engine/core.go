@@ -10,17 +10,16 @@ import (
 	"anonnet/internal/topology"
 )
 
-// This file is the shared round pipeline under the four agent-holding
+// This file is the shared round pipeline under the three agent-holding
 // runners (the flooding kernel holds sets, not agents): one core
 // holds the configuration, the agents, the topology provider, the fault
 // machinery, and the reused message buffers, and drives every round
 // through the same stage sequence — restart, snapshot, send, exchange
 // (deliver + fates + pending + shuffle), receive. The runners differ only
-// in how they execute the stages (loop over agents, shard barrier, SoA
-// kernel, SoA worker pool), which they express by implementing the
-// executor interface; the core is the only engine file that touches
-// graph, dynamic, or faults machinery, so cross-cutting features are
-// wired once.
+// in how they execute the stages (loop over agents, SoA kernel, SoA
+// worker pool), which they express by implementing the executor
+// interface; the core is the only engine file that touches graph,
+// dynamic, or faults machinery, so cross-cutting features are wired once.
 
 // Config describes one execution: the network, the communication model, the
 // inputs, and the algorithm (as an agent factory).
@@ -139,7 +138,7 @@ type core struct {
 	allOn  bool
 
 	// Per-round buffers reused across Steps, cut by buffers on the first
-	// round the generic runners send: sent[i] holds agent i's outgoing
+	// round the sequential engine sends: sent[i] holds agent i's outgoing
 	// messages, inboxes[j] the deliveries to agent j. Agents only see an
 	// inbox for the duration of Receive (the model.Agent contract), so
 	// truncate-and-refill is safe.
@@ -259,8 +258,8 @@ func (c *core) beginRound(t int) (*topology.Snapshot, error) {
 }
 
 // restartAll applies the crash-restart channel to the core's agents; the
-// default restart stage for the generic runners (the vectorized kernel
-// re-initializes through the vector contract instead).
+// sequential engine's restart stage (the vectorized kernels re-initialize
+// through the vector contract instead).
 func (c *core) restartAll(t int) error {
 	return restartAgents(c.cfg.Faults, t, c.cfg.Factory, c.cfg.Inputs, c.agents)
 }
@@ -273,8 +272,8 @@ func (c *core) restartAll(t int) error {
 // of the second slab holding j's in-degree, its capacity capped there: a
 // later round that delivers more (duplicates, delayed flushes, a denser
 // dynamic graph) regrows that inbox alone instead of writing into its
-// neighbour's window. The generic runners call it before their send
-// stage, from the engine goroutine; the vectorized kernels never do.
+// neighbour's window. The sequential engine calls it before its send
+// stage; the vectorized kernels never do.
 func (c *core) buffers(snap *topology.Snapshot) {
 	if c.inboxes != nil {
 		return
@@ -295,13 +294,13 @@ func (c *core) buffers(snap *topology.Snapshot) {
 	}
 }
 
-// sendRange drives the sending functions of agents [lo, hi) into the
+// sendAll drives the sending functions of the active agents into the
 // reused per-agent sent buffers. The call through c.desc.Plan is the
 // engines' ONE model-dispatch site: every registered model's σ enters the
 // generic round pipeline here, and nowhere else (the vectorized kernels
 // write their flat rows through c.desc.VecSend instead).
-func (c *core) sendRange(snap *topology.Snapshot, lo, hi int) error {
-	for i := lo; i < hi; i++ {
+func (c *core) sendAll(snap *topology.Snapshot) error {
+	for i := range c.agents {
 		if !c.active[i] {
 			c.sent[i] = c.sent[i][:0]
 			continue
@@ -315,21 +314,18 @@ func (c *core) sendRange(snap *topology.Snapshot, lo, hi int) error {
 	return nil
 }
 
-// deliverRange fills the inboxes of destinations [lo, hi) from the
-// snapshot's destination-major layout, applying fault fates (self-loops
-// exempt) and flushing due delayed messages, and returns the number of
-// messages delivered to active destinations. Within a destination the
-// fill order is the delivery-order invariant: sources ascending, edges in
-// insertion order, then pending deliveries — identical across all
-// runners, which is what keeps the traces byte-identical. Each
-// destination is owned by exactly one caller (one shard, or the single
-// engine goroutine), so the pending store's per-destination queues need
-// no locking; fs receives the fault counts (per-shard in the sharded
-// runner, summed after its barrier).
-func (c *core) deliverRange(snap *topology.Snapshot, t, lo, hi int, fs *FaultStats) (int64, error) {
+// deliverAll fills every inbox from the snapshot's destination-major
+// layout, applying fault fates (self-loops exempt) and flushing due
+// delayed messages, and adds the messages delivered to active
+// destinations and the faults applied to the core's counters. Within a
+// destination the fill order is the delivery-order invariant: sources
+// ascending, edges in insertion order, then pending deliveries —
+// identical across all runners, which is what keeps the traces
+// byte-identical.
+func (c *core) deliverAll(snap *topology.Snapshot, t int) error {
 	inj := c.cfg.Faults
 	var delivered int64
-	for j := lo; j < hi; j++ {
+	for j := range c.inboxes {
 		inbox := c.inboxes[j][:0]
 		if c.active[j] {
 			for e := snap.Start[j]; e < snap.Start[j+1]; e++ {
@@ -339,7 +335,7 @@ func (c *core) deliverRange(snap *topology.Snapshot, t, lo, hi int, fs *FaultSta
 				}
 				slot := snap.Slot[e]
 				if slot < 0 || int(slot) >= len(c.sent[src]) {
-					return 0, fmt.Errorf("engine: agent %d: edge port %d out of range 1..%d",
+					return fmt.Errorf("engine: agent %d: edge port %d out of range 1..%d",
 						src, snap.Port[e], len(c.sent[src]))
 				}
 				m := c.sent[src][slot]
@@ -347,7 +343,7 @@ func (c *core) deliverRange(snap *topology.Snapshot, t, lo, hi int, fs *FaultSta
 					inbox = append(inbox, m)
 					continue
 				}
-				applyFate(inj.MessageFate(t, int(src), j), m, t, j, &inbox, c.pend, fs)
+				applyFate(inj.MessageFate(t, int(src), j), m, t, j, &inbox, c.pend, &c.faults)
 			}
 		}
 		if c.pend != nil {
@@ -358,12 +354,13 @@ func (c *core) deliverRange(snap *topology.Snapshot, t, lo, hi int, fs *FaultSta
 		}
 		c.inboxes[j] = inbox
 	}
-	return delivered, nil
+	c.messages += delivered
+	return nil
 }
 
 // shuffleAll permutes every active inbox with the shared seeded RNG, in
-// agent-index order — the one serial pass of the round, because the RNG
-// draw sequence is part of the trace contract.
+// agent-index order — its own pass after delivery, because the RNG draw
+// sequence is part of the trace contract.
 func (c *core) shuffleAll() {
 	for j := range c.inboxes {
 		if c.active[j] {
@@ -372,11 +369,11 @@ func (c *core) shuffleAll() {
 	}
 }
 
-// receiveRange applies the transition functions of agents [lo, hi).
-func (c *core) receiveRange(lo, hi int) {
-	for j := lo; j < hi; j++ {
+// receiveAll applies the transition functions of the active agents.
+func (c *core) receiveAll() {
+	for j, a := range c.agents {
 		if c.active[j] {
-			c.agents[j].Receive(c.inboxes[j])
+			a.Receive(c.inboxes[j])
 		}
 	}
 }
@@ -443,41 +440,38 @@ func shuffleMessages(msgs []model.Message, rng *rand.Rand) {
 }
 
 // NewRunner constructs the named runner over cfg: "seq" (or "") for the
-// sequential engine, "shard" for the sharded one with the given shard
-// count, and "vec" for the vectorized kernel — single-threaded when
-// shards ≤ 0, the parallel kernel with shards workers otherwise. "seq",
-// and "vec" on a workload that is not vectorizable, take the flooding
-// kernel when the agents are model.SetAgents it can run (see Flood), and
-// the sequential engine otherwise; the traces are identical either way.
-// Names resolve through the engine-name table, so the aliases
-// ("sequential", "conc", "vectorized", …) work too. This is the one
-// engine-selection point shared by the facade and the job runner.
+// sequential path, and "vec" for the vectorized kernel — single-threaded
+// when shards ≤ 0, the parallel kernel with shards workers otherwise.
+// "shard", the name of the retired sharded engine, runs the sequential
+// path and ignores shards. The sequential path, which "vec" also takes on
+// a workload that is not vectorizable, is the flooding kernel when the
+// agents are model.SetAgents it can run (see Flood), and the sequential
+// engine otherwise; the traces are identical either way. Names resolve
+// through the engine-name table, so the aliases ("sequential", "conc",
+// "vectorized", …) work too. This is the one engine-selection point
+// shared by the facade and the job runner.
 func NewRunner(cfg Config, name string, shards int) (Runner, error) {
 	canon, ok := CanonicalName(name)
 	if !ok {
 		return nil, fmt.Errorf("engine: unknown engine %q (want %s)", name, NamesList())
 	}
-	switch canon {
-	case "seq":
+	if canon != "vec" {
 		return newSequential(cfg)
-	case "shard":
-		return NewSharded(cfg, shards)
-	default: // "vec"
-		var r Runner
-		var err error
-		if shards > 0 {
-			r, err = NewParallelVec(cfg, shards)
-		} else {
-			r, err = NewVectorized(cfg)
-		}
-		if errors.Is(err, ErrNotVectorizable) {
-			return newSequential(cfg)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return r, nil
 	}
+	var r Runner
+	var err error
+	if shards > 0 {
+		r, err = NewParallelVec(cfg, shards)
+	} else {
+		r, err = NewVectorized(cfg)
+	}
+	if errors.Is(err, ErrNotVectorizable) {
+		return newSequential(cfg)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
 // newSequential returns the flooding kernel over cfg when it can run it,

@@ -3,16 +3,16 @@
 // sending function, the communication graph 𝔾(t) routes the messages, and
 // every agent applies its transition function to the received multiset.
 //
-// Five interchangeable runners implement the semantics: a deterministic
-// sequential engine, a sharded batch engine that partitions the agents
-// across cores, a vectorized kernel that executes linear mass-passing
-// algorithms (model.VectorAgent) over flat float64 buffers with zero
-// steady-state allocations, single-threaded or on a pool of parallel
-// workers, and a flooding kernel that executes set-flooding algorithms
-// (model.SetAgent) over flat set arenas with one agent instead of n. The
-// first four are thin executors over one shared round core (core.go); all
-// five share one topology substrate (internal/topology), and property
-// tests assert they produce identical traces for deterministic agents.
+// Four interchangeable runners implement the semantics: a deterministic
+// sequential engine, a vectorized kernel that executes linear
+// mass-passing algorithms (model.VectorAgent) over flat float64 buffers
+// with zero steady-state allocations, single-threaded or on a pool of
+// parallel workers, and a flooding kernel that executes set-flooding
+// algorithms (model.SetAgent) over flat set arenas with one agent instead
+// of n. The first three are thin executors over one shared round core
+// (core.go); all four share one topology substrate (internal/topology),
+// and property tests assert they produce identical traces for
+// deterministic agents.
 package engine
 
 import (
@@ -20,7 +20,7 @@ import (
 	"anonnet/internal/topology"
 )
 
-// Runner is the common interface of the five runners.
+// Runner is the common interface of the four runners.
 type Runner interface {
 	// Step executes one round.
 	Step() error
@@ -56,7 +56,7 @@ type Stats struct {
 
 // Engine is the deterministic sequential runner: every pipeline stage is a
 // plain loop over the agents on the calling goroutine. It is the reference
-// executor the other four are property-tested against.
+// executor the other three are property-tested against.
 type Engine struct {
 	*core
 }
@@ -81,20 +81,18 @@ func (e *Engine) restart(t int) error { return e.restartAll(t) }
 
 func (e *Engine) send(t int, snap *topology.Snapshot) error {
 	e.buffers(snap)
-	return e.sendRange(snap, 0, e.N())
+	return e.sendAll(snap)
 }
 
 func (e *Engine) exchange(t int, snap *topology.Snapshot) error {
-	delivered, err := e.deliverRange(snap, t, 0, e.N(), &e.faults)
-	if err != nil {
+	if err := e.deliverAll(snap, t); err != nil {
 		return err
 	}
-	e.messages += delivered
 	e.shuffleAll()
 	return nil
 }
 
 func (e *Engine) receive(t int, snap *topology.Snapshot) error {
-	e.receiveRange(0, e.N())
+	e.receiveAll()
 	return nil
 }

@@ -267,49 +267,6 @@ func (a *recorderAgent) Receive(msgs []model.Message) {
 }
 func (a *recorderAgent) Output() model.Value { return fmt.Sprint(a.log) }
 
-// TestSequentialShardedTraceEquality: the sharded engine shuffles every
-// inbox exactly as the sequential one does, at every shard count.
-func TestSequentialShardedTraceEquality(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 10; trial++ {
-		n := 3 + rng.Intn(5)
-		vals := make([]float64, n)
-		for i := range vals {
-			vals[i] = float64(rng.Intn(5))
-		}
-		cfg := Config{
-			Schedule: &dynamic.RandomConnected{Vertices: n, ExtraEdges: 2, Seed: int64(trial)},
-			Kind:     model.SimpleBroadcast,
-			Inputs:   inputs(vals...),
-			Factory:  func(in model.Input) model.Agent { return &recorderAgent{value: in.Value} },
-			Seed:     int64(trial * 17),
-		}
-		seq, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shd, err := NewSharded(cfg, 1+trial%4) // vary the shard count per trial
-		if err != nil {
-			t.Fatal(err)
-		}
-		for r := 0; r < 8; r++ {
-			if err := seq.Step(); err != nil {
-				t.Fatal(err)
-			}
-			if err := shd.Step(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		so, ho := seq.Outputs(), shd.Outputs()
-		for i := range so {
-			if so[i] != ho[i] {
-				t.Fatalf("trial %d: traces diverge at agent %d:\nseq: %v\nshd: %v", trial, i, so[i], ho[i])
-			}
-		}
-		shd.Close()
-	}
-}
-
 func TestWrongAgentInterfaceRejected(t *testing.T) {
 	// A broadcaster-only agent cannot run under the port model.
 	type bcOnly struct{ countAgent }
@@ -466,8 +423,10 @@ func TestRunnerLifecycle(t *testing.T) {
 		typ    string
 	}{
 		{"seq", 0, "*engine.Engine"},
-		{"shard", 2, "*engine.Sharded"},
-		{"conc", 0, "*engine.Sharded"},
+		{"shard", 2, "*engine.Engine"},
+		{"sharded", 0, "*engine.Engine"},
+		{"conc", 0, "*engine.Engine"},
+		{"concurrent", 3, "*engine.Engine"},
 		{"vec", 0, "*engine.Vectorized"},
 		{"vec", 2, "*engine.ParallelVec"},
 	} {
@@ -508,7 +467,8 @@ func TestRunnerLifecycle(t *testing.T) {
 }
 
 // concurrentRunner builds a runner under the retired "concurrent" engine
-// name, which still resolves (to the sharded engine), over the given agents.
+// name, which still resolves (to the sequential path), over the given
+// agents.
 func concurrentRunner(t *testing.T, f model.Factory) Runner {
 	t.Helper()
 	r, err := NewRunner(Config{
@@ -615,24 +575,5 @@ func TestStatsCountMessages(t *testing.T) {
 	st := e.Stats()
 	if st.Rounds != 4 || st.MessagesDelivered != 24 {
 		t.Fatalf("stats = %+v, want 4 rounds and 24 messages", st)
-	}
-	// The sharded engine agrees.
-	c, err := NewSharded(Config{
-		Schedule: dynamic.NewStatic(graph.Ring(3)),
-		Kind:     model.SimpleBroadcast,
-		Inputs:   inputs(1, 2, 3),
-		Factory:  countFactory,
-	}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	for r := 0; r < 4; r++ {
-		if err := c.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := c.Stats(); got != (Stats{Rounds: 4, MessagesDelivered: 24}) {
-		t.Fatalf("sharded stats = %+v", got)
 	}
 }

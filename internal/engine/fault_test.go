@@ -1,13 +1,12 @@
 package engine_test
 
-// Fault-injection property tests: the generic engines must stay
-// trace-identical under any deterministic injector, scripted fault channels
+// Fault-injection property tests: every runner must stay trace-identical
+// to the sequential engine under any deterministic injector, scripted fault channels
 // must have exactly the §2.2-relative semantics documented in
 // internal/faults, and a zero plan must be indistinguishable from no plan.
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"anonnet/internal/dynamic"
@@ -53,20 +52,14 @@ func (a *addAgent) Output() model.Value { return a.value }
 
 func addFactory(in model.Input) model.Agent { return &addAgent{value: in.Value} }
 
-// bothEngines returns the sequential and sharded engines on the same
-// config (fresh factories are unnecessary: addFactory is stateless).
-func bothEngines(t *testing.T, cfg engine.Config) []engine.Runner {
+// newEngine returns the sequential engine on cfg.
+func newEngine(t *testing.T, cfg engine.Config) *engine.Engine {
 	t.Helper()
-	seq, err := engine.New(cfg)
+	e, err := engine.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shd, err := engine.NewSharded(cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(shd.Close)
-	return []engine.Runner{seq, shd}
+	return e
 }
 
 func complete2() dynamic.Schedule {
@@ -78,24 +71,19 @@ func complete2() dynamic.Schedule {
 	return dynamic.NewStatic(g)
 }
 
-func stepAll(t *testing.T, engines []engine.Runner, rounds int) {
+func stepAll(t *testing.T, e engine.Runner, rounds int) {
 	t.Helper()
 	for r := 1; r <= rounds; r++ {
-		for _, e := range engines {
-			if err := e.Step(); err != nil {
-				t.Fatalf("round %d: %v", r, err)
-			}
+		if err := e.Step(); err != nil {
+			t.Fatalf("round %d: %v", r, err)
 		}
 	}
 }
 
-func wantOutputs(t *testing.T, engines []engine.Runner, want []model.Value) {
+func wantOutputs(t *testing.T, e engine.Runner, want []model.Value) {
 	t.Helper()
-	names := []string{"sequential", "sharded"}
-	for k, e := range engines {
-		if got := e.Outputs(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s outputs %v, want %v", names[k], got, want)
-		}
+	if got := e.Outputs(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("outputs %v, want %v", got, want)
 	}
 }
 
@@ -103,7 +91,7 @@ func wantOutputs(t *testing.T, engines []engine.Runner, want []model.Value) {
 // the round, messages addressed to it are lost, and its state survives.
 func TestFaultStallSkipsRound(t *testing.T) {
 	inj := scriptInjector{stall: func(tt, agent int) bool { return tt == 1 && agent == 1 }}
-	engines := bothEngines(t, engine.Config{
+	e := newEngine(t, engine.Config{
 		Schedule: complete2(),
 		Kind:     model.SimpleBroadcast,
 		Inputs:   []model.Input{{Value: 1}, {Value: 10}},
@@ -111,11 +99,11 @@ func TestFaultStallSkipsRound(t *testing.T) {
 		Seed:     5,
 		Faults:   inj,
 	})
-	stepAll(t, engines, 2)
+	stepAll(t, e, 2)
 	// Round 1: agent 1 stalled — agent 0 hears only itself (1 → 2), agent 1
 	// keeps 10. Round 2: full exchange — 2+(2+10)=14 and 10+(2+10)=22.
-	wantOutputs(t, engines, []model.Value{14.0, 22.0})
-	if s := engines[0].Stats(); s.MessagesDelivered != 1+4 {
+	wantOutputs(t, e, []model.Value{14.0, 22.0})
+	if s := e.Stats(); s.MessagesDelivered != 1+4 {
 		t.Fatalf("delivered %d messages, want 5 (1 in the stalled round, 4 after)", s.MessagesDelivered)
 	}
 }
@@ -124,7 +112,7 @@ func TestFaultStallSkipsRound(t *testing.T) {
 // its original input at the start of the round, before sends.
 func TestFaultCrashRestartResetsState(t *testing.T) {
 	inj := scriptInjector{restart: func(tt, agent int) bool { return tt == 2 && agent == 0 }}
-	engines := bothEngines(t, engine.Config{
+	e := newEngine(t, engine.Config{
 		Schedule: complete2(),
 		Kind:     model.SimpleBroadcast,
 		Inputs:   []model.Input{{Value: 1}, {Value: 10}},
@@ -132,10 +120,10 @@ func TestFaultCrashRestartResetsState(t *testing.T) {
 		Seed:     5,
 		Faults:   inj,
 	})
-	stepAll(t, engines, 2)
+	stepAll(t, e, 2)
 	// Round 1: 1+(1+10)=12 and 10+(1+10)=21. Round 2: agent 0 restarts to 1
 	// and sends 1; 1+(1+21)=23 and 21+(1+21)=43.
-	wantOutputs(t, engines, []model.Value{23.0, 43.0})
+	wantOutputs(t, e, []model.Value{23.0, 43.0})
 }
 
 // TestFaultDelayRedelivered: a delayed message leaves the current multiset
@@ -147,7 +135,7 @@ func TestFaultDelayRedelivered(t *testing.T) {
 		}
 		return engine.Fate{}
 	}}
-	engines := bothEngines(t, engine.Config{
+	e := newEngine(t, engine.Config{
 		Schedule: complete2(),
 		Kind:     model.SimpleBroadcast,
 		Inputs:   []model.Input{{Value: 1}, {Value: 10}},
@@ -155,20 +143,18 @@ func TestFaultDelayRedelivered(t *testing.T) {
 		Seed:     5,
 		Faults:   inj,
 	})
-	stepAll(t, engines, 2)
+	stepAll(t, e, 2)
 	// Round 1: agent 0 hears only itself (the 10 is in flight) → 2; agent 1
 	// hears both → 21. Round 2: agent 0 hears 2, 21, and the delayed 10 →
 	// 2+33=35; agent 1 hears 2, 21 → 44.
-	wantOutputs(t, engines, []model.Value{35.0, 44.0})
-	for _, e := range engines {
-		if s := e.Stats(); s.Faults.Delayed != 1 || s.MessagesDelivered != 3+5 {
-			t.Fatalf("stats %+v, want Delayed 1 and 8 delivered", s)
-		}
+	wantOutputs(t, e, []model.Value{35.0, 44.0})
+	if s := e.Stats(); s.Faults.Delayed != 1 || s.MessagesDelivered != 3+5 {
+		t.Fatalf("stats %+v, want Delayed 1 and 8 delivered", s)
 	}
 }
 
-// TestFaultDropDupStats: drops discard, dups double, and both are counted
-// identically by the sequential and sharded engines.
+// TestFaultDropDupStats: drops discard, dups double, and both are
+// counted.
 func TestFaultDropDupStats(t *testing.T) {
 	inj := scriptInjector{fate: func(tt, src, dst int) engine.Fate {
 		if tt != 1 {
@@ -182,7 +168,7 @@ func TestFaultDropDupStats(t *testing.T) {
 		}
 		return engine.Fate{}
 	}}
-	engines := bothEngines(t, engine.Config{
+	e := newEngine(t, engine.Config{
 		Schedule: complete2(),
 		Kind:     model.SimpleBroadcast,
 		Inputs:   []model.Input{{Value: 1}, {Value: 10}},
@@ -190,14 +176,11 @@ func TestFaultDropDupStats(t *testing.T) {
 		Seed:     5,
 		Faults:   inj,
 	})
-	stepAll(t, engines, 1)
+	stepAll(t, e, 1)
 	// Agent 0 hears itself plus 10 twice → 22; agent 1 hears only itself → 20.
-	wantOutputs(t, engines, []model.Value{22.0, 20.0})
-	for _, e := range engines {
-		s := e.Stats()
-		if s.Faults.Dropped != 1 || s.Faults.Duplicated != 1 || s.MessagesDelivered != 4 {
-			t.Fatalf("stats %+v, want 1 dropped, 1 duplicated, 4 delivered", s)
-		}
+	wantOutputs(t, e, []model.Value{22.0, 20.0})
+	if s := e.Stats(); s.Faults.Dropped != 1 || s.Faults.Duplicated != 1 || s.MessagesDelivered != 4 {
+		t.Fatalf("stats %+v, want 1 dropped, 1 duplicated, 4 delivered", s)
 	}
 }
 
@@ -215,8 +198,10 @@ func faultPlanInjector(t *testing.T) *faults.Injector {
 }
 
 // TestFaultTraceEqualityAcrossEngines is the tentpole property: for a
-// non-zero (Seed, Plan), the sequential and sharded engines remain
-// trace-identical on every algorithm family.
+// non-zero (Seed, Plan), the sequential engine and whatever NewRunner
+// builds for "vec" with 3 workers — the parallel vectorized kernel for
+// the linear mass-passing algorithms, the sequential path for the rest —
+// remain trace-identical on every algorithm family.
 func TestFaultTraceEqualityAcrossEngines(t *testing.T) {
 	const n = 7
 	inj := faultPlanInjector(t)
@@ -236,26 +221,26 @@ func TestFaultTraceEqualityAcrossEngines(t *testing.T) {
 			}
 			cfg2 := cfg
 			cfg2.Factory = tc.factory(t)
-			shd, err := engine.NewSharded(cfg2, 3)
+			vec, err := engine.NewRunner(cfg2, "vec", 3)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer shd.Close()
+			defer vec.Close()
 			for r := 1; r <= tc.rounds; r++ {
-				for _, e := range []engine.Runner{seq, shd} {
+				for _, e := range []engine.Runner{seq, vec} {
 					if err := e.Step(); err != nil {
 						t.Fatalf("round %d: %v", r, err)
 					}
 				}
-				so, ho := seq.Outputs(), shd.Outputs()
+				so, vo := seq.Outputs(), vec.Outputs()
 				for i := range so {
-					if !reflect.DeepEqual(so[i], ho[i]) {
-						t.Fatalf("round %d agent %d: sequential %v ≠ sharded %v", r, i, so[i], ho[i])
+					if !reflect.DeepEqual(so[i], vo[i]) {
+						t.Fatalf("round %d agent %d: sequential %v ≠ %T %v", r, i, so[i], vec, vo[i])
 					}
 				}
 			}
-			if seq.Stats() != shd.Stats() {
-				t.Fatalf("stats diverge: sequential %+v, sharded %+v", seq.Stats(), shd.Stats())
+			if seq.Stats() != vec.Stats() {
+				t.Fatalf("stats diverge: sequential %+v, %T %+v", seq.Stats(), vec, vec.Stats())
 			}
 			fs := seq.Stats().Faults
 			if fs.Dropped == 0 && fs.Duplicated == 0 && fs.Delayed == 0 {
@@ -276,7 +261,7 @@ func TestFaultZeroPlanIdentity(t *testing.T) {
 	}
 	for _, tc := range algoCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			mk := func(inj engine.FaultInjector, shards int) engine.Runner {
+			mk := func(inj engine.FaultInjector, workers int) engine.Runner {
 				cfg := engine.Config{
 					Schedule: tc.schedule(n, 11),
 					Kind:     tc.kind,
@@ -289,8 +274,8 @@ func TestFaultZeroPlanIdentity(t *testing.T) {
 					r   engine.Runner
 					err error
 				)
-				if shards > 0 {
-					r, err = engine.NewSharded(cfg, shards)
+				if workers > 0 {
+					r, err = engine.NewRunner(cfg, "vec", workers)
 				} else {
 					r, err = engine.New(cfg)
 				}
@@ -300,9 +285,9 @@ func TestFaultZeroPlanIdentity(t *testing.T) {
 				t.Cleanup(r.Close)
 				return r
 			}
-			for _, shards := range []int{0, 3} {
-				plain := mk(nil, shards)
-				faulted := mk(zero, shards)
+			for _, workers := range []int{0, 3} {
+				plain := mk(nil, workers)
+				faulted := mk(zero, workers)
 				for r := 1; r <= tc.rounds; r++ {
 					if err := plain.Step(); err != nil {
 						t.Fatal(err)
@@ -313,12 +298,12 @@ func TestFaultZeroPlanIdentity(t *testing.T) {
 					po, fo := plain.Outputs(), faulted.Outputs()
 					for i := range po {
 						if !reflect.DeepEqual(po[i], fo[i]) {
-							t.Fatalf("shards=%d round %d agent %d: plain %v ≠ zero-plan %v", shards, r, i, po[i], fo[i])
+							t.Fatalf("workers=%d round %d agent %d: plain %v ≠ zero-plan %v", workers, r, i, po[i], fo[i])
 						}
 					}
 				}
 				if plain.Stats() != faulted.Stats() {
-					t.Fatalf("shards=%d stats diverge: plain %+v, zero-plan %+v", shards, plain.Stats(), faulted.Stats())
+					t.Fatalf("workers=%d stats diverge: plain %+v, zero-plan %+v", workers, plain.Stats(), faulted.Stats())
 				}
 			}
 		})
@@ -326,8 +311,8 @@ func TestFaultZeroPlanIdentity(t *testing.T) {
 }
 
 // TestFaultChurnTraceEqualityAcrossEngines: a churned schedule (repair
-// guard) drives the sequential and sharded engines identically, including
-// the sharded engine's per-round CSR rebuilds.
+// guard), whose CSR is rebuilt every round, drives the sequential engine
+// and NewRunner's "vec" with 3 workers identically.
 func TestFaultChurnTraceEqualityAcrossEngines(t *testing.T) {
 	const n = 7
 	for _, tc := range algoCases() {
@@ -357,72 +342,25 @@ func TestFaultChurnTraceEqualityAcrossEngines(t *testing.T) {
 			}
 			cfg2 := cfg
 			cfg2.Factory = tc.factory(t)
-			shd, err := engine.NewSharded(cfg2, 3)
+			vec, err := engine.NewRunner(cfg2, "vec", 3)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer shd.Close()
+			defer vec.Close()
 			for r := 1; r <= tc.rounds; r++ {
 				if err := seq.Step(); err != nil {
 					t.Fatalf("round %d: %v", r, err)
 				}
-				if err := shd.Step(); err != nil {
+				if err := vec.Step(); err != nil {
 					t.Fatalf("round %d: %v", r, err)
 				}
-				so, ho := seq.Outputs(), shd.Outputs()
+				so, vo := seq.Outputs(), vec.Outputs()
 				for i := range so {
-					if !reflect.DeepEqual(so[i], ho[i]) {
-						t.Fatalf("round %d agent %d: sequential %v ≠ sharded %v", r, i, so[i], ho[i])
+					if !reflect.DeepEqual(so[i], vo[i]) {
+						t.Fatalf("round %d agent %d: sequential %v ≠ %T %v", r, i, so[i], vec, vo[i])
 					}
 				}
 			}
 		})
-	}
-}
-
-// panicAgent panics in Receive on its trigger round.
-type panicAgent struct {
-	value float64
-	round int
-	boom  bool
-}
-
-func (a *panicAgent) Send() model.Message { return a.value }
-func (a *panicAgent) Receive([]model.Message) {
-	a.round++
-	if a.boom && a.round == 2 {
-		panic("agent exploded")
-	}
-}
-func (a *panicAgent) Output() model.Value { return a.value }
-
-func panicFactory(in model.Input) model.Agent {
-	return &panicAgent{value: in.Value, boom: in.Value == 0}
-}
-
-func panicConfig() engine.Config {
-	return engine.Config{
-		Schedule: complete2(),
-		Kind:     model.SimpleBroadcast,
-		Inputs:   []model.Input{{Value: 0}, {Value: 10}},
-		Factory:  panicFactory,
-		Seed:     5,
-	}
-}
-
-// TestFaultPanicRecoveredSharded: an agent panic inside a shard goroutine
-// surfaces as a Step error instead of killing the process.
-func TestFaultPanicRecoveredSharded(t *testing.T) {
-	shd, err := engine.NewSharded(panicConfig(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shd.Close()
-	if err := shd.Step(); err != nil {
-		t.Fatalf("round 1: %v", err)
-	}
-	err = shd.Step()
-	if err == nil || !strings.Contains(err.Error(), "panic") {
-		t.Fatalf("round 2 error %v, want a recovered panic", err)
 	}
 }

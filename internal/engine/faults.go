@@ -73,12 +73,11 @@ type pendingMsg struct {
 }
 
 // pendingStore holds delayed messages per destination. Entries are
-// appended in delivery-iteration order — identical across the three
-// engines, because each engine fills a destination's inbox in the same
+// appended in delivery-iteration order — identical across the runners,
+// because each runner fills a destination's inbox in the same
 // per-destination order (sources ascending, edge insertion order) — and
 // flushed in that order, so the pre-shuffle inbox contents agree byte for
-// byte. In the sharded engine each destination is owned by exactly one
-// shard, so the per-destination slices need no locking.
+// byte.
 type pendingStore struct {
 	byDst [][]pendingMsg
 }

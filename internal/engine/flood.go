@@ -375,11 +375,11 @@ func (f *Flood) Stats() Stats {
 }
 
 // TopologyStats reports the topology provider's build counters, as the
-// generic runners' does.
+// other runners' does.
 func (f *Flood) TopologyStats() topology.BuildStats { return f.topo.Stats() }
 
 // Corrupt unions into agent i's set the value agent i's Corrupt(junk +
-// i·7919) would add — the junk the generic runners hand agent i — when
+// i·7919) would add — the junk the other runners hand agent i — when
 // the agents are Corruptible, and reports how many were corrupted (none
 // after Close). The next round merges every in-neighbour set.
 func (f *Flood) Corrupt(junk int64) int {

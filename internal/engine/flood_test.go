@@ -151,10 +151,11 @@ func assertSameRun(t *testing.T, want, got engine.Runner, rounds, corruptAt int,
 }
 
 // TestFloodRunnerSelection: NewRunner builds the flooding kernel for
-// "seq", its aliases, and the fallback of "vec", when the agents are set
-// agents that conform to the model and the run has no fault injector; a
-// fault injector, the sharded engine, a non-conforming model, a non-set
-// algorithm and an agent that embeds a gossip agent keep their runners.
+// "seq", its aliases, the retired sharded engine's names, and the
+// fallback of "vec", when the agents are set agents that conform to the
+// model and the run has no fault injector; a fault injector, a
+// non-conforming model, a non-set algorithm and an agent that embeds a
+// gossip agent keep the sequential engine.
 func TestFloodRunnerSelection(t *testing.T) {
 	gossipMax, err := gossip.NewFactory(funcs.Max())
 	if err != nil {
@@ -185,7 +186,12 @@ func TestFloodRunnerSelection(t *testing.T) {
 		{"sequential", "sequential", cfg(model.Symmetric, gossipMax, nil), "*engine.Flood"},
 		{"vec fallback", "vec", cfg(model.SimpleBroadcast, gossipMax, nil), "*engine.Flood"},
 		{"faults", "seq", cfg(model.SimpleBroadcast, gossipMax, inj), "*engine.Engine"},
-		{"shard", "shard", cfg(model.SimpleBroadcast, gossipMax, nil), "*engine.Sharded"},
+		{"shard", "shard", cfg(model.SimpleBroadcast, gossipMax, nil), "*engine.Flood"},
+		{"sharded", "sharded", cfg(model.OutdegreeAware, gossipMax, nil), "*engine.Flood"},
+		{"conc", "conc", cfg(model.SimpleBroadcast, gossipMax, nil), "*engine.Flood"},
+		{"concurrent", "concurrent", cfg(model.Symmetric, gossipMax, nil), "*engine.Flood"},
+		{"shard faults", "shard", cfg(model.SimpleBroadcast, gossipMax, inj), "*engine.Engine"},
+		{"conc linear agents", "conc", cfg(model.OutdegreeAware, pushsum.NewAverageFactory(), nil), "*engine.Engine"},
 		{"linear agents", "seq", cfg(model.OutdegreeAware, pushsum.NewAverageFactory(), nil), "*engine.Engine"},
 		{"embedding wrapper", "seq", cfg(model.SimpleBroadcast, wrap, nil), "*engine.Engine"},
 	} {

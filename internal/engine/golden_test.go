@@ -7,10 +7,10 @@ package engine_test
 // Every case hashes the full history of output vectors (one line per
 // round, rendered with %v so float formatting is part of the contract)
 // across the five algorithm families, async starts, and nonzero fault
-// plans, and asserts that the sequential, sharded, and (where the
-// workload is vectorizable) both vectorized engines, and (where the agents
-// are set agents and the run is fault-free) the flooding kernel, all match
-// the recorded constant. A failure here means observable behaviour changed relative to
+// plans, and asserts that the sequential engine, (where the workload is
+// vectorizable) both vectorized engines, and (where the agents are set
+// agents and the run is fault-free) the flooding kernel all match the
+// recorded constant. A failure here means observable behaviour changed relative to
 // the pre-refactor engines — never "update the constant" without
 // understanding why.
 
@@ -189,7 +189,6 @@ func TestGoldenTraces(t *testing.T) {
 				mk   func() (engine.Runner, error)
 			}{
 				{"seq", func() (engine.Runner, error) { return engine.New(goldenConfig(t, gc)) }},
-				{"shard3", func() (engine.Runner, error) { return engine.NewSharded(goldenConfig(t, gc), 3) }},
 				{"vec", func() (engine.Runner, error) {
 					r, err := engine.NewVectorized(goldenConfig(t, gc))
 					if errors.Is(err, engine.ErrNotVectorizable) {

@@ -42,7 +42,7 @@ func (a *inboxAgent) Receive(msgs []model.Message) {
 // must regrow the inbox it overflows and leave its neighbours' windows
 // alone. Gossip runs on a static ring under a duplicate-heavy fault plan,
 // and on a dynamic schedule whose in-degrees grow after round 1 (a ring,
-// then the complete graph); every round, on seq and on shard, each
+// then the complete graph); every round, on the sequential engine, each
 // agent's received multiset must equal the reference inbox built afresh
 // from the round's graph, the fates and what every agent sent.
 func TestInboxOutgrowsSlab(t *testing.T) {
@@ -74,41 +74,32 @@ func TestInboxOutgrowsSlab(t *testing.T) {
 	}
 	for _, tc := range cases {
 		cfg := engine.Config{Schedule: tc.sched, Kind: model.SimpleBroadcast, Inputs: testutil.Inputs(vals...), Factory: factory, Seed: 3, Faults: tc.faults}
-		seq, err := engine.New(cfg)
+		r, err := engine.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		shd, err := engine.NewSharded(cfg, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range []interface {
-			engine.Runner
-			Agent(int) model.Agent
-		}{seq, shd} {
-			for round := 1; round <= rounds; round++ {
-				if err := r.Step(); err != nil {
-					t.Fatal(err)
+		for round := 1; round <= rounds; round++ {
+			if err := r.Step(); err != nil {
+				t.Fatal(err)
+			}
+			want := make([][]string, n)
+			for _, e := range tc.sched.At(round).Arcs() {
+				copies := 1
+				if e.From != e.To {
+					copies += tc.dup(round, e.From, e.To)
 				}
-				want := make([][]string, n)
-				for _, e := range tc.sched.At(round).Arcs() {
-					copies := 1
-					if e.From != e.To {
-						copies += tc.dup(round, e.From, e.To)
-					}
-					sent := fmt.Sprint(r.Agent(e.From).(*inboxAgent).sent)
-					for c := 0; c < copies; c++ {
-						want[e.To] = append(want[e.To], sent)
-					}
-				}
-				for j := range want {
-					slices.Sort(want[j])
-					if got := r.Agent(j).(*inboxAgent).got; !slices.Equal(got, want[j]) {
-						t.Fatalf("%s/%T round %d: agent %d received %v, want %v", tc.name, r, round, j, got, want[j])
-					}
+				sent := fmt.Sprint(r.Agent(e.From).(*inboxAgent).sent)
+				for c := 0; c < copies; c++ {
+					want[e.To] = append(want[e.To], sent)
 				}
 			}
-			r.Close()
+			for j := range want {
+				slices.Sort(want[j])
+				if got := r.Agent(j).(*inboxAgent).got; !slices.Equal(got, want[j]) {
+					t.Fatalf("%s round %d: agent %d received %v, want %v", tc.name, round, j, got, want[j])
+				}
+			}
 		}
+		r.Close()
 	}
 }

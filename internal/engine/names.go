@@ -11,9 +11,11 @@ import "strings"
 
 // engineNames lists the runners in EngineKind order (the facade's iota
 // order): canonical name first, aliases after. The empty alias on "seq"
-// makes the unset name mean the sequential engine everywhere. "conc" and
-// "concurrent" name the retired goroutine-per-agent runner; they stay
-// accepted and run on the sharded engine, whose traces are identical.
+// makes the unset name mean the sequential engine everywhere. "shard"
+// names the retired sharded engine and "conc" and "concurrent" the
+// retired goroutine-per-agent runner; every spelling stays accepted, so
+// spec hashes and EngineKind values are unchanged, and NewRunner runs
+// them on the sequential path, whose traces are identical.
 var engineNames = []struct {
 	canon   string
 	aliases []string

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
 	"anonnet/internal/model"
@@ -131,6 +132,23 @@ func NewParallelVec(cfg Config, workers int) (*ParallelVec, error) {
 		go p.worker(k, lo, hi)
 	}
 	return p, nil
+}
+
+// parallelism resolves a requested worker count over n agents: ≤ 0
+// selects runtime.GOMAXPROCS(0), and the result is capped at n (but stays
+// ≥ 1), so the constructor spawns no worker whose slab could only be
+// empty.
+func parallelism(k, n int) int {
+	if k <= 0 {
+		k = runtime.GOMAXPROCS(0)
+	}
+	return max(1, min(k, n))
+}
+
+// shardRange returns the half-open agent range of worker k's slab:
+// contiguous blocks of ⌈n/workers⌉-or-⌊n/workers⌋ agents.
+func shardRange(n, workers, k int) (lo, hi int) {
+	return k * n / workers, (k + 1) * n / workers
 }
 
 // Workers returns the worker count.

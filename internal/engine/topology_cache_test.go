@@ -43,8 +43,8 @@ func buildsAfter(t *testing.T, r engine.Runner, rounds int) int64 {
 	return ts.TopologyStats().Builds
 }
 
-// engineNames are the NewRunner names the caching tests sweep; "conc", the
-// retired concurrent runner's name, selects the sharded engine.
+// engineNames are the NewRunner names the caching tests sweep; "conc" and
+// "shard", the retired runners' names, select the sequential path.
 var engineNames = []string{"seq", "conc", "shard", "vec"}
 
 // TestStaticSnapshotBuiltOnce: a 100-round run over a static graph builds

@@ -218,7 +218,7 @@ func (v *Vectorized) send(t int, snap *topology.Snapshot) error {
 	return nil
 }
 
-// exchange runs destination-major like the sharded engine, fused per
+// exchange runs destination-major like the sequential engine, fused per
 // destination: gather the contributing rows of destination j in the
 // delivery-order invariant, apply fault fates (self-loops exempt), flush
 // due delayed rows, shuffle the contribution order with the shared seeded

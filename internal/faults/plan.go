@@ -4,7 +4,7 @@
 // that the engines consult as a pure function. Determinism is the design
 // center: every fault decision is a splitmix64-style hash of
 // (seed, round, participants, channel salt), never a draw from a shared
-// RNG stream, so the sequential, sharded, and vectorized engines — which
+// RNG stream, so the sequential engine and the vectorized kernels — which
 // evaluate the decisions from different goroutines in different orders —
 // reach identical verdicts, and a zero Plan perturbs nothing at all.
 package faults

@@ -35,8 +35,12 @@ type CheckpointConfig struct {
 // checkpointable one after its final checkpoint reached cfg.Save, any
 // other with no checkpoint, so that it reruns from round 0.
 func RunCheckpointed(ctx context.Context, b *Built, obs engine.Observer, ck CheckpointConfig) (*Result, error) {
-	cfg, name := b.engineConfig()
-	r, err := engine.NewRunner(cfg, name, b.Spec.Shards)
+	// One engine-selection point for the whole repo: engine.NewRunner maps
+	// the spec's engine name to the runner and handles the deterministic
+	// vec→seq fallback (identical traces) itself. The legacy Concurrent
+	// flag leaves the name empty, so it runs on the sequential path, like
+	// "shard", whose traces are identical.
+	r, err := engine.NewRunner(b.engineConfig(), b.Spec.Engine, b.Spec.Shards)
 	if err != nil {
 		return nil, err
 	}

@@ -65,8 +65,8 @@ func hashTrace(lines []string) string {
 // criterion at the job level: a Push-Sum job checkpointed at round K,
 // killed (flush), and resumed produces the byte-identical trace hash and
 // the identical Result of the same spec run uninterrupted — on every
-// engine name, with and without a fault plan ("conc" runs on the sharded
-// engine).
+// engine name, with and without a fault plan ("conc" and "shard" run the
+// sequential path).
 func TestRunCheckpointedResumeMatchesUninterrupted(t *testing.T) {
 	for _, withFaults := range []bool{false, true} {
 		for _, eng := range []string{"seq", "conc", "shard", "vec"} {
@@ -129,11 +129,11 @@ func TestRunCheckpointedResumeMatchesUninterrupted(t *testing.T) {
 	}
 }
 
-// concurrentBlob returns the checkpoint the retired concurrent runner
-// wrote for spec at round k — the sequential engine's flush snapshot (the
-// two shared the core layout and the draw sequence) stamped "concurrent" —
-// and the trace lines of rounds 1..k.
-func concurrentBlob(t *testing.T, spec Spec, k int) ([]byte, []string) {
+// retiredBlob returns the checkpoint a retired core-layout runner wrote
+// for spec at round k — the sequential engine's flush snapshot (they
+// shared its layout and draw sequence) stamped with the runner's tag,
+// "concurrent" or "sharded" — and the trace lines of rounds 1..k.
+func retiredBlob(t *testing.T, spec Spec, k int, tag string) ([]byte, []string) {
 	t.Helper()
 	spec.Concurrent, spec.Engine, spec.Shards = false, "", 0
 	c, err := Compile(spec)
@@ -159,51 +159,68 @@ func concurrentBlob(t *testing.T, spec Spec, k int) ([]byte, []string) {
 	if cp.Round != k || cp.Engine != "sequential" {
 		t.Fatalf("flush checkpoint %q at round %d, want sequential at round %d", cp.Engine, cp.Round, k)
 	}
-	cp.Engine = "concurrent"
+	cp.Engine = tag
 	if blob, err = cp.Encode(); err != nil {
 		t.Fatal(err)
 	}
 	return blob, pre.lines
 }
 
+// resumeRetired resumes the job of spec from the checkpoint a retired
+// runner tagged tag wrote at round 5, and asserts the spliced trace hash
+// and Result equal the uninterrupted run's.
+func resumeRetired(t *testing.T, spec Spec, tag string) {
+	t.Helper()
+	const k = 5
+	c, err := Compile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := &traceRecorder{}
+	want, err := Run(context.Background(), c, ref.obs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, pre := retiredBlob(t, spec, k, tag)
+	post := &traceRecorder{}
+	got, err := RunCheckpointed(context.Background(), build(t, c), post.obs, CheckpointConfig{Resume: blob})
+	if err != nil {
+		t.Fatalf("resume from a %s checkpoint: %v", tag, err)
+	}
+	spliced := append(append([]string(nil), pre...), post.lines...)
+	if gotHash, wantHash := hashTrace(spliced), hashTrace(ref.lines); gotHash != wantHash {
+		t.Errorf("spliced trace hash %s, want uninterrupted %s", gotHash, wantHash)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("resumed result %+v diverges from uninterrupted %+v", got, want)
+	}
+}
+
 // TestRunCheckpointedResumesConcurrentCheckpoint: a checkpoint stamped
 // "concurrent" by the retired goroutine-per-agent runner resumes the
-// concurrent:true job that wrote it — which now runs on the sharded
-// engine — and the spliced trace hash and Result equal the uninterrupted
+// concurrent:true job that wrote it — which now runs on the sequential
+// path — and the spliced trace hash and Result equal the uninterrupted
 // run's, with and without a fault plan.
 func TestRunCheckpointedResumesConcurrentCheckpoint(t *testing.T) {
-	const k = 5
 	for _, withFaults := range []bool{false, true} {
 		t.Run(fmt.Sprintf("faults=%v", withFaults), func(t *testing.T) {
 			spec := ckptSpec("conc", withFaults)
-			compile := func() *Compiled {
-				c, err := Compile(spec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !c.Spec.Concurrent {
-					t.Fatal("engine=conc did not fold into the concurrent flag")
-				}
-				return c
+			if c, err := Compile(spec); err != nil || !c.Spec.Concurrent {
+				t.Fatalf("engine=conc did not fold into the concurrent flag (%v)", err)
 			}
-			ref := &traceRecorder{}
-			want, err := Run(context.Background(), compile(), ref.obs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			blob, pre := concurrentBlob(t, spec, k)
-			post := &traceRecorder{}
-			got, err := RunCheckpointed(context.Background(), build(t, compile()), post.obs, CheckpointConfig{Resume: blob})
-			if err != nil {
-				t.Fatalf("resume from a concurrent checkpoint: %v", err)
-			}
-			spliced := append(append([]string(nil), pre...), post.lines...)
-			if gotHash, wantHash := hashTrace(spliced), hashTrace(ref.lines); gotHash != wantHash {
-				t.Errorf("spliced trace hash %s, want uninterrupted %s", gotHash, wantHash)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("resumed result %+v diverges from uninterrupted %+v", got, want)
-			}
+			resumeRetired(t, spec, "concurrent")
+		})
+	}
+}
+
+// TestRunCheckpointedResumesShardedCheckpoint: a checkpoint stamped
+// "sharded" by the retired sharded engine resumes the engine=shard job
+// that wrote it — which now runs on the sequential path — to the
+// uninterrupted trace hash and Result, with and without a fault plan.
+func TestRunCheckpointedResumesShardedCheckpoint(t *testing.T) {
+	for _, withFaults := range []bool{false, true} {
+		t.Run(fmt.Sprintf("faults=%v", withFaults), func(t *testing.T) {
+			resumeRetired(t, ckptSpec("shard", withFaults), "sharded")
 		})
 	}
 }

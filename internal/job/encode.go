@@ -392,6 +392,24 @@ func AppendResult(dst []byte, r *Result) []byte {
 	return append(dst, '}')
 }
 
+// EncodeResult returns the JSON encoding of r, as AppendResult writes
+// it, in a slice of its own. AppendResult reserves by estimate, eight
+// bytes an output, so the encoding is written in a pooled scratch buffer
+// and returned as an exact-size copy that shares no memory with the
+// scratch: a service keeps a result's bytes as long as the jobs that hold
+// it, and the unused reserve would live as long. A scratch buffer over
+// maxPooledEncoding is left to the GC, as encodeCanonical leaves its own.
+func EncodeResult(r *Result) []byte {
+	buf := encodeScratch.Get().(*[]byte)
+	enc := AppendResult((*buf)[:0], r)
+	out := bytes.Clone(enc)
+	if cap(enc) <= maxPooledEncoding {
+		*buf = enc
+		encodeScratch.Put(buf)
+	}
+	return out
+}
+
 // Summarize reads an encoded Result — one written by AppendResult or by
 // encoding/json — without decoding its outputs. outputs is the outputs
 // array as a sub-slice of enc, nil when the outputs are null or empty; the

@@ -189,6 +189,35 @@ func TestAppendResultMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
+// TestEncodeResultOwnsItsBytes: EncodeResult writes what AppendResult
+// writes, and the slice it returns shares no memory with its pooled
+// scratch buffer — encoding results of other sizes after it, as a worker
+// does job after job on a sweep whose ring sizes change, leaves its bytes
+// as they were.
+func TestEncodeResultOwnsItsBytes(t *testing.T) {
+	result := func(n int, shift float64) *Result {
+		out := make([]F64, n)
+		for i := range out {
+			out[i] = F64(float64(i) + shift)
+		}
+		return &Result{Outputs: out, Stable: true, Rounds: 2, Expected: F64(n), Messages: int64(2 * n)}
+	}
+	first := result(12_047, 0.5)
+	enc := EncodeResult(first)
+	want := string(AppendResult(nil, first))
+	if string(enc) != want {
+		t.Fatalf("EncodeResult differs from AppendResult: %.60s…, want %.60s…", enc, want)
+	}
+	for _, r := range []*Result{result(7_952, 1), result(12_047, 3), result(10_000, 0)} {
+		if got, want := string(EncodeResult(r)), string(AppendResult(nil, r)); got != want {
+			t.Fatalf("EncodeResult of n=%d differs from AppendResult", len(r.Outputs))
+		}
+		if string(enc) != want {
+			t.Fatalf("encoding an n=%d result changed an earlier n=%d result's bytes", len(r.Outputs), len(first.Outputs))
+		}
+	}
+}
+
 // TestSummarizeForeignBytes: bytes that are not an encoded Result are
 // refused and yield no outputs rather than a wrong slice.
 func TestSummarizeForeignBytes(t *testing.T) {

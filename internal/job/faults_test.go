@@ -121,15 +121,16 @@ func assertField(t *testing.T, err error, field string) {
 	}
 }
 
-// TestFaultRunDeterministicAcrossEngines: a faulted job yields identical
-// results run-over-run, and the sharded engine reproduces the sequential
-// result byte for byte.
+// TestFaultRunDeterministicAcrossEngines: a faulted Push-Sum job yields
+// identical results run-over-run, and the parallel vectorized kernel
+// reproduces the sequential result byte for byte.
 func TestFaultRunDeterministicAcrossEngines(t *testing.T) {
-	mk := func(engine string) *Result {
+	mk := func(engine string, shards int) *Result {
 		s := ringAverageSpec()
-		s.SchemaVersion = 3
+		s.SchemaVersion = 5
+		s.Dynamic = true
 		s.MaxRounds = 80
-		s.Engine = engine
+		s.Engine, s.Shards = engine, shards
 		s.Faults = &faults.Plan{Drop: 0.2, Dup: 0.1, DelayP: 0.1, Stall: 0.1, Crash: 0.05}
 		c, err := Compile(s)
 		if err != nil {
@@ -144,12 +145,12 @@ func TestFaultRunDeterministicAcrossEngines(t *testing.T) {
 		}
 		return res
 	}
-	seq1, seq2, shd := mk(""), mk(""), mk("shard")
+	seq1, seq2, vec := mk("", 0), mk("", 0), mk("vec", 2)
 	if !reflect.DeepEqual(seq1, seq2) {
 		t.Fatalf("faulted run not reproducible: %+v vs %+v", seq1, seq2)
 	}
-	if !reflect.DeepEqual(seq1, shd) {
-		t.Fatalf("sequential and sharded faulted runs differ: %+v vs %+v", seq1, shd)
+	if !reflect.DeepEqual(seq1, vec) {
+		t.Fatalf("sequential and parallel vectorized faulted runs differ: %+v vs %+v", seq1, vec)
 	}
 	if seq1.Faults == nil || seq1.Faults.Dropped == 0 {
 		t.Fatalf("faulted run reported no fault counts: %+v", seq1.Faults)

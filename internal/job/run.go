@@ -244,9 +244,8 @@ type FaultCounts struct {
 	Delayed    int64 `json:"delayed"`
 }
 
-// engineConfig assembles the engine.Config and runner name for a built
-// job.
-func (b *Built) engineConfig() (engine.Config, string) {
+// engineConfig assembles the engine.Config for a built job.
+func (b *Built) engineConfig() engine.Config {
 	cfg := engine.Config{
 		Schedule: b.Schedule,
 		Kind:     b.Setting.Kind,
@@ -264,15 +263,7 @@ func (b *Built) engineConfig() (engine.Config, string) {
 	if b.topo != nil {
 		cfg.Snapshot = b.topo.Snap
 	}
-	// One engine-selection point for the whole repo: engine.NewRunner maps
-	// the spec's engine name to the runner and handles the deterministic
-	// vec→seq fallback (identical traces) itself. The legacy Concurrent
-	// flag runs on the sharded engine, whose traces are identical.
-	name := b.Spec.Engine
-	if b.Spec.Concurrent {
-		name = "shard"
-	}
-	return cfg, name
+	return cfg
 }
 
 // Run builds the compiled job without a cache and executes it to

@@ -6,7 +6,6 @@ package job
 // registered model, and gate what a miss allocates.
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"runtime"
@@ -141,8 +140,7 @@ func TestCacheMissAllocs(t *testing.T) {
 // gossipJob compiles perfbench's job — gossip max on an n-agent bc ring,
 // two rounds, on the default inputs 1..n — and returns one run of it on
 // a topology cache whose snapshot it has already built: Build, then
-// RunCheckpointed, then AppendResult and the exact-size copy the service
-// keeps.
+// RunCheckpointed, then EncodeResult, the encoding the service keeps.
 func gossipJob(tb testing.TB, n int) func() []byte {
 	tb.Helper()
 	c, err := Compile(Spec{Graph: GraphSpec{Builder: "ring", N: n}, Kind: "bc", Function: "max", MaxRounds: 2, Patience: 2})
@@ -163,7 +161,7 @@ func gossipJob(tb testing.TB, n int) func() []byte {
 		if res.Rounds != 2 {
 			tb.Fatalf("ran %d rounds, want 2", res.Rounds)
 		}
-		return bytes.Clone(AppendResult(nil, res))
+		return EncodeResult(res)
 	}
 	run() // the cache miss
 	return run
@@ -176,10 +174,12 @@ func gossipJob(tb testing.TB, n int) func() []byte {
 // harness and the result as floats, so the number of its allocations does
 // not grow with n: the job (build, runner, arenas, output vectors, result
 // and its encoding) gets a fixed allowance of 64. Its bytes are n-sized
-// arrays, each made once a job: they get 1.25 MB, 2.7% over the 1.22 MB
-// the job allocates.
+// arrays, each made once a job: they get 1.23 MB. The job allocates
+// 1.14 MB, and 1.22 MB when sync.Pool has dropped the scratch buffer
+// EncodeResult writes in, which it does at random under -race; the bound
+// holds that case with 1% to spare.
 func TestGossipJobAllocs(t *testing.T) {
-	const n, perRun, perRunBytes = 10_000, 64, 1_250_000
+	const n, perRun, perRunBytes = 10_000, 64, 1_230_000
 	run := gossipJob(t, n)
 	allocs := testing.AllocsPerRun(5, func() { run() })
 	const runs = 10

@@ -137,24 +137,26 @@ type Spec struct {
 	// Dynamic forces Table 2 treatment even on a static builder.
 	Dynamic bool `json:"dynamic,omitempty"`
 	// Concurrent selected the retired goroutine-per-agent engine; such
-	// specs now run on the sharded engine, whose traces are identical.
+	// specs now run on the sequential path, whose traces are identical.
 	//
 	// Deprecated: use Engine instead. Kept because it participates in the
 	// version-1 canonical hash.
 	Concurrent bool `json:"concurrent,omitempty"`
-	// Engine selects the round engine by name: "" or "seq" (sequential,
-	// the default), "shard" (sharded batch engine), or "vec" (the
-	// vectorized kernel, schema_version ≥ 4; falls back to sequential —
-	// identical traces — when the algorithm is not vectorizable). "seq" is
-	// normalized to "" so version-1 specs hash identically; "conc" (or
+	// Engine selects the round engine by name: "" or "seq" (the
+	// sequential path, the default), "shard" (the retired sharded engine,
+	// which now runs the sequential path), or "vec" (the vectorized
+	// kernel, schema_version ≥ 4; falls back to sequential — identical
+	// traces — when the algorithm is not vectorizable). "seq" is
+	// normalized to "" so version-1 specs hash identically; "shard" stays
+	// in the canonical form, so its specs keep their hashes; "conc" (or
 	// "concurrent") folds into the Concurrent flag, so it keeps its
-	// version-1 hash and runs on the sharded engine. Mutually exclusive
-	// with Concurrent.
+	// version-1 hash. Mutually exclusive with Concurrent.
 	Engine string `json:"engine,omitempty"`
-	// Shards is the engine's degree of parallelism: the shard count with
-	// engine=shard (0 means one per core), and — schema_version ≥ 5 — the
-	// worker count with engine=vec (0 means the single-threaded kernel,
-	// ≥ 1 the parallel kernel; the trace is identical either way).
+	// Shards is the engine's degree of parallelism: schema_version ≥ 5,
+	// the worker count with engine=vec (0 means the single-threaded
+	// kernel, ≥ 1 the parallel kernel; the trace is identical either way).
+	// With engine=shard it stays valid and hashed, the shard count of the
+	// retired sharded engine, and has no effect.
 	Shards int `json:"shards,omitempty"`
 	// Starts optionally gives per-agent activation rounds ≥ 1
 	// (asynchronous starts).
@@ -390,8 +392,8 @@ func (s Spec) Canonical() (Spec, error) {
 	// Engine selection. "conc" folds into the version-1 Concurrent flag
 	// and "seq" into its absence, so a version-2 spec naming the engine
 	// hashes — and caches — identically to the version-1 spec meaning the
-	// same thing. The name table resolves "conc" to the sharded engine it
-	// now runs on, so the fold checks the spelling before resolving.
+	// same thing. The name table resolves "conc" to "shard", so the fold
+	// checks the spelling before resolving.
 	if s.Concurrent && strings.TrimSpace(s.Engine) != "" {
 		return Spec{}, errf("engine", "engine and concurrent are mutually exclusive; drop concurrent")
 	}
@@ -413,10 +415,11 @@ func (s Spec) Canonical() (Spec, error) {
 		}
 		c.Engine = "vec"
 	}
-	// Shards is parallelism: shard count for the sharded engine, worker
-	// count for the parallel vectorized kernel (schema_version ≥ 5; a
-	// version-4 spec carrying vec+shards stays rejected, so old hashes
-	// never collide with the new shape).
+	// Shards is parallelism: worker count for the parallel vectorized
+	// kernel (schema_version ≥ 5; a version-4 spec carrying vec+shards
+	// stays rejected, so old hashes never collide with the new shape), and
+	// the retired sharded engine's shard count, kept valid so its specs
+	// keep their hashes.
 	if s.Shards != 0 {
 		switch c.Engine {
 		case "shard":

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"anonnet/internal/engine"
-	"anonnet/internal/faults"
 )
 
 func ringAverageSpec() Spec {
@@ -137,7 +136,9 @@ func TestSchemaVersionHashCompat(t *testing.T) {
 	if h1 == ref {
 		t.Fatal("concurrent flag must change the hash (it always did)")
 	}
-	// The sharded engine is new semantics, hence a new hash.
+	// engine=shard was new semantics when the sharded engine shipped,
+	// hence a new hash, which it keeps now that it runs the sequential
+	// path.
 	sh := base
 	sh.Engine = "shard"
 	hs, err := sh.Hash()
@@ -311,39 +312,6 @@ func TestVecShardsV5(t *testing.T) {
 		if pres.Outputs[i] != sres.Outputs[i] {
 			t.Fatalf("output %d: parallel vec %v, sequential %v", i, pres.Outputs[i], sres.Outputs[i])
 		}
-	}
-}
-
-func TestCompileShardedEngine(t *testing.T) {
-	s := ringAverageSpec()
-	s.Engine = "shard"
-	s.Shards = 3
-	c, err := Compile(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Spec.Engine != "shard" || c.Spec.Shards != 3 {
-		t.Fatalf("canonical engine fields: %+v", c.Spec)
-	}
-	res, err := Run(context.Background(), c, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Stable {
-		t.Fatalf("sharded run not stable: %+v", res)
-	}
-	// Same spec through the sequential engine gives the same trace, so the
-	// results agree exactly.
-	seq, err := Compile(ringAverageSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := Run(context.Background(), seq, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rounds != ref.Rounds || res.StabilizedAt != ref.StabilizedAt {
-		t.Fatalf("sharded %+v diverges from sequential %+v", res, ref)
 	}
 }
 
@@ -584,39 +552,6 @@ func runJSON(t *testing.T, s Spec) string {
 		t.Fatal(err)
 	}
 	return string(b)
-}
-
-// TestConcurrentSpecRunsSharded: specs naming the retired concurrent
-// engine — concurrent:true, or engine "conc"/"concurrent", which fold into
-// it and keep its hash — run on the sharded engine, so job.Run returns a
-// Result byte-identical to the same spec with engine "shard", faults
-// included.
-func TestConcurrentSpecRunsSharded(t *testing.T) {
-	base := Spec{Graph: GraphSpec{Builder: "splitring", N: 8}, Kind: "od", Function: "average",
-		Values: []float64{3, 1, 4, 1, 5, 9, 2, 6}, Seed: 7, MaxRounds: 400,
-		Faults: &faults.Plan{Drop: 0.1, DelayP: 0.2, DelayMax: 3, Stall: 0.05}}
-	shard := base
-	shard.Engine = "shard"
-	want := runJSON(t, shard)
-	conc := base
-	conc.Concurrent = true
-	wantHash, err := conc.Hash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"conc", "concurrent"} {
-		s := base
-		s.Engine = name
-		if h, err := s.Hash(); err != nil || h != wantHash {
-			t.Fatalf("engine=%s hashes %q, want the concurrent:true hash %q (%v)", name, h, wantHash, err)
-		}
-		if got := runJSON(t, s); got != want {
-			t.Errorf("engine=%s result %s, want the engine=shard result %s", name, got, want)
-		}
-	}
-	if got := runJSON(t, conc); got != want {
-		t.Errorf("concurrent:true result %s, want the engine=shard result %s", got, want)
-	}
 }
 
 // TestVecShardsCappedAtN: a valid spec may ask for up to MaxAgents

@@ -116,14 +116,16 @@ func TestConcurrentSubmissionsDeterministic(t *testing.T) {
 	}
 }
 
-// TestConcurrentBatchSharded exercises the sharded engine's recycled
-// delivery buffers under concurrent batch submissions: many goroutines
-// each submit a sweep of engine=shard specs, so several sharded engines
-// run in parallel inside the worker pool while their sync.Pool-backed CSR
-// buffers churn. Under -race this is the delivery-buffer safety test; the
-// functional assertion is that every batch completes and equal hashes give
-// equal results.
-func TestConcurrentBatchSharded(t *testing.T) {
+// TestConcurrentBatchPooledRebuilds exercises the topology provider's
+// recycled CSR buffers under concurrent batch submissions: many
+// goroutines each submit a sweep of splitring specs, a dynamic schedule
+// whose snapshot is rebuilt every round from the provider's sync.Pool, so
+// four workers rebuild in parallel while the pooled buffers churn. The
+// specs name the retired engine "shard" with shard counts 1..4, which run
+// on the sequential path. Under -race this is the rebuild-buffer safety
+// test; the functional assertion is that every batch completes and equal
+// hashes give equal results.
+func TestConcurrentBatchPooledRebuilds(t *testing.T) {
 	s := New(Config{Workers: 4, QueueDepth: 256, ProgressEvery: 8})
 	defer s.Close()
 

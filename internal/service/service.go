@@ -11,7 +11,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -708,10 +707,8 @@ func (s *Service) runOne(x *execution) {
 	if err == nil {
 		// Encode the result once, outside the lock: every member, the
 		// result index, the done record and every response share these
-		// bytes, and nothing keeps the decoded result. The encoder
-		// reserves by estimate; keep an exact-size copy, since the bytes
-		// live as long as the jobs that hold them.
-		r = bytes.Clone(job.AppendResult(nil, res))
+		// bytes, and nothing keeps the decoded result.
+		r = job.EncodeResult(res)
 	}
 
 	s.mu.Lock()

@@ -71,9 +71,9 @@ func (s *Snapshot) OutDegree(i int) int { return int(s.Outdeg[i]) }
 // InDegree returns the number of entries delivered into agent j.
 func (s *Snapshot) InDegree(j int) int { return int(s.Start[j+1] - s.Start[j]) }
 
-// DstView is a shard's view of a Snapshot: the destination range [Lo, Hi)
-// together with the snapshot it indexes into. Parallel executors hand each
-// worker one view; because Snapshot is immutable and the ranges are
+// DstView is one worker's view of a Snapshot: the destination range
+// [Lo, Hi) together with the snapshot it indexes into. Parallel executors
+// hand each worker one view; because Snapshot is immutable and the ranges are
 // disjoint, workers read their views concurrently without synchronization.
 // The view carries no copies — Edges returns offsets into the snapshot's
 // flat arrays, so slicing per destination costs nothing.
@@ -86,7 +86,7 @@ type DstView struct {
 }
 
 // DstRange returns the view of destinations [lo, hi). It panics on an
-// invalid range — shard arithmetic producing one is a programming error,
+// invalid range — slab arithmetic producing one is a programming error,
 // not an input error.
 func (s *Snapshot) DstRange(lo, hi int) DstView {
 	if lo < 0 || hi < lo || hi > s.n {
@@ -99,7 +99,7 @@ func (s *Snapshot) DstRange(lo, hi int) DstView {
 func (v DstView) N() int { return v.Hi - v.Lo }
 
 // M returns the number of CSR entries delivered into the view's
-// destinations: the per-shard share of the round's edges.
+// destinations: the per-worker share of the round's edges.
 func (v DstView) M() int {
 	if v.Hi == v.Lo {
 		return 0
