@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"anonnet/internal/engine"
+	"anonnet/internal/faults"
 )
 
 func ringAverageSpec() Spec {
@@ -315,6 +316,42 @@ func TestVecShardsV5(t *testing.T) {
 	}
 }
 
+// TestCompileShardedEngine: an engine "shard" spec keeps its engine and
+// shard count in canonical form, and runs on the sequential path, so its
+// run matches the same spec with no engine set.
+func TestCompileShardedEngine(t *testing.T) {
+	s := ringAverageSpec()
+	s.Engine = "shard"
+	s.Shards = 3
+	c, err := Compile(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Spec.Engine != "shard" || c.Spec.Shards != 3 {
+		t.Fatalf("canonical engine fields: %+v", c.Spec)
+	}
+	res, err := Run(context.Background(), c, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Stable {
+		t.Fatalf("sharded run not stable: %+v", res)
+	}
+	// Same spec through the sequential engine gives the same trace, so the
+	// results agree exactly.
+	seq, err := Compile(ringAverageSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := Run(context.Background(), seq, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rounds != ref.Rounds || res.StabilizedAt != ref.StabilizedAt {
+		t.Fatalf("sharded %+v diverges from sequential %+v", res, ref)
+	}
+}
+
 func TestValidationErrors(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -552,6 +589,39 @@ func runJSON(t *testing.T, s Spec) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// TestConcurrentSpecRunsSharded: specs naming the retired concurrent
+// engine — concurrent:true, or engine "conc"/"concurrent", which fold into
+// it and keep its hash — run where an engine "shard" spec runs, the
+// sequential path, so job.Run returns a Result byte-identical to the same
+// spec with engine "shard", faults included.
+func TestConcurrentSpecRunsSharded(t *testing.T) {
+	base := Spec{Graph: GraphSpec{Builder: "splitring", N: 8}, Kind: "od", Function: "average",
+		Values: []float64{3, 1, 4, 1, 5, 9, 2, 6}, Seed: 7, MaxRounds: 400,
+		Faults: &faults.Plan{Drop: 0.1, DelayP: 0.2, DelayMax: 3, Stall: 0.05}}
+	shard := base
+	shard.Engine = "shard"
+	want := runJSON(t, shard)
+	conc := base
+	conc.Concurrent = true
+	wantHash, err := conc.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"conc", "concurrent"} {
+		s := base
+		s.Engine = name
+		if h, err := s.Hash(); err != nil || h != wantHash {
+			t.Fatalf("engine=%s hashes %q, want the concurrent:true hash %q (%v)", name, h, wantHash, err)
+		}
+		if got := runJSON(t, s); got != want {
+			t.Errorf("engine=%s result %s, want the engine=shard result %s", name, got, want)
+		}
+	}
+	if got := runJSON(t, conc); got != want {
+		t.Errorf("concurrent:true result %s, want the engine=shard result %s", got, want)
+	}
 }
 
 // TestVecShardsCappedAtN: a valid spec may ask for up to MaxAgents
